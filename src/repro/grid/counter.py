@@ -19,6 +19,9 @@ cheap:
   ``process`` :class:`~repro.core.params.CountingBackend` — chunks of
   the batch run on a worker pool that reads the masks from shared
   memory;
+* :meth:`count_cubes` is the memo-free, array-native entry to the same
+  kernel paths, for callers that never repeat a cube (the level-batched
+  brute force) and so would only pay for memo lookups;
 * :meth:`extension_counts` returns the counts for **all φ extensions**
   of a partial cube along one dimension in a single ``bincount`` — the
   inner loop of the depth-first brute-force enumeration and the
@@ -61,6 +64,26 @@ logger = logging.getLogger(__name__)
 #: this many words (bools for the dense counter, uint64 for the packed
 #: one) — bounds peak memory without changing any count.
 _MAX_ACC_WORDS = 1 << 26
+
+
+def _count_by_k(keys: list[tuple], count_group) -> np.ndarray:
+    """Counts for ``(dims, ranges)`` *keys*, one *count_group* call per k.
+
+    *count_group* receives the ``(n, k)`` dims and ranges arrays of one
+    same-k group (``k = 0`` included) and returns their counts; the
+    result is aligned with *keys*.
+    """
+    counts = np.empty(len(keys), dtype=np.int64)
+    by_k: dict[int, list[int]] = {}
+    for i, (dims, _) in enumerate(keys):
+        by_k.setdefault(len(dims), []).append(i)
+    for k, idxs in sorted(by_k.items()):
+        dims_arr = np.array([keys[i][0] for i in idxs], dtype=np.intp)
+        rng_arr = np.array([keys[i][1] for i in idxs], dtype=np.intp)
+        counts[idxs] = count_group(
+            dims_arr.reshape(len(idxs), k), rng_arr.reshape(len(idxs), k)
+        )
+    return counts
 
 
 class CubeCounter:
@@ -248,8 +271,9 @@ class CubeCounter:
         miss_keys: list[tuple] = []
         n_hits = 0
         for i, subspace in enumerate(subspaces):
-            # Bounds are validated vectorized in _count_keys; only the
-            # type check stays on the per-cube path.
+            # Bounds are validated vectorized per k group in
+            # _count_cubes; only the type check stays on the per-cube
+            # path.
             if not isinstance(subspace, Subspace):
                 raise ValidationError(
                     f"expected a Subspace, got {type(subspace).__name__}"
@@ -274,7 +298,8 @@ class CubeCounter:
             miss_keys.append(key)
         self.n_cache_hits += n_hits
         if miss_keys:
-            counts = self._count_keys(miss_keys)
+            counts = _count_by_k(miss_keys, self._count_cubes)
+            self._batch_merged()
             if cache is not None:
                 for key, cnt in zip(miss_keys, counts, strict=True):
                     cache[key] = int(cnt)
@@ -285,31 +310,68 @@ class CubeCounter:
         self.batch_seconds += time.perf_counter() - t0
         return out
 
-    def _count_keys(self, keys: list[tuple]) -> np.ndarray:
-        """Counts for distinct ``(dims, ranges)`` keys, grouped by k."""
-        counts = np.empty(len(keys), dtype=np.int64)
-        by_k: dict[int, list[int]] = {}
-        for i, (dims, _) in enumerate(keys):
-            by_k.setdefault(len(dims), []).append(i)
-        for k, idxs in sorted(by_k.items()):
-            if k == 0:
-                counts[np.asarray(idxs)] = self.n_points
-                continue
-            dims_arr = np.array([keys[i][0] for i in idxs], dtype=np.intp)
-            rng_arr = np.array([keys[i][1] for i in idxs], dtype=np.intp)
-            # Subspace guarantees sorted non-negative dims and ranges,
-            # so one max per array validates the whole group.
-            if int(dims_arr[:, -1].max()) >= self.n_dims:
-                raise ValidationError(
-                    f"subspace uses dimension {int(dims_arr[:, -1].max())} "
-                    f"but data has {self.n_dims} dimensions"
-                )
-            if int(rng_arr.max()) >= self.n_ranges:
-                raise ValidationError(
-                    f"subspace range out of bounds for φ={self.n_ranges}"
-                )
-            counts[np.asarray(idxs)] = self._count_group(dims_arr, rng_arr)
+    def count_cubes(self, dims, ranges) -> np.ndarray:
+        """``n(D)`` for same-k cubes given as two ``(n, k)`` arrays.
+
+        Row *i* is the cube with dimensions ``dims[i]`` (strictly
+        ascending) and grid ranges ``ranges[i]``.  The array-native twin
+        of :meth:`count_batch` for callers that never repeat a cube —
+        the level-batched brute force: no :class:`Subspace` is built
+        and the memo is neither read nor written.  Bounds are validated
+        vectorized; counting runs through the same kernel, pool and
+        shard paths as :meth:`count_batch`, and the ``batch_*`` and
+        ``count_calls`` statistics advance as if the cubes had gone
+        through it.
+
+        Returns an ``int64`` array aligned with the rows.
+        """
+        t0 = time.perf_counter()
+        dims_arr = np.asarray(dims)
+        rng_arr = np.asarray(ranges)
+        if dims_arr.ndim != 2 or dims_arr.shape != rng_arr.shape:
+            raise ValidationError(
+                "dims and ranges must be (n, k) arrays of one shape, got "
+                f"{dims_arr.shape} and {rng_arr.shape}"
+            )
+        n_cubes = len(dims_arr)
+        self.n_batch_calls += 1
+        self.n_batch_cubes += n_cubes
+        self.n_count_calls += n_cubes
+        counts = self._count_cubes(dims_arr, rng_arr)
+        self._batch_merged()
+        self.batch_seconds += time.perf_counter() - t0
         return counts
+
+    def _count_cubes(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
+        """Validated counts of one same-k group of ``(n, k)`` cube arrays."""
+        n_cubes, k = dims_arr.shape
+        if n_cubes == 0 or k == 0:
+            return np.full(n_cubes, self.n_points, dtype=np.int64)
+        for arr in (dims_arr, rng_arr):
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValidationError(
+                    f"cube arrays must be integer-typed, got {arr.dtype}"
+                )
+        if int(dims_arr.min()) < 0 or int(rng_arr.min()) < 0:
+            raise ValidationError("dimension and range indices must be >= 0")
+        if k > 1 and not bool(np.all(dims_arr[:, 1:] > dims_arr[:, :-1])):
+            raise ValidationError("cube dims must be strictly ascending")
+        top = int(dims_arr[:, -1].max())
+        if top >= self.n_dims:
+            raise ValidationError(
+                f"subspace uses dimension {top} but data has "
+                f"{self.n_dims} dimensions"
+            )
+        if int(rng_arr.max()) >= self.n_ranges:
+            raise ValidationError(
+                f"subspace range out of bounds for φ={self.n_ranges}"
+            )
+        return self._count_group(
+            dims_arr.astype(np.intp, copy=False), rng_arr.astype(np.intp, copy=False)
+        )
+
+    def _batch_merged(self) -> None:
+        """Hook: every group of one counting call has been merged."""
 
     # ------------------------------------------------------------------
     def append_rows(self, codes) -> int:
@@ -409,19 +471,13 @@ class CubeCounter:
         from a new-rows-only stack; runs the same serial kernel path as
         a normal batch, so deltas are bit-identical to recounting.
         """
-        counts = np.empty(len(keys), dtype=np.int64)
-        by_k: dict[int, list[int]] = {}
-        for i, (dims, _) in enumerate(keys):
-            by_k.setdefault(len(dims), []).append(i)
-        for k, idxs in sorted(by_k.items()):
-            if k == 0:
-                counts[np.asarray(idxs)] = n_rows
-                continue
-            dims_arr = np.array([keys[i][0] for i in idxs], dtype=np.intp)
-            rng_arr = np.array([keys[i][1] for i in idxs], dtype=np.intp)
-            counts[np.asarray(idxs)] = self._serial_group_counts(
-                stack, dims_arr, rng_arr
-            )
+
+        def count_group(dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
+            if dims_arr.shape[1] == 0:
+                return np.full(len(dims_arr), n_rows, dtype=np.int64)
+            return self._serial_group_counts(stack, dims_arr, rng_arr)
+
+        counts = _count_by_k(keys, count_group)
         return {key: int(count) for key, count in zip(keys, counts, strict=True)}
 
     def set_cancel_token(self, token) -> None:
@@ -705,7 +761,7 @@ class CubeCounter:
         hit).  The ``batch_*`` fields, ``words_and``, ``prefix_reuse``
         and ``parallel_chunks`` describe the batch engine specifically;
         ``batch_seconds`` is the wall time spent inside
-        :meth:`count_batch`.
+        :meth:`count_batch` and :meth:`count_cubes`.
         """
         return {
             "count_calls": self.n_count_calls,

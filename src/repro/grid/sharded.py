@@ -1015,14 +1015,12 @@ class ShardedCounter(CubeCounter):
                     group.record(shard_id, counts)
         return total
 
-    def _count_keys(self, keys: list[tuple]) -> np.ndarray:
-        counts = super()._count_keys(keys)
+    def _batch_merged(self) -> None:
         # Every group of the batch merged: the progress stream has
-        # served its purpose.  (A kill anywhere above leaves it behind
-        # for the resumed run to replay.)
+        # served its purpose.  (A kill before this point leaves it
+        # behind for the resumed run to replay.)
         if self.shard_checkpointer is not None:
             self.shard_checkpointer.clear()
-        return counts
 
     # ------------------------------------------------------------------
     def _ensure_pool(self):

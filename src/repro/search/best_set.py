@@ -21,6 +21,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 
+import numpy as np
+
 from .._validation import check_positive_int
 from ..core.results import ScoredProjection
 from ..core.subspace import Subspace
@@ -95,6 +97,59 @@ class BestProjectionSet:
         self._seen[key] = projection.coefficient
         self.n_accepted += 1
         return True
+
+    def offer_batch(self, dims, ranges, counts, coefficients) -> int:
+        """Offer a block of cubes in row order; return how many were kept.
+
+        Row *i* is the cube ``dims[i]``/``ranges[i]`` (``(n, k)``
+        arrays, dims strictly ascending) with ``counts[i]`` and
+        ``coefficients[i]``.  The outcome — kept entries, their
+        insertion-order tie-breaks, ``n_offers`` and ``n_accepted`` — is
+        exactly that of calling :meth:`offer` on each row in turn, but
+        cubes that :meth:`offer` would certainly reject never become
+        objects: empty ones (under ``require_nonempty``), those above
+        the threshold, and, when the set is full, those not better than
+        its worst entry.  The worst kept coefficient of a full set only
+        falls, so that last filter, taken once up front and again per
+        row, drops nothing a sequential offer would keep.
+        """
+        counts = np.asarray(counts)
+        coefficients = np.asarray(coefficients, dtype=np.float64)
+        # Each test mirrors offer()'s own comparison, negated, so NaN
+        # coefficients are treated identically.
+        keep = np.ones(len(counts), dtype=bool)
+        if self.require_nonempty:
+            keep &= counts != 0
+        if self.threshold is not None:
+            keep &= ~(coefficients > self.threshold)
+        heap, max_size = self._heap, self.max_size
+        if max_size is not None and len(heap) >= max_size:
+            keep &= ~(coefficients >= -heap[0][0])
+        rows = np.flatnonzero(keep)
+        self.n_offers += len(counts) - len(rows)
+        accepted = 0
+        for dims_row, ranges_row, count, coefficient in zip(
+            np.asarray(dims)[rows].tolist(),
+            np.asarray(ranges)[rows].tolist(),
+            counts[rows].tolist(),
+            coefficients[rows].tolist(),
+            strict=True,
+        ):
+            if (
+                max_size is not None
+                and len(heap) >= max_size
+                and coefficient >= -heap[0][0]
+            ):
+                self.n_offers += 1
+                continue
+            accepted += self.offer(
+                ScoredProjection(
+                    Subspace(tuple(dims_row), tuple(ranges_row)),
+                    int(count),
+                    coefficient,
+                )
+            )
+        return accepted
 
     def offer_cube(self, subspace: Subspace, count: int, coefficient: float) -> bool:
         """Convenience wrapper building the :class:`ScoredProjection`."""

@@ -14,13 +14,21 @@ Two enumeration strategies produce identical best sets:
   computed once and reused by all its extensions, and the final level
   is scored with a single vectorized ``bincount`` per dimension.
 * ``level_batch`` — the paper's literal breadth-first ``R_{i+1} = R_i ⊕
-  Q_1``: every level is evaluated through the counter's batched
-  AND/popcount kernel (:meth:`~repro.grid.counter.CubeCounter.
-  count_batch`), which shares the common-prefix ANDs across siblings
-  and, under a ``process`` :class:`~repro.core.params.CountingBackend`,
-  spreads the level across a worker pool.  Candidates are generated and
-  offered in the same lexicographic order the DFS visits, so both
-  strategies return the same projections.
+  Q_1``.  The frontier is a pair of ``(n, depth)`` integer arrays (dims
+  and ranges, one cube per row), and each level is generated from the
+  previous one with array arithmetic, never cube by cube.  Candidates
+  are counted in chunks by the counter's batched AND/popcount kernel
+  (:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which shares
+  the common-prefix ANDs across siblings and, under a ``process``
+  :class:`~repro.core.params.CountingBackend`, spreads the level across
+  a worker pool.  That entry point bypasses the count memo: brute force
+  never counts a cube twice, so the memo would only cost time.  Leaves
+  are scored per chunk and handed to
+  :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`, which
+  filters in numpy and builds objects only for the few cubes that can
+  enter the best set.  Candidates are generated and offered in the same
+  lexicographic order the DFS visits, so both strategies return the
+  same projections.
 
 Cost still explodes combinatorially — that is the paper's point (the
 musk dataset's 160 dimensions defeated their brute-force run entirely)
@@ -42,8 +50,6 @@ from .._validation import check_positive_int
 from ..engine.context import RunContext
 from ..engine.protocol import GeneratorEngine
 from ..exceptions import CheckpointError, SearchCancelled, ValidationError
-from ..core.results import ScoredProjection
-from ..core.subspace import Subspace
 from ..grid.counter import CubeCounter
 from ..sparsity.coefficient import sparsity_coefficients
 from .best_set import BestProjectionSet
@@ -98,8 +104,8 @@ class BruteForceSearch(GeneratorEngine):
     checkpointer:
         Optional :class:`~repro.run.checkpoint.SearchCheckpointer`.
         Requires ``strategy="level_batch"`` — level boundaries are the
-        only points where the breadth-first frontier is an explicit,
-        serializable list.  ``run(resume_from=True)`` then continues
+        only points where the breadth-first frontier is explicit and
+        serializable.  ``run(resume_from=True)`` then continues
         bit-identically to an uninterrupted run.
     """
 
@@ -187,13 +193,11 @@ class BruteForceSearch(GeneratorEngine):
             state.evaluations = int(restored["evaluations"])
             elapsed_base = float(restored["elapsed_seconds"])
             start_depth = int(restored["depth"])
-            start_level = [
-                (tuple(dims), tuple(rngs)) for dims, rngs in restored["level"]
-            ]
+            start_level = _level_arrays(restored["level"], start_depth - 1)
             logger.info(
                 "resuming brute-force search at level %d (%d candidates, "
                 "%d evaluations done)",
-                start_depth, len(start_level), state.evaluations,
+                start_depth, len(start_level[0]), state.evaluations,
             )
         d = self.counter.n_dims
         k = self.dimensionality
@@ -229,7 +233,7 @@ class BruteForceSearch(GeneratorEngine):
                     )
                 else:
                     all_points = np.ones(self.counter.n_points, dtype=bool)
-                    self._extend(Subspace.empty(), all_points, -1, d, k, best, state)
+                    self._extend((), (), all_points, d, k, best, state)
             except SearchCancelled:
                 # Cancellation struck inside the counting engine mid-batch;
                 # that batch's offers never happened, so the last
@@ -302,16 +306,19 @@ class BruteForceSearch(GeneratorEngine):
     def _checkpoint_state(
         self,
         depth: int,
-        level: list[tuple[tuple, tuple]],
+        level: tuple[np.ndarray, np.ndarray],
         best: BestProjectionSet,
         state: "_RunState",
         totals: dict,
     ) -> dict:
         """Full JSON-compatible state at a level boundary."""
+        dims, ranges = level
         return {
             "algorithm": "brute_force",
             "depth": depth,
-            "level": [[list(dims), list(rngs)] for dims, rngs in level],
+            "level": [
+                [dm, rg] for dm, rg in zip(dims.tolist(), ranges.tolist(), strict=True)
+            ],
             "best_set": best.to_state(),
             "evaluations": state.evaluations,
             "elapsed_seconds": totals["elapsed_base"]
@@ -321,48 +328,52 @@ class BruteForceSearch(GeneratorEngine):
     # ------------------------------------------------------------------
     def _extend(
         self,
-        partial: Subspace,
+        dims: tuple[int, ...],
+        ranges: tuple[int, ...],
         mask: np.ndarray,
-        max_dim: int,
         n_dims: int,
         k: int,
         best: BestProjectionSet,
         state: "_RunState",
     ) -> None:
-        """Depth-first ``R_i ⊕ Q_1`` with canonical dimension ordering."""
+        """Depth-first ``R_i ⊕ Q_1`` with canonical dimension ordering.
+
+        The partial cube is carried as plain ``dims``/``ranges`` tuples;
+        each dimension's φ leaves go to the best set as one
+        :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`.
+        """
         if state.exhausted:
             return
-        remaining = k - partial.dimensionality
+        phi = self.counter.n_ranges
+        remaining = k - len(dims)
         # Leave room for the remaining levels: the last usable start
         # dimension is n_dims - remaining.
-        for dim in range(max_dim + 1, n_dims - remaining + 1):
+        for dim in range(dims[-1] + 1 if dims else 0, n_dims - remaining + 1):
             if state.check_budget():
                 return
             counts = self.counter.extension_counts(mask, dim)
             if remaining == 1:
                 coefficients = sparsity_coefficients(
-                    counts, self.counter.n_points, self.counter.n_ranges, k
+                    counts, self.counter.n_points, phi, k
                 )
                 state.evaluations += len(counts)
-                for rng, (count, coeff) in enumerate(zip(counts, coefficients, strict=True)):
-                    best.offer(
-                        ScoredProjection(
-                            partial.extended(dim, rng), int(count), float(coeff)
-                        )
-                    )
+                leaf_dims = np.tile(np.array(dims + (dim,), dtype=np.intp), (phi, 1))
+                leaf_ranges = np.empty_like(leaf_dims)
+                leaf_ranges[:, :-1] = ranges
+                leaf_ranges[:, -1] = np.arange(phi)
+                best.offer_batch(leaf_dims, leaf_ranges, counts, coefficients)
             else:
                 col = self.counter.cells.codes[:, dim]
-                for rng in range(self.counter.n_ranges):
+                for rng in range(phi):
                     if counts[rng] == 0 and self.require_nonempty:
                         # Every extension of an empty cube is empty; when
                         # empty cubes cannot be reported we can prune the
                         # whole subtree (counts are monotone under ⊕).
                         continue
-                    child_mask = mask & (col == rng)
                     self._extend(
-                        partial.extended(dim, rng),
-                        child_mask,
-                        dim,
+                        dims + (dim,),
+                        ranges + (rng,),
+                        mask & (col == rng),
                         n_dims,
                         k,
                         best,
@@ -379,24 +390,28 @@ class BruteForceSearch(GeneratorEngine):
         state: "_RunState",
         *,
         start_depth: int = 1,
-        start_level: list[tuple[tuple, tuple]] | None = None,
+        start_level: tuple[np.ndarray, np.ndarray] | None = None,
         totals: dict | None = None,
         checkpointer=None,
         context: RunContext | None = None,
     ):
         """Breadth-first ``R_{i+1} = R_i ⊕ Q_1`` over batched counts.
 
-        Each level's candidates go through ``count_batch`` in
-        deterministic chunks; with ``require_nonempty`` the empty cubes
-        are pruned before extension (counts are monotone under ⊕ —
-        the same subtree pruning the DFS applies).  Generation order is
-        lexicographic, matching the DFS visit order exactly.
+        The frontier is a pair of ``(n, depth)`` ``intp`` arrays, dims
+        and ranges, one cube per row; :func:`_children` extends it a
+        level at a time in lexicographic order, matching the DFS visit
+        order exactly.  Each level's candidates go through
+        :meth:`~repro.grid.counter.CubeCounter.count_cubes` in
+        deterministic chunks — no memo, since no cube is ever counted
+        twice; with ``require_nonempty`` the empty cubes are masked out
+        before extension (counts are monotone under ⊕ — the same
+        subtree pruning the DFS applies).
 
         A generator yielding at the top of the depth loop — the **safe
-        boundary**: the frontier is an explicit list, the best set has
-        absorbed every completed level, and nothing is half-counted.
-        The boundary snapshot is taken *there*; a budget/cancellation
-        exit mid-level saves that snapshot, so a resumed run redoes the
+        boundary**: the frontier is explicit, the best set has absorbed
+        every completed level, and nothing is half-counted.  The
+        boundary snapshot is taken *there*; a budget/cancellation exit
+        mid-level saves that snapshot, so a resumed run redoes the
         partial level from scratch and lands bit-identically on the
         uninterrupted result.
         """
@@ -408,9 +423,19 @@ class BruteForceSearch(GeneratorEngine):
             if context is not None:
                 context.emit(type_, **payload)
 
+        def save_stopped(depth: int, payload: dict | None) -> None:
+            if payload is not None:
+                checkpointer.save(payload)
+                emit(
+                    "checkpoint_written",
+                    boundary=depth, trigger=state.stop_reason or "stopped",
+                )
+
         d, k, phi = counter.n_dims, self.dimensionality, counter.n_ranges
         chunk = max(1024, counter.backend.chunk_size)
-        level = start_level if start_level is not None else [((), ())]
+        if start_level is None:
+            start_level = (np.empty((1, 0), np.intp), np.empty((1, 0), np.intp))
+        dims, ranges = start_level
         totals = totals or {"elapsed_base": 0.0, "start": time.perf_counter()}
         for depth in range(start_depth, k + 1):
             # ---- safe boundary: level `depth` not yet generated ----
@@ -418,7 +443,7 @@ class BruteForceSearch(GeneratorEngine):
             boundary_payload = None
             if checkpointer is not None:
                 boundary_payload = self._checkpoint_state(
-                    depth, level, best, state, totals
+                    depth, (dims, ranges), best, state, totals
                 )
                 if checkpointer.maybe_save(depth, lambda: boundary_payload):
                     emit(
@@ -426,93 +451,110 @@ class BruteForceSearch(GeneratorEngine):
                         boundary=depth, trigger="interval",
                     )
             if state.check_boundary():
-                if boundary_payload is not None:
-                    checkpointer.save(boundary_payload)
-                    emit(
-                        "checkpoint_written",
-                        boundary=depth, trigger=state.stop_reason or "stopped",
-                    )
+                save_stopped(depth, boundary_payload)
                 return
-            remaining = k - depth  # levels still to add after this one
-            children: list[tuple[tuple, tuple]] = []
-            for dims, rngs in level:
-                lo = dims[-1] + 1 if dims else 0
-                # Leave room for the remaining levels, as in the DFS.
-                for dim in range(lo, d - remaining):
-                    for rng in range(phi):
-                        children.append((dims + (dim,), rngs + (rng,)))
+            # Leave room for the levels still to add after this one, as
+            # in the DFS.
+            child_dims, child_ranges = _children(dims, ranges, d - (k - depth), phi)
+            n_children = len(child_dims)
             if depth == k:
-                self._score_leaves(children, best, state, chunk)
-                if state.exhausted and boundary_payload is not None:
-                    checkpointer.save(boundary_payload)
-                    emit(
-                        "checkpoint_written",
-                        boundary=depth, trigger=state.stop_reason or "stopped",
-                    )
+                self._score_leaves(child_dims, child_ranges, best, state, chunk)
+                if state.exhausted:
+                    save_stopped(depth, boundary_payload)
                 emit(
                     "level_end",
                     depth=depth,
-                    n_candidates=len(children),
+                    n_candidates=n_children,
                     n_survivors=0,
                     evaluations=state.evaluations,
                     best_set_size=len(best),
                 )
                 return
             if self.require_nonempty:
-                survivors: list[tuple[tuple, tuple]] = []
-                for lo in range(0, len(children), chunk):
+                nonempty = np.empty(n_children, dtype=bool)
+                for lo in range(0, n_children, chunk):
                     if state.check_budget():
-                        if boundary_payload is not None:
-                            checkpointer.save(boundary_payload)
-                            emit(
-                                "checkpoint_written",
-                                boundary=depth,
-                                trigger=state.stop_reason or "stopped",
-                            )
+                        save_stopped(depth, boundary_payload)
                         return
-                    block = children[lo : lo + chunk]
-                    counts = counter.count_batch(
-                        [Subspace(dm, rg) for dm, rg in block]
+                    hi = lo + chunk
+                    nonempty[lo:hi] = (
+                        counter.count_cubes(child_dims[lo:hi], child_ranges[lo:hi])
+                        > 0
                     )
-                    survivors.extend(
-                        child for child, count in zip(block, counts, strict=True) if count > 0
-                    )
-                level = survivors
-            else:
-                level = children
+                child_dims, child_ranges = child_dims[nonempty], child_ranges[nonempty]
+            dims, ranges = child_dims, child_ranges
             emit(
                 "level_end",
                 depth=depth,
-                n_candidates=len(children),
-                n_survivors=len(level),
+                n_candidates=n_children,
+                n_survivors=len(dims),
                 evaluations=state.evaluations,
                 best_set_size=len(best),
             )
 
     def _score_leaves(
         self,
-        leaves: list[tuple[tuple, tuple]],
+        dims: np.ndarray,
+        ranges: np.ndarray,
         best: BestProjectionSet,
         state: "_RunState",
         chunk: int,
     ) -> None:
-        """Score the final level in batches, offering in generation order."""
+        """Score the final level in chunks, offering in generation order.
+
+        The chunk that reaches ``max_evaluations`` is cut to the budget
+        left, so the cap is never overshot.
+        """
         counter = self.counter
         n, phi, k = counter.n_points, counter.n_ranges, self.dimensionality
-        for lo in range(0, len(leaves), chunk):
+        lo = 0
+        while lo < len(dims):
             if state.check_budget():
                 return
-            block = leaves[lo : lo + chunk]
-            subspaces = [Subspace(dm, rg) for dm, rg in block]
-            counts = counter.count_batch(subspaces)
+            hi = lo + chunk
+            if state.max_evaluations is not None:
+                hi = min(hi, lo + state.max_evaluations - state.evaluations)
+            block_dims, block_ranges = dims[lo:hi], ranges[lo:hi]
+            counts = counter.count_cubes(block_dims, block_ranges)
             coefficients = sparsity_coefficients(counts, n, phi, k)
-            state.evaluations += len(block)
-            for subspace, count, coefficient in zip(
-                subspaces, counts, coefficients, strict=True
-            ):
-                best.offer(
-                    ScoredProjection(subspace, int(count), float(coefficient))
-                )
+            state.evaluations += len(counts)
+            best.offer_batch(block_dims, block_ranges, counts, coefficients)
+            lo = hi
+
+
+def _children(
+    dims: np.ndarray, ranges: np.ndarray, stop: int, n_ranges: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``R_i ⊕ Q_1`` for a whole frontier, in lexicographic order.
+
+    Parent row *p* (largest dimension ``l``) is extended by every
+    ``(dim, rng)`` with ``l < dim < stop`` and ``0 <= rng < φ``,
+    parent-major, then dimension, then range — exactly the nested-loop
+    order ``for parent: for dim: for rng``.  The new column comes from
+    ``np.repeat`` over parents and each child's offset within its
+    parent's block: ``dim = lo + offset // φ``, ``rng = offset % φ``.
+    """
+    n_parents, depth = dims.shape
+    lo = dims[:, -1] + 1 if depth else np.zeros(n_parents, dtype=np.intp)
+    per_parent = np.maximum(stop - lo, 0) * n_ranges
+    parent = np.repeat(np.arange(n_parents), per_parent)
+    starts = np.cumsum(per_parent) - per_parent
+    offset = np.arange(len(parent)) - starts[parent]
+    child_dims = np.empty((len(parent), depth + 1), dtype=np.intp)
+    child_ranges = np.empty_like(child_dims)
+    child_dims[:, :depth] = dims[parent]
+    child_ranges[:, :depth] = ranges[parent]
+    child_dims[:, depth] = lo[parent] + offset // n_ranges
+    child_ranges[:, depth] = offset % n_ranges
+    return child_dims, child_ranges
+
+
+def _level_arrays(level: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A checkpoint's ``[[dims], [ranges]]`` frontier as two arrays."""
+    shape = (len(level), width)
+    dims = np.array([dm for dm, _ in level], dtype=np.intp).reshape(shape)
+    ranges = np.array([rg for _, rg in level], dtype=np.intp).reshape(shape)
+    return dims, ranges
 
 
 class _RunState:

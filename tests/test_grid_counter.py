@@ -174,6 +174,49 @@ class TestCache:
         assert uncached.cache_stats()["cache_entries"] == 0
 
 
+class TestCountCubes:
+    """The memo-free array entry point agrees with count_batch."""
+
+    def test_matches_count_batch_without_touching_memo(self, small_cells):
+        counter = CubeCounter(small_cells, cache_size=10)
+        dims = np.array([[0, 1], [0, 1], [2, 5], [3, 4]])
+        ranges = np.array([[0, 0], [1, 4], [2, 2], [0, 3]])
+        cubes = [Subspace(tuple(d), tuple(r)) for d, r in zip(dims, ranges)]
+        reference = CubeCounter(small_cells).count_batch(cubes)
+        assert counter.count_cubes(dims, ranges).tolist() == reference.tolist()
+        stats = counter.cache_stats()
+        assert stats["cache_entries"] == 0
+        assert stats["cache_hits"] == 0
+        assert (stats["batch_calls"], stats["batch_cubes"], stats["count_calls"]) == (
+            1, 4, 4,
+        )
+
+    def test_zero_dimensional_and_empty_batches(self, small_counter):
+        n = small_counter.n_points
+        empty_cubes = np.empty((3, 0), dtype=np.intp)
+        assert small_counter.count_cubes(empty_cubes, empty_cubes).tolist() == [n] * 3
+        none = np.empty((0, 2), dtype=np.intp)
+        assert small_counter.count_cubes(none, none).tolist() == []
+
+    @pytest.mark.parametrize(
+        "dims, ranges",
+        [
+            ([[0, 6]], [[0, 0]]),  # dimension out of bounds
+            ([[0, 1]], [[0, 5]]),  # range out of bounds for φ=5
+            ([[1, 0]], [[0, 0]]),  # dims not ascending
+            ([[0, 0]], [[0, 1]]),  # repeated dimension
+            ([[-1, 0]], [[0, 0]]),  # negative dimension
+            ([[0, 1]], [[0, -1]]),  # negative range
+            ([[0.0, 1.0]], [[0, 0]]),  # not integer-typed
+            ([[0, 1]], [[0, 0, 0]]),  # shape mismatch
+            ([0, 1], [0, 0]),  # not 2-d
+        ],
+    )
+    def test_rejects_invalid_arrays(self, small_counter, dims, ranges):
+        with pytest.raises(ValidationError):
+            small_counter.count_cubes(np.array(dims), np.array(ranges))
+
+
 class TestValidationErrors:
     def test_rejects_non_cells(self):
         with pytest.raises(ValidationError):

@@ -131,3 +131,33 @@ class TestRpl011ExceptionContract:
     def test_rpl011_stays_clean_on_src(self):
         result = lint_paths([_REPO_ROOT / "src"], select=["RPL011"])
         assert result.violations == []
+
+
+class TestLevelBatchEvaluationCap:
+    """``level_batch`` used to score a whole leaf chunk (4096 cubes on an
+    8-d, φ=5 grid) before reading ``max_evaluations``; the chunk that
+    reaches the cap is now cut to the budget left."""
+
+    def test_level_batch_stops_at_max_evaluations(self):
+        import numpy as np
+
+        from repro.grid.cells import CellAssignment
+        from repro.grid.counter import CubeCounter
+        from repro.search.brute_force import BruteForceSearch
+
+        codes = np.random.default_rng(0).integers(0, 5, size=(300, 8))
+        counter = CubeCounter(CellAssignment(codes.astype(np.int16), 5))
+        outcomes = {
+            strategy: BruteForceSearch(
+                counter, 3, 5, max_evaluations=10, strategy=strategy
+            ).run()
+            for strategy in ("depth_first", "level_batch")
+        }
+        for outcome in outcomes.values():
+            assert outcome.stats["evaluations"] == 10
+            assert not outcome.completed
+            assert outcome.stopped_reason == "evaluation_cap"
+        # Both strategies offered the same ten leaves, in the same order.
+        assert [p.subspace for p in outcomes["level_batch"].projections] == [
+            p.subspace for p in outcomes["depth_first"].projections
+        ]

@@ -46,6 +46,7 @@ from repro.run.checkpoint import (
 from repro.run.controller import RunController
 from repro.run.signals import exit_code_for_signal
 from repro.grid.discretizer import EquiDepthDiscretizer
+from repro.search.best_set import BestProjectionSet
 from repro.search.brute_force import BruteForceSearch
 from repro.search.evolutionary.config import EvolutionaryConfig
 from repro.search.evolutionary.engine import EvolutionarySearch
@@ -362,6 +363,31 @@ class TestKillResumeBruteForce:
         )
         assert outcome_key(resumed) == reference
 
+    def test_resume_from_hand_written_list_payload(
+        self, lifecycle_counter, reference
+    ):
+        # A checkpoint in the JSON shape written before the frontier
+        # became arrays: ``level`` is a list of ``[[dims], [ranges]]``
+        # pairs.  Here: the non-empty depth-1 frontier of a k=3 search,
+        # at the boundary before level 2 is generated.
+        codes = lifecycle_counter.cells.codes
+        level = [
+            [[dim], [rng]]
+            for dim in range(lifecycle_counter.n_dims - 2)
+            for rng in range(lifecycle_counter.n_ranges)
+            if np.any(codes[:, dim] == rng)
+        ]
+        payload = json.loads(json.dumps({
+            "algorithm": "brute_force",
+            "depth": 2,
+            "level": level,
+            "best_set": BestProjectionSet(5).to_state(),
+            "evaluations": 0,
+            "elapsed_seconds": 0.0,
+        }))
+        resumed = bf_search(lifecycle_counter).run(resume_from=payload)
+        assert outcome_key(resumed) == reference
+
     def test_uninterrupted_level_batch_reports_converged(self, lifecycle_counter):
         outcome = bf_search(lifecycle_counter).run()
         assert outcome.stopped_reason == "converged"
@@ -674,6 +700,22 @@ class TestShardedKillResume:
         )
         resumed_counter.close()
         assert outcome_key(resumed) == reference
+
+    def test_completed_level_batch_search_clears_shard_stream(
+        self, sharded_store, tmp_path
+    ):
+        # level_batch counts through count_cubes, not count_batch; the
+        # shard-progress stream must still be dropped once each counting
+        # call has merged, so a finished search leaves nothing behind.
+        checkpointer = ShardCheckpointer(CheckpointStore(tmp_path))
+        counter = ShardedCounter(sharded_store, checkpointer=checkpointer)
+        try:
+            outcome = bf_search(counter).run()
+        finally:
+            counter.close()
+        assert outcome.completed
+        assert counter.n_shards_counted > 0
+        assert not checkpointer.store.exists(checkpointer.name)
 
 
 class TestShardedDetectorLifecycle:

@@ -1,5 +1,8 @@
 """Tests for BestProjectionSet (the paper's BestSet tracker)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,3 +142,70 @@ def test_property_equals_true_top_m(coefficients, m):
         best.offer(ScoredProjection(Subspace((i,), (0,)), 1, c))
     kept = [p.coefficient for p in best.entries()]
     assert kept == sorted(coefficients)[: min(m, len(coefficients))]
+
+
+#: Few distinct values, so ties between coefficients are common.
+TIE_PRONE = st.sampled_from([-math.inf, -3.0, -2.0, -1.5, -1.0, 0.0, 0.5, 2.0])
+#: (dim, range, count, coefficient): a 12-key space, so repeats are common.
+ROWS = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), TIE_PRONE)
+
+
+@st.composite
+def best_set_configs(draw):
+    max_size = draw(st.one_of(st.none(), st.integers(1, 6)))
+    threshold_values = st.sampled_from([-1.5, 0.0])
+    threshold = draw(
+        threshold_values if max_size is None else st.one_of(st.none(), threshold_values)
+    )
+    return {
+        "max_size": max_size,
+        "threshold": threshold,
+        "require_nonempty": draw(st.booleans()),
+    }
+
+
+def cube_arrays(rows):
+    """Two-dimensional cubes ``(dim, dim + 4)`` / ``(range, 1)`` per row."""
+    dims = np.array([[dim, dim + 4] for dim, _, _, _ in rows], dtype=np.intp)
+    ranges = np.array([[rng_, 1] for _, rng_, _, _ in rows], dtype=np.intp)
+    return dims.reshape(-1, 2), ranges.reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=best_set_configs(),
+    prefill=st.lists(ROWS, max_size=8),
+    rows=st.lists(ROWS, min_size=10, max_size=40),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+)
+def test_property_offer_batch_equals_sequential_offers(config, prefill, rows, cuts):
+    """offer_batch leaves exactly the state sequential offer() calls do."""
+    sequential = BestProjectionSet(**config)
+    batched = BestProjectionSet(**config)
+    for best in (sequential, batched):
+        dims, ranges = cube_arrays(prefill)
+        for dm, rg, (_, _, count, coefficient) in zip(dims, ranges, prefill):
+            best.offer(ScoredProjection(
+                Subspace(tuple(dm.tolist()), tuple(rg.tolist())), count, coefficient
+            ))
+    dims, ranges = cube_arrays(rows)
+    counts = np.array([count for _, _, count, _ in rows], dtype=np.int64)
+    coefficients = np.array([c for _, _, _, c in rows], dtype=np.float64)
+    want_accepted = sum(
+        sequential.offer(ScoredProjection(
+            Subspace(tuple(dm.tolist()), tuple(rg.tolist())), int(n), float(c)
+        ))
+        for dm, rg, n, c in zip(dims, ranges, counts, coefficients)
+    )
+    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    got_accepted = sum(
+        batched.offer_batch(
+            dims[lo:hi], ranges[lo:hi], counts[lo:hi], coefficients[lo:hi]
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    assert got_accepted == want_accepted
+    assert batched.to_state() == sequential.to_state()
+    assert [(p.subspace, p.count, p.coefficient) for p in batched.entries()] == [
+        (p.subspace, p.count, p.coefficient) for p in sequential.entries()
+    ]

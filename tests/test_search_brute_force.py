@@ -1,33 +1,59 @@
 """Tests for the Figure 2 brute-force enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.exceptions import ValidationError
-from repro.grid.cells import CellAssignment
+from repro.grid.cells import MISSING_CELL, CellAssignment
 from repro.grid.counter import CubeCounter
-from repro.search.brute_force import BruteForceSearch, search_space_size
-from repro.sparsity.coefficient import sparsity_coefficient
+from repro.grid.packed_counter import PackedCubeCounter
+from repro.search.brute_force import (
+    BruteForceSearch,
+    _children,
+    _level_arrays,
+    search_space_size,
+)
+
+STRATEGIES = ("depth_first", "level_batch")
 
 
-def exhaustive_reference(counter, k, require_nonempty=True):
-    """All k-dimensional cubes scored by direct enumeration."""
+def exhaustive_reference(cells, k, require_nonempty=True):
+    """All k-dimensional cubes scored by direct enumeration.
+
+    Independent of every counter: each count is a row scan of the grid
+    codes and each coefficient is Equation 1 written out,
+    ``(n(D) - N·f^k) / sqrt(N·f^k·(1 - f^k))`` with ``f = 1/φ``.
+    """
+    codes, n, phi = cells.codes, cells.n_points, cells.n_ranges
+    p = (1.0 / phi) ** k
+    expected, std = n * p, math.sqrt(n * p * (1.0 - p))
     results = []
-    for dims in itertools.combinations(range(counter.n_dims), k):
-        for ranges in itertools.product(range(counter.n_ranges), repeat=k):
-            cube = Subspace(dims, ranges)
-            count = counter.count(cube)
+    for dims in itertools.combinations(range(cells.n_dims), k):
+        columns = codes[:, list(dims)]
+        for ranges in itertools.product(range(phi), repeat=k):
+            count = int(np.count_nonzero(np.all(columns == ranges, axis=1)))
             if require_nonempty and count == 0:
                 continue
-            coeff = sparsity_coefficient(
-                count, counter.n_points, counter.n_ranges, k
-            )
-            results.append((coeff, cube, count))
+            results.append(((count - expected) / std, Subspace(dims, ranges), count))
     results.sort(key=lambda item: item[0])
     return results
+
+
+def nested_loop_children(level, stop, phi):
+    """The tuple-list child generation the array generator replaced."""
+    children = []
+    for dims, rngs in level:
+        lo = dims[-1] + 1 if dims else 0
+        for dim in range(lo, stop):
+            for rng in range(phi):
+                children.append((dims + (dim,), rngs + (rng,)))
+    return children
 
 
 class TestSearchSpaceSize:
@@ -47,7 +73,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_exhaustive_reference(self, small_counter, k):
         outcome = BruteForceSearch(small_counter, k, n_projections=10).run()
-        reference = exhaustive_reference(small_counter, k)[:10]
+        reference = exhaustive_reference(small_counter.cells, k)[:10]
         got = [(p.coefficient, p.count) for p in outcome.projections]
         want = [(c, n) for c, _, n in reference]
         assert got == pytest.approx(want)
@@ -76,7 +102,7 @@ class TestCorrectness:
         ).run()
         assert all(p.coefficient <= -1.0 for p in outcome.projections)
         reference = [
-            c for c, _, _ in exhaustive_reference(small_counter, 2) if c <= -1.0
+            c for c, _, _ in exhaustive_reference(small_counter.cells, 2) if c <= -1.0
         ]
         assert len(outcome.projections) == len(reference)
 
@@ -88,18 +114,113 @@ class TestCorrectness:
         cells = EquiDepthDiscretizer(3).fit_transform(data)
         counter = CubeCounter(cells)
         outcome = BruteForceSearch(counter, 2, n_projections=5).run()
-        reference = exhaustive_reference(counter, 2)[:5]
+        reference = exhaustive_reference(cells, 2)[:5]
         got = [p.coefficient for p in outcome.projections]
         assert got == pytest.approx([c for c, _, _ in reference])
 
 
+@st.composite
+def small_grids(draw):
+    """A random grid (d <= 8, φ <= 5, some missing cells) and a k <= 3."""
+    n_dims = draw(st.integers(1, 8))
+    phi = draw(st.integers(2, 5))
+    n_points = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, phi, size=(n_points, n_dims))
+    codes[rng.random(codes.shape) < 0.1] = MISSING_CELL
+    k = draw(st.integers(1, min(3, n_dims)))
+    return CellAssignment(codes.astype(np.int16), phi), k
+
+
+COUNTERS = {
+    "bool": lambda cells: CubeCounter(cells),
+    "packed": lambda cells: PackedCubeCounter(cells),
+    "native": lambda cells: PackedCubeCounter(
+        cells, backend=CountingBackend(kind="native")
+    ),
+}
+
+
+class TestOracle:
+    """Both strategies, every counter flavour, against the codes-only oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=small_grids(), m=st.integers(1, 8))
+    def test_strategies_match_oracle(self, grid, m):
+        cells, k = grid
+        reference = exhaustive_reference(cells, k)[:m]
+        want = [(c, n) for c, _, n in reference]
+        for name, make in COUNTERS.items():
+            counter = make(cells)
+            try:
+                for strategy in STRATEGIES:
+                    outcome = BruteForceSearch(
+                        counter, k, n_projections=m, strategy=strategy
+                    ).run()
+                    got = [(p.coefficient, p.count) for p in outcome.projections]
+                    assert got == pytest.approx(want), (name, strategy)
+                    for p in outcome.projections:
+                        dims = list(p.subspace.dims)
+                        assert p.count == int(np.count_nonzero(
+                            np.all(cells.codes[:, dims] == p.subspace.ranges, axis=1)
+                        ))
+            finally:
+                counter.close()
+
+
+class TestChildGeneration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_dims=st.integers(1, 7),
+        phi=st.integers(2, 4),
+        depth=st.integers(0, 3),
+        keep=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_array_generator_matches_nested_loops(
+        self, n_dims, phi, depth, keep, seed, data
+    ):
+        # A randomly pruned frontier of canonical depth-cubes, as the
+        # non-empty filter leaves it, extended up to a random stop.
+        rng = np.random.default_rng(seed)
+        level = [
+            (dims, rngs)
+            for dims in itertools.combinations(range(n_dims), depth)
+            for rngs in itertools.product(range(phi), repeat=depth)
+            if rng.random() < keep
+        ]
+        stop = data.draw(st.integers(0, n_dims))
+        dims, ranges = _level_arrays(
+            [[list(dm), list(rg)] for dm, rg in level], depth
+        )
+        child_dims, child_ranges = _children(dims, ranges, stop, phi)
+        want = nested_loop_children(level, stop, phi)
+        assert child_dims.shape == child_ranges.shape == (len(want), depth + 1)
+        got = [
+            (tuple(dm), tuple(rg))
+            for dm, rg in zip(child_dims.tolist(), child_ranges.tolist())
+        ]
+        assert got == want
+
+
 class TestBudgets:
     def test_max_evaluations_partial(self, small_counter):
+        self._check_evaluation_cap(small_counter, "depth_first")
+
+    def test_max_evaluations_partial_level_batch(self, small_counter):
+        self._check_evaluation_cap(small_counter, "level_batch")
+
+    @staticmethod
+    def _check_evaluation_cap(counter, strategy):
         outcome = BruteForceSearch(
-            small_counter, 3, n_projections=5, max_evaluations=10
+            counter, 3, n_projections=5, max_evaluations=10,
+            strategy=strategy,
         ).run()
         assert not outcome.completed
-        assert outcome.stats["evaluations"] <= 10 + small_counter.n_ranges
+        assert outcome.stopped_reason == "evaluation_cap"
+        assert outcome.stats["evaluations"] <= 10 + counter.n_ranges
 
     def test_zero_second_budget_incomplete(self, small_counter):
         outcome = BruteForceSearch(
