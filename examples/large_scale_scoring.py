@@ -4,8 +4,8 @@ The paper's datasets top out at a few thousand records, but the method
 scales naturally: the grid and the mined projections are a compact
 model, so you can
 
-1. fit the detector on a manageable reference sample (with the
-   bit-packed counter to keep mask memory at 1/8th),
+1. fit the detector on a manageable reference sample (the counter's
+   bit-packed masks hold one bit per point per range),
 2. persist the model, and
 3. score arbitrarily many new records in chunks — each chunk is one
    discretizer transform plus a handful of vectorized cube-membership
@@ -74,7 +74,6 @@ def main() -> None:
         config=EvolutionaryConfig(
             population_size=60, max_generations=60, restarts=4
         ),
-        packed=True,                       # 8x smaller masks
         random_state=0,
     )
     detector.detect(reference)

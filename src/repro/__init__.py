@@ -66,9 +66,8 @@ from .exceptions import (
     ValidationError,
 )
 from .grid.cells import CellAssignment, MISSING_CELL
-from .grid.counter import CubeCounter
+from .grid.counter import CubeCounter, PackedCubeCounter
 from .grid.health import BackendHealth
-from .grid.packed_counter import PackedCubeCounter
 from .grid.discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer
 from .search.best_set import BestProjectionSet
 from .search.brute_force import BruteForceSearch, search_space_size

@@ -242,7 +242,7 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--packed",
         action="store_true",
-        help="use the bit-packed cube counter (8x less mask memory)",
+        help="deprecated no-op: masks are always bit-packed",
     )
     parser.add_argument(
         "--mmap-dir",
@@ -447,7 +447,6 @@ def _detector(args, dataset, controller=None) -> SubspaceOutlierDetector:
         method=getattr(args, "search", None) or args.method,
         threshold=args.threshold,
         config=config,
-        packed=getattr(args, "packed", False),
         mmap_dir=getattr(args, "mmap_dir", None),
         shard_rows=getattr(args, "shard_rows", None),
         spill_dir=getattr(args, "spill_dir", None),
@@ -527,7 +526,6 @@ def _cmd_multik(args) -> int:
         "config": EvolutionaryConfig(
             population_size=args.population, max_generations=args.generations
         ),
-        "packed": args.packed,
         "mmap_dir": getattr(args, "mmap_dir", None),
         "shard_rows": getattr(args, "shard_rows", None),
         "spill_dir": getattr(args, "spill_dir", None),

@@ -39,7 +39,6 @@ from ..exceptions import NotFittedError, ResourceError, ValidationError
 from ..resilience.ladder import ResilienceReport
 from ..grid.counter import CubeCounter
 from ..grid.discretizer import EquiDepthDiscretizer, GridDiscretizer
-from ..grid.packed_counter import PackedCubeCounter
 from ..model import GridModel
 from ..grid.sharded import (
     DEFAULT_SHARD_ROWS,
@@ -54,7 +53,7 @@ from ..search.evolutionary.crossover import CrossoverOperator
 from ..search.evolutionary.selection import SelectionOperator
 from ..search.outcome import SearchOutcome
 from .params import CountingBackend, choose_projection_dimensionality
-from .results import DetectionResult, ScoredProjection
+from .results import DetectionResult, ScoredProjection, score_cells
 
 __all__ = ["SubspaceOutlierDetector"]
 
@@ -96,9 +95,8 @@ class SubspaceOutlierDetector:
         Wall-clock budget; brute force returns a partial result with
         ``stats["completed"] = 0.0`` when exceeded.
     packed:
-        Use the bit-packed cube counter
-        (:class:`~repro.grid.packed_counter.PackedCubeCounter`) — 8x
-        less mask memory, identical results; worthwhile for large N·d.
+        Deprecated no-op, accepted for one release.  The cube counter
+        always stores bit-packed masks now.
     mmap_dir:
         Directory for an out-of-core
         :class:`~repro.grid.sharded.ShardedMaskStore`.  When set, the
@@ -219,7 +217,7 @@ class SubspaceOutlierDetector:
         self.selection = selection
         self.discretizer = discretizer
         self.max_seconds = max_seconds
-        self.packed = bool(packed)
+        del packed  # deprecated no-op: masks are always bit-packed
         self.mmap_dir = mmap_dir
         if shard_rows is not None:
             shard_rows = check_positive_int(shard_rows, "shard_rows")
@@ -399,7 +397,7 @@ class SubspaceOutlierDetector:
     def _build_counter(self, cells, sink: EventSink | None = None) -> CubeCounter:
         """The counter for one detect call: in-memory or out-of-core.
 
-        ``mmap_dir`` selects the sharded counter (inherently packed);
+        ``mmap_dir`` selects the sharded counter;
         when the controller checkpoints, shard progress is recorded in
         the same checkpoint directory under the ``shard_counts``
         stream, beside the search streams.  An in-memory build that
@@ -412,9 +410,8 @@ class SubspaceOutlierDetector:
         if self.controller is not None and self.controller.store is not None:
             checkpointer = ShardCheckpointer(self.controller.store)
         if self.mmap_dir is None:
-            counter_cls = PackedCubeCounter if self.packed else CubeCounter
             try:
-                return counter_cls(cells, backend=self.counting)
+                return CubeCounter(cells, backend=self.counting)
             except MemoryError as exc:
                 return self._spill_counter(cells, checkpointer, sink, exc)
         store = ShardedMaskStore.build(
@@ -435,11 +432,11 @@ class SubspaceOutlierDetector:
     ) -> CubeCounter:
         """Mask-storage ladder: in-memory stack → sharded on-disk store.
 
-        Invoked when the in-memory (packed or boolean) mask stack cannot
-        be allocated.  The sharded store packs the masks one row-shard
-        at a time, so its peak memory is one shard rather than the full
-        stack; counts stay bit-identical (property-tested).  A second
-        ``MemoryError`` here is unrecoverable and surfaces as a typed
+        Invoked when the in-memory mask stack cannot be allocated.  The
+        sharded store packs the masks one row-shard at a time, so its
+        peak memory is one shard rather than the full stack; counts stay
+        bit-identical (property-tested).  A second ``MemoryError`` here
+        is unrecoverable and surfaces as a typed
         :class:`~repro.exceptions.ResourceError`.
         """
         directory = self.spill_dir
@@ -505,11 +502,7 @@ class SubspaceOutlierDetector:
             raise NotFittedError("call detect() before score()")
         array = check_matrix(data, "data")
         cells = self.discretizer_.transform(array)
-        scores = np.full(array.shape[0], np.nan)
-        for projection in self.result_.projections:
-            covered = projection.subspace.covers(cells.codes)
-            scores[covered] = np.fmin(scores[covered], projection.coefficient)
-        return scores
+        return score_cells(cells.codes, self.result_.projections)
 
     def predict(self, data) -> np.ndarray:
         """Boolean outlier mask for *new* points (see :meth:`score`)."""
@@ -546,7 +539,6 @@ class SubspaceOutlierDetector:
             "n_projections": self.n_projections,
             "threshold": self.threshold,
             "require_nonempty": self.require_nonempty,
-            "packed": self.packed,
             "random_state": repr(self.random_state),
             "crossover": (
                 self.crossover

@@ -17,7 +17,7 @@ from ..exceptions import ValidationError
 from ..sparsity.statistics import significance_of_coefficient
 from .subspace import Subspace
 
-__all__ = ["ScoredProjection", "DetectionResult"]
+__all__ = ["ScoredProjection", "DetectionResult", "score_cells"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +64,24 @@ class ScoredProjection:
             f"[n={self.count}, S={self.coefficient:.3f}, "
             f"significance={self.significance:.4f}]"
         )
+
+
+def score_cells(codes, projections: Sequence[ScoredProjection]) -> np.ndarray:
+    """Deviation score per row of grid *codes* against mined *projections*.
+
+    A row scores the most negative coefficient among the projections
+    whose cube covers it, or NaN when none does (the point looks
+    normal).  More negative = more abnormal, matching
+    :meth:`DetectionResult.point_score`.  The one scoring loop behind
+    the detector, :class:`~repro.model.GridModel` and the saved-model
+    views.
+    """
+    codes = np.asarray(codes)
+    scores = np.full(len(codes), np.nan)
+    for projection in projections:
+        covered = projection.subspace.covers(codes)
+        scores[covered] = np.fmin(scores[covered], projection.coefficient)
+    return scores
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ _SWEEPABLE = {
     "method",
     "threshold",
     "crossover",
-    "packed",
 }
 
 
@@ -48,7 +47,7 @@ def sweep_detector_parameter(
     parameter:
         Which detector constructor argument to vary (one of
         ``dimensionality``, ``n_ranges``, ``n_projections``, ``method``,
-        ``threshold``, ``crossover``, ``packed``).
+        ``threshold``, ``crossover``).
     values:
         The settings to sweep.
     base_kwargs:

@@ -12,10 +12,10 @@ from .backends import (
     verify_kernel,
 )
 from .cells import CellAssignment, MISSING_CELL
-from .counter import CubeCounter, batch_counts
+from .counter import CubeCounter, PackedCubeCounter, batch_counts
 from .discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer, GridDiscretizer
+from .kernels import pack_codes_block
 from .native import available_tiers, kernel_info, native_batch_counts
-from .packed_counter import PackedCubeCounter, pack_codes_block
 from .sharded import (
     DEFAULT_SHARD_ROWS,
     ShardCheckpointer,

@@ -18,8 +18,8 @@ Built-ins::
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
-differential fixture (boolean and packed stacks, ragged tails, missing
-values, k = 1..3, empty/full cubes) and raises
+differential fixture (packed stacks with ragged tails, missing values,
+saturated masks, k = 1..3) and raises
 :class:`BackendConformanceError` on any divergence.  Registration of a
 non-builtin kernel verifies eagerly; builtins are verified once on
 first resolution (so importing this module stays cheap — verifying the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ReproError, ValidationError
-from .kernels import batch_counts
+from .kernels import batch_counts, pack_codes_block
 from .native import native_batch_counts
 
 __all__ = [
@@ -50,8 +50,8 @@ __all__ = [
     "verify_kernel",
 ]
 
-#: ``kernel(stack, dims_arr, rng_arr, packed) -> (counts, stats)``
-Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray, bool], tuple]
+#: ``kernel(stack, dims_arr, rng_arr) -> (counts, stats)``
+Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
 class BackendConformanceError(ReproError):
@@ -109,32 +109,21 @@ _VERIFIED: set[str] = set()
 _REFERENCE_KERNEL = "numpy"
 
 
-def _fixture_grids() -> list[tuple[np.ndarray, bool]]:
-    """Deterministic mask stacks for the differential self-check.
+def _fixture_grids() -> list[np.ndarray]:
+    """Deterministic packed mask stacks for the differential self-check.
 
-    N values straddle word boundaries (ragged tails for both the bool
-    and the packed layout), one grid carries missing values (rows
-    absent from every mask of a dimension), and one range is forced
-    all-ones/all-zero so saturated masks are exercised.
+    N values straddle word boundaries (ragged final words), every grid
+    carries missing values (rows absent from every mask of a
+    dimension), and dimension 0 is forced into range 0 so saturated
+    all-ones and all-zero masks are exercised.
     """
-    stacks: list[tuple[np.ndarray, bool]] = []
+    stacks: list[np.ndarray] = []
     rng = np.random.default_rng(271828)
     for n_points, n_dims, phi in ((67, 4, 3), (128, 3, 4), (193, 5, 2)):
         codes = rng.integers(0, phi, size=(n_points, n_dims)).astype(np.int16)
         codes[rng.random(codes.shape) < 0.15] = -1
         codes[:, 0] = 0  # dimension 0 range 0: an all-ones mask
-        bool_stack = np.zeros((n_dims, phi, n_points), dtype=bool)
-        for j in range(n_dims):
-            col = codes[:, j]
-            observed = col >= 0
-            bool_stack[j, col[observed], np.nonzero(observed)[0]] = True
-        stacks.append((bool_stack, False))
-        n_bytes = (n_points + 7) // 8
-        padded = ((n_bytes + 7) // 8) * 8
-        packed = np.zeros((n_dims, phi, padded), dtype=np.uint8)
-        for j in range(n_dims):
-            packed[j, :, :n_bytes] = np.packbits(bool_stack[j], axis=1)
-        stacks.append((packed.view(np.uint64), True))
+        stacks.append(pack_codes_block(codes, phi).view(np.uint64))
     return stacks
 
 
@@ -170,18 +159,17 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
     batch.  This is the registration gate: a kernel that cannot pass it
     never serves counts.
     """
-    for stack, packed in _fixture_grids():
+    for stack in _fixture_grids():
         n_dims, phi = stack.shape[0], stack.shape[1]
         for dims_arr, rng_arr in _fixture_batches(n_dims, phi):
-            expected, _ = batch_counts(stack, dims_arr, rng_arr, packed)
-            got, stats = kernel(stack, dims_arr, rng_arr, packed)
+            expected, _ = batch_counts(stack, dims_arr, rng_arr)
+            got, stats = kernel(stack, dims_arr, rng_arr)
             got = np.asarray(got)
             if got.shape != expected.shape or not np.array_equal(got, expected):
                 raise BackendConformanceError(
                     f"kernel {name!r} failed the differential self-check: "
-                    f"counts diverge from the reference on a "
-                    f"{'packed' if packed else 'boolean'} stack "
-                    f"(k={dims_arr.shape[1]}, N≈{stack.shape[2]} words); "
+                    f"counts diverge from the reference "
+                    f"(k={dims_arr.shape[1]}, {stack.shape[2]} words); "
                     "it cannot be registered"
                 )
             if not isinstance(stats, dict) or not (

@@ -5,10 +5,11 @@ the sparsity coefficient, whose only data-dependent input is the number
 of points ``n(D)`` inside cube ``D``.  This module makes that count
 cheap:
 
-* one boolean *membership mask* per ``(dimension, range)`` pair is
-  precomputed at construction (``d × φ`` masks of N bools, stacked into
-  a single ``(d, φ, N)`` array so whole batches can be gathered with one
-  fancy index);
+* one bit-packed *membership mask* per ``(dimension, range)`` pair is
+  precomputed at construction (``d × φ`` rows of N bits, each padded to
+  whole uint64 words and stacked into a single ``(d, φ, W)`` array so
+  whole batches can be gathered with one fancy index — the layout of
+  :mod:`repro.grid.kernels`, 8x smaller than one byte per point);
 * a cube count is the popcount of the AND of its masks;
 * counts are memoised, because the evolutionary algorithm re-evaluates
   the same cubes across generations;
@@ -49,20 +50,24 @@ from .._validation import check_positive_int
 from ..core.params import CountingBackend
 from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
-from ..resilience.faults import maybe_inject
 from ..resilience.ladder import DegradationLadder, ResilienceReport
 from .backends import get_backend, resolve_kernel
 from .cells import CellAssignment, MISSING_CELL
 from .health import BackendHealth
-from .kernels import batch_counts
+from .kernels import (
+    batch_counts,
+    empty_cube_row,
+    pack_codes_block,
+    packed_row_bytes,
+)
 
-__all__ = ["CubeCounter", "batch_counts"]
+__all__ = ["CubeCounter", "PackedCubeCounter", "batch_counts"]
 
 logger = logging.getLogger(__name__)
 
 #: Serial batches are split so one chunk's AND accumulator stays below
-#: this many words (bools for the dense counter, uint64 for the packed
-#: one) — bounds peak memory without changing any count.
+#: this many uint64 words — bounds peak memory without changing any
+#: count.
 _MAX_ACC_WORDS = 1 << 26
 
 
@@ -103,10 +108,6 @@ class CubeCounter:
         backend spins its worker pool up lazily on the first large
         batch; call :meth:`close` to release it.
     """
-
-    #: Whether ``self._stack`` holds bit-packed uint64 words (subclass
-    #: override) or one bool per point.
-    _packed_stack = False
 
     def __init__(
         self,
@@ -172,24 +173,19 @@ class CubeCounter:
         )
 
     def _build_masks(self) -> None:
-        """Precompute the per-(dimension, range) membership masks.
+        """Precompute the packed per-(dimension, range) membership masks.
 
-        ``self._stack`` is a (d, φ, N) boolean array; ``self._masks``
-        keeps the per-dimension (φ, N) views for the single-cube paths.
-        Subclasses may store a different representation as long as they
-        override the methods that read them.
+        ``self._stack8`` is the ``(d, φ, W8)`` byte stack the
+        single-cube paths read (``unpackbits``); ``self._stack`` views
+        the same memory as uint64 words for the batch kernel.  Word
+        byte-order is irrelevant to AND and popcount, so the
+        reinterpret cast is safe.
         """
-        codes = self.cells.codes
-        phi = self.cells.n_ranges
-        n = self.cells.n_points
-        maybe_inject("packed_alloc", kind="bool", n_points=n)
-        stack = np.zeros((self.cells.n_dims, phi, n), dtype=bool)
-        for j in range(self.cells.n_dims):
-            col = codes[:, j]
-            observed = col >= 0
-            stack[j, col[observed], np.nonzero(observed)[0]] = True
-        self._stack = stack
-        self._masks: list[np.ndarray] = [stack[j] for j in range(self.cells.n_dims)]
+        self._set_stack(pack_codes_block(self.cells.codes, self.cells.n_ranges))
+
+    def _set_stack(self, stack8: np.ndarray) -> None:
+        self._stack8 = stack8
+        self._stack = stack8.view(np.uint64)
 
     # ------------------------------------------------------------------
     @property
@@ -211,12 +207,17 @@ class CubeCounter:
     def mask(self, subspace: Subspace) -> np.ndarray:
         """Boolean membership mask of the cube (freshly allocated)."""
         self._check_subspace(subspace)
+        packed = self._packed_cube(subspace)
+        return np.unpackbits(packed, count=self.n_points).view(bool)
+
+    def _packed_cube(self, subspace: Subspace) -> np.ndarray:
+        """AND of the cube's packed masks (all-ones for the empty cube)."""
+        stack8 = self._stack8
         if not subspace.dims:
-            return np.ones(self.n_points, dtype=bool)
-        dim0, rng0 = subspace.dims[0], subspace.ranges[0]
-        out = self._masks[dim0][rng0].copy()
+            return empty_cube_row(self.n_points, stack8.shape[2])
+        out = stack8[subspace.dims[0], subspace.ranges[0]].copy()
         for dim, rng in list(subspace)[1:]:
-            out &= self._masks[dim][rng]
+            np.bitwise_and(out, stack8[dim, rng], out=out)
         return out
 
     def count(self, subspace: Subspace) -> int:
@@ -240,7 +241,7 @@ class CubeCounter:
 
     def _count_uncached(self, subspace: Subspace) -> int:
         """The raw count (cache handled by :meth:`count`)."""
-        return int(np.count_nonzero(self.mask(subspace)))
+        return int(np.bitwise_count(self._packed_cube(subspace)).sum())
 
     # ------------------------------------------------------------------
     def count_batch(self, subspaces) -> np.ndarray:
@@ -447,20 +448,35 @@ class CubeCounter:
         return block
 
     def _block_stack(self, block: np.ndarray) -> np.ndarray:
-        """Mask stack over *block* only, in this counter's representation."""
-        stack = np.zeros((self.n_dims, self.n_ranges, block.shape[0]), dtype=bool)
-        for j in range(self.n_dims):
-            col = block[:, j]
-            observed = col >= 0
-            stack[j, col[observed], np.nonzero(observed)[0]] = True
-        return stack
+        """Packed mask stack over *block* only (own zero-based padding)."""
+        return pack_codes_block(block, self.n_ranges).view(np.uint64)
 
     def _append_masks(self, block: np.ndarray) -> None:
-        """Extend the in-memory mask stack with *block*'s columns."""
-        self._stack = np.concatenate(
-            [self._stack, self._block_stack(block)], axis=2
+        """Stitch *block*'s packed columns onto the existing stack.
+
+        The first ``N0 // 8`` bytes of every mask row are complete and
+        survive untouched; the boundary byte (when N0 is not a multiple
+        of 8) mixes old-tail and new rows, so the tail region is
+        re-packed from the concatenation of the old tail codes and the
+        new block.  The stitched stack is byte-identical to packing the
+        concatenated codes from scratch, because ``np.packbits`` packs
+        row ``i`` into bit ``i % 8`` of byte ``i // 8`` independent of
+        everything outside that byte.
+        """
+        n0 = self.n_points
+        n1 = n0 + block.shape[0]
+        keep_bytes = n0 // 8
+        tail_codes = np.concatenate(
+            [self.cells.codes[keep_bytes * 8 :], block], axis=0
         )
-        self._masks = [self._stack[j] for j in range(self.n_dims)]
+        tail8 = pack_codes_block(tail_codes, self.n_ranges)
+        stack8 = np.zeros(
+            (self.n_dims, self.n_ranges, packed_row_bytes(n1)), dtype=np.uint8
+        )
+        stack8[:, :, :keep_bytes] = self._stack8[:, :, :keep_bytes]
+        tail_bytes = (n1 + 7) // 8 - keep_bytes
+        stack8[:, :, keep_bytes : keep_bytes + tail_bytes] = tail8[:, :, :tail_bytes]
+        self._set_stack(stack8)
 
     def _keys_on_stack(
         self, stack: np.ndarray, keys: list[tuple], n_rows: int
@@ -551,17 +567,13 @@ class CubeCounter:
         ``stats["resilience"]``.
         """
         if self._spec.kernel == "numpy":
-            return self.batch_kernel(
-                stack, dims_arr, rng_arr, self._packed_stack
-            )
+            return self.batch_kernel(stack, dims_arr, rng_arr)
 
         def primary() -> tuple:
-            return self.batch_kernel(
-                stack, dims_arr, rng_arr, self._packed_stack
-            )
+            return self.batch_kernel(stack, dims_arr, rng_arr)
 
         def fallback() -> tuple:
-            return batch_counts(stack, dims_arr, rng_arr, self._packed_stack)
+            return batch_counts(stack, dims_arr, rng_arr)
 
         return self._ladder.guarded(
             "kernel", self._spec.kernel, "numpy",
@@ -676,7 +688,6 @@ class CubeCounter:
 
             self._pool = CountingPool(
                 self._stack,
-                self._packed_stack,
                 self.backend,
                 self.health,
                 kernel=self._spec.kernel,
@@ -749,8 +760,8 @@ class CubeCounter:
 
     # ------------------------------------------------------------------
     def mask_memory_bytes(self) -> int:
-        """Total bytes held by the per-range membership masks."""
-        return sum(mask.nbytes for mask in self._masks)
+        """Total bytes held by the packed per-range membership masks."""
+        return self._stack8.nbytes
 
     def cache_stats(self) -> dict:
         """Counters useful for benchmarking and backend tuning.
@@ -827,3 +838,8 @@ class CubeCounter:
             f"CubeCounter(N={self.n_points}, d={self.n_dims}, "
             f"phi={self.n_ranges})"
         )
+
+
+#: Deprecated alias kept for compatibility: the bit-packed layout is
+#: now the only one, so the former packed subclass *is* the counter.
+PackedCubeCounter = CubeCounter

@@ -1,19 +1,28 @@
-"""Batch counting kernels: the numpy reference implementation.
+"""The mask layout and the numpy reference batch-counting kernel.
+
+Every counter stores its membership masks in one layout: for each
+``(dimension, range)`` pair, a row of bits — bit ``i`` set when point
+*i* falls in that range — packed with :func:`numpy.packbits` and
+zero-padded to a whole number of uint64 words (:func:`pack_codes_block`).
+The in-memory :class:`~repro.grid.counter.CubeCounter` holds the whole
+``(d, φ, W)`` stack; the out-of-core
+:class:`~repro.grid.sharded.ShardedMaskStore` holds one such stack per
+row shard.  Padding bits are zero, hence inert under AND and popcount.
 
 A *kernel* is the pure function at the bottom of every counting
 backend::
 
-    kernel(stack, dims_arr, rng_arr, packed) -> (counts, stats)
+    kernel(stack, dims_arr, rng_arr) -> (counts, stats)
 
-``stack`` is the counter's ``(d, φ, W)`` membership-mask array (boolean
-or uint64-packed), ``dims_arr`` / ``rng_arr`` are ``(B, k)`` index
-arrays naming one same-k batch of cubes, and ``counts`` is the exact
-``int64`` point count per cube.  ``stats`` reports kernel effort
-(``words_and``) and prefix sharing (``prefix_reuse``).
+``stack`` is a ``(d, φ, W)`` uint64 mask stack, ``dims_arr`` /
+``rng_arr`` are ``(B, k)`` index arrays naming one same-k batch of
+cubes, and ``counts`` is the exact ``int64`` point count per cube.
+``stats`` reports kernel effort (``words_and``) and prefix sharing
+(``prefix_reuse``).
 
 This module holds the vectorized numpy reference kernel
-(:func:`batch_counts`, the PR-1 prefix-sharing AND/popcount engine);
-the compiled tiers live in :mod:`repro.grid.native` and are registered
+(:func:`batch_counts`, the prefix-sharing AND/popcount engine); the
+compiled tiers live in :mod:`repro.grid.native` and are registered
 against this reference by :mod:`repro.grid.backends`, which proves any
 kernel bit-identical on a differential fixture before it may serve
 counts.  Module-level (rather than methods) so pool workers can run an
@@ -24,7 +33,63 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["batch_counts"]
+from ..resilience.faults import maybe_inject
+
+__all__ = [
+    "batch_counts",
+    "empty_cube_row",
+    "pack_codes_block",
+    "packed_row_bytes",
+]
+
+
+def packed_row_bytes(n_points: int) -> int:
+    """Bytes per packed mask row for *n_points*, padded to uint64 words."""
+    n_bytes = (n_points + 7) // 8
+    return ((n_bytes + 7) // 8) * 8
+
+
+def pack_codes_block(codes: np.ndarray, n_ranges: int) -> np.ndarray:
+    """Bit-pack one block of grid codes into a ``(d, φ, W8)`` mask stack.
+
+    *codes* is an ``(n, d)`` integer code block (``MISSING_CELL`` rows
+    set no bit); the result holds one packed membership row per
+    ``(dimension, range)`` pair, each zero-padded to a uint64 boundary
+    so it can be viewed as ``uint64`` words.  Packing a row *shard* of
+    a dataset with this function and summing per-shard popcounts is
+    bit-identical to packing the whole dataset at once — counts are
+    additive across row shards — which is what the out-of-core store
+    (:mod:`repro.grid.sharded`) and
+    :meth:`~repro.grid.counter.CubeCounter.append_rows` rely on.
+    """
+    n, n_dims = codes.shape
+    n_bytes = (n + 7) // 8
+    maybe_inject("packed_alloc", kind="packed", n_points=n)
+    stack8 = np.zeros((n_dims, n_ranges, packed_row_bytes(n)), dtype=np.uint8)
+    for j in range(n_dims):
+        col = codes[:, j]
+        dense = np.zeros((n_ranges, n), dtype=bool)
+        observed = col >= 0
+        dense[col[observed], np.nonzero(observed)[0]] = True
+        # packed[r] bit j of byte w marks point 8*w + j (big-endian
+        # bit order, the numpy default).
+        stack8[j, :, :n_bytes] = np.packbits(dense, axis=1)
+    return stack8
+
+
+def empty_cube_row(n_points: int, row_bytes: int) -> np.ndarray:
+    """The packed row of the empty cube: bits ``0..n_points-1`` set.
+
+    The padding bits past *n_points* stay zero, so popcounting the row
+    gives exactly *n_points*.
+    """
+    out = np.zeros(row_bytes, dtype=np.uint8)
+    n_bytes = (n_points + 7) // 8
+    out[:n_bytes] = 0xFF
+    tail = n_points % 8
+    if tail:
+        out[n_bytes - 1] = (0xFF << (8 - tail)) & 0xFF
+    return out
 
 
 def _resolve_batch_masks(
@@ -92,9 +157,8 @@ def batch_counts(
     stack: np.ndarray,
     dims_arr: np.ndarray,
     rng_arr: np.ndarray,
-    packed: bool,
 ) -> tuple[np.ndarray, dict]:
-    """Counts for a batch of same-k cubes over a mask ``stack``.
+    """Counts for a batch of same-k cubes over a packed mask ``stack``.
 
     The numpy reference kernel: vectorized prefix-sharing AND followed
     by one popcount/sum reduction.  Every other registered kernel is
@@ -105,8 +169,5 @@ def batch_counts(
     """
     stats = {"words_and": 0, "prefix_reuse": 0}
     acc = _resolve_batch_masks(stack, dims_arr, rng_arr, stats)
-    if packed:
-        counts = np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
-    else:
-        counts = acc.sum(axis=1, dtype=np.int64)
+    counts = np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
     return counts, stats

@@ -32,11 +32,10 @@ tiers by construction; :mod:`repro.grid.backends` additionally *proves*
 it against the reference kernel on a differential fixture before the
 kernel may serve counts.
 
-All three tiers operate on the stack's uint8 byte view, which unifies
-the boolean counter (one 0/1 byte per point) and the packed counter
-(8 points per byte): AND distributes over both layouts and popcount of
-a 0/1 byte is its value, so one kernel serves both counters, including
-ragged final words (padding bytes are zero, hence inert).
+All three tiers operate on the uint8 byte view of the counter's
+bit-packed uint64 mask stack (see :mod:`repro.grid.kernels`): every
+row is a whole number of 8-byte words, and the padding bits past N are
+zero, hence inert under AND and popcount.
 """
 
 from __future__ import annotations
@@ -91,20 +90,19 @@ _C_SOURCE = """\
 
 /* AND k mask rows, popcount the result: counts[b] = |AND_l rows[b][l]|.
  *
- * stack:     n_masks rows of row_bytes bytes each (C-contiguous)
+ * stack:     n_masks rows of row_bytes bytes each (C-contiguous,
+ *            row_bytes a multiple of 8: uint64-padded packed rows)
  * rows:      n_cubes * k flat row indices
  * block:     words per cache block (<=0 means unblocked)
  *
- * Full 8-byte words go through __builtin_popcountll via memcpy loads
- * (safe for any alignment); a ragged tail (row_bytes % 8, only the
- * boolean counter at N % 8 != 0) is finished byte-wise.
+ * Words go through __builtin_popcountll via memcpy loads (safe for any
+ * alignment).
  */
 void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
                        const int64_t *rows, int64_t n_cubes, int64_t k,
                        int64_t block, int64_t *counts)
 {
     int64_t n_words = row_bytes / 8;
-    int64_t tail = n_words * 8;
     if (block <= 0 || block > n_words) block = n_words;
     for (int64_t b = 0; b < n_cubes; b++) counts[b] = 0;
     for (int64_t lo = 0; lo < n_words; lo += block) {
@@ -160,19 +158,6 @@ void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
                     }
                     acc += __builtin_popcountll(v);
                 }
-            }
-            counts[b] += acc;
-        }
-    }
-    if (tail < row_bytes) {
-        for (int64_t b = 0; b < n_cubes; b++) {
-            const int64_t *r = rows + b * k;
-            int64_t acc = 0;
-            for (int64_t t = tail; t < row_bytes; t++) {
-                uint8_t v = stack[r[0] * row_bytes + t];
-                for (int64_t l = 1; l < k; l++)
-                    v &= stack[r[l] * row_bytes + t];
-                acc += __builtin_popcount((unsigned)v);
             }
             counts[b] += acc;
         }
@@ -444,17 +429,20 @@ def native_batch_counts(
     stack: np.ndarray,
     dims_arr: np.ndarray,
     rng_arr: np.ndarray,
-    packed: bool,
 ) -> tuple[np.ndarray, dict]:
     """Counts for a batch of same-k cubes via the native kernel.
 
     Drop-in for :func:`repro.grid.kernels.batch_counts`: same inputs,
     bit-identical ``counts`` (exact integer popcounts), same ``stats``
-    keys.  The mask stack is consumed through its uint8 byte view, so
-    boolean and packed stacks share one code path; *packed* only
-    documents the layout (it does not change the arithmetic).
+    keys.  The uint64 mask stack is consumed through its uint8 byte
+    view.
     """
-    del packed  # AND + popcount of the byte view is layout-agnostic
+    if stack.dtype != np.uint64:
+        # The C tier reads whole 8-byte words only; rows of another
+        # dtype could end in a ragged tail it would silently skip.
+        raise ValidationError(
+            f"native kernel needs a uint64 packed mask stack, got {stack.dtype}"
+        )
     tier = resolve_tier()
     impl = _tier_impl(tier)
     assert impl is not None  # resolve_tier guarantees availability

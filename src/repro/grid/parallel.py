@@ -3,7 +3,7 @@
 Two pools share one resilient dispatcher (:class:`_ResilientPool`):
 
 :class:`CountingPool`
-    The shared-memory pool.  The counter's membership-mask stack is
+    The shared-memory pool.  The counter's packed mask stack is
     copied once into POSIX shared memory; each worker attaches a
     zero-copy numpy view over it at initialization and then runs the
     *same* batch kernel the serial path uses — resolved by name from
@@ -113,7 +113,6 @@ def _reclaim_pool_resources(resources: dict, label: str) -> None:
 # Worker-process globals, populated once by the pool initializers.
 _WORKER_STACK: np.ndarray | None = None
 _WORKER_SHM: shared_memory.SharedMemory | None = None
-_WORKER_PACKED = False
 _WORKER_FAULT: FaultPlan | None = None
 _WORKER_KERNEL = None
 _WORKER_STORE = None
@@ -123,13 +122,11 @@ def _init_worker(
     shm_name: str,
     shape: tuple,
     dtype_str: str,
-    packed: bool,
     kernel_name: str,
     fault: FaultPlan | None,
     poison_init: bool,
 ) -> None:
-    global _WORKER_STACK, _WORKER_SHM, _WORKER_PACKED, _WORKER_FAULT
-    global _WORKER_KERNEL
+    global _WORKER_STACK, _WORKER_SHM, _WORKER_FAULT, _WORKER_KERNEL
     if poison_init:
         raise RuntimeError(
             "injected shared-memory attach failure "
@@ -139,7 +136,6 @@ def _init_worker(
     _WORKER_STACK = np.ndarray(
         shape, dtype=np.dtype(dtype_str), buffer=_WORKER_SHM.buf
     )
-    _WORKER_PACKED = packed
     _WORKER_FAULT = fault
     # Resolved per worker (verification is cached per process); the
     # native kernel's compiled library is content-addressed on disk, so
@@ -160,9 +156,7 @@ def _count_chunk(task: tuple) -> tuple:
     """One shm task: counts + kernel stats for a (dims, ranges) chunk."""
     chunk_id, attempt, dims_arr, rng_arr = task
     _apply_fault(chunk_id, attempt)
-    counts, stats = _WORKER_KERNEL(
-        _WORKER_STACK, dims_arr, rng_arr, _WORKER_PACKED
-    )
+    counts, stats = _WORKER_KERNEL(_WORKER_STACK, dims_arr, rng_arr)
     return counts, stats["words_and"], stats["prefix_reuse"]
 
 
@@ -194,7 +188,7 @@ def _count_shard(task: tuple) -> tuple:
     chunk_id, attempt, shard_id, dims_arr, rng_arr = task
     _apply_fault(chunk_id, attempt)
     stack = _WORKER_STORE.shard_words(shard_id)
-    counts, stats = _WORKER_KERNEL(stack, dims_arr, rng_arr, True)
+    counts, stats = _WORKER_KERNEL(stack, dims_arr, rng_arr)
     return counts, stats["words_and"], stats["prefix_reuse"]
 
 
@@ -475,10 +469,8 @@ class CountingPool(_ResilientPool):
     Parameters
     ----------
     stack:
-        The counter's ``(d, φ, W)`` membership-mask array (boolean or
-        uint64-packed); copied once into shared memory.
-    packed:
-        Whether the stack holds bit-packed words.
+        The counter's ``(d, φ, W)`` uint64 packed mask stack; copied
+        once into shared memory.
     backend:
         The :class:`~repro.core.params.CountingBackend` whose timeout /
         retry / rebuild policy (and optional fault plan) this pool
@@ -498,7 +490,6 @@ class CountingPool(_ResilientPool):
     def __init__(
         self,
         stack: np.ndarray,
-        packed: bool,
         backend: CountingBackend,
         health: BackendHealth | None = None,
         kernel: str = "numpy",
@@ -506,7 +497,6 @@ class CountingPool(_ResilientPool):
     ):
         super().__init__(backend, health, report)
         stack = np.ascontiguousarray(stack)
-        self._packed = packed
         self._kernel_name = kernel
         self._kernel = resolve_kernel(kernel)
         self._shm = shared_memory.SharedMemory(
@@ -530,7 +520,6 @@ class CountingPool(_ResilientPool):
             self._shm.name,
             self._shape,
             self._dtype.str,
-            self._packed,
             self._kernel_name,
             self._fault,
             poison,
@@ -539,9 +528,7 @@ class CountingPool(_ResilientPool):
     def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
         """Recover one chunk with the in-process kernel (bit-identical)."""
         dims_arr, rng_arr = chunk
-        counts, stats = self._kernel(
-            self._local, dims_arr, rng_arr, self._packed
-        )
+        counts, stats = self._kernel(self._local, dims_arr, rng_arr)
         self._record_serial(idx, counts, stats, results)
 
     def _release_resources(self) -> None:
@@ -605,6 +592,6 @@ class ShardedCountingPool(_ResilientPool):
         """Recover one shard in-parent over its own mmap view."""
         shard_id, dims_arr, rng_arr = chunk
         counts, stats = self._kernel(
-            self._shard_reader(shard_id), dims_arr, rng_arr, True
+            self._shard_reader(shard_id), dims_arr, rng_arr
         )
         self._record_serial(idx, counts, stats, results)

@@ -14,7 +14,7 @@ Three pieces implement this:
 
 :class:`ShardedMaskStore`
     Writes the uint64-padded packed mask stacks
-    (:func:`~repro.grid.packed_counter.pack_codes_block`) to one binary
+    (:func:`~repro.grid.kernels.pack_codes_block`) to one binary
     file per row shard — each landed atomically, with a JSON manifest
     installed last so a killed build never leaves a readable-but-wrong
     store — and maps them back as read-only ``numpy.memmap`` views.
@@ -29,7 +29,7 @@ Three pieces implement this:
     :class:`~repro.grid.parallel.ShardedCountingPool` workers, each of
     which opens its *own* mmap view — no shared-memory copy of the
     stack exists anywhere.  Per-shard merged counts are bit-identical
-    to the in-memory counters (differentially tested).
+    to the in-memory counter (differentially tested).
 
 :class:`ShardCheckpointer`
     Records per-shard completion of the in-flight batch through a
@@ -61,7 +61,7 @@ from ..resilience.retry import RetryPolicy
 from ..run.checkpoint import CheckpointStore
 from .cells import CellAssignment
 from .counter import CubeCounter
-from .packed_counter import pack_codes_block
+from .kernels import empty_cube_row, pack_codes_block
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
@@ -695,7 +695,7 @@ class ShardCheckpointer:
 class ShardedCounter(CubeCounter):
     """A :class:`~repro.grid.counter.CubeCounter` over an on-disk store.
 
-    Drop-in for the in-memory counters: every public method behaves
+    Drop-in for the in-memory counter: every public method behaves
     identically (bit-identical counts, differentially tested), but the
     membership masks live in a :class:`ShardedMaskStore` and batches
     stream one shard at a time — peak memory is one shard's stack plus
@@ -730,8 +730,6 @@ class ShardedCounter(CubeCounter):
         :class:`~repro.exceptions.ResourceError` otherwise.  Off by
         default: it re-reads each shard once per use.
     """
-
-    _packed_stack = True
 
     def __init__(
         self,
@@ -855,16 +853,9 @@ class ShardedCounter(CubeCounter):
 
     def _shard_cube(self, index: int, subspace: Subspace) -> np.ndarray:
         """AND of one shard's packed masks for *subspace* (owned array)."""
-        start, stop = self.store.shard_bounds(index)
-        n_rows = stop - start
         if not subspace.dims:
-            n_bytes = (n_rows + 7) // 8
-            out = np.zeros(self.store.shard_row_bytes(index), dtype=np.uint8)
-            out[:n_bytes] = 0xFF
-            tail = n_rows % 8
-            if tail:
-                out[n_bytes - 1] = (0xFF << (8 - tail)) & 0xFF
-            return out
+            start, stop = self.store.shard_bounds(index)
+            return empty_cube_row(stop - start, self.store.shard_row_bytes(index))
         stack8 = self._resilient_shard_stack8(index)
         dim0, rng0 = subspace.dims[0], subspace.ranges[0]
         out = np.array(stack8[dim0, rng0])
@@ -919,7 +910,7 @@ class ShardedCounter(CubeCounter):
         re-packed with the new rows and the manifest reinstalled, so
         the extended store is byte-identical to a from-scratch build of
         the concatenated codes.  Memoised counts advance by popcount
-        deltas exactly as on the in-memory counters.
+        deltas exactly as on the in-memory counter.
         """
         if self.cells is None:
             raise ValidationError(
@@ -928,9 +919,6 @@ class ShardedCounter(CubeCounter):
                 "with cells=..."
             )
         return super().append_rows(codes)
-
-    def _block_stack(self, block: np.ndarray) -> np.ndarray:
-        return pack_codes_block(block, self.n_ranges).view(np.uint64)
 
     def _append_masks(self, block: np.ndarray) -> None:
         # self.cells still holds the pre-append codes here; the base

@@ -38,19 +38,18 @@ from typing import Any
 import numpy as np
 
 from .._validation import check_matrix
-from ..core.results import ScoredProjection
+from ..core.results import ScoredProjection, score_cells
 from ..engine.events import EventSink, emit_event
 from ..exceptions import NotFittedError, ValidationError
 from ..grid.cells import CellAssignment
 from ..grid.counter import CubeCounter
 from ..grid.discretizer import EquiDepthDiscretizer, GridDiscretizer, StreamingReservoir
 from ..grid.health import DEFAULT_DRIFT_THRESHOLD, GridDriftReport, check_grid_drift
-from ..grid.packed_counter import PackedCubeCounter
 
 __all__ = ["GridModel", "CounterFactory", "REBIN_POLICIES"]
 
 #: Builds the cube counter for a cell assignment — the seam the
-#: detector uses to route its packed/sharded/spill counter ladder
+#: detector uses to route its in-memory/sharded/spill counter ladder
 #: through the model layer.
 CounterFactory = Callable[[CellAssignment], CubeCounter]
 
@@ -93,7 +92,9 @@ class GridModel:
         The raw rows the counter was built from, retained so
         :meth:`rebin` can recut exactly (``None`` in serving mode).
     projections:
-        Mined abnormal projections (what :meth:`score` serves).
+        Mined abnormal projections (what :meth:`score` serves).  ``None``
+        (the default) means nothing has been mined yet, so :meth:`score`
+        refuses; any sequence — even an empty one — is a mined set.
     counter_factory:
         How :meth:`rebin` rebuilds the counter after recutting.
     event_sink:
@@ -118,7 +119,7 @@ class GridModel:
         *,
         counter: CubeCounter | None = None,
         data: Any | None = None,
-        projections: Sequence[ScoredProjection] = (),
+        projections: Sequence[ScoredProjection] | None = None,
         counter_factory: CounterFactory | None = None,
         event_sink: EventSink | None = None,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
@@ -163,7 +164,8 @@ class GridModel:
                 )
         self.counter = counter
         self._data: np.ndarray | None = data
-        self._projections = _checked_projections(projections)
+        self._projections = _checked_projections(projections or ())
+        self._mined = projections is not None
         self._counter_factory: CounterFactory = (
             counter_factory or self.default_counter_factory()
         )
@@ -198,15 +200,9 @@ class GridModel:
 
     # -- construction ---------------------------------------------------
     @staticmethod
-    def default_counter_factory(*, packed: bool = False) -> CounterFactory:
-        """In-memory counter builder (packed masks on request)."""
-
-        def build(cells: CellAssignment) -> CubeCounter:
-            if packed:
-                return PackedCubeCounter(cells)
-            return CubeCounter(cells)
-
-        return build
+    def default_counter_factory() -> CounterFactory:
+        """In-memory counter builder."""
+        return CubeCounter
 
     @classmethod
     def fit(
@@ -227,12 +223,14 @@ class GridModel:
 
         Single discretization pass (``fit_transform``), one counter
         build; the rows are retained so later :meth:`rebin` calls are
-        exact.
+        exact.  *packed* is a deprecated no-op accepted for one release:
+        the counter always stores bit-packed masks.
         """
+        del packed  # deprecated no-op: masks are always bit-packed
         array = check_matrix(data, "data")
         disc = discretizer or EquiDepthDiscretizer(n_ranges)
         cells = disc.fit_transform(array, feature_names=feature_names)
-        factory = counter_factory or cls.default_counter_factory(packed=packed)
+        factory = counter_factory or cls.default_counter_factory()
         counter = factory(cells)
         return cls(
             disc,
@@ -297,6 +295,7 @@ class GridModel:
     @projections.setter
     def projections(self, value: Sequence[ScoredProjection]) -> None:
         self._projections = _checked_projections(value)
+        self._mined = True
 
     @property
     def cells(self) -> CellAssignment | None:
@@ -465,6 +464,7 @@ class GridModel:
         self.counter = self._counter_factory(cells)
         self._occupancy = np.zeros_like(self._occupancy)
         self._projections = ()
+        self._mined = False
         self._last_drift = None
         self._n_rebins += 1
         self.version += 1
@@ -479,8 +479,13 @@ class GridModel:
 
     # -- serving --------------------------------------------------------
     def score(self, points: Any) -> np.ndarray:
-        """Deviation score per point: best covering coefficient, else NaN."""
-        if not self._projections:
+        """Deviation score per point: best covering coefficient, else NaN.
+
+        A model whose mined set is empty scores every point NaN; a model
+        that has not been mined yet (fresh fit, or after :meth:`rebin`)
+        raises :class:`~repro.exceptions.NotFittedError`.
+        """
+        if not self._mined:
             raise NotFittedError(
                 "model has no mined projections — run "
                 "SubspaceOutlierDetector.detect_model(model) first (a "
@@ -488,10 +493,7 @@ class GridModel:
             )
         array = check_matrix(points, "points")
         cells = self.discretizer.transform(array)
-        scores = np.full(array.shape[0], np.nan)
-        for projection in self._projections:
-            covered = projection.subspace.covers(cells.codes)
-            scores[covered] = np.fmin(scores[covered], projection.coefficient)
+        scores = score_cells(cells.codes, self._projections)
         emit_event(
             self.event_sink,
             "score_request",

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._atomic import atomic_write_json
 from ._validation import check_matrix
-from .core.results import DetectionResult, ScoredProjection
+from .core.results import DetectionResult, ScoredProjection, score_cells
 from .core.subspace import Subspace
 from .engine.events import EventSink
 from .exceptions import (
@@ -178,11 +178,7 @@ class SavedModel:
             self.boundaries, self.feature_names
         )
         cells = discretizer.transform(array)
-        scores = np.full(array.shape[0], np.nan)
-        for projection in self.projections:
-            covered = projection.subspace.covers(cells.codes)
-            scores[covered] = np.fmin(scores[covered], projection.coefficient)
-        return scores
+        return score_cells(cells.codes, self.projections)
 
     def predict(self, data) -> np.ndarray:
         """Boolean outlier mask for new points."""

@@ -53,3 +53,15 @@ def naive_cube_count(cells_codes: np.ndarray, subspace) -> int:
         if all(row[dim] == rng_ for dim, rng_ in subspace):
             count += 1
     return count
+
+
+def oracle_mask(cells_codes: np.ndarray, subspace) -> np.ndarray:
+    """Rows inside *subspace*, straight from the grid codes (vectorized)."""
+    codes = np.asarray(cells_codes)
+    ranges = np.asarray(subspace.ranges, dtype=codes.dtype)
+    return np.all(codes[:, list(subspace.dims)] == ranges, axis=1)
+
+
+def oracle_count(cells_codes: np.ndarray, subspace) -> int:
+    """n(D) straight from the grid codes: the counters' reference oracle."""
+    return int(np.count_nonzero(oracle_mask(cells_codes, subspace)))

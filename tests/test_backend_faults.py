@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from concurrent.futures import BrokenExecutor
 
+from repro import PackedCubeCounter
 from repro.core.detector import SubspaceOutlierDetector
 from repro.core.params import CountingBackend, FaultPlan
 from repro.core.subspace import Subspace
@@ -27,7 +28,6 @@ from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.health import BackendHealth
-from repro.grid.packed_counter import PackedCubeCounter
 from repro.grid.parallel import CountingPool, _count_chunk
 
 
@@ -342,7 +342,7 @@ class TestCloseIdempotency:
     def test_close_after_broken_executor_does_not_hang(self, cells):
         stack = CubeCounter(cells)._stack
         backend = faulty_backend(fault_plan=FaultPlan(kill_worker_on_chunk=0))
-        pool = CountingPool(stack, False, backend, BackendHealth())
+        pool = CountingPool(stack, backend, BackendHealth())
         dims = np.zeros((1, 1), dtype=np.intp)
         rngs = np.zeros((1, 1), dtype=np.intp)
         # Bypass the resilient dispatcher to leave the executor broken.

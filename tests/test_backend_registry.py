@@ -56,14 +56,14 @@ def scratch_registry():
     reg._VERIFIED.update(verified)
 
 
-def _diverging_kernel(stack, dims_arr, rng_arr, packed):
+def _diverging_kernel(stack, dims_arr, rng_arr):
     # Off-by-one on every count: must never pass the gate.
-    counts, stats = batch_counts(stack, dims_arr, rng_arr, packed)
+    counts, stats = batch_counts(stack, dims_arr, rng_arr)
     return counts + 1, stats
 
 
-def _stats_lying_kernel(stack, dims_arr, rng_arr, packed):
-    counts, _ = batch_counts(stack, dims_arr, rng_arr, packed)
+def _stats_lying_kernel(stack, dims_arr, rng_arr):
+    counts, _ = batch_counts(stack, dims_arr, rng_arr)
     return counts, {"words": 0}  # missing the required keys
 
 
@@ -122,6 +122,14 @@ class TestConformanceGate:
         for tier in available_tiers():
             with forced_tier(tier):
                 verify_kernel(native_batch_counts, f"native[{tier}]")
+
+    def test_native_kernel_rejects_non_word_stack(self):
+        # A bool stack's rows need not be whole words; the C tier would
+        # skip the ragged tail, so the entry point refuses it.
+        stack = np.ones((2, 2, 13), dtype=bool)
+        index = np.zeros((1, 1), dtype=np.intp)
+        with pytest.raises(ValidationError, match="uint64"):
+            native_batch_counts(stack, index, index)
 
     def test_diverging_kernel_raises_and_is_not_registered(
         self, scratch_registry
@@ -199,10 +207,10 @@ class TestConformanceGate:
 class TestCounterIntegration:
     def test_counter_reports_backend_kernel(self, rng):
         from repro.grid.cells import CellAssignment
-        from repro.grid.packed_counter import PackedCubeCounter
+        from repro.grid.counter import CubeCounter
 
         codes = rng.integers(0, 3, size=(50, 4)).astype(np.int16)
-        counter = PackedCubeCounter(
+        counter = CubeCounter(
             CellAssignment(codes, 3),
             backend=CountingBackend(kind="native"),
         )

@@ -1,14 +1,14 @@
 """Differential harness: every counting path must agree exactly.
 
-Four independent implementations of n(D) are compared on randomized
+Three independent implementations of n(D) are compared on randomized
 small grids (N <= 200, d <= 6, phi <= 4), with and without missing
 values:
 
 1. a naive O(N*k) row scan (``naive_cube_count`` — the reference),
-2. ``CubeCounter.count`` (boolean masks + memo),
-3. ``PackedCubeCounter.count`` (uint8 bitsets + popcount),
-4. ``count_batch`` on both counters (the vectorized prefix-sharing
-   kernel), under EVERY registered counting backend.
+2. ``CubeCounter.count`` and ``CubeCounter.mask`` (bit-packed masks,
+   AND + popcount, memo),
+3. ``count_batch`` (the vectorized prefix-sharing kernel), under EVERY
+   registered counting backend.
 
 Any divergence — on any enumerable cube, including empty and
 degenerate ones — is a bug in one of the engines, so the assertions
@@ -38,9 +38,8 @@ from repro.grid.backends import registered_backends
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import CellAssignment
 from repro.grid.native import available_tiers, forced_tier
-from repro.grid.packed_counter import PackedCubeCounter
 
-from conftest import naive_cube_count
+from conftest import naive_cube_count, oracle_mask
 
 PROCESS_BACKEND = CountingBackend(kind="process", n_workers=2, chunk_size=16)
 
@@ -76,28 +75,25 @@ def all_cubes(n_dims, n_ranges, max_k):
 
 
 def _check_grid(cells, max_k, backend=None):
-    """Assert all four implementations agree on every cube of the grid."""
+    """Assert all implementations agree on every cube of the grid."""
     cubes = list(all_cubes(cells.n_dims, cells.n_ranges, max_k))
     expected = [naive_cube_count(cells.codes, cube) for cube in cubes]
-    dense = CubeCounter(cells, backend=backend)
-    packed = PackedCubeCounter(cells, backend=backend)
+    counter = CubeCounter(cells, backend=backend)
     try:
         for cube, want in zip(cubes, expected, strict=True):
-            assert dense.count(cube) == want, cube
-            assert packed.count(cube) == want, cube
-        # Fresh counters for the batch path so the memo cannot mask a
+            assert counter.count(cube) == want, cube
+            np.testing.assert_array_equal(
+                counter.mask(cube), oracle_mask(cells.codes, cube)
+            )
+        # A fresh counter for the batch path so the memo cannot mask a
         # broken kernel by answering from per-cube results.
-        dense_b = CubeCounter(cells, backend=backend)
-        packed_b = PackedCubeCounter(cells, backend=backend)
+        batch = CubeCounter(cells, backend=backend)
         try:
-            assert dense_b.count_batch(cubes).tolist() == expected
-            assert packed_b.count_batch(cubes).tolist() == expected
+            assert batch.count_batch(cubes).tolist() == expected
         finally:
-            dense_b.close()
-            packed_b.close()
+            batch.close()
     finally:
-        dense.close()
-        packed.close()
+        counter.close()
 
 
 class TestSerialDifferential:
@@ -242,7 +238,7 @@ class TestBackendConformance:
         cells = random_cells(rng, 120, 4, 3, missing=0.1)
         cubes = list(all_cubes(4, 3, 3))
         expected = [naive_cube_count(cells.codes, c) for c in cubes]
-        counter = PackedCubeCounter(
+        counter = CubeCounter(
             cells,
             backend=CountingBackend(
                 kind="process-native",

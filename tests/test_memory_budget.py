@@ -41,7 +41,7 @@ n, d, phi, shard_rows = int(n), int(d), int(phi), int(shard_rows)
 
 from repro.core.subspace import Subspace
 from repro.grid.cells import CellAssignment
-from repro.grid.packed_counter import PackedCubeCounter
+from repro.grid.counter import CubeCounter
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 
 
@@ -83,7 +83,7 @@ try:
         print("OK", counts.tolist())
     elif mode == "inmemory":
         codes = np.concatenate(list(code_chunks()), axis=0)
-        counter = PackedCubeCounter(
+        counter = CubeCounter(
             CellAssignment(codes=codes, n_ranges=phi), cache_size=0
         )
         counter.count_batch([Subspace((0,), (r,)) for r in range(phi)])

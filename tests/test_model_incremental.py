@@ -9,8 +9,9 @@ outliers a fresh ``detect`` would.  This suite locks that invariant:
 
 1. three distinct interleavings (update/update, merge/update,
    update/merge), swept under every registered counting backend;
-2. an append-at-every-row-boundary sweep over all three counter
-   implementations (boolean, packed, sharded), mirroring
+2. an append-at-every-row-boundary sweep over the in-memory counter
+   (memoised and memo-free) and the sharded counter, against counts
+   taken straight from the codes, mirroring
    ``tests/test_sharded_differential.py`` — ragged packed bytes and
    ragged tail shards included;
 3. a hypothesis property: merging discretizers fitted on arbitrary
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_count
 from repro.core.detector import SubspaceOutlierDetector
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
@@ -38,7 +40,6 @@ from repro.grid.backends import registered_backends
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer
-from repro.grid.packed_counter import PackedCubeCounter
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 from repro.model import GridModel
 
@@ -122,7 +123,7 @@ class TestInterleavingDifferential:
             if kind == "serial"
             else CountingBackend(kind=kind, n_workers=2, chunk_size=16)
         )
-        factory = lambda cells: PackedCubeCounter(cells, backend=backend)
+        factory = lambda cells: CubeCounter(cells, backend=backend)
         model = grow(interleaving, blocks, counter_factory=factory)
         cubes = all_cubes(model.n_dims, PHI)
         try:
@@ -159,10 +160,11 @@ class TestInterleavingDifferential:
 class TestAppendBoundarySweep:
     """``append_rows`` at every split point ≡ a from-scratch build.
 
-    Mirrors the sharded differential harness: the packed counters pad
-    mask rows to whole bytes, so splits that land mid-byte (any
-    non-multiple of 8) exercise the byte-stitching path; the sharded
-    counter additionally re-packs its ragged tail shard.
+    Mirrors the sharded differential harness: the packed masks pad
+    rows to whole bytes, so splits that land mid-byte (any non-multiple
+    of 8) exercise the byte-stitching path; the sharded counter
+    additionally re-packs its ragged tail shard.  The memo-free counter
+    answers every post-append count from the stitched stack itself.
     """
 
     N, D = 40, 4
@@ -181,8 +183,7 @@ class TestAppendBoundarySweep:
 
     @pytest.fixture(scope="class")
     def reference(self, codes, cubes):
-        counter = CubeCounter(CellAssignment(codes=codes, n_ranges=3))
-        return counter.count_batch(cubes)
+        return np.array([oracle_count(codes, cube) for cube in cubes])
 
     def check_split(self, make_counter, codes, cubes, reference, split):
         head = CellAssignment(codes=codes[:split], n_ranges=3)
@@ -203,7 +204,10 @@ class TestAppendBoundarySweep:
 
     @pytest.mark.parametrize("split", range(1, N + 1))
     def test_packed_counter_every_boundary(self, codes, cubes, reference, split):
-        self.check_split(PackedCubeCounter, codes, cubes, reference, split)
+        self.check_split(
+            lambda cells: CubeCounter(cells, cache_size=0),
+            codes, cubes, reference, split,
+        )
 
     @pytest.mark.parametrize(
         "split",

@@ -310,3 +310,47 @@ class TestPackedDetector:
         np.testing.assert_array_equal(
             dense.outlier_indices, packed.outlier_indices
         )
+
+    def test_deprecated_packed_spellings_are_no_ops(self, rng, capsys):
+        # The bit-packed layout is the only one; the old spellings stay
+        # accepted (the pipeline benchmark uses all three) and change
+        # nothing.
+        from repro import (
+            CountingBackend,
+            CubeCounter,
+            PackedCubeCounter,
+            SubspaceOutlierDetector,
+        )
+        from repro.core.subspace import Subspace
+        from repro.grid.discretizer import EquiDepthDiscretizer
+        from repro.model import GridModel
+
+        data = rng.normal(size=(150, 6))
+        cells = EquiDepthDiscretizer(4).fit_transform(data)
+        cubes = [Subspace((0, 2), (r, 3 - r)) for r in range(4)]
+        native = PackedCubeCounter(cells, backend=CountingBackend(kind="native"))
+        try:
+            assert PackedCubeCounter is CubeCounter
+            np.testing.assert_array_equal(
+                native.count_batch(cubes), CubeCounter(cells).count_batch(cubes)
+            )
+        finally:
+            native.close()
+
+        kwargs = dict(dimensionality=2, n_ranges=4, n_projections=8, random_state=3)
+        plain = SubspaceOutlierDetector(**kwargs).detect(data)
+        packed = SubspaceOutlierDetector(packed=True, **kwargs).detect(data)
+        assert packed.projections == plain.projections
+        model = GridModel.fit(data, n_ranges=4, packed=True)
+        assert model.counter.mask_memory_bytes() == CubeCounter(
+            cells
+        ).mask_memory_bytes()
+
+        def cli(*extra):
+            argv = ["detect", "--dataset", "machine", "-k", "2",
+                    "--method", "brute_force", "--output", "json", *extra]
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["projections"], payload["outlier_indices"]
+
+        assert cli("--packed") == cli()

@@ -30,10 +30,10 @@ import pytest
 from repro.core.params import empty_cube_sparsity
 from repro.core.subspace import Subspace
 from repro.grid.cells import MISSING_CELL, CellAssignment
+from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer, StreamingReservoir
 from repro.grid.kernels import batch_counts
 from repro.grid.native import available_tiers, forced_tier, native_batch_counts
-from repro.grid.packed_counter import PackedCubeCounter
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 from repro.sparsity.coefficient import (
     expected_count,
@@ -191,7 +191,7 @@ class TestEquiDepthBucketBalance:
 # popcount kernel identity
 # ----------------------------------------------------------------------
 def _pack_stack(stack: np.ndarray) -> np.ndarray:
-    """Pack a boolean (d, φ, N) stack the way PackedCubeCounter does:
+    """Pack an arbitrary boolean (d, φ, N) stack in the counter's layout:
     bits along the point axis, rows padded to a uint64 boundary (the
     padding stays zero), viewed as uint64 words."""
     d, phi, n = stack.shape
@@ -240,19 +240,11 @@ class TestPopcountKernelIdentity:
                 )
         expected = _brute_counts(stack, dims_arr, rng_arr)
         packed = _pack_stack(stack)
-        ref_bool, _ = batch_counts(stack, dims_arr, rng_arr, packed=False)
-        ref_packed, _ = batch_counts(packed, dims_arr, rng_arr, packed=True)
-        assert ref_bool.tolist() == expected
+        ref_packed, _ = batch_counts(packed, dims_arr, rng_arr)
         assert ref_packed.tolist() == expected
         for tier in available_tiers():
             with forced_tier(tier):
-                got_bool, _ = native_batch_counts(
-                    stack, dims_arr, rng_arr, False
-                )
-                got_packed, _ = native_batch_counts(
-                    packed, dims_arr, rng_arr, True
-                )
-            assert got_bool.tolist() == expected, tier
+                got_packed, _ = native_batch_counts(packed, dims_arr, rng_arr)
             assert got_packed.tolist() == expected, tier
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 127, 200])
@@ -268,13 +260,7 @@ class TestPopcountKernelIdentity:
         packed = _pack_stack(stack)
         for tier in available_tiers():
             with forced_tier(tier):
-                got_bool, _ = native_batch_counts(
-                    stack, dims_arr, rng_arr, False
-                )
-                got_packed, _ = native_batch_counts(
-                    packed, dims_arr, rng_arr, True
-                )
-            assert got_bool.tolist() == expected, tier
+                got_packed, _ = native_batch_counts(packed, dims_arr, rng_arr)
             assert got_packed.tolist() == expected, tier
 
 
@@ -359,7 +345,7 @@ class TestShardMergeIdentity:
 
     The algebraic heart of the out-of-core path: popcounts are additive
     across row shards, so *any* shard_rows choice must reproduce the
-    in-memory packed counter's numbers exactly — missing codes, ragged
+    in-memory counter's numbers exactly — missing codes, ragged
     final shards and single-row shards included.
     """
 
@@ -389,7 +375,7 @@ class TestShardMergeIdentity:
                 for j in range(k)
             )
             cubes.append(Subspace(dims, rngs))
-        memory = PackedCubeCounter(cells, cache_size=0)
+        memory = CubeCounter(cells, cache_size=0)
         expected = memory.count_batch(cubes).tolist()
         memory.close()
         with tempfile.TemporaryDirectory() as tmp:

@@ -12,6 +12,8 @@ Each test pins a concrete fix made while bringing the tree under
   tables; they now route through ``repro._atomic``.
 * The lint sweep also caught ``check_dimension_subset`` missing from
   ``repro._validation.__all__``.
+
+Later sections pin behavioural bugs found outside the lint sweep.
 """
 
 from __future__ import annotations
@@ -161,3 +163,41 @@ class TestLevelBatchEvaluationCap:
         assert [p.subspace for p in outcomes["level_batch"].projections] == [
             p.subspace for p in outcomes["depth_first"].projections
         ]
+
+
+class TestZeroProjectionModelServes:
+    """A detection that mined nothing used to leave a model that refused
+    to score (``NotFittedError``) live and after a save/load round trip,
+    while ``detector.score`` returned all-NaN.  An empty mined set now
+    scores all-NaN everywhere; only an unmined model refuses."""
+
+    def test_empty_mined_set_scores_nan(self, tmp_path):
+        import numpy as np
+        import pytest
+
+        from repro import SubspaceOutlierDetector, load_model, save_model
+        from repro.exceptions import NotFittedError
+        from repro.model import GridModel
+
+        data = np.random.default_rng(0).normal(size=(200, 4))
+        detector = SubspaceOutlierDetector(
+            dimensionality=2, n_ranges=5, threshold=-1e9, random_state=0
+        )
+        assert detector.detect(data).projections == ()
+        loaded = load_model(save_model(detector, tmp_path / "model.json"))
+        for scores in (
+            detector.score(data),
+            detector.model_.score(data),
+            loaded.score(data),
+        ):
+            assert scores.shape == (200,)
+            assert np.isnan(scores).all()
+        assert not detector.model_.predict(data).any()
+
+        fresh = GridModel.fit(data, n_ranges=5)
+        with pytest.raises(NotFittedError, match="no mined projections"):
+            fresh.score(data)
+        detector.model_.update(data[:10])
+        detector.model_.rebin()
+        with pytest.raises(NotFittedError, match="rebin clears them"):
+            detector.model_.score(data)

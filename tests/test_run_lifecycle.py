@@ -34,7 +34,6 @@ from repro.engine.events import InMemoryEventSink
 from repro.exceptions import CheckpointError, SearchCancelled, ValidationError
 from repro.grid.counter import CubeCounter
 from repro.grid.health import BackendHealth
-from repro.grid.packed_counter import PackedCubeCounter
 from repro.grid.parallel import CountingPool
 from repro.grid.sharded import ShardCheckpointer, ShardedCounter, ShardedMaskStore
 from repro.run.cancel import CancelAfterBoundaries, CancelToken, check_stop_reason
@@ -616,7 +615,7 @@ class TestShardedKillResume:
 
     @pytest.fixture(scope="class")
     def reference(self, sharded_cells, cubes):
-        counter = PackedCubeCounter(sharded_cells)
+        counter = CubeCounter(sharded_cells)
         try:
             return counter.count_batch(cubes).tolist()
         finally:
@@ -728,7 +727,6 @@ class TestShardedDetectorLifecycle:
         method="evolutionary",
         config=EvolutionaryConfig(population_size=24, max_generations=40),
         random_state=11,
-        packed=True,
     )
 
     @pytest.fixture(scope="class")
@@ -775,7 +773,7 @@ class TestPoolFinalizer:
         counter = CubeCounter(small_cells)
         stack = counter._stack
         backend = CountingBackend(kind="process", n_workers=2)
-        pool = CountingPool(stack, False, backend, BackendHealth())
+        pool = CountingPool(stack, backend, BackendHealth())
         shm_name = pool._shm.name
         finalizer = pool._finalizer
         assert finalizer.alive
@@ -788,7 +786,7 @@ class TestPoolFinalizer:
     def test_closed_pool_detaches_finalizer(self, small_cells):
         counter = CubeCounter(small_cells)
         backend = CountingBackend(kind="process", n_workers=2)
-        pool = CountingPool(counter._stack, False, backend, BackendHealth())
+        pool = CountingPool(counter._stack, backend, BackendHealth())
         finalizer = pool._finalizer
         pool.close()
         assert not finalizer.alive

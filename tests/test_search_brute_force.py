@@ -12,7 +12,6 @@ from repro.core.subspace import Subspace
 from repro.exceptions import ValidationError
 from repro.grid.cells import MISSING_CELL, CellAssignment
 from repro.grid.counter import CubeCounter
-from repro.grid.packed_counter import PackedCubeCounter
 from repro.search.brute_force import (
     BruteForceSearch,
     _children,
@@ -134,9 +133,9 @@ def small_grids(draw):
 
 
 COUNTERS = {
-    "bool": lambda cells: CubeCounter(cells),
-    "packed": lambda cells: PackedCubeCounter(cells),
-    "native": lambda cells: PackedCubeCounter(
+    "memo": lambda cells: CubeCounter(cells),
+    "memo-free": lambda cells: CubeCounter(cells, cache_size=0),
+    "native": lambda cells: CubeCounter(
         cells, backend=CountingBackend(kind="native")
     ),
 }

@@ -21,8 +21,8 @@ from repro.core.params import CountingBackend, FaultPlan
 from repro.core.subspace import Subspace
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
+from repro.grid.counter import CubeCounter
 from repro.grid.native import available_tiers, forced_tier
-from repro.grid.packed_counter import PackedCubeCounter
 from repro.grid.sharded import (
     ShardedCounter,
     ShardedMaskStore,
@@ -74,7 +74,7 @@ def cubes(cells):
 
 @pytest.fixture(scope="module")
 def reference_counts(cells, cubes):
-    counter = PackedCubeCounter(cells)
+    counter = CubeCounter(cells)
     try:
         return counter.count_batch(cubes).tolist()
     finally:
@@ -254,7 +254,7 @@ class TestShardedDifferential:
             assert got == reference_counts, tier
 
     def test_single_cube_paths_match(self, store, cells):
-        memory = PackedCubeCounter(cells)
+        memory = CubeCounter(cells)
         sharded = ShardedCounter(store)
         probes = [
             Subspace((), ()),  # empty cube: the ragged tail-mask path
@@ -280,7 +280,7 @@ class TestShardedDifferential:
     def test_extension_counts_need_cells(self, store, cells):
         with_cells = ShardedCounter(store, cells=cells)
         without = ShardedCounter(store)
-        memory = PackedCubeCounter(cells)
+        memory = CubeCounter(cells)
         base = memory.mask(Subspace((0,), (1,)))
         try:
             np.testing.assert_array_equal(
