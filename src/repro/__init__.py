@@ -29,7 +29,6 @@ from .core.intensional import minimal_abnormal_subspaces
 from .core.multik import MultiKResult, detect_across_dimensionalities
 from .core.params import (
     CountingBackend,
-    FaultPlan,
     ParameterAdvisor,
     choose_projection_dimensionality,
     empty_cube_sparsity,
@@ -154,7 +153,6 @@ __all__ = [
     "empty_cube_sparsity",
     "expected_cube_count",
     "CountingBackend",
-    "FaultPlan",
     "BackendHealth",
     "ParameterAdvisor",
     # search

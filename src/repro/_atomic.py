@@ -3,7 +3,7 @@
 Long-running sweeps persist checkpoints, models and exported datasets
 while they may be killed at any instant (SIGTERM, OOM, Ctrl-C).  A
 naive ``open(path, "w")`` interrupted mid-write leaves a truncated file
-that poisons the next run; every on-disk writer in this library
+that corrupts the next run; every on-disk writer in this library
 therefore goes through these helpers:
 
 1. write the full payload to a uniquely-named temp file *in the same

@@ -29,71 +29,11 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "CountingBackend",
-    "FaultPlan",
     "empty_cube_sparsity",
     "expected_cube_count",
     "choose_projection_dimensionality",
     "ParameterAdvisor",
 ]
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Deterministic fault injection for the process counting backend.
-
-    A plan names the chunks (by their run-wide dispatch sequence number,
-    starting at 0) on which a worker should misbehave, so chaos
-    scenarios are exactly reproducible: the chunking of a batch is
-    deterministic, hence so is the chunk a fault lands on.  Plans are
-    inert in production — ``CountingBackend.fault_plan`` defaults to
-    ``None`` and no fault checks run.
-
-    Attributes
-    ----------
-    kill_worker_on_chunk:
-        Chunk id on which the executing worker dies hard
-        (``os._exit``), breaking the whole pool exactly like a real
-        worker crash (``BrokenProcessPool``).
-    delay_chunk:
-        Chunk id the worker stalls on for ``delay_seconds`` before
-        counting — the hung-chunk scenario a per-chunk timeout catches.
-    delay_seconds:
-        Stall duration for ``delay_chunk``.
-    fail_shm_attach_once:
-        Worker initializers of the *first* pool generation raise before
-        attaching the shared-memory mask stack; the rebuilt pool
-        attaches normally.
-    trigger_limit:
-        Fire the kill/delay faults only on the first this-many dispatch
-        attempts of their chunk (attempts are 1-based).  ``None`` (the
-        default) fires on every attempt, which forces the chunk all the
-        way down to the serial fallback; ``trigger_limit=1`` lets the
-        first retry succeed.
-    """
-
-    kill_worker_on_chunk: int | None = None
-    delay_chunk: int | None = None
-    delay_seconds: float = 0.25
-    fail_shm_attach_once: bool = False
-    trigger_limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kill_worker_on_chunk is not None:
-            check_positive_int(
-                self.kill_worker_on_chunk, "kill_worker_on_chunk", minimum=0
-            )
-        if self.delay_chunk is not None:
-            check_positive_int(self.delay_chunk, "delay_chunk", minimum=0)
-        if self.delay_seconds < 0:
-            raise ValidationError(
-                f"delay_seconds must be >= 0, got {self.delay_seconds}"
-            )
-        if self.trigger_limit is not None:
-            check_positive_int(self.trigger_limit, "trigger_limit")
-
-    def applies(self, attempt: int) -> bool:
-        """Whether faults fire on this (1-based) dispatch attempt."""
-        return self.trigger_limit is None or attempt <= self.trigger_limit
 
 
 @dataclass(frozen=True)
@@ -136,9 +76,9 @@ class CountingBackend:
     max_rebuilds:
         Pool rebuilds (after ``BrokenProcessPool`` or a timeout) before
         the pool is abandoned and the whole run degrades to serial.
-    fault_plan:
-        Optional deterministic :class:`FaultPlan` injected into the
-        workers — test-only chaos; ``None`` in production.
+
+    Chaos tests arm the ``worker_*`` fault points of
+    :mod:`repro.resilience.faults` around a run to break its workers.
     """
 
     kind: str = "serial"
@@ -148,7 +88,6 @@ class CountingBackend:
     max_retries: int = 2
     retry_backoff: float = 0.05
     max_rebuilds: int = 3
-    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         # Late import: the registry lives in the grid layer, which
@@ -167,11 +106,6 @@ class CountingBackend:
                 f"retry_backoff must be >= 0, got {self.retry_backoff}"
             )
         check_positive_int(self.max_rebuilds, "max_rebuilds", minimum=0)
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            raise ValidationError(
-                f"fault_plan must be a FaultPlan, got "
-                f"{type(self.fault_plan).__name__}"
-            )
 
     def resolved_workers(self) -> int:
         """The effective pool size: ``n_workers`` or the CPU count."""

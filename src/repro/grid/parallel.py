@@ -42,9 +42,13 @@ Fault tolerance (the shared dispatcher in :meth:`_ResilientPool.map_chunks`):
   same registered kernel, which is bit-identical by construction.
 
 Every event is recorded in the counter's
-:class:`~repro.grid.health.BackendHealth`; deterministic chaos is
-injected through :class:`~repro.core.params.FaultPlan` (threaded to the
-workers via the pool initializer and task payloads).
+:class:`~repro.grid.health.BackendHealth`.  Deterministic chaos goes
+through the named fault points of :mod:`repro.resilience.faults`: both
+initializers call the ``worker_init`` point keyed on the pool
+generation, and both task functions call ``worker_stall`` then
+``worker_kill`` keyed on the run-wide chunk id and dispatch attempt.
+Workers see the specs a test armed because they are forked inside its
+:func:`~repro.resilience.faults.fault_injection` block.
 
 This module is imported lazily by the counters' ``_ensure_pool``; if
 pool or shared-memory creation fails (restricted containers, missing
@@ -54,7 +58,6 @@ pool or shared-memory creation fails (restricted containers, missing
 from __future__ import annotations
 
 import logging
-import os
 import time
 import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -63,9 +66,10 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..core.params import CountingBackend, FaultPlan
+from ..core.params import CountingBackend
 from ..engine.events import emit_event
 from ..exceptions import SearchCancelled
+from ..resilience.faults import maybe_inject
 from ..resilience.ladder import ResilienceReport
 from .backends import resolve_kernel
 from .health import BackendHealth
@@ -113,7 +117,6 @@ def _reclaim_pool_resources(resources: dict, label: str) -> None:
 # Worker-process globals, populated once by the pool initializers.
 _WORKER_STACK: np.ndarray | None = None
 _WORKER_SHM: shared_memory.SharedMemory | None = None
-_WORKER_FAULT: FaultPlan | None = None
 _WORKER_KERNEL = None
 _WORKER_STORE = None
 
@@ -123,54 +126,34 @@ def _init_worker(
     shape: tuple,
     dtype_str: str,
     kernel_name: str,
-    fault: FaultPlan | None,
-    poison_init: bool,
+    generation: int,
 ) -> None:
-    global _WORKER_STACK, _WORKER_SHM, _WORKER_FAULT, _WORKER_KERNEL
-    if poison_init:
-        raise RuntimeError(
-            "injected shared-memory attach failure "
-            "(FaultPlan.fail_shm_attach_once)"
-        )
+    global _WORKER_STACK, _WORKER_SHM, _WORKER_KERNEL
+    maybe_inject("worker_init", key=generation)
     _WORKER_SHM = shared_memory.SharedMemory(name=shm_name)
     _WORKER_STACK = np.ndarray(
         shape, dtype=np.dtype(dtype_str), buffer=_WORKER_SHM.buf
     )
-    _WORKER_FAULT = fault
     # Resolved per worker (verification is cached per process); the
     # native kernel's compiled library is content-addressed on disk, so
     # sibling workers share one build.
     _WORKER_KERNEL = resolve_kernel(kernel_name)
 
 
-def _apply_fault(chunk_id: int, attempt: int) -> None:
-    fault = _WORKER_FAULT
-    if fault is not None and fault.applies(attempt):
-        if fault.delay_chunk == chunk_id:
-            time.sleep(fault.delay_seconds)
-        if fault.kill_worker_on_chunk == chunk_id:
-            os._exit(1)
-
-
 def _count_chunk(task: tuple) -> tuple:
     """One shm task: counts + kernel stats for a (dims, ranges) chunk."""
     chunk_id, attempt, dims_arr, rng_arr = task
-    _apply_fault(chunk_id, attempt)
+    maybe_inject("worker_stall", key=chunk_id, attempt=attempt)
+    maybe_inject("worker_kill", key=chunk_id, attempt=attempt)
     counts, stats = _WORKER_KERNEL(_WORKER_STACK, dims_arr, rng_arr)
     return counts, stats["words_and"], stats["prefix_reuse"]
 
 
 def _init_sharded_worker(
-    directory: str,
-    kernel_name: str,
-    fault: FaultPlan | None,
-    poison_init: bool,
+    directory: str, kernel_name: str, generation: int
 ) -> None:
-    global _WORKER_STORE, _WORKER_FAULT, _WORKER_KERNEL
-    if poison_init:
-        raise RuntimeError(
-            "injected store-open failure (FaultPlan.fail_shm_attach_once)"
-        )
+    global _WORKER_STORE, _WORKER_KERNEL
+    maybe_inject("worker_init", key=generation)
     from .sharded import ShardedMaskStore
 
     # Each worker validates and opens the store itself; shard views are
@@ -179,14 +162,14 @@ def _init_sharded_worker(
     # (.open here is the store classmethod, read-only by construction,
     # not a file write.)
     _WORKER_STORE = ShardedMaskStore.open(directory)  # repro-lint: disable=RPL003
-    _WORKER_FAULT = fault
     _WORKER_KERNEL = resolve_kernel(kernel_name)
 
 
 def _count_shard(task: tuple) -> tuple:
     """One out-of-core task: counts for a whole shard's cube batch."""
     chunk_id, attempt, shard_id, dims_arr, rng_arr = task
-    _apply_fault(chunk_id, attempt)
+    maybe_inject("worker_stall", key=chunk_id, attempt=attempt)
+    maybe_inject("worker_kill", key=chunk_id, attempt=attempt)
     stack = _WORKER_STORE.shard_words(shard_id)
     counts, stats = _WORKER_KERNEL(stack, dims_arr, rng_arr)
     return counts, stats["words_and"], stats["prefix_reuse"]
@@ -223,7 +206,6 @@ class _ResilientPool:
         self._retry = backend.retry_policy()
         self._kind = backend.kind
         self._max_rebuilds = backend.max_rebuilds
-        self._fault = backend.fault_plan
         self._n_workers = backend.resolved_workers()
         self._generation = 0
         self._next_chunk_id = 0
@@ -242,7 +224,8 @@ class _ResilientPool:
     def _initializer(self):
         raise NotImplementedError
 
-    def _initargs(self, poison: bool) -> tuple:
+    def _initargs(self) -> tuple:
+        """Initializer arguments; the base appends the pool generation."""
         raise NotImplementedError
 
     def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
@@ -263,15 +246,10 @@ class _ResilientPool:
             raise
 
     def _spawn_executor(self) -> ProcessPoolExecutor:
-        poison = bool(
-            self._fault
-            and self._fault.fail_shm_attach_once
-            and self._generation == 0
-        )
         executor = ProcessPoolExecutor(
             max_workers=self._n_workers,
             initializer=self._initializer(),
-            initargs=self._initargs(poison),
+            initargs=(*self._initargs(), self._generation),
         )
         self._generation += 1
         return executor
@@ -473,8 +451,7 @@ class CountingPool(_ResilientPool):
         once into shared memory.
     backend:
         The :class:`~repro.core.params.CountingBackend` whose timeout /
-        retry / rebuild policy (and optional fault plan) this pool
-        enforces.
+        retry / rebuild policy this pool enforces.
     health:
         The counter's :class:`~repro.grid.health.BackendHealth`; every
         degradation event and chunk latency is recorded into it.
@@ -515,15 +492,8 @@ class CountingPool(_ResilientPool):
     def _initializer(self):
         return _init_worker
 
-    def _initargs(self, poison: bool) -> tuple:
-        return (
-            self._shm.name,
-            self._shape,
-            self._dtype.str,
-            self._kernel_name,
-            self._fault,
-            poison,
-        )
+    def _initargs(self) -> tuple:
+        return (self._shm.name, self._shape, self._dtype.str, self._kernel_name)
 
     def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
         """Recover one chunk with the in-process kernel (bit-identical)."""
@@ -585,8 +555,8 @@ class ShardedCountingPool(_ResilientPool):
     def _initializer(self):
         return _init_sharded_worker
 
-    def _initargs(self, poison: bool) -> tuple:
-        return (str(self._store.directory), self._kernel_name, self._fault, poison)
+    def _initargs(self) -> tuple:
+        return (str(self._store.directory), self._kernel_name)
 
     def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
         """Recover one shard in-parent over its own mmap view."""

@@ -1,14 +1,16 @@
 """Chaos harness: the process counting backend under injected faults.
 
-Every scenario a :class:`~repro.core.params.FaultPlan` can express —
-worker death (``BrokenProcessPool``), a hung chunk caught by the
-watchdog timeout, a failed shared-memory attach, and a pool-rebuild
+Every scenario the pool's fault points (``worker_kill``,
+``worker_stall``, ``worker_init`` in :mod:`repro.resilience.faults`) can
+express — worker death (``BrokenProcessPool``), a hung chunk caught by
+the watchdog timeout, a failed shared-memory attach, and a pool-rebuild
 storm that exhausts ``max_rebuilds`` — must end the same way: counts
 (and therefore full detection results) bit-identical to the serial
 backend, with the degradation recorded in ``backend_health``.
 
-The plans are deterministic (faults key on the run-wide chunk dispatch
-sequence), so every scenario here is exactly reproducible.
+The faults are keyed calls (on the run-wide chunk dispatch sequence and
+attempt, or the pool generation), so every scenario here is exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from concurrent.futures import BrokenExecutor
 
 from repro import PackedCubeCounter
 from repro.core.detector import SubspaceOutlierDetector
-from repro.core.params import CountingBackend, FaultPlan
+from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.health import BackendHealth
 from repro.grid.parallel import CountingPool, _count_chunk
+from repro.resilience import FaultSpec, fault_injection, maybe_inject
 
 
 def make_cells(seed=0, n=150, d=5, phi=3, missing=0.0) -> CellAssignment:
@@ -75,10 +78,20 @@ def faulty_backend(**kwargs) -> CountingBackend:
     return CountingBackend(**kwargs)
 
 
-def run_batch(cells, cubes, backend, counter_cls=CubeCounter):
+def kill(chunk: int, times: int | None = None) -> FaultSpec:
+    """Kill the worker on *chunk*, on every attempt by default."""
+    return FaultSpec("worker_kill", trigger=chunk, times=times)
+
+
+#: The first pool generation's initializers fail; the rebuild attaches.
+ATTACH_FAILS_ONCE = FaultSpec("worker_init", trigger=0)
+
+
+def run_batch(cells, cubes, backend, *specs, counter_cls=CubeCounter):
     counter = counter_cls(cells, backend=backend)
     try:
-        counts = counter.count_batch(cubes).tolist()
+        with fault_injection(*specs):
+            counts = counter.count_batch(cubes).tolist()
         return counts, counter.backend_health()
     finally:
         counter.close()
@@ -87,29 +100,46 @@ def run_batch(cells, cubes, backend, counter_cls=CubeCounter):
 class TestFaultPlanValidation:
     def test_negative_chunk_rejected(self):
         with pytest.raises(ValidationError):
-            FaultPlan(kill_worker_on_chunk=-1)
+            FaultSpec("worker_kill", trigger=-1)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValidationError):
-            FaultPlan(delay_chunk=0, delay_seconds=-0.5)
+            FaultSpec("worker_stall", trigger=0.5)
 
     def test_trigger_limit_positive(self):
         with pytest.raises(ValidationError):
-            FaultPlan(kill_worker_on_chunk=0, trigger_limit=0)
+            FaultSpec("worker_kill", trigger=0, times=0)
 
     def test_applies_semantics(self):
-        always = FaultPlan(kill_worker_on_chunk=0)
-        assert always.applies(1) and always.applies(100)
-        once = FaultPlan(kill_worker_on_chunk=0, trigger_limit=1)
-        assert once.applies(1) and not once.applies(2)
+        # A keyed call matches iff key == trigger and attempt <= times.
+        # An explicit error keeps worker_kill from ending this process.
+        def fires(spec, key, attempt):
+            with fault_injection(spec) as injector:
+                try:
+                    maybe_inject("worker_kill", key=key, attempt=attempt)
+                except RuntimeError:
+                    return True
+                finally:
+                    assert injector.invocations("worker_kill") == 0
+                    assert injector.fired() == 0
+                return False
+
+        marker = RuntimeError("injected kill")
+        always = FaultSpec("worker_kill", trigger=0, times=None, error=marker)
+        assert fires(always, 0, 1) and fires(always, 0, 100)
+        assert not fires(always, 1, 1)
+        once = FaultSpec("worker_kill", trigger=0, times=1, error=marker)
+        assert fires(once, 0, 1) and not fires(once, 0, 2)
 
     def test_backend_rejects_bad_policy(self):
         with pytest.raises(ValidationError):
             CountingBackend(kind="process", timeout=0.0)
         with pytest.raises(ValidationError):
             CountingBackend(kind="process", retry_backoff=-1.0)
-        with pytest.raises(ValidationError):
-            CountingBackend(kind="process", fault_plan="kill")  # type: ignore[arg-type]
+        # The backend carries no chaos knob: pool faults are armed
+        # through the repro.resilience worker_* fault points.
+        with pytest.raises(TypeError):
+            CountingBackend(kind="process", fault_plan="kill")  # type: ignore[call-arg]
 
 
 class TestNoFaultBaseline:
@@ -144,8 +174,7 @@ class TestWorkerKill:
     """A worker dying hard must not change a single count."""
 
     def test_kill_recovers_bit_identical(self, cells, cubes, serial_counts):
-        backend = faulty_backend(fault_plan=FaultPlan(kill_worker_on_chunk=1))
-        counts, health = run_batch(cells, cubes, backend)
+        counts, health = run_batch(cells, cubes, faulty_backend(), kill(1))
         assert counts == serial_counts
         # The killed chunk exhausts its retries (the fault re-fires on
         # every attempt) and degrades to the serial kernel.
@@ -155,8 +184,10 @@ class TestWorkerKill:
         assert health["chunks_serial"] >= 1
 
     def test_kill_recovers_packed(self, cells, cubes, serial_counts):
-        backend = faulty_backend(fault_plan=FaultPlan(kill_worker_on_chunk=2))
-        counts, health = run_batch(cells, cubes, backend, PackedCubeCounter)
+        counts, health = run_batch(
+            cells, cubes, faulty_backend(), kill(2),
+            counter_cls=PackedCubeCounter,
+        )
         assert counts == serial_counts
         assert health["fallbacks"] >= 1
 
@@ -168,8 +199,7 @@ class TestWorkerKill:
             expected = serial.count_batch(cubes).tolist()
         finally:
             serial.close()
-        backend = faulty_backend(fault_plan=FaultPlan(kill_worker_on_chunk=0))
-        counts, health = run_batch(cells, cubes, backend)
+        counts, health = run_batch(cells, cubes, faulty_backend(), kill(0))
         assert counts == expected
         assert health["fallbacks"] >= 1
 
@@ -178,13 +208,9 @@ class TestChunkTimeout:
     """The watchdog catches a hung chunk; results stay identical."""
 
     def test_hung_chunk_retries_then_succeeds(self, cells, cubes, serial_counts):
-        backend = faulty_backend(
-            timeout=0.3,
-            fault_plan=FaultPlan(
-                delay_chunk=0, delay_seconds=1.5, trigger_limit=1
-            ),
-        )
-        counts, health = run_batch(cells, cubes, backend)
+        backend = faulty_backend(timeout=0.3)
+        stall_once = FaultSpec("worker_stall", trigger=0, times=1)
+        counts, health = run_batch(cells, cubes, backend, stall_once)
         assert counts == serial_counts
         assert health["timeouts"] >= 1
         assert health["retries"] >= 1
@@ -193,12 +219,9 @@ class TestChunkTimeout:
         assert health["rebuilds"] >= 1
 
     def test_persistently_hung_chunk_falls_back(self, cells, cubes, serial_counts):
-        backend = faulty_backend(
-            timeout=0.3,
-            max_retries=1,
-            fault_plan=FaultPlan(delay_chunk=0, delay_seconds=1.0),
-        )
-        counts, health = run_batch(cells, cubes, backend)
+        backend = faulty_backend(timeout=0.3, max_retries=1)
+        stall_always = FaultSpec("worker_stall", trigger=0, times=None)
+        counts, health = run_batch(cells, cubes, backend, stall_always)
         assert counts == serial_counts
         assert health["timeouts"] >= 1
         assert health["fallbacks"] >= 1
@@ -208,8 +231,9 @@ class TestShmAttachFailure:
     """Worker initializers failing once ⇒ one rebuild, then healthy."""
 
     def test_first_generation_fails_then_recovers(self, cells, cubes, serial_counts):
-        backend = faulty_backend(fault_plan=FaultPlan(fail_shm_attach_once=True))
-        counts, health = run_batch(cells, cubes, backend)
+        counts, health = run_batch(
+            cells, cubes, faulty_backend(), ATTACH_FAILS_ONCE
+        )
         assert counts == serial_counts
         assert health["rebuilds"] >= 1
         assert health["retries"] >= 1
@@ -222,23 +246,16 @@ class TestRebuildStorm:
     """Exhausting max_rebuilds abandons the pool, run completes serially."""
 
     def test_degrades_to_serial_and_completes(self, cells, cubes, serial_counts):
-        backend = faulty_backend(
-            fault_plan=FaultPlan(kill_worker_on_chunk=1),
-            max_rebuilds=0,
-        )
-        counts, health = run_batch(cells, cubes, backend)
+        backend = faulty_backend(max_rebuilds=0)
+        counts, health = run_batch(cells, cubes, backend, kill(1))
         assert counts == serial_counts
         assert health["pool_degraded"]
         assert health["chunks_serial"] >= 1
         assert health["rebuilds"] == 0
 
     def test_bounded_storm_still_recovers(self, cells, cubes, serial_counts):
-        backend = faulty_backend(
-            fault_plan=FaultPlan(kill_worker_on_chunk=1),
-            max_retries=3,
-            max_rebuilds=10,
-        )
-        counts, health = run_batch(cells, cubes, backend)
+        backend = faulty_backend(max_retries=3, max_rebuilds=10)
+        counts, health = run_batch(cells, cubes, backend, kill(1))
         assert counts == serial_counts
         # Each re-fire of the kill breaks the pool again: a storm of
         # rebuilds, bounded by the retry budget of the poisoned chunk.
@@ -267,12 +284,8 @@ class TestDetectorUnderFaults:
         # GA; detect() must still complete with results bit-identical
         # to the serial backend, and record the degradation.
         baseline = self._detect(data)
-        faulted = self._detect(
-            data,
-            counting=faulty_backend(
-                chunk_size=8, fault_plan=FaultPlan(kill_worker_on_chunk=1)
-            ),
-        )
+        with fault_injection(kill(1)):
+            faulted = self._detect(data, counting=faulty_backend(chunk_size=8))
         assert [
             (p.subspace.dims, p.subspace.ranges, p.count, p.coefficient)
             for p in baseline.projections
@@ -290,7 +303,7 @@ class TestDetectorUnderFaults:
 
     def test_level_batch_brute_force_with_kill(self, cells, serial_counts):
         # The level-batched brute force is the other count_batch
-        # consumer; run it straight against a kill plan.
+        # consumer; run it straight against a worker kill.
         from repro.search.brute_force import BruteForceSearch
 
         def mine(backend=None):
@@ -304,11 +317,8 @@ class TestDetectorUnderFaults:
                 counter.close()
 
         baseline, _ = mine()
-        faulted, health = mine(
-            faulty_backend(
-                chunk_size=8, fault_plan=FaultPlan(kill_worker_on_chunk=1)
-            )
-        )
+        with fault_injection(kill(1)):
+            faulted, health = mine(faulty_backend(chunk_size=8))
         assert [
             (p.subspace.dims, p.subspace.ranges, p.count)
             for p in baseline.projections
@@ -341,14 +351,14 @@ class TestCloseIdempotency:
 
     def test_close_after_broken_executor_does_not_hang(self, cells):
         stack = CubeCounter(cells)._stack
-        backend = faulty_backend(fault_plan=FaultPlan(kill_worker_on_chunk=0))
-        pool = CountingPool(stack, backend, BackendHealth())
+        pool = CountingPool(stack, faulty_backend(), BackendHealth())
         dims = np.zeros((1, 1), dtype=np.intp)
         rngs = np.zeros((1, 1), dtype=np.intp)
         # Bypass the resilient dispatcher to leave the executor broken.
-        future = pool._executor.submit(_count_chunk, (0, 1, dims, rngs))
-        with pytest.raises(BrokenExecutor):
-            future.result(timeout=60)
+        with fault_injection(kill(0)):
+            future = pool._executor.submit(_count_chunk, (0, 1, dims, rngs))
+            with pytest.raises(BrokenExecutor):
+                future.result(timeout=60)
         start = time.perf_counter()
         pool.close()
         pool.close()
@@ -356,12 +366,10 @@ class TestCloseIdempotency:
         assert pool.is_degraded
 
     def test_counter_close_after_degraded_run(self, cells, cubes, serial_counts):
-        backend = faulty_backend(
-            fault_plan=FaultPlan(kill_worker_on_chunk=0), max_rebuilds=0
-        )
-        counter = CubeCounter(cells, backend=backend)
+        counter = CubeCounter(cells, backend=faulty_backend(max_rebuilds=0))
         try:
-            assert counter.count_batch(cubes).tolist() == serial_counts
+            with fault_injection(kill(0)):
+                assert counter.count_batch(cubes).tolist() == serial_counts
         finally:
             counter.close()
             counter.close()
@@ -397,15 +405,12 @@ class TestChaosSweep:
         # degradation assertion below would be vacuous.
         chunk_size = max(1, len(cubes) // int(rng.integers(3, 7)))
         plans = [
-            FaultPlan(kill_worker_on_chunk=int(rng.integers(0, 3))),
-            FaultPlan(fail_shm_attach_once=True),
-            FaultPlan(
-                kill_worker_on_chunk=int(rng.integers(0, 3)),
-                fail_shm_attach_once=True,
-            ),
+            (kill(int(rng.integers(0, 3))),),
+            (ATTACH_FAILS_ONCE,),
+            (kill(int(rng.integers(0, 3))), ATTACH_FAILS_ONCE),
         ]
         plan = plans[seed % len(plans)]
-        backend = faulty_backend(chunk_size=chunk_size, fault_plan=plan)
-        counts, health = run_batch(cells, cubes, backend)
+        backend = faulty_backend(chunk_size=chunk_size)
+        counts, health = run_batch(cells, cubes, backend, *plan)
         assert counts == expected
         assert health["rebuilds"] >= 1 or health["pool_degraded"]

@@ -19,7 +19,7 @@ The conformance classes parametrize over the backend registry
 automatically; the native backend is additionally pinned to each of
 its kernel tiers (compiled and the pure-numpy fallback that runs when
 neither numba nor a C compiler is available), and the pool-wrapped
-native backend is exercised under ``FaultPlan`` chaos.
+native backend is exercised under worker-fault chaos.
 
 The default run sweeps a handful of seeds; ``-m slow`` unlocks the
 deep sweep (more seeds, exhaustive cube enumeration at higher k).
@@ -32,12 +32,13 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.params import CountingBackend, FaultPlan
+from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.grid.backends import registered_backends
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import CellAssignment
 from repro.grid.native import available_tiers, forced_tier
+from repro.resilience import FaultSpec, fault_injection
 
 from conftest import naive_cube_count, oracle_mask
 
@@ -226,8 +227,8 @@ class TestBackendConformance:
     @pytest.mark.parametrize(
         "fault",
         [
-            FaultPlan(kill_worker_on_chunk=1, trigger_limit=1),
-            FaultPlan(fail_shm_attach_once=True),
+            FaultSpec("worker_kill", trigger=1, times=1),
+            FaultSpec("worker_init", trigger=0),
         ],
         ids=["kill-worker", "shm-attach-fail"],
     )
@@ -244,11 +245,11 @@ class TestBackendConformance:
                 kind="process-native",
                 n_workers=2,
                 chunk_size=8,
-                fault_plan=fault,
             ),
         )
         try:
-            assert counter.count_batch(cubes).tolist() == expected
+            with fault_injection(fault):
+                assert counter.count_batch(cubes).tolist() == expected
         finally:
             counter.close()
 

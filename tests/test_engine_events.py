@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.detector import SubspaceOutlierDetector
-from repro.core.params import CountingBackend, FaultPlan
+from repro.core.params import CountingBackend
 from repro.engine.context import RunContext
 from repro.engine.events import (
     EVENT_TYPES,
@@ -39,6 +39,7 @@ from repro.engine.registry import (
 from repro.engine.stats import StatsAssemblySink, merge_backend_health
 from repro.exceptions import ValidationError
 from repro.grid.counter import CubeCounter
+from repro.resilience import FaultSpec, fault_injection
 from repro.search.evolutionary.config import EvolutionaryConfig
 from repro.search.evolutionary.engine import EvolutionarySearch
 from repro.search.local import RandomSearch
@@ -328,7 +329,6 @@ class TestChunkRetryEvents:
             n_workers=2,
             chunk_size=16,
             retry_backoff=0.01,
-            fault_plan=FaultPlan(kill_worker_on_chunk=1, trigger_limit=1),
         )
         counter = CubeCounter(cells, backend=backend)
         sink = InMemoryEventSink()
@@ -342,7 +342,8 @@ class TestChunkRetryEvents:
             for ranges in itertools.product(range(3), repeat=2)
         ]
         try:
-            with counter.runtime_binding(None, sink):
+            kill_once = FaultSpec("worker_kill", trigger=1, times=1)
+            with counter.runtime_binding(None, sink), fault_injection(kill_once):
                 counter.count_batch(cubes)
         finally:
             counter.close()

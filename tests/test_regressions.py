@@ -201,3 +201,37 @@ class TestZeroProjectionModelServes:
         detector.model_.rebin()
         with pytest.raises(NotFittedError, match="rebin clears them"):
             detector.model_.score(data)
+
+
+class TestFaultSpecValidation:
+    """``FaultSpec`` used to accept ``trigger=0.5`` and ``trigger=True``
+    (both silently never or always matching) and raised bare
+    ``ValueError``s; its fields are now checked like every other count
+    and the errors are typed."""
+
+    def test_non_integer_trigger_and_times_rejected(self):
+        import pytest
+
+        from repro.exceptions import ValidationError
+        from repro.resilience import FaultSpec
+
+        for bad in (0.5, True, "0", -1):
+            with pytest.raises(ValidationError, match="trigger"):
+                FaultSpec("shard_read", trigger=bad)
+        for bad in (1.0, False, 0):
+            with pytest.raises(ValidationError, match="times"):
+                FaultSpec("shard_read", times=bad)
+        assert FaultSpec("shard_read", trigger=2, times=None).times is None
+
+    def test_registry_errors_are_typed(self):
+        import pytest
+
+        from repro.exceptions import ReproError, ValidationError
+        from repro.resilience import FaultSpec, register_fault_point
+
+        with pytest.raises(ValidationError, match="unknown fault point") as info:
+            FaultSpec("not_a_point")  # repro-lint: disable=RPL014
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(ValidationError):
+            register_fault_point("", lambda detail: None)

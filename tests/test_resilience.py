@@ -17,6 +17,10 @@ no RNG), so every scenario replays exactly.
 
 from __future__ import annotations
 
+import ast
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,7 @@ from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 from repro.resilience import (
+    FAULT_POINTS,
     DegradationLadder,
     FaultSpec,
     RetryPolicy,
@@ -45,6 +50,8 @@ from repro.resilience import (
 from repro.run.checkpoint import CheckpointStore
 from repro.run.controller import RunController
 from tests.test_backend_faults import all_cubes
+
+_REPO_ROOT = Path(__file__).resolve().parents[1]
 
 N_POINTS, N_DIMS, N_RANGES = 96, 4, 3
 SHARD_ROWS = 24  # -> 4 shards
@@ -151,6 +158,85 @@ class TestFaultInjection:
         with fault_injection(FaultSpec("shard_read", error=marker)):
             with pytest.raises(OSError, match="very specific"):
                 maybe_inject("shard_read")
+
+
+def _touch_in_worker(point: str, key: int | None = None) -> str:
+    """Pool task: hit *point* once in this worker and report the outcome."""
+    try:
+        maybe_inject(point, key=key)
+    except (OSError, RuntimeError):
+        return "fault"
+    return "ok"
+
+
+def _touch_four_times(point: str, key: int | None = None) -> list[str]:
+    # One worker, so the order in which its counter advances is fixed.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        return list(pool.map(_touch_in_worker, [point] * 4, [key] * 4))
+
+
+class TestForkedWorkerCounters:
+    """Forked workers inherit a copy of the parent's counters at fork."""
+
+    def test_parent_fired_spec_never_fires_in_workers(self):
+        with fault_injection(FaultSpec("shard_read", trigger=0, times=1)):
+            with pytest.raises(OSError):
+                maybe_inject("shard_read")
+            assert _touch_four_times("shard_read") == ["ok"] * 4
+
+    def test_untouched_spec_fires_on_the_workers_first_touch(self):
+        with fault_injection(FaultSpec("shard_read", trigger=0, times=1)):
+            outcomes = _touch_four_times("shard_read")
+            # The parent's own counter never moved.
+            assert active_injector().invocations("shard_read") == 0
+        assert outcomes == ["fault", "ok", "ok", "ok"]
+
+    def test_keyed_calls_ignore_inherited_counters(self):
+        spec = FaultSpec(
+            "worker_init", trigger=0, times=1, error=RuntimeError("keyed")
+        )
+        with fault_injection(spec):
+            with pytest.raises(RuntimeError, match="keyed"):
+                maybe_inject("worker_init", key=0)
+            assert _touch_four_times("worker_init", key=0) == ["fault"] * 4
+            assert _touch_four_times("worker_init", key=1) == ["ok"] * 4
+
+
+def _named_calls(path: Path, callee: str) -> set[str]:
+    """Literal first arguments of every ``callee(...)`` call in *path*."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None
+        )
+        first = node.args[0]
+        if name == callee and isinstance(first, ast.Constant):
+            names.add(first.value)
+    return names
+
+
+class TestFaultPointCoverage:
+    """Every registered point is reachable from src/ and armed in tests/."""
+
+    def test_every_point_has_an_injection_site_and_a_test(self):
+        injected = set().union(
+            *(
+                _named_calls(path, "maybe_inject")
+                for path in (_REPO_ROOT / "src").rglob("*.py")
+            )
+        )
+        armed = set().union(
+            *(
+                _named_calls(path, "FaultSpec")
+                for path in (_REPO_ROOT / "tests").rglob("*.py")
+            )
+        )
+        points = set(FAULT_POINTS)
+        assert points - injected == set(), "no maybe_inject site under src/"
+        assert points - armed == set(), "no FaultSpec under tests/"
 
 
 class TestRetryPolicy:
@@ -440,9 +526,10 @@ class TestPoolChaosMatrix:
         )
         counter = ShardedCounter(store, cells=cells, backend=backend)
         try:
-            # trigger=0 so forked workers (independent counters) fire on
-            # their first read; the pool retries and the parent-side
-            # serial path reads through the resilient reader.
+            # The parent has not read a shard yet, so every forked
+            # worker inherits a zero counter and fires on its first
+            # read; the pool retries and the parent-side serial path
+            # reads through the resilient reader.
             with fault_injection(FaultSpec("shard_read", times=1)):
                 counts = counter.count_batch(cubes).tolist()
         finally:

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.params import CountingBackend, FaultPlan
+from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
@@ -28,6 +28,7 @@ from repro.grid.sharded import (
     ShardedMaskStore,
     group_digest,
 )
+from repro.resilience import FaultSpec, fault_injection
 
 # N deliberately not a multiple of shard_rows: the last shard is ragged
 # (3 rows), and 100-row shards leave ragged packed words inside every
@@ -333,13 +334,14 @@ class TestShardedDifferential:
 class TestShardedPoolChaos:
     """The mmap worker pool under injected faults: counts never change."""
 
-    def run_sharded(self, store, cubes, **backend_kwargs):
+    def run_sharded(self, store, cubes, *specs, **backend_kwargs):
         backend_kwargs.setdefault("kind", "process")
         backend_kwargs.setdefault("n_workers", 2)
         backend_kwargs.setdefault("retry_backoff", 0.01)
         counter = ShardedCounter(store, backend=CountingBackend(**backend_kwargs))
         try:
-            counts = counter.count_batch(cubes).tolist()
+            with fault_injection(*specs):
+                counts = counter.count_batch(cubes).tolist()
             return counts, counter.backend_health()
         finally:
             counter.close()
@@ -348,7 +350,7 @@ class TestShardedPoolChaos:
         self, store, cubes, reference_counts
     ):
         counts, health = self.run_sharded(
-            store, cubes, fault_plan=FaultPlan(kill_worker_on_chunk=1)
+            store, cubes, FaultSpec("worker_kill", trigger=1, times=None)
         )
         assert counts == reference_counts
         assert health["retries"] >= 1
@@ -359,7 +361,7 @@ class TestShardedPoolChaos:
         self, store, cubes, reference_counts
     ):
         counts, health = self.run_sharded(
-            store, cubes, fault_plan=FaultPlan(fail_shm_attach_once=True)
+            store, cubes, FaultSpec("worker_init", trigger=0)
         )
         assert counts == reference_counts
         assert health["rebuilds"] >= 1
@@ -371,7 +373,7 @@ class TestShardedPoolChaos:
     ):
         counts, health = self.run_sharded(
             store, cubes,
-            fault_plan=FaultPlan(kill_worker_on_chunk=0),
+            FaultSpec("worker_kill", trigger=0, times=None),
             max_rebuilds=0,
         )
         assert counts == reference_counts
