@@ -13,10 +13,11 @@ cheap:
 * a cube count is the popcount of the AND of its masks;
 * counts are memoised, because the evolutionary algorithm re-evaluates
   the same cubes across generations;
-* :meth:`count_batch` evaluates an entire GA population (or one
-  brute-force level) in one pass: duplicates are folded through the
-  memo, the distinct cubes are resolved by a prefix-sharing batch
-  kernel (siblings reuse the AND of their common prefix), and — under a
+* :meth:`count_batch` evaluates an entire GA population in one pass
+  (and :meth:`count_keys`, its memo body, every partial cube of one
+  optimized-crossover stage): duplicates are folded through the memo,
+  the distinct cubes are resolved by a prefix-sharing batch kernel
+  (siblings reuse the AND of their common prefix), and — under a
   ``process`` :class:`~repro.core.params.CountingBackend` — chunks of
   the batch run on a worker pool that reads the masks from shared
   memory;
@@ -25,8 +26,7 @@ cheap:
   brute force) and so would only pay for memo lookups;
 * :meth:`extension_counts` returns the counts for **all φ extensions**
   of a partial cube along one dimension in a single ``bincount`` — the
-  inner loop of the depth-first brute-force enumeration and the
-  optimized crossover's greedy stage.
+  inner loop of the depth-first brute-force enumeration.
 
 The batch kernel itself is pluggable: the counter resolves its
 :class:`~repro.core.params.CountingBackend` through the backend
@@ -253,25 +253,14 @@ class CubeCounter:
         shares intermediate AND results across cubes with a common
         prefix.  Under a ``process`` backend, large miss sets are split
         into deterministic chunks and evaluated on the worker pool.
+        The memo path is :meth:`count_keys`, shared with the
+        evolutionary search's array path.
 
         Returns an ``int64`` array aligned with the input order.
         Results are identical to calling :meth:`count` per cube.
         """
-        subspaces = list(subspaces)
-        t0 = time.perf_counter()
-        self.n_batch_calls += 1
-        self.n_batch_cubes += len(subspaces)
-        self.n_count_calls += len(subspaces)
-        out = np.empty(len(subspaces), dtype=np.int64)
-        # ``slot[i]`` is the miss-array index serving input *i* (-1 when
-        # the memo answered); the scatter back to ``out`` is one fancy
-        # assignment instead of a Python loop.
-        slot = np.empty(len(subspaces), dtype=np.intp)
-        cache = self._cache
-        pending: dict[tuple, int] = {}
-        miss_keys: list[tuple] = []
-        n_hits = 0
-        for i, subspace in enumerate(subspaces):
+        keys = []
+        for subspace in subspaces:
             # Bounds are validated vectorized per k group in
             # _count_cubes; only the type check stays on the per-cube
             # path.
@@ -279,7 +268,38 @@ class CubeCounter:
                 raise ValidationError(
                     f"expected a Subspace, got {type(subspace).__name__}"
                 )
-            key = (subspace.dims, subspace.ranges)
+            keys.append((subspace.dims, subspace.ranges))
+        return self.count_keys(keys)
+
+    def count_keys(self, keys: list[tuple]) -> np.ndarray:
+        """``n(D)`` for cubes given as ``(dims, ranges)`` tuple pairs.
+
+        The memo's own key format: ``dims`` is a strictly ascending
+        tuple of dimensions and ``ranges`` the aligned tuple of grid
+        ranges.  This is the body :meth:`count_batch` runs after its
+        type check, and the evolutionary search's array path
+        (``FitnessEvaluator.partial_fitness_batch``) calls it directly,
+        so both share one memo: a duplicate within the batch, or a cube
+        already memoised, counts as a cache hit exactly as a repeated
+        :meth:`count` does, and only the distinct misses reach the
+        kernel, pool and shard paths.
+
+        Returns an ``int64`` array aligned with *keys*.
+        """
+        t0 = time.perf_counter()
+        self.n_batch_calls += 1
+        self.n_batch_cubes += len(keys)
+        self.n_count_calls += len(keys)
+        out = np.empty(len(keys), dtype=np.int64)
+        # ``slot[i]`` is the miss-array index serving input *i* (-1 when
+        # the memo answered); the scatter back to ``out`` is one fancy
+        # assignment instead of a Python loop.
+        slot = np.empty(len(keys), dtype=np.intp)
+        cache = self._cache
+        pending: dict[tuple, int] = {}
+        miss_keys: list[tuple] = []
+        n_hits = 0
+        for i, key in enumerate(keys):
             idx = pending.get(key)
             if idx is not None:
                 # Duplicate within the batch: counted once, reused here.
@@ -302,8 +322,8 @@ class CubeCounter:
             counts = _count_by_k(miss_keys, self._count_cubes)
             self._batch_merged()
             if cache is not None:
-                for key, cnt in zip(miss_keys, counts, strict=True):
-                    cache[key] = int(cnt)
+                for key, cnt in zip(miss_keys, counts.tolist(), strict=True):
+                    cache[key] = cnt
                     if len(cache) > self.cache_size:
                         cache.popitem(last=False)
             missed = slot >= 0
@@ -767,12 +787,14 @@ class CubeCounter:
         """Counters useful for benchmarking and backend tuning.
 
         ``count_calls`` / ``cache_hits`` / ``cache_misses`` cover every
-        cube counted, whether through :meth:`count` or
-        :meth:`count_batch` (a duplicate within one batch counts as a
-        hit).  The ``batch_*`` fields, ``words_and``, ``prefix_reuse``
-        and ``parallel_chunks`` describe the batch engine specifically;
-        ``batch_seconds`` is the wall time spent inside
-        :meth:`count_batch` and :meth:`count_cubes`.
+        cube counted, whether through :meth:`count` or the one memo
+        path that :meth:`count_batch` and :meth:`count_keys` share (a
+        duplicate within one batch counts as a hit, just as a repeated
+        :meth:`count` does).  The ``batch_*`` fields, ``words_and``,
+        ``prefix_reuse`` and ``parallel_chunks`` describe the batch
+        engine specifically: one ``batch_calls`` per :meth:`count_keys`
+        (or :meth:`count_batch`) and :meth:`count_cubes` call.
+        ``batch_seconds`` is the wall time spent inside them.
         """
         return {
             "count_calls": self.n_count_calls,

@@ -887,8 +887,8 @@ class ShardedCounter(CubeCounter):
                 "extension_counts needs per-point grid codes, which a "
                 "pure out-of-core ShardedCounter does not hold; construct "
                 "it with cells=..., or use an engine that only counts "
-                "cubes (evolutionary with one-point/uniform crossover, "
-                "brute_force strategy='level_batch', random search)"
+                "cubes (evolutionary, brute_force strategy='level_batch', "
+                "random search)"
             )
         return super().extension_counts(base_mask, dim)
 

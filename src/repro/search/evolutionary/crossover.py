@@ -28,7 +28,8 @@ Two recombination mechanisms, mirroring the paper's comparison:
 from __future__ import annotations
 
 import abc
-from itertools import product
+
+import numpy as np
 
 from ..._validation import check_positive_int, check_rng
 from ...exceptions import ValidationError
@@ -126,6 +127,14 @@ class TwoPointCrossover(CrossoverOperator):
 class OptimizedCrossover(CrossoverOperator):
     """Figure 5's optimized recombination (exact + greedy + complement).
 
+    Every recombining pair of a generation is evaluated in lockstep:
+    one batched partial-fitness evaluation scores all pairs' Type II
+    assignments, then one evaluation per greedy step covers every pair
+    still choosing.  Each choice takes the first minimum in
+    enumeration (or candidate) order, which is exactly what a
+    per-pair strict-``<`` scan picks, so the children and the
+    evaluation count are those of recombining the pairs one by one.
+
     Parameters
     ----------
     max_exact_positions:
@@ -140,155 +149,154 @@ class OptimizedCrossover(CrossoverOperator):
         )
 
     # ------------------------------------------------------------------
-    def recombine(self, parent_a, parent_b, evaluator, random_state):
-        if parent_a.n_dims != parent_b.n_dims:
-            raise ValidationError("parents must have equal gene counts")
-        k = evaluator.dimensionality
-        if not (parent_a.is_feasible(k) and parent_b.is_feasible(k)):
-            # Only the two-point baseline produces infeasible strings and
-            # it never routes them here; pass through defensively.
-            return parent_a, parent_b
+    def apply(self, solutions, evaluator, random_state, crossover_rate=1.0):
+        """Pair the population and recombine every pair in lockstep.
+
+        The pairing and the ``crossover_rate`` draws come first, in the
+        order the per-pair loop makes them; recombination itself draws
+        nothing, so the random stream is unchanged.
+        """
         rng = check_rng(random_state)
-        d = parent_a.n_dims
-
-        type2 = [
-            i
-            for i in range(d)
-            if parent_a.genes[i] != WILDCARD_GENE and parent_b.genes[i] != WILDCARD_GENE
+        pairs = [
+            (i, j)
+            for i, j in pair_population(solutions, rng)
+            if crossover_rate >= 1.0 or rng.random() < crossover_rate
         ]
-        type3 = [
-            i
-            for i in range(d)
-            if (parent_a.genes[i] == WILDCARD_GENE)
-            != (parent_b.genes[i] == WILDCARD_GENE)
-        ]
+        out = list(solutions)
+        children = self._recombine_pairs(
+            [(solutions[i], solutions[j]) for i, j in pairs], evaluator
+        )
+        for (i, j), (child, complementary) in zip(pairs, children, strict=True):
+            out[i], out[j] = child, complementary
+        return out
 
-        # Stage 1 — Type II: best of the 2^k' parent assignments.
-        # source[i] remembers which parent child `s` derived gene i from,
-        # so the complementary child can invert every derivation.
-        genes = [WILDCARD_GENE] * d
-        source = [0] * d  # 0 = parent_a, 1 = parent_b; irrelevant on Type I
-        if type2:
-            assignment = self._best_type2_assignment(
-                parent_a, parent_b, type2, evaluator, rng
-            )
-            for pos, src in zip(type2, assignment, strict=True):
-                genes[pos] = (parent_b if src else parent_a).genes[pos]
-                source[pos] = src
-
-        # Stage 2 — Type III: greedy extension to k fixed genes.
-        candidates = []
-        for pos in type3:
-            if parent_a.genes[pos] != WILDCARD_GENE:
-                candidates.append((pos, parent_a.genes[pos], 0))
-            else:
-                candidates.append((pos, parent_b.genes[pos], 1))
-        chosen = self._greedy_extension(genes, candidates, k - len(type2), evaluator)
-        for pos, value, src in chosen:
-            genes[pos] = value
-            source[pos] = src
-
-        child = Solution(genes)
-
-        # Complementary child: every gene from the opposite parent.
-        type3_positions = {pos for pos, _, _ in candidates}
-        comp = [WILDCARD_GENE] * d
-        for i in range(d):
-            other = parent_a if source[i] == 1 else parent_b
-            # Genes `s` never touched (unchosen Type III) were implicitly
-            # derived from the wildcard parent, so the complement takes
-            # the fixed parent's value.
-            if genes[i] == WILDCARD_GENE and i in type3_positions:
-                fixed_parent = (
-                    parent_a if parent_a.genes[i] != WILDCARD_GENE else parent_b
-                )
-                comp[i] = fixed_parent.genes[i]
-            else:
-                comp[i] = other.genes[i]
-        complementary = Solution(comp)
-        return child, complementary
+    def recombine(self, parent_a, parent_b, evaluator, random_state):
+        return self._recombine_pairs([(parent_a, parent_b)], evaluator)[0]
 
     # ------------------------------------------------------------------
-    def _best_type2_assignment(self, parent_a, parent_b, type2, evaluator, rng):
-        """Choose, per Type II position, which parent's value to take.
-
-        Returns a tuple of 0/1 source flags aligned with *type2*.
-        Positions where both parents agree are forced (either source
-        yields the same gene) and excluded from the enumeration, which
-        keeps ``2^k'`` at its effective minimum.
-        """
-        free = [
-            pos for pos in type2 if parent_a.genes[pos] != parent_b.genes[pos]
+    def _recombine_pairs(
+        self, pairs: list[tuple[Solution, Solution]], evaluator: FitnessEvaluator
+    ) -> list[tuple[Solution, Solution]]:
+        """Figure 5 for every ``(parent_a, parent_b)`` pair at once."""
+        if not pairs:
+            return []
+        n_dims = pairs[0][0].n_dims
+        if any(a.n_dims != n_dims or b.n_dims != n_dims for a, b in pairs):
+            raise ValidationError("parents must have equal gene counts")
+        k = evaluator.dimensionality
+        # Only the two-point baseline produces infeasible strings and it
+        # never routes them here; pass them through defensively.
+        out = list(pairs)
+        live = [
+            p for p, (a, b) in enumerate(pairs)
+            if a.is_feasible(k) and b.is_feasible(k)
         ]
-        forced = {pos: 0 for pos in type2 if pos not in set(free)}
-        if not free:
-            return tuple(forced.get(pos, 0) for pos in type2)
-        if len(free) > self.max_exact_positions:
-            choice = self._greedy_type2(parent_a, parent_b, type2, free, evaluator)
-        else:
-            choice = self._exact_type2(parent_a, parent_b, type2, free, evaluator)
-        merged = dict(forced)
-        merged.update(choice)
-        return tuple(merged[pos] for pos in type2)
+        if not live:
+            return out
+        a = np.array([pairs[p][0].genes for p in live])
+        b = np.array([pairs[p][1].genes for p in live])
+        fixed_a, fixed_b = a != WILDCARD_GENE, b != WILDCARD_GENE
+        type2 = fixed_a & fixed_b
+        type3 = fixed_a ^ fixed_b
+        # Positions where both parents agree are forced (either source
+        # yields the same gene); only the free ones are searched.
+        free = type2 & (a != b)
+        n_free = free.sum(axis=1)
 
-    def _exact_type2(self, parent_a, parent_b, type2, free, evaluator):
-        """Exhaustive 2^|free| search for the best partial cube."""
-        n_dims = parent_a.n_dims
-        best_fitness = float("inf")
-        best_choice: dict[int, int] = {}
-        for bits in product((0, 1), repeat=len(free)):
-            genes = [WILDCARD_GENE] * n_dims
-            for pos in type2:
-                genes[pos] = parent_a.genes[pos]
-            for pos, src in zip(free, bits, strict=True):
-                genes[pos] = (parent_b if src else parent_a).genes[pos]
-            fitness = evaluator.partial_fitness(Solution(genes))
-            if fitness < best_fitness:
-                best_fitness = fitness
-                best_choice = dict(zip(free, bits, strict=True))
-        return best_choice
+        # Stage 1 — Type II: best of the 2^k' parent assignments.
+        child = np.where(type2, a, WILDCARD_GENE)
+        exact = np.flatnonzero((n_free > 0) & (n_free <= self.max_exact_positions))
+        if len(exact):
+            child[exact] = self._enumerate_type2(
+                child[exact], b[exact], free[exact], evaluator
+            )
+        greedy = np.flatnonzero(n_free > self.max_exact_positions)
+        if len(greedy):
+            child[greedy] = self._sweep_type2(
+                np.where(free[greedy], WILDCARD_GENE, child[greedy]),
+                a[greedy], b[greedy], free[greedy], evaluator,
+            )
 
-    def _greedy_type2(self, parent_a, parent_b, type2, free, evaluator):
-        """Fallback for oversized k': fix free positions one at a time."""
-        n_dims = parent_a.n_dims
-        genes = [WILDCARD_GENE] * n_dims
-        for pos in type2:
-            if pos not in set(free):
-                genes[pos] = parent_a.genes[pos]
-        choice: dict[int, int] = {}
-        for pos in free:
-            best_src, best_fitness = 0, float("inf")
-            for src in (0, 1):
-                genes[pos] = (parent_b if src else parent_a).genes[pos]
-                fitness = evaluator.partial_fitness(Solution(genes))
-                if fitness < best_fitness:
-                    best_fitness, best_src = fitness, src
-            genes[pos] = (parent_b if best_src else parent_a).genes[pos]
-            choice[pos] = best_src
-        return choice
+        # Stage 2 — Type III: greedy extension to k fixed genes, always
+        # adding the (position, value) with the fittest partial cube.
+        n_add = k - type2.sum(axis=1)
+        value = np.where(fixed_a, a, b)
+        for step in range(int(n_add.max())):
+            active = np.flatnonzero(n_add > step)
+            unchosen = type3[active] & (child[active] == WILDCARD_GENE)
+            owner, pos = np.nonzero(unchosen)
+            rows = child[active][owner]
+            rows[np.arange(len(rows)), pos] = value[active[owner], pos]
+            child[active] = self._fittest(rows, owner, evaluator)
+
+        # Complementary child: every gene from the opposite parent.  On
+        # Type II that is the other parent's value; an unchosen Type III
+        # gene was implicitly derived from the wildcard parent, so the
+        # complement takes the fixed parent's value (and a chosen one
+        # becomes ``*``).
+        complementary = np.where(
+            type2,
+            np.where(child == a, b, a),
+            np.where(type3 & (child == WILDCARD_GENE), value, WILDCARD_GENE),
+        )
+        for p, genes, comp in zip(
+            live, child.tolist(), complementary.tolist(), strict=True
+        ):
+            out[p] = (Solution(genes), Solution(comp))
+        return out
+
+    @classmethod
+    def _enumerate_type2(cls, base, b, free, evaluator):
+        """Exhaustive ``2^f`` Type II search, every pair in one batch.
+
+        *base* holds each pair's Type II genes from ``parent_a``;
+        candidate ``c`` of a pair with *f* free positions takes
+        ``parent_b``'s gene at its *j*-th free position when bit
+        ``f-1-j`` of ``c`` is set — :func:`itertools.product` order.
+        """
+        n_free = free.sum(axis=1)
+        n_candidates = 1 << n_free
+        owner = np.repeat(np.arange(len(base)), n_candidates)
+        starts = np.cumsum(n_candidates) - n_candidates
+        candidate = np.arange(len(owner)) - starts[owner]
+        # Bit position of each free gene: f-1 for the first, 0 for the last.
+        shift = (n_free[:, None] - np.cumsum(free, axis=1))[owner]
+        take_b = free[owner] & (((candidate[:, None] >> shift) & 1) == 1)
+        rows = np.where(take_b, b[owner], base[owner])
+        return cls._fittest(rows, owner, evaluator)
+
+    @classmethod
+    def _sweep_type2(cls, working, a, b, free, evaluator):
+        """Fallback for oversized k': fix free positions one at a time.
+
+        Each step scores, for every pair with free positions left, its
+        next free position taken from ``parent_a`` and then from
+        ``parent_b``, and keeps the fitter.
+        """
+        n_free = free.sum(axis=1)
+        rank = np.cumsum(free, axis=1)
+        for step in range(int(n_free.max())):
+            active = np.flatnonzero(n_free > step)
+            pos = np.argmax(free[active] & (rank[active] == step + 1), axis=1)
+            owner = np.repeat(np.arange(len(active)), 2)
+            rows = working[active][owner]
+            sources = np.stack([a[active, pos], b[active, pos]], axis=1).ravel()
+            rows[np.arange(len(rows)), pos[owner]] = sources
+            working[active] = cls._fittest(rows, owner, evaluator)
+        return working
 
     @staticmethod
-    def _greedy_extension(genes, candidates, n_to_add, evaluator):
-        """Greedy Type III stage: repeatedly add the best (pos, value).
+    def _fittest(rows, owner, evaluator):
+        """Each owner's fittest candidate row, the first on ties.
 
-        *genes* is the partial child (mutated-free copy); *candidates*
-        are ``(position, value, source_parent)`` triples; exactly
-        *n_to_add* of them are chosen.
+        *owner* labels the candidate *rows*, ``0..n-1`` in contiguous
+        runs in scan order; returns one row per owner.  ``argmin`` over
+        the inf-padded table takes the first minimum, as a strict-``<``
+        scan does.
         """
-        if n_to_add <= 0:
-            return []
-        chosen = []
-        working = list(genes)
-        available = list(candidates)
-        for _ in range(n_to_add):
-            best_idx, best_fitness = -1, float("inf")
-            for idx, (pos, value, _src) in enumerate(available):
-                working[pos] = value
-                fitness = evaluator.partial_fitness(Solution(working))
-                working[pos] = WILDCARD_GENE
-                if fitness < best_fitness:
-                    best_fitness, best_idx = fitness, idx
-            pos, value, src = available.pop(best_idx)
-            working[pos] = value
-            chosen.append((pos, value, src))
-        return chosen
+        fitness = evaluator.partial_fitness_batch(rows)
+        sizes = np.bincount(owner)
+        starts = np.cumsum(sizes) - sizes
+        table = np.full((len(sizes), int(sizes.max())), np.inf)
+        table[owner, np.arange(len(owner)) - starts[owner]] = fitness
+        return rows[starts + table.argmin(axis=1)]

@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import asdict
 from collections.abc import Mapping
 
+import numpy as np
+
 from ..._validation import check_positive_int, check_rng
 from ...engine.context import RunContext
 from ...engine.protocol import GeneratorEngine
@@ -30,7 +32,7 @@ from .convergence import DeJongConvergence
 from .crossover import CrossoverOperator, OptimizedCrossover, TwoPointCrossover
 from .encoding import Solution, seed_population
 from .mutation import BalancedMutation
-from .population import FitnessEvaluator
+from .population import INFEASIBLE_FITNESS, FitnessEvaluator
 from .selection import RankRouletteSelection, SelectionOperator
 
 __all__ = ["EvolutionarySearch"]
@@ -542,18 +544,19 @@ class EvolutionarySearch(GeneratorEngine):
     ) -> list[float]:
         """Fitness of every string; feasible ones feed the best set.
 
-        The whole generation is counted in one
-        :meth:`~repro.grid.counter.CubeCounter.count_batch` pass —
+        The whole generation is counted in one memoised
+        :meth:`~repro.grid.counter.CubeCounter.count_keys` pass —
         duplicates of a converging population collapse in the batch, and
         a parallel counting backend fans the distinct cubes out to its
-        worker pool.  Offers happen in population order, so the best-set
-        contents (including tie-breaks) match per-solution scoring.
+        worker pool.  Feasible strings are offered in population order
+        through :meth:`BestProjectionSet.offer_batch`, so the best-set
+        contents (including tie-breaks) match per-solution scoring, and
+        only accepted cubes become :class:`ScoredProjection` objects.
         """
-        fitnesses = []
-        for scored in evaluator.score_batch(population):
-            if scored is None:
-                fitnesses.append(float("inf"))
-            else:
-                fitnesses.append(scored.coefficient)
-                best.offer(scored)
-        return fitnesses
+        rows, dims, ranges, counts, coefficients = evaluator._score_feasible(
+            population
+        )
+        fitnesses = np.full(len(population), INFEASIBLE_FITNESS)
+        fitnesses[rows] = coefficients
+        best.offer_batch(dims, ranges, counts, coefficients)
+        return fitnesses.tolist()

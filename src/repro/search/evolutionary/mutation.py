@@ -18,7 +18,7 @@ genes on a degenerate string, φ = 1 for Type II).
 
 from __future__ import annotations
 
-from ..._validation import check_probability, check_rng
+from ..._validation import check_positive_int, check_probability, check_rng
 from .encoding import Solution, WILDCARD_GENE
 
 __all__ = ["BalancedMutation"]
@@ -45,9 +45,7 @@ class BalancedMutation:
     ):
         self.swap_probability = check_probability(swap_probability, "swap_probability")
         self.flip_probability = check_probability(flip_probability, "flip_probability")
-        if n_ranges < 1:
-            raise ValueError(f"n_ranges must be >= 1, got {n_ranges}")
-        self.n_ranges = int(n_ranges)
+        self.n_ranges = check_positive_int(n_ranges, "n_ranges")
 
     # ------------------------------------------------------------------
     def mutate(self, solution: Solution, random_state) -> Solution:

@@ -17,12 +17,15 @@ partials of equal dimensionality, so its greedy choices are sound.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...core.results import ScoredProjection
+from ...core.subspace import Subspace
 from ...exceptions import ValidationError
 from ...grid.counter import CubeCounter
 from ...sparsity.coefficient import sparsity_coefficient, sparsity_coefficients
 from ..._validation import check_positive_int
-from .encoding import Solution
+from .encoding import Solution, WILDCARD_GENE
 
 __all__ = ["INFEASIBLE_FITNESS", "FitnessEvaluator"]
 
@@ -80,6 +83,67 @@ class FitnessEvaluator:
             count, self.counter.n_points, self.counter.n_ranges, k
         )
 
+    def partial_fitness_batch(self, genes) -> np.ndarray:
+        """:meth:`partial_fitness` of every row of a ``(C, d)`` gene matrix.
+
+        Row *i* scores exactly as ``partial_fitness(Solution(genes[i]))``
+        would — at the row's own dimensionality, all-wildcard rows 0.0
+        and not counted in :attr:`n_evaluations` — but the whole matrix
+        is counted in one memoised
+        :meth:`~repro.grid.counter.CubeCounter.count_keys` call (so the
+        memo statistics match the per-row path) and scored per
+        dimensionality with the vectorized Equation 1.  This is the
+        optimized crossover's hot path.
+
+        Returns a float array aligned with the rows.
+        """
+        genes = np.asarray(genes)
+        if genes.ndim != 2:
+            raise ValidationError(
+                f"genes must be a (C, d) matrix, got shape {genes.shape}"
+            )
+        fitness = np.zeros(len(genes))
+        for rows, _, _, _, coefficients in self._score_rows(genes):
+            fitness[rows] = coefficients
+        return fitness
+
+    def _score_rows(self, genes: np.ndarray) -> list[tuple]:
+        """Count and score every non-all-wildcard row in one memo call.
+
+        Returns one ``(rows, dims, ranges, counts, coefficients)`` group
+        per dimensionality present: the row indices (ascending), the
+        ``(n, k)`` cube arrays, their counts and their coefficients at
+        that k.  Shared by :meth:`partial_fitness_batch` and
+        :meth:`_score_feasible`.
+        """
+        fixed = genes != WILDCARD_GENE
+        ks = fixed.sum(axis=1)
+        groups = []
+        keys: list[tuple] = []
+        for k in np.unique(ks[ks > 0]).tolist():
+            rows = np.flatnonzero(ks == k)
+            sub = fixed[rows]
+            dims = np.nonzero(sub)[1].reshape(len(rows), k)
+            ranges = genes[rows][sub].reshape(len(rows), k)
+            keys.extend(
+                zip(map(tuple, dims.tolist()), map(tuple, ranges.tolist()))
+            )
+            groups.append((rows, k, dims, ranges))
+        if not keys:
+            return []
+        counts = self.counter.count_keys(keys)
+        self.n_evaluations += len(keys)
+        out = []
+        lo = 0
+        for rows, k, dims, ranges in groups:
+            group_counts = counts[lo : lo + len(rows)]
+            lo += len(rows)
+            coefficients = sparsity_coefficients(
+                group_counts, self.counter.n_points, self.counter.n_ranges, k
+            )
+            out.append((rows, dims, ranges, group_counts, coefficients))
+        return out
+
     def score(self, solution: Solution) -> ScoredProjection | None:
         """Full :class:`ScoredProjection` for a feasible string, else None."""
         if not solution.is_feasible(self.dimensionality):
@@ -97,32 +161,45 @@ class FitnessEvaluator:
     ) -> list[ScoredProjection | None]:
         """Score a whole population through one batched count.
 
-        Feasible strings are counted with a single
-        :meth:`~repro.grid.counter.CubeCounter.count_batch` call — the
-        GA's per-generation hot path — and scored with the vectorized
-        Equation 1.  Entry ``i`` is ``None`` exactly when
-        :meth:`score` would return ``None`` for ``solutions[i]``, and
-        the scored values are identical to the per-solution path.
+        Feasible strings are counted with a single memoised
+        :meth:`~repro.grid.counter.CubeCounter.count_keys` call and
+        scored with the vectorized Equation 1.  Entry ``i`` is ``None``
+        exactly when :meth:`score` would return ``None`` for
+        ``solutions[i]``, and the scored values are identical to the
+        per-solution path.
         """
         results: list[ScoredProjection | None] = [None] * len(solutions)
-        indices: list[int] = []
-        subspaces = []
-        for i, solution in enumerate(solutions):
-            if solution.is_feasible(self.dimensionality):
-                indices.append(i)
-                subspaces.append(solution.to_subspace())
-        if not subspaces:
+        if not solutions:
             return results
-        counts = self.counter.count_batch(subspaces)
-        self.n_evaluations += len(subspaces)
-        coefficients = sparsity_coefficients(
-            counts, self.counter.n_points, self.counter.n_ranges, self.dimensionality
-        )
-        for i, subspace, count, coefficient in zip(
-            indices, subspaces, counts, coefficients, strict=True
+        rows, dims, ranges, counts, coefficients = self._score_feasible(solutions)
+        for i, dims_row, ranges_row, count, coefficient in zip(
+            rows.tolist(), dims.tolist(), ranges.tolist(), counts.tolist(),
+            coefficients.tolist(), strict=True,
         ):
-            results[i] = ScoredProjection(subspace, int(count), float(coefficient))
+            results[i] = ScoredProjection(
+                Subspace(tuple(dims_row), tuple(ranges_row)), count, coefficient
+            )
         return results
+
+    def _score_feasible(self, solutions: list[Solution]) -> tuple:
+        """Count and score a population's feasible strings in one batch.
+
+        Returns ``(rows, dims, ranges, counts, coefficients)``: the
+        indices of the feasible strings (ascending) and, aligned with
+        them, their ``(n, k)`` cube arrays, counts and coefficients.
+        Shared by :meth:`score_batch` and the engine's population
+        scoring, which offers the arrays to the best set.
+        """
+        genes = np.array([solution.genes for solution in solutions])
+        rows = np.flatnonzero(
+            (genes != WILDCARD_GENE).sum(axis=1) == self.dimensionality
+        )
+        groups = self._score_rows(genes[rows])
+        if not groups:
+            cubes = np.empty((0, self.dimensionality), dtype=np.intp)
+            return rows, cubes, cubes, np.empty(0, dtype=np.int64), np.empty(0)
+        [(_, dims, ranges, counts, coefficients)] = groups
+        return rows, dims, ranges, counts, coefficients
 
     def fitnesses(self, solutions: list[Solution]) -> list[float]:
         """Vector of fitness values for a whole population."""

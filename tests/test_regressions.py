@@ -235,3 +235,22 @@ class TestFaultSpecValidation:
         assert isinstance(info.value, ValueError)
         with pytest.raises(ValidationError):
             register_fault_point("", lambda detail: None)
+
+
+class TestBalancedMutationRangeValidation:
+    """``BalancedMutation`` raised a bare ``ValueError`` for
+    ``n_ranges < 1`` (the last untyped one in ``src/`` outside
+    ``repro.analysis``) and accepted non-integers; it now validates
+    like every other count and raises ``ValidationError``."""
+
+    def test_bad_n_ranges_rejected_with_typed_error(self):
+        import pytest
+
+        from repro.exceptions import ReproError, ValidationError
+        from repro.search.evolutionary.mutation import BalancedMutation
+
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(ValidationError, match="n_ranges") as info:
+                BalancedMutation(0.5, 0.5, bad)
+            assert isinstance(info.value, ReproError)
+        assert BalancedMutation(0.5, 0.5, 1).n_ranges == 1

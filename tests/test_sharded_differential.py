@@ -29,6 +29,7 @@ from repro.grid.sharded import (
     group_digest,
 )
 from repro.resilience import FaultSpec, fault_injection
+from repro.search.evolutionary import EvolutionaryConfig, EvolutionarySearch
 
 # N deliberately not a multiple of shard_rows: the last shard is ragged
 # (3 rows), and 100-row shards leave ragged packed words inside every
@@ -314,6 +315,33 @@ class TestShardedDifferential:
             ShardedCounter(store, cells=mismatched)
         with pytest.raises(ValidationError, match="ShardCheckpointer"):
             ShardedCounter(store, checkpointer=object())  # type: ignore[arg-type]
+
+    def test_evolutionary_search_parity(self, store, cells):
+        # The GA counts its population and every optimized-crossover
+        # partial cube through the memoised batch path, which reaches
+        # the sharded counter's _count_group: mined projections, the
+        # evaluation count and the memo figures must match in-memory.
+        config = EvolutionaryConfig(population_size=20, max_generations=8)
+
+        def run(counter):
+            try:
+                outcome = EvolutionarySearch(
+                    counter, 3, 10, config=config, random_state=0
+                ).run()
+                return outcome, counter.cache_stats()
+            finally:
+                counter.close()
+
+        memory, memory_stats = run(CubeCounter(cells))
+        sharded, sharded_stats = run(ShardedCounter(store))
+        assert sharded.projections == memory.projections
+        assert sharded.stats["evaluations"] == memory.stats["evaluations"]
+        for key in ("count_calls", "cache_hits", "batch_calls", "batch_cubes"):
+            assert sharded_stats[key] == memory_stats[key], key
+        # More batches than generations + seed: crossover stages counted
+        # on the shards too, not just the populations.
+        assert sharded_stats["batch_calls"] > sharded.stats["generations"] + 1
+        assert sharded_stats["shards_counted"] > 0
 
     def test_memory_and_stats_accounting(self, store, cubes):
         counter = ShardedCounter(store)
