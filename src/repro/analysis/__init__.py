@@ -4,7 +4,9 @@ An AST-based lint framework purpose-built for this codebase's
 reproducibility invariants: seeded RNG only, no stray wall-clock
 reads, atomic writes, registry-resolved engines, registered event
 types, centralized multiprocessing, no float equality in the math,
-no mutable defaults in public APIs.  See ``docs/determinism.md`` for
+no broad catch-alls outside the resilience layer, plus cross-module
+contracts checked over a whole-program graph.  Mutable defaults are
+left to ruff (``B006``/``B008``).  See ``docs/determinism.md`` for
 the full catalogue and rationale.
 
 Run it as ``python -m repro.analysis src/`` or via the ``repro-lint``
@@ -14,7 +16,7 @@ a gate green over grandfathered findings.
 
 from .baseline import Baseline
 from .config import LintConfig
-from .graph import FactsCache, FileFacts, ProjectGraph, extract_facts
+from .graph import FileFacts, ProjectGraph, extract_facts
 from .pragmas import PragmaIndex
 from .project_rules import ALL_PROJECT_RULES, ProjectRule
 from .report import render_json, render_sarif, render_text
@@ -33,7 +35,6 @@ __all__ = [
     "ALL_PROJECT_RULES",
     "ALL_RULES",
     "Baseline",
-    "FactsCache",
     "FileFacts",
     "LintConfig",
     "LintResult",

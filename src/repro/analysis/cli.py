@@ -3,7 +3,8 @@
 Exit codes: 0 clean (all findings baselined or suppressed — including
 a clean-but-empty source tree, which is *not* a usage error), 1 new
 violations or a failed ``--check-baseline``, 2 usage errors (unknown
-rule code, unreadable baseline, conflicting flags).
+rule code, a lint path that does not exist, unreadable baseline,
+conflicting flags).
 """
 
 from __future__ import annotations
@@ -83,17 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "incremental cache file: per-file facts and findings keyed "
-            "by content digest, so a warm run re-parses only changed "
-            "files (invalidated wholesale by rule/config changes)"
-        ),
-    )
-    parser.add_argument(
         "--select",
         action="append",
         metavar="RPLxxx",
@@ -140,7 +130,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 options.paths,
                 select=options.select,
                 ignore=options.ignore,
-                cache_path=options.cache,
             )
             refreshed = Baseline()
             for violation in raw.violations:
@@ -175,7 +164,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             baseline=baseline,
             select=options.select,
             ignore=options.ignore,
-            cache_path=options.cache,
         )
     except ValidationError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)

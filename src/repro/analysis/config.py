@@ -18,9 +18,7 @@ the framework can swap in its own :class:`LintConfig`.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 __all__ = ["LintConfig", "default_event_types"]
 
@@ -137,20 +135,3 @@ class LintConfig:
     #: RPL013 — modules whose RNG constructions are taint-checked
     #: (minus ``rng_allowed_modules``, which RPL013 shares with RPL001).
     rng_taint_modules: tuple[str, ...] = ("repro/*",)
-
-    def digest(self) -> str:
-        """Stable content hash of the configuration.
-
-        Part of the incremental-cache fingerprint: any config change
-        must invalidate cached facts.  Unordered fields (frozensets)
-        are sorted so the digest is deterministic across processes.
-        """
-        payload: dict[str, object] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, frozenset):
-                payload[spec.name] = sorted(value)
-            else:
-                payload[spec.name] = list(value)
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,6 +1,6 @@
 """The project-wide semantic index behind the cross-module rules.
 
-The single-file rules (RPL001-RPL009) deliberately see one module at a
+The single-file rules (RPL001-RPL007, RPL009) deliberately see one module at a
 time, but the contracts they cannot check are exactly the ones that
 span modules: an event type registered in ``repro/engine/events.py``
 and emitted from a dozen files, a fault point named in
@@ -10,16 +10,13 @@ a ``raise ValueError`` four calls deep.  This module builds the index
 those rules run against:
 
 * :class:`FileFacts` — everything the project rules need from one
-  module, extracted in a single AST pass and **JSON-serializable** so
-  the incremental cache (:class:`FactsCache`) can persist it per file;
+  module, extracted in a single AST pass, plus the module's parsed
+  suppression pragmas;
 * :class:`ProjectGraph` — the whole-program view assembled from all
   file facts: module/import graph (with cycle detection), symbol table
   with re-export resolution, a qualified call graph with reachability,
   and the contract indexes (event types registered/emitted, fault
-  points declared/injected, kernels and backends registered/resolved);
-* :class:`FactsCache` — per-file ``sha256(source) -> facts`` storage
-  keyed by a run fingerprint (rule set + config + format version), so
-  a warm lint run re-parses only the files that actually changed.
+  points declared/injected, kernels and backends registered/resolved).
 
 Facts are *syntactic*: string literals at known contract call sites,
 dotted call names as written, one-hop assignment taint for RNG seeds.
@@ -30,23 +27,17 @@ same reason (speed, predictability, zero dependencies).
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from pathlib import Path
 from typing import Any
 
-from .._atomic import atomic_write_json
 from .pragmas import PragmaIndex
 from .sources import ModuleSource
 
 __all__ = [
-    "CACHE_VERSION",
     "CallFact",
     "ContractSite",
-    "FactsCache",
     "FileFacts",
     "FunctionFacts",
     "ProjectGraph",
@@ -54,10 +45,7 @@ __all__ = [
     "ResourceSite",
     "RngSite",
     "extract_facts",
-    "file_digest",
 ]
-
-CACHE_VERSION = 1
 
 #: Contract-site kinds (the ``kind`` field of :class:`ContractSite`).
 #: ``*_register`` sites *define* a name; ``*_use`` sites consume one.
@@ -109,13 +97,8 @@ _CLOSERS = frozenset(
 )
 
 
-def file_digest(data: bytes) -> str:
-    """Content digest used as the incremental-cache key."""
-    return hashlib.sha256(data).hexdigest()
-
-
 # ----------------------------------------------------------------------
-# fact records — all JSON round-trippable via to_json / from_json
+# fact records
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ContractSite:
@@ -127,25 +110,6 @@ class ContractSite:
     column: int
     qualname: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "argument": self.argument,
-            "line": self.line,
-            "column": self.column,
-            "qualname": self.qualname,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ContractSite":
-        return cls(
-            kind=str(data["kind"]),
-            argument=None if data["argument"] is None else str(data["argument"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            qualname=str(data["qualname"]),
-        )
-
 
 @dataclass(frozen=True)
 class RaiseFact:
@@ -155,14 +119,6 @@ class RaiseFact:
     line: int
     column: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {"exception": self.exception, "line": self.line,
-                "column": self.column}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "RaiseFact":
-        return cls(str(data["exception"]), int(data["line"]), int(data["column"]))
-
 
 @dataclass(frozen=True)
 class CallFact:
@@ -170,13 +126,6 @@ class CallFact:
 
     target: str
     line: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {"target": self.target, "line": self.line}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "CallFact":
-        return cls(str(data["target"]), int(data["line"]))
 
 
 @dataclass(frozen=True)
@@ -189,27 +138,6 @@ class FunctionFacts:
     params: tuple[str, ...]
     calls: tuple[CallFact, ...]
     raises: tuple[RaiseFact, ...]
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "is_public": self.is_public,
-            "params": list(self.params),
-            "calls": [c.to_json() for c in self.calls],
-            "raises": [r.to_json() for r in self.raises],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FunctionFacts":
-        return cls(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),
-            is_public=bool(data["is_public"]),
-            params=tuple(str(p) for p in data["params"]),
-            calls=tuple(CallFact.from_json(c) for c in data["calls"]),
-            raises=tuple(RaiseFact.from_json(r) for r in data["raises"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -243,25 +171,6 @@ class ResourceSite:
     column: int
     qualname: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "management": self.management,
-            "line": self.line,
-            "column": self.column,
-            "qualname": self.qualname,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ResourceSite":
-        return cls(
-            kind=str(data["kind"]),
-            management=str(data["management"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            qualname=str(data["qualname"]),
-        )
-
 
 @dataclass(frozen=True)
 class RngSite:
@@ -281,25 +190,6 @@ class RngSite:
     column: int
     qualname: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "seed_kind": self.seed_kind,
-            "detail": self.detail,
-            "line": self.line,
-            "column": self.column,
-            "qualname": self.qualname,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "RngSite":
-        return cls(
-            seed_kind=str(data["seed_kind"]),
-            detail=str(data["detail"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            qualname=str(data["qualname"]),
-        )
-
 
 @dataclass
 class FileFacts:
@@ -307,7 +197,6 @@ class FileFacts:
 
     path: str
     module: str
-    digest: str
     module_imports: dict[str, str] = field(default_factory=dict)
     from_imports: dict[str, list[str]] = field(default_factory=dict)
     exports: list[str] | None = None
@@ -316,68 +205,9 @@ class FileFacts:
     contracts: list[ContractSite] = field(default_factory=list)
     resources: list[ResourceSite] = field(default_factory=list)
     rng_sites: list[RngSite] = field(default_factory=list)
-    pragma_file_codes: list[str] = field(default_factory=list)
-    pragma_line_codes: dict[str, list[str]] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def pragma_index(self) -> PragmaIndex:
-        """Rebuild the pragma index for project-rule suppression."""
-        index = PragmaIndex()
-        index.file_codes = set(self.pragma_file_codes)
-        index.line_codes = {
-            int(line): set(codes)
-            for line, codes in self.pragma_line_codes.items()
-        }
-        return index
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "digest": self.digest,
-            "module_imports": dict(self.module_imports),
-            "from_imports": {k: list(v) for k, v in self.from_imports.items()},
-            "exports": None if self.exports is None else list(self.exports),
-            "classes": dict(self.classes),
-            "functions": [f.to_json() for f in self.functions],
-            "contracts": [c.to_json() for c in self.contracts],
-            "resources": [r.to_json() for r in self.resources],
-            "rng_sites": [r.to_json() for r in self.rng_sites],
-            "pragma_file_codes": sorted(self.pragma_file_codes),
-            "pragma_line_codes": {
-                line: sorted(codes)
-                for line, codes in self.pragma_line_codes.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FileFacts":
-        return cls(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            digest=str(data["digest"]),
-            module_imports={
-                str(k): str(v) for k, v in data["module_imports"].items()
-            },
-            from_imports={
-                str(k): [str(x) for x in v]
-                for k, v in data["from_imports"].items()
-            },
-            exports=(
-                None if data["exports"] is None
-                else [str(x) for x in data["exports"]]
-            ),
-            classes={str(k): int(v) for k, v in data["classes"].items()},
-            functions=[FunctionFacts.from_json(f) for f in data["functions"]],
-            contracts=[ContractSite.from_json(c) for c in data["contracts"]],
-            resources=[ResourceSite.from_json(r) for r in data["resources"]],
-            rng_sites=[RngSite.from_json(r) for r in data["rng_sites"]],
-            pragma_file_codes=[str(c) for c in data["pragma_file_codes"]],
-            pragma_line_codes={
-                str(k): [str(c) for c in v]
-                for k, v in data["pragma_line_codes"].items()
-            },
-        )
+    #: the module's suppression pragmas, shared by the file-rule and
+    #: project-rule passes so each file's pragmas are parsed once.
+    pragmas: PragmaIndex = field(default_factory=PragmaIndex)
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +293,12 @@ def _argument(
 class _FactExtractor(ast.NodeVisitor):
     """Single-pass fact extraction over one module's AST."""
 
-    def __init__(self, module: ModuleSource, digest: str) -> None:
+    def __init__(self, module: ModuleSource) -> None:
         is_package = module.path.endswith("/__init__.py")
         self.facts = FileFacts(
-            path=module.path, module=module.module_name, digest=digest
+            path=module.path,
+            module=module.module_name,
+            pragmas=PragmaIndex.from_source(module.text),
         )
         self._module_name = module.module_name
         self._is_package = is_package
@@ -956,18 +788,10 @@ class _FactExtractor(ast.NodeVisitor):
         return "opaque"
 
 
-def extract_facts(module: ModuleSource, digest: str | None = None) -> FileFacts:
+def extract_facts(module: ModuleSource) -> FileFacts:
     """One-pass fact extraction for *module*."""
-    if digest is None:
-        digest = file_digest(module.text.encode("utf-8"))
-    extractor = _FactExtractor(module, digest)
+    extractor = _FactExtractor(module)
     extractor.visit(module.tree)
-    pragmas = PragmaIndex.from_source(module.text)
-    extractor.facts.pragma_file_codes = sorted(pragmas.file_codes)
-    extractor.facts.pragma_line_codes = {
-        str(line): sorted(codes)
-        for line, codes in pragmas.line_codes.items()
-    }
     return extractor.facts
 
 
@@ -1209,124 +1033,3 @@ class ProjectGraph:
             for _path, site in self.contract_sites(kind, literal_only=True)
             if site.argument is not None
         }
-
-
-# ----------------------------------------------------------------------
-# incremental cache
-# ----------------------------------------------------------------------
-class FactsCache:
-    """Per-file ``digest -> (facts, file-rule violations)`` storage.
-
-    The cache file carries a *fingerprint* — cache format version, the
-    selected rule codes, and the config digest — so any change to the
-    rule set or configuration invalidates everything at once; a change
-    to one source file invalidates exactly that file.  File-rule
-    violations are stored post-pragma but **pre-baseline** (the
-    baseline changes between runs without touching sources); project
-    rules are always recomputed because their inputs span files.
-    """
-
-    def __init__(self, fingerprint: str) -> None:
-        self.fingerprint = fingerprint
-        self._entries: dict[str, dict[str, Any]] = {}
-        #: paths served from cache / re-parsed during this run
-        self.hits: list[str] = []
-        self.misses: list[str] = []
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def make_fingerprint(rule_codes: list[str], config_digest: str) -> str:
-        payload = json.dumps(
-            {
-                "cache_version": CACHE_VERSION,
-                "rules": sorted(rule_codes),
-                "config": config_digest,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    # ------------------------------------------------------------------
-    def lookup(
-        self, path: str, digest: str
-    ) -> tuple[FileFacts, list[dict[str, Any]], int] | None:
-        """Cached ``(facts, violation payloads, suppressed count)``."""
-        entry = self._entries.get(path)
-        if entry is None or entry["digest"] != digest:
-            self.misses.append(path)
-            return None
-        self.hits.append(path)
-        return (
-            FileFacts.from_json(entry["facts"]),
-            list(entry["violations"]),
-            int(entry["suppressed"]),
-        )
-
-    def store(
-        self,
-        path: str,
-        facts: FileFacts,
-        violations: list[dict[str, Any]],
-        suppressed: int,
-    ) -> None:
-        self._entries[path] = {
-            "digest": facts.digest,
-            "facts": facts.to_json(),
-            "violations": violations,
-            "suppressed": suppressed,
-        }
-
-    def prune(self, live_paths: set[str]) -> None:
-        """Drop entries for files no longer part of the lint set."""
-        for path in list(self._entries):
-            if path not in live_paths:
-                del self._entries[path]
-
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "cache_version": CACHE_VERSION,
-            "fingerprint": self.fingerprint,
-            "entries": {
-                path: self._entries[path] for path in sorted(self._entries)
-            },
-        }
-
-    def save(self, path: Path) -> None:
-        atomic_write_json(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: Path, fingerprint: str) -> "FactsCache":
-        """Load the cache, returning an empty one on any mismatch.
-
-        A missing file, unreadable JSON, stale cache version, or a
-        fingerprint that no longer matches the current rule set and
-        config all mean the same thing: start cold.
-        """
-        cache = cls(fingerprint)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return cache
-        if (
-            not isinstance(data, dict)
-            or data.get("cache_version") != CACHE_VERSION
-            or data.get("fingerprint") != fingerprint
-        ):
-            return cache
-        entries = data.get("entries")
-        if isinstance(entries, dict):
-            for file_path, entry in entries.items():
-                if (
-                    isinstance(entry, dict)
-                    and isinstance(entry.get("digest"), str)
-                    and isinstance(entry.get("facts"), dict)
-                    and isinstance(entry.get("violations"), list)
-                ):
-                    cache._entries[str(file_path)] = {
-                        "digest": entry["digest"],
-                        "facts": entry["facts"],
-                        "violations": entry["violations"],
-                        "suppressed": int(entry.get("suppressed", 0)),
-                    }
-        return cache

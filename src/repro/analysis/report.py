@@ -3,8 +3,9 @@
 The JSON schema (``version`` / ``summary`` / ``violations`` /
 ``baselined``) is part of the tool's contract — CI annotations and the
 framework tests both consume it — so changes must bump ``version``.
-Version 2 added ``files_parsed`` / ``cache_hits`` (incremental cache
-observability) and ``stale_baseline`` to the summary.
+Version 2 added ``stale_baseline`` to the summary; version 3 dropped
+the incremental cache's ``files_parsed`` / ``cache_hits`` keys along
+with the cache.
 
 The SARIF reporter emits SARIF 2.1.0, the interchange format GitHub
 code scanning ingests: one ``run``, one ``result`` per violation,
@@ -22,7 +23,7 @@ from .runner import LintResult, all_rule_classes
 
 __all__ = ["render_text", "render_json", "render_sarif", "REPORT_VERSION", "SARIF_VERSION"]
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = (
@@ -71,8 +72,6 @@ def render_json(result: LintResult) -> str:
         "version": REPORT_VERSION,
         "summary": {
             "files_checked": result.files_checked,
-            "files_parsed": result.files_parsed,
-            "cache_hits": result.cache_hits,
             "violations": len(result.violations),
             "baselined": len(result.baselined),
             "suppressed": result.suppressed,

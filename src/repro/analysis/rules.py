@@ -1,4 +1,4 @@
-"""The project-invariant rules (RPL001-RPL009).
+"""The project-invariant rules (RPL001-RPL007, RPL009).
 
 Each rule is an AST pass over one module that yields
 :class:`~.violations.Violation` records.  The invariants themselves
@@ -14,11 +14,13 @@ RPL004    core/CLI resolve engines via the registry, never by class
 RPL005    ``emit()`` only with registered event types
 RPL006    process pools only inside ``repro.grid.parallel``
 RPL007    no float ``==`` in sparsity/statistics math
-RPL008    no mutable default arguments in public APIs
 RPL009    no broad ``except Exception`` / bare ``except`` outside the
           resilience layer — catch-all recovery is the degradation
           ladder's job (cleanup-and-reraise handlers are exempt)
 ========  ============================================================
+
+RPL008 (mutable defaults) is retired: ruff's ``B006``/``B008`` cover
+every function, not just public ones, so the code is not reused.
 
 Rules are deliberately *syntactic*: they see one file at a time, no
 type inference, no cross-module resolution.  That keeps them fast and
@@ -587,55 +589,6 @@ class FloatEqualityRule(RuleVisitor):
 
 
 # ----------------------------------------------------------------------
-class MutableDefaultRule(RuleVisitor):
-    """RPL008: no mutable default arguments in public APIs."""
-
-    code = "RPL008"
-    name = "no-mutable-defaults"
-    description = (
-        "mutable defaults are shared across calls; default to None and "
-        "construct inside the function"
-    )
-
-    _MUTABLE_CALLS = frozenset(
-        {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict",
-         "Counter", "deque"}
-    )
-
-    def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if node.name.startswith("_") or any(
-            part.startswith("_") for part in self._scope
-        ):
-            return
-        defaults: list[ast.expr] = list(node.args.defaults)
-        defaults += [d for d in node.args.kw_defaults if d is not None]
-        for default in defaults:
-            if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-                self.report(
-                    default,
-                    f"mutable default argument in public function "
-                    f"{node.name}(); use None and construct per call",
-                )
-            elif isinstance(default, ast.Call):
-                dotted = _dotted(default.func)
-                if dotted is not None and dotted.split(".")[-1] in self._MUTABLE_CALLS:
-                    self.report(
-                        default,
-                        f"mutable default argument ({dotted}()) in public "
-                        f"function {node.name}(); use None and construct "
-                        "per call",
-                    )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self._visit_scope(node, node.name)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._visit_scope(node, node.name)
-
-
-# ----------------------------------------------------------------------
 class BroadExceptRule(RuleVisitor):
     """RPL009: catch-all recovery belongs to the resilience layer."""
 
@@ -718,7 +671,6 @@ ALL_RULES: tuple[type[RuleVisitor], ...] = (
     RegisteredEventsRule,
     BareParallelismRule,
     FloatEqualityRule,
-    MutableDefaultRule,
     BroadExceptRule,
 )
 

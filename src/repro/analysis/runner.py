@@ -2,18 +2,14 @@
 
 Two rule families share one run:
 
-* **file rules** (RPL001-RPL009) check one module AST at a time and
-  their post-pragma findings are cacheable per file;
+* **file rules** (RPL001-RPL007, RPL009) check one module AST at a
+  time;
 * **project rules** (RPL010-RPL014) run against the
   :class:`~repro.analysis.graph.ProjectGraph` assembled from every
-  file's extracted facts, and are recomputed on every run (their
-  inputs span files, so no single digest covers them).
+  file's extracted facts.
 
-With a cache attached (``cache_path``), a warm run re-parses only the
-files whose content digest changed; everything else — facts *and*
-file-rule findings — is served from the cache, and the graph is built
-from the mix.  ``LintResult.files_parsed`` / ``cache_hits`` make the
-split observable (and testable).
+Every run is a single cold pass: each file is read, parsed and its
+pragmas indexed exactly once, and both families share that index.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from collections.abc import Sequence
 from ..exceptions import ValidationError
 from .baseline import Baseline
 from .config import LintConfig
-from .graph import FactsCache, FileFacts, ProjectGraph, extract_facts, file_digest
+from .graph import FileFacts, ProjectGraph, extract_facts
 from .pragmas import PragmaIndex
 from .project_rules import ALL_PROJECT_RULES, ProjectRule
 from .rules import RuleVisitor, rules_by_code
@@ -59,10 +55,6 @@ class LintResult:
     baselined: list[Violation] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
-    #: files actually parsed this run (= cache misses when caching).
-    files_parsed: int = 0
-    #: files served from the incremental cache.
-    cache_hits: int = 0
     #: baseline keys (code, path, qualname, message) that matched nothing.
     stale_baseline: list[tuple[str, str, str, str]] = field(
         default_factory=list
@@ -85,26 +77,35 @@ def select_rules(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
 ) -> list[RuleVisitor | ProjectRule]:
-    """Instantiate the rule set, honouring ``--select`` / ``--ignore``."""
+    """Instantiate the rule set, honouring ``--select`` / ``--ignore``.
+
+    Repeated codes are harmless: each selected rule runs once, in code
+    order.
+    """
     registry = all_rule_classes()
     for code in list(select or []) + list(ignore or []):
         if code not in registry:
             raise ValidationError(
                 f"unknown rule code {code!r}; known: {', '.join(sorted(registry))}"
             )
-    chosen = list(select) if select else sorted(registry)
-    if ignore:
-        chosen = [code for code in chosen if code not in set(ignore)]
-    return [registry[code]() for code in chosen]
+    chosen = set(select) if select else set(registry)
+    chosen -= set(ignore or ())
+    return [registry[code]() for code in sorted(chosen)]
 
 
 def lint_source(
     module: ModuleSource,
     rules: Sequence[RuleVisitor],
     config: LintConfig,
+    pragmas: PragmaIndex | None = None,
 ) -> tuple[list[Violation], int]:
-    """All un-suppressed violations in one module + suppressed count."""
-    pragmas = PragmaIndex.from_source(module.text)
+    """All un-suppressed violations in one module + suppressed count.
+
+    *pragmas* is the module's already-parsed index, if the caller has
+    one; otherwise it is parsed from ``module.text``.
+    """
+    if pragmas is None:
+        pragmas = PragmaIndex.from_source(module.text)
     kept: list[Violation] = []
     suppressed = 0
     for rule in rules:
@@ -125,24 +126,17 @@ def lint_paths(
     baseline: Baseline | None = None,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    cache_path: Path | None = None,
 ) -> LintResult:
     """Lint every python file under *paths* (file + project rules).
 
     Parse failures become ``RPL000`` violations rather than crashes, so
-    one broken file cannot hide findings in the rest of the tree.
+    one broken file cannot hide findings in the rest of the tree.  A
+    path that does not exist raises :class:`ValidationError`.
     """
     config = config if config is not None else LintConfig()
     rules = select_rules(select, ignore)
     file_rules = [r for r in rules if getattr(r, "scope", "file") == "file"]
     project_rules = [r for r in rules if getattr(r, "scope", "file") == "project"]
-
-    cache: FactsCache | None = None
-    if cache_path is not None:
-        fingerprint = FactsCache.make_fingerprint(
-            [r.code for r in rules], config.digest()
-        )
-        cache = FactsCache.load(cache_path, fingerprint)
 
     result = LintResult()
     facts_by_path: dict[str, FileFacts] = {}
@@ -150,77 +144,39 @@ def lint_paths(
 
     for file_path in iter_python_files([Path(p) for p in paths]):
         try:
-            raw = file_path.read_bytes()
-            text = raw.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+            text = file_path.read_bytes().decode("utf-8")
+            tree = ast.parse(text, filename=str(file_path))
+        except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+            lineno = getattr(exc, "lineno", None) or 1
             result.violations.append(
                 Violation(
                     path=str(file_path),
-                    line=1,
+                    line=int(lineno),
                     column=0,
                     code="RPL000",
                     message=f"file does not parse: {exc.__class__.__name__}",
                 )
             )
             continue
-        digest = file_digest(raw)
-        norm = normalize_path(file_path)
-
-        cached = cache.lookup(norm, digest) if cache is not None else None
-        if cached is not None:
-            facts, payloads, suppressed = cached
-            result.cache_hits += 1
-            file_found = [
-                Violation(
-                    path=str(p["path"]),
-                    line=int(p["line"]),
-                    column=int(p["column"]),
-                    code=str(p["code"]),
-                    message=str(p["message"]),
-                    qualname=str(p["qualname"]),
-                )
-                for p in payloads
-            ]
-        else:
-            try:
-                tree = ast.parse(text, filename=str(file_path))
-            except SyntaxError as exc:
-                lineno = getattr(exc, "lineno", None) or 1
-                result.violations.append(
-                    Violation(
-                        path=str(file_path),
-                        line=int(lineno),
-                        column=0,
-                        code="RPL000",
-                        message=f"file does not parse: {exc.__class__.__name__}",
-                    )
-                )
-                continue
-            module = ModuleSource(path=norm, text=text, tree=tree)
-            facts = extract_facts(module, digest)
-            file_found, suppressed = lint_source(module, file_rules, config)
-            result.files_parsed += 1
-            if cache is not None:
-                cache.store(
-                    norm, facts, [v.to_json() for v in file_found], suppressed
-                )
-
+        module = ModuleSource(path=normalize_path(file_path), text=text, tree=tree)
+        facts = extract_facts(module)
+        file_found, suppressed = lint_source(
+            module, file_rules, config, facts.pragmas
+        )
         result.files_checked += 1
         result.suppressed += suppressed
         found.extend(file_found)
-        facts_by_path[norm] = facts
+        facts_by_path[module.path] = facts
 
     # ------------------------------------------------------------------
-    # project pass: one graph over all facts (cached or fresh)
+    # project pass: one graph over every file's facts
     # ------------------------------------------------------------------
     if project_rules:
         graph = ProjectGraph(facts_by_path)
         for rule in project_rules:
             for violation in rule.check_project(graph, config):
                 facts = facts_by_path.get(violation.path)
-                if facts is not None and facts.pragma_index().suppresses(
-                    violation
-                ):
+                if facts is not None and facts.pragmas.suppresses(violation):
                     result.suppressed += 1
                 else:
                     found.append(violation)
@@ -229,18 +185,12 @@ def lint_paths(
         fresh, known = baseline.split(found)
         result.violations.extend(fresh)
         result.baselined.extend(known)
+        matched = {v.key() for v in known}
+        result.stale_baseline = sorted(
+            key for key in baseline.keys() if key not in matched
+        )
     else:
         result.violations.extend(found)
     result.violations.sort()
     result.baselined.sort()
-
-    if baseline is not None:
-        matched = {v.key() for v in result.baselined}
-        result.stale_baseline = sorted(
-            key for key in baseline.keys() if key not in matched
-        )
-
-    if cache is not None and cache_path is not None:
-        cache.prune(set(facts_by_path))
-        cache.save(cache_path)
     return result

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
+from ..exceptions import ValidationError
+
 __all__ = ["ModuleSource", "normalize_path", "iter_python_files"]
 
 
@@ -54,10 +56,14 @@ def iter_python_files(roots: list[Path]) -> list[Path]:
     """All ``.py`` files under *roots* (files pass through), sorted.
 
     Hidden directories and ``__pycache__`` are skipped so a repo root
-    can be linted directly.
+    can be linted directly.  A root that does not exist raises
+    :class:`ValidationError`: a mistyped path must fail the gate, not
+    lint nothing and pass it.  An existing but empty directory is fine.
     """
     seen: set[Path] = set()
     for root in roots:
+        if not root.exists():
+            raise ValidationError(f"lint path does not exist: {root}")
         if root.is_file():
             if root.suffix == ".py":
                 seen.add(root)

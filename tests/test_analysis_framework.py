@@ -9,6 +9,7 @@ contract (0 clean / 1 violations / 2 usage error).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.analysis.runner import select_rules
 from repro.exceptions import ValidationError
 
 UNSEEDED = "import numpy as np\nrng = np.random.default_rng()\n"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _violation(**overrides):
@@ -133,8 +135,8 @@ class TestRunner:
     def test_ignore_removes_codes(self):
         rules = select_rules(ignore=["RPL001", "RPL002"])
         assert sorted(r.code for r in rules) == [
-            "RPL003", "RPL004", "RPL005", "RPL006", "RPL007", "RPL008",
-            "RPL009", "RPL010", "RPL011", "RPL012", "RPL013", "RPL014",
+            "RPL003", "RPL004", "RPL005", "RPL006", "RPL007", "RPL009",
+            "RPL010", "RPL011", "RPL012", "RPL013", "RPL014",
         ]
 
     def test_parse_failure_becomes_rpl000(self, tmp_path):
@@ -170,8 +172,8 @@ class TestReporters:
             "violations",
         ]
         assert sorted(payload["summary"]) == [
-            "baselined", "cache_hits", "exit_code", "files_checked",
-            "files_parsed", "stale_baseline", "suppressed", "violations",
+            "baselined", "exit_code", "files_checked", "stale_baseline",
+            "suppressed", "violations",
         ]
         (record,) = payload["violations"]
         assert sorted(record) == [
@@ -254,13 +256,22 @@ class TestCli:
             == 0
         )
 
-    def test_repo_gate_is_green(self, capsys, monkeypatch, tmp_path):
-        """The acceptance invariant: ``repro-lint src/`` exits 0."""
-        from pathlib import Path
+    def test_repo_gate_is_green(self, capsys, monkeypatch):
+        """CI's first lint step: ``repro-lint src/ --check-baseline``
+        exits 0, so a stale baseline entry fails here, not only in CI."""
+        monkeypatch.chdir(REPO_ROOT)
+        assert lint_main(["src", "--check-baseline"]) == 0
 
-        repo_root = Path(__file__).resolve().parents[1]
-        monkeypatch.chdir(repo_root)
-        assert lint_main(["src"]) == 0
+    def test_repo_project_rules_gate_is_green(self, capsys, monkeypatch):
+        """CI's second lint step: RPL010-RPL014 over ``src/`` and
+        ``tests/`` with no baseline exits 0."""
+        monkeypatch.chdir(REPO_ROOT)
+        select = [
+            arg
+            for code in ("RPL010", "RPL011", "RPL012", "RPL013", "RPL014")
+            for arg in ("--select", code)
+        ]
+        assert lint_main(["src", "tests", "--no-baseline", *select]) == 0
 
 
 class TestDeterministicOrdering:
@@ -447,19 +458,3 @@ class TestExitCodeContract:
         assert lint_main([str(empty), "--no-baseline"]) == 0
         out = capsys.readouterr().out
         assert "0 violation(s) in 0 file(s)" in out
-
-    def test_cache_flag_round_trips_through_cli(self, tmp_path, capsys):
-        target = tmp_path / "repro" / "mod.py"
-        target.parent.mkdir()
-        target.write_text(UNSEEDED)
-        cache = tmp_path / "cache.json"
-        args = [
-            str(tmp_path), "--no-baseline", "--format", "json",
-            "--cache", str(cache),
-        ]
-        assert lint_main(args) == 1
-        cold = json.loads(capsys.readouterr().out)["summary"]
-        assert lint_main(args) == 1
-        warm = json.loads(capsys.readouterr().out)["summary"]
-        assert cold["files_parsed"] == 1 and cold["cache_hits"] == 0
-        assert warm["files_parsed"] == 0 and warm["cache_hits"] == 1

@@ -2,27 +2,15 @@
 
 Covers the graph builder itself — import-cycle detection, re-export
 resolution, ``__all__`` capture, call resolution — plus the fact
-extractor's JSON round-trip and the incremental cache's hit/miss and
-invalidation behaviour (edit one file → only that file re-parses,
-identical findings).
+extractor, including the pragma index it hands to both lint passes.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
 
-from repro.analysis.config import LintConfig
-from repro.analysis.graph import (
-    CACHE_VERSION,
-    FactsCache,
-    FileFacts,
-    ProjectGraph,
-    extract_facts,
-    file_digest,
-)
-from repro.analysis.runner import lint_paths
+from repro.analysis.graph import FileFacts, ProjectGraph, extract_facts
 from repro.analysis.sources import ModuleSource
 
 
@@ -39,24 +27,17 @@ def build_graph(files: dict) -> ProjectGraph:
 
 
 class TestFactExtraction:
-    def test_facts_round_trip_through_json(self):
+    def test_facts_carry_the_parsed_pragma_index(self):
         facts = facts_for(
             "repro/sample.py",
             """
-            import numpy as np
-            from .events import emit_event
-
-            __all__ = ["runner"]
-
-            class Runner:
-                def go(self, sink, seed):
-                    rng = np.random.default_rng(seed)
-                    emit_event(sink, "run_started")
-                    raise ValueError("boom")
+            # repro-lint: disable-file=RPL003
+            import time
+            t = time.time()  # repro-lint: disable=RPL002, RPL009
             """,
         )
-        payload = json.loads(json.dumps(facts.to_json()))
-        assert FileFacts.from_json(payload).to_json() == facts.to_json()
+        assert facts.pragmas.file_codes == {"RPL003"}
+        assert facts.pragmas.line_codes == {4: {"RPL002", "RPL009"}}
 
     def test_exports_and_classes_are_captured(self):
         facts = facts_for(
@@ -160,118 +141,3 @@ class TestSymbolResolution:
         )
         origin = graph.reachable_from([("repro.core.api", "entry")])
         assert ("repro.internal.helper", "load") in origin
-
-
-class TestFactsCache:
-    def _cache_roundtrip(self, tmp_path, fingerprint="fp"):
-        cache = FactsCache(fingerprint)
-        facts = facts_for("repro/mod.py", "x = 1\n")
-        cache.store("repro/mod.py", facts, [], 0)
-        target = tmp_path / "cache.json"
-        cache.save(target)
-        return target
-
-    def test_round_trip_hits_on_same_digest(self, tmp_path):
-        target = self._cache_roundtrip(tmp_path)
-        loaded = FactsCache.load(target, "fp")
-        facts = facts_for("repro/mod.py", "x = 1\n")
-        assert loaded.lookup("repro/mod.py", facts.digest) is not None
-        assert loaded.hits == ["repro/mod.py"]
-
-    def test_digest_change_misses(self, tmp_path):
-        target = self._cache_roundtrip(tmp_path)
-        loaded = FactsCache.load(target, "fp")
-        assert loaded.lookup("repro/mod.py", "0" * 64) is None
-        assert loaded.misses == ["repro/mod.py"]
-
-    def test_fingerprint_mismatch_starts_cold(self, tmp_path):
-        target = self._cache_roundtrip(tmp_path)
-        loaded = FactsCache.load(target, "other-fingerprint")
-        facts = facts_for("repro/mod.py", "x = 1\n")
-        assert loaded.lookup("repro/mod.py", facts.digest) is None
-
-    def test_corrupt_file_starts_cold(self, tmp_path):
-        target = tmp_path / "cache.json"
-        target.write_text("{not json")
-        loaded = FactsCache.load(target, "fp")
-        assert loaded.lookup("repro/mod.py", "0" * 64) is None
-
-    def test_fingerprint_depends_on_rules_and_config(self):
-        config = LintConfig()
-        base = FactsCache.make_fingerprint(["RPL001"], config.digest())
-        assert base == FactsCache.make_fingerprint(["RPL001"], config.digest())
-        assert base != FactsCache.make_fingerprint(["RPL002"], config.digest())
-        other = LintConfig(rng_allowed_modules=("repro/x.py",))
-        assert base != FactsCache.make_fingerprint(["RPL001"], other.digest())
-
-    def test_cache_version_is_part_of_the_file(self, tmp_path):
-        target = self._cache_roundtrip(tmp_path)
-        payload = json.loads(target.read_text())
-        assert payload["cache_version"] == CACHE_VERSION
-
-
-class TestIncrementalLint:
-    def _tree(self, tmp_path):
-        pkg = tmp_path / "repro"
-        pkg.mkdir(exist_ok=True)
-        (pkg / "alpha.py").write_text(
-            "import numpy as np\n\n\ndef draw(seed):\n"
-            "    return np.random.default_rng(seed)\n"
-        )
-        (pkg / "beta.py").write_text(
-            "import numpy as np\n\nrng = np.random.default_rng()\n"
-        )
-        return pkg
-
-    def test_warm_run_parses_nothing_and_agrees(self, tmp_path):
-        self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([tmp_path], cache_path=cache)
-        warm = lint_paths([tmp_path], cache_path=cache)
-        assert cold.files_parsed == 2 and cold.cache_hits == 0
-        assert warm.files_parsed == 0 and warm.cache_hits == 2
-        assert warm.violations == cold.violations
-        assert warm.suppressed == cold.suppressed
-
-    def test_editing_one_file_reparses_only_it(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([tmp_path], cache_path=cache)
-        (pkg / "alpha.py").write_text(
-            "import numpy as np\n\n\ndef draw(seed):\n"
-            "    gen = np.random.default_rng(seed)\n    return gen\n"
-        )
-        edited = lint_paths([tmp_path], cache_path=cache)
-        assert edited.files_parsed == 1
-        assert edited.cache_hits == 1
-        assert edited.violations == cold.violations
-
-    def test_deleted_file_is_pruned_from_cache(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_paths([tmp_path], cache_path=cache)
-        (pkg / "beta.py").unlink()
-        lint_paths([tmp_path], cache_path=cache)
-        payload = json.loads(cache.read_text())
-        assert sorted(payload["entries"]) == ["repro/alpha.py"]
-
-    def test_project_rules_see_cached_facts(self, tmp_path):
-        """A violation whose halves live in two files must still fire
-        when both files come out of the cache untouched."""
-        pkg = tmp_path / "repro"
-        pkg.mkdir()
-        (pkg / "faults.py").write_text(
-            'FAULT_POINTS = {"shard_read": "reads"}\n'
-            "def maybe_inject(point, **detail): ...\n"
-        )
-        (pkg / "reader.py").write_text(
-            "from repro.faults import maybe_inject\n"
-            "def read(path):\n"
-            '    maybe_inject("shard_raed")\n'
-        )
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([tmp_path], select=["RPL014"], cache_path=cache)
-        warm = lint_paths([tmp_path], select=["RPL014"], cache_path=cache)
-        assert [v.code for v in cold.violations] == ["RPL014"]
-        assert warm.violations == cold.violations
-        assert warm.files_parsed == 0

@@ -1,4 +1,5 @@
-"""Per-rule fixtures for the repro-lint rule set (RPL001-RPL009).
+"""Per-rule fixtures for the repro-lint rule set (RPL001-RPL007, RPL009)
+and the project rule set (RPL010-RPL014).
 
 Every rule gets at least one positive fixture (the invariant broken →
 exactly the expected code fires) and one negative fixture (compliant
@@ -395,48 +396,6 @@ class TestRPL007FloatEquality:
             select=["RPL007"],
         )
         assert found == []
-
-
-class TestRPL008MutableDefaults:
-    def test_flags_literal_and_constructor_defaults(self):
-        found = lint_text(
-            """
-            def configure(options=[], table=dict()):
-                return options, table
-            """,
-            select=["RPL008"],
-        )
-        assert codes(found) == ["RPL008", "RPL008"]
-
-    def test_private_functions_are_exempt(self):
-        found = lint_text(
-            """
-            def _internal(cache={}):
-                return cache
-            """,
-            select=["RPL008"],
-        )
-        assert found == []
-
-    def test_none_and_tuple_defaults_are_clean(self):
-        found = lint_text(
-            """
-            def configure(options=None, shape=(2, 3)):
-                return options, shape
-            """,
-            select=["RPL008"],
-        )
-        assert found == []
-
-    def test_keyword_only_defaults_are_checked(self):
-        found = lint_text(
-            """
-            def configure(*, extras={"a": 1}):
-                return extras
-            """,
-            select=["RPL008"],
-        )
-        assert codes(found) == ["RPL008"]
 
 
 class TestRPL009BroadExcept:

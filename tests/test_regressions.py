@@ -254,3 +254,48 @@ class TestBalancedMutationRangeValidation:
                 BalancedMutation(0.5, 0.5, bad)
             assert isinstance(info.value, ReproError)
         assert BalancedMutation(0.5, 0.5, 1).n_ranges == 1
+
+
+class TestLintCliPathsAndCodes:
+    """Two ways the lint gate could pass without checking anything:
+
+    * a missing lint path (a typo in a CI step) printed
+      ``0 violation(s) in 0 file(s)`` and exited 0; it is now a usage
+      error (exit 2) naming the path, while an existing empty directory
+      still exits 0;
+    * a repeated ``--select`` built one rule instance per occurrence,
+      so every finding was reported twice; codes are now deduplicated
+      (``--ignore`` tolerates repeats the same way).
+    """
+
+    _UNSEEDED = "import numpy as np\nrng = np.random.default_rng()\n"
+
+    def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        import pytest
+
+        from repro.analysis.cli import main as lint_main
+        from repro.exceptions import ValidationError
+
+        missing = tmp_path / "does_not_exist"
+        with pytest.raises(ValidationError, match="does_not_exist"):
+            lint_paths([missing])
+        assert lint_main([str(missing), "--no-baseline"]) == 2
+        assert "does_not_exist" in capsys.readouterr().err
+        (tmp_path / "empty").mkdir()
+        assert lint_main([str(tmp_path / "empty"), "--no-baseline"]) == 0
+
+    def test_repeated_codes_run_each_rule_once(self, tmp_path, capsys):
+        from repro.analysis.cli import main as lint_main
+        from repro.analysis.runner import select_rules
+
+        target = tmp_path / "mod.py"
+        target.write_text(self._UNSEEDED)
+        once = lint_paths([target], select=["RPL001"])
+        twice = lint_paths([target], select=["RPL001", "RPL001"])
+        assert len(once.violations) == 1
+        assert twice.violations == once.violations
+        args = [str(target), "--no-baseline", "--select", "RPL001"]
+        assert lint_main([*args, "--select", "RPL001"]) == 1
+        assert "1 violation(s) in 1 file(s)" in capsys.readouterr().out
+        ignored = [r.code for r in select_rules(ignore=["RPL001", "RPL001"])]
+        assert ignored == [r.code for r in select_rules(ignore=["RPL001"])]
