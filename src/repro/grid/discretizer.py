@@ -24,10 +24,17 @@ recomputes cut points from the sketch.  While the total row count fits
 the sketch capacity the reservoir holds *every* row in arrival order,
 so any interleaving of ``partial_fit``/``merge`` followed by ``rebin``
 is **bit-identical** to a one-shot :meth:`GridDiscretizer.fit` on the
-concatenated data (``np.quantile`` sorts its input, so equal multisets
-give equal cuts).  Beyond capacity the sketch degrades gracefully to a
-seeded uniform sample and the equality becomes statistical — the
+concatenated data (cuts are read off each column's sorted copy, so
+equal multisets give equal cuts).  Beyond capacity the sketch degrades
+to a seeded uniform sample and the equality becomes statistical — the
 documented sketch tolerance (see ``docs/streaming.md``).
+
+Every fit hands the cut hook one owned copy of each column's finite
+values; equi-depth sorts it once and reads ``np.quantile``'s linear-method
+cuts off it.  Every transform goes through ``_codes``: a value's range is
+the comparison count ``#{cuts < v}`` over the row-major matrix, or one
+``searchsorted`` per column above :data:`_MAX_COMPARE_CUTS` cuts (the
+measured crossover is in ``docs/algorithms.md``).
 """
 
 from __future__ import annotations
@@ -56,6 +63,48 @@ __all__ = [
 #: the data into roughly equal ranges), small enough to always fit in
 #: memory.
 DEFAULT_SAMPLE_SIZE = 1 << 17
+
+#: Most cuts per attribute ``_codes`` counts by comparison (one pass each).
+_MAX_COMPARE_CUTS = 64
+
+#: Entries per row block of the count, so a block stays in cache across passes.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Range codes ``#{cuts < v}`` of an ``(n, d)`` matrix; NaN is missing.
+
+    *cuts* is the stacked ``(d, φ−1)`` cut matrix; the count equals
+    ``searchsorted(cuts, v, side="left")``.  Each row block is flattened
+    (``codes`` is C-contiguous, so its blocks are views) and compared
+    with every cut row tiled to the block's width.
+    """
+    n, d = array.shape
+    codes = np.zeros((n, d), dtype=np.int16)
+    if cuts.shape[1] > _MAX_COMPARE_CUTS:
+        for j, column_cuts in enumerate(cuts):
+            codes[:, j] = np.searchsorted(column_cuts, array[:, j], side="left")
+    else:
+        rows = min(n, max(1, _BLOCK_ENTRIES // d))
+        tiles = np.tile(cuts.T, (1, rows))
+        above = np.empty(rows * d, dtype=bool)
+        for lo in range(0, n, rows):
+            block = array[lo : lo + rows].reshape(-1)
+            out, hit = codes[lo : lo + rows].reshape(-1), above[: block.size]
+            for tile in tiles:
+                np.greater(block, tile[: block.size], out=hit)
+                out += hit
+    codes[np.isnan(array)] = MISSING_CELL
+    return codes
+
+
+def _check_cuts(cuts: np.ndarray, j: int) -> np.ndarray:
+    """Return column *j*'s cut points once they are finite and sorted."""
+    if not np.isfinite(cuts).all():
+        raise DiscretizationError(f"cut points for column {j} are not finite: {cuts}")
+    if np.any(np.diff(cuts) < 0):
+        raise DiscretizationError(f"cut points for column {j} are not sorted: {cuts}")
+    return cuts
 
 
 class StreamingReservoir:
@@ -136,25 +185,32 @@ class StreamingReservoir:
 
     @classmethod
     def from_state_dict(cls, state: dict[str, Any]) -> "StreamingReservoir":
-        """Rebuild a reservoir from :meth:`state_dict` output."""
+        """Rebuild a reservoir from :meth:`state_dict` output.
+
+        The state must hold exactly ``min(n_seen, capacity)`` rows of
+        ``n_cols`` values; anything else is a :class:`DiscretizationError`.
+        """
         try:
             reservoir = cls(int(state["capacity"]))
             reservoir._rng.bit_generator.state = state["rng_state"]
             reservoir.n_seen = int(state["n_seen"])
             n_cols = state.get("n_cols")
+            rows = np.asarray(state.get("rows", []), dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise DiscretizationError(f"malformed reservoir state: {exc}") from exc
-        if n_cols is not None:
-            reservoir._rows = np.empty((reservoir.capacity, int(n_cols)))
-            rows = np.asarray(state.get("rows", []), dtype=np.float64)
-            if rows.size:
-                rows = rows.reshape(-1, int(n_cols))
-                if rows.shape[0] > reservoir.capacity:
-                    raise DiscretizationError(
-                        f"reservoir state holds {rows.shape[0]} rows for "
-                        f"capacity {reservoir.capacity}"
-                    )
-                reservoir._rows[: rows.shape[0]] = rows
+        if n_cols is None and reservoir.n_seen == 0:
+            return reservoir
+        if isinstance(n_cols, bool) or not isinstance(n_cols, (int, np.integer)) or n_cols < 1:
+            raise DiscretizationError(f"reservoir n_cols must be >= 1, got {n_cols!r}")
+        held = min(reservoir.n_seen, reservoir.capacity)
+        rows = rows.reshape(0, n_cols) if rows.size == 0 else rows
+        if rows.shape != (held, n_cols):
+            raise DiscretizationError(
+                f"reservoir state holds rows of shape {rows.shape}; n_seen="
+                f"{reservoir.n_seen} and capacity {reservoir.capacity} need ({held}, {n_cols})"
+            )
+        reservoir._rows = np.empty((reservoir.capacity, int(n_cols)))
+        reservoir._rows[:held] = rows
         return reservoir
 
 
@@ -190,7 +246,6 @@ class GridDiscretizer(abc.ABC):
         self.n_ranges = check_positive_int(n_ranges, "n_ranges")
         self._boundaries: tuple[np.ndarray, ...] | None = None
         self._feature_names: tuple[str, ...] | None = None
-        self._n_dims: int | None = None
         self._sketch_size = (
             None if sketch_size is None else check_positive_int(sketch_size, "sketch_size")
         )
@@ -203,16 +258,15 @@ class GridDiscretizer(abc.ABC):
     def _compute_cuts(self, finite_column: np.ndarray) -> np.ndarray:
         """Return the φ−1 interior cut points for one attribute.
 
-        *finite_column* contains only the finite (non-missing) values of
-        the attribute and is guaranteed non-empty.
+        *finite_column* is a non-empty, owned, contiguous copy of the
+        attribute's finite (non-missing) values; the hook may reorder it
+        in place.
         """
 
     # ------------------------------------------------------------------
     @classmethod
     def from_cut_points(
-        cls,
-        boundaries: Sequence,
-        feature_names: Sequence[str] | None = None,
+        cls, boundaries: Sequence, feature_names: Sequence[str] | None = None
     ) -> "GridDiscretizer":
         """Rebuild a fitted discretizer from stored cut points.
 
@@ -221,32 +275,18 @@ class GridDiscretizer(abc.ABC):
         persisted model restores its grid without the training data.
         """
         arrays = [np.asarray(cuts, dtype=np.float64) for cuts in boundaries]
-        if not arrays:
-            raise DiscretizationError("boundaries must cover at least one attribute")
-        lengths = {a.shape for a in arrays}
-        if len(lengths) != 1 or arrays[0].ndim != 1:
+        if not arrays or len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise DiscretizationError(
-                "every attribute must have the same 1-D cut-point array"
+                "boundaries must be one equal-length 1-D cut-point array per attribute"
             )
-        for j, cuts in enumerate(arrays):
-            if np.any(np.diff(cuts) < 0):
-                raise DiscretizationError(f"cut points for column {j} are not sorted")
         instance = cls(n_ranges=arrays[0].size + 1)
-        instance._boundaries = tuple(arrays)
-        instance._n_dims = len(arrays)
-        if feature_names is not None:
-            names = tuple(str(n) for n in feature_names)
-            if len(names) != len(arrays):
-                raise DiscretizationError(
-                    f"feature_names has {len(names)} entries for "
-                    f"{len(arrays)} attributes"
-                )
-            instance._feature_names = names
+        instance._boundaries = tuple(_check_cuts(a, j) for j, a in enumerate(arrays))
+        instance._install_names(len(arrays), feature_names)
         return instance
 
     # -- fitting helpers -----------------------------------------------
     def _column_cuts(self, finite: np.ndarray, j: int) -> np.ndarray:
-        """Validated cut points for one column's finite values."""
+        """Validated (sorted, finite) cut points for one column's finite values."""
         if finite.size == 0:
             return np.zeros(self.n_ranges - 1)
         cuts = np.asarray(self._compute_cuts(finite), dtype=np.float64)
@@ -255,43 +295,40 @@ class GridDiscretizer(abc.ABC):
                 f"discretizer produced {cuts.shape} cuts for column {j}, "
                 f"expected ({self.n_ranges - 1},)"
             )
-        if np.any(np.diff(cuts) < 0):
-            raise DiscretizationError(
-                f"cut points for column {j} are not sorted: {cuts}"
-            )
-        return cuts
+        return _check_cuts(cuts, j)
 
-    def _install_names(
-        self, n_cols: int, feature_names: Sequence[str] | None
-    ) -> None:
-        if feature_names is not None:
-            names = tuple(str(n) for n in feature_names)
-            if len(names) != n_cols:
-                raise DiscretizationError(
-                    f"feature_names has {len(names)} entries for "
-                    f"{n_cols} columns"
-                )
-            self._feature_names = names
-        else:
-            self._feature_names = None
+    def _install_names(self, n_cols: int, feature_names: Sequence[str] | None) -> None:
+        names = None if feature_names is None else tuple(str(n) for n in feature_names)
+        if names is not None and len(names) != n_cols:
+            raise DiscretizationError(
+                f"feature_names has {len(names)} entries for {n_cols} columns"
+            )
+        self._feature_names = names
 
     def _fit_cuts(self, array: np.ndarray) -> None:
         """Compute and install boundaries from *array*, nothing else."""
         boundaries = []
         for j in range(array.shape[1]):
-            column = array[:, j]
-            boundaries.append(self._column_cuts(column[~np.isnan(column)], j))
+            values = array[:, j].copy()
+            missing = np.isnan(values)
+            finite = values[~missing] if missing.any() else values
+            boundaries.append(self._column_cuts(finite, j))
         self._boundaries = tuple(boundaries)
-        self._n_dims = array.shape[1]
+
+    def _assignment(self, array: np.ndarray) -> CellAssignment:
+        """Codes of *array* under the installed cut points."""
+        assert self._boundaries is not None
+        return CellAssignment(
+            codes=_codes(array, np.array(self._boundaries)),
+            n_ranges=self.n_ranges,
+            feature_names=self._feature_names,
+            boundaries=self._boundaries,
+        )
 
     def _seed_sketch(self, array: np.ndarray) -> None:
         """Reset the sketch (when enabled) to exactly the fitted rows."""
         if self._sketch_size is not None:
-            self._sketch = StreamingReservoir(
-                self._sketch_size, random_state=self._sketch_seed
-            )
-            self._sketch.update(array)
-            self._sketch_stale = False
+            self.enable_sketch(array)
 
     def fit(self, data, feature_names: Sequence[str] | None = None) -> "GridDiscretizer":
         """Learn per-attribute cut points from *data*.
@@ -319,11 +356,7 @@ class GridDiscretizer(abc.ABC):
         return self._sketch_stale
 
     def enable_sketch(
-        self,
-        data=None,
-        *,
-        capacity: int | None = None,
-        random_state: int | None = None,
+        self, data=None, *, capacity: int | None = None, random_state: int | None = None
     ) -> "GridDiscretizer":
         """Attach a fresh row sketch, optionally pre-seeded with *data*.
 
@@ -342,7 +375,7 @@ class GridDiscretizer(abc.ABC):
             self._sketch_size, random_state=self._sketch_seed
         )
         if data is not None:
-            self._sketch.update(check_matrix(data, "data"))
+            self._sketch.update(data)
         self._sketch_stale = False
         return self
 
@@ -352,6 +385,19 @@ class GridDiscretizer(abc.ABC):
         self._sketch_size = self._sketch.capacity
         self._sketch_stale = False
         return self
+
+    def _require_sketch(self, action: str) -> StreamingReservoir:
+        """The sketch, auto-enabled on a fresh discretizer."""
+        if self._sketch is None:
+            if self.is_fitted and self._sketch_size is None:
+                raise DiscretizationError(
+                    "discretizer was fitted without a sketch; call "
+                    "enable_sketch(original_rows) or construct with "
+                    f"sketch_size= before {action}"
+                )
+            self.enable_sketch()
+        assert self._sketch is not None
+        return self._sketch
 
     def partial_fit(
         self, chunk, feature_names: Sequence[str] | None = None
@@ -365,20 +411,9 @@ class GridDiscretizer(abc.ABC):
         sketch it raises (call :meth:`enable_sketch` with the original
         rows first, or construct with ``sketch_size=``).
         """
-        if self._sketch is None:
-            if self.is_fitted and self._sketch_size is None:
-                raise DiscretizationError(
-                    "discretizer was fitted without a sketch; call "
-                    "enable_sketch(original_rows) or construct with "
-                    "sketch_size= before partial_fit"
-                )
-            self.enable_sketch()
-        assert self._sketch is not None
-        self._sketch.update(chunk)
+        self._require_sketch("partial_fit").update(chunk)
         if feature_names is not None:
-            block = np.asarray(chunk)
-            n_cols = block.shape[1] if block.ndim == 2 else (self._n_dims or 0)
-            self._install_names(n_cols, feature_names)
+            self._install_names(np.asarray(chunk).shape[1], feature_names)
         self._sketch_stale = True
         return self
 
@@ -408,16 +443,9 @@ class GridDiscretizer(abc.ABC):
                     "cannot merge a discretizer fitted without a sketch"
                 )
             return self
-        if self._sketch is None:
-            if self.is_fitted and self._sketch_size is None:
-                raise DiscretizationError(
-                    "discretizer was fitted without a sketch; call "
-                    "enable_sketch(original_rows) before merge"
-                )
-            self.enable_sketch()
-        assert self._sketch is not None
+        sketch = self._require_sketch("merge")
         if other._sketch.n_seen > 0:
-            self._sketch.update(other._sketch.rows)
+            sketch.update(other._sketch.rows)
             self._sketch_stale = True
         if self._feature_names is None and other._feature_names is not None:
             self._feature_names = other._feature_names
@@ -476,8 +504,9 @@ class GridDiscretizer(abc.ABC):
             self._sketch.update(chunk)
         if self._sketch.n_seen == 0:
             raise DiscretizationError("reservoir has seen no rows")
-        self._fit_cuts(self._sketch.rows)
-        self._install_names(int(self._n_dims or 0), feature_names)
+        rows = self._sketch.rows
+        self._fit_cuts(rows)
+        self._install_names(rows.shape[1], feature_names)
         self._sketch_stale = False
         return self
 
@@ -502,63 +531,24 @@ class GridDiscretizer(abc.ABC):
         if self._boundaries is None:
             raise NotFittedError("discretizer must be fitted before transform")
         array = check_matrix(data, "data")
-        if array.shape[1] != self._n_dims:
+        if array.shape[1] != len(self._boundaries):
             raise DiscretizationError(
                 f"data has {array.shape[1]} columns but discretizer was "
-                f"fitted on {self._n_dims}"
+                f"fitted on {len(self._boundaries)}"
             )
-        codes = np.empty(array.shape, dtype=np.int16)
-        for j, cuts in enumerate(self._boundaries):
-            column = array[:, j]
-            codes[:, j] = self._column_codes(column, cuts, np.isnan(column))
-        return CellAssignment(
-            codes=codes,
-            n_ranges=self.n_ranges,
-            feature_names=self._feature_names,
-            boundaries=self._boundaries,
-        )
-
-    @staticmethod
-    def _column_codes(
-        column: np.ndarray, cuts: np.ndarray, missing: np.ndarray
-    ) -> np.ndarray:
-        """Range codes for one column under fixed cut points.
-
-        A value v lands in range r = #{cuts < v}: ranges are the
-        half-open intervals (cut[r-1], cut[r]] plus open tails.
-        *missing* is the column's precomputed NaN mask.
-        """
-        col_codes = np.searchsorted(cuts, column, side="left").astype(np.int16)
-        col_codes[missing] = MISSING_CELL
-        return col_codes
+        return self._assignment(array)
 
     def fit_transform(self, data, feature_names: Sequence[str] | None = None) -> CellAssignment:
-        """Fit on *data* and return its codes in a single pass.
+        """Fit on *data* and return its codes.
 
-        Bit-identical to ``fit(data).transform(data)`` but each column
-        is scanned once: the NaN mask computed for boundary estimation
-        is reused for the code assignment instead of a second full
-        :meth:`transform` pass (regression-tested).
+        Bit-identical to ``fit(data).transform(data)`` but never calls
+        :meth:`transform`: the input is validated once (regression-tested).
         """
         array = check_matrix(data, "data")
-        codes = np.empty(array.shape, dtype=np.int16)
-        boundaries = []
-        for j in range(array.shape[1]):
-            column = array[:, j]
-            missing = np.isnan(column)
-            cuts = self._column_cuts(column[~missing], j)
-            boundaries.append(cuts)
-            codes[:, j] = self._column_codes(column, cuts, missing)
-        self._boundaries = tuple(boundaries)
-        self._n_dims = array.shape[1]
+        self._fit_cuts(array)
         self._install_names(array.shape[1], feature_names)
         self._seed_sketch(array)
-        return CellAssignment(
-            codes=codes,
-            n_ranges=self.n_ranges,
-            feature_names=self._feature_names,
-            boundaries=self._boundaries,
-        )
+        return self._assignment(array)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_ranges={self.n_ranges})"
@@ -576,8 +566,19 @@ class EquiDepthDiscretizer(GridDiscretizer):
     """
 
     def _compute_cuts(self, finite_column: np.ndarray) -> np.ndarray:
-        probs = np.arange(1, self.n_ranges) / self.n_ranges
-        return np.quantile(finite_column, probs)
+        # np.quantile's linear method, read off the column sorted once:
+        # positions (n-1)·q, past-the-end ones clamped to the last value
+        # (index -1, as numpy does), and numpy's two-sided lerp.
+        finite_column.sort()
+        last = finite_column.size - 1
+        position = last * (np.arange(1, self.n_ranges) / self.n_ranges)
+        below = np.where(position >= last, -1.0, np.floor(position))
+        above = np.where(below < 0, -1.0, below + 1)
+        gamma = position - below
+        lo, hi = finite_column[below.astype(np.intp)], finite_column[above.astype(np.intp)]
+        cuts = lo + (hi - lo) * gamma
+        np.subtract(hi, (hi - lo) * (1 - gamma), out=cuts, where=gamma >= 0.5)
+        return cuts
 
 
 class EquiWidthDiscretizer(GridDiscretizer):
@@ -589,8 +590,7 @@ class EquiWidthDiscretizer(GridDiscretizer):
     """
 
     def _compute_cuts(self, finite_column: np.ndarray) -> np.ndarray:
-        lo = float(finite_column.min())
-        hi = float(finite_column.max())
+        lo, hi = float(finite_column.min()), float(finite_column.max())
         if lo == hi:
             return np.full(self.n_ranges - 1, lo)
         return np.linspace(lo, hi, self.n_ranges + 1)[1:-1]

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import DiscretizationError, NotFittedError, ValidationError
 from repro.grid.cells import MISSING_CELL
-from repro.grid.discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer
+from repro.grid.discretizer import (
+    _MAX_COMPARE_CUTS,
+    EquiDepthDiscretizer,
+    EquiWidthDiscretizer,
+)
 
 
 class TestEquiDepthBasics:
@@ -172,3 +176,121 @@ def test_property_codes_bounded_and_monotone(n_ranges, values):
     assert codes.max() < n_ranges
     order = np.argsort(data[:, 0], kind="stable")
     assert (np.diff(codes[order]) >= 0).all()
+
+
+# -- reference equality ----------------------------------------------------
+# Column kinds for the reference sweep; values come from a seeded numpy
+# generator so the larger-N variant stays fast.
+_COLUMN_KINDS = {
+    "spread": lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-300, 300),
+    "ties": lambda rng, n: rng.integers(-3, 4, size=n).astype(np.float64),
+    "signed_zeros": lambda rng, n: rng.choice([-0.0, 0.0, -1.0, 1.0], size=n),
+    "constant": lambda rng, n: np.full(n, rng.normal()),
+    "all_nan": lambda rng, n: np.full(n, np.nan),
+}
+
+
+def _matrix(seed, n_rows, kinds, nan_fraction):
+    rng = np.random.default_rng(seed)
+    data = np.column_stack([_COLUMN_KINDS[kind](rng, n_rows) for kind in kinds])
+    data[rng.random(data.shape) < nan_fraction] = np.nan
+    return data
+
+
+def _reference_cuts(data, n_ranges, equi_width):
+    """Per-column cuts as computed before the array path: ``np.quantile``
+    of the finite values (equi-depth) or a ``linspace`` over their span
+    (equi-width)."""
+    boundaries = []
+    for j in range(data.shape[1]):
+        finite = data[:, j][~np.isnan(data[:, j])]
+        if finite.size == 0:
+            cuts = np.zeros(n_ranges - 1)
+        elif not equi_width:
+            cuts = np.quantile(finite, np.arange(1, n_ranges) / n_ranges)
+        elif finite.min() == finite.max():
+            cuts = np.full(n_ranges - 1, float(finite.min()))
+        else:
+            cuts = np.linspace(finite.min(), finite.max(), n_ranges + 1)[1:-1]
+        boundaries.append(cuts)
+    return boundaries
+
+
+def _reference_codes(data, boundaries):
+    """Per-column ``searchsorted(cuts, column, side="left")``, NaN missing."""
+    codes = np.empty(data.shape, dtype=np.int16)
+    for j, cuts in enumerate(boundaries):
+        column = data[:, j]
+        col_codes = np.searchsorted(cuts, column, side="left").astype(np.int16)
+        col_codes[np.isnan(column)] = MISSING_CELL
+        codes[:, j] = col_codes
+    return codes
+
+
+def _assert_matches_reference(data, n_ranges):
+    """Every fit and transform entry point of both discretizers against
+    the oracle: codes byte for byte, cuts by value (a tied zero's sign
+    may differ, and no comparison can see it)."""
+    shifted = data * 2.0 - 1.0  # out-of-range values clamp to the tails
+    for cls in (EquiDepthDiscretizer, EquiWidthDiscretizer):
+        cuts = _reference_cuts(data, n_ranges, cls is EquiWidthDiscretizer)
+        codes = _reference_codes(data, cuts).tobytes()
+        shifted_codes = _reference_codes(shifted, cuts).tobytes()
+        split = data.shape[0] // 3
+        streamed = cls(n_ranges).partial_fit(data[:split]).partial_fit(data[split:])
+        chunked = cls(n_ranges).fit_from_chunks([data[:split], data[split:]])
+        for fitted in (cls(n_ranges).fit(data), streamed.rebin(), chunked):
+            assert all(np.array_equal(a, b) for a, b in zip(fitted.boundaries, cuts))
+            assert fitted.transform(data).codes.tobytes() == codes
+            assert fitted.transform(shifted).codes.tobytes() == shifted_codes
+        fused = cls(n_ranges).fit_transform(data)
+        assert all(np.array_equal(a, b) for a, b in zip(fused.boundaries, cuts))
+        assert fused.codes.tobytes() == codes
+
+
+_KIND_LISTS = st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5)
+# φ−1 on both sides of the comparison-count / searchsorted cutover.
+_N_RANGES = st.integers(2, 2 * _MAX_COMPARE_CUTS)
+_NAN_FRACTIONS = st.sampled_from([0.0, 0.1, 0.4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 400),
+    kinds=_KIND_LISTS,
+    n_ranges=_N_RANGES,
+    nan_fraction=_NAN_FRACTIONS,
+)
+@example(seed=0, n_rows=9000, kinds=["spread", "ties", "signed_zeros"],
+         n_ranges=10, nan_fraction=0.1)  # several row blocks, a partial last one
+@example(seed=1, n_rows=300, kinds=["spread", "ties"],
+         n_ranges=_MAX_COMPARE_CUTS + 1, nan_fraction=0.1)  # last counted φ
+@example(seed=2, n_rows=300, kinds=["spread", "ties"],
+         n_ranges=_MAX_COMPARE_CUTS + 2, nan_fraction=0.1)  # first searchsorted φ
+def test_array_path_matches_per_column_reference(
+    seed, n_rows, kinds, n_ranges, nan_fraction
+):
+    """Sorted-copy quantiles and comparison-count codes equal the
+    per-column ``np.quantile`` + ``searchsorted`` algorithm, with ties,
+    NaN, constant and all-NaN columns and signed zeros.  Codes match
+    byte for byte; cuts match under ``np.array_equal``, because
+    ``np.sort`` and ``np.partition`` may order tied ``-0.0``/``+0.0``
+    differently."""
+    _assert_matches_reference(_matrix(seed, n_rows, kinds, nan_fraction), n_ranges)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 50_000),
+    kinds=_KIND_LISTS,
+    n_ranges=_N_RANGES,
+    nan_fraction=_NAN_FRACTIONS,
+)
+def test_array_path_matches_per_column_reference_large(
+    seed, n_rows, kinds, n_ranges, nan_fraction
+):
+    """The reference-equality sweep over larger N (``-m slow``)."""
+    _assert_matches_reference(_matrix(seed, n_rows, kinds, nan_fraction), n_ranges)

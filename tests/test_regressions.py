@@ -299,3 +299,109 @@ class TestLintCliPathsAndCodes:
         assert "1 violation(s) in 1 file(s)" in capsys.readouterr().out
         ignored = [r.code for r in select_rules(ignore=["RPL001", "RPL001"])]
         assert ignored == [r.code for r in select_rules(ignore=["RPL001"])]
+
+
+class TestReservoirSnapshotShape:
+    """``StreamingReservoir.from_state_dict`` accepted a snapshot whose
+    row count differed from ``min(n_seen, capacity)``: ``n_seen=9,
+    capacity=4`` with one row restored three slots of uninitialised
+    memory as sampled rows, and ``rebin()`` cut the grid from them.
+    Ragged rows, a flat ``rows`` list that does not split into
+    ``n_cols`` columns and a non-integer ``n_cols`` raised bare
+    ``ValueError``s or were truncated silently.  Each is now a
+    ``DiscretizationError``."""
+
+    @staticmethod
+    def _state(**overrides):
+        import numpy as np
+
+        from repro.grid.discretizer import StreamingReservoir
+
+        reservoir = StreamingReservoir(4).update(np.arange(18.0).reshape(9, 2))
+        return {**reservoir.state_dict(), **overrides}
+
+    def _assert_rejected(self, state, match):
+        import pytest
+
+        from repro.exceptions import DiscretizationError
+        from repro.grid.discretizer import EquiDepthDiscretizer, StreamingReservoir
+
+        with pytest.raises(DiscretizationError, match=match):
+            StreamingReservoir.from_state_dict(state)
+        with pytest.raises(DiscretizationError, match=match):
+            EquiDepthDiscretizer(3).restore_sketch(state)
+
+    def test_too_few_rows_for_n_seen(self):
+        state = self._state()
+        self._assert_rejected({**state, "rows": state["rows"][:1]}, r"need \(4, 2\)")
+
+    def test_ragged_rows(self):
+        self._assert_rejected(
+            self._state(rows=[[1.0, 2.0], [3.0], [4.0, 5.0], [6.0, 7.0]]), "malformed"
+        )
+
+    def test_rows_that_do_not_split_into_n_cols(self):
+        self._assert_rejected(self._state(rows=[1.0, 2.0, 3.0]), r"shape \(3,\)")
+        self._assert_rejected(self._state(rows=[[1.0, 2.0, 3.0]] * 4), r"shape \(4, 3\)")
+
+    def test_n_cols_must_be_a_positive_integer(self):
+        for bad in (2.5, "2", True, 0, None):
+            self._assert_rejected(self._state(n_cols=bad), "n_cols")
+
+    def test_well_formed_snapshots_still_restore(self):
+        import numpy as np
+
+        from repro.grid.discretizer import StreamingReservoir
+
+        state = self._state()
+        restored = StreamingReservoir.from_state_dict(state)
+        np.testing.assert_array_equal(restored.rows, np.asarray(state["rows"]))
+        fresh = StreamingReservoir(4).state_dict()
+        assert StreamingReservoir.from_state_dict(fresh).n_seen == 0
+
+
+class TestNonFiniteCutPoints:
+    """Cut validation checked shape and order but not finiteness:
+    ``EquiWidthDiscretizer(3)`` on a column spanning ±1e308 overflowed
+    to cuts ``[inf, inf]`` and coded every value 0, and ``np.quantile``
+    interpolates a NaN cut when the gap between two order statistics
+    overflows.  Non-finite cuts now raise a ``DiscretizationError``
+    naming the column, on the fit and restore paths alike."""
+
+    def _assert_rejected(self, cls, n_ranges, column):
+        import numpy as np
+        import pytest
+
+        from repro.exceptions import DiscretizationError
+
+        data = np.column_stack([np.arange(len(column), dtype=float), column])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fit in (cls(n_ranges).fit, cls(n_ranges).fit_transform):
+                with pytest.raises(DiscretizationError, match="column 1 are not finite"):
+                    fit(data)
+
+    def test_equi_width_overflow(self):
+        from repro.grid.discretizer import EquiWidthDiscretizer
+
+        self._assert_rejected(EquiWidthDiscretizer, 3, [-1e308, 1e308])
+
+    def test_equi_depth_nan_cut(self):
+        import numpy as np
+
+        from repro.grid.discretizer import EquiDepthDiscretizer
+
+        column = [-1e308, -1e308, 1e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.quantile(column, 0.5))  # the old path's cut
+        self._assert_rejected(EquiDepthDiscretizer, 2, column)
+
+    def test_restored_cut_points_must_be_finite(self):
+        import numpy as np
+        import pytest
+
+        from repro.exceptions import DiscretizationError
+        from repro.grid.discretizer import EquiDepthDiscretizer
+
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DiscretizationError, match="column 1 are not finite"):
+                EquiDepthDiscretizer.from_cut_points([[0.0, 1.0], [0.0, bad]])
