@@ -66,7 +66,6 @@ from .exceptions import (
 )
 from .grid.cells import CellAssignment, MISSING_CELL
 from .grid.counter import CubeCounter, PackedCubeCounter
-from .grid.health import BackendHealth
 from .grid.discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer
 from .search.best_set import BestProjectionSet
 from .search.brute_force import BruteForceSearch, search_space_size
@@ -90,7 +89,6 @@ from .run import (
 )
 from .search.outcome import GenerationRecord, SearchOutcome
 from .persist import (
-    SavedModel,
     load_model,
     result_from_dict,
     result_to_dict,
@@ -126,7 +124,6 @@ __all__ = [
     "MultiKResult",
     "detect_across_dimensionalities",
     # persistence
-    "SavedModel",
     "save_model",
     "load_model",
     "result_to_dict",
@@ -153,7 +150,6 @@ __all__ = [
     "empty_cube_sparsity",
     "expected_cube_count",
     "CountingBackend",
-    "BackendHealth",
     "ParameterAdvisor",
     # search
     "BestProjectionSet",

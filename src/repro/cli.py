@@ -47,6 +47,7 @@ from .eval.comparison import build_table1, render_table
 from .grid.backends import registered_backends
 from .exceptions import ReproError, SearchCancelled
 from .persist import result_to_dict, save_model
+from .resilience.ladder import describe_resilience
 from .run.controller import RunController
 from .search.evolutionary.config import EvolutionaryConfig
 
@@ -480,30 +481,11 @@ def _cmd_detect(args) -> int:
                 feature_names=dataset.feature_names,
             )
         )
-    if result.backend_degraded:
-        health = result.backend_health
-        print(
-            "warning: counting backend degraded "
-            f"({health.get('retries', 0)} retries, "
-            f"{health.get('timeouts', 0)} timeouts, "
-            f"{health.get('rebuilds', 0)} rebuilds, "
-            f"{health.get('fallbacks', 0)} fallbacks); "
-            "results are bit-identical to the serial backend",
-            file=sys.stderr,
-        )
     resilience = result.stats.get("resilience", {})
     if resilience.get("degraded"):
-        parts = []
-        for entry in resilience.get("degradations", []):
-            parts.append(
-                f"{entry['chain']}: {entry['from']} -> {entry['to']}"
-            )
-        for shard in resilience.get("quarantines", []):
-            parts.append(f"quarantined shard {shard['shard']}")
         print(
-            "warning: resilience ladder engaged ("
-            + "; ".join(parts)
-            + "); results are bit-identical to the healthy path",
+            f"warning: {describe_resilience(resilience)}; results are "
+            "bit-identical to the healthy path",
             file=sys.stderr,
         )
     if args.save:

@@ -657,12 +657,6 @@ class SubspaceOutlierDetector:
                 "(results are bit-identical to the healthy path)",
                 report.summary(),
             )
-        if counter.health.degraded:
-            logger.warning(
-                "counting backend degraded during detect: %s "
-                "(results are bit-identical to the serial backend)",
-                counter.health.summary(),
-            )
         return DetectionResult(
             projections=outcome.projections,
             outlier_indices=outlier_indices,

@@ -53,26 +53,17 @@ def merge_backend_health(healths: Iterable[Mapping]) -> dict:
 class StatsAssemblySink(EventSink):
     """Folds the event stream into the legacy ``result.stats`` dict.
 
-    The sink only *counts* events (plus remembering the final
-    ``engine_finished`` payload); the authoritative values still come
-    from the :class:`~repro.search.outcome.SearchOutcome` and the
-    counter, so stats stay correct even for engines that emit nothing.
+    The sink only *counts* events per type; the authoritative values
+    still come from the :class:`~repro.search.outcome.SearchOutcome`
+    and the counter, so stats stay correct even for engines that emit
+    nothing.
     """
 
     def __init__(self) -> None:
         self.event_counts: dict[str, int] = {}
-        self.checkpoints_written = 0
-        self.chunk_retries = 0
-        self.finished_payload: dict | None = None
 
     def emit(self, event: Event) -> None:
         self.event_counts[event.type] = self.event_counts.get(event.type, 0) + 1
-        if event.type == "checkpoint_written":
-            self.checkpoints_written += 1
-        elif event.type == "chunk_retry":
-            self.chunk_retries += 1
-        elif event.type == "engine_finished":
-            self.finished_payload = dict(event.payload)
 
     # ------------------------------------------------------------------
     def assemble(

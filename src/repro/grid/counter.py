@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 
@@ -53,7 +54,6 @@ from ..exceptions import SearchCancelled, ValidationError
 from ..resilience.ladder import DegradationLadder, ResilienceReport
 from .backends import get_backend, resolve_kernel
 from .cells import CellAssignment, MISSING_CELL
-from .health import BackendHealth
 from .kernels import (
     batch_counts,
     empty_cube_row,
@@ -69,6 +69,10 @@ logger = logging.getLogger(__name__)
 #: this many uint64 words — bounds peak memory without changing any
 #: count.
 _MAX_ACC_WORDS = 1 << 26
+
+#: Upper edges (seconds) of the pool's per-chunk latency histogram
+#: buckets; latencies above the last edge land in the overflow bucket.
+LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
 
 def _count_by_k(keys: list[tuple], count_group) -> np.ndarray:
@@ -158,13 +162,19 @@ class CubeCounter:
         self.n_prefix_reuse = 0
         self.n_parallel_chunks = 0
         self.batch_seconds = 0.0
-        self.health = BackendHealth()
+        # Latency histogram of the chunks the pool completed (serially
+        # recovered chunks report no latency); chunks_parallel in
+        # backend_health() is its total.
+        self._latency_buckets = [0] * (len(LATENCY_BUCKETS) + 1)
+        self.chunk_seconds_total = 0.0
+        self.chunk_seconds_max = 0.0
         self._pool = None
         self._pool_failed = False
         self.cancel_token = None
         self.event_sink = None
         # Run-wide resilience bookkeeping: every retry, recovery and
-        # downgrade lands here and surfaces in stats["resilience"].
+        # downgrade — pool faults included — lands here and surfaces in
+        # stats["resilience"] (and, derived, stats["backend_health"]).
         # The sink provider is a lambda because the event sink is bound
         # per engine run (runtime_binding), after construction.
         self.resilience = ResilienceReport()
@@ -661,27 +671,40 @@ class CubeCounter:
             (sd[lo : lo + chunk], sr[lo : lo + chunk])
             for lo in range(0, n_cubes, chunk)
         ]
+        sorted_counts = np.concatenate(self._map_on_pool(pool, chunks))
+        out = np.empty(n_cubes, dtype=np.int64)
+        out[order] = sorted_counts
+        return out
+
+    def _map_on_pool(self, pool, chunks: list[tuple]) -> list[np.ndarray]:
+        """Run *chunks* on *pool*; fold its telemetry, return the counts.
+
+        Kernel stats and per-chunk latencies are folded into this
+        counter's throughput counters; faults were already recorded in
+        :attr:`resilience` by the pool.  A pool that exhausted its
+        rebuild budget is released here, and every later batch runs on
+        the plain serial path.
+        """
         results = pool.map_chunks(
             chunks, cancel_token=self.cancel_token, event_sink=self.event_sink
         )
         if pool.is_degraded:
-            # The pool exhausted its rebuild budget mid-run; release it
-            # and run every later batch on the plain serial path.
             logger.warning(
                 "counting pool degraded beyond repair (%s); remaining "
                 "batches run serially",
-                self.health.summary(),
+                self.resilience.summary(),
             )
             self.close()
             self._pool_failed = True
         self.n_parallel_chunks += len(chunks)
-        for _, words, reuse in results:
+        for _, words, reuse, latency in results:
             self.n_words_and += int(words)
             self.n_prefix_reuse += int(reuse)
-        sorted_counts = np.concatenate([counts for counts, _, _ in results])
-        out = np.empty(n_cubes, dtype=np.int64)
-        out[order] = sorted_counts
-        return out
+            if latency is not None:
+                self._latency_buckets[bisect_left(LATENCY_BUCKETS, latency)] += 1
+                self.chunk_seconds_total += latency
+                self.chunk_seconds_max = max(self.chunk_seconds_max, latency)
+        return [counts for counts, _, _, _ in results]
 
     @staticmethod
     def _sibling_order(dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
@@ -699,33 +722,30 @@ class CubeCounter:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         """The lazy process pool, or None if unavailable (serial fallback)."""
-        if self._pool is not None:
-            return self._pool
-        if self._pool_failed:
-            return None
-        try:
-            from .parallel import CountingPool
-
-            self._pool = CountingPool(
-                self._stack,
-                self.backend,
-                self.health,
-                kernel=self._spec.kernel,
-                report=self.resilience,
-            )
-        except Exception as exc:  # repro-lint: disable=RPL009
-            logger.warning(
-                "process counting backend unavailable (%s); falling back to serial",
-                exc,
-            )
-            self.health.pool_unavailable = True
-            self._pool_failed = True
-            self._ladder.apply(
-                "counting-pool", self.backend.kind, "serial",
-                f"pool unavailable: {exc}",
-            )
-            return None
+        if self._pool is None and not self._pool_failed:
+            try:
+                self._pool = self._make_pool()
+            except Exception as exc:  # repro-lint: disable=RPL009
+                logger.warning(
+                    "process counting backend unavailable (%s); falling "
+                    "back to serial",
+                    exc,
+                )
+                self._pool_failed = True
+                self._ladder.apply(
+                    "counting-pool", self.backend.kind, "serial",
+                    f"pool unavailable: {exc}",
+                )
+                self._ladder.recovered("pool_unavailable")
         return self._pool
+
+    def _make_pool(self):
+        """Build this counter's worker pool (the shared-memory pool)."""
+        from .parallel import CountingPool
+
+        return CountingPool(
+            self._stack, self.backend, self._ladder, kernel=self._spec.kernel
+        )
 
     def close(self) -> None:
         """Release the worker pool and its shared-memory masks, if any.
@@ -825,13 +845,47 @@ class CubeCounter:
     def backend_health(self) -> dict:
         """Fault-tolerance telemetry for this counter's backend.
 
-        Retries, timeouts, pool rebuilds, serial-fallback events and
-        the per-chunk latency histogram recorded by the resilient
-        process-pool dispatcher (see
-        :class:`~repro.grid.health.BackendHealth`).  A serial backend
-        — or a clean parallel run — reports all-zero counters.
+        A view derived from :attr:`resilience` (the one fault ledger)
+        plus the pool throughput counters:
+
+        * ``retries`` / ``rebuilds`` — retry sites ``pool.chunk`` /
+          ``pool.rebuild``;
+        * ``fallbacks`` and ``chunks_serial`` — recovery point
+          ``pool_serial_fallback`` (one per chunk the serial kernel
+          recovered);
+        * ``timeouts`` / ``pool_degraded`` / ``pool_unavailable`` —
+          recovery points ``pool_timeout`` / ``pool_abandoned`` /
+          ``pool_unavailable``;
+        * ``chunks_parallel`` and ``chunk_latency`` — the chunks the
+          pool completed and their wall-latency histogram.
+
+        A serial backend — or a clean parallel run — reports all-zero
+        counters.
         """
-        return self.health.as_dict()
+        retries = self.resilience.retries
+        recoveries = self.resilience.recoveries
+        fallbacks = recoveries.get("pool_serial_fallback", 0)
+        hist = self._latency_buckets
+        buckets = {
+            f"<={edge:g}s": hist[i] for i, edge in enumerate(LATENCY_BUCKETS)
+        }
+        buckets[f">{LATENCY_BUCKETS[-1]:g}s"] = hist[-1]
+        return {
+            "retries": retries.get("pool.chunk", 0),
+            "timeouts": recoveries.get("pool_timeout", 0),
+            "rebuilds": retries.get("pool.rebuild", 0),
+            "fallbacks": fallbacks,
+            "chunks_parallel": sum(hist),
+            "chunks_serial": fallbacks,
+            "pool_degraded": "pool_abandoned" in recoveries,
+            "pool_unavailable": "pool_unavailable" in recoveries,
+            "chunk_latency": {
+                "count": sum(hist),
+                "total_seconds": self.chunk_seconds_total,
+                "max_seconds": self.chunk_seconds_max,
+                "buckets": buckets,
+            },
+        }
 
     def clear_cache(self) -> None:
         """Drop all memoised counts (e.g. between benchmark rounds)."""

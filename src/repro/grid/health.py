@@ -1,21 +1,13 @@
-"""Run telemetry for the counting backend: the ``backend_health`` record.
+"""Grid health: the occupancy *drift* check for an incremental grid.
 
-One :class:`BackendHealth` instance lives on each
-:class:`~repro.grid.counter.CubeCounter` for the whole detection run.
-The serial backend never touches it (all counters stay zero, which is
-itself the signal that nothing degraded); the process backend's
-resilient dispatcher (:mod:`repro.grid.parallel`) records every retry,
-timeout, pool rebuild and serial-fallback event into it, plus a
-log-scale latency histogram of successful parallel chunks.
-
-The record surfaces as ``result.stats["backend_health"]`` so ensemble
-drivers and operators can tell a clean run from one that silently
-degraded to the (bit-identical) serial kernel.
-
-This module also hosts the grid *occupancy drift* check
-(:func:`check_grid_drift`): the serving-time counterpart that tells an
+:func:`check_grid_drift` is the serving-time check that tells an
 incrementally updated :class:`~repro.model.GridModel` when its frozen
 equi-depth grid no longer matches the data flowing through it.
+
+(Counting-backend faults are not recorded here: the pool records them
+in the counter's :class:`~repro.resilience.ladder.ResilienceReport`,
+from which :meth:`~repro.grid.counter.CubeCounter.backend_health`
+derives ``stats["backend_health"]``.)
 """
 
 from __future__ import annotations
@@ -27,153 +19,12 @@ import numpy as np
 from ..exceptions import ValidationError
 
 __all__ = [
-    "BackendHealth",
     "GridDriftReport",
-    "LATENCY_BUCKETS",
     "check_grid_drift",
     "occupancy_divergence",
 ]
 
-#: Upper edges (seconds) of the per-chunk latency histogram buckets;
-#: latencies above the last edge land in the overflow bucket.
-LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
-
-class BackendHealth:
-    """Mutable counters describing one run's counting-backend behaviour.
-
-    Attributes
-    ----------
-    retries:
-        Chunk dispatch attempts that failed and were re-queued.
-    timeouts:
-        Chunks that exceeded the backend's per-chunk ``timeout``.
-    rebuilds:
-        Times the worker pool was torn down and respawned after
-        breaking (worker death, failed initializer, wedged worker).
-    fallbacks:
-        Chunks whose counts were recovered by the in-process serial
-        kernel after the parallel path gave up on them.
-    chunks_parallel / chunks_serial:
-        Chunks that completed on the pool vs. through the serial
-        fallback.
-    pool_degraded:
-        The pool exhausted ``max_rebuilds`` (or a rebuild itself
-        failed) and was abandoned mid-run.
-    pool_unavailable:
-        The pool could not be constructed at all (no /dev/shm,
-        restricted container) and the run was serial from the start.
-    """
-
-    __slots__ = (
-        "retries",
-        "timeouts",
-        "rebuilds",
-        "fallbacks",
-        "chunks_parallel",
-        "chunks_serial",
-        "pool_degraded",
-        "pool_unavailable",
-        "latency_count",
-        "latency_total",
-        "latency_max",
-        "_latency_buckets",
-    )
-
-    def __init__(self) -> None:
-        self.retries = 0
-        self.timeouts = 0
-        self.rebuilds = 0
-        self.fallbacks = 0
-        self.chunks_parallel = 0
-        self.chunks_serial = 0
-        self.pool_degraded = False
-        self.pool_unavailable = False
-        self.latency_count = 0
-        self.latency_total = 0.0
-        self.latency_max = 0.0
-        self._latency_buckets = [0] * (len(LATENCY_BUCKETS) + 1)
-
-    # ------------------------------------------------------------------
-    def record_latency(self, seconds: float) -> None:
-        """File one successful parallel chunk's wall latency."""
-        self.latency_count += 1
-        self.latency_total += seconds
-        if seconds > self.latency_max:
-            self.latency_max = seconds
-        for i, edge in enumerate(LATENCY_BUCKETS):
-            if seconds <= edge:
-                self._latency_buckets[i] += 1
-                return
-        self._latency_buckets[-1] += 1
-
-    @property
-    def degraded(self) -> bool:
-        """True if anything at all went wrong this run."""
-        return bool(
-            self.retries
-            or self.timeouts
-            or self.rebuilds
-            or self.fallbacks
-            or self.pool_degraded
-            or self.pool_unavailable
-        )
-
-    def merge(self, other: "BackendHealth") -> None:
-        """Accumulate *other*'s counters into this record (multi-run)."""
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.rebuilds += other.rebuilds
-        self.fallbacks += other.fallbacks
-        self.chunks_parallel += other.chunks_parallel
-        self.chunks_serial += other.chunks_serial
-        self.pool_degraded = self.pool_degraded or other.pool_degraded
-        self.pool_unavailable = self.pool_unavailable or other.pool_unavailable
-        self.latency_count += other.latency_count
-        self.latency_total += other.latency_total
-        self.latency_max = max(self.latency_max, other.latency_max)
-        for i, n in enumerate(other._latency_buckets):
-            self._latency_buckets[i] += n
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """JSON-friendly snapshot (what lands in ``result.stats``)."""
-        buckets = {
-            f"<={edge:g}s": self._latency_buckets[i]
-            for i, edge in enumerate(LATENCY_BUCKETS)
-        }
-        buckets[f">{LATENCY_BUCKETS[-1]:g}s"] = self._latency_buckets[-1]
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "rebuilds": self.rebuilds,
-            "fallbacks": self.fallbacks,
-            "chunks_parallel": self.chunks_parallel,
-            "chunks_serial": self.chunks_serial,
-            "pool_degraded": self.pool_degraded,
-            "pool_unavailable": self.pool_unavailable,
-            "chunk_latency": {
-                "count": self.latency_count,
-                "total_seconds": self.latency_total,
-                "max_seconds": self.latency_max,
-                "buckets": buckets,
-            },
-        }
-
-    def summary(self) -> str:
-        """One-line operator summary of the degradation counters."""
-        return (
-            f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.rebuilds} rebuilds, {self.fallbacks} fallbacks "
-            f"({self.chunks_parallel} chunks parallel, "
-            f"{self.chunks_serial} serial)"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BackendHealth({self.summary()})"
-
-
-# ----------------------------------------------------------------------
 # Grid occupancy drift: is the fitted grid going stale?
 #
 # The equi-depth construction guarantees each of the φ ranges holds a

@@ -41,8 +41,14 @@ Fault tolerance (the shared dispatcher in :meth:`_ResilientPool.map_chunks`):
   chunk, once the pool is abandoned — is recovered in-process by the
   same registered kernel, which is bit-identical by construction.
 
-Every event is recorded in the counter's
-:class:`~repro.grid.health.BackendHealth`.  Deterministic chaos goes
+Every fault is recorded once, through the counter's
+:class:`~repro.resilience.ladder.DegradationLadder`, into its
+:class:`~repro.resilience.ladder.ResilienceReport` (retry sites
+``pool.chunk`` / ``pool.rebuild``; recovery points ``pool_timeout``,
+``pool_serial_fallback`` and ``pool_abandoned``; the ``counting-pool``
+ladder step).  Successful chunks carry their wall latency back with
+their result, so the counter keeps the throughput side of
+``backend_health`` itself.  Deterministic chaos goes
 through the named fault points of :mod:`repro.resilience.faults`: both
 initializers call the ``worker_init`` point keyed on the pool
 generation, and both task functions call ``worker_stall`` then
@@ -50,7 +56,7 @@ generation, and both task functions call ``worker_stall`` then
 Workers see the specs a test armed because they are forked inside its
 :func:`~repro.resilience.faults.fault_injection` block.
 
-This module is imported lazily by the counters' ``_ensure_pool``; if
+This module is imported lazily by ``CubeCounter._ensure_pool``; if
 pool or shared-memory creation fails (restricted containers, missing
 /dev/shm), the counter logs a warning and falls back to serial.
 """
@@ -70,9 +76,8 @@ from ..core.params import CountingBackend
 from ..engine.events import emit_event
 from ..exceptions import SearchCancelled
 from ..resilience.faults import maybe_inject
-from ..resilience.ladder import ResilienceReport
+from ..resilience.ladder import DegradationLadder, ResilienceReport
 from .backends import resolve_kernel
-from .health import BackendHealth
 
 __all__ = ["CountingPool", "ShardedCountingPool"]
 
@@ -180,10 +185,15 @@ class _ResilientPool:
 
     Subclasses provide the worker entry point (:attr:`_task_fn` with
     initializer/initargs via :meth:`_initializer` / :meth:`_initargs`),
-    the in-parent recovery path (:meth:`_run_serial`) and resource
+    the in-parent kernel call (:meth:`_count_serial`) and resource
     release (:meth:`_release_resources`); the dispatch policy — and
     therefore the bit-identity guarantees — is identical for every
     pool.
+
+    *ladder* is the owning counter's
+    :class:`~repro.resilience.ladder.DegradationLadder`; every fault
+    the pool survives is recorded through it.  A pool built without
+    one records into a private report (``pool.ladder.report``).
     """
 
     #: Module-level worker function receiving ``(chunk_id, attempt,
@@ -193,11 +203,12 @@ class _ResilientPool:
     def __init__(
         self,
         backend: CountingBackend,
-        health: BackendHealth | None,
-        report: ResilienceReport | None = None,
+        ladder: DegradationLadder | None,
     ):
-        self.health = health if health is not None else BackendHealth()
-        self.report = report
+        self.ladder = (
+            ladder if ladder is not None
+            else DegradationLadder(ResilienceReport())
+        )
         self._timeout = backend.timeout
         # The shared retry policy carries the backend's historical
         # knobs: max_attempts = max_retries + 1, same exponential
@@ -228,7 +239,8 @@ class _ResilientPool:
         """Initializer arguments; the base appends the pool generation."""
         raise NotImplementedError
 
-    def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
+    def _count_serial(self, chunk: tuple) -> tuple:
+        """The in-parent kernel call for one chunk: ``(counts, stats)``."""
         raise NotImplementedError
 
     def _release_resources(self) -> None:
@@ -265,6 +277,11 @@ class _ResilientPool:
     ) -> list[tuple]:
         """Evaluate chunks resiliently, results in submission order.
 
+        Each result is ``(counts, words_and, prefix_reuse, latency)``:
+        *latency* is the chunk's wall seconds from submission to result
+        on the pool, or ``None`` for a chunk recovered by the serial
+        kernel.
+
         Never fails because of worker trouble: chunks that cannot be
         completed on the pool within the retry budget are recovered by
         the in-process serial kernel.  Genuine task errors (e.g. a
@@ -280,8 +297,7 @@ class _ResilientPool:
 
         *event_sink* receives one ``chunk_retry`` event per recovery
         action (pool retry or serial fallback) so run traces show
-        worker trouble as it happens, not only in the final health
-        counters.
+        worker trouble as it happens, not only in the final report.
         """
         n = len(chunks)
         base_id = self._next_chunk_id
@@ -298,7 +314,7 @@ class _ResilientPool:
                 )
             if self._executor is None:
                 for idx in pending:
-                    self._run_serial(idx, chunks[idx], results)
+                    results[idx] = self._recover(base_id + idx, chunks[idx])
                 break
             if wave:
                 time.sleep(self._retry.delay(wave))
@@ -324,9 +340,9 @@ class _ResilientPool:
                 try:
                     counts, words, reuse = future.result(timeout=self._timeout)
                 except FutureTimeoutError:
-                    # A wedged worker cannot be reclaimed: count the
+                    # A wedged worker cannot be reclaimed: record the
                     # timeout and force a rebuild below.
-                    self.health.timeouts += 1
+                    self.ladder.recovered("pool_timeout", chunk_id=base_id + idx)
                     broken = True
                     failed.append(idx)
                 except BrokenExecutor:
@@ -335,9 +351,9 @@ class _ResilientPool:
                 except Exception:
                     failed.append(idx)
                 else:
-                    results[idx] = (counts, words, reuse)
-                    self.health.chunks_parallel += 1
-                    self.health.record_latency(time.perf_counter() - t_submit)
+                    results[idx] = (
+                        counts, words, reuse, time.perf_counter() - t_submit
+                    )
             pending = []
             for idx in failed:
                 if attempts[idx] >= self._retry.max_attempts:
@@ -346,13 +362,9 @@ class _ResilientPool:
                         chunk_id=base_id + idx, attempt=attempts[idx],
                         action="serial_fallback",
                     )
-                    if self.report is not None:
-                        self.report.record_recovery("pool_serial_fallback")
-                    self._run_serial(idx, chunks[idx], results)
+                    results[idx] = self._recover(base_id + idx, chunks[idx])
                 else:
-                    self.health.retries += 1
-                    if self.report is not None:
-                        self.report.record_retry("pool.chunk")
+                    self.ladder.report.record_retry("pool.chunk")
                     emit_event(
                         event_sink, "chunk_retry",
                         chunk_id=base_id + idx, attempt=attempts[idx],
@@ -364,10 +376,16 @@ class _ResilientPool:
                 self._rebuild_or_degrade()
         return results
 
-    def _record_serial(self, idx: int, counts, stats: dict, results: list) -> None:
-        results[idx] = (counts, stats["words_and"], stats["prefix_reuse"])
-        self.health.chunks_serial += 1
-        self.health.fallbacks += 1
+    def _recover(self, chunk_id: int, chunk: tuple) -> tuple:
+        """Count one chunk in-parent (bit-identical) and record it."""
+        counts, stats = self._count_serial(chunk)
+        self.ladder.recovered("pool_serial_fallback", chunk_id=chunk_id)
+        return counts, stats["words_and"], stats["prefix_reuse"], None
+
+    def _abandon(self, reason: str) -> None:
+        """Step the ``counting-pool`` chain down to serial for good."""
+        self.ladder.apply("counting-pool", self._kind, "serial", reason)
+        self.ladder.recovered("pool_abandoned")
 
     def _rebuild_or_degrade(self) -> None:
         """Respawn the broken executor, or abandon the pool at the cap."""
@@ -378,13 +396,11 @@ class _ResilientPool:
                 old.shutdown(wait=False, cancel_futures=True)
             except Exception:  # pragma: no cover - interpreter races
                 pass
-        if self.health.rebuilds >= self._max_rebuilds:
-            self.health.pool_degraded = True
-            if self.report is not None:
-                self.report.record_degradation(
-                    "counting-pool", self._kind, "serial",
-                    f"max_rebuilds={self._max_rebuilds} exceeded",
-                )
+        # The report is the counter's, so the cap spans every pool the
+        # counter builds (append_rows releases one; the next is lazy).
+        rebuilds = self.ladder.report.retries.get("pool.rebuild", 0)
+        if rebuilds >= self._max_rebuilds:
+            self._abandon(f"max_rebuilds={self._max_rebuilds} exceeded")
             logger.warning(
                 "counting pool exceeded max_rebuilds=%d; degrading to the "
                 "serial kernel for the rest of the run",
@@ -395,22 +411,15 @@ class _ResilientPool:
             self._executor = self._spawn_executor()
             self._resources["executor"] = self._executor
         except Exception as exc:  # pragma: no cover - environment-dependent
-            self.health.pool_degraded = True
-            if self.report is not None:
-                self.report.record_degradation(
-                    "counting-pool", self._kind, "serial",
-                    f"pool rebuild failed: {exc}",
-                )
+            self._abandon(f"pool rebuild failed: {exc}")
             logger.warning(
                 "counting pool rebuild failed (%s); degrading to serial", exc
             )
             return
-        self.health.rebuilds += 1
-        if self.report is not None:
-            self.report.record_retry("pool.rebuild")
+        self.ladder.report.record_retry("pool.rebuild")
         logger.warning(
             "counting pool broke; rebuilt worker pool (rebuild %d of %d)",
-            self.health.rebuilds,
+            rebuilds + 1,
             self._max_rebuilds,
         )
 
@@ -452,9 +461,9 @@ class CountingPool(_ResilientPool):
     backend:
         The :class:`~repro.core.params.CountingBackend` whose timeout /
         retry / rebuild policy this pool enforces.
-    health:
-        The counter's :class:`~repro.grid.health.BackendHealth`; every
-        degradation event and chunk latency is recorded into it.
+    ladder:
+        The counter's :class:`~repro.resilience.ladder.DegradationLadder`;
+        every fault the pool survives is recorded through it.
     kernel:
         Registered kernel name (see :mod:`repro.grid.backends`) every
         worker — and the in-process serial recovery path — runs, so
@@ -468,11 +477,10 @@ class CountingPool(_ResilientPool):
         self,
         stack: np.ndarray,
         backend: CountingBackend,
-        health: BackendHealth | None = None,
+        ladder: DegradationLadder | None = None,
         kernel: str = "numpy",
-        report: ResilienceReport | None = None,
     ):
-        super().__init__(backend, health, report)
+        super().__init__(backend, ladder)
         stack = np.ascontiguousarray(stack)
         self._kernel_name = kernel
         self._kernel = resolve_kernel(kernel)
@@ -495,11 +503,10 @@ class CountingPool(_ResilientPool):
     def _initargs(self) -> tuple:
         return (self._shm.name, self._shape, self._dtype.str, self._kernel_name)
 
-    def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
-        """Recover one chunk with the in-process kernel (bit-identical)."""
+    def _count_serial(self, chunk: tuple) -> tuple:
+        """The in-process kernel over the parent's shm view."""
         dims_arr, rng_arr = chunk
-        counts, stats = self._kernel(self._local, dims_arr, rng_arr)
-        self._record_serial(idx, counts, stats, results)
+        return self._kernel(self._local, dims_arr, rng_arr)
 
     def _release_resources(self) -> None:
         # Drop the parent-side view first: SharedMemory.close() refuses
@@ -534,12 +541,11 @@ class ShardedCountingPool(_ResilientPool):
         self,
         store,
         backend: CountingBackend,
-        health: BackendHealth | None = None,
+        ladder: DegradationLadder | None = None,
         kernel: str = "numpy",
-        report: ResilienceReport | None = None,
         shard_reader=None,
     ):
-        super().__init__(backend, health, report)
+        super().__init__(backend, ladder)
         self._store = store
         # In-parent recovery reads shards through the counter's
         # resilient reader when one is supplied, so a corrupt shard hit
@@ -558,10 +564,7 @@ class ShardedCountingPool(_ResilientPool):
     def _initargs(self) -> tuple:
         return (str(self._store.directory), self._kernel_name)
 
-    def _run_serial(self, idx: int, chunk: tuple, results: list) -> None:
-        """Recover one shard in-parent over its own mmap view."""
+    def _count_serial(self, chunk: tuple) -> tuple:
+        """The in-parent kernel over the shard's own mmap view."""
         shard_id, dims_arr, rng_arr = chunk
-        counts, stats = self._kernel(
-            self._shard_reader(shard_id), dims_arr, rng_arr
-        )
-        self._record_serial(idx, counts, stats, results)
+        return self._kernel(self._shard_reader(shard_id), dims_arr, rng_arr)

@@ -960,25 +960,9 @@ class ShardedCounter(CubeCounter):
             pool = self._ensure_pool()
         if pool is not None:
             chunks = [(shard_id, dims_arr, rng_arr) for shard_id in pending]
-            results = pool.map_chunks(
-                chunks, cancel_token=self.cancel_token,
-                event_sink=self.event_sink,
-            )
-            if pool.is_degraded:
-                logger.warning(
-                    "sharded counting pool degraded beyond repair (%s); "
-                    "remaining batches run serially",
-                    self.health.summary(),
-                )
-                self.close()
-                self._pool_failed = True
-            self.n_parallel_chunks += len(chunks)
-            for shard_id, (counts, words, reuse) in zip(
-                pending, results, strict=True
-            ):
+            shard_counts = self._map_on_pool(pool, chunks)
+            for shard_id, counts in zip(pending, shard_counts, strict=True):
                 counts = np.asarray(counts, dtype=np.int64)
-                self.n_words_and += int(words)
-                self.n_prefix_reuse += int(reuse)
                 total += counts
                 self.n_shards_counted += 1
                 emit_event(
@@ -1011,37 +995,17 @@ class ShardedCounter(CubeCounter):
             self.shard_checkpointer.clear()
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        """The lazy mmap worker pool (no shm copy; see ShardedCountingPool)."""
-        if self._pool is not None:
-            return self._pool
-        if self._pool_failed:
-            return None
-        try:
-            from .parallel import ShardedCountingPool
+    def _make_pool(self):
+        """The mmap worker pool (no shm copy; see ShardedCountingPool)."""
+        from .parallel import ShardedCountingPool
 
-            self._pool = ShardedCountingPool(
-                self.store,
-                self.backend,
-                self.health,
-                kernel=self._spec.kernel,
-                report=self.resilience,
-                shard_reader=self._resilient_shard_words,
-            )
-        except Exception as exc:  # repro-lint: disable=RPL009
-            logger.warning(
-                "sharded process backend unavailable (%s); falling back to "
-                "serial",
-                exc,
-            )
-            self.health.pool_unavailable = True
-            self._pool_failed = True
-            self._ladder.apply(
-                "counting-pool", self.backend.kind, "serial",
-                f"pool unavailable: {exc}",
-            )
-            return None
-        return self._pool
+        return ShardedCountingPool(
+            self.store,
+            self.backend,
+            self._ladder,
+            kernel=self._spec.kernel,
+            shard_reader=self._resilient_shard_words,
+        )
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:

@@ -23,15 +23,13 @@ version found.  All writes are atomic (:mod:`repro._atomic`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Mapping
 
 import numpy as np
 
 from ._atomic import atomic_write_json
-from ._validation import check_matrix
-from .core.results import DetectionResult, ScoredProjection, score_cells
+from .core.results import DetectionResult, ScoredProjection
 from .core.subspace import Subspace
 from .engine.events import EventSink
 from .exceptions import (
@@ -40,7 +38,6 @@ from .exceptions import (
     PersistError,
     ValidationError,
 )
-from .grid.discretizer import EquiDepthDiscretizer
 from .grid.health import DEFAULT_DRIFT_THRESHOLD
 from .model import GridModel
 
@@ -51,14 +48,13 @@ __all__ = [
     "projection_from_dict",
     "result_to_dict",
     "result_from_dict",
-    "SavedModel",
     "model_payload",
     "save_model",
     "load_model",
 ]
 
-#: Result payloads (and the legacy :class:`SavedModel` shape) are
-#: still the original schema; only model *snapshots* moved to v2.
+#: Result payloads are still the original schema; only model
+#: *snapshots* moved to v2.
 _FORMAT_VERSION = 1
 
 #: Schema of model snapshots written by :func:`save_model`: the v1
@@ -66,15 +62,13 @@ _FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 2
 
 
-def _check_format_version(
-    payload: Mapping, what: str, maximum: int = _FORMAT_VERSION
-) -> None:
+def _check_format_version(payload: Mapping, what: str) -> None:
     """Refuse payloads written by a newer library version."""
     version = payload.get("format_version", 1)
-    if not isinstance(version, int) or version > maximum:
+    if not isinstance(version, int) or version > _FORMAT_VERSION:
         raise ValidationError(
             f"{what} was written with format version {version!r}; this "
-            f"library reads up to version {maximum} — upgrade repro"
+            f"library reads up to version {_FORMAT_VERSION} — upgrade repro"
         )
 
 
@@ -149,80 +143,6 @@ def result_from_dict(payload: Mapping) -> DetectionResult:
         raise ValidationError(f"malformed result payload: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SavedModel:
-    """A fitted detector, reduced to what scoring new data needs.
-
-    Attributes
-    ----------
-    boundaries:
-        Per-attribute grid cut points (φ−1 values each).
-    n_ranges:
-        Grid resolution φ.
-    projections:
-        The mined abnormal projections.
-    feature_names:
-        Optional attribute names.
-    """
-
-    boundaries: tuple[np.ndarray, ...]
-    n_ranges: int
-    projections: tuple[ScoredProjection, ...]
-    feature_names: tuple[str, ...] | None = None
-
-    # ------------------------------------------------------------------
-    def score(self, data) -> np.ndarray:
-        """Deviation scores of new points (see ``SubspaceOutlierDetector.score``)."""
-        array = check_matrix(data, "data")
-        discretizer = EquiDepthDiscretizer.from_cut_points(
-            self.boundaries, self.feature_names
-        )
-        cells = discretizer.transform(array)
-        return score_cells(cells.codes, self.projections)
-
-    def predict(self, data) -> np.ndarray:
-        """Boolean outlier mask for new points."""
-        return ~np.isnan(self.score(data))
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-compatible representation."""
-        return {
-            "format_version": _FORMAT_VERSION,
-            "n_ranges": self.n_ranges,
-            "boundaries": [cuts.tolist() for cuts in self.boundaries],
-            "feature_names": (
-                list(self.feature_names) if self.feature_names else None
-            ),
-            "projections": [projection_to_dict(p) for p in self.projections],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SavedModel":
-        """Inverse of :meth:`to_dict`.
-
-        Reads the v1 shape and the v2 superset alike (v2 carries the
-        same four keys plus the incremental state this legacy view
-        ignores).
-        """
-        _check_format_version(payload, "model payload", MODEL_FORMAT_VERSION)
-        try:
-            names = payload.get("feature_names")
-            return cls(
-                boundaries=tuple(
-                    np.asarray(cuts, dtype=np.float64)
-                    for cuts in payload["boundaries"]
-                ),
-                n_ranges=int(payload["n_ranges"]),
-                projections=tuple(
-                    projection_from_dict(p) for p in payload["projections"]
-                ),
-                feature_names=tuple(names) if names else None,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed model payload: {exc}") from None
-
-
 _COUNTER_KEYS = ("updates", "rows_appended", "merges", "rebins", "drift_events")
 
 
@@ -231,7 +151,7 @@ def model_payload(model: GridModel) -> dict:
 
     A strict superset of the v1 shape (``n_ranges`` / ``boundaries`` /
     ``feature_names`` / ``projections``), so v1-era readers of those
-    keys — including :meth:`SavedModel.from_dict` — keep working.
+    keys keep working.
     """
     sketch = model.persistable_sketch()
     stats = model.stats_dict()
@@ -317,9 +237,7 @@ def load_model(path, *, event_sink: EventSink | None = None) -> GridModel:
             f"1..{MODEL_FORMAT_VERSION} — upgrade repro"
         )
     try:
-        if version == 1:
-            return _load_model_v1(payload, event_sink)
-        return _load_model_v2(payload, event_sink)
+        return _model_from_payload(payload, event_sink)
     except PersistError:
         raise
     except (KeyError, TypeError, ValueError, DiscretizationError) as exc:
@@ -328,19 +246,10 @@ def load_model(path, *, event_sink: EventSink | None = None) -> GridModel:
         ) from None
 
 
-def _load_model_v1(payload: Mapping, event_sink: EventSink | None) -> GridModel:
-    """Migrate a v1 snapshot: grid + projections, no incremental state."""
-    legacy = SavedModel.from_dict(payload)
-    return GridModel.from_snapshot(
-        boundaries=legacy.boundaries,
-        n_ranges=legacy.n_ranges,
-        projections=legacy.projections,
-        feature_names=legacy.feature_names,
-        event_sink=event_sink,
-    )
-
-
-def _load_model_v2(payload: Mapping, event_sink: EventSink | None) -> GridModel:
+def _model_from_payload(
+    payload: Mapping, event_sink: EventSink | None
+) -> GridModel:
+    """Restore a v1 or v2 snapshot; every v2-only key has a v1 default."""
     names = payload.get("feature_names")
     return GridModel.from_snapshot(
         boundaries=payload["boundaries"],

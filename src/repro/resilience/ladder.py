@@ -17,20 +17,52 @@ applies downgrades, emitting typed ``degradation_applied`` /
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Callable
 
 from ..exceptions import SearchCancelled
 
-__all__ = ["DegradationLadder", "ResilienceReport"]
+__all__ = ["DegradationLadder", "ResilienceReport", "describe_resilience"]
+
+
+def describe_resilience(record: Mapping[str, Any]) -> str:
+    """One human-readable line for a ``stats["resilience"]`` record.
+
+    Takes the :meth:`ResilienceReport.as_dict` shape, so it renders a
+    live report and a persisted result's record alike.
+    """
+    if not record.get("degraded"):
+        return "resilience: clean run"
+
+    def tally(counts: Mapping[str, int]) -> str:
+        return ", ".join(f"{name} {n}" for name, n in counts.items())
+
+    parts = []
+    if record.get("retries"):
+        parts.append(f"retries ({tally(record['retries'])})")
+    if record.get("recoveries"):
+        parts.append(f"faults recovered ({tally(record['recoveries'])})")
+    if record.get("degradations"):
+        steps = ", ".join(
+            f"{d['chain']}:{d['from']}→{d['to']}"
+            for d in record["degradations"]
+        )
+        parts.append(f"degraded ({steps})")
+    if record.get("quarantines"):
+        shards = ", ".join(str(q["shard"]) for q in record["quarantines"])
+        parts.append(f"shards quarantined ({shards})")
+    return "resilience: " + "; ".join(parts)
 
 
 class ResilienceReport:
     """Mutable accumulator of resilience activity for one run.
 
-    Mirrors :class:`~repro.grid.health.BackendHealth` in shape:
-    ``as_dict`` is JSON-safe for ``result.stats``, ``merge`` folds a
-    child report (e.g. a per-counter report into the run-wide one), and
-    ``summary`` renders one log-friendly line.
+    The one fault ledger of a run: every layer that survives a fault
+    (counting pools, shard reads, checkpoint loads, atomic writes,
+    kernel and mask-storage downgrades) records it here.  ``as_dict``
+    is JSON-safe for ``result.stats``, ``merge`` folds a child report
+    (e.g. a per-counter report into the run-wide one), and ``summary``
+    renders one log-friendly line.
     """
 
     __slots__ = ("retries", "recoveries", "degradations", "quarantines",
@@ -98,23 +130,8 @@ class ResilienceReport:
         }
 
     def summary(self) -> str:
-        """One human-readable line, e.g. for CLI warnings."""
-        if not self.degraded:
-            return "resilience: clean run"
-        parts = []
-        if self.retries:
-            parts.append(f"{sum(self.retries.values())} retries")
-        if self.recoveries:
-            parts.append(f"{sum(self.recoveries.values())} faults recovered")
-        if self.degradations:
-            steps = ", ".join(
-                f"{d['chain']}:{d['from']}→{d['to']}"
-                for d in self.degradations
-            )
-            parts.append(f"degraded ({steps})")
-        if self.quarantines:
-            parts.append(f"{len(self.quarantines)} shards quarantined")
-        return "resilience: " + "; ".join(parts)
+        """One human-readable line (see :func:`describe_resilience`)."""
+        return describe_resilience(self.as_dict())
 
 
 class DegradationLadder:

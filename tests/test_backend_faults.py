@@ -26,10 +26,10 @@ from repro import PackedCubeCounter
 from repro.core.detector import SubspaceOutlierDetector
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
+from repro.engine.events import InMemoryEventSink
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
-from repro.grid.health import BackendHealth
 from repro.grid.parallel import CountingPool, _count_chunk
 from repro.resilience import FaultSpec, fault_injection, maybe_inject
 
@@ -262,6 +262,40 @@ class TestRebuildStorm:
         assert health["rebuilds"] >= 2
         assert not health["pool_degraded"]
 
+    def test_abandoned_pool_keeps_one_ledger(self, cells, cubes, serial_counts):
+        # Regression: chunks swept serially after the pool was abandoned
+        # reached backend_health but not stats["resilience"], and the
+        # counting-pool ladder step bypassed the event stream.
+        backend = faulty_backend(max_rebuilds=0)
+        counter = CubeCounter(cells, backend=backend)
+        sink = InMemoryEventSink()
+        try:
+            with counter.runtime_binding(None, sink), fault_injection(
+                FaultSpec("worker_kill", trigger=1)
+            ):
+                counts = counter.count_batch(cubes).tolist()
+            health = counter.backend_health()
+            resilience = counter.resilience.as_dict()
+            counter_stats = counter.cache_stats()
+        finally:
+            counter.close()
+        assert counts == serial_counts
+        assert health["pool_degraded"]
+        assert (
+            resilience["recoveries"].get("pool_serial_fallback", 0)
+            == health["fallbacks"]
+        )
+        assert (
+            health["chunks_parallel"] + health["chunks_serial"]
+            == counter_stats["parallel_chunks"]
+        )
+        assert health["chunk_latency"]["count"] == health["chunks_parallel"]
+        steps = [
+            event for event in sink.of_type("degradation_applied")
+            if event.payload["chain"] == "counting-pool"
+        ]
+        assert len(steps) == 1
+
 
 class TestDetectorUnderFaults:
     """Acceptance: detect() completes bit-identically under a worker kill."""
@@ -351,7 +385,7 @@ class TestCloseIdempotency:
 
     def test_close_after_broken_executor_does_not_hang(self, cells):
         stack = CubeCounter(cells)._stack
-        pool = CountingPool(stack, faulty_backend(), BackendHealth())
+        pool = CountingPool(stack, faulty_backend())
         dims = np.zeros((1, 1), dtype=np.intp)
         rngs = np.zeros((1, 1), dtype=np.intp)
         # Bypass the resilient dispatcher to leave the executor broken.

@@ -10,7 +10,6 @@ from repro.core.results import ScoredProjection
 from repro.core.subspace import Subspace
 from repro.exceptions import NotFittedError, ValidationError
 from repro.persist import (
-    SavedModel,
     load_model,
     projection_from_dict,
     projection_to_dict,
@@ -238,21 +237,6 @@ class TestSavedModel:
         path.write_text(json.dumps({"n_ranges": 5}))
         with pytest.raises(ValidationError, match="malformed"):
             load_model(path)
-
-    def test_dict_roundtrip(self, fitted, tmp_path):
-        detector, _, _ = fitted
-        model = load_model(save_model(detector, tmp_path / "m.json"))
-        again = SavedModel.from_dict(model.to_dict())
-        assert again.projections == model.projections
-        assert again.n_ranges == model.n_ranges
-
-    def test_future_format_version_rejected(self, fitted, tmp_path):
-        detector, _, _ = fitted
-        model = load_model(save_model(detector, tmp_path / "m.json"))
-        payload = model.to_dict()
-        payload["format_version"] = 999
-        with pytest.raises(ValidationError, match="format version"):
-            SavedModel.from_dict(payload)
 
     def test_future_result_version_rejected(self, fitted):
         _, result, _ = fitted

@@ -33,7 +33,6 @@ from repro.core.subspace import Subspace
 from repro.engine.events import InMemoryEventSink
 from repro.exceptions import CheckpointError, SearchCancelled, ValidationError
 from repro.grid.counter import CubeCounter
-from repro.grid.health import BackendHealth
 from repro.grid.parallel import CountingPool
 from repro.grid.sharded import ShardCheckpointer, ShardedCounter, ShardedMaskStore
 from repro.run.cancel import CancelAfterBoundaries, CancelToken, check_stop_reason
@@ -773,7 +772,7 @@ class TestPoolFinalizer:
         counter = CubeCounter(small_cells)
         stack = counter._stack
         backend = CountingBackend(kind="process", n_workers=2)
-        pool = CountingPool(stack, backend, BackendHealth())
+        pool = CountingPool(stack, backend)
         shm_name = pool._shm.name
         finalizer = pool._finalizer
         assert finalizer.alive
@@ -786,7 +785,7 @@ class TestPoolFinalizer:
     def test_closed_pool_detaches_finalizer(self, small_cells):
         counter = CubeCounter(small_cells)
         backend = CountingBackend(kind="process", n_workers=2)
-        pool = CountingPool(counter._stack, backend, BackendHealth())
+        pool = CountingPool(counter._stack, backend)
         finalizer = pool._finalizer
         pool.close()
         assert not finalizer.alive

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
+from repro.engine.events import InMemoryEventSink
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
@@ -407,3 +408,42 @@ class TestShardedPoolChaos:
         assert counts == reference_counts
         assert health["pool_degraded"]
         assert health["chunks_serial"] >= 1
+
+    def test_abandoned_pool_keeps_one_ledger(
+        self, store, cubes, reference_counts
+    ):
+        # Regression: shards swept serially after the pool was abandoned
+        # reached backend_health but not stats["resilience"], and the
+        # counting-pool ladder step bypassed the event stream.
+        backend = CountingBackend(
+            kind="process", n_workers=2, chunk_size=16, retry_backoff=0.01,
+            max_rebuilds=0,
+        )
+        counter = ShardedCounter(store, backend=backend)
+        sink = InMemoryEventSink()
+        try:
+            with counter.runtime_binding(None, sink), fault_injection(
+                FaultSpec("worker_kill", trigger=1)
+            ):
+                counts = counter.count_batch(cubes).tolist()
+            health = counter.backend_health()
+            resilience = counter.resilience.as_dict()
+            counter_stats = counter.cache_stats()
+        finally:
+            counter.close()
+        assert counts == reference_counts
+        assert health["pool_degraded"]
+        assert (
+            resilience["recoveries"].get("pool_serial_fallback", 0)
+            == health["fallbacks"]
+        )
+        assert (
+            health["chunks_parallel"] + health["chunks_serial"]
+            == counter_stats["parallel_chunks"]
+        )
+        assert health["chunk_latency"]["count"] == health["chunks_parallel"]
+        steps = [
+            event for event in sink.of_type("degradation_applied")
+            if event.payload["chain"] == "counting-pool"
+        ]
+        assert len(steps) == 1
