@@ -145,9 +145,7 @@ class SubspaceOutlierDetector:
         search, and — when it has a checkpoint directory — the search
         state is checkpointed at every generation/level boundary so
         ``detect(..., resume=True)`` continues bit-identically after a
-        kill.  With a checkpointing controller the brute-force method
-        automatically uses the ``level_batch`` strategy (the only one
-        with a serializable frontier).
+        kill.
     event_sink:
         Optional :class:`~repro.engine.events.EventSink` receiving the
         run's typed events (``run_started``, ``generation_end`` /
@@ -597,9 +595,6 @@ class SubspaceOutlierDetector:
             "crossover": self.crossover,
             "selection": self.selection,
             "random_state": self.random_state,
-            "strategy": (
-                "level_batch" if checkpointer is not None else "depth_first"
-            ),
             **self.engine_options,
         }
         engine = create_engine(

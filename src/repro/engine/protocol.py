@@ -30,10 +30,10 @@ shape, which is what the differential golden tests lock down.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from collections.abc import Iterator, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar
 
-from ..exceptions import SearchError
+from ..exceptions import CheckpointError, SearchError, ValidationError
 from .context import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,8 +98,12 @@ class GeneratorEngine(SearchEngine):
       :class:`~repro.search.outcome.SearchOutcome` from instance state;
     * optionally ``_mark_abandoned(context)`` — adjust state when
       :meth:`finalize` is called before the generator is exhausted.
+
+    Checkpointing engines set ``algorithm``: the name their checkpoint
+    states carry, which :meth:`_load_resume_state` checks on resume.
     """
 
+    algorithm: ClassVar[str] = ""
     _iterator: Iterator[None] | None = None
 
     # ------------------------------------------------------------------
@@ -167,6 +171,36 @@ class GeneratorEngine(SearchEngine):
         if not isinstance(run, dict):
             raise SearchError("finalize()/step() called before prepare()")
         return run
+
+    def _load_resume_state(
+        self, resume_from: object, checkpointer: Any = None
+    ) -> dict[str, Any] | None:
+        """Normalize ``resume_from`` into a state dict (or None)."""
+        if checkpointer is None:
+            checkpointer = getattr(self, "checkpointer", None)
+        if resume_from is None or resume_from is False:
+            return None
+        if resume_from is True:
+            if checkpointer is None:
+                raise CheckpointError(
+                    "resume_from=True needs a checkpointer; construct the "
+                    "search with checkpointer=..."
+                )
+            state = checkpointer.load()
+        elif isinstance(resume_from, Mapping):
+            state = dict(resume_from)
+        else:
+            raise ValidationError(
+                "resume_from must be None, True, or a checkpoint state "
+                f"mapping, got {type(resume_from).__name__}"
+            )
+        if state.get("algorithm") != self.algorithm:
+            raise CheckpointError(
+                "checkpoint was written by a "
+                f"{state.get('algorithm', 'unknown')!r} search, not a "
+                f"{self.algorithm!r} one"
+            )
+        return state
 
     # ------------------------------------------------------------------
     def _resolve_counter(self, context: RunContext) -> Any:

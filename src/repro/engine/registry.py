@@ -224,7 +224,7 @@ register_engine(
     "brute_force",
     _brute_force,
     accepts=_COMMON
-    + ("max_seconds", "max_evaluations", "strategy", "checkpointer"),
+    + ("max_seconds", "max_evaluations", "checkpointer"),
     supports_checkpoint=True,
     description="exhaustive bottom-up cube enumeration (Figure 2)",
 )

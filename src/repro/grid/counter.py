@@ -23,10 +23,7 @@ cheap:
   memory;
 * :meth:`count_cubes` is the memo-free, array-native entry to the same
   kernel paths, for callers that never repeat a cube (the level-batched
-  brute force) and so would only pay for memo lookups;
-* :meth:`extension_counts` returns the counts for **all φ extensions**
-  of a partial cube along one dimension in a single ``bincount`` — the
-  inner loop of the depth-first brute-force enumeration.
+  brute force) and so would only pay for memo lookups.
 
 The batch kernel itself is pluggable: the counter resolves its
 :class:`~repro.core.params.CountingBackend` through the backend
@@ -764,32 +761,6 @@ class CubeCounter:
             pass
 
     # ------------------------------------------------------------------
-    def extension_counts(self, base_mask: np.ndarray, dim: int) -> np.ndarray:
-        """Counts of all φ single-range extensions along *dim*.
-
-        Parameters
-        ----------
-        base_mask:
-            Membership mask of the partial cube being extended (use
-            :meth:`mask`, or ``None``-equivalent all-True for the empty
-            cube).
-        dim:
-            The new dimension; must not already be fixed in the cube.
-
-        Returns
-        -------
-        numpy.ndarray
-            Length-φ integer array; entry ``r`` is the count of the
-            cube extended with ``(dim, r)``.  Points missing on *dim*
-            contribute to no entry.
-        """
-        if not 0 <= dim < self.n_dims:
-            raise ValidationError(f"dim must be in [0, {self.n_dims}), got {dim}")
-        col = self.cells.codes[:, dim]
-        selected = col[base_mask]
-        selected = selected[selected >= 0]
-        return np.bincount(selected, minlength=self.n_ranges)
-
     def covered_points(self, subspace: Subspace) -> np.ndarray:
         """Indices of the points inside the cube, ascending."""
         return np.nonzero(self.mask(subspace))[0]

@@ -707,11 +707,10 @@ class ShardedCounter(CubeCounter):
         The mask shards to count over.
     cells:
         Optional in-memory :class:`~repro.grid.cells.CellAssignment`
-        matching the store.  When provided, the code-dependent paths
-        (:meth:`extension_counts`, used by depth-first brute force and
-        the optimized crossover) work exactly as on the in-memory
-        counters; a pure out-of-core counter (``cells=None``) supports
-        every mask-based path and raises a clear error for those two.
+        matching the store.  When provided, a shard that fails its
+        checksum is rebuilt from the codes and :meth:`append_rows`
+        can grow the store; a pure out-of-core counter
+        (``cells=None``) counts every cube all the same.
     cache_size, backend:
         As on :class:`~repro.grid.counter.CubeCounter`.  Pool backends
         dispatch whole shards to
@@ -880,17 +879,6 @@ class ShardedCounter(CubeCounter):
         for index in range(self.store.n_shards):
             total += int(np.bitwise_count(self._shard_cube(index, subspace)).sum())
         return total
-
-    def extension_counts(self, base_mask: np.ndarray, dim: int) -> np.ndarray:
-        if self.cells is None:
-            raise ValidationError(
-                "extension_counts needs per-point grid codes, which a "
-                "pure out-of-core ShardedCounter does not hold; construct "
-                "it with cells=..., or use an engine that only counts "
-                "cubes (evolutionary, brute_force strategy='level_batch', "
-                "random search)"
-            )
-        return super().extension_counts(base_mask, dim)
 
     def mask_memory_bytes(self) -> int:
         """Resident mask bytes: 0 — the stacks live on disk.

@@ -8,27 +8,27 @@ dedupe explicit by only ever extending with dimensions strictly greater
 than the cube's largest dimension, so each of the ``C(d,k)·φ^k`` cubes
 is generated exactly once.
 
-Two enumeration strategies produce identical best sets:
-
-* ``depth_first`` (default) — each partial cube's membership mask is
-  computed once and reused by all its extensions, and the final level
-  is scored with a single vectorized ``bincount`` per dimension.
-* ``level_batch`` — the paper's literal breadth-first ``R_{i+1} = R_i ⊕
-  Q_1``.  The frontier is a pair of ``(n, depth)`` integer arrays (dims
-  and ranges, one cube per row), and each level is generated from the
-  previous one with array arithmetic, never cube by cube.  Candidates
-  are counted in chunks by the counter's batched AND/popcount kernel
-  (:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which shares
-  the common-prefix ANDs across siblings and, under a ``process``
-  :class:`~repro.core.params.CountingBackend`, spreads the level across
-  a worker pool.  That entry point bypasses the count memo: brute force
-  never counts a cube twice, so the memo would only cost time.  Leaves
-  are scored per chunk and handed to
-  :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`, which
-  filters in numpy and builds objects only for the few cubes that can
-  enter the best set.  Candidates are generated and offered in the same
-  lexicographic order the DFS visits, so both strategies return the
-  same projections.
+The enumeration is the paper's literal breadth-first ``R_{i+1} = R_i ⊕
+Q_1``.  The frontier is a pair of ``(n, depth)`` integer arrays (dims
+and ranges, one cube per row), and each level is generated from the
+previous one with array arithmetic, never cube by cube.  Levels are
+streamed: children are generated in blocks of consecutive parents
+(about one counting chunk each), so peak memory follows the surviving
+frontier and one block, not the whole ``C(d,k)·φ^k`` leaf level.  Each
+block is counted by the counter's batched AND/popcount kernel
+(:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which shares the
+common-prefix ANDs across siblings and, under a ``process``
+:class:`~repro.core.params.CountingBackend` or an mmap shard store,
+runs on the configured backend.  That entry point bypasses the count
+memo: brute force never counts a cube twice, so the memo would only
+cost time.  With ``require_nonempty`` an inner level keeps only its
+non-empty cubes, block by block (counts are monotone under ⊕, so an
+empty cube's whole subtree is pruned).  Leaf blocks are scored as they
+are made and handed to
+:meth:`~repro.search.best_set.BestProjectionSet.offer_batch`, which
+filters in numpy and builds objects only for the few cubes that can
+enter the best set.  Candidates are generated and offered in
+lexicographic order, so results do not depend on the block size.
 
 Cost still explodes combinatorially — that is the paper's point (the
 musk dataset's 160 dimensions defeated their brute-force run entirely)
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
-from collections.abc import Mapping
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -94,20 +95,18 @@ class BruteForceSearch(GeneratorEngine):
     max_seconds, max_evaluations:
         Optional budgets; when exhausted the search returns a partial
         outcome with ``completed=False``.
-    strategy:
-        ``"depth_first"`` (default) or ``"level_batch"`` — see the
-        module docstring.  Both return identical projections.
     cancel_token:
         Optional :class:`~repro.run.cancel.CancelToken`; checked at
         level boundaries and between counting chunks, so a flip stops
         the enumeration at a safe point with best-so-far results.
     checkpointer:
-        Optional :class:`~repro.run.checkpoint.SearchCheckpointer`.
-        Requires ``strategy="level_batch"`` — level boundaries are the
-        only points where the breadth-first frontier is explicit and
-        serializable.  ``run(resume_from=True)`` then continues
-        bit-identically to an uninterrupted run.
+        Optional :class:`~repro.run.checkpoint.SearchCheckpointer`;
+        the frontier is saved at level boundaries, and
+        ``run(resume_from=True)`` then continues bit-identically to an
+        uninterrupted run.
     """
+
+    algorithm = "brute_force"
 
     def __init__(
         self,
@@ -119,7 +118,6 @@ class BruteForceSearch(GeneratorEngine):
         threshold: float | None = None,
         max_seconds: float | None = None,
         max_evaluations: int | None = None,
-        strategy: str = "depth_first",
         cancel_token=None,
         checkpointer=None,
     ):
@@ -145,17 +143,6 @@ class BruteForceSearch(GeneratorEngine):
             if max_evaluations is None
             else check_positive_int(max_evaluations, "max_evaluations")
         )
-        if strategy not in ("depth_first", "level_batch"):
-            raise ValidationError(
-                f"strategy must be 'depth_first' or 'level_batch', got "
-                f"{strategy!r}"
-            )
-        self.strategy = strategy
-        if checkpointer is not None and strategy != "level_batch":
-            raise ValidationError(
-                "brute-force checkpointing requires strategy='level_batch'; "
-                "the depth-first recursion has no serializable frontier"
-            )
         self.cancel_token = cancel_token
         self.checkpointer = checkpointer
 
@@ -163,10 +150,8 @@ class BruteForceSearch(GeneratorEngine):
     def _iterate(self, context: RunContext):
         """The enumeration as a generator (see :class:`GeneratorEngine`).
 
-        ``run(resume_from=...)`` drives it to completion.  Under
-        ``level_batch`` each step is one level boundary; the depth-first
-        recursion has no serializable frontier, so it runs as a single
-        step.  A resumed run restores the breadth-first frontier, best
+        ``run(resume_from=...)`` drives it to completion; each step is
+        one level boundary.  A resumed run restores the frontier, best
         set and evaluation counter, and its final result is
         bit-identical to the same run never having been interrupted.
         """
@@ -189,11 +174,10 @@ class BruteForceSearch(GeneratorEngine):
         start_depth = 1
         start_level = None
         if restored is not None:
+            start_depth, start_level = self._restored_frontier(restored)
             best.restore_state(restored["best_set"])
             state.evaluations = int(restored["evaluations"])
             elapsed_base = float(restored["elapsed_seconds"])
-            start_depth = int(restored["depth"])
-            start_level = _level_arrays(restored["level"], start_depth - 1)
             logger.info(
                 "resuming brute-force search at level %d (%d candidates, "
                 "%d evaluations done)",
@@ -202,9 +186,9 @@ class BruteForceSearch(GeneratorEngine):
         d = self.counter.n_dims
         k = self.dimensionality
         logger.debug(
-            "brute force: enumerating up to %d cubes (d=%d, k=%d, phi=%d, %s)",
+            "brute force: enumerating up to %d cubes (d=%d, k=%d, phi=%d)",
             search_space_size(d, k, self.counter.n_ranges), d, k,
-            self.counter.n_ranges, self.strategy,
+            self.counter.n_ranges,
         )
         totals = {"elapsed_base": elapsed_base, "start": start}
         self._run = {
@@ -215,7 +199,7 @@ class BruteForceSearch(GeneratorEngine):
         context.emit(
             "run_started",
             algorithm="brute_force",
-            strategy=self.strategy,
+            strategy="level_batch",
             dimensionality=k,
             n_projections=self.n_projections,
             search_space_size=search_space_size(d, k, self.counter.n_ranges),
@@ -224,16 +208,12 @@ class BruteForceSearch(GeneratorEngine):
         with self.counter.runtime_binding(token, context.sink):
             yield  # prepare boundary: state built, no cubes counted yet
             try:
-                if self.strategy == "level_batch":
-                    yield from self._run_levels(
-                        best, state,
-                        start_depth=start_depth, start_level=start_level,
-                        totals=totals,
-                        checkpointer=checkpointer, context=context,
-                    )
-                else:
-                    all_points = np.ones(self.counter.n_points, dtype=bool)
-                    self._extend((), (), all_points, d, k, best, state)
+                yield from self._run_levels(
+                    best, state,
+                    start_depth=start_depth, start_level=start_level,
+                    totals=totals,
+                    checkpointer=checkpointer, context=context,
+                )
             except SearchCancelled:
                 # Cancellation struck inside the counting engine mid-batch;
                 # that batch's offers never happened, so the last
@@ -261,7 +241,7 @@ class BruteForceSearch(GeneratorEngine):
                 "evaluations": state.evaluations,
                 "search_space_size": search_space_size(d, k, self.counter.n_ranges),
                 "algorithm": "brute_force",
-                "strategy": self.strategy,
+                "strategy": "level_batch",
             },
             stopped_reason=stopped_reason,
         )
@@ -271,37 +251,47 @@ class BruteForceSearch(GeneratorEngine):
         if run is not None:
             run["state"].latch("cancelled")
 
-    def _load_resume_state(self, resume_from, checkpointer=None) -> dict | None:
-        """Normalize ``resume_from`` into a state dict (or None)."""
-        if checkpointer is None:
-            checkpointer = self.checkpointer
-        if resume_from is None or resume_from is False:
-            return None
-        if self.strategy != "level_batch":
-            raise ValidationError(
-                "brute-force resume requires strategy='level_batch'"
-            )
-        if resume_from is True:
-            if checkpointer is None:
-                raise CheckpointError(
-                    "resume_from=True needs a checkpointer; construct the "
-                    "search with checkpointer=..."
-                )
-            state = checkpointer.load()
-        elif isinstance(resume_from, Mapping):
-            state = dict(resume_from)
-        else:
-            raise ValidationError(
-                "resume_from must be None, True, or a checkpoint state "
-                f"mapping, got {type(resume_from).__name__}"
-            )
-        if state.get("algorithm") != "brute_force":
+    def _restored_frontier(
+        self, restored: dict
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+        """Validate a resume state's frontier; return ``(depth, level)``.
+
+        Anything a level-boundary checkpoint of this search could not
+        have written raises :class:`~repro.exceptions.CheckpointError`.
+        """
+        missing = [key for key in _STATE_KEYS if key not in restored]
+        if missing:
             raise CheckpointError(
-                "checkpoint was written by a "
-                f"{state.get('algorithm', 'unknown')!r} search, not a "
-                "brute-force one"
+                f"brute-force checkpoint is missing {', '.join(missing)}"
             )
-        return state
+        d, k, phi = self.counter.n_dims, self.dimensionality, self.counter.n_ranges
+        depth, evaluations = restored["depth"], restored["evaluations"]
+        if not _is_int(depth) or not 1 <= depth <= k:
+            raise CheckpointError(
+                f"checkpoint depth must be an int in [1, {k}], got {depth!r}"
+            )
+        if not _is_int(evaluations) or evaluations < 0:
+            raise CheckpointError(
+                "checkpoint evaluations must be a non-negative int, got "
+                f"{evaluations!r}"
+            )
+        elapsed = restored["elapsed_seconds"]
+        if isinstance(elapsed, bool) or not isinstance(elapsed, numbers.Real):
+            raise CheckpointError(
+                f"checkpoint elapsed_seconds must be a number, got {elapsed!r}"
+            )
+        dims, ranges = _level_arrays(restored["level"], depth - 1)
+        if (
+            ((dims < 0) | (dims >= d)).any()
+            or (np.diff(dims, axis=1) <= 0).any()
+            or ((ranges < 0) | (ranges >= phi)).any()
+        ):
+            raise CheckpointError(
+                "checkpoint level holds a cube outside this grid: dims "
+                f"must ascend strictly in [0, {d}) and ranges lie in "
+                f"[0, {phi})"
+            )
+        return depth, (dims, ranges)
 
     def _checkpoint_state(
         self,
@@ -314,7 +304,7 @@ class BruteForceSearch(GeneratorEngine):
         """Full JSON-compatible state at a level boundary."""
         dims, ranges = level
         return {
-            "algorithm": "brute_force",
+            "algorithm": self.algorithm,
             "depth": depth,
             "level": [
                 [dm, rg] for dm, rg in zip(dims.tolist(), ranges.tolist(), strict=True)
@@ -324,64 +314,6 @@ class BruteForceSearch(GeneratorEngine):
             "elapsed_seconds": totals["elapsed_base"]
             + (time.perf_counter() - totals["start"]),
         }
-
-    # ------------------------------------------------------------------
-    def _extend(
-        self,
-        dims: tuple[int, ...],
-        ranges: tuple[int, ...],
-        mask: np.ndarray,
-        n_dims: int,
-        k: int,
-        best: BestProjectionSet,
-        state: "_RunState",
-    ) -> None:
-        """Depth-first ``R_i ⊕ Q_1`` with canonical dimension ordering.
-
-        The partial cube is carried as plain ``dims``/``ranges`` tuples;
-        each dimension's φ leaves go to the best set as one
-        :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`.
-        """
-        if state.exhausted:
-            return
-        phi = self.counter.n_ranges
-        remaining = k - len(dims)
-        # Leave room for the remaining levels: the last usable start
-        # dimension is n_dims - remaining.
-        for dim in range(dims[-1] + 1 if dims else 0, n_dims - remaining + 1):
-            if state.check_budget():
-                return
-            counts = self.counter.extension_counts(mask, dim)
-            if remaining == 1:
-                coefficients = sparsity_coefficients(
-                    counts, self.counter.n_points, phi, k
-                )
-                state.evaluations += len(counts)
-                leaf_dims = np.tile(np.array(dims + (dim,), dtype=np.intp), (phi, 1))
-                leaf_ranges = np.empty_like(leaf_dims)
-                leaf_ranges[:, :-1] = ranges
-                leaf_ranges[:, -1] = np.arange(phi)
-                best.offer_batch(leaf_dims, leaf_ranges, counts, coefficients)
-            else:
-                col = self.counter.cells.codes[:, dim]
-                for rng in range(phi):
-                    if counts[rng] == 0 and self.require_nonempty:
-                        # Every extension of an empty cube is empty; when
-                        # empty cubes cannot be reported we can prune the
-                        # whole subtree (counts are monotone under ⊕).
-                        continue
-                    self._extend(
-                        dims + (dim,),
-                        ranges + (rng,),
-                        mask & (col == rng),
-                        n_dims,
-                        k,
-                        best,
-                        state,
-                    )
-                    if state.exhausted:
-                        return
-
 
     # ------------------------------------------------------------------
     def _run_levels(
@@ -398,14 +330,15 @@ class BruteForceSearch(GeneratorEngine):
         """Breadth-first ``R_{i+1} = R_i ⊕ Q_1`` over batched counts.
 
         The frontier is a pair of ``(n, depth)`` ``intp`` arrays, dims
-        and ranges, one cube per row; :func:`_children` extends it a
-        level at a time in lexicographic order, matching the DFS visit
-        order exactly.  Each level's candidates go through
-        :meth:`~repro.grid.counter.CubeCounter.count_cubes` in
-        deterministic chunks — no memo, since no cube is ever counted
-        twice; with ``require_nonempty`` the empty cubes are masked out
-        before extension (counts are monotone under ⊕ — the same
-        subtree pruning the DFS applies).
+        and ranges, one cube per row.  Each level is streamed:
+        :func:`_child_blocks` generates it in lexicographic order, one
+        block of about ``chunk`` children at a time, and each block
+        goes through :meth:`~repro.grid.counter.CubeCounter.count_cubes`
+        as it is made — no memo, since no cube is ever counted twice.
+        An inner level under ``require_nonempty`` keeps each block's
+        non-empty cubes as the next frontier (counts are monotone under
+        ⊕, so an empty cube's subtree is pruned); the final level's
+        blocks are scored and offered one by one and never held whole.
 
         A generator yielding at the top of the depth loop — the **safe
         boundary**: the frontier is explicit, the best set has absorbed
@@ -453,14 +386,15 @@ class BruteForceSearch(GeneratorEngine):
             if state.check_boundary():
                 save_stopped(depth, boundary_payload)
                 return
-            # Leave room for the levels still to add after this one, as
-            # in the DFS.
-            child_dims, child_ranges = _children(dims, ranges, d - (k - depth), phi)
-            n_children = len(child_dims)
+            # Leave room for the levels still to add after this one.
+            stop = d - (k - depth)
+            n_children = int(_fanout(dims, stop, phi)[1].sum())
             if depth == k:
-                self._score_leaves(child_dims, child_ranges, best, state, chunk)
-                if state.exhausted:
-                    save_stopped(depth, boundary_payload)
+                for block in _child_blocks(dims, ranges, stop, phi, chunk):
+                    self._score_leaves(*block, best, state)
+                    if state.exhausted:
+                        save_stopped(depth, boundary_payload)
+                        break
                 emit(
                     "level_end",
                     depth=depth,
@@ -471,18 +405,20 @@ class BruteForceSearch(GeneratorEngine):
                 )
                 return
             if self.require_nonempty:
-                nonempty = np.empty(n_children, dtype=bool)
-                for lo in range(0, n_children, chunk):
+                kept_dims = [np.empty((0, depth), np.intp)]
+                kept_ranges = [np.empty((0, depth), np.intp)]
+                for block_dims, block_ranges in _child_blocks(
+                    dims, ranges, stop, phi, chunk
+                ):
                     if state.check_budget():
                         save_stopped(depth, boundary_payload)
                         return
-                    hi = lo + chunk
-                    nonempty[lo:hi] = (
-                        counter.count_cubes(child_dims[lo:hi], child_ranges[lo:hi])
-                        > 0
-                    )
-                child_dims, child_ranges = child_dims[nonempty], child_ranges[nonempty]
-            dims, ranges = child_dims, child_ranges
+                    nonempty = counter.count_cubes(block_dims, block_ranges) > 0
+                    kept_dims.append(block_dims[nonempty])
+                    kept_ranges.append(block_ranges[nonempty])
+                dims, ranges = np.concatenate(kept_dims), np.concatenate(kept_ranges)
+            else:
+                dims, ranges = _children(dims, ranges, stop, phi)
             emit(
                 "level_end",
                 depth=depth,
@@ -498,12 +434,12 @@ class BruteForceSearch(GeneratorEngine):
         ranges: np.ndarray,
         best: BestProjectionSet,
         state: "_RunState",
-        chunk: int,
     ) -> None:
-        """Score the final level in chunks, offering in generation order.
+        """Score one block of the final level, offering in generation order.
 
-        The chunk that reaches ``max_evaluations`` is cut to the budget
-        left, so the cap is never overshot.
+        The block that reaches ``max_evaluations`` is cut to the budget
+        left, so the cap is never overshot, and the rest of the block
+        latches the cap.
         """
         counter = self.counter
         n, phi, k = counter.n_points, counter.n_ranges, self.dimensionality
@@ -511,7 +447,7 @@ class BruteForceSearch(GeneratorEngine):
         while lo < len(dims):
             if state.check_budget():
                 return
-            hi = lo + chunk
+            hi = len(dims)
             if state.max_evaluations is not None:
                 hi = min(hi, lo + state.max_evaluations - state.evaluations)
             block_dims, block_ranges = dims[lo:hi], ranges[lo:hi]
@@ -520,6 +456,15 @@ class BruteForceSearch(GeneratorEngine):
             state.evaluations += len(counts)
             best.offer_batch(block_dims, block_ranges, counts, coefficients)
             lo = hi
+
+
+def _fanout(
+    dims: np.ndarray, stop: int, n_ranges: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each parent's first extension dimension and its number of children."""
+    n_parents, depth = dims.shape
+    lo = dims[:, -1] + 1 if depth else np.zeros(n_parents, dtype=np.intp)
+    return lo, np.maximum(stop - lo, 0) * n_ranges
 
 
 def _children(
@@ -535,8 +480,7 @@ def _children(
     parent's block: ``dim = lo + offset // φ``, ``rng = offset % φ``.
     """
     n_parents, depth = dims.shape
-    lo = dims[:, -1] + 1 if depth else np.zeros(n_parents, dtype=np.intp)
-    per_parent = np.maximum(stop - lo, 0) * n_ranges
+    lo, per_parent = _fanout(dims, stop, n_ranges)
     parent = np.repeat(np.arange(n_parents), per_parent)
     starts = np.cumsum(per_parent) - per_parent
     offset = np.arange(len(parent)) - starts[parent]
@@ -549,16 +493,60 @@ def _children(
     return child_dims, child_ranges
 
 
-def _level_arrays(level: list, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """A checkpoint's ``[[dims], [ranges]]`` frontier as two arrays."""
-    shape = (len(level), width)
-    dims = np.array([dm for dm, _ in level], dtype=np.intp).reshape(shape)
-    ranges = np.array([rg for _, rg in level], dtype=np.intp).reshape(shape)
-    return dims, ranges
+def _child_blocks(
+    dims: np.ndarray, ranges: np.ndarray, stop: int, n_ranges: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_children` of a frontier, in blocks of consecutive parents.
+
+    Concatenated, the blocks are exactly ``_children(dims, ranges, stop,
+    n_ranges)``.  A block takes parents until it holds at least *chunk*
+    children, so no block exceeds *chunk* plus one parent's ``d·φ``;
+    an empty frontier yields nothing.
+    """
+    ends = np.cumsum(_fanout(dims, stop, n_ranges)[1])
+    total = int(ends[-1]) if len(ends) else 0
+    first = done = 0
+    while done < total:
+        last = min(int(np.searchsorted(ends, done + chunk)) + 1, len(ends))
+        yield _children(dims[first:last], ranges[first:last], stop, n_ranges)
+        first, done = last, int(ends[last - 1])
+
+
+def _level_arrays(level, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A checkpoint's ``[[dims], [ranges]]`` frontier as two arrays.
+
+    Raises :class:`~repro.exceptions.CheckpointError` unless every row
+    is a pair of integer lists of length *width*.
+    """
+    try:
+        dims = np.array([dm for dm, _ in level])
+        ranges = np.array([rg for _, rg in level])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint level is not a list of [dims, ranges] rows: {exc}"
+        ) from exc
+    shape = (len(dims), width)
+    if not len(dims):
+        return np.empty(shape, np.intp), np.empty(shape, np.intp)
+    if dims.shape != shape or ranges.shape != shape or (
+        width and (dims.dtype.kind != "i" or ranges.dtype.kind != "i")
+    ):
+        raise CheckpointError(
+            f"checkpoint level rows must hold {width} integer dims and "
+            f"{width} integer ranges"
+        )
+    return dims.astype(np.intp), ranges.astype(np.intp)
+
+
+_STATE_KEYS = ("depth", "level", "best_set", "evaluations", "elapsed_seconds")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class _RunState:
-    """Mutable budget/cancellation bookkeeping shared across the recursion."""
+    """Mutable budget/cancellation bookkeeping shared across the levels."""
 
     def __init__(
         self,

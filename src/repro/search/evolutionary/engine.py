@@ -15,14 +15,13 @@ import logging
 import time
 from collections import Counter
 from dataclasses import asdict
-from collections.abc import Mapping
 
 import numpy as np
 
 from ..._validation import check_positive_int, check_rng
 from ...engine.context import RunContext
 from ...engine.protocol import GeneratorEngine
-from ...exceptions import CheckpointError, SearchCancelled, ValidationError
+from ...exceptions import SearchCancelled, ValidationError
 from ...grid.counter import CubeCounter
 from ...run.checkpoint import encode_rng_state
 from ..best_set import BestProjectionSet
@@ -81,6 +80,8 @@ class EvolutionarySearch(GeneratorEngine):
         ``run(resume_from=True)`` continues bit-identically to an
         uninterrupted run.
     """
+
+    algorithm = "evolutionary"
 
     def __init__(
         self,
@@ -265,34 +266,6 @@ class EvolutionarySearch(GeneratorEngine):
             history=tuple(run["history"]),
             stopped_reason=stopped_reason,
         )
-
-    def _load_resume_state(self, resume_from, checkpointer=None) -> dict | None:
-        """Normalize ``resume_from`` into a state dict (or None)."""
-        if checkpointer is None:
-            checkpointer = self.checkpointer
-        if resume_from is None or resume_from is False:
-            return None
-        if resume_from is True:
-            if checkpointer is None:
-                raise CheckpointError(
-                    "resume_from=True needs a checkpointer; construct the "
-                    "search with checkpointer=..."
-                )
-            state = checkpointer.load()
-        elif isinstance(resume_from, Mapping):
-            state = dict(resume_from)
-        else:
-            raise ValidationError(
-                "resume_from must be None, True, or a checkpoint state "
-                f"mapping, got {type(resume_from).__name__}"
-            )
-        if state.get("algorithm") != "evolutionary":
-            raise CheckpointError(
-                "checkpoint was written by a "
-                f"{state.get('algorithm', 'unknown')!r} search, not an "
-                "evolutionary one"
-            )
-        return state
 
     def _run_population(
         self,
@@ -494,7 +467,7 @@ class EvolutionarySearch(GeneratorEngine):
         totals = totals or {"generations": 0, "converged": 0,
                             "elapsed_base": 0.0, "start": time.perf_counter()}
         return {
-            "algorithm": "evolutionary",
+            "algorithm": self.algorithm,
             "restart": restart,
             "generation": generation,
             "population": [list(solution.genes) for solution in population],

@@ -67,13 +67,6 @@ def scenarios():
         )
         return scrub_result(result_to_dict(detector.detect(data)))
 
-    def brute_force_depth_first():
-        detector = SubspaceOutlierDetector(
-            dimensionality=2, n_ranges=5, n_projections=10,
-            method="brute_force", random_state=0,
-        )
-        return scrub_result(result_to_dict(detector.detect(data)))
-
     def brute_force_level_batch(tmp_dir: Path):
         from repro.run.controller import RunController
 
@@ -116,7 +109,6 @@ def scenarios():
 
     return {
         "evolutionary": evolutionary,
-        "brute_force_depth_first": brute_force_depth_first,
         "brute_force_level_batch": brute_force_level_batch,
         "evolutionary_checkpointed": evolutionary_checkpointed,
         "multik": multik,

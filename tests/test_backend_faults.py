@@ -336,16 +336,14 @@ class TestDetectorUnderFaults:
         assert not baseline.backend_degraded
 
     def test_level_batch_brute_force_with_kill(self, cells, serial_counts):
-        # The level-batched brute force is the other count_batch
-        # consumer; run it straight against a worker kill.
+        # Brute force is the other batched-count consumer; run it
+        # straight against a worker kill.
         from repro.search.brute_force import BruteForceSearch
 
         def mine(backend=None):
             counter = CubeCounter(cells, backend=backend)
             try:
-                outcome = BruteForceSearch(
-                    counter, 2, n_projections=6, strategy="level_batch"
-                ).run()
+                outcome = BruteForceSearch(counter, 2, n_projections=6).run()
                 return outcome, counter.backend_health()
             finally:
                 counter.close()

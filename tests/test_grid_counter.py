@@ -53,27 +53,6 @@ class TestCounting:
         assert small_counter.count(cube) > 0
 
 
-class TestExtensionCounts:
-    def test_sums_to_observed(self, small_counter):
-        base = small_counter.mask(Subspace((0,), (2,)))
-        counts = small_counter.extension_counts(base, 1)
-        # Points missing on dim 1 are absent from every bucket.
-        observed = base & (small_counter.cells.codes[:, 1] >= 0)
-        assert counts.sum() == observed.sum()
-
-    def test_matches_individual_counts(self, small_counter):
-        base_cube = Subspace((0,), (2,))
-        counts = small_counter.extension_counts(small_counter.mask(base_cube), 4)
-        for rng_ in range(small_counter.n_ranges):
-            assert counts[rng_] == small_counter.count(base_cube.extended(4, rng_))
-
-    def test_invalid_dim(self, small_counter):
-        with pytest.raises(ValidationError):
-            small_counter.extension_counts(
-                np.ones(small_counter.n_points, dtype=bool), 99
-            )
-
-
 class TestCoveredPoints:
     def test_indices_sorted_and_consistent(self, small_counter):
         cube = Subspace((1, 3), (0, 4))

@@ -49,16 +49,6 @@ class TestEquivalence:
             np.nonzero(oracle_mask(small_cells.codes, cube))[0],
         )
 
-    def test_extension_counts_match(self, small_cells, packed):
-        base = Subspace((0,), (2,))
-        np.testing.assert_array_equal(
-            packed.extension_counts(packed.mask(base), 3),
-            [
-                oracle_count(small_cells.codes, Subspace((0, 3), (2, r)))
-                for r in range(5)
-            ],
-        )
-
     def test_non_multiple_of_eight_points(self):
         # Padding bits in the last packed word must never count.
         codes = np.zeros((13, 2), dtype=np.int16)

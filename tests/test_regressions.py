@@ -136,33 +136,40 @@ class TestRpl011ExceptionContract:
 
 
 class TestLevelBatchEvaluationCap:
-    """``level_batch`` used to score a whole leaf chunk (4096 cubes on an
-    8-d, φ=5 grid) before reading ``max_evaluations``; the chunk that
-    reaches the cap is now cut to the budget left."""
+    """The level-batched brute force used to score a whole leaf chunk
+    (4096 cubes on an 8-d, φ=5 grid) before reading ``max_evaluations``;
+    the chunk that reaches the cap is now cut to the budget left."""
 
     def test_level_batch_stops_at_max_evaluations(self):
+        import itertools
+
         import numpy as np
 
+        from repro.core.subspace import Subspace
         from repro.grid.cells import CellAssignment
         from repro.grid.counter import CubeCounter
         from repro.search.brute_force import BruteForceSearch
 
         codes = np.random.default_rng(0).integers(0, 5, size=(300, 8))
         counter = CubeCounter(CellAssignment(codes.astype(np.int16), 5))
-        outcomes = {
-            strategy: BruteForceSearch(
-                counter, 3, 5, max_evaluations=10, strategy=strategy
-            ).run()
-            for strategy in ("depth_first", "level_batch")
+        outcome = BruteForceSearch(counter, 3, 10, max_evaluations=10).run()
+        assert outcome.stats["evaluations"] == 10
+        assert not outcome.completed
+        assert outcome.stopped_reason == "evaluation_cap"
+        # The ten offered leaves are the first ten in generation order,
+        # lexicographic in the cube's (dim, range) pairs (every 1- and
+        # 2-d prefix here is non-empty, so none is pruned).
+        first_ten = sorted(
+            (
+                Subspace(dims, ranges)
+                for dims in itertools.combinations(range(8), 3)
+                for ranges in itertools.product(range(5), repeat=3)
+            ),
+            key=lambda cube: list(zip(cube.dims, cube.ranges)),
+        )[:10]
+        assert {p.subspace for p in outcome.projections} == {
+            cube for cube in first_ten if counter.count(cube) > 0
         }
-        for outcome in outcomes.values():
-            assert outcome.stats["evaluations"] == 10
-            assert not outcome.completed
-            assert outcome.stopped_reason == "evaluation_cap"
-        # Both strategies offered the same ten leaves, in the same order.
-        assert [p.subspace for p in outcomes["level_batch"].projections] == [
-            p.subspace for p in outcomes["depth_first"].projections
-        ]
 
 
 class TestZeroProjectionModelServes:
@@ -405,3 +412,67 @@ class TestNonFiniteCutPoints:
         for bad in (np.nan, np.inf):
             with pytest.raises(DiscretizationError, match="column 1 are not finite"):
                 EquiDepthDiscretizer.from_cut_points([[0.0, 1.0], [0.0, bad]])
+
+
+class TestMalformedBruteForceResume:
+    """A hand-built brute-force resume state used to escape the
+    ``ReproError`` contract: a ragged or wrong-width ``level`` or
+    ``depth: 0`` raised a bare ``ValueError``, a missing key a bare
+    ``KeyError``, and ``depth > k`` or a dimension outside the grid
+    silently returned ``completed=True`` with nothing mined.  Every
+    restored state is now validated and rejected with
+    ``CheckpointError``."""
+
+    @staticmethod
+    def _resume(**changes):
+        import numpy as np
+        import pytest
+
+        from repro.exceptions import CheckpointError
+        from repro.grid.cells import CellAssignment
+        from repro.grid.counter import CubeCounter
+        from repro.search.best_set import BestProjectionSet
+        from repro.search.brute_force import BruteForceSearch
+
+        codes = np.random.default_rng(0).integers(0, 4, size=(120, 6))
+        counter = CubeCounter(CellAssignment(codes.astype(np.int16), 4))
+        state = {
+            "algorithm": "brute_force",
+            "depth": 2,
+            "level": [[[dim], [rng]] for dim in range(5) for rng in range(4)],
+            "best_set": BestProjectionSet(5).to_state(),
+            "evaluations": 0,
+            "elapsed_seconds": 0.0,
+        }
+        state.update(changes)
+        for key in [key for key, value in changes.items() if value is None]:
+            del state[key]
+        with pytest.raises(CheckpointError):
+            BruteForceSearch(counter, 3, 5).run(resume_from=state)
+
+    def test_ragged_level(self):
+        self._resume(level=[[[0], [1]], [[0, 1], [1]]])
+
+    def test_level_rows_of_wrong_width(self):
+        self._resume(level=[[[0, 1], [1, 2]]])
+
+    def test_depth_zero(self):
+        self._resume(depth=0)
+
+    def test_missing_elapsed_seconds(self):
+        self._resume(elapsed_seconds=None)
+
+    def test_depth_above_k(self):
+        self._resume(depth=4, level=[[[0, 1, 2], [0, 0, 0]]])
+
+    def test_frontier_dimension_outside_grid(self):
+        self._resume(level=[[[99], [0]]])
+
+    def test_range_outside_grid(self):
+        self._resume(level=[[[0], [4]]])
+
+    def test_descending_dims(self):
+        self._resume(depth=3, level=[[[2, 1], [0, 0]]])
+
+    def test_negative_evaluations(self):
+        self._resume(evaluations=-1)

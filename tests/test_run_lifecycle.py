@@ -92,9 +92,7 @@ def ga_search(counter, **overrides):
 
 
 def bf_search(counter, **overrides):
-    params = dict(strategy="level_batch")
-    params.update(overrides)
-    return BruteForceSearch(counter, 3, 5, **params)
+    return BruteForceSearch(counter, 3, 5, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -391,20 +389,13 @@ class TestKillResumeBruteForce:
         assert outcome.stopped_reason == "converged"
         assert outcome.completed
 
-    def test_checkpointing_requires_level_batch(self, lifecycle_counter, tmp_path):
-        stream = SearchCheckpointer(CheckpointStore(tmp_path), "bf")
-        with pytest.raises(ValidationError, match="level_batch"):
-            BruteForceSearch(
-                lifecycle_counter, 2, 5, strategy="depth_first", checkpointer=stream
-            )
-
     def test_cancelled_depth_first_returns_partial(self, lifecycle_counter):
-        # Depth-first has no level boundaries: it only reads the raw flag
-        # at its pruning chunks, so cancel up front rather than injecting.
+        # A token flipped before the run starts stops it at the first
+        # level boundary, with nothing scored.
         token = CancelToken()
         token.cancel(reason="test")
         outcome = BruteForceSearch(
-            lifecycle_counter, 3, 5, strategy="depth_first", cancel_token=token
+            lifecycle_counter, 3, 5, cancel_token=token
         ).run()
         assert outcome.stopped_reason == "cancelled"
         assert not outcome.completed

@@ -14,12 +14,11 @@ from repro.grid.cells import MISSING_CELL, CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.search.brute_force import (
     BruteForceSearch,
+    _child_blocks,
     _children,
     _level_arrays,
     search_space_size,
 )
-
-STRATEGIES = ("depth_first", "level_batch")
 
 
 def exhaustive_reference(cells, k, require_nonempty=True):
@@ -142,7 +141,7 @@ COUNTERS = {
 
 
 class TestOracle:
-    """Both strategies, every counter flavour, against the codes-only oracle."""
+    """Every counter flavour against the codes-only oracle."""
 
     @settings(max_examples=25, deadline=None)
     @given(grid=small_grids(), m=st.integers(1, 8))
@@ -153,17 +152,14 @@ class TestOracle:
         for name, make in COUNTERS.items():
             counter = make(cells)
             try:
-                for strategy in STRATEGIES:
-                    outcome = BruteForceSearch(
-                        counter, k, n_projections=m, strategy=strategy
-                    ).run()
-                    got = [(p.coefficient, p.count) for p in outcome.projections]
-                    assert got == pytest.approx(want), (name, strategy)
-                    for p in outcome.projections:
-                        dims = list(p.subspace.dims)
-                        assert p.count == int(np.count_nonzero(
-                            np.all(cells.codes[:, dims] == p.subspace.ranges, axis=1)
-                        ))
+                outcome = BruteForceSearch(counter, k, n_projections=m).run()
+                got = [(p.coefficient, p.count) for p in outcome.projections]
+                assert got == pytest.approx(want), name
+                for p in outcome.projections:
+                    dims = list(p.subspace.dims)
+                    assert p.count == int(np.count_nonzero(
+                        np.all(cells.codes[:, dims] == p.subspace.ranges, axis=1)
+                    ))
             finally:
                 counter.close()
 
@@ -203,23 +199,39 @@ class TestChildGeneration:
         ]
         assert got == want
 
+        # The streamed level: blocks of consecutive parents that
+        # concatenate to the same children, none over chunk + d·φ rows.
+        chunk = data.draw(st.integers(1, 40))
+        blocks = list(_child_blocks(dims, ranges, stop, phi, chunk))
+        if not len(child_dims):
+            assert blocks == []
+            return
+        assert all(0 < len(bd) <= chunk + n_dims * phi for bd, _ in blocks)
+        np.testing.assert_array_equal(
+            np.concatenate([bd for bd, _ in blocks]), child_dims
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([br for _, br in blocks]), child_ranges
+        )
+
 
 class TestBudgets:
     def test_max_evaluations_partial(self, small_counter):
-        self._check_evaluation_cap(small_counter, "depth_first")
+        self._check_evaluation_cap(small_counter, require_nonempty=True)
 
     def test_max_evaluations_partial_level_batch(self, small_counter):
-        self._check_evaluation_cap(small_counter, "level_batch")
+        # Without the non-empty filter no inner level is counted.
+        self._check_evaluation_cap(small_counter, require_nonempty=False)
 
     @staticmethod
-    def _check_evaluation_cap(counter, strategy):
+    def _check_evaluation_cap(counter, require_nonempty):
         outcome = BruteForceSearch(
             counter, 3, n_projections=5, max_evaluations=10,
-            strategy=strategy,
+            require_nonempty=require_nonempty,
         ).run()
         assert not outcome.completed
         assert outcome.stopped_reason == "evaluation_cap"
-        assert outcome.stats["evaluations"] <= 10 + counter.n_ranges
+        assert outcome.stats["evaluations"] == 10
 
     def test_zero_second_budget_incomplete(self, small_counter):
         outcome = BruteForceSearch(
@@ -266,3 +278,38 @@ class TestOutcome:
         empty = SearchOutcome(projections=())
         assert empty.best_coefficient != empty.best_coefficient
         assert empty.mean_coefficient() != empty.mean_coefficient()
+
+
+class TestOneCountingPath:
+    """Every brute-force run streams its levels through ``count_cubes``."""
+
+    def test_streamed_leaf_level_bounds_traced_memory(self):
+        import tracemalloc
+
+        from repro.grid.discretizer import EquiDepthDiscretizer
+
+        data = np.random.default_rng(0).normal(size=(2000, 12))
+        counter = CubeCounter(EquiDepthDiscretizer(6).fit_transform(data))
+        tracemalloc.start()
+        try:
+            outcome = BruteForceSearch(counter, 4, 20).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.stats["evaluations"] == 641_514
+        # Holding the whole leaf level (C(12,4)·6^4 rows) peaks at ~66 MB.
+        assert peak < 16 * 2**20
+        assert counter.cache_stats()["batch_cubes"] >= 641_514
+
+    def test_detect_counts_through_the_pool(self, small_data):
+        from repro.core.detector import SubspaceOutlierDetector
+
+        result = SubspaceOutlierDetector(
+            dimensionality=2, n_ranges=5, n_projections=5,
+            method="brute_force",
+            counting=CountingBackend(kind="process", n_workers=2, chunk_size=64),
+        ).detect(small_data)
+        stats = result.stats["counter_stats"]
+        assert stats["parallel_chunks"] > 0
+        assert stats["count_calls"] > 0
+        assert result.stats["strategy"] == "level_batch"

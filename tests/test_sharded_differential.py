@@ -280,23 +280,6 @@ class TestShardedDifferential:
             memory.close()
             sharded.close()
 
-    def test_extension_counts_need_cells(self, store, cells):
-        with_cells = ShardedCounter(store, cells=cells)
-        without = ShardedCounter(store)
-        memory = CubeCounter(cells)
-        base = memory.mask(Subspace((0,), (1,)))
-        try:
-            np.testing.assert_array_equal(
-                with_cells.extension_counts(base, 2),
-                memory.extension_counts(base, 2),
-            )
-            with pytest.raises(ValidationError, match="cells"):
-                without.extension_counts(base, 2)
-        finally:
-            with_cells.close()
-            without.close()
-            memory.close()
-
     def test_single_shard_store_matches(self, cells, cubes, reference_counts, tmp_path):
         # shard_rows >= N: the degenerate one-shard store must behave
         # exactly like the multi-shard one.
