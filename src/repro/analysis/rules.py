@@ -6,7 +6,7 @@ are documented in ``docs/determinism.md``; in one line each:
 
 ========  ============================================================
 RPL001    no module-level / unseeded RNG — randomness flows from a
-          seeded ``Generator`` (``RunContext.rng`` / ``random_state``)
+          seeded ``Generator`` (``check_rng(random_state)``)
 RPL002    no wall-clock reads outside the budget/telemetry modules
 RPL003    no direct file writes — persistence goes through
           ``repro._atomic``
@@ -185,7 +185,7 @@ class UnseededRngRule(RuleVisitor):
     name = "no-unseeded-rng"
     description = (
         "module-level numpy.random / stdlib random calls bypass the "
-        "seeded-Generator discipline (RunContext.rng / random_state)"
+        "seeded-Generator discipline (check_rng(random_state))"
     )
 
     #: numpy.random attributes that *construct* seeded generators; a
@@ -244,7 +244,7 @@ class UnseededRngRule(RuleVisitor):
         self.report(
             node,
             f"module-level numpy.random.{attr}() call; use a seeded "
-            "Generator (RunContext.rng / check_rng(random_state))",
+            "Generator (check_rng(random_state))",
         )
 
     def _check_stdlib(self, node: ast.Call, dotted: str) -> None:

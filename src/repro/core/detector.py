@@ -602,7 +602,6 @@ class SubspaceOutlierDetector:
         )
         if controller is not None:
             context = controller.build_context(
-                counter=counter,
                 checkpointer=checkpointer,
                 sink=sink,
                 resume_from=resume_from,
@@ -616,7 +615,6 @@ class SubspaceOutlierDetector:
             )
         else:
             context = RunContext(
-                counter=counter,
                 max_seconds=self.max_seconds,
                 resume_from=resume_from,
             )

@@ -7,8 +7,8 @@ searches*:
   :class:`SearchEngine` protocol and the :class:`GeneratorEngine` base
   every built-in searcher rides on;
 * :mod:`repro.engine.context` — :class:`RunContext`, the one bundle of
-  counter, cancel token, checkpointer, budget, RNG and event sink that
-  gets injected into a run;
+  cancel token, checkpointer, budget, resume request and event sink
+  that gets injected into a run;
 * :mod:`repro.engine.events` — typed :class:`Event` records and the
   pluggable :class:`EventSink` family;
 * :mod:`repro.engine.registry` — the name → factory registry the

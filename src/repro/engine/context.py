@@ -1,13 +1,12 @@
 """RunContext: the cross-cutting run state injected into every engine.
 
-PRs 1-3 threaded the same handful of objects — cube counter, cancel
-token, checkpointer, wall-clock budget, RNG — through four searcher
-constructors separately.  A :class:`RunContext` bundles them once:
-:class:`~repro.run.controller.RunController` builds it, the detector
-passes it to whichever engine the registry resolves, and the engine
-reads what it needs.  Fields left ``None`` fall back to the engine's
-own constructor arguments, so direct construction of a searcher keeps
-working unchanged.
+A :class:`RunContext` is the only way to hand an engine its run state:
+cancel token, checkpointer, wall-clock budget, resume request and event
+sink.  :class:`~repro.run.controller.RunController` builds it, the
+detector passes it to whichever engine the registry resolves, and the
+engine reads what it needs.  Engine constructors take only what the
+search *is* (counter, k, m, hyper-parameters); everything about how
+one run of it stops, saves and reports lives here.
 """
 
 from __future__ import annotations
@@ -26,23 +25,15 @@ class RunContext:
 
     Attributes
     ----------
-    counter:
-        The cube counting engine (:class:`~repro.grid.counter.CubeCounter`)
-        the run counts through.  Engines constructed with their own
-        counter may leave this None.
     cancel_token:
         Cooperative :class:`~repro.run.cancel.CancelToken`; polled at
-        safe boundaries.
+        safe boundaries (None: the run cannot be cancelled).
     checkpointer:
         :class:`~repro.run.checkpoint.SearchCheckpointer` for crash-safe
         boundary snapshots (None disables checkpointing).
     max_seconds:
         Remaining wall-clock budget for this run.  Engines take the
         minimum of this and their own configured budget.
-    rng:
-        A seeded ``numpy.random.Generator``.  When None, engines seed
-        their own from their ``random_state`` argument — the
-        bit-identical legacy path.
     sink:
         The :class:`~repro.engine.events.EventSink` boundary events are
         emitted to.
@@ -51,11 +42,9 @@ class RunContext:
         snapshot), or an explicit state mapping.
     """
 
-    counter: Any = None
     cancel_token: Any = None
     checkpointer: Any = None
     max_seconds: float | None = None
-    rng: Any = None
     sink: EventSink = field(default_factory=NullSink)
     resume_from: Any = None
 
@@ -70,13 +59,3 @@ class RunContext:
         if engine_max_seconds is None:
             return self.max_seconds
         return min(self.max_seconds, engine_max_seconds)
-
-    def resolve_token(self, engine_token: Any) -> Any:
-        """Context token if set, else the engine's own."""
-        return self.cancel_token if self.cancel_token is not None else engine_token
-
-    def resolve_checkpointer(self, engine_checkpointer: Any) -> Any:
-        """Context checkpointer if set, else the engine's own."""
-        if self.checkpointer is not None:
-            return self.checkpointer
-        return engine_checkpointer

@@ -30,10 +30,12 @@ shape, which is what the differential golden tests lock down.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from typing import TYPE_CHECKING, Any, ClassVar
 
+from .._validation import check_positive_int
 from ..exceptions import CheckpointError, SearchError, ValidationError
+from ..run.controller import RunBudget
 from .context import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,32 +60,19 @@ class SearchEngine(ABC):
         """Assemble the outcome from the current state."""
 
     # ------------------------------------------------------------------
-    def run(
-        self, *, resume_from: object = None, context: RunContext | None = None
-    ) -> "SearchOutcome":
+    def run(self, *, context: RunContext | None = None) -> "SearchOutcome":
         """Drive the full protocol: prepare, step until done, finalize.
 
-        ``resume_from`` is the legacy keyword the pre-protocol searchers
-        took; it is folded into the context so both call styles work.
+        *context* carries the run state (token, checkpointer, budget,
+        resume request, sink); None runs with a default
+        :class:`~repro.engine.context.RunContext`.
         """
-        context = self._resolve_context(context, resume_from)
+        if context is None:
+            context = RunContext()
         self.prepare(context)
         while self.step(context):
             pass
         return self.finalize(context)
-
-    def _resolve_context(
-        self, context: RunContext | None, resume_from: object
-    ) -> RunContext:
-        """Default context from the engine's own constructor arguments."""
-        if context is None:
-            context = RunContext(
-                cancel_token=getattr(self, "cancel_token", None),
-                checkpointer=getattr(self, "checkpointer", None),
-            )
-        if resume_from is not None:
-            context.resume_from = resume_from
-        return context
 
 
 class GeneratorEngine(SearchEngine):
@@ -95,9 +84,13 @@ class GeneratorEngine(SearchEngine):
       once right after setup (the prepare boundary) and once per safe
       boundary thereafter;
     * ``_build_outcome(context)`` — assemble the
-      :class:`~repro.search.outcome.SearchOutcome` from instance state;
-    * optionally ``_mark_abandoned(context)`` — adjust state when
-      :meth:`finalize` is called before the generator is exhausted.
+      :class:`~repro.search.outcome.SearchOutcome` from instance state.
+
+    The run bookkeeping lives here once: ``_iterate`` sets
+    :attr:`_budget` (a :class:`~repro.run.controller.RunBudget`), stops
+    through it at every boundary, and writes checkpoints through
+    :meth:`_checkpoint` / :meth:`_at_boundary`; :meth:`finalize` called
+    before the generator is exhausted latches ``cancelled`` on it.
 
     Checkpointing engines set ``algorithm``: the name their checkpoint
     states carry, which :meth:`_load_resume_state` checks on resume.
@@ -105,6 +98,7 @@ class GeneratorEngine(SearchEngine):
 
     algorithm: ClassVar[str] = ""
     _iterator: Iterator[None] | None = None
+    _budget: RunBudget | None = None
 
     # ------------------------------------------------------------------
     def prepare(self, context: RunContext) -> None:
@@ -133,8 +127,10 @@ class GeneratorEngine(SearchEngine):
             # then report the run as cancelled at the last boundary.
             self._iterator.close()
             self._iterator = None
-            self._mark_abandoned(context)
+            if self._budget is not None:
+                self._budget.latch("cancelled")
         outcome = self._build_outcome(context)
+        counter = getattr(self, "counter", None)
         context.emit(
             "engine_finished",
             algorithm=str(outcome.stats.get("algorithm", type(self).__name__)),
@@ -143,8 +139,10 @@ class GeneratorEngine(SearchEngine):
             n_projections=len(outcome.projections),
             best_coefficient=outcome.best_coefficient,
             evaluations=int(outcome.stats.get("evaluations", 0)),
-            counter_stats=self._counter_stats_snapshot(context),
-            backend_health=self._backend_health_snapshot(context),
+            counter_stats=counter.cache_stats() if counter is not None else {},
+            backend_health=(
+                counter.backend_health() if counter is not None else {}
+            ),
         )
         return outcome
 
@@ -159,11 +157,21 @@ class GeneratorEngine(SearchEngine):
     ) -> "SearchOutcome":  # pragma: no cover
         raise NotImplementedError
 
-    def _mark_abandoned(self, context: RunContext) -> None:
-        """Hook for subclasses; default latches a cancelled stop reason."""
-        run = getattr(self, "_run", None)
-        if isinstance(run, dict):
-            run["stopped_reason"] = "cancelled"
+    def _bind_counter(self, counter: Any, dimensionality: int) -> None:
+        """Validate and keep the counter and k every built-in engine takes."""
+        from ..grid.counter import CubeCounter
+
+        if not isinstance(counter, CubeCounter):
+            raise ValidationError(
+                f"counter must be a CubeCounter, got {type(counter).__name__}"
+            )
+        self.counter = counter
+        self.dimensionality = check_positive_int(dimensionality, "dimensionality")
+        if self.dimensionality > counter.n_dims:
+            raise ValidationError(
+                f"dimensionality ({self.dimensionality}) exceeds data "
+                f"dimensionality ({counter.n_dims})"
+            )
 
     def _require_run_state(self) -> dict:
         """The per-run state bundle built by ``_iterate``'s setup."""
@@ -172,21 +180,18 @@ class GeneratorEngine(SearchEngine):
             raise SearchError("finalize()/step() called before prepare()")
         return run
 
-    def _load_resume_state(
-        self, resume_from: object, checkpointer: Any = None
-    ) -> dict[str, Any] | None:
-        """Normalize ``resume_from`` into a state dict (or None)."""
-        if checkpointer is None:
-            checkpointer = getattr(self, "checkpointer", None)
+    def _load_resume_state(self, context: RunContext) -> dict[str, Any] | None:
+        """Normalize ``context.resume_from`` into a state dict (or None)."""
+        resume_from = context.resume_from
         if resume_from is None or resume_from is False:
             return None
         if resume_from is True:
-            if checkpointer is None:
+            if context.checkpointer is None:
                 raise CheckpointError(
-                    "resume_from=True needs a checkpointer; construct the "
-                    "search with checkpointer=..."
+                    "resume_from=True needs a checkpointer; set "
+                    "RunContext.checkpointer"
                 )
-            state = checkpointer.load()
+            state = context.checkpointer.load()
         elif isinstance(resume_from, Mapping):
             state = dict(resume_from)
         else:
@@ -203,22 +208,44 @@ class GeneratorEngine(SearchEngine):
         return state
 
     # ------------------------------------------------------------------
-    def _resolve_counter(self, context: RunContext) -> Any:
-        """The counter this run counts through (context wins)."""
-        counter = context.counter if context.counter is not None else getattr(
-            self, "counter", None
-        )
-        if counter is None:
-            raise SearchError(
-                f"{type(self).__name__} has no counter: pass one at "
-                "construction or on the RunContext"
-            )
-        return counter
+    def _checkpoint(
+        self,
+        context: RunContext,
+        boundary: int,
+        build_state: Callable[[], Mapping[str, Any]],
+        trigger: str = "interval",
+    ) -> None:
+        """Write one boundary snapshot and emit ``checkpoint_written``.
 
-    def _counter_stats_snapshot(self, context: RunContext) -> dict:
-        counter = context.counter or getattr(self, "counter", None)
-        return counter.cache_stats() if counter is not None else {}
+        ``trigger="interval"`` saves only when *boundary* is due under
+        the checkpointer's interval, and builds the state only then.
+        Any other trigger is a stop snapshot (the stop reason), written
+        unconditionally.  No checkpointer on the context: a no-op.
+        """
+        checkpointer = context.checkpointer
+        if checkpointer is None:
+            return
+        if trigger != "interval":
+            checkpointer.save(build_state())
+        elif not checkpointer.maybe_save(boundary, build_state):
+            return
+        context.emit("checkpoint_written", boundary=boundary, trigger=trigger)
 
-    def _backend_health_snapshot(self, context: RunContext) -> dict:
-        counter = context.counter or getattr(self, "counter", None)
-        return counter.backend_health() if counter is not None else {}
+    def _at_boundary(
+        self,
+        context: RunContext,
+        boundary: int,
+        build_state: Callable[[], Mapping[str, Any]],
+    ) -> str | None:
+        """A safe boundary's bookkeeping; the stop reason, if any.
+
+        Interval checkpoint first, then one budget check (one token
+        poll), then — when the run must stop — the stop snapshot of
+        this same boundary.
+        """
+        assert self._budget is not None
+        self._checkpoint(context, boundary, build_state)
+        reason = self._budget.check()
+        if reason is not None:
+            self._checkpoint(context, boundary, build_state, reason)
+        return reason

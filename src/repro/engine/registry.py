@@ -167,7 +167,7 @@ def create_engine(
 # repro.engine.protocol for their base class, so importing them at
 # module top here would be circular.
 
-_COMMON = ("require_nonempty", "threshold", "cancel_token")
+_COMMON = ("require_nonempty", "threshold")
 
 
 def _evolutionary(
@@ -216,15 +216,14 @@ register_engine(
     "evolutionary",
     _evolutionary,
     accepts=_COMMON
-    + ("config", "crossover", "selection", "random_state", "checkpointer"),
+    + ("config", "crossover", "selection", "random_state"),
     supports_checkpoint=True,
     description="the paper's GA with optimized crossover (Figures 3-6)",
 )
 register_engine(
     "brute_force",
     _brute_force,
-    accepts=_COMMON
-    + ("max_seconds", "max_evaluations", "checkpointer"),
+    accepts=_COMMON + ("max_seconds", "max_evaluations"),
     supports_checkpoint=True,
     description="exhaustive bottom-up cube enumeration (Figure 2)",
 )

@@ -718,19 +718,20 @@ class CubeCounter:
 
     # ------------------------------------------------------------------
     def _ensure_pool(self):
-        """The lazy process pool, or None if unavailable (serial fallback)."""
+        """The lazy process pool, or None if unavailable (in-process fallback)."""
         if self._pool is None and not self._pool_failed:
             try:
                 self._pool = self._make_pool()
             except Exception as exc:  # repro-lint: disable=RPL009
+                fallback = self._spec.fallback or "serial"
                 logger.warning(
                     "process counting backend unavailable (%s); falling "
-                    "back to serial",
-                    exc,
+                    "back to %s",
+                    exc, fallback,
                 )
                 self._pool_failed = True
                 self._ladder.apply(
-                    "counting-pool", self.backend.kind, "serial",
+                    "counting-pool", self.backend.kind, fallback,
                     f"pool unavailable: {exc}",
                 )
                 self._ladder.recovered("pool_unavailable")

@@ -58,7 +58,8 @@ Workers see the specs a test armed because they are forked inside its
 
 This module is imported lazily by ``CubeCounter._ensure_pool``; if
 pool or shared-memory creation fails (restricted containers, missing
-/dev/shm), the counter logs a warning and falls back to serial.
+/dev/shm), the counter logs a warning and counts in-process on its
+backend's ladder fallback.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from ..engine.events import emit_event
 from ..exceptions import SearchCancelled
 from ..resilience.faults import maybe_inject
 from ..resilience.ladder import DegradationLadder, ResilienceReport
-from .backends import resolve_kernel
+from .backends import get_backend, resolve_kernel
 
 __all__ = ["CountingPool", "ShardedCountingPool"]
 
@@ -216,6 +217,9 @@ class _ResilientPool:
         # the old inline loop did.
         self._retry = backend.retry_policy()
         self._kind = backend.kind
+        # What serves once the pool is abandoned: the parent's
+        # in-process kernel, i.e. the backend's ladder fallback.
+        self._fallback = get_backend(backend.kind).fallback or "serial"
         self._max_rebuilds = backend.max_rebuilds
         self._n_workers = backend.resolved_workers()
         self._generation = 0
@@ -383,8 +387,8 @@ class _ResilientPool:
         return counts, stats["words_and"], stats["prefix_reuse"], None
 
     def _abandon(self, reason: str) -> None:
-        """Step the ``counting-pool`` chain down to serial for good."""
-        self.ladder.apply("counting-pool", self._kind, "serial", reason)
+        """Step the ``counting-pool`` chain down to the fallback for good."""
+        self.ladder.apply("counting-pool", self._kind, self._fallback, reason)
         self.ladder.recovered("pool_abandoned")
 
     def _rebuild_or_degrade(self) -> None:

@@ -8,7 +8,8 @@ This package makes long-running searches survivable:
   instead of killing the process mid-write;
 * :mod:`repro.run.checkpoint` — atomic, manifest-validated checkpoints
   with corrupt-file rollback;
-* :mod:`repro.run.controller` — :class:`RunController`, tying one
+* :mod:`repro.run.controller` — :class:`RunBudget`, the one stop check
+  every engine runs through, and :class:`RunController`, tying one
   budget + token + checkpoint directory across a whole multi-k sweep.
 """
 
@@ -26,7 +27,7 @@ from .checkpoint import (
     encode_rng_state,
     params_fingerprint,
 )
-from .controller import RunController
+from .controller import RunBudget, RunController
 from .signals import exit_code_for_signal, installed_signal_handlers
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "data_fingerprint",
     "encode_rng_state",
     "params_fingerprint",
+    "RunBudget",
     "RunController",
     "exit_code_for_signal",
     "installed_signal_handlers",

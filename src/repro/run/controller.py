@@ -1,5 +1,10 @@
 """Run-wide lifecycle: one budget, one cancel token, one checkpoint dir.
 
+A :class:`RunBudget` is the one stop check: it polls the cancel token,
+checks the deadline and an optional evaluation cap, latches the first
+stop reason and reports elapsed time.  Every search engine stops and
+times itself through one, and so does the controller below.
+
 A :class:`RunController` owns everything that outlives a single search
 inside a long job:
 
@@ -36,9 +41,95 @@ from .signals import exit_code_for_signal, installed_signal_handlers
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.context import RunContext
     from ..engine.events import EventSink
-    from ..grid.counter import CubeCounter
 
-__all__ = ["RunController"]
+__all__ = ["RunBudget", "RunController"]
+
+
+class RunBudget:
+    """When a run must stop: cancel token, deadline, evaluation cap.
+
+    The one stop check of every search engine and of the multi-k sweep.
+    :meth:`check` latches the first stop reason (``cancelled``,
+    ``evaluation_cap`` or ``deadline``, checked in that order); once a
+    reason is latched every later check returns it without touching
+    the token again.  At a safe boundary the token is *polled* — the
+    chaos seam, one ``poll()`` per boundary (see
+    :class:`~repro.run.cancel.CancelAfterBoundaries`); between the
+    counting chunks of one boundary only its raw ``cancelled`` flag is
+    read, so a boundary budget is never consumed mid-level.
+
+    Parameters
+    ----------
+    token:
+        The run's :class:`~repro.run.cancel.CancelToken`, or None.
+    max_seconds:
+        Wall-clock budget of this process invocation; None disables.
+    max_evaluations:
+        Cap on :attr:`evaluations`, which the engine advances; None
+        disables.
+    elapsed_base:
+        Seconds a resumed run had already spent before its checkpoint;
+        :meth:`elapsed_seconds` adds it, the deadline does not.
+    """
+
+    def __init__(
+        self,
+        token: CancelToken | None = None,
+        max_seconds: float | None = None,
+        *,
+        max_evaluations: int | None = None,
+        elapsed_base: float = 0.0,
+    ) -> None:
+        self.token = token
+        self.max_seconds = max_seconds
+        self.max_evaluations = max_evaluations
+        self.elapsed_base = float(elapsed_base)
+        self.evaluations = 0
+        self.reason: str | None = None
+        self._started_at = time.perf_counter()
+
+    def latch(self, reason: str) -> str:
+        """Record a stop reason; the first one wins."""
+        if self.reason is None:
+            self.reason = reason
+        return self.reason
+
+    def check(self, *, boundary: bool = True) -> str | None:
+        """The latched stop reason, checking token, cap and clock first.
+
+        *boundary* polls the token; ``boundary=False`` (between the
+        chunks of one boundary) reads its raw flag instead.
+        """
+        if self.reason is None:
+            token = self.token
+            if token is not None and (
+                token.poll() if boundary else token.cancelled
+            ):
+                self.reason = "cancelled"
+            elif (
+                self.max_evaluations is not None
+                and self.evaluations >= self.max_evaluations
+            ):
+                self.reason = "evaluation_cap"
+            elif self.deadline_passed():
+                self.reason = "deadline"
+        return self.reason
+
+    def elapsed_seconds(self) -> float:
+        """Run time so far, including a resumed run's ``elapsed_base``."""
+        return self.elapsed_base + (time.perf_counter() - self._started_at)
+
+    def remaining_seconds(self) -> float | None:
+        """Budget left, ``None`` when unbudgeted (never negative)."""
+        if self.max_seconds is None:
+            return None
+        spent = time.perf_counter() - self._started_at
+        return max(0.0, self.max_seconds - spent)
+
+    def deadline_passed(self) -> bool:
+        """True once the wall-clock budget is spent."""
+        remaining = self.remaining_seconds()
+        return remaining is not None and remaining <= 0.0
 
 
 class RunController:
@@ -94,35 +185,28 @@ class RunController:
             else None
         )
         self.sink = sink
-        self._started_at = time.perf_counter()
+        self.start()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Restart the budget clock (e.g. right before the first search)."""
-        self._started_at = time.perf_counter()
+        self._budget = RunBudget(self.token, self.max_seconds)
 
     def elapsed_seconds(self) -> float:
         """Seconds since the budget clock started."""
-        return time.perf_counter() - self._started_at
+        return self._budget.elapsed_seconds()
 
     def remaining_seconds(self) -> float | None:
         """Budget left, ``None`` when unbudgeted (never negative)."""
-        if self.max_seconds is None:
-            return None
-        return max(0.0, self.max_seconds - self.elapsed_seconds())
+        return self._budget.remaining_seconds()
 
     def deadline_passed(self) -> bool:
         """True once the run-wide budget is spent."""
-        remaining = self.remaining_seconds()
-        return remaining is not None and remaining <= 0.0
+        return self._budget.deadline_passed()
 
     def should_stop(self) -> str | None:
         """``"cancelled"`` / ``"deadline"`` when the run must wind down."""
-        if self.token.poll():
-            return "cancelled"
-        if self.deadline_passed():
-            return "deadline"
-        return None
+        return self._budget.check()
 
     # ------------------------------------------------------------------
     def signal_handlers(self) -> AbstractContextManager[CancelToken]:
@@ -147,7 +231,6 @@ class RunController:
     def build_context(
         self,
         *,
-        counter: "CubeCounter | None" = None,
         checkpointer: SearchCheckpointer | None = None,
         sink: "EventSink | None" = None,
         resume_from: object = None,
@@ -175,7 +258,6 @@ class RunController:
         else:
             resolved_sink = CompositeSink(*sinks)
         context = RunContext(
-            counter=counter,
             cancel_token=self.token,
             checkpointer=checkpointer,
             max_seconds=remaining,

@@ -42,7 +42,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import time
 from collections.abc import Iterator
 
 import numpy as np
@@ -52,6 +51,7 @@ from ..engine.context import RunContext
 from ..engine.protocol import GeneratorEngine
 from ..exceptions import CheckpointError, SearchCancelled, ValidationError
 from ..grid.counter import CubeCounter
+from ..run.controller import RunBudget
 from ..sparsity.coefficient import sparsity_coefficients
 from .best_set import BestProjectionSet
 from .outcome import SearchOutcome
@@ -95,15 +95,13 @@ class BruteForceSearch(GeneratorEngine):
     max_seconds, max_evaluations:
         Optional budgets; when exhausted the search returns a partial
         outcome with ``completed=False``.
-    cancel_token:
-        Optional :class:`~repro.run.cancel.CancelToken`; checked at
-        level boundaries and between counting chunks, so a flip stops
-        the enumeration at a safe point with best-so-far results.
-    checkpointer:
-        Optional :class:`~repro.run.checkpoint.SearchCheckpointer`;
-        the frontier is saved at level boundaries, and
-        ``run(resume_from=True)`` then continues bit-identically to an
-        uninterrupted run.
+
+    The run state comes from the :class:`~repro.engine.context.RunContext`:
+    its cancel token is checked at level boundaries and between counting
+    chunks, so a flip stops the enumeration at a safe point with
+    best-so-far results, and with a checkpointer the frontier is saved
+    at level boundaries, so ``resume_from=True`` continues
+    bit-identically to an uninterrupted run.
     """
 
     algorithm = "brute_force"
@@ -118,20 +116,8 @@ class BruteForceSearch(GeneratorEngine):
         threshold: float | None = None,
         max_seconds: float | None = None,
         max_evaluations: int | None = None,
-        cancel_token=None,
-        checkpointer=None,
     ):
-        if not isinstance(counter, CubeCounter):
-            raise ValidationError(
-                f"counter must be a CubeCounter, got {type(counter).__name__}"
-            )
-        self.counter = counter
-        self.dimensionality = check_positive_int(dimensionality, "dimensionality")
-        if self.dimensionality > counter.n_dims:
-            raise ValidationError(
-                f"dimensionality ({self.dimensionality}) exceeds data "
-                f"dimensionality ({counter.n_dims})"
-            )
+        self._bind_counter(counter, dimensionality)
         if counter.n_ranges < 2:
             raise ValidationError("brute-force search requires a grid with φ >= 2")
         self.n_projections = n_projections
@@ -143,45 +129,38 @@ class BruteForceSearch(GeneratorEngine):
             if max_evaluations is None
             else check_positive_int(max_evaluations, "max_evaluations")
         )
-        self.cancel_token = cancel_token
-        self.checkpointer = checkpointer
 
     # ------------------------------------------------------------------
     def _iterate(self, context: RunContext):
         """The enumeration as a generator (see :class:`GeneratorEngine`).
 
-        ``run(resume_from=...)`` drives it to completion; each step is
-        one level boundary.  A resumed run restores the frontier, best
-        set and evaluation counter, and its final result is
-        bit-identical to the same run never having been interrupted.
+        ``run()`` drives it to completion; each step is one level
+        boundary.  A resumed run restores the frontier, best set and
+        evaluation counter, and its final result is bit-identical to
+        the same run never having been interrupted.
         """
-        token = context.resolve_token(self.cancel_token)
-        checkpointer = context.resolve_checkpointer(self.checkpointer)
-        max_seconds = context.merged_budget(self.max_seconds)
         best = BestProjectionSet(
             self.n_projections,
             require_nonempty=self.require_nonempty,
             threshold=self.threshold,
         )
-        restored = self._load_resume_state(context.resume_from, checkpointer)
-        start = time.perf_counter()
-        state = _RunState(
-            deadline=None if max_seconds is None else start + max_seconds,
+        restored = self._load_resume_state(context)
+        budget = self._budget = RunBudget(
+            context.cancel_token,
+            context.merged_budget(self.max_seconds),
             max_evaluations=self.max_evaluations,
-            token=token,
         )
-        elapsed_base = 0.0
         start_depth = 1
-        start_level = None
+        level = (np.empty((1, 0), np.intp), np.empty((1, 0), np.intp))
         if restored is not None:
-            start_depth, start_level = self._restored_frontier(restored)
+            start_depth, level = self._restored_frontier(restored)
             best.restore_state(restored["best_set"])
-            state.evaluations = int(restored["evaluations"])
-            elapsed_base = float(restored["elapsed_seconds"])
+            budget.evaluations = int(restored["evaluations"])
+            budget.elapsed_base = float(restored["elapsed_seconds"])
             logger.info(
                 "resuming brute-force search at level %d (%d candidates, "
                 "%d evaluations done)",
-                start_depth, len(start_level[0]), state.evaluations,
+                start_depth, len(level[0]), budget.evaluations,
             )
         d = self.counter.n_dims
         k = self.dimensionality
@@ -190,12 +169,7 @@ class BruteForceSearch(GeneratorEngine):
             search_space_size(d, k, self.counter.n_ranges), d, k,
             self.counter.n_ranges,
         )
-        totals = {"elapsed_base": elapsed_base, "start": start}
-        self._run = {
-            "best": best,
-            "state": state,
-            "totals": totals,
-        }
+        self._run = {"best": best}
         context.emit(
             "run_started",
             algorithm="brute_force",
@@ -205,51 +179,32 @@ class BruteForceSearch(GeneratorEngine):
             search_space_size=search_space_size(d, k, self.counter.n_ranges),
             resumed=restored is not None,
         )
-        with self.counter.runtime_binding(token, context.sink):
+        with self.counter.runtime_binding(context.cancel_token, context.sink):
             yield  # prepare boundary: state built, no cubes counted yet
-            try:
-                yield from self._run_levels(
-                    best, state,
-                    start_depth=start_depth, start_level=start_level,
-                    totals=totals,
-                    checkpointer=checkpointer, context=context,
-                )
-            except SearchCancelled:
-                # Cancellation struck inside the counting engine mid-batch;
-                # that batch's offers never happened, so the last
-                # level-boundary checkpoint remains the exact resume point.
-                state.latch("cancelled")
+            yield from self._run_levels(context, best, start_depth, *level)
 
     def _build_outcome(self, context: RunContext) -> SearchOutcome:
-        run = self._require_run_state()
-        best, state, totals = run["best"], run["state"], run["totals"]
+        best = self._require_run_state()["best"]
+        budget = self._budget
         d, k = self.counter.n_dims, self.dimensionality
-        elapsed = totals["elapsed_base"] + (
-            time.perf_counter() - totals["start"]
-        )
-        stopped_reason = state.stop_reason or "converged"
-        if state.exhausted:
+        elapsed = budget.elapsed_seconds()
+        if budget.reason is not None:
             logger.warning(
                 "brute force stopped early after %d evaluations (%.1fs): %s",
-                state.evaluations, elapsed, stopped_reason,
+                budget.evaluations, elapsed, budget.reason,
             )
         return SearchOutcome(
             projections=tuple(best.entries()),
-            completed=not state.exhausted,
+            completed=budget.reason is None,
             stats={
                 "elapsed_seconds": elapsed,
-                "evaluations": state.evaluations,
+                "evaluations": budget.evaluations,
                 "search_space_size": search_space_size(d, k, self.counter.n_ranges),
                 "algorithm": "brute_force",
                 "strategy": "level_batch",
             },
-            stopped_reason=stopped_reason,
+            stopped_reason=budget.reason or "converged",
         )
-
-    def _mark_abandoned(self, context: RunContext) -> None:
-        run = getattr(self, "_run", None)
-        if run is not None:
-            run["state"].latch("cancelled")
 
     def _restored_frontier(
         self, restored: dict
@@ -293,39 +248,49 @@ class BruteForceSearch(GeneratorEngine):
             )
         return depth, (dims, ranges)
 
-    def _checkpoint_state(
+    def _level_state(
         self,
+        context: RunContext,
         depth: int,
-        level: tuple[np.ndarray, np.ndarray],
+        dims: np.ndarray,
+        ranges: np.ndarray,
         best: BestProjectionSet,
-        state: "_RunState",
-        totals: dict,
-    ) -> dict:
-        """Full JSON-compatible state at a level boundary."""
-        dims, ranges = level
-        return {
-            "algorithm": self.algorithm,
-            "depth": depth,
-            "level": [
-                [dm, rg] for dm, rg in zip(dims.tolist(), ranges.tolist(), strict=True)
-            ],
-            "best_set": best.to_state(),
-            "evaluations": state.evaluations,
-            "elapsed_seconds": totals["elapsed_base"]
-            + (time.perf_counter() - totals["start"]),
-        }
+    ):
+        """Builder of the level boundary's JSON-compatible checkpoint state.
+
+        The frontier is only serialized when a write happens.  The best
+        set changes only while the final level is scored, so it is
+        captured up front there (when checkpointing at all): a stop
+        mid-level must save the boundary's set, not the scored blocks'.
+        """
+        evaluations = self._budget.evaluations
+        best_state = None
+        if depth == self.dimensionality and context.checkpointer is not None:
+            best_state = best.to_state()
+
+        def build() -> dict:
+            return {
+                "algorithm": self.algorithm,
+                "depth": depth,
+                "level": [
+                    [dm, rg]
+                    for dm, rg in zip(dims.tolist(), ranges.tolist(), strict=True)
+                ],
+                "best_set": best_state if best_state is not None else best.to_state(),
+                "evaluations": evaluations,
+                "elapsed_seconds": self._budget.elapsed_seconds(),
+            }
+
+        return build
 
     # ------------------------------------------------------------------
     def _run_levels(
         self,
+        context: RunContext,
         best: BestProjectionSet,
-        state: "_RunState",
-        *,
-        start_depth: int = 1,
-        start_level: tuple[np.ndarray, np.ndarray] | None = None,
-        totals: dict | None = None,
-        checkpointer=None,
-        context: RunContext | None = None,
+        start_depth: int,
+        dims: np.ndarray,
+        ranges: np.ndarray,
     ):
         """Breadth-first ``R_{i+1} = R_i ⊕ Q_1`` over batched counts.
 
@@ -342,98 +307,79 @@ class BruteForceSearch(GeneratorEngine):
 
         A generator yielding at the top of the depth loop — the **safe
         boundary**: the frontier is explicit, the best set has absorbed
-        every completed level, and nothing is half-counted.  The
-        boundary snapshot is taken *there*; a budget/cancellation exit
-        mid-level saves that snapshot, so a resumed run redoes the
-        partial level from scratch and lands bit-identically on the
-        uninterrupted result.
+        every completed level, and nothing is half-counted.  Every stop
+        inside a level — budget, cancellation, or a cancellation raised
+        mid-batch by the counting engine — saves that boundary's
+        snapshot, so a resumed run redoes the partial level from
+        scratch and lands bit-identically on the uninterrupted result.
         """
-        counter = self.counter
-        if checkpointer is None:
-            checkpointer = self.checkpointer
-
-        def emit(type_: str, **payload) -> None:
-            if context is not None:
-                context.emit(type_, **payload)
-
-        def save_stopped(depth: int, payload: dict | None) -> None:
-            if payload is not None:
-                checkpointer.save(payload)
-                emit(
-                    "checkpoint_written",
-                    boundary=depth, trigger=state.stop_reason or "stopped",
-                )
-
+        counter, budget = self.counter, self._budget
         d, k, phi = counter.n_dims, self.dimensionality, counter.n_ranges
         chunk = max(1024, counter.backend.chunk_size)
-        if start_level is None:
-            start_level = (np.empty((1, 0), np.intp), np.empty((1, 0), np.intp))
-        dims, ranges = start_level
-        totals = totals or {"elapsed_base": 0.0, "start": time.perf_counter()}
         for depth in range(start_depth, k + 1):
             # ---- safe boundary: level `depth` not yet generated ----
             yield
-            boundary_payload = None
-            if checkpointer is not None:
-                boundary_payload = self._checkpoint_state(
-                    depth, (dims, ranges), best, state, totals
-                )
-                if checkpointer.maybe_save(depth, lambda: boundary_payload):
-                    emit(
-                        "checkpoint_written",
-                        boundary=depth, trigger="interval",
-                    )
-            if state.check_boundary():
-                save_stopped(depth, boundary_payload)
+            build_state = self._level_state(context, depth, dims, ranges, best)
+            if self._at_boundary(context, depth, build_state) is not None:
                 return
             # Leave room for the levels still to add after this one.
             stop = d - (k - depth)
             n_children = int(_fanout(dims, stop, phi)[1].sum())
-            if depth == k:
-                for block in _child_blocks(dims, ranges, stop, phi, chunk):
-                    self._score_leaves(*block, best, state)
-                    if state.exhausted:
-                        save_stopped(depth, boundary_payload)
-                        break
-                emit(
-                    "level_end",
-                    depth=depth,
-                    n_candidates=n_children,
-                    n_survivors=0,
-                    evaluations=state.evaluations,
-                    best_set_size=len(best),
+            try:
+                if depth == k:
+                    for block in _child_blocks(dims, ranges, stop, phi, chunk):
+                        self._score_leaves(*block, best)
+                        if budget.reason is not None:
+                            self._checkpoint(
+                                context, depth, build_state, budget.reason
+                            )
+                            break
+                    context.emit(
+                        "level_end",
+                        depth=depth,
+                        n_candidates=n_children,
+                        n_survivors=0,
+                        evaluations=budget.evaluations,
+                        best_set_size=len(best),
+                    )
+                    return
+                if self.require_nonempty:
+                    kept_dims = [np.empty((0, depth), np.intp)]
+                    kept_ranges = [np.empty((0, depth), np.intp)]
+                    for block_dims, block_ranges in _child_blocks(
+                        dims, ranges, stop, phi, chunk
+                    ):
+                        if budget.check(boundary=False) is not None:
+                            self._checkpoint(
+                                context, depth, build_state, budget.reason
+                            )
+                            return
+                        nonempty = counter.count_cubes(block_dims, block_ranges) > 0
+                        kept_dims.append(block_dims[nonempty])
+                        kept_ranges.append(block_ranges[nonempty])
+                    dims = np.concatenate(kept_dims)
+                    ranges = np.concatenate(kept_ranges)
+                else:
+                    dims, ranges = _children(dims, ranges, stop, phi)
+            except SearchCancelled:
+                # Cancellation struck inside the counting engine
+                # mid-batch; that batch's offers never happened, so this
+                # level's boundary snapshot is the exact resume point.
+                self._checkpoint(
+                    context, depth, build_state, budget.latch("cancelled")
                 )
                 return
-            if self.require_nonempty:
-                kept_dims = [np.empty((0, depth), np.intp)]
-                kept_ranges = [np.empty((0, depth), np.intp)]
-                for block_dims, block_ranges in _child_blocks(
-                    dims, ranges, stop, phi, chunk
-                ):
-                    if state.check_budget():
-                        save_stopped(depth, boundary_payload)
-                        return
-                    nonempty = counter.count_cubes(block_dims, block_ranges) > 0
-                    kept_dims.append(block_dims[nonempty])
-                    kept_ranges.append(block_ranges[nonempty])
-                dims, ranges = np.concatenate(kept_dims), np.concatenate(kept_ranges)
-            else:
-                dims, ranges = _children(dims, ranges, stop, phi)
-            emit(
+            context.emit(
                 "level_end",
                 depth=depth,
                 n_candidates=n_children,
                 n_survivors=len(dims),
-                evaluations=state.evaluations,
+                evaluations=budget.evaluations,
                 best_set_size=len(best),
             )
 
     def _score_leaves(
-        self,
-        dims: np.ndarray,
-        ranges: np.ndarray,
-        best: BestProjectionSet,
-        state: "_RunState",
+        self, dims: np.ndarray, ranges: np.ndarray, best: BestProjectionSet
     ) -> None:
         """Score one block of the final level, offering in generation order.
 
@@ -441,19 +387,19 @@ class BruteForceSearch(GeneratorEngine):
         left, so the cap is never overshot, and the rest of the block
         latches the cap.
         """
-        counter = self.counter
+        counter, budget = self.counter, self._budget
         n, phi, k = counter.n_points, counter.n_ranges, self.dimensionality
         lo = 0
         while lo < len(dims):
-            if state.check_budget():
+            if budget.check(boundary=False) is not None:
                 return
             hi = len(dims)
-            if state.max_evaluations is not None:
-                hi = min(hi, lo + state.max_evaluations - state.evaluations)
+            if budget.max_evaluations is not None:
+                hi = min(hi, lo + budget.max_evaluations - budget.evaluations)
             block_dims, block_ranges = dims[lo:hi], ranges[lo:hi]
             counts = counter.count_cubes(block_dims, block_ranges)
             coefficients = sparsity_coefficients(counts, n, phi, k)
-            state.evaluations += len(counts)
+            budget.evaluations += len(counts)
             best.offer_batch(block_dims, block_ranges, counts, coefficients)
             lo = hi
 
@@ -543,66 +489,3 @@ _STATE_KEYS = ("depth", "level", "best_set", "evaluations", "elapsed_seconds")
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-class _RunState:
-    """Mutable budget/cancellation bookkeeping shared across the levels."""
-
-    def __init__(
-        self,
-        deadline: float | None,
-        max_evaluations: int | None,
-        token=None,
-    ):
-        self.deadline = deadline
-        self.max_evaluations = max_evaluations
-        self.token = token
-        self.evaluations = 0
-        self.exhausted = False
-        self.stop_reason: str | None = None
-        self._checks = 0
-
-    def latch(self, reason: str) -> bool:
-        """Record why the search stopped early; first cause wins."""
-        self.exhausted = True
-        if self.stop_reason is None:
-            self.stop_reason = reason
-        return True
-
-    def check_budget(self) -> bool:
-        """Return True (and latch ``exhausted``) once any budget is spent.
-
-        Reads the token's raw flag rather than :meth:`~repro.run.cancel.
-        CancelToken.poll` — chunk-granularity checks must not consume
-        the boundary budget of an injected
-        :class:`~repro.run.cancel.CancelAfterBoundaries` token.
-        """
-        if self.exhausted:
-            return True
-        if self.token is not None and self.token.cancelled:
-            return self.latch("cancelled")
-        if self.max_evaluations is not None and self.evaluations >= self.max_evaluations:
-            return self.latch("evaluation_cap")
-        self._checks += 1
-        # The clock is comparatively expensive; sample it.
-        if self.deadline is not None and self._checks % 64 == 0:
-            if time.perf_counter() >= self.deadline:
-                return self.latch("deadline")
-        return False
-
-    def check_boundary(self) -> bool:
-        """Budget check at a safe boundary; *polls* the token.
-
-        ``poll()`` is the chaos-injection seam: each boundary consumes
-        one unit of a ``CancelAfterBoundaries`` budget, and the clock is
-        read unsampled (boundaries are rare).
-        """
-        if self.exhausted:
-            return True
-        if self.token is not None and self.token.poll():
-            return self.latch("cancelled")
-        if self.max_evaluations is not None and self.evaluations >= self.max_evaluations:
-            return self.latch("evaluation_cap")
-        if self.deadline is not None and time.perf_counter() >= self.deadline:
-            return self.latch("deadline")
-        return False

@@ -12,18 +12,18 @@ facade.
 from __future__ import annotations
 
 import logging
-import time
 from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 
-from ..._validation import check_positive_int, check_rng
+from ..._validation import check_rng
 from ...engine.context import RunContext
 from ...engine.protocol import GeneratorEngine
 from ...exceptions import SearchCancelled, ValidationError
 from ...grid.counter import CubeCounter
 from ...run.checkpoint import encode_rng_state
+from ...run.controller import RunBudget
 from ..best_set import BestProjectionSet
 from ..outcome import GenerationRecord, SearchOutcome
 from .config import EvolutionaryConfig
@@ -69,16 +69,13 @@ class EvolutionarySearch(GeneratorEngine):
         :class:`~repro.search.best_set.BestProjectionSet`.
     random_state:
         Seed or numpy Generator for full determinism.
-    cancel_token:
-        Optional :class:`~repro.run.cancel.CancelToken`; polled at every
-        generation boundary (and between parallel counting waves), so a
-        flip stops the search at a safe point with best-so-far results.
-    checkpointer:
-        Optional :class:`~repro.run.checkpoint.SearchCheckpointer`;
-        when set, the full GA state (population, RNG stream, best set,
-        counters) is persisted atomically at generation boundaries and
-        ``run(resume_from=True)`` continues bit-identically to an
-        uninterrupted run.
+
+    The run state comes from the :class:`~repro.engine.context.RunContext`:
+    its cancel token is polled at every generation boundary (and between
+    parallel counting waves), and with a checkpointer the full GA state
+    (population, RNG stream, best set, counters) is persisted atomically
+    at generation boundaries, so ``resume_from=True`` continues
+    bit-identically to an uninterrupted run.
     """
 
     algorithm = "evolutionary"
@@ -95,20 +92,8 @@ class EvolutionarySearch(GeneratorEngine):
         require_nonempty: bool = True,
         threshold: float | None = None,
         random_state=None,
-        cancel_token=None,
-        checkpointer=None,
     ):
-        if not isinstance(counter, CubeCounter):
-            raise ValidationError(
-                f"counter must be a CubeCounter, got {type(counter).__name__}"
-            )
-        self.counter = counter
-        self.dimensionality = check_positive_int(dimensionality, "dimensionality")
-        if self.dimensionality > counter.n_dims:
-            raise ValidationError(
-                f"dimensionality ({self.dimensionality}) exceeds data "
-                f"dimensionality ({counter.n_dims})"
-            )
+        self._bind_counter(counter, dimensionality)
         self.n_projections = n_projections
         self.config = config or EvolutionaryConfig()
         if isinstance(crossover, str):
@@ -132,27 +117,22 @@ class EvolutionarySearch(GeneratorEngine):
         self.require_nonempty = require_nonempty
         self.threshold = threshold
         self.random_state = random_state
-        self.cancel_token = cancel_token
-        self.checkpointer = checkpointer
 
     # ------------------------------------------------------------------
     def _iterate(self, context: RunContext):
         """The GA main loop as a generator (see :class:`GeneratorEngine`).
 
-        ``run(resume_from=...)`` drives this to completion; an external
-        driver can instead ``prepare``/``step`` it one generation
-        boundary at a time.  A resumed run restores the RNG stream,
-        population, best set and every counter from the last generation
-        boundary, so its final result is bit-identical to the same run
-        never having been interrupted.  Statement order inside the loop
-        matches the pre-protocol implementation — the differential
-        golden tests lock that down.
+        ``run()`` drives this to completion; an external driver can
+        instead ``prepare``/``step`` it one generation boundary at a
+        time.  A resumed run restores the RNG stream, population, best
+        set and every counter from the last generation boundary, so its
+        final result is bit-identical to the same run never having been
+        interrupted.  Statement order inside the loop matches the
+        pre-protocol implementation — the differential golden tests lock
+        that down.
         """
-        rng = context.rng if context.rng is not None else check_rng(self.random_state)
+        rng = check_rng(self.random_state)
         cfg = self.config
-        token = context.resolve_token(self.cancel_token)
-        checkpointer = context.resolve_checkpointer(self.checkpointer)
-        max_seconds = context.merged_budget(cfg.max_seconds)
         evaluator = FitnessEvaluator(self.counter, self.dimensionality)
         mutation = BalancedMutation(
             cfg.mutation_swap_probability,
@@ -168,25 +148,24 @@ class EvolutionarySearch(GeneratorEngine):
             threshold=self.threshold,
         )
 
-        state = self._load_resume_state(context.resume_from, checkpointer)
+        state = self._load_resume_state(context)
         first_restart = 0
         history: list[GenerationRecord] = []
-        start = time.perf_counter()
         # Run-wide totals shared with the boundary checkpoints.  The
         # time budget is per process invocation: a resumed run gets the
         # full ``max_seconds`` again (callers with one overall budget —
         # the RunController — pass the *remaining* budget down instead),
         # while ``elapsed_base`` keeps the reported elapsed time
         # cumulative across interruptions.
-        totals = {"generations": 0, "converged": 0, "elapsed_base": 0.0,
-                  "start": start}
+        totals = {"generations": 0, "converged": 0}
+        elapsed_base = 0.0
         if state is not None:
             rng.bit_generator.state = state["rng_state"]
             best.restore_state(state["best_set"])
             evaluator.n_evaluations = int(state["evaluations"])
             totals["generations"] = int(state["total_generations"])
             totals["converged"] = int(state["n_converged"])
-            totals["elapsed_base"] = float(state["elapsed_seconds"])
+            elapsed_base = float(state["elapsed_seconds"])
             first_restart = int(state["restart"])
             history = [GenerationRecord(**record) for record in state["history"]]
             logger.info(
@@ -194,14 +173,16 @@ class EvolutionarySearch(GeneratorEngine):
                 "(%d evaluations done)",
                 first_restart, int(state["generation"]), evaluator.n_evaluations,
             )
-        deadline = None if max_seconds is None else start + max_seconds
-
+        self._budget = RunBudget(
+            context.cancel_token,
+            context.merged_budget(cfg.max_seconds),
+            elapsed_base=elapsed_base,
+        )
         self._run = {
             "evaluator": evaluator,
             "best": best,
             "history": history,
             "totals": totals,
-            "start": start,
             "stopped_reason": "converged",
         }
         context.emit(
@@ -212,15 +193,13 @@ class EvolutionarySearch(GeneratorEngine):
             restarts=cfg.restarts,
             resumed=state is not None,
         )
-        with self.counter.runtime_binding(token, context.sink):
+        with self.counter.runtime_binding(context.cancel_token, context.sink):
             yield  # prepare boundary: state built, no search work yet
-            stopped_reason = "converged"
             for restart in range(first_restart, cfg.restarts):
                 generations, stopped_reason, dejong = yield from (
                     self._run_population(
-                        rng, evaluator, mutation, convergence, best, deadline,
+                        context, rng, evaluator, mutation, convergence, best,
                         restart, history, totals, restored=state,
-                        token=token, checkpointer=checkpointer, context=context,
                     )
                 )
                 state = None
@@ -242,20 +221,17 @@ class EvolutionarySearch(GeneratorEngine):
                         "evolutionary search cancelled; returning best-so-far"
                     )
                     break
-            self._run["stopped_reason"] = stopped_reason
 
     def _build_outcome(self, context: RunContext) -> SearchOutcome:
         run = self._require_run_state()
         cfg = self.config
         totals = run["totals"]
-        best = run["best"]
-        stopped_reason = run["stopped_reason"]
-        elapsed = totals["elapsed_base"] + (time.perf_counter() - run["start"])
+        budget = self._budget
         return SearchOutcome(
-            projections=tuple(best.entries()),
-            completed=stopped_reason not in ("deadline", "cancelled"),
+            projections=tuple(run["best"].entries()),
+            completed=budget.reason is None,
             stats={
-                "elapsed_seconds": elapsed,
+                "elapsed_seconds": budget.elapsed_seconds(),
                 "generations": totals["generations"],
                 "converged": totals["converged"] / cfg.restarts,
                 "restarts": cfg.restarts,
@@ -264,24 +240,21 @@ class EvolutionarySearch(GeneratorEngine):
                 "algorithm": f"evolutionary/{type(self.crossover).__name__}",
             },
             history=tuple(run["history"]),
-            stopped_reason=stopped_reason,
+            stopped_reason=budget.reason or run["stopped_reason"],
         )
 
     def _run_population(
         self,
+        context: RunContext,
         rng,
         evaluator: FitnessEvaluator,
         mutation: BalancedMutation,
         convergence: DeJongConvergence,
         best: BestProjectionSet,
-        deadline: float | None,
-        restart: int = 0,
-        history: list | None = None,
-        totals: dict | None = None,
+        restart: int,
+        history: list,
+        totals: dict,
         restored: dict | None = None,
-        token=None,
-        checkpointer=None,
-        context: RunContext | None = None,
     ):
         """One population until convergence/caps; feeds the shared best set.
 
@@ -289,22 +262,17 @@ class EvolutionarySearch(GeneratorEngine):
         dejong_converged)`` via ``yield from``; it yields at the top of
         every ``while`` iteration — the **safe boundary**: the
         population of generation *g* is fully evaluated and no RNG draws
-        have happened since.  Checkpoints are written there, the cancel
-        token is polled there, and a cancellation that strikes *inside*
-        the evolve step (mid-batch-count) discards the partial
-        generation wholesale — the best set is only updated after the
-        batch count returns, so the boundary state stays exact.
+        have happened since.  Checkpoints are written there (indexed by
+        the run-wide generation count), the budget is checked there,
+        and a cancellation that strikes *inside* the evolve step
+        (mid-batch-count) discards the partial generation wholesale —
+        the best set is only updated after the batch count returns, so
+        the boundary state stays exact.  A cancellation while seeding
+        a population has no boundary to save yet; the last checkpoint
+        written stays the resume point.
         """
         cfg = self.config
-        if token is None:
-            token = self.cancel_token
-        if checkpointer is None:
-            checkpointer = self.checkpointer
-
-        def emit(type_: str, **payload) -> None:
-            if context is not None:
-                context.emit(type_, **payload)
-
+        budget = self._budget
         if restored is None:
             population = seed_population(
                 self.counter.n_dims,
@@ -316,8 +284,8 @@ class EvolutionarySearch(GeneratorEngine):
             try:
                 fitnesses = self._evaluate_and_track(population, evaluator, best)
             except SearchCancelled:
-                return 0, "cancelled", False
-            if cfg.track_history and history is not None:
+                return 0, budget.latch("cancelled"), False
+            if cfg.track_history:
                 history.append(
                     self._snapshot(restart, 0, population, fitnesses, best)
                 )
@@ -356,32 +324,10 @@ class EvolutionarySearch(GeneratorEngine):
                     history, totals,
                 )
 
-            if checkpointer is not None:
-                boundary_index = generation
-                if totals is not None:
-                    boundary_index += totals["generations"]
-                if checkpointer.maybe_save(boundary_index, build_state):
-                    emit(
-                        "checkpoint_written",
-                        boundary=boundary_index, trigger="interval",
-                    )
-            if token is not None and token.poll():
-                reason = "cancelled"
-                if checkpointer is not None:
-                    checkpointer.save(build_state())
-                    emit(
-                        "checkpoint_written",
-                        boundary=generation, trigger="cancelled",
-                    )
-                break
-            if deadline is not None and time.perf_counter() >= deadline:
-                reason = "deadline"
-                if checkpointer is not None:
-                    checkpointer.save(build_state())
-                    emit(
-                        "checkpoint_written",
-                        boundary=generation, trigger="deadline",
-                    )
+            boundary = generation + totals["generations"]
+            stopped = self._at_boundary(context, boundary, build_state)
+            if stopped is not None:
+                reason = stopped
                 break
             if convergence.has_converged(population):
                 reason = "converged"
@@ -411,20 +357,15 @@ class EvolutionarySearch(GeneratorEngine):
             except SearchCancelled:
                 # Discard the in-flight generation: population/fitnesses
                 # still hold the boundary state and the best set was not
-                # offered anything, so the checkpoint below describes the
+                # offered anything, so the snapshot below describes the
                 # last completed boundary exactly.
-                reason = "cancelled"
-                if checkpointer is not None:
-                    checkpointer.save(build_state())
-                    emit(
-                        "checkpoint_written",
-                        boundary=generation, trigger="cancelled",
-                    )
+                reason = budget.latch("cancelled")
+                self._checkpoint(context, boundary, build_state, reason)
                 break
             population, fitnesses = offspring, offspring_fitnesses
             generation += 1
             best_entry = best.best()
-            emit(
+            context.emit(
                 "generation_end",
                 restart=restart,
                 generation=generation,
@@ -434,7 +375,7 @@ class EvolutionarySearch(GeneratorEngine):
                     best_entry.coefficient if best_entry is not None else None
                 ),
             )
-            if cfg.track_history and history is not None:
+            if cfg.track_history:
                 history.append(
                     self._snapshot(restart, generation, population, fitnesses, best)
                 )
@@ -460,12 +401,10 @@ class EvolutionarySearch(GeneratorEngine):
         rng_state,
         evaluations: int,
         best: BestProjectionSet,
-        history: list | None,
-        totals: dict | None,
+        history: list,
+        totals: dict,
     ) -> dict:
         """Full JSON-compatible GA state at a generation boundary."""
-        totals = totals or {"generations": 0, "converged": 0,
-                            "elapsed_base": 0.0, "start": time.perf_counter()}
         return {
             "algorithm": self.algorithm,
             "restart": restart,
@@ -479,9 +418,8 @@ class EvolutionarySearch(GeneratorEngine):
             "best_set": best.to_state(),
             "total_generations": totals["generations"],
             "n_converged": totals["converged"],
-            "elapsed_seconds": totals["elapsed_base"]
-            + (time.perf_counter() - totals["start"]),
-            "history": [asdict(record) for record in (history or [])],
+            "elapsed_seconds": self._budget.elapsed_seconds(),
+            "history": [asdict(record) for record in history],
         }
 
     # ------------------------------------------------------------------

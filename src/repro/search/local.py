@@ -19,13 +19,13 @@ in the benchmarks and resolvable through the engine registry.
 from __future__ import annotations
 
 import math
-import time
 
 from .._validation import check_in_range, check_positive_int, check_rng
 from ..engine.context import RunContext
 from ..engine.protocol import GeneratorEngine
-from ..exceptions import SearchCancelled, ValidationError
+from ..exceptions import SearchCancelled
 from ..grid.counter import CubeCounter
+from ..run.controller import RunBudget
 from .best_set import BestProjectionSet
 from .evolutionary.encoding import Solution, WILDCARD_GENE, random_solution
 from .evolutionary.population import FitnessEvaluator
@@ -69,54 +69,30 @@ class _SingleSolutionSearch(GeneratorEngine):
         require_nonempty: bool = True,
         threshold: float | None = None,
         random_state=None,
-        cancel_token=None,
     ):
-        if not isinstance(counter, CubeCounter):
-            raise ValidationError(
-                f"counter must be a CubeCounter, got {type(counter).__name__}"
-            )
-        self.counter = counter
-        self.dimensionality = check_positive_int(dimensionality, "dimensionality")
-        if self.dimensionality > counter.n_dims:
-            raise ValidationError(
-                f"dimensionality ({self.dimensionality}) exceeds data "
-                f"dimensionality ({counter.n_dims})"
-            )
+        self._bind_counter(counter, dimensionality)
         self.n_projections = n_projections
         self.max_evaluations = check_positive_int(max_evaluations, "max_evaluations")
         self.require_nonempty = require_nonempty
         self.threshold = threshold
         self.random_state = random_state
-        self.cancel_token = cancel_token
 
     # ------------------------------------------------------------------
     def _begin(self, context: RunContext):
-        """Shared run setup: seed state, bind budgets, emit run_started.
+        """Shared run setup: seed state, start the budget, emit run_started.
 
-        Returns ``(rng, evaluator, best, token, deadline)``; the mutable
-        run bundle lands on ``self._run`` for :meth:`_build_outcome`.
+        Returns ``(rng, evaluator, best)``; the mutable run bundle lands
+        on ``self._run`` for :meth:`_build_outcome`.
         """
-        rng = (
-            context.rng if context.rng is not None
-            else check_rng(self.random_state)
-        )
+        rng = check_rng(self.random_state)
         evaluator = FitnessEvaluator(self.counter, self.dimensionality)
         best = BestProjectionSet(
             self.n_projections,
             require_nonempty=self.require_nonempty,
             threshold=self.threshold,
         )
-        token = context.resolve_token(self.cancel_token)
-        start = time.perf_counter()
-        max_seconds = context.merged_budget(None)
-        deadline = None if max_seconds is None else start + max_seconds
-        self._run = {
-            "evaluator": evaluator,
-            "best": best,
-            "start": start,
-            "stopped_reason": "evaluation_cap",
-            "extra": {},
-        }
+        self._budget = RunBudget(context.cancel_token, context.max_seconds)
+        self._run = {"evaluator": evaluator, "best": best, "extra": {}}
         context.emit(
             "run_started",
             algorithm=type(self).__name__,
@@ -124,16 +100,7 @@ class _SingleSolutionSearch(GeneratorEngine):
             n_projections=self.n_projections,
             max_evaluations=self.max_evaluations,
         )
-        return rng, evaluator, best, token, deadline
-
-    @staticmethod
-    def _stopped(token, deadline) -> str | None:
-        """Boundary check: poll the token, then the wall clock."""
-        if token is not None and token.poll():
-            return "cancelled"
-        if deadline is not None and time.perf_counter() >= deadline:
-            return "deadline"
-        return None
+        return rng, evaluator, best
 
     def _evaluate(self, solution: Solution, evaluator, best) -> float:
         scored = evaluator.score(solution)
@@ -144,18 +111,19 @@ class _SingleSolutionSearch(GeneratorEngine):
 
     def _build_outcome(self, context: RunContext) -> SearchOutcome:
         run = self._require_run_state()
-        stopped_reason = run["stopped_reason"]
+        budget = self._budget
         stats = {
-            "elapsed_seconds": time.perf_counter() - run["start"],
+            "elapsed_seconds": budget.elapsed_seconds(),
             "evaluations": run["evaluator"].n_evaluations,
             "algorithm": type(self).__name__,
         }
         stats.update(run["extra"])
+        # Running out of evaluations is these searchers' natural end.
         return SearchOutcome(
             projections=tuple(run["best"].entries()),
-            completed=stopped_reason not in ("deadline", "cancelled"),
+            completed=budget.reason is None,
             stats=stats,
-            stopped_reason=stopped_reason,
+            stopped_reason=budget.reason or "evaluation_cap",
         )
 
 
@@ -172,12 +140,12 @@ class RandomSearch(_SingleSolutionSearch):
         one-at-a-time evaluation) and then scored through the counter's
         batch engine in chunks; offers happen in draw order, so the
         resulting best set is identical to the sequential path, and the
-        cancel token is polled between chunks (one step per chunk) so a
-        flip returns the best-so-far partial outcome.
+        cancel token is polled before every chunk (one step per chunk)
+        so a flip returns the best-so-far partial outcome.
         """
-        rng, evaluator, best, token, deadline = self._begin(context)
-        run = self._run
-        with self.counter.runtime_binding(token, context.sink):
+        rng, evaluator, best = self._begin(context)
+        budget = self._budget
+        with self.counter.runtime_binding(context.cancel_token, context.sink):
             yield  # prepare boundary: nothing drawn or counted yet
             solutions = [
                 random_solution(
@@ -189,18 +157,15 @@ class RandomSearch(_SingleSolutionSearch):
                 for _ in range(self.max_evaluations)
             ]
             for lo in range(0, len(solutions), self.CHUNK):
-                if lo:
-                    yield
-                stopped = self._stopped(token, deadline)
-                if stopped is not None:
-                    run["stopped_reason"] = stopped
+                yield
+                if budget.check() is not None:
                     break
                 try:
                     scored_chunk = evaluator.score_batch(
                         solutions[lo : lo + self.CHUNK]
                     )
                 except SearchCancelled:
-                    run["stopped_reason"] = "cancelled"
+                    budget.latch("cancelled")
                     break
                 for scored in scored_chunk:
                     if scored is not None:
@@ -222,11 +187,11 @@ class HillClimbingSearch(_SingleSolutionSearch):
         self.patience = check_positive_int(patience, "patience")
 
     def _iterate(self, context: RunContext):
-        rng, evaluator, best, token, deadline = self._begin(context)
-        run = self._run
+        rng, evaluator, best = self._begin(context)
+        run, budget = self._run, self._budget
         restarts = 0
         run["extra"]["restarts"] = restarts
-        with self.counter.runtime_binding(token, context.sink):
+        with self.counter.runtime_binding(context.cancel_token, context.sink):
             yield  # prepare boundary
             current = random_solution(
                 self.counter.n_dims, self.dimensionality,
@@ -236,9 +201,7 @@ class HillClimbingSearch(_SingleSolutionSearch):
             rejected = 0
             while evaluator.n_evaluations < self.max_evaluations:
                 yield
-                stopped = self._stopped(token, deadline)
-                if stopped is not None:
-                    run["stopped_reason"] = stopped
+                if budget.check() is not None:
                     break
                 candidate = _neighbor(current, self.counter.n_ranges, rng)
                 fitness = self._evaluate(candidate, evaluator, best)
@@ -283,13 +246,13 @@ class SimulatedAnnealingSearch(_SingleSolutionSearch):
         self.cooling = check_in_range(cooling, "cooling", low=0.5, high=1.0)
 
     def _iterate(self, context: RunContext):
-        rng, evaluator, best, token, deadline = self._begin(context)
-        run = self._run
+        rng, evaluator, best = self._begin(context)
+        run, budget = self._run, self._budget
         accepted_worse = 0
         temperature = self.initial_temperature
         run["extra"]["accepted_worse"] = accepted_worse
         run["extra"]["final_temperature"] = temperature
-        with self.counter.runtime_binding(token, context.sink):
+        with self.counter.runtime_binding(context.cancel_token, context.sink):
             yield  # prepare boundary
             current = random_solution(
                 self.counter.n_dims, self.dimensionality,
@@ -298,9 +261,7 @@ class SimulatedAnnealingSearch(_SingleSolutionSearch):
             current_fitness = self._evaluate(current, evaluator, best)
             while evaluator.n_evaluations < self.max_evaluations:
                 yield
-                stopped = self._stopped(token, deadline)
-                if stopped is not None:
-                    run["stopped_reason"] = stopped
+                if budget.check() is not None:
                     break
                 candidate = _neighbor(current, self.counter.n_ranges, rng)
                 fitness = self._evaluate(candidate, evaluator, best)

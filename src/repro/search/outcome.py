@@ -85,15 +85,6 @@ class SearchOutcome:
         check_stop_reason(self.stopped_reason)
 
     @property
-    def converged(self) -> bool:
-        """Deprecation shim: True iff ``stopped_reason == "converged"``.
-
-        Prefer reading :attr:`stopped_reason` directly — it also
-        distinguishes deadline, cancellation and cap exits.
-        """
-        return self.stopped_reason == "converged"
-
-    @property
     def cancelled(self) -> bool:
         """True when a cooperative cancellation stopped the search."""
         return self.stopped_reason == "cancelled"

@@ -157,7 +157,7 @@ class TestStatsHelpers:
         engine = RandomSearch(
             small_counter, 2, 5, max_evaluations=200, random_state=0
         )
-        outcome = engine.run(context=RunContext(counter=small_counter, sink=sink))
+        outcome = engine.run(context=RunContext(sink=sink))
         stats = sink.assemble(outcome, small_counter, elapsed=1.5)
         assert stats["total_elapsed_seconds"] == 1.5
         assert stats["stopped_reason"] == outcome.stopped_reason
@@ -265,7 +265,7 @@ class TestProtocolDriving:
         auto = build().run()
 
         engine = build()
-        context = RunContext(counter=small_counter)
+        context = RunContext()
         engine.prepare(context)
         steps = 0
         while engine.step(context):
@@ -285,7 +285,7 @@ class TestProtocolDriving:
             config=EvolutionaryConfig(population_size=20, max_generations=50),
             random_state=0,
         )
-        context = RunContext(counter=small_counter, sink=InMemoryEventSink())
+        context = RunContext(sink=InMemoryEventSink())
         engine.prepare(context)
         assert engine.step(context)
         outcome = engine.finalize(context)
@@ -304,7 +304,7 @@ class TestProtocolDriving:
             config=EvolutionaryConfig(population_size=20, max_generations=5),
             random_state=0,
         )
-        engine.run(context=RunContext(counter=small_counter, sink=sink))
+        engine.run(context=RunContext(sink=sink))
         types = sink.types()
         assert types[0] == "run_started"
         assert types[-1] == "engine_finished"

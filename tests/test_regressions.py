@@ -27,6 +27,7 @@ from repro.analysis import lint_paths
 from repro.eval.comparison import ComparisonRow, render_table
 from repro.eval.harness import ExperimentResult
 from repro.eval.sweeps import render_sweep
+from repro.run.cancel import CancelToken
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -428,6 +429,7 @@ class TestMalformedBruteForceResume:
         import numpy as np
         import pytest
 
+        from repro.engine.context import RunContext
         from repro.exceptions import CheckpointError
         from repro.grid.cells import CellAssignment
         from repro.grid.counter import CubeCounter
@@ -448,7 +450,9 @@ class TestMalformedBruteForceResume:
         for key in [key for key, value in changes.items() if value is None]:
             del state[key]
         with pytest.raises(CheckpointError):
-            BruteForceSearch(counter, 3, 5).run(resume_from=state)
+            BruteForceSearch(counter, 3, 5).run(
+                context=RunContext(resume_from=state)
+            )
 
     def test_ragged_level(self):
         self._resume(level=[[[0], [1]], [[0, 1], [1]]])
@@ -476,3 +480,216 @@ class TestMalformedBruteForceResume:
 
     def test_negative_evaluations(self):
         self._resume(evaluations=-1)
+
+
+def _normal_counter(n_ranges=5):
+    import numpy as np
+
+    from repro.grid.counter import CubeCounter
+    from repro.grid.discretizer import EquiDepthDiscretizer
+
+    data = np.random.default_rng(12345).normal(size=(200, 6))
+    return CubeCounter(EquiDepthDiscretizer(n_ranges).fit_transform(data))
+
+
+class TestGaStopCheckpointBoundary:
+    """The GA's interval checkpoints were indexed by the run-wide
+    generation count, but its ``cancelled`` / ``deadline`` stop
+    snapshots reported the per-restart generation, so a cancel in the
+    second restart emitted boundaries 4, 5, 6 and then 2.  Every
+    trigger now reports the run-wide boundary."""
+
+    def test_cancel_in_second_restart_reports_run_wide_boundary(self, tmp_path):
+        from repro.engine.context import RunContext
+        from repro.engine.events import InMemoryEventSink
+        from repro.run.cancel import CancelAfterBoundaries
+        from repro.run.checkpoint import CheckpointStore, SearchCheckpointer
+        from repro.search.evolutionary.config import EvolutionaryConfig
+        from repro.search.evolutionary.engine import EvolutionarySearch
+
+        stream = SearchCheckpointer(CheckpointStore(tmp_path), "ga", every=1)
+        sink = InMemoryEventSink()
+        outcome = EvolutionarySearch(
+            _normal_counter(), 2, 5,
+            config=EvolutionaryConfig(
+                population_size=20, max_generations=4, restarts=2
+            ),
+            random_state=0,
+        ).run(context=RunContext(
+            cancel_token=CancelAfterBoundaries(7), checkpointer=stream,
+            sink=sink,
+        ))
+        assert outcome.stopped_reason == "cancelled"
+        written = [event.payload for event in sink.of_type("checkpoint_written")]
+        boundaries = [payload["boundary"] for payload in written]
+        assert boundaries == sorted(boundaries)
+        assert written[-1] == {
+            "boundary": written[-2]["boundary"], "trigger": "cancelled",
+        }
+        state = stream.load()
+        assert state["restart"] == 1
+        assert (
+            state["total_generations"] + state["generation"]
+            == written[-1]["boundary"]
+        )
+
+
+class _CancelOnRead(CancelToken):
+    """Flips when its raw ``cancelled`` flag is read the *n*-th time.
+
+    ``poll()`` (the boundary check) does not count as a read, so the
+    flip lands inside a level's counting, between two shards.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.reads_left = n
+
+    @property
+    def cancelled(self) -> bool:
+        self.reads_left -= 1
+        if self.reads_left <= 0:
+            self.cancel(reason="injected")
+        return self._event.is_set()
+
+
+class TestBruteForceMidBatchCancelCheckpoint:
+    """A cancellation raised by the counting engine mid-batch only
+    latched ``cancelled`` in brute force: no stop snapshot was written,
+    so with ``every > 1`` the checkpoint stream could stay empty.  The
+    level's boundary snapshot is now saved like every other stop."""
+
+    def test_sharded_mid_batch_cancel_saves_boundary(self, tmp_path):
+        from repro.engine.context import RunContext
+        from repro.engine.events import InMemoryEventSink
+        from repro.grid.sharded import ShardedCounter, ShardedMaskStore
+        from repro.run.checkpoint import CheckpointStore, SearchCheckpointer
+        from repro.search.brute_force import BruteForceSearch
+
+        memory = _normal_counter()
+        reference = BruteForceSearch(memory, 3, 5).run()
+        store = ShardedMaskStore.build(
+            memory.cells, tmp_path / "shards", shard_rows=24
+        )
+        stream = SearchCheckpointer(
+            CheckpointStore(tmp_path / "ckpt"), "bf", every=2
+        )
+        sink = InMemoryEventSink()
+        counter = ShardedCounter(store)
+        try:
+            interrupted = BruteForceSearch(counter, 3, 5).run(
+                context=RunContext(
+                    cancel_token=_CancelOnRead(4), checkpointer=stream,
+                    sink=sink,
+                )
+            )
+        finally:
+            counter.close()
+        assert interrupted.stopped_reason == "cancelled"
+        written = [event.payload for event in sink.of_type("checkpoint_written")]
+        assert written == [{"boundary": 1, "trigger": "cancelled"}]
+        assert stream.load()["depth"] == 1
+        resumed = BruteForceSearch(memory, 3, 5).run(
+            context=RunContext(checkpointer=stream, resume_from=True)
+        )
+        assert resumed.projections == reference.projections
+        assert resumed.stats["evaluations"] == reference.stats["evaluations"]
+        assert resumed.stopped_reason == "converged"
+
+
+class _CountingPolls(CancelToken):
+    def __init__(self) -> None:
+        super().__init__()
+        self.polls = 0
+
+    def poll(self) -> bool:
+        self.polls += 1
+        return super().poll()
+
+
+class TestOnePollPerStep:
+    """``RandomSearch`` polled its token before the first chunk without
+    yielding, so its ``step()`` count and its boundaries disagreed — a
+    :class:`~repro.run.cancel.CancelAfterBoundaries` kill landed one
+    chunk off.  Every engine now polls exactly once per step."""
+
+    def test_polls_equal_steps_for_every_engine(self):
+        from repro.engine.context import RunContext
+        from repro.engine.registry import create_engine, engine_names
+        from repro.search.evolutionary.config import EvolutionaryConfig
+
+        counter = _normal_counter()
+        for name in engine_names():
+            engine = create_engine(
+                name, counter, 2, 5,
+                max_evaluations=300,
+                config=EvolutionaryConfig(population_size=20, max_generations=6),
+                random_state=0,
+            )
+            token = _CountingPolls()
+            context = RunContext(cancel_token=token)
+            engine.prepare(context)
+            steps = 0
+            while engine.step(context):
+                steps += 1
+            engine.finalize(context)
+            assert token.polls == steps, name
+            assert steps > 0, name
+
+
+class TestCountingPoolLadderTarget:
+    """An unavailable or abandoned counting pool recorded
+    ``counting-pool: <kind> → serial`` even under ``process-native``,
+    where the in-process native kernel keeps serving.  The step now
+    names the backend's ``BackendSpec.fallback``."""
+
+    @staticmethod
+    def _cubes():
+        from repro.core.subspace import Subspace
+
+        return [
+            Subspace((a, b), (r, s))
+            for a in range(4) for b in range(a + 1, 5)
+            for r in range(3) for s in range(3)
+        ]
+
+    def test_unavailable_pool_names_the_serving_backend(self, monkeypatch):
+        from repro.core.params import CountingBackend
+        from repro.grid.counter import CubeCounter
+
+        def no_pool(counter):
+            raise OSError("no shared memory here")
+
+        cells = _normal_counter().cells
+        monkeypatch.setattr(CubeCounter, "_make_pool", no_pool)
+        for kind, target in (("process", "serial"), ("process-native", "native")):
+            counter = CubeCounter(
+                cells, backend=CountingBackend(kind=kind, chunk_size=8)
+            )
+            counter.count_batch(self._cubes())
+            report = counter.resilience.as_dict()
+            assert report["ladder"] == {"counting-pool": target}, kind
+            assert report["recoveries"]["pool_unavailable"] == 1
+        assert counter.kernel_info()["kernel"] == "native"
+
+    def test_abandoned_process_native_pool_steps_to_native(self):
+        from repro.core.params import CountingBackend
+        from repro.grid.counter import CubeCounter
+        from repro.resilience import FaultSpec, fault_injection
+
+        cells = _normal_counter().cells
+        cubes = self._cubes()
+        expected = CubeCounter(cells).count_batch(cubes).tolist()
+        counter = CubeCounter(cells, backend=CountingBackend(
+            kind="process-native", n_workers=1, chunk_size=16,
+            retry_backoff=0.01, max_rebuilds=0,
+        ))
+        try:
+            with fault_injection(FaultSpec("worker_kill", trigger=1)):
+                counts = counter.count_batch(cubes).tolist()
+            report = counter.resilience.as_dict()
+        finally:
+            counter.close()
+        assert counts == expected
+        assert report["recoveries"]["pool_abandoned"] == 1
+        assert report["ladder"] == {"counting-pool": "native"}

@@ -30,6 +30,7 @@ from repro.core.detector import SubspaceOutlierDetector
 from repro.core.multik import detect_across_dimensionalities
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
+from repro.engine.context import RunContext
 from repro.engine.events import InMemoryEventSink
 from repro.exceptions import CheckpointError, SearchCancelled, ValidationError
 from repro.grid.counter import CubeCounter
@@ -269,25 +270,25 @@ class TestKillResumeGA:
     ):
         stream = SearchCheckpointer(CheckpointStore(tmp_path), "ga")
         token = CancelAfterBoundaries(kill_at)
-        interrupted = ga_search(
-            lifecycle_counter, cancel_token=token, checkpointer=stream
-        ).run()
+        interrupted = ga_search(lifecycle_counter).run(
+            context=RunContext(cancel_token=token, checkpointer=stream)
+        )
         if token.cancelled:
             assert interrupted.stopped_reason == "cancelled"
             assert not interrupted.completed
         assert stream.exists()
-        resumed = ga_search(lifecycle_counter, checkpointer=stream).run(
-            resume_from=True
+        resumed = ga_search(lifecycle_counter).run(
+            context=RunContext(checkpointer=stream, resume_from=True)
         )
         assert outcome_key(resumed) == reference
 
     def test_partial_outcome_still_ordered_and_scored(self, lifecycle_counter, tmp_path):
         stream = SearchCheckpointer(CheckpointStore(tmp_path), "ga")
-        interrupted = ga_search(
-            lifecycle_counter,
-            cancel_token=CancelAfterBoundaries(2),
-            checkpointer=stream,
-        ).run()
+        interrupted = ga_search(lifecycle_counter).run(
+            context=RunContext(
+                cancel_token=CancelAfterBoundaries(2), checkpointer=stream
+            )
+        )
         coefficients = [p.coefficient for p in interrupted.projections]
         assert coefficients == sorted(coefficients)
 
@@ -296,42 +297,48 @@ class TestKillResumeGA:
     ):
         store = CheckpointStore(tmp_path)
         stream = SearchCheckpointer(store, "ga")
-        ga_search(
-            lifecycle_counter,
-            cancel_token=CancelAfterBoundaries(4),
-            checkpointer=stream,
-        ).run()
+        ga_search(lifecycle_counter).run(
+            context=RunContext(
+                cancel_token=CancelAfterBoundaries(4), checkpointer=stream
+            )
+        )
         assert store.prev_path("ga").exists()
         # Torn current file: resume must fall back one boundary and the
         # deterministic replay still lands on the identical final state.
         store.path("ga").write_text(store.path("ga").read_text()[:40])
-        resumed = ga_search(lifecycle_counter, checkpointer=stream).run(
-            resume_from=True
+        resumed = ga_search(lifecycle_counter).run(
+            context=RunContext(checkpointer=stream, resume_from=True)
         )
         assert outcome_key(resumed) == reference
 
     def test_resume_true_without_checkpointer_rejected(self, lifecycle_counter):
         with pytest.raises(CheckpointError, match="checkpointer"):
-            ga_search(lifecycle_counter).run(resume_from=True)
+            ga_search(lifecycle_counter).run(
+                context=RunContext(resume_from=True)
+            )
 
     def test_resume_from_wrong_algorithm_rejected(self, lifecycle_counter, tmp_path):
         stream = SearchCheckpointer(CheckpointStore(tmp_path), "bf")
-        bf_search(
-            lifecycle_counter,
-            cancel_token=CancelAfterBoundaries(1),
-            checkpointer=stream,
-        ).run()
+        bf_search(lifecycle_counter).run(
+            context=RunContext(
+                cancel_token=CancelAfterBoundaries(1), checkpointer=stream
+            )
+        )
         with pytest.raises(CheckpointError, match="brute_force"):
-            ga_search(lifecycle_counter, checkpointer=stream).run(resume_from=True)
+            ga_search(lifecycle_counter).run(
+                context=RunContext(checkpointer=stream, resume_from=True)
+            )
 
     def test_resume_of_finished_run_re_terminates_identically(
         self, lifecycle_counter, tmp_path, reference
     ):
         stream = SearchCheckpointer(CheckpointStore(tmp_path), "ga")
-        finished = ga_search(lifecycle_counter, checkpointer=stream).run()
+        finished = ga_search(lifecycle_counter).run(
+            context=RunContext(checkpointer=stream)
+        )
         assert outcome_key(finished) == reference
-        replayed = ga_search(lifecycle_counter, checkpointer=stream).run(
-            resume_from=True
+        replayed = ga_search(lifecycle_counter).run(
+            context=RunContext(checkpointer=stream, resume_from=True)
         )
         assert outcome_key(replayed) == reference
 
@@ -348,14 +355,14 @@ class TestKillResumeBruteForce:
     ):
         stream = SearchCheckpointer(CheckpointStore(tmp_path), "bf")
         token = CancelAfterBoundaries(kill_at)
-        interrupted = bf_search(
-            lifecycle_counter, cancel_token=token, checkpointer=stream
-        ).run()
+        interrupted = bf_search(lifecycle_counter).run(
+            context=RunContext(cancel_token=token, checkpointer=stream)
+        )
         if token.cancelled:
             assert interrupted.stopped_reason == "cancelled"
         assert stream.exists()
-        resumed = bf_search(lifecycle_counter, checkpointer=stream).run(
-            resume_from=True
+        resumed = bf_search(lifecycle_counter).run(
+            context=RunContext(checkpointer=stream, resume_from=True)
         )
         assert outcome_key(resumed) == reference
 
@@ -381,7 +388,9 @@ class TestKillResumeBruteForce:
             "evaluations": 0,
             "elapsed_seconds": 0.0,
         }))
-        resumed = bf_search(lifecycle_counter).run(resume_from=payload)
+        resumed = bf_search(lifecycle_counter).run(
+            context=RunContext(resume_from=payload)
+        )
         assert outcome_key(resumed) == reference
 
     def test_uninterrupted_level_batch_reports_converged(self, lifecycle_counter):
@@ -394,9 +403,9 @@ class TestKillResumeBruteForce:
         # level boundary, with nothing scored.
         token = CancelToken()
         token.cancel(reason="test")
-        outcome = BruteForceSearch(
-            lifecycle_counter, 3, 5, cancel_token=token
-        ).run()
+        outcome = BruteForceSearch(lifecycle_counter, 3, 5).run(
+            context=RunContext(cancel_token=token)
+        )
         assert outcome.stopped_reason == "cancelled"
         assert not outcome.completed
 
@@ -676,16 +685,16 @@ class TestShardedKillResume:
         interrupted_counter = ShardedCounter(
             sharded_store, checkpointer=ShardCheckpointer(CheckpointStore(tmp_path))
         )
-        interrupted = bf_search(
-            interrupted_counter, cancel_token=token, checkpointer=stream
-        ).run()
+        interrupted = bf_search(interrupted_counter).run(
+            context=RunContext(cancel_token=token, checkpointer=stream)
+        )
         interrupted_counter.close()
         assert interrupted.stopped_reason == "cancelled"
         resumed_counter = ShardedCounter(
             sharded_store, checkpointer=ShardCheckpointer(CheckpointStore(tmp_path))
         )
-        resumed = bf_search(resumed_counter, checkpointer=stream).run(
-            resume_from=True
+        resumed = bf_search(resumed_counter).run(
+            context=RunContext(checkpointer=stream, resume_from=True)
         )
         resumed_counter.close()
         assert outcome_key(resumed) == reference

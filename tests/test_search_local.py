@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.context import RunContext
 from repro.engine.events import InMemoryEventSink
 from repro.exceptions import ValidationError
 from repro.run.cancel import CancelToken
@@ -130,24 +131,20 @@ class TestTokenRestoration:
         monkeypatch.setattr(FitnessEvaluator, "score_batch", boom)
         token = CancelToken()
         search = RandomSearch(
-            small_counter, 2, 5, max_evaluations=600,
-            random_state=0, cancel_token=token,
+            small_counter, 2, 5, max_evaluations=600, random_state=0
         )
         with pytest.raises(RuntimeError, match="batch scorer"):
-            search.run()
+            search.run(context=RunContext(cancel_token=token))
         assert small_counter.cancel_token is None
         assert small_counter.event_sink is None
 
     def test_binding_restored_when_run_abandoned(self, small_counter):
         """finalize() before exhaustion closes the generator → restore."""
-        from repro.engine.context import RunContext
-
         token = CancelToken()
         search = SimulatedAnnealingSearch(
-            small_counter, 2, 5, max_evaluations=500,
-            random_state=0, cancel_token=token,
+            small_counter, 2, 5, max_evaluations=500, random_state=0
         )
-        context = RunContext(counter=small_counter)
+        context = RunContext(cancel_token=token)
         search.prepare(context)
         assert search.step(context)
         assert small_counter.cancel_token is token
