@@ -49,7 +49,7 @@ __all__ = [
 #: the engine (GA generations, brute-force levels) and on the counting
 #: backend (``chunk_retry`` comes from the fault-tolerant dispatcher;
 #: ``shard_counted`` from the out-of-core sharded counter, one per
-#: shard counted or resumed).  ``degradation_applied`` and
+#: shard of a multi-cube group counted or resumed).  ``degradation_applied`` and
 #: ``fault_recovered`` come from the resilience layer
 #: (:mod:`repro.resilience`): one per downgrade-chain step taken and
 #: one per injected-or-real fault the run survived.  The ``model_*``

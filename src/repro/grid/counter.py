@@ -11,19 +11,22 @@ cheap:
   whole batches can be gathered with one fancy index — the layout of
   :mod:`repro.grid.kernels`, 8x smaller than one byte per point);
 * a cube count is the popcount of the AND of its masks;
-* counts are memoised, because the evolutionary algorithm re-evaluates
-  the same cubes across generations;
-* :meth:`count_batch` evaluates an entire GA population in one pass
-  (and :meth:`count_keys`, its memo body, every partial cube of one
-  optimized-crossover stage): duplicates are folded through the memo,
-  the distinct cubes are resolved by a prefix-sharing batch kernel
-  (siblings reuse the AND of their common prefix), and — under a
-  ``process`` :class:`~repro.core.params.CountingBackend` — chunks of
-  the batch run on a worker pool that reads the masks from shared
-  memory;
-* :meth:`count_cubes` is the memo-free, array-native entry to the same
-  kernel paths, for callers that never repeat a cube (the level-batched
-  brute force) and so would only pay for memo lookups.
+* every count runs through one private core that validates the whole
+  call first, then resolves in-batch duplicates and memoised cubes
+  (LRU, keyed by the bytes of each cube's int32 ``dim·φ + range``
+  codes — the evolutionary algorithm re-evaluates the same cubes
+  across generations) and sends only the distinct misses to a
+  prefix-sharing batch kernel (siblings reuse the AND of their common
+  prefix) — under a ``process``
+  :class:`~repro.core.params.CountingBackend`, chunked onto a worker
+  pool that reads the masks from shared memory;
+* the four public entry points are adapters over that core:
+  :meth:`count` (one cube), :meth:`count_batch` (a GA population of
+  :class:`Subspace` objects, grouped by k into one call),
+  :meth:`count_memoised` (same-k ``(n, k)`` arrays — the evolutionary
+  search's path) and :meth:`count_cubes` (the same arrays with the
+  memo off, for the level-batched brute force, which never repeats a
+  cube and so would only pay for memo bookkeeping).
 
 The batch kernel itself is pluggable: the counter resolves its
 :class:`~repro.core.params.CountingBackend` through the backend
@@ -37,6 +40,7 @@ the reference before it serves counts.
 from __future__ import annotations
 
 import logging
+import struct
 import time
 from bisect import bisect_left
 from collections import OrderedDict
@@ -72,24 +76,31 @@ _MAX_ACC_WORDS = 1 << 26
 LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
 
-def _count_by_k(keys: list[tuple], count_group) -> np.ndarray:
-    """Counts for ``(dims, ranges)`` *keys*, one *count_group* call per k.
+def _row_keys(dims: np.ndarray, ranges: np.ndarray, n_ranges: int) -> list[bytes]:
+    """Memo keys of an ``(n, k)`` cube group: each row's int32 pair codes.
 
-    *count_group* receives the ``(n, k)`` dims and ranges arrays of one
-    same-k group (``k = 0`` included) and returns their counts; the
-    result is aligned with *keys*.
+    Pair ``(dim, range)`` is coded ``dim·φ + range``; a key is the bytes
+    of its row, so it is unique per cube and ``k = len(key) // 4``.
     """
-    counts = np.empty(len(keys), dtype=np.int64)
-    by_k: dict[int, list[int]] = {}
-    for i, (dims, _) in enumerate(keys):
-        by_k.setdefault(len(dims), []).append(i)
-    for k, idxs in sorted(by_k.items()):
-        dims_arr = np.array([keys[i][0] for i in idxs], dtype=np.intp)
-        rng_arr = np.array([keys[i][1] for i in idxs], dtype=np.intp)
-        counts[idxs] = count_group(
-            dims_arr.reshape(len(idxs), k), rng_arr.reshape(len(idxs), k)
-        )
-    return counts
+    n_cubes, k = dims.shape
+    if k == 0:
+        return [b""] * n_cubes
+    codes = np.ascontiguousarray(dims * n_ranges + ranges, dtype=np.int32)
+    return codes.view(np.dtype((np.void, 4 * k))).ravel().tolist()
+
+
+def _by_length(keys: list[bytes]) -> list[list[int]]:
+    """Indices of *keys* grouped by key length (so by k), ascending."""
+    groups: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(len(key), []).append(i)
+    return [groups[n] for n in sorted(groups)]
+
+
+def _key_arrays(keys: list[bytes], n_ranges: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, k)`` dims and ranges of same-length *keys* (of :func:`_row_keys`)."""
+    codes = np.frombuffer(b"".join(keys), dtype=np.int32).astype(np.intp)
+    return np.divmod(codes.reshape(len(keys), len(keys[0]) // 4), n_ranges)
 
 
 class CubeCounter:
@@ -105,7 +116,7 @@ class CubeCounter:
         allocated and the hot path skips every cache lookup).
     backend:
         A :class:`~repro.core.params.CountingBackend` choosing how
-        :meth:`count_batch` executes (serial by default).  The process
+        counting executes (serial by default).  The process
         backend spins its worker pool up lazily on the first large
         batch; call :meth:`close` to release it.
     """
@@ -146,7 +157,7 @@ class CubeCounter:
         # JIT/compile.
         self._spec = get_backend(self.backend.kind)
         self._kernel = None
-        self._cache: OrderedDict[tuple, int] | None = (
+        self._cache: OrderedDict[bytes, int] | None = (
             OrderedDict() if self.cache_size else None
         )
         self.n_count_calls = 0
@@ -228,132 +239,137 @@ class CubeCounter:
         return out
 
     def count(self, subspace: Subspace) -> int:
-        """``n(D)``: number of points inside the cube *subspace*."""
-        self._check_subspace(subspace)
-        self.n_count_calls += 1
-        cache = self._cache
-        if cache is not None:
-            key = (subspace.dims, subspace.ranges)
-            cached = cache.get(key)
-            if cached is not None:
-                self.n_cache_hits += 1
-                cache.move_to_end(key)
-                return cached
-        value = self._count_uncached(subspace)
-        if cache is not None:
-            cache[key] = value
-            if len(cache) > self.cache_size:
-                cache.popitem(last=False)
-        return value
+        """``n(D)``: number of points inside the cube *subspace*.
 
-    def _count_uncached(self, subspace: Subspace) -> int:
-        """The raw count (cache handled by :meth:`count`)."""
-        return int(np.bitwise_count(self._packed_cube(subspace)).sum())
+        A one-row memoised call of the counting core: a repeat of a
+        memoised cube is a cache hit, anything else is counted and
+        memoised.
+        """
+        return int(self._count([[self._subspace_key(subspace)]], memo=True)[0][0])
 
-    # ------------------------------------------------------------------
     def count_batch(self, subspaces) -> np.ndarray:
         """``n(D)`` for a whole batch of cubes in one pass.
 
-        Duplicate cubes in the batch — the normal case for a converging
-        GA population — and cubes already memoised are resolved through
-        the cache; only the distinct misses hit the batch kernel, which
-        shares intermediate AND results across cubes with a common
-        prefix.  Under a ``process`` backend, large miss sets are split
-        into deterministic chunks and evaluated on the worker pool.
-        The memo path is :meth:`count_keys`, shared with the
-        evolutionary search's array path.
+        The cubes are grouped by dimensionality (ascending k) into one
+        memoised call of the counting core: duplicate cubes in the
+        batch — the normal case for a converging GA population — and
+        cubes already memoised are cache hits; only the distinct misses
+        hit the batch kernel, which shares intermediate AND results
+        across cubes with a common prefix.  Under a ``process``
+        backend, large miss sets are split into deterministic chunks and
+        evaluated on the worker pool.
 
         Returns an ``int64`` array aligned with the input order.
         Results are identical to calling :meth:`count` per cube.
         """
-        keys = []
-        for subspace in subspaces:
-            # Bounds are validated vectorized per k group in
-            # _count_cubes; only the type check stays on the per-cube
-            # path.
-            if not isinstance(subspace, Subspace):
-                raise ValidationError(
-                    f"expected a Subspace, got {type(subspace).__name__}"
-                )
-            keys.append((subspace.dims, subspace.ranges))
-        return self.count_keys(keys)
-
-    def count_keys(self, keys: list[tuple]) -> np.ndarray:
-        """``n(D)`` for cubes given as ``(dims, ranges)`` tuple pairs.
-
-        The memo's own key format: ``dims`` is a strictly ascending
-        tuple of dimensions and ``ranges`` the aligned tuple of grid
-        ranges.  This is the body :meth:`count_batch` runs after its
-        type check, and the evolutionary search's array path
-        (``FitnessEvaluator.partial_fitness_batch``) calls it directly,
-        so both share one memo: a duplicate within the batch, or a cube
-        already memoised, counts as a cache hit exactly as a repeated
-        :meth:`count` does, and only the distinct misses reach the
-        kernel, pool and shard paths.
-
-        Returns an ``int64`` array aligned with *keys*.
-        """
-        t0 = time.perf_counter()
-        self.n_batch_calls += 1
-        self.n_batch_cubes += len(keys)
-        self.n_count_calls += len(keys)
+        keys = [self._subspace_key(subspace) for subspace in subspaces]
+        rows = _by_length(keys)
+        groups = [[keys[i] for i in idxs] for idxs in rows]
         out = np.empty(len(keys), dtype=np.int64)
-        # ``slot[i]`` is the miss-array index serving input *i* (-1 when
-        # the memo answered); the scatter back to ``out`` is one fancy
-        # assignment instead of a Python loop.
-        slot = np.empty(len(keys), dtype=np.intp)
-        cache = self._cache
-        pending: dict[tuple, int] = {}
-        miss_keys: list[tuple] = []
-        n_hits = 0
-        for i, key in enumerate(keys):
-            idx = pending.get(key)
-            if idx is not None:
-                # Duplicate within the batch: counted once, reused here.
-                n_hits += 1
-                slot[i] = idx
-                continue
-            if cache is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    n_hits += 1
-                    cache.move_to_end(key)
-                    out[i] = cached
-                    slot[i] = -1
-                    continue
-            pending[key] = len(miss_keys)
-            slot[i] = len(miss_keys)
-            miss_keys.append(key)
-        self.n_cache_hits += n_hits
-        if miss_keys:
-            counts = _count_by_k(miss_keys, self._count_cubes)
-            self._batch_merged()
-            if cache is not None:
-                for key, cnt in zip(miss_keys, counts.tolist(), strict=True):
-                    cache[key] = cnt
-                    if len(cache) > self.cache_size:
-                        cache.popitem(last=False)
-            missed = slot >= 0
-            out[missed] = counts[slot[missed]]
-        self.batch_seconds += time.perf_counter() - t0
+        for idxs, counts in zip(rows, self._count(groups, memo=True), strict=True):
+            out[idxs] = counts
         return out
+
+    def count_memoised(self, dims, ranges) -> np.ndarray:
+        """``n(D)`` for same-k cubes given as two ``(n, k)`` arrays, memoised.
+
+        Row *i* is the cube with dimensions ``dims[i]`` (strictly
+        ascending) and grid ranges ``ranges[i]``.  The array twin of
+        :meth:`count_batch` for one dimensionality, with no
+        :class:`Subspace` built: the evolutionary search scores its gene
+        matrices through it, one call per k.  A duplicate row, or a cube
+        already memoised, counts as a cache hit exactly as a repeated
+        :meth:`count` does.
+
+        Returns an ``int64`` array aligned with the rows.
+        """
+        dims, ranges = self._checked_group(dims, ranges)
+        return self._count([_row_keys(dims, ranges, self.n_ranges)], memo=True)[0]
 
     def count_cubes(self, dims, ranges) -> np.ndarray:
         """``n(D)`` for same-k cubes given as two ``(n, k)`` arrays.
 
-        Row *i* is the cube with dimensions ``dims[i]`` (strictly
-        ascending) and grid ranges ``ranges[i]``.  The array-native twin
-        of :meth:`count_batch` for callers that never repeat a cube —
-        the level-batched brute force: no :class:`Subspace` is built
-        and the memo is neither read nor written.  Bounds are validated
-        vectorized; counting runs through the same kernel, pool and
-        shard paths as :meth:`count_batch`, and the ``batch_*`` and
-        ``count_calls`` statistics advance as if the cubes had gone
-        through it.
+        As :meth:`count_memoised`, but the memo is neither read nor
+        written and duplicate rows are counted again: the entry for
+        callers that never repeat a cube (the level-batched brute
+        force), which would only pay for memo bookkeeping.
 
         Returns an ``int64`` array aligned with the rows.
         """
+        return self._count([self._checked_group(dims, ranges)], memo=False)[0]
+
+    def _count(self, groups, memo: bool) -> list[np.ndarray]:
+        """The one counting path: counts of validated same-k groups.
+
+        The adapters validate their whole call before calling in, so a
+        rejected call leaves the counter as it was.  With *memo*, each
+        group is a list of cube keys — the bytes of the cube's int32
+        pair codes ``dim·φ + range`` (:func:`_row_keys`;
+        ``k = len(key) // 4``); in-batch duplicates and memoised cubes
+        are resolved in first-occurrence order and count as hits, only
+        the distinct misses reach :meth:`_count_group`, and the misses
+        are then memoised in the same order (LRU eviction).  Without
+        *memo*, each group is a ``(dims, ranges)`` pair of ``(n, k)``
+        arrays and every row is counted.
+
+        One call advances ``batch_calls`` once and ``count_calls`` and
+        ``batch_cubes`` by its cubes, and adds its wall time to
+        ``batch_seconds``.  Returns one ``int64`` array per group.
+        """
         t0 = time.perf_counter()
+        n_cubes = sum(len(group) if memo else len(group[0]) for group in groups)
+        self.n_batch_calls += 1
+        self.n_batch_cubes += n_cubes
+        self.n_count_calls += n_cubes
+        if memo:
+            out = self._count_through_memo(groups)
+        else:
+            out = [self._count_rows(dims, ranges) for dims, ranges in groups]
+        self._batch_merged()
+        self.batch_seconds += time.perf_counter() - t0
+        return out
+
+    def _count_through_memo(self, groups: list[list[bytes]]) -> list[np.ndarray]:
+        """The memo half of :meth:`_count`: every hit, then every miss."""
+        cache = self._cache
+        resolved = []
+        for keys in groups:
+            # The distinct keys in first-occurrence order, valued by count.
+            values = dict.fromkeys(keys)
+            misses = []
+            for key in values:
+                cached = None if cache is None else cache.get(key)
+                if cached is None:
+                    misses.append(key)
+                else:
+                    cache.move_to_end(key)
+                    values[key] = cached
+            self.n_cache_hits += len(keys) - len(misses)
+            resolved.append((keys, values, misses))
+        out = []
+        for keys, values, misses in resolved:
+            if misses:
+                counts = self._count_rows(*_key_arrays(misses, self.n_ranges))
+                counted = list(zip(misses, counts.tolist(), strict=True))
+                values.update(counted)
+                if cache is not None:
+                    cache.update(counted)
+                    while len(cache) > self.cache_size:
+                        cache.popitem(last=False)
+            out.append(
+                np.fromiter(map(values.__getitem__, keys), np.int64, len(keys))
+            )
+        return out
+
+    def _count_rows(self, dims: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+        """Counts of every row of one validated same-k group."""
+        n_cubes, k = dims.shape
+        if n_cubes == 0 or k == 0:
+            return np.full(n_cubes, self.n_points, dtype=np.int64)
+        return self._count_group(dims, ranges)
+
+    def _checked_group(self, dims, ranges) -> tuple[np.ndarray, np.ndarray]:
+        """One same-k group as validated ``intp`` ``(n, k)`` arrays."""
         dims_arr = np.asarray(dims)
         rng_arr = np.asarray(ranges)
         if dims_arr.ndim != 2 or dims_arr.shape != rng_arr.shape:
@@ -361,40 +377,19 @@ class CubeCounter:
                 "dims and ranges must be (n, k) arrays of one shape, got "
                 f"{dims_arr.shape} and {rng_arr.shape}"
             )
-        n_cubes = len(dims_arr)
-        self.n_batch_calls += 1
-        self.n_batch_cubes += n_cubes
-        self.n_count_calls += n_cubes
-        counts = self._count_cubes(dims_arr, rng_arr)
-        self._batch_merged()
-        self.batch_seconds += time.perf_counter() - t0
-        return counts
-
-    def _count_cubes(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
-        """Validated counts of one same-k group of ``(n, k)`` cube arrays."""
-        n_cubes, k = dims_arr.shape
-        if n_cubes == 0 or k == 0:
-            return np.full(n_cubes, self.n_points, dtype=np.int64)
         for arr in (dims_arr, rng_arr):
-            if not np.issubdtype(arr.dtype, np.integer):
+            if arr.dtype.kind not in "iu":
                 raise ValidationError(
                     f"cube arrays must be integer-typed, got {arr.dtype}"
                 )
-        if int(dims_arr.min()) < 0 or int(rng_arr.min()) < 0:
-            raise ValidationError("dimension and range indices must be >= 0")
-        if k > 1 and not bool(np.all(dims_arr[:, 1:] > dims_arr[:, :-1])):
-            raise ValidationError("cube dims must be strictly ascending")
-        top = int(dims_arr[:, -1].max())
-        if top >= self.n_dims:
-            raise ValidationError(
-                f"subspace uses dimension {top} but data has "
-                f"{self.n_dims} dimensions"
-            )
-        if int(rng_arr.max()) >= self.n_ranges:
-            raise ValidationError(
-                f"subspace range out of bounds for φ={self.n_ranges}"
-            )
-        return self._count_group(
+        if dims_arr.size:
+            if (dims_arr[:, 1:] <= dims_arr[:, :-1]).any():
+                raise ValidationError("cube dims must be strictly ascending")
+            # Ascending rows: column 0 holds the smallest dimension.
+            if dims_arr[:, 0].min() < 0 or rng_arr.min() < 0:
+                raise ValidationError("dimension and range indices must be >= 0")
+            self._check_bounds(int(dims_arr[:, -1].max()), int(rng_arr.max()))
+        return (
             dims_arr.astype(np.intp, copy=False), rng_arr.astype(np.intp, copy=False)
         )
 
@@ -424,11 +419,8 @@ class CubeCounter:
         if m == 0:
             return 0
         cache = self._cache
-        deltas = None
-        if cache:
-            delta_stack = self._block_stack(block)
-            keys = list(cache.keys())
-            deltas = self._keys_on_stack(delta_stack, keys, m)
+        keys = list(cache) if cache else []
+        deltas = self._memo_deltas(self._block_stack(block), keys, m) if keys else []
         self.close()
         self._append_masks(block)
         self.cells = CellAssignment(
@@ -437,9 +429,8 @@ class CubeCounter:
             feature_names=self.cells.feature_names,
             boundaries=self.cells.boundaries,
         )
-        if deltas is not None and cache is not None:
-            for key, delta in deltas.items():
-                cache[key] += delta
+        for key, delta in zip(keys, deltas, strict=True):
+            cache[key] += delta
         self.n_appends += 1
         self.n_rows_appended += m
         return m
@@ -505,23 +496,23 @@ class CubeCounter:
         stack8[:, :, keep_bytes : keep_bytes + tail_bytes] = tail8[:, :, :tail_bytes]
         self._set_stack(stack8)
 
-    def _keys_on_stack(
-        self, stack: np.ndarray, keys: list[tuple], n_rows: int
-    ) -> dict[tuple, int]:
-        """Counts of the *keys* cubes over an arbitrary mask *stack*.
+    def _memo_deltas(
+        self, stack: np.ndarray, keys: list[bytes], n_rows: int
+    ) -> list[int]:
+        """Counts of the memoised *keys* cubes over an arbitrary mask *stack*.
 
         Used by :meth:`append_rows` to compute per-cube popcount deltas
-        from a new-rows-only stack; runs the same serial kernel path as
-        a normal batch, so deltas are bit-identical to recounting.
+        from a new-rows-only stack: the ``(dims, ranges)`` arrays are
+        rebuilt from the byte keys, grouped by key length, and run
+        through the same serial kernel path as a normal batch, so
+        deltas are bit-identical to recounting.  Aligned with *keys*.
         """
-
-        def count_group(dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
-            if dims_arr.shape[1] == 0:
-                return np.full(len(dims_arr), n_rows, dtype=np.int64)
-            return self._serial_group_counts(stack, dims_arr, rng_arr)
-
-        counts = _count_by_k(keys, count_group)
-        return {key: int(count) for key, count in zip(keys, counts, strict=True)}
+        deltas = np.full(len(keys), n_rows, dtype=np.int64)
+        for idxs in _by_length(keys):
+            if keys[idxs[0]]:
+                dims, ranges = _key_arrays([keys[i] for i in idxs], self.n_ranges)
+                deltas[idxs] = self._serial_group_counts(stack, dims, ranges)
+        return deltas.tolist()
 
     def set_cancel_token(self, token) -> None:
         """Thread a :class:`~repro.run.cancel.CancelToken` into counting.
@@ -779,14 +770,14 @@ class CubeCounter:
         """Counters useful for benchmarking and backend tuning.
 
         ``count_calls`` / ``cache_hits`` / ``cache_misses`` cover every
-        cube counted, whether through :meth:`count` or the one memo
-        path that :meth:`count_batch` and :meth:`count_keys` share (a
-        duplicate within one batch counts as a hit, just as a repeated
-        :meth:`count` does).  The ``batch_*`` fields, ``words_and``,
-        ``prefix_reuse`` and ``parallel_chunks`` describe the batch
-        engine specifically: one ``batch_calls`` per :meth:`count_keys`
-        (or :meth:`count_batch`) and :meth:`count_cubes` call.
-        ``batch_seconds`` is the wall time spent inside them.
+        cube counted through any of the four counting methods (a
+        duplicate within one call counts as a hit, just as a repeated
+        :meth:`count` does; :meth:`count_cubes` never hits).  Every
+        counting call — :meth:`count` included — advances
+        ``batch_calls`` once and ``batch_cubes`` by its cubes;
+        ``words_and``, ``prefix_reuse`` and ``parallel_chunks`` describe
+        the kernel work of the misses.  ``batch_seconds`` is the wall
+        time spent inside the counting calls.
         """
         return {
             "count_calls": self.n_count_calls,
@@ -866,20 +857,32 @@ class CubeCounter:
 
     # ------------------------------------------------------------------
     def _check_subspace(self, subspace: Subspace) -> None:
+        """Reject anything but a :class:`Subspace` inside the grid (its
+        constructor checked the rest)."""
         if not isinstance(subspace, Subspace):
             raise ValidationError(
                 f"expected a Subspace, got {type(subspace).__name__}"
             )
-        if subspace.dims and subspace.dims[-1] >= self.n_dims:
+        if subspace.dims:
+            self._check_bounds(subspace.dims[-1], max(subspace.ranges))
+
+    def _check_bounds(self, top_dim: int, top_range: int) -> None:
+        if top_dim >= self.n_dims:
             raise ValidationError(
-                f"subspace uses dimension {subspace.dims[-1]} but data has "
+                f"subspace uses dimension {top_dim} but data has "
                 f"{self.n_dims} dimensions"
             )
-        if any(r >= self.n_ranges for r in subspace.ranges):
+        if top_range >= self.n_ranges:
             raise ValidationError(
-                f"subspace range out of bounds for φ={self.n_ranges}: "
-                f"{subspace.ranges}"
+                f"subspace range out of bounds for φ={self.n_ranges}"
             )
+
+    def _subspace_key(self, subspace: Subspace) -> bytes:
+        """The checked *subspace*'s memo key: its row of :func:`_row_keys`."""
+        self._check_subspace(subspace)
+        phi = self.n_ranges
+        codes = [dim * phi + rng for dim, rng in zip(subspace.dims, subspace.ranges)]
+        return struct.pack(f"={len(codes)}i", *codes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

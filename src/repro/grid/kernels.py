@@ -110,6 +110,13 @@ def _resolve_batch_masks(
     if k == 1:
         # Fancy indexing copies, so callers may AND into the result.
         return stack[dims_arr[:, 0], rng_arr[:, 0]]
+    if len(dims_arr) == 1:
+        # A lone cube (one count() miss) shares no prefix: gather its k
+        # rows and AND them in one reduction.
+        stats["words_and"] += (k - 1) * stack.shape[2]
+        return np.bitwise_and.reduce(
+            stack[dims_arr[0], rng_arr[0]], axis=0, keepdims=True
+        )
     base = stack.shape[0] * stack.shape[1]
     if base ** (k - 1) < 1 << 62:
         # Encode each (k-1)-prefix as a single int64 so the duplicate

@@ -718,8 +718,9 @@ class ShardedCounter(CubeCounter):
         open their own mmap views.
     checkpointer:
         Optional :class:`ShardCheckpointer`; when set, every counted
-        shard of the in-flight batch is recorded so an interrupted run
-        resumes mid-dataset instead of recounting finished shards.
+        shard of the in-flight batch's multi-cube groups is recorded so
+        an interrupted run resumes mid-dataset instead of recounting
+        finished shards.
     verify_reads:
         Check every shard against its manifest checksum before
         counting it.  A mismatch (bit rot, torn write outside the
@@ -874,12 +875,6 @@ class ShardedCounter(CubeCounter):
             ).view(bool)
         return out
 
-    def _count_uncached(self, subspace: Subspace) -> int:
-        total = 0
-        for index in range(self.store.n_shards):
-            total += int(np.bitwise_count(self._shard_cube(index, subspace)).sum())
-        return total
-
     def mask_memory_bytes(self) -> int:
         """Resident mask bytes: 0 — the stacks live on disk.
 
@@ -928,7 +923,11 @@ class ShardedCounter(CubeCounter):
         store = self.store
         total = np.zeros(n_cubes, dtype=np.int64)
         group = None
-        if self.shard_checkpointer is not None:
+        # A lone cube (a count() miss, or a stage's one new cube) costs
+        # less to recount on resume than its per-shard bookkeeping: it
+        # gets no progress records and no shard_counted events.
+        sink = self.event_sink if n_cubes > 1 else None
+        if self.shard_checkpointer is not None and n_cubes > 1:
             digest = group_digest(store.fingerprint, dims_arr, rng_arr)
             group = self.shard_checkpointer.group(digest, store.n_shards)
         pending: list[int] = []
@@ -954,7 +953,7 @@ class ShardedCounter(CubeCounter):
                 total += counts
                 self.n_shards_counted += 1
                 emit_event(
-                    self.event_sink, "shard_counted",
+                    sink, "shard_counted",
                     shard=shard_id, action="counted", cubes=n_cubes,
                 )
                 if group is not None:
@@ -968,7 +967,7 @@ class ShardedCounter(CubeCounter):
                 total += counts
                 self.n_shards_counted += 1
                 emit_event(
-                    self.event_sink, "shard_counted",
+                    sink, "shard_counted",
                     shard=shard_id, action="counted", cubes=n_cubes,
                 )
                 if group is not None:

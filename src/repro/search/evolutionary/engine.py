@@ -456,7 +456,7 @@ class EvolutionarySearch(GeneratorEngine):
         """Fitness of every string; feasible ones feed the best set.
 
         The whole generation is counted in one memoised
-        :meth:`~repro.grid.counter.CubeCounter.count_keys` pass —
+        :meth:`~repro.grid.counter.CubeCounter.count_memoised` pass —
         duplicates of a converging population collapse in the batch, and
         a parallel counting backend fans the distinct cubes out to its
         worker pool.  Feasible strings are offered in population order

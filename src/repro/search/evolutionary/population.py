@@ -88,11 +88,11 @@ class FitnessEvaluator:
 
         Row *i* scores exactly as ``partial_fitness(Solution(genes[i]))``
         would — at the row's own dimensionality, all-wildcard rows 0.0
-        and not counted in :attr:`n_evaluations` — but the whole matrix
-        is counted in one memoised
-        :meth:`~repro.grid.counter.CubeCounter.count_keys` call (so the
-        memo statistics match the per-row path) and scored per
-        dimensionality with the vectorized Equation 1.  This is the
+        and not counted in :attr:`n_evaluations` — but the matrix is
+        counted with one memoised
+        :meth:`~repro.grid.counter.CubeCounter.count_memoised` call per
+        dimensionality (so the memo statistics match the per-row path)
+        and scored with the vectorized Equation 1.  This is the
         optimized crossover's hot path.
 
         Returns a float array aligned with the rows.
@@ -108,7 +108,7 @@ class FitnessEvaluator:
         return fitness
 
     def _score_rows(self, genes: np.ndarray) -> list[tuple]:
-        """Count and score every non-all-wildcard row in one memo call.
+        """Count and score every non-all-wildcard row, one memo call per k.
 
         Returns one ``(rows, dims, ranges, counts, coefficients)`` group
         per dimensionality present: the row indices (ascending), the
@@ -118,30 +118,18 @@ class FitnessEvaluator:
         """
         fixed = genes != WILDCARD_GENE
         ks = fixed.sum(axis=1)
-        groups = []
-        keys: list[tuple] = []
+        out = []
         for k in np.unique(ks[ks > 0]).tolist():
             rows = np.flatnonzero(ks == k)
             sub = fixed[rows]
             dims = np.nonzero(sub)[1].reshape(len(rows), k)
             ranges = genes[rows][sub].reshape(len(rows), k)
-            keys.extend(
-                zip(map(tuple, dims.tolist()), map(tuple, ranges.tolist()))
-            )
-            groups.append((rows, k, dims, ranges))
-        if not keys:
-            return []
-        counts = self.counter.count_keys(keys)
-        self.n_evaluations += len(keys)
-        out = []
-        lo = 0
-        for rows, k, dims, ranges in groups:
-            group_counts = counts[lo : lo + len(rows)]
-            lo += len(rows)
+            counts = self.counter.count_memoised(dims, ranges)
+            self.n_evaluations += len(rows)
             coefficients = sparsity_coefficients(
-                group_counts, self.counter.n_points, self.counter.n_ranges, k
+                counts, self.counter.n_points, self.counter.n_ranges, k
             )
-            out.append((rows, dims, ranges, group_counts, coefficients))
+            out.append((rows, dims, ranges, counts, coefficients))
         return out
 
     def score(self, solution: Solution) -> ScoredProjection | None:
@@ -162,7 +150,7 @@ class FitnessEvaluator:
         """Score a whole population through one batched count.
 
         Feasible strings are counted with a single memoised
-        :meth:`~repro.grid.counter.CubeCounter.count_keys` call and
+        :meth:`~repro.grid.counter.CubeCounter.count_memoised` call and
         scored with the vectorized Equation 1.  Entry ``i`` is ``None``
         exactly when :meth:`score` would return ``None`` for
         ``solutions[i]``, and the scored values are identical to the

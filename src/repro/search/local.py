@@ -102,6 +102,19 @@ class _SingleSolutionSearch(GeneratorEngine):
         )
         return rng, evaluator, best
 
+    def _iterate(self, context: RunContext):
+        """Run the subclass's ``_walk`` generator under the counter binding.
+
+        A token flipped inside a count (the sharded counter checks it
+        between shards) stops the walk as a boundary poll does.
+        """
+        rng, evaluator, best = self._begin(context)
+        with self.counter.runtime_binding(context.cancel_token, context.sink):
+            try:
+                yield from self._walk(rng, evaluator, best)
+            except SearchCancelled:
+                self._budget.latch("cancelled")
+
     def _evaluate(self, solution: Solution, evaluator, best) -> float:
         scored = evaluator.score(solution)
         if scored is None:
@@ -133,7 +146,7 @@ class RandomSearch(_SingleSolutionSearch):
     #: Draws scored per batch; the gap between cancellation checks.
     CHUNK = 512
 
-    def _iterate(self, context: RunContext):
+    def _walk(self, rng, evaluator, best):
         """Evaluate ``max_evaluations`` random feasible solutions.
 
         The solutions are drawn first (same generator stream as
@@ -143,33 +156,24 @@ class RandomSearch(_SingleSolutionSearch):
         cancel token is polled before every chunk (one step per chunk)
         so a flip returns the best-so-far partial outcome.
         """
-        rng, evaluator, best = self._begin(context)
         budget = self._budget
-        with self.counter.runtime_binding(context.cancel_token, context.sink):
-            yield  # prepare boundary: nothing drawn or counted yet
-            solutions = [
-                random_solution(
-                    self.counter.n_dims,
-                    self.dimensionality,
-                    self.counter.n_ranges,
-                    rng,
-                )
-                for _ in range(self.max_evaluations)
-            ]
-            for lo in range(0, len(solutions), self.CHUNK):
-                yield
-                if budget.check() is not None:
-                    break
-                try:
-                    scored_chunk = evaluator.score_batch(
-                        solutions[lo : lo + self.CHUNK]
-                    )
-                except SearchCancelled:
-                    budget.latch("cancelled")
-                    break
-                for scored in scored_chunk:
-                    if scored is not None:
-                        best.offer(scored)
+        yield  # prepare boundary: nothing drawn or counted yet
+        solutions = [
+            random_solution(
+                self.counter.n_dims,
+                self.dimensionality,
+                self.counter.n_ranges,
+                rng,
+            )
+            for _ in range(self.max_evaluations)
+        ]
+        for lo in range(0, len(solutions), self.CHUNK):
+            yield
+            if budget.check() is not None:
+                break
+            for scored in evaluator.score_batch(solutions[lo : lo + self.CHUNK]):
+                if scored is not None:
+                    best.offer(scored)
 
 
 class HillClimbingSearch(_SingleSolutionSearch):
@@ -186,41 +190,39 @@ class HillClimbingSearch(_SingleSolutionSearch):
         super().__init__(*args, **kwargs)
         self.patience = check_positive_int(patience, "patience")
 
-    def _iterate(self, context: RunContext):
-        rng, evaluator, best = self._begin(context)
+    def _walk(self, rng, evaluator, best):
         run, budget = self._run, self._budget
         restarts = 0
         run["extra"]["restarts"] = restarts
-        with self.counter.runtime_binding(context.cancel_token, context.sink):
-            yield  # prepare boundary
-            current = random_solution(
-                self.counter.n_dims, self.dimensionality,
-                self.counter.n_ranges, rng,
-            )
-            current_fitness = self._evaluate(current, evaluator, best)
-            rejected = 0
-            while evaluator.n_evaluations < self.max_evaluations:
-                yield
-                if budget.check() is not None:
-                    break
-                candidate = _neighbor(current, self.counter.n_ranges, rng)
-                fitness = self._evaluate(candidate, evaluator, best)
-                if fitness < current_fitness:
-                    current, current_fitness = candidate, fitness
+        yield  # prepare boundary
+        current = random_solution(
+            self.counter.n_dims, self.dimensionality,
+            self.counter.n_ranges, rng,
+        )
+        current_fitness = self._evaluate(current, evaluator, best)
+        rejected = 0
+        while evaluator.n_evaluations < self.max_evaluations:
+            yield
+            if budget.check() is not None:
+                break
+            candidate = _neighbor(current, self.counter.n_ranges, rng)
+            fitness = self._evaluate(candidate, evaluator, best)
+            if fitness < current_fitness:
+                current, current_fitness = candidate, fitness
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected >= self.patience:
+                    restarts += 1
+                    run["extra"]["restarts"] = restarts
+                    current = random_solution(
+                        self.counter.n_dims,
+                        self.dimensionality,
+                        self.counter.n_ranges,
+                        rng,
+                    )
+                    current_fitness = self._evaluate(current, evaluator, best)
                     rejected = 0
-                else:
-                    rejected += 1
-                    if rejected >= self.patience:
-                        restarts += 1
-                        run["extra"]["restarts"] = restarts
-                        current = random_solution(
-                            self.counter.n_dims,
-                            self.dimensionality,
-                            self.counter.n_ranges,
-                            rng,
-                        )
-                        current_fitness = self._evaluate(current, evaluator, best)
-                        rejected = 0
 
 
 class SimulatedAnnealingSearch(_SingleSolutionSearch):
@@ -245,33 +247,31 @@ class SimulatedAnnealingSearch(_SingleSolutionSearch):
         )
         self.cooling = check_in_range(cooling, "cooling", low=0.5, high=1.0)
 
-    def _iterate(self, context: RunContext):
-        rng, evaluator, best = self._begin(context)
+    def _walk(self, rng, evaluator, best):
         run, budget = self._run, self._budget
         accepted_worse = 0
         temperature = self.initial_temperature
         run["extra"]["accepted_worse"] = accepted_worse
         run["extra"]["final_temperature"] = temperature
-        with self.counter.runtime_binding(context.cancel_token, context.sink):
-            yield  # prepare boundary
-            current = random_solution(
-                self.counter.n_dims, self.dimensionality,
-                self.counter.n_ranges, rng,
-            )
-            current_fitness = self._evaluate(current, evaluator, best)
-            while evaluator.n_evaluations < self.max_evaluations:
-                yield
-                if budget.check() is not None:
-                    break
-                candidate = _neighbor(current, self.counter.n_ranges, rng)
-                fitness = self._evaluate(candidate, evaluator, best)
-                delta = fitness - current_fitness
-                if delta < 0:
+        yield  # prepare boundary
+        current = random_solution(
+            self.counter.n_dims, self.dimensionality,
+            self.counter.n_ranges, rng,
+        )
+        current_fitness = self._evaluate(current, evaluator, best)
+        while evaluator.n_evaluations < self.max_evaluations:
+            yield
+            if budget.check() is not None:
+                break
+            candidate = _neighbor(current, self.counter.n_ranges, rng)
+            fitness = self._evaluate(candidate, evaluator, best)
+            delta = fitness - current_fitness
+            if delta < 0:
+                current, current_fitness = candidate, fitness
+            elif math.isfinite(delta) and temperature > 0:
+                if rng.random() < math.exp(-delta / temperature):
                     current, current_fitness = candidate, fitness
-                elif math.isfinite(delta) and temperature > 0:
-                    if rng.random() < math.exp(-delta / temperature):
-                        current, current_fitness = candidate, fitness
-                        accepted_worse += 1
-                        run["extra"]["accepted_worse"] = accepted_worse
-                temperature *= self.cooling
-                run["extra"]["final_temperature"] = temperature
+                    accepted_worse += 1
+                    run["extra"]["accepted_worse"] = accepted_worse
+            temperature *= self.cooling
+            run["extra"]["final_temperature"] = temperature

@@ -1,5 +1,7 @@
 """Tests for CubeCounter (the n(D) engine)."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +239,106 @@ def test_property_count_equals_naive(data, phi):
     ))
     cube = Subspace(dims, ranges)
     assert counter.count(cube) == naive_cube_count(np.asarray(codes), cube)
+
+
+class _LruModel:
+    """Reference memo: an ``OrderedDict`` LRU fed one counting call at a time.
+
+    A call's in-batch duplicates are hits; its distinct cubes are
+    looked up in first-occurrence order (a hit refreshes recency), and
+    the misses are then memoised in the same order, evicting the least
+    recently used beyond *size*.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.memo = OrderedDict()
+        self.hits = 0
+
+    def call(self, cubes):
+        distinct = list(dict.fromkeys(cubes))
+        self.hits += len(cubes) - len(distinct)
+        misses = []
+        for cube in distinct:
+            if cube in self.memo:
+                self.hits += 1
+                self.memo.move_to_end(cube)
+            else:
+                misses.append(cube)
+        if self.size:
+            self.memo.update((cube, None) for cube in misses)
+            while len(self.memo) > self.size:
+                self.memo.popitem(last=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    wide=st.booleans(),
+    cache_size=st.sampled_from([0, 1, 3, 200_000]),
+)
+def test_property_memo_matches_uncached_counter_and_lru_model(
+    data, seed, wide, cache_size
+):
+    """Mixed-k count_batch / count_memoised / count sequences with
+    duplicates and interleaved appends: counts equal a memo-free
+    counter's, and the hit and entry figures equal an LRU model's.
+    Wide grids make (d·φ)^k overflow int64, so no key can rely on it."""
+    rng = np.random.default_rng(seed)
+    if wide:
+        n_dims, phi, max_k = 60, 64, 6
+        assert (n_dims * phi) ** max_k >= 2**63
+    else:
+        n_dims, phi = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        max_k = n_dims
+
+    def codes(n_rows):
+        return rng.integers(-1, phi, size=(n_rows, n_dims)).astype(np.int16)
+
+    initial = codes(int(rng.integers(1, 40)))
+    counter = CubeCounter(CellAssignment(initial, phi), cache_size=cache_size)
+    reference = CubeCounter(CellAssignment(initial, phi), cache_size=0)
+    model = _LruModel(cache_size)
+
+    def draw_cube():
+        k = data.draw(st.integers(0, max_k))
+        dims = sorted(rng.choice(n_dims, size=k, replace=False).tolist())
+        return tuple(dims), tuple(rng.integers(0, phi, size=k).tolist())
+
+    pool = [draw_cube() for _ in range(data.draw(st.integers(1, 6)))]
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["batch", "memoised", "count", "append"]))
+        if op == "append":
+            block = codes(int(rng.integers(0, 10)))
+            assert counter.append_rows(block) == reference.append_rows(block)
+            continue
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        if op == "count":
+            cube = picks[0]
+            assert counter.count(Subspace(*cube)) == reference.count(Subspace(*cube))
+            model.call([cube])
+        elif op == "batch":
+            cubes = [Subspace(*cube) for cube in picks]
+            assert (
+                counter.count_batch(cubes).tolist()
+                == reference.count_batch(cubes).tolist()
+            )
+            # A mixed-k batch reaches the core grouped by ascending k.
+            model.call(sorted(picks, key=lambda cube: len(cube[0])))
+        else:
+            k = len(picks[0][0])
+            same_k = [cube for cube in picks if len(cube[0]) == k]
+            dims = np.array([cube[0] for cube in same_k], dtype=np.intp)
+            ranges = np.array([cube[1] for cube in same_k], dtype=np.intp)
+            assert (
+                counter.count_memoised(dims, ranges).tolist()
+                == reference.count_cubes(dims, ranges).tolist()
+            )
+            model.call(same_k)
+        stats = counter.cache_stats()
+        assert stats["cache_hits"] == model.hits
+        assert stats["cache_entries"] == len(model.memo)
+    assert counter.count_batch([Subspace(*cube) for cube in pool]).tolist() == (
+        reference.count_batch([Subspace(*cube) for cube in pool]).tolist()
+    )

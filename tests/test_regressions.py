@@ -22,6 +22,8 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from repro._validation import __all__ as validation_all
 from repro.analysis import lint_paths
 from repro.eval.comparison import ComparisonRow, render_table
@@ -693,3 +695,99 @@ class TestCountingPoolLadderTarget:
         assert counts == expected
         assert report["recoveries"]["pool_abandoned"] == 1
         assert report["ladder"] == {"counting-pool": "native"}
+
+
+class TestRejectedCountingCallLeavesCounterUntouched:
+    """``count_cubes`` and the memoised array path advanced
+    ``count_calls`` / ``batch_calls`` / ``batch_cubes`` before
+    validating, a mixed-k ``count_batch`` ran the kernel on its valid
+    groups (and memoised them) before a later group raised, and a
+    zero-width float cube array slipped past the dtype check.  Every
+    group of a call is now validated before any state changes."""
+
+    @staticmethod
+    def _counter():
+        import numpy as np
+
+        from repro.grid.cells import CellAssignment
+        from repro.grid.counter import CubeCounter
+
+        codes = np.random.default_rng(7).integers(0, 3, size=(40, 5))
+        return CubeCounter(CellAssignment(codes.astype(np.int16), 3))
+
+    def test_rejected_calls_leave_stats_as_fresh(self):
+        import numpy as np
+        import pytest
+
+        from repro.core.subspace import Subspace
+        from repro.exceptions import ValidationError
+
+        counter = self._counter()
+        fresh = self._counter().cache_stats()
+        rejected = [
+            lambda: counter.count_cubes(np.array([[0, 9]]), np.array([[0, 0]])),
+            lambda: counter.count_cubes(np.array([[1, 0]]), np.array([[0, 0]])),
+            lambda: counter.count_memoised(np.array([[0, 9]]), np.array([[0, 0]])),
+            lambda: counter.count_batch(
+                [Subspace((0,), (0,)), Subspace((0, 9), (0, 0))]
+            ),
+            lambda: counter.count_cubes(np.zeros((3, 0)), np.zeros((3, 0))),
+            lambda: counter.count_memoised(np.zeros((3, 0)), np.zeros((3, 0))),
+        ]
+        for call in rejected:
+            with pytest.raises(ValidationError):
+                call()
+        assert counter.cache_stats() == fresh
+
+    def test_rejected_call_after_warm_memo_changes_nothing(self):
+        import numpy as np
+        import pytest
+
+        from repro.core.subspace import Subspace
+        from repro.exceptions import ValidationError
+
+        counter = self._counter()
+        counter.count_batch([Subspace((0,), (1,)), Subspace((1, 2), (0, 2))])
+        before = counter.cache_stats()
+        memo = list(counter._cache.items())
+        with pytest.raises(ValidationError):
+            counter.count_batch(
+                [Subspace((0,), (1,)), Subspace((3,), (0,)), Subspace((0, 9), (0, 0))]
+            )
+        assert counter.cache_stats() == before
+        assert list(counter._cache.items()) == memo
+        assert counter.count_cubes(
+            np.zeros((3, 0), dtype=np.intp), np.zeros((3, 0), dtype=np.intp)
+        ).tolist() == [40, 40, 40]
+
+
+class TestLocalSearchCancelInsideCount:
+    """The sharded counter checks the cancel token between shards, so a
+    flip that lands inside ``count()`` raises ``SearchCancelled`` from
+    the counter.  Hill climbing and simulated annealing let it escape
+    the run and lost their best-so-far set; they now stop ``cancelled``
+    with a partial outcome, as the boundary poll does."""
+
+    @pytest.mark.parametrize("method", ["hill_climbing", "simulated_annealing"])
+    def test_cancel_inside_sharded_count_returns_partial(self, method, tmp_path):
+        from repro.engine.context import RunContext
+        from repro.engine.registry import create_engine
+        from repro.grid.sharded import ShardedCounter, ShardedMaskStore
+
+        memory = _normal_counter()
+        store = ShardedMaskStore.build(
+            memory.cells, tmp_path / "shards", shard_rows=24
+        )
+        counter = ShardedCounter(store)
+        try:
+            # 9 shards a count: the 60th read lands mid-count, after
+            # six evaluations.
+            outcome = create_engine(
+                method, counter, 2, 5, max_evaluations=400, random_state=0,
+            ).run(context=RunContext(cancel_token=_CancelOnRead(60)))
+        finally:
+            counter.close()
+        assert outcome.stopped_reason == "cancelled"
+        assert not outcome.completed
+        assert outcome.projections
+        assert 0 < outcome.stats["evaluations"] < 400

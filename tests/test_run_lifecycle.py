@@ -671,6 +671,31 @@ class TestShardedKillResume:
             fresh.close()
         assert fresh.n_shards_resumed == 0
 
+    def test_single_cube_group_records_no_shard_progress(
+        self, sharded_store, tmp_path
+    ):
+        # A count() miss is a one-cube group: recounting it on resume is
+        # cheaper than one progress write and one event per shard, so
+        # neither is made; a two-cube group still records and reports
+        # every shard.
+        store = CheckpointStore(tmp_path)
+        saves = []
+        save = store.save
+        store.save = lambda name, payload: saves.append(name) or save(name, payload)
+        sink = InMemoryEventSink()
+        counter = ShardedCounter(sharded_store, checkpointer=ShardCheckpointer(store))
+        counter.set_event_sink(sink)
+        try:
+            counter.count(Subspace((0, 1), (0, 0)))
+            assert saves == []
+            assert sink.of_type("shard_counted") == []
+            counter.count_batch([Subspace((0,), (r,)) for r in range(2)])
+        finally:
+            counter.close()
+        assert len(saves) == sharded_store.n_shards
+        assert len(sink.of_type("shard_counted")) == sharded_store.n_shards
+        assert counter.n_shards_counted == 2 * sharded_store.n_shards
+
     def test_level_batch_search_kill_resume_over_store(
         self, sharded_cells, sharded_store, tmp_path
     ):
