@@ -26,7 +26,7 @@ import shutil
 import tempfile
 import time
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -276,17 +276,10 @@ class SubspaceOutlierDetector:
         start = time.perf_counter()
 
         discretizer = self.discretizer or EquiDepthDiscretizer(self.n_ranges)
-        # The stats sink is always present (it reconstructs the classic
-        # result.stats); the user's sink — and the controller's, inside
-        # build_context — see the same event stream.  It is created
-        # before the counter so that build-time degradations (e.g. the
-        # in-memory → sharded spill on MemoryError) can be emitted.
-        stats_sink = StatsAssemblySink()
-        sink = (
-            stats_sink
-            if self.event_sink is None
-            else CompositeSink(stats_sink, self.event_sink)
-        )
+        # The sinks are created before the counter so that build-time
+        # degradations (e.g. the in-memory → sharded spill on
+        # MemoryError) can be emitted.
+        stats_sink, sink = self._sinks()
         # All fitted state (grid + cells + counter) lives in a GridModel
         # so the caller can keep updating/merging/rebinning it after
         # this detect call; the model routes counter construction back
@@ -298,44 +291,25 @@ class SubspaceOutlierDetector:
             counter_factory=lambda built: self._build_counter(built, sink),
             event_sink=self.event_sink,
         )
-        cells = model.cells
-        counter = model.counter
-
         k = self.resolve_dimensionality(array.shape[0], array.shape[1])
         logger.info(
             "detect: N=%d d=%d phi=%d k=%d method=%s m=%s threshold=%s backend=%s",
             array.shape[0], array.shape[1], self.n_ranges, k, self.method,
-            self.n_projections, self.threshold, counter.backend.kind,
+            self.n_projections, self.threshold, model.counter.backend.kind,
         )
-        try:
-            outcome = self._run_search(
-                counter, k, cells=cells, resume=resume, sink=sink
-            )
-            result = self._postprocess(
-                outcome, counter, k, time.perf_counter() - start, stats_sink,
-                model=model,
-            )
-        finally:
-            # Release the counting pool (if a process backend spun one
-            # up); the counter itself stays usable serially.
-            counter.close()
+        result = self._mine(
+            model, k, resume, lambda: time.perf_counter() - start,
+            stats_sink, sink,
+        )
         logger.info(
             "detect done: %d projections (best %.3f), %d outliers, %.3fs%s",
             len(result.projections),
             result.best_coefficient,
             result.n_outliers,
             result.stats["total_elapsed_seconds"],
-            "" if outcome.completed
-            else f" [INCOMPLETE: {outcome.stopped_reason}]",
+            "" if self.outcome_.completed
+            else f" [INCOMPLETE: {self.outcome_.stopped_reason}]",
         )
-
-        model.projections = result.projections
-        self.cells_ = cells
-        self.counter_ = counter
-        self.outcome_ = outcome
-        self.result_ = result
-        self.discretizer_ = discretizer
-        self.model_ = model
         return result
 
     # ------------------------------------------------------------------
@@ -368,20 +342,52 @@ class SubspaceOutlierDetector:
                 "resume=True needs a controller with a checkpoint_dir"
             )
         start = time.perf_counter()
-        cells = model.cells
-        counter = model.counter
+        stats_sink, sink = self._sinks()
+        k = self.resolve_dimensionality(model.cells.n_points, model.cells.n_dims)
+        return self._mine(
+            model, k, resume, lambda: time.perf_counter() - start,
+            stats_sink, sink,
+        )
+
+    def _sinks(self) -> tuple[StatsAssemblySink, EventSink]:
+        """The run's stats sink, and the sink the run emits into.
+
+        The stats sink is always present (it reconstructs the classic
+        ``result.stats``); the user's sink — and the controller's,
+        inside ``build_context`` — see the same event stream.
+        """
         stats_sink = StatsAssemblySink()
-        sink = (
-            stats_sink
-            if self.event_sink is None
-            else CompositeSink(stats_sink, self.event_sink)
-        )
-        k = self.resolve_dimensionality(cells.n_points, cells.n_dims)
-        outcome = self._run_search(counter, k, cells=cells, resume=resume, sink=sink)
-        result = self._postprocess(
-            outcome, counter, k, time.perf_counter() - start, stats_sink,
-            model=model,
-        )
+        if self.event_sink is None:
+            return stats_sink, stats_sink
+        return stats_sink, CompositeSink(stats_sink, self.event_sink)
+
+    def _mine(
+        self,
+        model: GridModel,
+        k: int,
+        resume: bool,
+        elapsed: Callable[[], float],
+        stats_sink: StatsAssemblySink,
+        sink: EventSink,
+    ) -> DetectionResult:
+        """Search, postprocess and install the fitted attributes.
+
+        The one mining path of :meth:`detect` and :meth:`detect_model`;
+        *elapsed* reads the seconds since the caller's clock started,
+        so ``detect``'s ``total_elapsed_seconds`` includes its fit.  The
+        counting pool (if a process backend spun one up) is released
+        whatever happens; the counter itself stays usable serially.
+        """
+        cells, counter = model.cells, model.counter
+        try:
+            outcome = self._run_search(
+                counter, k, cells=cells, resume=resume, sink=sink
+            )
+            result = self._postprocess(
+                outcome, counter, k, elapsed(), stats_sink, model=model,
+            )
+        finally:
+            counter.close()
         model.projections = result.projections
         self.cells_ = cells
         self.counter_ = counter
@@ -412,10 +418,13 @@ class SubspaceOutlierDetector:
                 return CubeCounter(cells, backend=self.counting)
             except MemoryError as exc:
                 return self._spill_counter(cells, checkpointer, sink, exc)
+        return self._sharded_counter(cells, self.mmap_dir, checkpointer)
+
+    def _sharded_counter(self, cells, directory, checkpointer) -> ShardedCounter:
+        """A :class:`ShardedCounter` over a store built (or reused) in
+        *directory* — the ``mmap_dir`` counter and the spill target."""
         store = ShardedMaskStore.build(
-            cells,
-            self.mmap_dir,
-            shard_rows=self.shard_rows or DEFAULT_SHARD_ROWS,
+            cells, directory, shard_rows=self.shard_rows or DEFAULT_SHARD_ROWS
         )
         return ShardedCounter(
             store,
@@ -446,16 +455,7 @@ class SubspaceOutlierDetector:
             "sharded store at %s", cause, directory,
         )
         try:
-            store = ShardedMaskStore.build(
-                cells, directory, shard_rows=self.shard_rows or DEFAULT_SHARD_ROWS
-            )
-            counter = ShardedCounter(
-                store,
-                cells=cells,
-                backend=self.counting,
-                checkpointer=checkpointer,
-                verify_reads=self.verify_shards,
-            )
+            counter = self._sharded_counter(cells, directory, checkpointer)
         except MemoryError as spill_exc:
             raise ResourceError(
                 "out of memory: the mask stack did not fit in memory and "

@@ -17,11 +17,42 @@ import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["CellAssignment", "MISSING_CELL"]
+__all__ = ["CellAssignment", "MISSING_CELL", "check_code_block"]
 
 #: Sentinel cell code for a missing attribute value.  Negative so it can
 #: never collide with a real 0-based range index.
 MISSING_CELL = -1
+
+
+def check_code_block(
+    codes, n_ranges: int, n_dims: int | None = None, *, what: str = "codes"
+) -> np.ndarray:
+    """*codes* as a contiguous ``int16`` ``(m, d)`` block of grid codes.
+
+    The contract of every code block that enters a counter or a store:
+    a 2-D integer array (``d == n_dims`` when *n_dims* is given) whose
+    entries lie in ``[MISSING_CELL, n_ranges)``.  The range is checked
+    on the caller's dtype, *before* the ``int16`` cast, so no value can
+    wrap into range.  Raises :class:`~repro.exceptions.ValidationError`;
+    *what* names the block in the message.
+    """
+    block = np.asarray(codes)
+    if block.ndim != 2:
+        raise ValidationError(f"{what} must be 2-D, got shape {block.shape}")
+    if n_dims is not None and block.shape[1] != n_dims:
+        raise ValidationError(
+            f"{what} have {block.shape[1]} columns, expected {n_dims}"
+        )
+    if not np.issubdtype(block.dtype, np.integer):
+        raise ValidationError(f"{what} must be integer-typed, got {block.dtype}")
+    if block.size:
+        lo, hi = int(block.min()), int(block.max())
+        if lo < MISSING_CELL or hi >= n_ranges:
+            raise ValidationError(
+                f"{what} must be in [0, {n_ranges}) or MISSING_CELL for a "
+                f"grid of φ={n_ranges} ranges, found range [{lo}, {hi}]"
+            )
+    return np.ascontiguousarray(block, dtype=np.int16)
 
 
 @dataclass(frozen=True)

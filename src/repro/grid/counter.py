@@ -54,7 +54,7 @@ from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
 from ..resilience.ladder import DegradationLadder, ResilienceReport
 from .backends import get_backend, resolve_kernel
-from .cells import CellAssignment, MISSING_CELL
+from .cells import CellAssignment, check_code_block
 from .kernels import (
     batch_counts,
     empty_cube_row,
@@ -101,6 +101,21 @@ def _key_arrays(keys: list[bytes], n_ranges: int) -> tuple[np.ndarray, np.ndarra
     """The ``(n, k)`` dims and ranges of same-length *keys* (of :func:`_row_keys`)."""
     codes = np.frombuffer(b"".join(keys), dtype=np.int32).astype(np.intp)
     return np.divmod(codes.reshape(len(keys), len(keys[0]) // 4), n_ranges)
+
+
+def _packed_cube(stack8: np.ndarray, subspace: Subspace, n_points: int) -> np.ndarray:
+    """AND of the cube's rows of a ``(d, φ, W8)`` stack over *n_points* rows.
+
+    An owned array (all-ones over the *n_points* rows for the empty
+    cube); the in-memory counter passes its whole stack, the sharded
+    counter one shard's.
+    """
+    if not subspace.dims:
+        return empty_cube_row(n_points, stack8.shape[2])
+    out = np.array(stack8[subspace.dims[0], subspace.ranges[0]])
+    for dim, rng in list(subspace)[1:]:
+        np.bitwise_and(out, stack8[dim, rng], out=out)
+    return out
 
 
 class CubeCounter:
@@ -225,18 +240,8 @@ class CubeCounter:
     def mask(self, subspace: Subspace) -> np.ndarray:
         """Boolean membership mask of the cube (freshly allocated)."""
         self._check_subspace(subspace)
-        packed = self._packed_cube(subspace)
+        packed = _packed_cube(self._stack8, subspace, self.n_points)
         return np.unpackbits(packed, count=self.n_points).view(bool)
-
-    def _packed_cube(self, subspace: Subspace) -> np.ndarray:
-        """AND of the cube's packed masks (all-ones for the empty cube)."""
-        stack8 = self._stack8
-        if not subspace.dims:
-            return empty_cube_row(self.n_points, stack8.shape[2])
-        out = stack8[subspace.dims[0], subspace.ranges[0]].copy()
-        for dim, rng in list(subspace)[1:]:
-            np.bitwise_and(out, stack8[dim, rng], out=out)
-        return out
 
     def count(self, subspace: Subspace) -> int:
         """``n(D)``: number of points inside the cube *subspace*.
@@ -443,27 +448,10 @@ class CubeCounter:
                     f"appended cells use n_ranges={codes.n_ranges} but the "
                     f"counter's grid has φ={self.n_ranges}"
                 )
-            block = codes.codes
-        else:
-            block = np.asarray(codes)
-        if block.ndim != 2 or block.shape[1] != self.n_dims:
-            raise ValidationError(
-                f"appended codes must have shape (m, {self.n_dims}), "
-                f"got {block.shape}"
-            )
-        if not np.issubdtype(block.dtype, np.integer):
-            raise ValidationError(
-                f"appended codes must be integer-typed, got {block.dtype}"
-            )
-        block = np.ascontiguousarray(block, dtype=np.int16)
-        if block.size:
-            lo, hi = int(block.min()), int(block.max())
-            if lo < MISSING_CELL or hi >= self.n_ranges:
-                raise ValidationError(
-                    f"appended codes must be in [0, {self.n_ranges}) or "
-                    f"MISSING_CELL, found range [{lo}, {hi}]"
-                )
-        return block
+            codes = codes.codes
+        return check_code_block(
+            codes, self.n_ranges, self.n_dims, what="appended codes"
+        )
 
     def _block_stack(self, block: np.ndarray) -> np.ndarray:
         """Packed mask stack over *block* only (own zero-based padding)."""

@@ -547,17 +547,16 @@ class ShardedCountingPool(_ResilientPool):
         backend: CountingBackend,
         ladder: DegradationLadder | None = None,
         kernel: str = "numpy",
-        shard_reader=None,
+        *,
+        shard_reader,
     ):
         super().__init__(backend, ladder)
         self._store = store
         # In-parent recovery reads shards through the counter's
-        # resilient reader when one is supplied, so a corrupt shard hit
-        # during serial recovery still gets quarantined and rebuilt
-        # instead of surfacing a raw OSError.
-        self._shard_reader = (
-            shard_reader if shard_reader is not None else store.shard_words
-        )
+        # resilient reader, so a corrupt shard hit during serial
+        # recovery still gets quarantined and rebuilt instead of
+        # surfacing a raw OSError.
+        self._shard_reader = shard_reader
         self._kernel_name = kernel
         self._kernel = resolve_kernel(kernel)
         self._start_executor()

@@ -59,9 +59,9 @@ from ..exceptions import CheckpointError, ResourceError, ValidationError
 from ..resilience.faults import maybe_inject
 from ..resilience.retry import RetryPolicy
 from ..run.checkpoint import CheckpointStore
-from .cells import CellAssignment
-from .counter import CubeCounter
-from .kernels import empty_cube_row, pack_codes_block
+from .cells import CellAssignment, check_code_block
+from .counter import CubeCounter, _packed_cube
+from .kernels import pack_codes_block
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
@@ -92,9 +92,111 @@ _SHARD_READ_RETRY = RetryPolicy(max_attempts=3, backoff=0.02, backoff_cap=0.25)
 DEFAULT_SHARD_ROWS = 1 << 20
 
 
-def _codes_chunk_bytes(chunk: np.ndarray) -> bytes:
-    """Canonical bytes of one code chunk for the store fingerprint."""
-    return np.ascontiguousarray(chunk, dtype=np.int16).tobytes()
+def _codes_digest(*blocks: np.ndarray, digest=None):
+    """The store's codes fingerprint (``codes_sha256``), fed *blocks*.
+
+    sha256 over ``b"int16"`` and then each block's C-order ``int16``
+    bytes.  A byte stream, so any row blocking of the same codes gives
+    the same digest; pass *digest* to continue one already seeded.
+    """
+    if digest is None:
+        digest = hashlib.sha256(b"int16")
+    for block in blocks:
+        digest.update(np.ascontiguousarray(block, dtype=np.int16).tobytes())
+    return digest
+
+
+def _write_shard(
+    path: Path, block: np.ndarray, n_ranges: int, *, expect_sha256: str | None = None
+) -> dict:
+    """Pack one shard's code rows, hash the bytes and land the file.
+
+    Returns the shard's ``row_bytes`` and ``sha256`` manifest fields.
+    With *expect_sha256* (a rebuild), bytes that do not hash to it are
+    refused before anything is written.
+    """
+    stack8 = pack_codes_block(np.ascontiguousarray(block, dtype=np.int16), n_ranges)
+    data = stack8.tobytes()
+    sha256 = hashlib.sha256(data).hexdigest()
+    if expect_sha256 is not None and sha256 != expect_sha256:
+        raise ValidationError(
+            f"rebuilt shard {path.name} of {path.parent} does not reproduce "
+            "the manifest checksum; the supplied codes differ from the data "
+            "the store was built from"
+        )
+    atomic_write_bytes(path, data)
+    return {"row_bytes": int(stack8.shape[2]), "sha256": sha256}
+
+
+def _shard_blocks(blocks: Iterable[np.ndarray], shard_rows: int):
+    """Re-block a stream of code blocks into exact *shard_rows* pieces.
+
+    The last piece is ragged; the stream is consumed lazily, so at most
+    one shard's worth of rows is buffered.
+    """
+    buffered: list[np.ndarray] = []
+    n_buffered = 0
+    for block in blocks:
+        buffered.append(block)
+        n_buffered += block.shape[0]
+        while n_buffered >= shard_rows:
+            merged = buffered[0] if len(buffered) == 1 else np.concatenate(buffered)
+            yield merged[:shard_rows]
+            rest = merged[shard_rows:]
+            buffered = [rest] if rest.shape[0] else []
+            n_buffered = rest.shape[0]
+    if n_buffered:
+        yield buffered[0] if len(buffered) == 1 else np.concatenate(buffered)
+
+
+def _write_store(
+    directory: Path,
+    kept: list[dict],
+    digest,
+    blocks: Iterable[np.ndarray],
+    *,
+    n_ranges: int,
+    shard_rows: int,
+) -> dict:
+    """The one writer of the store format: shards first, manifest last.
+
+    *kept* are the manifest entries of shards that stay as they are,
+    *digest* the codes fingerprint already fed their rows, and *blocks*
+    streams the ``int16`` code rows that follow, re-blocked into exact
+    *shard_rows* shards.  The stale manifest is dropped before the
+    first shard write and the new one installed last, atomically, so a
+    killed write never leaves an old manifest over a half-rewritten
+    shard set, nor a manifest over a missing shard.  Returns the
+    installed manifest.
+    """
+    manifest_path = directory / MANIFEST_NAME
+    shards = [dict(entry) for entry in kept]
+    n_points = shards[-1]["stop"] if shards else 0
+    n_dims = None
+    for block in _shard_blocks(blocks, shard_rows):
+        if len(shards) == len(kept):
+            manifest_path.unlink(missing_ok=True)
+        _codes_digest(block, digest=digest)
+        name = f"shard_{len(shards):05d}.bin"
+        stop = n_points + block.shape[0]
+        shards.append(
+            {"file": name, "start": n_points, "stop": stop,
+             **_write_shard(directory / name, block, n_ranges)}
+        )
+        n_points, n_dims = stop, block.shape[1]
+    if n_dims is None:
+        raise ValidationError("cannot build a sharded mask store from zero rows")
+    manifest = {
+        "format_version": STORE_FORMAT_VERSION,
+        "n_points": n_points,
+        "n_dims": n_dims,
+        "n_ranges": n_ranges,
+        "shard_rows": shard_rows,
+        "codes_sha256": digest.hexdigest(),
+        "shards": shards,
+    }
+    atomic_write_json(manifest_path, manifest)
+    return manifest
 
 
 def group_digest(
@@ -273,16 +375,12 @@ class ShardedMaskStore:
         build-time data and the rewrite is refused.
         """
         entry = self._manifest["shards"][index]
-        start, stop = int(entry["start"]), int(entry["stop"])
-        block = np.ascontiguousarray(codes[start:stop], dtype=np.int16)
-        data = pack_codes_block(block, self.n_ranges).tobytes()
-        if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-            raise ValidationError(
-                f"rebuilt shard {index} of {self.directory} does not "
-                "reproduce the manifest checksum; the supplied codes "
-                "differ from the data the store was built from"
-            )
-        atomic_write_bytes(self.directory / entry["file"], data)
+        _write_shard(
+            self.directory / entry["file"],
+            np.asarray(codes)[entry["start"] : entry["stop"]],
+            self.n_ranges,
+            expect_sha256=entry["sha256"],
+        )
         logger.warning(
             "rebuilt corrupt shard %d of %s from in-memory codes",
             index, self.directory,
@@ -332,9 +430,7 @@ class ShardedMaskStore:
             )
         shard_rows = check_positive_int(shard_rows, "shard_rows")
         codes = cells.codes
-        digest = hashlib.sha256(b"int16")
-        digest.update(_codes_chunk_bytes(codes))
-        codes_sha = digest.hexdigest()
+        codes_sha = _codes_digest(codes).hexdigest()
         manifest_path = Path(directory) / MANIFEST_NAME
         if manifest_path.exists():
             try:
@@ -372,8 +468,10 @@ class ShardedMaskStore:
     ) -> ShardedMaskStore:
         """Build a store from streamed code chunks of arbitrary sizes.
 
-        *chunks* yields ``(m_i, d)`` integer code blocks (as produced by
-        ``discretizer.transform(chunk).codes``); no stage materializes
+        *chunks* yields ``(m_i, d)`` integer code blocks in
+        ``[MISSING_CELL, φ)`` (as produced by
+        ``discretizer.transform(chunk).codes``; anything else raises
+        :class:`~repro.exceptions.ValidationError`); no stage materializes
         more than ``shard_rows`` rows of codes or one shard's packed
         stack.  Chunk boundaries do not affect the result — rows are
         re-blocked into exact ``shard_rows`` shards (the last one
@@ -384,98 +482,25 @@ class ShardedMaskStore:
         shard_rows = check_positive_int(shard_rows, "shard_rows")
         out_dir = Path(directory)
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = out_dir / MANIFEST_NAME
-        # Drop any stale manifest first: mid-build kills must never
-        # leave an old manifest pointing at a half-rewritten shard set.
-        try:
-            manifest_path.unlink()
-        except FileNotFoundError:
-            pass
 
-        digest = hashlib.sha256(b"int16")
-        shards: list[dict] = []
-        buffered: list[np.ndarray] = []
-        n_buffered = 0
-        n_dims: int | None = None
-        n_points = 0
-
-        def flush(block: np.ndarray) -> None:
-            stack8 = pack_codes_block(block, n_ranges)
-            data = stack8.tobytes()
-            name = f"shard_{len(shards):05d}.bin"
-            atomic_write_bytes(out_dir / name, data)
-            start = shards[-1]["stop"] if shards else 0
-            shards.append(
-                {
-                    "file": name,
-                    "start": start,
-                    "stop": start + block.shape[0],
-                    "row_bytes": int(stack8.shape[2]),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                }
-            )
-
-        for chunk in chunks:
-            block = np.ascontiguousarray(chunk, dtype=np.int16)
-            if block.ndim != 2:
-                raise ValidationError(
-                    f"code chunks must be 2-D, got shape {block.shape}"
-                )
-            if n_dims is None:
+        def checked():
+            n_dims = None
+            for chunk in chunks:
+                block = check_code_block(chunk, n_ranges, n_dims, what="code chunks")
                 n_dims = block.shape[1]
-            elif block.shape[1] != n_dims:
-                raise ValidationError(
-                    f"code chunk has {block.shape[1]} columns, previous "
-                    f"chunks had {n_dims}"
-                )
-            if block.size and int(block.max()) >= n_ranges:
-                raise ValidationError(
-                    f"code chunk contains range {int(block.max())} but the "
-                    f"grid has φ={n_ranges} ranges"
-                )
-            digest.update(_codes_chunk_bytes(block))
-            n_points += block.shape[0]
-            buffered.append(block)
-            n_buffered += block.shape[0]
-            while n_buffered >= shard_rows:
-                merged = (
-                    buffered[0]
-                    if len(buffered) == 1
-                    else np.concatenate(buffered, axis=0)
-                )
-                flush(merged[:shard_rows])
-                remainder = merged[shard_rows:]
-                buffered = [remainder] if remainder.shape[0] else []
-                n_buffered = remainder.shape[0]
-        if n_buffered:
-            flush(
-                buffered[0]
-                if len(buffered) == 1
-                else np.concatenate(buffered, axis=0)
-            )
-        if n_points == 0 or n_dims is None:
-            raise ValidationError(
-                "cannot build a sharded mask store from zero rows"
-            )
-        manifest = {
-            "format_version": STORE_FORMAT_VERSION,
-            "n_points": n_points,
-            "n_dims": n_dims,
-            "n_ranges": n_ranges,
-            "shard_rows": shard_rows,
-            "codes_sha256": digest.hexdigest(),
-            "shards": shards,
-        }
-        # Installed last, atomically: a store is visible only once every
-        # shard it references is fully on disk.
-        atomic_write_json(manifest_path, manifest)
+                yield block
+
+        store = cls(out_dir, _write_store(
+            out_dir, [], _codes_digest(), checked(),
+            n_ranges=n_ranges, shard_rows=shard_rows,
+        ))
         logger.info(
             "built sharded mask store at %s: N=%d, d=%d, phi=%d, "
             "%d shards x %d rows (%.1f MB on disk)",
-            out_dir, n_points, n_dims, n_ranges, len(shards), shard_rows,
-            sum(n_dims * n_ranges * s["row_bytes"] for s in shards) / 1e6,
+            out_dir, store.n_points, store.n_dims, n_ranges, store.n_shards,
+            shard_rows, store.nbytes_on_disk() / 1e6,
         )
-        return cls(out_dir, manifest)
+        return store
 
     def append_rows(
         self, block: np.ndarray, *, prior_codes: np.ndarray
@@ -492,29 +517,31 @@ class ShardedMaskStore:
         codes while the work stays proportional to the appended rows.
 
         Returns the **new** store instance; like a build, the old
-        manifest is dropped first so a mid-append kill leaves a
-        rebuildable directory, never a readable-but-wrong store.
+        manifest is dropped before the first shard write so a
+        mid-append kill leaves a rebuildable directory, never a
+        readable-but-wrong store.  A rejected *block* (see
+        :func:`~repro.grid.cells.check_code_block`) or *prior_codes*
+        leaves the store as it was.
         """
-        block = np.ascontiguousarray(block, dtype=np.int16)
-        if block.ndim != 2 or block.shape[1] != self.n_dims:
-            raise ValidationError(
-                f"appended codes must have shape (m, {self.n_dims}), "
-                f"got {block.shape}"
-            )
-        if block.size and int(block.max()) >= self.n_ranges:
-            raise ValidationError(
-                f"appended codes contain range {int(block.max())} but the "
-                f"grid has φ={self.n_ranges} ranges"
-            )
+        block = check_code_block(
+            block, self.n_ranges, self.n_dims, what="appended codes"
+        )
         prior = np.ascontiguousarray(prior_codes, dtype=np.int16)
         if prior.shape != (self.n_points, self.n_dims):
             raise ValidationError(
                 f"prior_codes must have shape ({self.n_points}, "
                 f"{self.n_dims}), got {prior.shape}"
             )
-        prior_digest = hashlib.sha256(b"int16")
-        prior_digest.update(_codes_chunk_bytes(prior))
-        if prior_digest.hexdigest() != self._manifest["codes_sha256"]:
+        shard_rows = self.shard_rows
+        n_complete = self.n_points // shard_rows
+        kept_rows, tail = np.split(prior, [n_complete * shard_rows])
+        # Hash the complete shards' rows once: the writer continues
+        # this digest, and its copy checks the prior codes.
+        digest = _codes_digest(kept_rows)
+        if (
+            _codes_digest(tail, digest=digest.copy()).hexdigest()
+            != self._manifest["codes_sha256"]
+        ):
             raise ValidationError(
                 f"prior_codes do not reproduce the data fingerprint of "
                 f"{self.directory}; refusing to append onto a store built "
@@ -522,55 +549,17 @@ class ShardedMaskStore:
             )
         if block.shape[0] == 0:
             return self
-        shard_rows = self.shard_rows
-        n_complete = self.n_points // shard_rows
-        kept = [dict(entry) for entry in self._manifest["shards"][:n_complete]]
-        tail_start = n_complete * shard_rows
-
-        manifest_path = self.directory / MANIFEST_NAME
-        try:
-            manifest_path.unlink()
-        except FileNotFoundError:
-            pass
-
-        digest = hashlib.sha256(b"int16")
-        digest.update(_codes_chunk_bytes(prior))
-        digest.update(_codes_chunk_bytes(block))
-        shards = list(kept)
-        tail = np.concatenate([prior[tail_start:], block], axis=0)
-        for lo in range(0, tail.shape[0], shard_rows):
-            piece = tail[lo : lo + shard_rows]
-            stack8 = pack_codes_block(piece, self.n_ranges)
-            data = stack8.tobytes()
-            name = f"shard_{len(shards):05d}.bin"
-            atomic_write_bytes(self.directory / name, data)
-            start = shards[-1]["stop"] if shards else 0
-            shards.append(
-                {
-                    "file": name,
-                    "start": start,
-                    "stop": start + piece.shape[0],
-                    "row_bytes": int(stack8.shape[2]),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                }
-            )
-        manifest = {
-            "format_version": STORE_FORMAT_VERSION,
-            "n_points": self.n_points + block.shape[0],
-            "n_dims": self.n_dims,
-            "n_ranges": self.n_ranges,
-            "shard_rows": shard_rows,
-            "codes_sha256": digest.hexdigest(),
-            "shards": shards,
-        }
-        atomic_write_json(manifest_path, manifest)
+        store = ShardedMaskStore(self.directory, _write_store(
+            self.directory, self._manifest["shards"][:n_complete], digest,
+            [tail, block], n_ranges=self.n_ranges, shard_rows=shard_rows,
+        ))
         logger.info(
             "appended %d rows to sharded mask store at %s (%d shards, "
             "%d re-packed)",
-            block.shape[0], self.directory, len(shards),
-            len(shards) - len(kept),
+            block.shape[0], self.directory, store.n_shards,
+            store.n_shards - n_complete,
         )
-        return ShardedMaskStore(self.directory, manifest)
+        return store
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -589,11 +578,8 @@ class _ShardGroupProgress:
     ones — on resume those replay wholesale from their recorded counts.
     """
 
-    def __init__(
-        self, store: CheckpointStore, name: str, digest: str, n_shards: int
-    ):
+    def __init__(self, store: CheckpointStore, digest: str, n_shards: int):
         self._store = store
-        self._name = name
         self._digest = digest
         self._n_shards = n_shards
         self._payload: dict = {
@@ -601,9 +587,9 @@ class _ShardGroupProgress:
             "groups": {},
         }
         self.completed: dict[int, np.ndarray] = {}
-        if store.exists(name):
+        if store.exists(ShardCheckpointer.name):
             try:
-                payload = store.load(name)
+                payload = store.load(ShardCheckpointer.name)
             except CheckpointError:
                 payload = None
             if (
@@ -643,11 +629,11 @@ class _ShardGroupProgress:
         while len(groups) > ShardCheckpointer.MAX_GROUPS:
             groups.pop(next(iter(groups)))
         try:
-            self._store.save(self._name, self._payload)
+            self._store.save(ShardCheckpointer.name, self._payload)
         except ResourceError as exc:
             logger.warning(
                 "shard progress write for %r failed (%s); resume will "
-                "recount shard %d", self._name, exc, shard_id,
+                "recount shard %d", ShardCheckpointer.name, exc, shard_id,
             )
             if self._store.report is not None:
                 self._store.report.record_recovery("atomic_write")
@@ -670,22 +656,23 @@ class ShardCheckpointer:
     """
 
     FORMAT_VERSION = 2
+    #: The checkpoint stream the progress lives in.
+    name = "shard_counts"
     #: Most-recent counting groups retained in the stream.  A batch
     #: holds one group per distinct cube size k, so anything above the
     #: data dimensionality is effectively unlimited within a batch.
     MAX_GROUPS = 16
 
-    def __init__(self, store: CheckpointStore, name: str = "shard_counts"):
+    def __init__(self, store: CheckpointStore):
         if not isinstance(store, CheckpointStore):
             raise ValidationError(
                 f"store must be a CheckpointStore, got {type(store).__name__}"
             )
         self.store = store
-        self.name = name
 
     def group(self, digest: str, n_shards: int) -> _ShardGroupProgress:
         """Open (or resume) progress for the group identified by *digest*."""
-        return _ShardGroupProgress(self.store, self.name, digest, n_shards)
+        return _ShardGroupProgress(self.store, digest, n_shards)
 
     def clear(self) -> None:
         """Drop the stream (called once a whole batch has merged)."""
@@ -773,7 +760,6 @@ class ShardedCounter(CubeCounter):
         self.n_shards_counted = 0
         self.n_shards_resumed = 0
         self._verify_reads = bool(verify_reads)
-        self._read_retry = _SHARD_READ_RETRY
         self._init_runtime(cache_size, backend)
 
     # ------------------------------------------------------------------
@@ -813,7 +799,7 @@ class ShardedCounter(CubeCounter):
             self._ladder.recovered("shard_read", shard=shard_id)
 
         try:
-            return self._read_retry.call(
+            return _SHARD_READ_RETRY.call(
                 read,
                 describe=f"shard {shard_id} read",
                 on_retry=on_retry,
@@ -851,25 +837,15 @@ class ShardedCounter(CubeCounter):
                 f"{exc2}); the storage volume is failing"
             ) from exc2
 
-    def _shard_cube(self, index: int, subspace: Subspace) -> np.ndarray:
-        """AND of one shard's packed masks for *subspace* (owned array)."""
-        if not subspace.dims:
-            start, stop = self.store.shard_bounds(index)
-            return empty_cube_row(stop - start, self.store.shard_row_bytes(index))
-        stack8 = self._resilient_shard_stack8(index)
-        dim0, rng0 = subspace.dims[0], subspace.ranges[0]
-        out = np.array(stack8[dim0, rng0])
-        for dim, rng in list(subspace)[1:]:
-            np.bitwise_and(out, stack8[dim, rng], out=out)
-        return out
-
     def mask(self, subspace: Subspace) -> np.ndarray:
         """Boolean membership mask, reassembled shard by shard."""
         self._check_subspace(subspace)
         out = np.empty(self.n_points, dtype=bool)
         for index in range(self.store.n_shards):
             start, stop = self.store.shard_bounds(index)
-            packed = self._shard_cube(index, subspace)
+            packed = _packed_cube(
+                self._resilient_shard_stack8(index), subspace, stop - start
+            )
             out[start:stop] = np.unpackbits(
                 packed, count=stop - start
             ).view(bool)
@@ -914,13 +890,12 @@ class ShardedCounter(CubeCounter):
     def _count_group(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
         """Per-shard counts of one same-k group, merged by summation.
 
-        Shards already recorded by the checkpointer (an interrupted
-        earlier attempt at this same group) are replayed; the rest run
-        serially — with a cancellation check at every shard boundary —
-        or fan out to the mmap worker pool under a pool backend.
+        Every shard's counts — replayed, pooled or serial (see
+        :meth:`_shard_counts`) — are merged by one loop, which also
+        keeps the shard tallies, emits ``shard_counted`` and records
+        newly counted shards with the checkpointer.
         """
         n_cubes = len(dims_arr)
-        store = self.store
         total = np.zeros(n_cubes, dtype=np.int64)
         group = None
         # A lone cube (a count() miss, or a stage's one new cube) costs
@@ -928,51 +903,52 @@ class ShardedCounter(CubeCounter):
         # gets no progress records and no shard_counted events.
         sink = self.event_sink if n_cubes > 1 else None
         if self.shard_checkpointer is not None and n_cubes > 1:
-            digest = group_digest(store.fingerprint, dims_arr, rng_arr)
-            group = self.shard_checkpointer.group(digest, store.n_shards)
+            digest = group_digest(self.store.fingerprint, dims_arr, rng_arr)
+            group = self.shard_checkpointer.group(digest, self.store.n_shards)
+        for shard_id, counts, action in self._shard_counts(group, dims_arr, rng_arr):
+            total += counts
+            if action == "resumed":
+                self.n_shards_resumed += 1
+            else:
+                self.n_shards_counted += 1
+                if group is not None:
+                    group.record(shard_id, counts)
+            emit_event(
+                sink, "shard_counted", shard=shard_id, action=action, cubes=n_cubes
+            )
+        return total
+
+    def _shard_counts(self, group, dims_arr: np.ndarray, rng_arr: np.ndarray):
+        """``(shard, counts, action)`` for every shard of one group.
+
+        Shards the checkpointer recorded (an interrupted earlier attempt
+        at this same group) replay first as ``resumed``; the rest are
+        ``counted`` — on the mmap worker pool under a pool backend, or
+        serially and lazily, one cancellation check per shard, so each
+        shard is merged and recorded before the next one is read.
+        """
+        n_cubes = len(dims_arr)
         pending: list[int] = []
-        for shard_id in range(store.n_shards):
+        for shard_id in range(self.store.n_shards):
             recorded = group.completed.get(shard_id) if group is not None else None
             if recorded is not None and recorded.shape == (n_cubes,):
-                total += recorded
-                self.n_shards_resumed += 1
-                emit_event(
-                    self.event_sink, "shard_counted",
-                    shard=shard_id, action="resumed", cubes=n_cubes,
-                )
+                yield shard_id, recorded, "resumed"
             else:
                 pending.append(shard_id)
-        pool = None
-        if self._spec.uses_pool and pending:
-            pool = self._ensure_pool()
+        pool = self._ensure_pool() if self._spec.uses_pool and pending else None
         if pool is not None:
             chunks = [(shard_id, dims_arr, rng_arr) for shard_id in pending]
-            shard_counts = self._map_on_pool(pool, chunks)
-            for shard_id, counts in zip(pending, shard_counts, strict=True):
-                counts = np.asarray(counts, dtype=np.int64)
-                total += counts
-                self.n_shards_counted += 1
-                emit_event(
-                    sink, "shard_counted",
-                    shard=shard_id, action="counted", cubes=n_cubes,
-                )
-                if group is not None:
-                    group.record(shard_id, counts)
-        else:
-            for shard_id in pending:
-                self._check_cancelled()
-                counts = self._serial_group_counts(
-                    self._resilient_shard_words(shard_id), dims_arr, rng_arr
-                )
-                total += counts
-                self.n_shards_counted += 1
-                emit_event(
-                    sink, "shard_counted",
-                    shard=shard_id, action="counted", cubes=n_cubes,
-                )
-                if group is not None:
-                    group.record(shard_id, counts)
-        return total
+            for shard_id, counts in zip(
+                pending, self._map_on_pool(pool, chunks), strict=True
+            ):
+                yield shard_id, counts, "counted"
+            return
+        for shard_id in pending:
+            self._check_cancelled()
+            counts = self._serial_group_counts(
+                self._resilient_shard_words(shard_id), dims_arr, rng_arr
+            )
+            yield shard_id, counts, "counted"
 
     def _batch_merged(self) -> None:
         # Every group of the batch merged: the progress stream has

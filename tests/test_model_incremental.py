@@ -225,6 +225,37 @@ class TestAppendBoundarySweep:
 
         self.check_split(make, codes, cubes, reference, split)
 
+    @pytest.mark.parametrize("split", [1, 7, 15, 16, 17, 31, 32, 33, 39])
+    def test_sharded_store_append_matches_build_bytes(
+        self, codes, split, tmp_path
+    ):
+        """The on-disk layout: a store grown by ``append_rows`` holds
+        the same manifest (every shard ``sha256`` and the
+        ``codes_sha256`` included) and the same shard file bytes as a
+        build over the concatenated codes, and ``rebuild_shard``
+        rewrites each shard byte for byte."""
+
+        def store_bytes(store):
+            return {
+                path.name: path.read_bytes()
+                for path in sorted(store.directory.iterdir())
+            }
+
+        head = codes[:split]
+        grown = ShardedMaskStore.build(
+            CellAssignment(codes=head, n_ranges=3),
+            tmp_path / "grown", shard_rows=self.SHARD_ROWS,
+        ).append_rows(codes[split:], prior_codes=head)
+        built = ShardedMaskStore.build(
+            CellAssignment(codes=codes, n_ranges=3),
+            tmp_path / "built", shard_rows=self.SHARD_ROWS,
+        )
+        assert store_bytes(grown) == store_bytes(built)
+        original = store_bytes(built)
+        for index in range(built.n_shards):
+            built.rebuild_shard(index, codes)
+        assert store_bytes(built) == original
+
 
 class TestDiscretizerMergeProperty:
     """Hypothesis: merge over arbitrary row splits ≡ one-shot fit."""

@@ -791,3 +791,125 @@ class TestLocalSearchCancelInsideCount:
         assert not outcome.completed
         assert outcome.projections
         assert 0 < outcome.stats["evaluations"] < 400
+
+
+class TestAppendedCodeContract:
+    """Appended and streamed grid codes were cast to int16 before their
+    range check, so 65538 wrapped to code 2 under φ=3 and was stored,
+    and the store builders took float codes (1.9) and codes below
+    ``MISSING_CELL`` (−5) as well.  Every code block entering a counter
+    or a store is now checked as an integer block in
+    ``[MISSING_CELL, φ)`` before the cast, and a rejected call changes
+    nothing."""
+
+    BAD_BLOCKS = (
+        ("float", [[1.9, 0.0]]),
+        ("below_missing", [[-5, 0]]),
+        ("wraps_in_range", [[65538, 0]]),
+    )
+
+    @staticmethod
+    def _cells():
+        import numpy as np
+
+        from repro.grid.cells import CellAssignment
+
+        codes = np.random.default_rng(11).integers(-1, 3, size=(20, 2))
+        return CellAssignment(codes.astype(np.int16), 3)
+
+    @staticmethod
+    def _store_files(directory):
+        return {
+            path.name: path.read_bytes() for path in sorted(directory.iterdir())
+        }
+
+    def _assert_counter_rejects(self, counter):
+        import numpy as np
+
+        from repro.exceptions import ValidationError
+
+        counter.count_batch([])
+        before = counter.cache_stats()
+        codes = counter.cells.codes.copy()
+        for _, block in self.BAD_BLOCKS:
+            with pytest.raises(ValidationError):
+                counter.append_rows(np.array(block))
+        assert counter.cache_stats() == before
+        np.testing.assert_array_equal(counter.cells.codes, codes)
+
+    def test_cube_counter_append_rejects_bad_codes(self):
+        from repro.grid.counter import CubeCounter
+
+        self._assert_counter_rejects(CubeCounter(self._cells()))
+
+    def test_sharded_counter_append_rejects_bad_codes(self, tmp_path):
+        from repro.grid.sharded import ShardedCounter, ShardedMaskStore
+
+        cells = self._cells()
+        store = ShardedMaskStore.build(cells, tmp_path, shard_rows=8)
+        files = self._store_files(tmp_path)
+        counter = ShardedCounter(store, cells)
+        try:
+            self._assert_counter_rejects(counter)
+        finally:
+            counter.close()
+        assert counter.store is store
+        assert self._store_files(tmp_path) == files
+
+    def test_store_append_rejects_bad_codes(self, tmp_path):
+        import numpy as np
+
+        from repro.exceptions import ValidationError
+        from repro.grid.sharded import ShardedMaskStore
+
+        cells = self._cells()
+        store = ShardedMaskStore.build(cells, tmp_path, shard_rows=8)
+        files = self._store_files(tmp_path)
+        for _, block in self.BAD_BLOCKS:
+            with pytest.raises(ValidationError):
+                store.append_rows(np.array(block), prior_codes=cells.codes)
+        assert self._store_files(tmp_path) == files
+
+    def test_build_from_chunks_rejects_bad_codes(self, tmp_path):
+        import numpy as np
+
+        from repro.exceptions import ValidationError
+        from repro.grid.sharded import ShardedMaskStore
+
+        cells = self._cells()
+        ShardedMaskStore.build(cells, tmp_path, shard_rows=8)
+        files = self._store_files(tmp_path)
+        for _, block in self.BAD_BLOCKS:
+            with pytest.raises(ValidationError):
+                ShardedMaskStore.build_from_chunks(
+                    [np.array(block)], tmp_path, n_ranges=3, shard_rows=8
+                )
+        assert self._store_files(tmp_path) == files
+
+
+class TestDetectModelReleasesPool:
+    """``detect`` closed the counter's worker pool in a ``finally``;
+    ``detect_model`` did not, so a re-mine under a process backend left
+    the model's counter holding live workers and shared memory."""
+
+    def test_detect_model_closes_the_counting_pool(self):
+        import numpy as np
+
+        from repro.core.detector import SubspaceOutlierDetector
+        from repro.core.params import CountingBackend
+
+        data = np.random.default_rng(5).normal(size=(120, 5))
+        detector = SubspaceOutlierDetector(
+            dimensionality=2, n_ranges=4, n_projections=3,
+            method="brute_force", random_state=0,
+            counting=CountingBackend(kind="process", n_workers=1, chunk_size=8),
+        )
+        first = detector.detect(data)
+        model = detector.model_
+        assert model.counter._pool is None
+        again = detector.detect_model(model)
+        assert model.counter._pool is None
+        assert model.counter.n_parallel_chunks > 0
+        assert [p.subspace for p in again.projections] == [
+            p.subspace for p in first.projections
+        ]
