@@ -280,9 +280,9 @@ def test_batch_speedup(benchmark):
     assert sharded_counts.tolist() == reference
     if FULL:
         assert speedup >= 1.5
-        if tier != "numpy":
-            # Pure-numpy fallback (no compiler, no numba) is correct but
-            # not fast; the 2x gate only applies to compiled tiers.
+        if tier == "c":
+            # Without a compiler the ladder serves the numpy reference:
+            # correct but not fast; the 2x gate applies to the C kernel.
             assert native_speedup >= 2.0
 
 

@@ -298,9 +298,9 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "how batched cube counts execute (from the backend "
             "registry): 'native' runs the compiled AND+popcount kernel "
-            "(numba, else a cc-compiled library, else a numpy "
-            "fallback); 'process'/'process-native' fan chunks out to a "
-            "shared-memory worker pool"
+            "(a cc-compiled library; without a compiler the numpy "
+            "kernel serves instead); 'process'/'process-native' fan "
+            "chunks out to a shared-memory worker pool"
         ),
     )
     parser.add_argument(

@@ -46,11 +46,12 @@ class CountingBackend:
         Name of a registered counting backend (see
         :mod:`repro.grid.backends`).  ``"serial"`` evaluates batches
         in-process with the vectorized numpy AND/popcount kernel;
-        ``"native"`` runs the compiled kernel (numba → C → numpy
-        fallback) in-process; ``"process"`` / ``"process-native"``
-        additionally fan chunks of a batch out to a pool of worker
-        processes that attach to the counter's membership masks through
-        shared memory and run the same kernel.  Counts are integers,
+        ``"native"`` runs the compiled C kernel in-process (without a
+        C compiler the counter's ladder serves the numpy kernel);
+        ``"process"`` / ``"process-native"`` additionally fan chunks of
+        a batch out to a pool of worker processes that attach to the
+        counter's membership masks through shared memory and run the
+        same kernel.  Counts are integers,
         chunk boundaries are deterministic, chunk results are
         reassembled in submission order, and every kernel is proven
         bit-identical to the reference before it serves counts — so all

@@ -15,7 +15,7 @@ from .cells import CellAssignment, MISSING_CELL
 from .counter import CubeCounter, PackedCubeCounter, batch_counts
 from .discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer, GridDiscretizer
 from .kernels import pack_codes_block
-from .native import available_tiers, kernel_info, native_batch_counts
+from .native import kernel_info, native_batch_counts
 from .sharded import (
     DEFAULT_SHARD_ROWS,
     ShardCheckpointer,
@@ -37,7 +37,6 @@ __all__ = [
     "ShardCheckpointer",
     "ShardedCounter",
     "ShardedMaskStore",
-    "available_tiers",
     "pack_codes_block",
     "batch_counts",
     "get_backend",

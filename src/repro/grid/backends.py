@@ -13,17 +13,18 @@ Built-ins::
 
     serial           numpy reference kernel, in-process
     process          numpy reference kernel, worker pool over shm
-    native           compiled kernel (numba → C → numpy), in-process
+    native           compiled C kernel, in-process
     process-native   compiled kernel inside each pool worker
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
 differential fixture (packed stacks with ragged tails, missing values,
-saturated masks, k = 1..3) and raises
-:class:`BackendConformanceError` on any divergence.  Registration of a
-non-builtin kernel verifies eagerly; builtins are verified once on
-first resolution (so importing this module stays cheap — verifying the
-native kernel would trigger JIT/C compilation at import time).
+saturated masks, k = 1..5 so every branch of the C kernel is reached)
+and raises :class:`BackendConformanceError` on any divergence.
+Registration of a non-builtin kernel verifies eagerly; builtins are
+verified once on first resolution (so importing this module stays
+cheap — verifying the native kernel would trigger C compilation at
+import time).
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ def _fixture_grids() -> list[np.ndarray]:
 def _fixture_batches(
     n_dims: int, phi: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Same-k index batches covering k = 1..3, duplicates and siblings."""
+    """Same-k index batches covering k = 1..5, duplicates and siblings."""
     rng = np.random.default_rng(314159)
     batches = []
-    for k in range(1, min(3, n_dims) + 1):
+    for k in range(1, min(5, n_dims) + 1):
         dims = np.sort(
             np.stack([
                 rng.choice(n_dims, size=k, replace=False) for _ in range(24)
@@ -287,7 +288,7 @@ def degradation_chain(name: str) -> list[str]:
 
 # ----------------------------------------------------------------------
 # builtins — kernels unverified at import (proven on first resolution),
-# so importing the registry never triggers JIT or C compilation.
+# so importing the registry never triggers C compilation.
 # ----------------------------------------------------------------------
 register_kernel("numpy", batch_counts, verify=False)
 register_kernel("native", native_batch_counts, verify=False)
@@ -316,7 +317,7 @@ register_backend(
         name="native",
         kernel="native",
         uses_pool=False,
-        description="compiled kernel (numba → C → numpy fallback), in-process",
+        description="compiled C kernel, in-process",
         fallback="serial",
     ),
     verify=False,

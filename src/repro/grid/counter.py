@@ -57,6 +57,7 @@ from .backends import get_backend, resolve_kernel
 from .cells import CellAssignment, check_code_block
 from .kernels import (
     batch_counts,
+    check_cube_arrays,
     empty_cube_row,
     pack_codes_block,
     packed_row_bytes,
@@ -169,7 +170,7 @@ class CubeCounter:
         # Resolve the execution strategy now (unknown kinds fail fast
         # with the registry's menu); the kernel itself resolves lazily
         # on the first batch, since resolving the native kernel may
-        # JIT/compile.
+        # compile it.
         self._spec = get_backend(self.backend.kind)
         self._kernel = None
         self._cache: OrderedDict[bytes, int] | None = (
@@ -375,25 +376,11 @@ class CubeCounter:
 
     def _checked_group(self, dims, ranges) -> tuple[np.ndarray, np.ndarray]:
         """One same-k group as validated ``intp`` ``(n, k)`` arrays."""
-        dims_arr = np.asarray(dims)
-        rng_arr = np.asarray(ranges)
-        if dims_arr.ndim != 2 or dims_arr.shape != rng_arr.shape:
-            raise ValidationError(
-                "dims and ranges must be (n, k) arrays of one shape, got "
-                f"{dims_arr.shape} and {rng_arr.shape}"
-            )
-        for arr in (dims_arr, rng_arr):
-            if arr.dtype.kind not in "iu":
-                raise ValidationError(
-                    f"cube arrays must be integer-typed, got {arr.dtype}"
-                )
-        if dims_arr.size:
-            if (dims_arr[:, 1:] <= dims_arr[:, :-1]).any():
-                raise ValidationError("cube dims must be strictly ascending")
-            # Ascending rows: column 0 holds the smallest dimension.
-            if dims_arr[:, 0].min() < 0 or rng_arr.min() < 0:
-                raise ValidationError("dimension and range indices must be >= 0")
-            self._check_bounds(int(dims_arr[:, -1].max()), int(rng_arr.max()))
+        dims_arr, rng_arr = check_cube_arrays(
+            dims, ranges, self.n_dims, self.n_ranges
+        )
+        if dims_arr.size and (dims_arr[:, 1:] <= dims_arr[:, :-1]).any():
+            raise ValidationError("cube dims must be strictly ascending")
         return (
             dims_arr.astype(np.intp, copy=False), rng_arr.astype(np.intp, copy=False)
         )
@@ -785,7 +772,13 @@ class CubeCounter:
         }
 
     def kernel_info(self) -> dict:
-        """Which kernel (and, for native, which tier) serves batches."""
+        """Which kernel (and, for native, which tier) serves batches.
+
+        The native tier is the process-wide build outcome: ``c``, or
+        ``numpy`` plus the build failure's ``reason``.  What this counter
+        actually serves after any ladder step is in
+        ``stats["resilience"]``.
+        """
         info = {"backend": self._spec.name, "kernel": self._spec.kernel}
         if self._spec.kernel == "native":
             from .native import kernel_info

@@ -22,7 +22,7 @@ cubes, and ``counts`` is the exact ``int64`` point count per cube.
 
 This module holds the vectorized numpy reference kernel
 (:func:`batch_counts`, the prefix-sharing AND/popcount engine); the
-compiled tiers live in :mod:`repro.grid.native` and are registered
+compiled C kernel lives in :mod:`repro.grid.native` and is registered
 against this reference by :mod:`repro.grid.backends`, which proves any
 kernel bit-identical on a differential fixture before it may serve
 counts.  Module-level (rather than methods) so pool workers can run an
@@ -33,14 +33,48 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ValidationError
 from ..resilience.faults import maybe_inject
 
 __all__ = [
     "batch_counts",
+    "check_cube_arrays",
     "empty_cube_row",
     "pack_codes_block",
     "packed_row_bytes",
 ]
+
+
+def check_cube_arrays(
+    dims, ranges, n_dims: int, n_ranges: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """*dims* and *ranges* as ``(n, k)`` integer arrays on a ``(d, φ)`` grid.
+
+    Raises :class:`~repro.exceptions.ValidationError` unless both have
+    one 2-D shape and an integer dtype, every dimension index lies in
+    ``[0, n_dims)`` and every range index in ``[0, n_ranges)``.
+    """
+    dims_arr = np.asarray(dims)
+    rng_arr = np.asarray(ranges)
+    if dims_arr.ndim != 2 or dims_arr.shape != rng_arr.shape:
+        raise ValidationError(
+            "dims and ranges must be (n, k) arrays of one shape, got "
+            f"{dims_arr.shape} and {rng_arr.shape}"
+        )
+    for name, arr, bound in (
+        ("dimension", dims_arr, n_dims),
+        ("range", rng_arr, n_ranges),
+    ):
+        if arr.dtype.kind not in "iu":
+            raise ValidationError(
+                f"cube arrays must be integer-typed, got {arr.dtype}"
+            )
+        if arr.size and (arr.min() < 0 or arr.max() >= bound):
+            raise ValidationError(
+                f"{name} indices must lie in [0, {bound}), got values in "
+                f"[{arr.min()}, {arr.max()}]"
+            )
+    return dims_arr, rng_arr
 
 
 def packed_row_bytes(n_points: int) -> int:

@@ -5,80 +5,54 @@ The sparsity search spends essentially all of its time inside one loop
 reference kernel (:func:`repro.grid.kernels.batch_counts`) pays several
 full passes over a ``(B, W)`` accumulator plus per-op dispatch; a fused
 native loop reads each word once, ANDs in registers and popcounts with
-the hardware instruction.  This module provides that kernel behind a
-tier ladder, best first:
+the hardware instruction.
 
-``numba``
-    A JIT-compiled byte-wise kernel (used when :mod:`numba` is
-    importable).  Preferred because it needs no compiler toolchain at
-    runtime.
-``c``
-    A tiny C kernel compiled on demand with the system C compiler
-    (``cc``/``gcc``/``clang``; override with ``$REPRO_CC``) into a
-    content-addressed shared library under the system temp directory,
-    loaded through :mod:`ctypes`.  Word-wise ``__builtin_popcountll``
-    with cache-blocked mask traversal.
-``numpy``
-    A pure-numpy row-blocked kernel — always available, so the native
-    backend degrades gracefully when neither numba nor a C compiler
-    exists.
+This module is that loop: a tiny C kernel compiled on first use with
+the system C compiler (``cc``/``gcc``/``clang``; override with
+``$REPRO_CC``) into a content-addressed shared library (under
+``$REPRO_NATIVE_CACHE``, default the system temp directory), loaded
+through :mod:`ctypes`.  Word-wise ``__builtin_popcountll`` with
+cache-blocked mask traversal.
 
-Tier selection is automatic (first available wins) and can be forced
-with ``$REPRO_NATIVE_KERNEL`` (``auto``/``numba``/``c``/``numpy``) or,
-in tests, the :func:`forced_tier` context manager.  Every tier consumes
-the same inputs — the counter's mask stack viewed as raw bytes — and
-returns exact integer counts, so results are bit-identical across
-tiers by construction; :mod:`repro.grid.backends` additionally *proves*
-it against the reference kernel on a differential fixture before the
-kernel may serve counts.
+The build runs once per process and its outcome — failure included —
+is cached.  Without a working compiler :func:`native_batch_counts`
+raises a :class:`~repro.exceptions.ResourceError` naming the compiler
+and its output; the counter's degradation ladder then serves the
+bit-identical numpy reference and records the step in
+``stats["resilience"]``.  :mod:`repro.grid.backends` proves the kernel
+against the reference on a differential fixture before it may serve
+counts.
 
-All three tiers operate on the uint8 byte view of the counter's
-bit-packed uint64 mask stack (see :mod:`repro.grid.kernels`): every
-row is a whole number of 8-byte words, and the padding bits past N are
-zero, hence inert under AND and popcount.
+The kernel operates on the uint8 byte view of the counter's bit-packed
+uint64 mask stack (see :mod:`repro.grid.kernels`): every row is a whole
+number of 8-byte words, and the padding bits past N are zero, hence
+inert under AND and popcount.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 
 import numpy as np
 
 from .._atomic import atomic_write_text
-from ..exceptions import ValidationError
+from ..exceptions import ResourceError, ValidationError
+from .kernels import check_cube_arrays
 
-__all__ = [
-    "KERNEL_TIERS",
-    "available_tiers",
-    "forced_tier",
-    "kernel_info",
-    "native_batch_counts",
-    "resolve_tier",
-]
+__all__ = ["kernel_info", "native_batch_counts"]
 
-logger = logging.getLogger(__name__)
-
-#: Tier ladder, best first.  ``numpy`` is always available.
-KERNEL_TIERS = ("numba", "c", "numpy")
-
-#: Words per cache block for the C tier: 512 uint64 = 4 KiB per mask
-#: row segment, so one block of every mask in a k-chain stays resident
-#: in L1/L2 while all cubes traverse it.
+#: Words per cache block: 512 uint64 = 4 KiB per mask row segment, so
+#: one block of every mask in a k-chain stays resident in L1/L2 while
+#: all cubes traverse it.
 _BLOCK_WORDS = 512
 
-#: Rows per block for the numpy fallback: bounds the (rows, row_bytes)
-#: accumulator so it stays cache-resident on wide stacks.
-_BLOCK_ROWS = 128
-
-#: An impl consumes ``(flat, rows, counts)``: ``flat`` is the
+#: The kernel consumes ``(flat, rows, counts)``: ``flat`` is the
 #: ``(n_masks, row_bytes)`` uint8 byte view of the mask stack, ``rows``
 #: the ``(B, k)`` int64 flat mask indices, ``counts`` the ``(B,)``
 #: int64 output.
@@ -165,59 +139,9 @@ void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
 }
 """
 
-#: Per-tier impl cache: ``False`` = not yet probed, ``None`` =
-#: unavailable in this environment.
-_TIER_IMPLS: dict[str, _KernelImpl | None | bool] = {
-    tier: False for tier in KERNEL_TIERS
-}
-
-#: Test override installed by :func:`forced_tier` (beats the env var).
-_FORCED_TIER: str | None = None
-
-
-# ----------------------------------------------------------------------
-# tier implementations
-# ----------------------------------------------------------------------
-def _build_numba_impl() -> _KernelImpl | None:
-    """The numba tier, or None when numba is not importable."""
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    # A half-installed numba can raise beyond ImportError at import
-    # time; any failure just means "no numba tier".
-    except Exception:  # repro-lint: disable=RPL009
-        return None
-    popcount8 = np.array(
-        [int(value).bit_count() for value in range(256)], dtype=np.int64
-    )
-
-    @njit(nogil=True, cache=False)
-    def _kernel(
-        flat: np.ndarray, rows: np.ndarray, counts: np.ndarray
-    ) -> None:  # pragma: no cover - requires numba
-        n_cubes, k = rows.shape
-        row_bytes = flat.shape[1]
-        for b in range(n_cubes):
-            r0 = rows[b, 0]
-            acc = 0
-            for w in range(row_bytes):
-                v = flat[r0, w]
-                for level in range(1, k):
-                    v &= flat[rows[b, level], w]
-                acc += popcount8[v]
-            counts[b] = acc
-
-    # Warm the JIT on a trivial input so compilation errors surface at
-    # resolution time (and are reported as tier-unavailable), not in
-    # the middle of a search.
-    probe_counts = np.zeros(1, dtype=np.int64)
-    _kernel(
-        np.ones((2, 8), dtype=np.uint8),
-        np.array([[0, 1]], dtype=np.int64),
-        probe_counts,
-    )
-    if int(probe_counts[0]) != 8:  # pragma: no cover - broken toolchain
-        raise RuntimeError("numba kernel self-probe returned a wrong count")
-    return _kernel
+#: The process-wide build outcome: ``None`` until first use, then the
+#: loaded kernel or, after a failed build, the reason it failed.
+_BUILD: _KernelImpl | str | None = None
 
 
 def _find_compiler() -> str | None:
@@ -267,16 +191,19 @@ def _compile_c_library(compiler: str) -> str:
         if proc.returncode == 0:
             os.replace(build_path, lib_path)
             return lib_path
-    raise RuntimeError(
-        f"C kernel compilation failed with {compiler}: {proc.stderr.strip()}"
+    raise ResourceError(
+        f"C kernel compilation failed with {compiler} (exit status "
+        f"{proc.returncode}): {proc.stderr.strip() or '<no output>'}"
     )
 
 
-def _build_c_impl() -> _KernelImpl | None:
-    """The compiled-C tier, or None without a working compiler."""
+def _build_kernel() -> _KernelImpl:
+    """Compile, load and self-probe the C kernel."""
     compiler = _find_compiler()
     if compiler is None:
-        return None
+        raise ResourceError(
+            "no C compiler found (tried cc, gcc, clang; set $REPRO_CC)"
+        )
     lib = ctypes.CDLL(_compile_c_library(compiler))
     fn = lib.repro_count_batch
     fn.argtypes = [
@@ -309,143 +236,83 @@ def _build_c_impl() -> _KernelImpl | None:
         probe_counts,
     )
     if int(probe_counts[0]) != 64:  # pragma: no cover - broken toolchain
-        raise RuntimeError("C kernel self-probe returned a wrong count")
+        raise ResourceError(
+            f"C kernel built with {compiler} failed its self-probe"
+        )
     return _impl
 
 
-def _numpy_impl(flat: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> None:
-    """Pure-numpy row-blocked fallback (always available)."""
-    n_cubes, k = rows.shape
-    for lo in range(0, n_cubes, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_cubes)
-        acc = flat[rows[lo:hi, 0]]  # fancy indexing copies
-        for level in range(1, k):
-            np.bitwise_and(acc, flat[rows[lo:hi, level]], out=acc)
-        counts[lo:hi] = np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+def _load_kernel() -> _KernelImpl:
+    """The compiled kernel, built on first use; re-raises a failed build.
 
-
-_BUILDERS: dict[str, Callable[[], _KernelImpl | None]] = {
-    "numba": _build_numba_impl,
-    "c": _build_c_impl,
-    "numpy": lambda: _numpy_impl,
-}
-
-
-# ----------------------------------------------------------------------
-# tier resolution
-# ----------------------------------------------------------------------
-def _tier_impl(tier: str) -> _KernelImpl | None:
-    """Build (once) and return the impl for *tier*, or None."""
-    cached = _TIER_IMPLS[tier]
-    if cached is not False:
-        return cached  # type: ignore[return-value]
-    try:
-        impl = _BUILDERS[tier]()
-    # Tier builders shell out to compilers and dlopen artifacts — any
-    # failure downgrades to the next tier rather than crashing.
-    except Exception as exc:  # repro-lint: disable=RPL009
-        logger.warning("native kernel tier %r unavailable: %s", tier, exc)
-        impl = None
-    _TIER_IMPLS[tier] = impl
-    return impl
-
-
-def _preference() -> str:
-    if _FORCED_TIER is not None:
-        return _FORCED_TIER
-    return os.environ.get("REPRO_NATIVE_KERNEL", "auto")
-
-
-def resolve_tier(preference: str | None = None) -> str:
-    """The kernel tier the native backend will run on.
-
-    *preference* (default: ``$REPRO_NATIVE_KERNEL`` or ``auto``) may
-    name a tier to force; forcing an unavailable tier raises rather
-    than silently substituting, so a misconfigured deployment fails
-    loudly.  ``auto`` walks the ladder numba → c → numpy and always
-    succeeds (the numpy fallback has no requirements).
+    The outcome is cached for the process either way, so a machine
+    without a compiler attempts the build at most once.
     """
-    pref = preference if preference is not None else _preference()
-    if pref == "auto":
-        for tier in KERNEL_TIERS:
-            if _tier_impl(tier) is not None:
-                return tier
-        raise RuntimeError(  # pragma: no cover - numpy tier never fails
-            "no native kernel tier available"
-        )
-    if pref not in KERNEL_TIERS:
-        raise ValidationError(
-            f"unknown native kernel tier {pref!r}; expected one of "
-            f"{('auto', *KERNEL_TIERS)}"
-        )
-    if _tier_impl(pref) is None:
-        raise RuntimeError(
-            f"native kernel tier {pref!r} is unavailable in this "
-            "environment (set REPRO_NATIVE_KERNEL=auto to fall back)"
-        )
-    return pref
-
-
-def available_tiers() -> tuple[str, ...]:
-    """The tiers usable in this environment (numpy always included)."""
-    return tuple(tier for tier in KERNEL_TIERS if _tier_impl(tier) is not None)
+    global _BUILD
+    if _BUILD is None:
+        try:
+            _BUILD = _build_kernel()
+        # A missing compiler, a failed compile, an unwritable cache
+        # directory and an unloadable library all surface as OSError
+        # (ResourceError is one).
+        except OSError as exc:
+            _BUILD = str(exc)
+    if isinstance(_BUILD, str):
+        raise ResourceError(f"native kernel unavailable: {_BUILD}")
+    return _BUILD
 
 
 def kernel_info() -> dict:
-    """Resolution report: active tier plus per-tier availability."""
-    return {
-        "tier": resolve_tier(),
-        "available": list(available_tiers()),
-        "preference": _preference(),
-    }
+    """Which code serves ``native`` counts; builds the kernel, never raises.
 
-
-@contextmanager
-def forced_tier(tier: str | None) -> Iterator[None]:
-    """Force a specific kernel tier within the ``with`` block (tests).
-
-    Beats ``$REPRO_NATIVE_KERNEL``; pass ``None`` to restore automatic
-    resolution.  The previous forcing is reinstated on exit even when
-    the body raises.
+    ``{"tier": "c"}`` when the compiled kernel is loaded, else
+    ``{"tier": "numpy", "reason": ...}``: the counter's ladder serves
+    the numpy reference instead.
     """
-    global _FORCED_TIER
-    if tier is not None and tier != "auto" and tier not in KERNEL_TIERS:
-        raise ValidationError(
-            f"unknown native kernel tier {tier!r}; expected one of "
-            f"{('auto', *KERNEL_TIERS)}"
-        )
-    previous = _FORCED_TIER
-    _FORCED_TIER = tier
     try:
-        yield
-    finally:
-        _FORCED_TIER = previous
+        _load_kernel()
+    except ResourceError as exc:
+        return {"tier": "numpy", "reason": str(exc)}
+    return {"tier": "c"}
 
 
-# ----------------------------------------------------------------------
-# the kernel entry point
-# ----------------------------------------------------------------------
+def _check_indices(
+    stack: np.ndarray, dims_arr, rng_arr
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse inputs that would address memory outside *stack*."""
+    if stack.dtype != np.uint64 or stack.ndim != 3:
+        # The kernel reads whole 8-byte words only; rows of another
+        # dtype could end in a ragged tail it would silently skip.
+        raise ValidationError(
+            "native kernel needs a (d, phi, words) uint64 packed mask "
+            f"stack, got {stack.dtype} with shape {stack.shape}"
+        )
+    dims_arr, rng_arr = check_cube_arrays(
+        dims_arr, rng_arr, stack.shape[0], stack.shape[1]
+    )
+    if dims_arr.shape[1] == 0:
+        # The kernel reads each cube's first row unconditionally.
+        raise ValidationError("native kernel needs cubes with k >= 1")
+    return dims_arr, rng_arr
+
+
 def native_batch_counts(
     stack: np.ndarray,
     dims_arr: np.ndarray,
     rng_arr: np.ndarray,
 ) -> tuple[np.ndarray, dict]:
-    """Counts for a batch of same-k cubes via the native kernel.
+    """Counts for a batch of same-k cubes via the compiled kernel.
 
     Drop-in for :func:`repro.grid.kernels.batch_counts`: same inputs,
     bit-identical ``counts`` (exact integer popcounts), same ``stats``
     keys.  The uint64 mask stack is consumed through its uint8 byte
-    view.
+    view.  Raises :class:`~repro.exceptions.ValidationError` for an
+    index outside the stack and
+    :class:`~repro.exceptions.ResourceError` when the kernel could not
+    be built.
     """
-    if stack.dtype != np.uint64:
-        # The C tier reads whole 8-byte words only; rows of another
-        # dtype could end in a ragged tail it would silently skip.
-        raise ValidationError(
-            f"native kernel needs a uint64 packed mask stack, got {stack.dtype}"
-        )
-    tier = resolve_tier()
-    impl = _tier_impl(tier)
-    assert impl is not None  # resolve_tier guarantees availability
+    dims_arr, rng_arr = _check_indices(stack, dims_arr, rng_arr)
+    impl = _load_kernel()
     n_masks = stack.shape[0] * stack.shape[1]
     flat = np.ascontiguousarray(stack).view(np.uint8).reshape(n_masks, -1)
     rows = dims_arr * stack.shape[1] + rng_arr
@@ -457,6 +324,6 @@ def native_batch_counts(
     stats = {
         "words_and": (k - 1) * n_cubes * n_words,
         "prefix_reuse": 0,
-        "kernel_tier": tier,
+        "kernel_tier": "c",
     }
     return counts, stats

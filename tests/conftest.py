@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.core.params import CountingBackend
+from repro.exceptions import ResourceError
+from repro.grid import backends, native
+from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer
+
+#: What serves ``native`` counts: the compiled C kernel, or — when the
+#: C build failed — the numpy reference, through the counter's ladder.
+NATIVE_TIERS = ("c", "numpy")
 
 
 @pytest.fixture
@@ -65,3 +75,44 @@ def oracle_mask(cells_codes: np.ndarray, subspace) -> np.ndarray:
 def oracle_count(cells_codes: np.ndarray, subspace) -> int:
     """n(D) straight from the grid codes: the counters' reference oracle."""
     return int(np.count_nonzero(oracle_mask(cells_codes, subspace)))
+
+
+def native_tiers() -> tuple[str, ...]:
+    """The native tiers this machine can run (``numpy`` always)."""
+    return NATIVE_TIERS if native.kernel_info()["tier"] == "c" else ("numpy",)
+
+
+def _failed_build():
+    raise ResourceError("native kernel unavailable: no C compiler (simulated)")
+
+
+@contextmanager
+def native_tier(tier: str):
+    """Run the ``native`` backend on *tier* inside the block.
+
+    ``numpy`` simulates a process whose C build failed: the private
+    loader raises and the kernel has not passed the conformance gate,
+    so counters and pools step down their ladders exactly as they do on
+    a machine without a compiler.  ``c`` skips where the build fails.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if tier == "numpy":
+            patch.setattr(native, "_load_kernel", _failed_build)
+            patch.setattr(backends, "_VERIFIED", backends._VERIFIED - {"native"})
+        elif tier not in native_tiers():
+            pytest.skip("the C kernel does not build on this machine")
+        yield
+
+
+def native_counts(stack: np.ndarray, dims_arr, rng_arr, tier: str) -> np.ndarray:
+    """Counts for a raw packed *stack* as a ``native`` counter on *tier*
+    serves them; on ``c`` the C kernel itself must have served them."""
+    n_dims, n_ranges = stack.shape[:2]
+    counter = CubeCounter(
+        CellAssignment(np.zeros((1, n_dims), dtype=np.int16), n_ranges),
+        backend=CountingBackend(kind="native"),
+    )
+    counts, _ = counter._invoke_kernel(stack, dims_arr, rng_arr)
+    expected_ladder = {} if tier == "c" else {"kernel": "numpy"}
+    assert counter.resilience.ladder == expected_ladder, tier
+    return counts

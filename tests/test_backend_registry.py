@@ -11,7 +11,8 @@ tests pin that contract:
 * a kernel that diverges from the reference — or lies about its stats —
   raises :class:`BackendConformanceError` and is **not** registered,
 * duplicate registrations are rejected,
-* the builtin kernels genuinely pass their own gate, on every tier.
+* the builtin kernels genuinely pass their own gate, and what a
+  ``native`` counter serves passes it on every tier.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.params import CountingBackend
-from repro.exceptions import ValidationError
+from repro.exceptions import ResourceError, ValidationError
 from repro.grid import backends as reg
 from repro.grid.backends import (
     BackendConformanceError,
@@ -35,7 +36,9 @@ from repro.grid.backends import (
     verify_kernel,
 )
 from repro.grid.kernels import batch_counts
-from repro.grid.native import available_tiers, forced_tier, native_batch_counts
+from repro.grid.native import native_batch_counts
+
+from conftest import native_tier, native_tiers
 
 BUILTIN_BACKENDS = ["native", "process", "process-native", "serial"]
 
@@ -118,10 +121,32 @@ class TestCLIMenu:
 
 
 class TestConformanceGate:
-    def test_builtin_native_kernel_passes_every_tier(self):
-        for tier in available_tiers():
-            with forced_tier(tier):
-                verify_kernel(native_batch_counts, f"native[{tier}]")
+    def test_builtin_native_kernel_passes_every_tier(self, rng):
+        from repro.core.subspace import Subspace
+        from repro.grid.cells import CellAssignment
+        from repro.grid.counter import CubeCounter
+
+        codes = rng.integers(0, 3, size=(40, 3)).astype(np.int16)
+        cubes = [Subspace((0, 2), (r, 1)) for r in range(3)]
+        for tier in native_tiers():
+            with native_tier(tier):
+                counter = CubeCounter(
+                    CellAssignment(codes, 3),
+                    backend=CountingBackend(kind="native"),
+                )
+                counter.count_batch(cubes)
+                if tier == "c":
+                    # The C kernel itself passes, and the counter kept
+                    # serving it rather than stepping down its ladder.
+                    verify_kernel(native_batch_counts, "native[c]")
+                    assert counter.resilience.ladder == {}
+                else:
+                    # The failed build is refused by the gate, typed.
+                    with pytest.raises(ResourceError, match="unavailable"):
+                        verify_kernel(native_batch_counts)
+                    assert counter.resilience.ladder == {"kernel": "numpy"}
+                # Whatever the counter now serves passes the gate.
+                verify_kernel(counter.batch_kernel, f"native[{tier}]")
 
     def test_native_kernel_rejects_non_word_stack(self):
         # A bool stack's rows need not be whole words; the C tier would
@@ -210,15 +235,15 @@ class TestCounterIntegration:
         from repro.grid.counter import CubeCounter
 
         codes = rng.integers(0, 3, size=(50, 4)).astype(np.int16)
-        counter = CubeCounter(
-            CellAssignment(codes, 3),
-            backend=CountingBackend(kind="native"),
-        )
-        try:
-            info = counter.kernel_info()
+        for tier in native_tiers():
+            counter = CubeCounter(
+                CellAssignment(codes, 3),
+                backend=CountingBackend(kind="native"),
+            )
+            with native_tier(tier):
+                info = counter.kernel_info()
             assert info["backend"] == "native"
             assert info["kernel"] == "native"
-            assert info["tier"] in available_tiers()
+            assert info["tier"] == tier
+            assert ("reason" in info) == (tier == "numpy")
             assert counter.cache_stats()["kernel"] == "native"
-        finally:
-            counter.close()

@@ -16,10 +16,10 @@ are strict equality on integer counts.
 
 The conformance classes parametrize over the backend registry
 (``repro.grid.backends``), so a newly registered backend is swept
-automatically; the native backend is additionally pinned to each of
-its kernel tiers (compiled and the pure-numpy fallback that runs when
-neither numba nor a C compiler is available), and the pool-wrapped
-native backend is exercised under worker-fault chaos.
+automatically; the native backend is additionally run on each of its
+tiers (the compiled C kernel, and the numpy reference its counter's
+ladder serves when the C build fails), and the pool-wrapped native
+backend is exercised under worker-fault chaos.
 
 The default run sweeps a handful of seeds; ``-m slow`` unlocks the
 deep sweep (more seeds, exhaustive cube enumeration at higher k).
@@ -37,10 +37,9 @@ from repro.core.subspace import Subspace
 from repro.grid.backends import registered_backends
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import CellAssignment
-from repro.grid.native import available_tiers, forced_tier
 from repro.resilience import FaultSpec, fault_injection
 
-from conftest import naive_cube_count, oracle_mask
+from conftest import NATIVE_TIERS, naive_cube_count, native_tier, oracle_mask
 
 PROCESS_BACKEND = CountingBackend(kind="process", n_workers=2, chunk_size=16)
 
@@ -201,12 +200,12 @@ class TestBackendConformance:
             backend=conformance_backend(kind),
         )
 
-    @pytest.mark.parametrize("tier", available_tiers())
+    @pytest.mark.parametrize("tier", NATIVE_TIERS)
     def test_native_every_tier(self, tier):
-        # Pin each kernel tier explicitly — in particular 'numpy', the
-        # fallback taken when numba and a C compiler are both absent.
+        # Run each tier explicitly — in particular 'numpy', what the
+        # counter's ladder serves when the C build fails.
         rng = np.random.default_rng(23)
-        with forced_tier(tier):
+        with native_tier(tier):
             _check_grid(
                 random_cells(rng, 130, 4, 3, missing=0.1),
                 max_k=3,
@@ -214,15 +213,17 @@ class TestBackendConformance:
             )
 
     def test_native_fallback_without_numba(self):
-        # The no-numba story: force the pure-numpy tier (always
-        # available) and demand exact agreement.
+        # The no-compiler story: the C build fails, the kernel ladder
+        # steps native → numpy once, and the counts stay exact.
         rng = np.random.default_rng(24)
-        with forced_tier("numpy"):
-            _check_grid(
-                random_cells(rng, 90, 4, 4),
-                max_k=3,
-                backend=CountingBackend(kind="native"),
-            )
+        cells = random_cells(rng, 90, 4, 4)
+        with native_tier("numpy"):
+            _check_grid(cells, max_k=3, backend=CountingBackend(kind="native"))
+            counter = CubeCounter(cells, backend=CountingBackend(kind="native"))
+            counter.count_batch(list(all_cubes(4, 4, 3)))
+        report = counter.resilience.as_dict()
+        assert report["ladder"] == {"kernel": "numpy"}
+        assert len(report["degradations"]) == 1
 
     @pytest.mark.parametrize(
         "fault",
@@ -278,3 +279,68 @@ class TestDeepSweep:
             max_k=min(4, d),
             backend=PROCESS_BACKEND,
         )
+
+
+class TestFailedNativeBuild:
+    """No C compiler: the native backends fall back through the counter's
+    ladders, bit-identical to ``serial``, and the build runs only once."""
+
+    def test_native_detects_match_serial_without_a_compiler(
+        self, monkeypatch, tmp_path
+    ):
+        import subprocess
+        from types import SimpleNamespace
+
+        from repro.core.detector import SubspaceOutlierDetector
+        from repro.grid import backends, native
+
+        builds, compiles = [], []
+        build_kernel = native._build_kernel
+
+        def counting_build():
+            builds.append(1)
+            return build_kernel()
+
+        def counting_run(*args, **kwargs):
+            compiles.append(args[0])
+            return subprocess.run(*args, **kwargs)
+
+        monkeypatch.setenv("REPRO_CC", "false")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(native, "_build_kernel", counting_build)
+        monkeypatch.setattr(native, "subprocess", SimpleNamespace(run=counting_run))
+        monkeypatch.setattr(native, "_BUILD", None)
+        monkeypatch.setattr(backends, "_VERIFIED", backends._VERIFIED - {"native"})
+
+        data = np.random.default_rng(7).normal(size=(150, 5))
+
+        def detect(kind):
+            detector = SubspaceOutlierDetector(
+                dimensionality=2, n_ranges=4, n_projections=5,
+                method="brute_force", random_state=0,
+                counting=CountingBackend(kind=kind, n_workers=2, chunk_size=8),
+            )
+            return detector.detect(data)
+
+        serial = detect("serial")
+        ladders = {
+            "native": {"kernel": "numpy"},
+            "process-native": {"counting-pool": "native", "kernel": "numpy"},
+        }
+        for kind, ladder in ladders.items():
+            result = detect(kind)
+            assert result.projections == serial.projections, kind
+            np.testing.assert_array_equal(
+                result.outlier_indices, serial.outlier_indices
+            )
+            report = result.stats["resilience"]
+            assert report["ladder"] == ladder, kind
+            steps = [(d["chain"], d["from"], d["to"]) for d in report["degradations"]]
+            assert len(steps) == len(set(steps)) == len(ladder), steps
+        info = native.kernel_info()
+        assert info["tier"] == "numpy"
+        assert "false" in info["reason"]
+        # One build per process, its failure cached; inside it the
+        # compiler runs with -march=native and once more without.
+        assert len(builds) == 1
+        assert 1 <= len(compiles) <= 2

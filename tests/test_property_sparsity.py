@@ -33,13 +33,14 @@ from repro.grid.cells import MISSING_CELL, CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer, StreamingReservoir
 from repro.grid.kernels import batch_counts
-from repro.grid.native import available_tiers, forced_tier, native_batch_counts
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 from repro.sparsity.coefficient import (
     expected_count,
     sparsity_coefficient,
     sparsity_coefficients,
 )
+
+from conftest import native_counts, native_tier, native_tiers
 
 # Keep N, φ, k in ranges where Equation 1's arithmetic is far from any
 # float precision cliff (N·f^k spans ~1e-6 .. 1e6 here).
@@ -242,9 +243,9 @@ class TestPopcountKernelIdentity:
         packed = _pack_stack(stack)
         ref_packed, _ = batch_counts(packed, dims_arr, rng_arr)
         assert ref_packed.tolist() == expected
-        for tier in available_tiers():
-            with forced_tier(tier):
-                got_packed, _ = native_batch_counts(packed, dims_arr, rng_arr)
+        for tier in native_tiers():
+            with native_tier(tier):
+                got_packed = native_counts(packed, dims_arr, rng_arr, tier)
             assert got_packed.tolist() == expected, tier
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 127, 200])
@@ -258,9 +259,9 @@ class TestPopcountKernelIdentity:
         rng_arr = np.array([[0, 1], [1, 0]], dtype=np.int64)
         expected = [n if fill else 0] * 2
         packed = _pack_stack(stack)
-        for tier in available_tiers():
-            with forced_tier(tier):
-                got_packed, _ = native_batch_counts(packed, dims_arr, rng_arr)
+        for tier in native_tiers():
+            with native_tier(tier):
+                got_packed = native_counts(packed, dims_arr, rng_arr, tier)
             assert got_packed.tolist() == expected, tier
 
 

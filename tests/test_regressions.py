@@ -22,6 +22,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro._validation import __all__ as validation_all
@@ -913,3 +914,59 @@ class TestDetectModelReleasesPool:
         assert [p.subspace for p in again.projections] == [
             p.subspace for p in first.projections
         ]
+
+
+class TestNativeKernelIndexBounds:
+    """``native_batch_counts`` handed its flat row indices
+    ``dims·φ + range`` to C unchecked: an out-of-range dimension or
+    range read past the mask stack (d=4, φ=3: ``dims=[[0, 9]]`` returned
+    14 and ``ranges=[[0, 5]]`` 10), and ``ranges=[[-1, 0]]`` returned 9
+    where the reference returns 13.  Indices are now checked first."""
+
+    BAD_INDICES = [
+        ("dim past d", [[0, 9]], [[0, 1]]),
+        ("range past phi", [[0, 1]], [[0, 5]]),
+        ("negative range", [[0, 1]], [[-1, 0]]),
+        ("negative dim", [[-1, 1]], [[0, 0]]),
+        ("float dims", [[0.0, 1.0]], [[0, 0]]),
+        ("1-D indices", [0, 1], [0, 0]),
+        ("shape mismatch", [[0, 1]], [[0, 0, 0]]),
+    ]
+
+    @staticmethod
+    def _stack():
+        from repro.grid.kernels import pack_codes_block
+
+        codes = np.random.default_rng(3).integers(0, 3, size=(100, 4))
+        return pack_codes_block(codes.astype(np.int16), 3).view(np.uint64)
+
+    @pytest.mark.parametrize(
+        "dims, ranges",
+        [case[1:] for case in BAD_INDICES],
+        ids=[case[0] for case in BAD_INDICES],
+    )
+    def test_out_of_range_indices_raise(self, dims, ranges):
+        from repro.exceptions import ValidationError
+        from repro.grid import native_batch_counts
+
+        with pytest.raises(ValidationError):
+            native_batch_counts(self._stack(), np.array(dims), np.array(ranges))
+
+
+class TestConformanceGateReachesEveryKernelBranch:
+    """The conformance fixture drew only k = 1..3, so the C kernel's
+    k = 4 branch (the paper's default k) and its generic k >= 5 loop
+    served counts unproven: a kernel adding 1 to every count with
+    k >= 4 passed ``verify_kernel``."""
+
+    @pytest.mark.parametrize("min_k", [4, 5])
+    def test_kernel_wrong_only_at_high_k_is_refused(self, min_k):
+        from repro.grid import batch_counts, verify_kernel
+        from repro.grid.backends import BackendConformanceError
+
+        def wrong_at_high_k(stack, dims_arr, rng_arr):
+            counts, stats = batch_counts(stack, dims_arr, rng_arr)
+            return counts + (dims_arr.shape[1] >= min_k), stats
+
+        with pytest.raises(BackendConformanceError, match=f"k={min_k}"):
+            verify_kernel(wrong_at_high_k)

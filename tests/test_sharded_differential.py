@@ -23,7 +23,6 @@ from repro.engine.events import InMemoryEventSink
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
-from repro.grid.native import available_tiers, forced_tier
 from repro.grid.sharded import (
     ShardedCounter,
     ShardedMaskStore,
@@ -31,6 +30,8 @@ from repro.grid.sharded import (
 )
 from repro.resilience import FaultSpec, fault_injection
 from repro.search.evolutionary import EvolutionaryConfig, EvolutionarySearch
+
+from conftest import native_tier, native_tiers
 
 # N deliberately not a multiple of shard_rows: the last shard is ragged
 # (3 rows), and 100-row shards leave ragged packed words inside every
@@ -245,16 +246,18 @@ class TestShardedDifferential:
             counter.close()
 
     def test_every_native_tier_matches(self, store, cubes, reference_counts):
-        for tier in available_tiers():
+        for tier in native_tiers():
             counter = ShardedCounter(
                 store, backend=CountingBackend(kind="native"), cache_size=0
             )
             try:
-                with forced_tier(tier):
+                with native_tier(tier):
                     got = counter.count_batch(cubes).tolist()
             finally:
                 counter.close()
             assert got == reference_counts, tier
+            expected_ladder = {"kernel": "numpy"} if tier == "numpy" else {}
+            assert counter.resilience.ladder == expected_ladder, tier
 
     def test_single_cube_paths_match(self, store, cells):
         memory = CubeCounter(cells)
