@@ -6,33 +6,22 @@ and per-cube counting vs naive row scanning of the grid codes, at a
 scale larger than any paper dataset, plus the memoisation hit rate a GA-shaped workload
 achieves, plus the batched kernel's speedup over per-cube counting on
 a GA-population-sized batch (the headline number for the batch API) —
-now measured per counting backend (serial numpy kernel vs the native
-compiled kernel) and appended to the tracked perf trajectory in
-``BENCH_engine.json`` (see ``repro.bench.trajectory``), which
-``benchmarks/check_regression.py`` gates in CI.
+measured per counting backend (serial numpy kernel, the native
+compiled kernel, and the sharded out-of-core counter).
 
-Environment knobs:
-
-- ``REPRO_BENCH_JSON`` — trajectory output path (default:
-  ``BENCH_engine.json`` at the repo root).
-- ``REPRO_BENCH_PROFILE=ci`` — shrink the workload for the CI
-  bench-gate job and skip the absolute-speedup assertions (timings on
-  shared runners are noisy; the regression gate compares run-to-run
-  instead).
+It reports and asserts the counts and speedups; it keeps no history.
+Performance is gated end to end by the pipeline benchmark
+(``benchmarks/pipeline/``, see docs/testing.md).
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.bench import append_entry
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.grid.cells import CellAssignment
@@ -40,57 +29,23 @@ from repro.grid.counter import CubeCounter
 from repro.grid.native import kernel_info
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 
-PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "full")
-FULL = PROFILE != "ci"
-
-if FULL:
-    N_POINTS = 100_000
-    N_DIMS = 32
-    PHI = 8
-    N_CUBES = 300
-    # The batch scenario mirrors the paper's running example (d=20,
-    # phi=10, k=4) with a GA population of 500 strings over N=50k points.
-    BATCH_N = 50_000
-    BATCH_D = 20
-    BATCH_PHI = 10
-    BATCH_K = 4
-    BATCH_P = 500
-else:
-    # Small enough for a CI job, large enough that the batched timings
-    # are well clear of fixed per-call overhead (the regression gate
-    # compares them run-to-run at a 20% threshold, so they must not
-    # jitter at that scale).
-    N_POINTS = 5_000
-    N_DIMS = 16
-    PHI = 8
-    N_CUBES = 60
-    BATCH_N = 30_000
-    BATCH_D = 20
-    BATCH_PHI = 10
-    BATCH_K = 4
-    BATCH_P = 400
+N_POINTS = 100_000
+N_DIMS = 32
+PHI = 8
+N_CUBES = 300
+# The batch scenario mirrors the paper's running example (d=20,
+# phi=10, k=4) with a GA population of 500 strings over N=50k points.
+BATCH_N = 50_000
+BATCH_D = 20
+BATCH_PHI = 10
+BATCH_K = 4
+BATCH_P = 500
 
 #: Best-of-N repetitions for the batched timings — the min is far more
-#: stable than the mean on shared machines; the noisier CI runners get
-#: more repetitions, and each repetition times INNER consecutive calls
-#: so a sub-millisecond kernel is still measured over several
-#: milliseconds (the 20% regression gate needs timings that do not
-#: jitter at that scale between two runs of the same commit).
-REPS = 3 if FULL else 9
-INNER = 1 if FULL else 10
+#: stable than the mean on shared machines.
+REPS = 3
 
 _LINES: list[str] = []
-
-#: Scalar summary metrics for this run's trajectory entry.
-_METRICS: dict[str, float] = {}
-#: Per-backend timing records for this run's trajectory entry.
-_BACKENDS: dict[str, dict] = {}
-_BENCH_JSON = Path(
-    os.environ.get(
-        "REPRO_BENCH_JSON",
-        Path(__file__).resolve().parents[1] / "BENCH_engine.json",
-    )
-)
 
 
 @pytest.fixture(scope="module")
@@ -116,23 +71,14 @@ def _count_all(counter, cubes):
     return [counter.count(cube) for cube in cubes]
 
 
-def _timed_count_all(counter, cubes, metric_key):
-    t0 = time.perf_counter()
-    counts = _count_all(counter, cubes)
-    _METRICS[metric_key] = time.perf_counter() - t0
-    return counts
-
-
-def _best_of(fn, reps=REPS, inner=INNER):
-    """Return (result, best_seconds) where each of *reps* samples times
-    *inner* consecutive calls and reports the per-call average."""
+def _best_of(fn, reps=REPS):
+    """Return (result, best_seconds) over *reps* timed calls of *fn*."""
     best = float("inf")
     result = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        for _ in range(inner):
-            result = fn()
-        best = min(best, (time.perf_counter() - t0) / inner)
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
     return result, best
 
 
@@ -151,8 +97,8 @@ def test_packed_counter(benchmark, cells, cubes):
     t0 = time.perf_counter()
     reference = _naive_scan(cells.codes, cubes)
     naive_seconds = time.perf_counter() - t0
-    counts = benchmark.pedantic(
-        lambda: _timed_count_all(counter, cubes, "packed_mask_seconds"),
+    counts, counter_seconds = benchmark.pedantic(
+        lambda: _best_of(lambda: _count_all(counter, cubes), reps=1),
         rounds=1, iterations=1,
     )
     _LINES.append(
@@ -160,12 +106,10 @@ def test_packed_counter(benchmark, cells, cubes):
     )
     _LINES.append(
         f"{'counter vs naive scan':<22}"
-        f"{naive_seconds / _METRICS['packed_mask_seconds']:>11.1f}x  "
+        f"{naive_seconds / counter_seconds:>11.1f}x  "
         f"({N_CUBES} cubes: {naive_seconds:.2f}s scan vs "
-        f"{_METRICS['packed_mask_seconds']:.2f}s counter)"
+        f"{counter_seconds:.2f}s counter)"
     )
-    _METRICS["packed_mask_memory_mb"] = counter.mask_memory_bytes() / 1e6
-    _METRICS["naive_scan_seconds"] = naive_seconds
     assert counts == reference
 
 
@@ -181,12 +125,11 @@ def test_cache_effectiveness(benchmark, cells, cubes):
     stats = benchmark.pedantic(repeated, rounds=1, iterations=1)
     hit_rate = stats["cache_hits"] / stats["count_calls"]
     _LINES.append(f"{'memoisation hit rate':<22}{hit_rate:>12.1%}")
-    _METRICS["cache_hit_rate"] = hit_rate
     assert hit_rate > 0.85
 
 
 def test_batch_speedup(benchmark):
-    # Acceptance (full profile): count_batch on a population-sized batch
+    # Acceptance: count_batch on a population-sized batch
     # must beat per-cube counting by >= 1.5x, and the native backend must
     # beat the serial batched path by >= 2x when a compiled tier is up.
     # Per-cube counting ANDs the same packed words the batch kernel does,
@@ -225,8 +168,8 @@ def test_batch_speedup(benchmark):
     # The out-of-core counter over the same data: 8 mmapped row shards
     # streamed through the native kernel.  The interesting number is the
     # overhead vs the all-in-RAM native path (mmap opens + per-shard
-    # kernel launches + the accumulator), tracked run-to-run like the
-    # other backends.
+    # kernel launches + the accumulator), reported beside the other
+    # backends.
     with tempfile.TemporaryDirectory() as mask_dir:
         store = ShardedMaskStore.build(
             cells, mask_dir, shard_rows=-(-BATCH_N // 8)
@@ -245,7 +188,8 @@ def test_batch_speedup(benchmark):
     _LINES.append(
         f"{'batch API speedup':<22}{speedup:>11.1f}x  "
         f"(p={BATCH_P}, k={BATCH_K}, N={BATCH_N:,}: "
-        f"{per_cube_seconds:.2f}s per-cube vs {batch_seconds:.2f}s batched)"
+        f"{per_cube_seconds * 1e3:.2f}ms per-cube vs "
+        f"{batch_seconds * 1e3:.2f}ms batched)"
     )
     _LINES.append(
         f"{'native vs batched':<22}{native_speedup:>11.1f}x  "
@@ -258,32 +202,14 @@ def test_batch_speedup(benchmark):
         f"(vs native in-RAM: {sharded_seconds * 1e3:.2f}ms over "
         f"{n_shards} mmapped shards)"
     )
-    _METRICS["batch_speedup"] = speedup
-    _METRICS["batch_seconds"] = batch_seconds
-    _METRICS["per_cube_seconds"] = per_cube_seconds
-    _METRICS["native_batch_seconds"] = native_seconds
-    _METRICS["native_speedup_vs_batch"] = native_speedup
-    _METRICS["sharded_batch_seconds"] = sharded_seconds
-    _METRICS["sharded_overhead_vs_native"] = sharded_overhead
-    _BACKENDS["serial"] = {"batch_seconds": batch_seconds}
-    _BACKENDS["native"] = {
-        "batch_seconds": native_seconds,
-        "kernel_tier": tier,
-    }
-    _BACKENDS["sharded"] = {
-        "batch_seconds": sharded_seconds,
-        "kernel_tier": tier,
-        "n_shards": n_shards,
-    }
     assert counts.tolist() == reference
     assert native_counts.tolist() == reference
     assert sharded_counts.tolist() == reference
-    if FULL:
-        assert speedup >= 1.5
-        if tier == "c":
-            # Without a compiler the ladder serves the numpy reference:
-            # correct but not fast; the 2x gate applies to the C kernel.
-            assert native_speedup >= 2.0
+    assert speedup >= 1.5
+    if tier == "c":
+        # Without a compiler the ladder serves the numpy reference:
+        # correct but not fast; the 2x gate applies to the C kernel.
+        assert native_speedup >= 2.0
 
 
 def test_report(benchmark):
@@ -300,26 +226,3 @@ def test_report(benchmark):
     from conftest import register_report
 
     register_report("Substrate - cube counting engines", lines)
-    # Clock read lives here in benchmarks/, never in src/ (lint RPL002);
-    # repro.bench takes the timestamp as data.
-    append_entry(
-        _BENCH_JSON,
-        benchmark="counter_performance",
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        params={
-            "profile": PROFILE,
-            "n_points": N_POINTS,
-            "n_dims": N_DIMS,
-            "phi": PHI,
-            "n_cubes": N_CUBES,
-            "batch": {
-                "n_points": BATCH_N,
-                "n_dims": BATCH_D,
-                "phi": BATCH_PHI,
-                "k": BATCH_K,
-                "population": BATCH_P,
-            },
-        },
-        metrics=dict(_METRICS),
-        backends=dict(_BACKENDS),
-    )

@@ -45,6 +45,7 @@ import time
 from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -102,6 +103,11 @@ def _key_arrays(keys: list[bytes], n_ranges: int) -> tuple[np.ndarray, np.ndarra
     """The ``(n, k)`` dims and ranges of same-length *keys* (of :func:`_row_keys`)."""
     codes = np.frombuffer(b"".join(keys), dtype=np.int32).astype(np.intp)
     return np.divmod(codes.reshape(len(keys), len(keys[0]) // 4), n_ranges)
+
+
+def _require_subspace(obj) -> None:
+    if not isinstance(obj, Subspace):
+        raise ValidationError(f"expected a Subspace, got {type(obj).__name__}")
 
 
 def _packed_cube(stack8: np.ndarray, subspace: Subspace, n_points: int) -> np.ndarray:
@@ -268,10 +274,14 @@ class CubeCounter:
         Returns an ``int64`` array aligned with the input order.
         Results are identical to calling :meth:`count` per cube.
         """
-        keys = [self._subspace_key(subspace) for subspace in subspaces]
-        rows = _by_length(keys)
-        groups = [[keys[i] for i in idxs] for idxs in rows]
-        out = np.empty(len(keys), dtype=np.int64)
+        subspaces = list(subspaces)
+        by_k: dict[int, list[int]] = {}
+        for i, subspace in enumerate(subspaces):
+            _require_subspace(subspace)
+            by_k.setdefault(len(subspace.dims), []).append(i)
+        rows = [by_k[k] for k in sorted(by_k)]
+        groups = [self._group_keys([subspaces[i] for i in idxs]) for idxs in rows]
+        out = np.empty(len(subspaces), dtype=np.int64)
         for idxs, counts in zip(rows, self._count(groups, memo=True), strict=True):
             out[idxs] = counts
         return out
@@ -840,10 +850,7 @@ class CubeCounter:
     def _check_subspace(self, subspace: Subspace) -> None:
         """Reject anything but a :class:`Subspace` inside the grid (its
         constructor checked the rest)."""
-        if not isinstance(subspace, Subspace):
-            raise ValidationError(
-                f"expected a Subspace, got {type(subspace).__name__}"
-            )
+        _require_subspace(subspace)
         if subspace.dims:
             self._check_bounds(subspace.dims[-1], max(subspace.ranges))
 
@@ -857,6 +864,26 @@ class CubeCounter:
             raise ValidationError(
                 f"subspace range out of bounds for φ={self.n_ranges}"
             )
+
+    def _group_keys(self, cubes: list[Subspace]) -> list[bytes]:
+        """Memo keys of same-k :class:`Subspace` objects, bounds-checked
+        once on the group's largest dimension and range."""
+        n_cubes, k = len(cubes), len(cubes[0].dims)
+        if k == 0:
+            return [b""] * n_cubes
+        flat = chain.from_iterable
+        try:
+            dims = np.fromiter(flat(c.dims for c in cubes), np.intp, n_cubes * k)
+            ranges = np.fromiter(flat(c.ranges for c in cubes), np.intp, n_cubes * k)
+        except OverflowError:
+            # An index past intp is past the grid: reject it as any other.
+            self._check_bounds(
+                max(c.dims[-1] for c in cubes), max(max(c.ranges) for c in cubes)
+            )
+            raise
+        dims, ranges = dims.reshape(n_cubes, k), ranges.reshape(n_cubes, k)
+        self._check_bounds(int(dims[:, -1].max()), int(ranges.max()))
+        return _row_keys(dims, ranges, self.n_ranges)
 
     def _subspace_key(self, subspace: Subspace) -> bytes:
         """The checked *subspace*'s memo key: its row of :func:`_row_keys`."""

@@ -734,6 +734,15 @@ class TestRejectedCountingCallLeavesCounterUntouched:
             ),
             lambda: counter.count_cubes(np.zeros((3, 0)), np.zeros((3, 0))),
             lambda: counter.count_memoised(np.zeros((3, 0)), np.zeros((3, 0))),
+            lambda: counter.count_batch(
+                [Subspace((0,), (0,)), Subspace((1, 2), (0, 1)), (0, 1)]
+            ),
+            lambda: counter.count_batch(
+                [Subspace((0,), (0,)), Subspace((1, 2), (0, 3))]
+            ),
+            lambda: counter.count_batch(
+                [Subspace((0,), (0,)), Subspace((1, 2**70), (0, 0))]
+            ),
         ]
         for call in rejected:
             with pytest.raises(ValidationError):
