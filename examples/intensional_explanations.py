@@ -73,7 +73,7 @@ def main() -> None:
     detector.detect(dataset.values, feature_names=dataset.feature_names)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = save_model(detector, Path(tmp) / "arrhythmia_model.json")
+        path = save_model(detector, Path(tmp) / "arrhythmia_model")
         model = load_model(path)
         scores = model.score(dataset.values)
         flagged = int(np.sum(~np.isnan(scores)))

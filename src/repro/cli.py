@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report (human-readable) or json (machine-readable result)",
     )
     detect.add_argument(
-        "--save", metavar="MODEL.json", default=None,
+        "--save", metavar="MODEL", default=None,
         help="persist the fitted model for later `score` runs",
     )
 
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="score new data with a saved model")
     _add_data_arguments(score)
     score.add_argument(
-        "--model", required=True, metavar="MODEL.json",
+        "--model", required=True, metavar="MODEL",
         help="model file written by `detect --save`",
     )
     score.add_argument(

@@ -168,18 +168,22 @@ class StreamingReservoir:
 
     # -- persistence -----------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
-        """JSON-serializable snapshot of the full reservoir state.
+        """Snapshot of the full reservoir state.
 
-        Restoring via :meth:`from_state_dict` and continuing the stream
-        is bit-identical to never having paused: the sampled rows, the
-        global row counter, and the generator state all round-trip.
+        ``rows`` is a float64 ``(held, n_cols)`` array (a copy; shape
+        ``(0, 0)`` before the first row); every other value is
+        JSON-serializable.  Restoring via :meth:`from_state_dict` and
+        continuing the stream is bit-identical to never having paused:
+        the sampled rows, the global row counter, and the generator
+        state all round-trip.
         """
         held = min(self.n_seen, self.capacity)
+        rows = np.empty((0, 0)) if self._rows is None else self._rows[:held].copy()
         return {
             "capacity": int(self.capacity),
             "n_seen": int(self.n_seen),
             "n_cols": None if self._rows is None else int(self._rows.shape[1]),
-            "rows": [] if self._rows is None else self._rows[:held].tolist(),
+            "rows": rows,
             "rng_state": self._rng.bit_generator.state,
         }
 
@@ -187,7 +191,8 @@ class StreamingReservoir:
     def from_state_dict(cls, state: dict[str, Any]) -> "StreamingReservoir":
         """Rebuild a reservoir from :meth:`state_dict` output.
 
-        The state must hold exactly ``min(n_seen, capacity)`` rows of
+        ``rows`` may be an array or nested lists (a JSON snapshot).  The
+        state must hold exactly ``min(n_seen, capacity)`` rows of
         ``n_cols`` values; anything else is a :class:`DiscretizationError`.
         """
         try:

@@ -537,7 +537,7 @@ class GridModel:
         }
 
     def to_dict(self) -> dict[str, Any]:
-        """The persistence-layer v2 payload (see :mod:`repro.persist`)."""
+        """The JSON-compatible snapshot (:func:`repro.persist.model_payload`)."""
         from ..persist import model_payload
 
         return model_payload(self)

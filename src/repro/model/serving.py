@@ -14,9 +14,10 @@ stays cheap:
    a reload, so model identity follows content, not timestamps.
 
 Saves go through the handle too (:meth:`ModelHandle.save`): the write
-is atomic (:mod:`repro._atomic`) and the stamp/digest are refreshed so
-the process never reloads its own save.  Every genuine reload emits a
-``model_updated`` event with ``action="hot_reload"``.
+is :func:`~repro.persist.save_model`'s atomic schema-v3 snapshot and
+the stamp/digest are refreshed so the process never reloads its own
+save.  Every genuine reload emits a ``model_updated`` event with
+``action="hot_reload"``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .._atomic import atomic_write_json
 from ..engine.events import EventSink, emit_event
 from ..exceptions import PersistError
 from .grid_model import GridModel
@@ -75,7 +75,9 @@ class ModelHandle:
 
     def save(self, model: GridModel) -> Path:
         """Atomically write *model* back to the file and adopt it."""
-        atomic_write_json(self.path, model.to_dict())
+        from ..persist import save_model
+
+        save_model(model, self.path)
         self._model = model
         self._stamp = self._file_stamp()
         self._digest = self._file_digest()

@@ -1,12 +1,14 @@
-"""Persistence schema v2 and hot-reload serving for ``repro.model``.
+"""Persistence schema v3 and hot-reload serving for ``repro.model``.
 
 Pins the acceptance contract of the incremental model layer:
 
-* a model saved under schema v2 restores — in the same process *and* in
-  a fresh interpreter — and answers ``score(points)`` byte-identically;
+* a model saved as a schema-v3 container restores — in the same process
+  *and* in a fresh interpreter — and answers ``score(points)``
+  byte-identically, as does its JSON-compatible v2 payload;
 * the full incremental state (sketch, occupancy, lifecycle counters,
   version, policy) round-trips, so a reloaded model keeps updating and
-  drift-checking where the saved one left off;
+  drift-checking where the saved one left off, bit for bit;
+* the same model always saves to the same bytes, whatever the clock;
 * v1 snapshots (grid + projections only) load via migration;
 * a doctored snapshot — missing, unknown or mistyped
   ``format_version`` — raises a typed :class:`PersistError` naming the
@@ -18,10 +20,12 @@ Pins the acceptance contract of the incremental model layer:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +107,8 @@ class TestV2RoundTrip:
         _, data = mined
         detector.detect(data)
         path = save_model(detector, tmp_path / "d.json")
-        payload = json.loads(path.read_text())
+        with zipfile.ZipFile(path) as archive:
+            payload = json.loads(archive.read("manifest.json"))
         assert payload["format_version"] == MODEL_FORMAT_VERSION
         assert payload["kind"] == "grid_model"
         loaded = load_model(path)
@@ -128,6 +133,70 @@ class TestV2RoundTrip:
         fresh = np.load(tmp_path / "scores.npy")
         here = model.score(data)
         assert fresh.tobytes() == here.tobytes()  # byte-identical, NaNs included
+
+
+class TestV3Container:
+    def test_layout(self, mined, tmp_path):
+        model, data = mined
+        path = save_model(model, tmp_path / "model.json")
+        assert path == tmp_path / "model.json"  # no extension appended
+        assert path.read_bytes().startswith(b"PK\x03\x04")
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            assert [i.filename for i in infos] == [
+                "manifest.json", "sketch_rows.npy", "occupancy.npy"
+            ]
+            assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+            manifest = json.loads(archive.read("manifest.json"))
+            rows = np.load(io.BytesIO(archive.read("sketch_rows.npy")))
+            occupancy = np.load(io.BytesIO(archive.read("occupancy.npy")))
+        payload = model_payload(model)
+        assert payload["format_version"] == 2
+        assert set(manifest) == set(payload) - {"occupancy"}
+        assert manifest["sketch"] == {
+            k: v for k, v in payload["sketch"].items() if k != "rows"
+        }
+        assert rows.dtype == np.dtype("<f8")
+        assert rows.shape == (data.shape[0], data.shape[1])
+        np.testing.assert_array_equal(rows, payload["sketch"]["rows"])
+        assert occupancy.dtype == np.dtype("<i8")
+        np.testing.assert_array_equal(occupancy, payload["occupancy"])
+
+    def test_same_model_saves_same_bytes_whatever_the_clock(
+        self, mined, tmp_path, monkeypatch
+    ):
+        import time
+
+        model, _ = mined
+        first = save_model(model, tmp_path / "a.json").read_bytes()
+        monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+        second = save_model(model, tmp_path / "b.json").read_bytes()
+        assert first == second
+
+    def test_scores_match_the_v2_payload(self, mined, tmp_path):
+        model, data = mined
+        from_v3 = load_model(save_model(model, tmp_path / "m.json"))
+        v2 = tmp_path / "m2.json"
+        v2.write_text(json.dumps(model_payload(model)))
+        from_v2 = load_model(v2)
+        assert from_v3.score(data).tobytes() == model.score(data).tobytes()
+        assert from_v3.score(data).tobytes() == from_v2.score(data).tobytes()
+
+    def test_reservoir_stream_resumes_bit_identically(self, mined, tmp_path, rng):
+        model, data = mined
+        live = GridModel.fit(data, n_ranges=4, sketch_size=64)
+        live.projections = model.projections
+        live.update(rng.normal(size=(90, data.shape[1])))
+        loaded = load_model(save_model(live, tmp_path / "m.json"))
+        more = rng.normal(size=(70, data.shape[1]))
+        for m in (live, loaded):
+            m.update(more)
+        ours, theirs = loaded.discretizer.sketch, live.discretizer.sketch
+        assert ours.n_seen == theirs.n_seen
+        assert ours.rows.tobytes() == theirs.rows.tobytes()
+        assert ours.state_dict()["rng_state"] == theirs.state_dict()["rng_state"]
+        np.testing.assert_array_equal(loaded.occupancy, live.occupancy)
+        assert loaded.version == live.version
 
 
 class TestV1Migration:
@@ -182,7 +251,7 @@ class TestDoctoredSnapshots:
         with pytest.raises(PersistError, match="missing format_version") as err:
             load_model(path)
         assert str(path) in str(err.value)
-        assert "1..2" in str(err.value)
+        assert "1..3" in str(err.value)
 
     def test_future_version(self, mined, tmp_path):
         path = self.doctor(mined, tmp_path, format_version=99)
@@ -257,6 +326,21 @@ class TestModelHandle:
         model = handle.current()
         model.update(data[:5])
         handle.save(model)
+        assert handle.current() is model
+        assert handle.reloads == 0
+
+    def test_unchanged_resaves_are_byte_identical_and_not_reloaded(
+        self, mined, tmp_path
+    ):
+        handle, _ = self.saved(mined, tmp_path)
+        model = handle.current()
+        handle.save(model)
+        first = handle.path.read_bytes()
+        handle.save(model)
+        assert handle.path.read_bytes() == first
+        assert first.startswith(b"PK\x03\x04")
+        assert handle.current() is model
+        os.utime(handle.path, ns=(3, 3))  # a new stamp, the same bytes
         assert handle.current() is model
         assert handle.reloads == 0
 

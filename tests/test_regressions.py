@@ -979,3 +979,28 @@ class TestConformanceGateReachesEveryKernelBranch:
 
         with pytest.raises(BackendConformanceError, match=f"k={min_k}"):
             verify_kernel(wrong_at_high_k)
+
+
+class TestHostileModelPaths:
+    """``load_model`` let two hostile paths escape untyped: a file whose
+    bytes are not UTF-8 raised a raw ``UnicodeDecodeError`` and a
+    directory raised ``IsADirectoryError``.  Both are now a
+    ``PersistError`` naming the path."""
+
+    def test_non_utf8_bytes(self, tmp_path):
+        from repro.exceptions import PersistError
+        from repro.persist import load_model
+
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(PersistError, match="UTF-8") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_directory(self, tmp_path):
+        from repro.exceptions import PersistError
+        from repro.persist import load_model
+
+        with pytest.raises(PersistError, match="cannot read") as err:
+            load_model(tmp_path)
+        assert str(tmp_path) in str(err.value)
