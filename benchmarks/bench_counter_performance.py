@@ -5,9 +5,9 @@ Not a paper table — this measures the reproduction's own engine-room
 and per-cube counting vs naive row scanning of the grid codes, at a
 scale larger than any paper dataset, plus the memoisation hit rate a GA-shaped workload
 achieves, plus the batched kernel's speedup over per-cube counting on
-a GA-population-sized batch (the headline number for the batch API) —
-measured per counting backend (serial numpy kernel, the native
-compiled kernel, and the sharded out-of-core counter).
+a GA-population-sized batch (the headline number for the batch API),
+the compiled C kernel's speedup over the numpy reference kernel on the
+same batch, and the sharded out-of-core counter's overhead.
 
 It reports and asserts the counts and speedups; it keeps no history.
 Performance is gated end to end by the pipeline benchmark
@@ -22,11 +22,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
-from repro.grid.native import kernel_info
+from repro.grid.kernels import batch_counts, pack_codes_block
+from repro.grid.native import kernel_info, native_batch_counts
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 
 N_POINTS = 100_000
@@ -130,11 +130,11 @@ def test_cache_effectiveness(benchmark, cells, cubes):
 
 def test_batch_speedup(benchmark):
     # Acceptance: count_batch on a population-sized batch
-    # must beat per-cube counting by >= 1.5x, and the native backend must
-    # beat the serial batched path by >= 2x when a compiled tier is up.
+    # must beat per-cube counting by >= 1.5x, and the C kernel must
+    # beat the numpy reference kernel by >= 2x when it builds.
     # Per-cube counting ANDs the same packed words the batch kernel does,
     # so the batch gain is prefix sharing plus one vectorized pass
-    # instead of 500 Python-level calls (2-3.5x on a 2-core VM).
+    # instead of 500 Python-level calls.
     rng = np.random.default_rng(7)
     codes = rng.integers(0, BATCH_PHI, size=(BATCH_N, BATCH_D)).astype(np.int16)
     cells = CellAssignment(codes, BATCH_PHI)
@@ -156,27 +156,31 @@ def test_batch_speedup(benchmark):
         lambda: _best_of(lambda: serial.count_batch(population)),
         rounds=1, iterations=1,
     )
+    kernel = serial.kernel_info()["kernel"]
 
-    native = CubeCounter(
-        cells, cache_size=0, backend=CountingBackend(kind="native")
-    )
-    native_counts, native_seconds = _best_of(
-        lambda: native.count_batch(population)
+    # The two kernels head to head on the same packed stack and batch.
+    stack = pack_codes_block(codes, BATCH_PHI).view(np.uint64)
+    dims_arr = np.array([cube.dims for cube in population], dtype=np.intp)
+    rng_arr = np.array([cube.ranges for cube in population], dtype=np.intp)
+    (numpy_counts, _), numpy_seconds = _best_of(
+        lambda: batch_counts(stack, dims_arr, rng_arr)
     )
     tier = kernel_info()["tier"]
+    if tier == "c":
+        (c_counts, _), c_seconds = _best_of(
+            lambda: native_batch_counts(stack, dims_arr, rng_arr)
+        )
+        assert c_counts.tolist() == reference
 
     # The out-of-core counter over the same data: 8 mmapped row shards
-    # streamed through the native kernel.  The interesting number is the
-    # overhead vs the all-in-RAM native path (mmap opens + per-shard
-    # kernel launches + the accumulator), reported beside the other
-    # backends.
+    # streamed through the same kernel.  The interesting number is the
+    # overhead vs the all-in-RAM counter (mmap opens + per-shard kernel
+    # launches + the accumulator), reported beside the kernels.
     with tempfile.TemporaryDirectory() as mask_dir:
         store = ShardedMaskStore.build(
             cells, mask_dir, shard_rows=-(-BATCH_N // 8)
         )
-        sharded = ShardedCounter(
-            store, cache_size=0, backend=CountingBackend(kind="native")
-        )
+        sharded = ShardedCounter(store, cache_size=0)
         sharded_counts, sharded_seconds = _best_of(
             lambda: sharded.count_batch(population)
         )
@@ -184,30 +188,30 @@ def test_batch_speedup(benchmark):
         sharded.close()
 
     speedup = per_cube_seconds / batch_seconds
-    native_speedup = batch_seconds / native_seconds
     _LINES.append(
         f"{'batch API speedup':<22}{speedup:>11.1f}x  "
-        f"(p={BATCH_P}, k={BATCH_K}, N={BATCH_N:,}: "
+        f"(p={BATCH_P}, k={BATCH_K}, N={BATCH_N:,}, {kernel} kernel: "
         f"{per_cube_seconds * 1e3:.2f}ms per-cube vs "
         f"{batch_seconds * 1e3:.2f}ms batched)"
     )
-    _LINES.append(
-        f"{'native vs batched':<22}{native_speedup:>11.1f}x  "
-        f"(kernel tier '{tier}': {native_seconds * 1e3:.2f}ms vs "
-        f"{batch_seconds * 1e3:.2f}ms serial)"
-    )
-    sharded_overhead = sharded_seconds / native_seconds
+    if tier == "c":
+        native_speedup = numpy_seconds / c_seconds
+        _LINES.append(
+            f"{'C vs numpy kernel':<22}{native_speedup:>11.1f}x  "
+            f"({c_seconds * 1e3:.2f}ms vs {numpy_seconds * 1e3:.2f}ms)"
+        )
+    sharded_overhead = sharded_seconds / batch_seconds
     _LINES.append(
         f"{'sharded (out-of-core)':<22}{sharded_overhead:>11.1f}x  "
-        f"(vs native in-RAM: {sharded_seconds * 1e3:.2f}ms over "
+        f"(vs in-RAM: {sharded_seconds * 1e3:.2f}ms over "
         f"{n_shards} mmapped shards)"
     )
     assert counts.tolist() == reference
-    assert native_counts.tolist() == reference
+    assert numpy_counts.tolist() == reference
     assert sharded_counts.tolist() == reference
     assert speedup >= 1.5
     if tier == "c":
-        # Without a compiler the ladder serves the numpy reference:
+        # Without a compiler every counter serves the numpy reference:
         # correct but not fast; the 2x gate applies to the C kernel.
         assert native_speedup >= 2.0
 

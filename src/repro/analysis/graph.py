@@ -480,10 +480,12 @@ class _FactExtractor(ast.NodeVisitor):
                 self._contract_arg("kernel_use", node, 0, "name")
             elif tail == "BackendSpec":
                 self._contract_arg("backend_register", node, 0, "name")
-                self._contract_arg("kernel_use", node, 1, "kernel")
-                fallback = _argument(node, 4, "fallback")
+                fallback = _argument(node, 3, "fallback")
                 if fallback is not None and _str_const(fallback) is not None:
                     self._contract("backend_use", _str_const(fallback), node)
+            elif tail == "_register_alias":
+                self._contract_arg("backend_register", node, 0, "alias")
+                self._contract_arg("backend_use", node, 1, "target")
             elif tail in ("get_backend", "degradation_chain"):
                 self._contract_arg("backend_use", node, 0, "name")
             elif tail == "CountingBackend":

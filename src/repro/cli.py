@@ -44,7 +44,7 @@ from .data.loaders import load_csv
 from .data.registry import DATASETS, load_dataset
 from .engine.registry import engine_names
 from .eval.comparison import build_table1, render_table
-from .grid.backends import registered_backends
+from .grid.backends import canonical_backend, registered_backends
 from .exceptions import ReproError, SearchCancelled
 from .persist import result_to_dict, save_model
 from .resilience.ladder import describe_resilience
@@ -293,14 +293,17 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--count-backend",
+        type=canonical_backend,
         choices=registered_backends(),
         default="serial",
         help=(
-            "how batched cube counts execute (from the backend "
-            "registry): 'native' runs the compiled AND+popcount kernel "
-            "(a cc-compiled library; without a compiler the numpy "
-            "kernel serves instead); 'process'/'process-native' fan "
-            "chunks out to a shared-memory worker pool"
+            "where batched cube counts run (from the backend registry): "
+            "'serial' in-process, 'process' fans chunks out to a "
+            "shared-memory worker pool.  Both count on the compiled C "
+            "kernel when it builds (a cc-compiled library) and on the "
+            "bit-identical numpy kernel otherwise.  'native' and "
+            "'process-native' are deprecated aliases of 'serial' and "
+            "'process'"
         ),
     )
     parser.add_argument(

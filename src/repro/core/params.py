@@ -44,18 +44,20 @@ class CountingBackend:
     ----------
     kind:
         Name of a registered counting backend (see
-        :mod:`repro.grid.backends`).  ``"serial"`` evaluates batches
-        in-process with the vectorized numpy AND/popcount kernel;
-        ``"native"`` runs the compiled C kernel in-process (without a
-        C compiler the counter's ladder serves the numpy kernel);
-        ``"process"`` / ``"process-native"`` additionally fan chunks of
-        a batch out to a pool of worker processes that attach to the
-        counter's membership masks through shared memory and run the
-        same kernel.  Counts are integers,
-        chunk boundaries are deterministic, chunk results are
-        reassembled in submission order, and every kernel is proven
-        bit-identical to the reference before it serves counts — so all
-        kinds return bit-identical results for any worker count.
+        :mod:`repro.grid.backends`): where counts run.  ``"serial"``
+        evaluates batches in-process; ``"process"`` additionally fans
+        chunks of a batch out to a pool of worker processes that attach
+        to the counter's membership masks through shared memory.  Both
+        count with the fastest kernel verified against the reference
+        in this process — the compiled C kernel when it builds, the
+        numpy reference otherwise — and report which in
+        ``counter.kernel_info()``.  ``"native"`` and
+        ``"process-native"`` are deprecated aliases of ``"serial"`` and
+        ``"process"``; ``kind`` holds the name they resolve to.  Counts
+        are integers, chunk boundaries are deterministic, chunk results
+        are reassembled in submission order, and every kernel is proven
+        bit-identical to the reference before it serves counts — so
+        every kind returns bit-identical results for any worker count.
     n_workers:
         Size of the process pool (``None`` → ``os.cpu_count()``).
         Ignored by the serial backend.
@@ -95,7 +97,9 @@ class CountingBackend:
         # imports this module for the policy dataclasses.
         from ..grid.backends import get_backend
 
-        get_backend(self.kind)  # raises with the menu of valid names
+        # Raises with the menu of valid names; a deprecated alias
+        # resolves to the placement it names.
+        object.__setattr__(self, "kind", get_backend(self.kind).name)
         if self.n_workers is not None:
             check_positive_int(self.n_workers, "n_workers")
         check_positive_int(self.chunk_size, "chunk_size")

@@ -1,20 +1,30 @@
-"""The counting-backend registry: named execution strategies for counts.
+"""The counting-backend registry: where counts run, and on which kernel.
 
-A *backend* pairs a counting **kernel** (the pure batch function, see
-:mod:`repro.grid.kernels`) with an **execution strategy** (in-process,
-or fanned out over the fault-tolerant
-:class:`~repro.grid.parallel.CountingPool`).  Counters resolve their
-:class:`~repro.core.params.CountingBackend` policy through this
-registry, the CLI builds its ``--count-backend`` choices from it, and
-pool workers resolve the same kernel by name so a pool-wrapped backend
-runs the identical arithmetic inside every worker.
+A *backend* is a **placement**: ``serial`` counts in-process,
+``process`` fans large batches out over the fault-tolerant
+:class:`~repro.grid.parallel.CountingPool` (or, over an on-disk store,
+the :class:`~repro.grid.parallel.ShardedCountingPool`).  A backend names
+no kernel.  Every placement counts with the fastest kernel that has been
+verified against the reference in this process, and
+:func:`select_kernel` is the one place that picks it: the compiled C
+kernel (:mod:`repro.grid.native`) when it builds and passes
+:func:`verify_kernel`, the numpy reference (:mod:`repro.grid.kernels`)
+otherwise.  Counters call it when they first resolve their kernel (never
+at import, so importing this module stays cheap and never compiles),
+and hand the chosen kernel's name to their pool workers, which resolve
+the same kernel so every chunk runs the identical arithmetic.
 
-Built-ins::
+Counters resolve their :class:`~repro.core.params.CountingBackend`
+policy through this registry, and the CLI builds its
+``--count-backend`` choices from it.  Built-ins::
 
-    serial           numpy reference kernel, in-process
-    process          numpy reference kernel, worker pool over shm
-    native           compiled C kernel, in-process
-    process-native   compiled kernel inside each pool worker
+    serial    in-process
+    process   worker pool over shared memory (or the shard store)
+
+``native`` and ``process-native``, the names that used to pick the C
+kernel by hand, are deprecated aliases of ``serial`` and ``process``:
+they are accepted silently for one release and resolve to the
+placement they name.
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
@@ -22,9 +32,10 @@ differential fixture (packed stacks with ragged tails, missing values,
 saturated masks, k = 1..5 so every branch of the C kernel is reached)
 and raises :class:`BackendConformanceError` on any divergence.
 Registration of a non-builtin kernel verifies eagerly; builtins are
-verified once on first resolution (so importing this module stays
-cheap — verifying the native kernel would trigger C compilation at
-import time).
+verified once on first resolution.  A C kernel that is refused (no
+compiler, a failed build, a failed gate) is not a degradation: nothing
+the caller asked for was refused, so :func:`select_kernel` serves the
+reference and reports why, and no ladder step is recorded.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .native import native_batch_counts
 __all__ = [
     "BackendConformanceError",
     "BackendSpec",
+    "canonical_backend",
     "degradation_chain",
     "get_backend",
     "register_backend",
@@ -48,6 +60,7 @@ __all__ = [
     "registered_backends",
     "registered_kernels",
     "resolve_kernel",
+    "select_kernel",
     "verify_kernel",
 ]
 
@@ -61,20 +74,17 @@ class BackendConformanceError(ReproError):
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One registered counting backend.
+    """One registered counting backend: a placement.
 
     Attributes
     ----------
     name:
         The registry key; what ``CountingBackend.kind`` and the CLI's
         ``--count-backend`` accept.
-    kernel:
-        Name of the registered kernel this backend executes (see
-        :func:`register_kernel`).
     uses_pool:
         Whether large batches fan out over the fault-tolerant
-        :class:`~repro.grid.parallel.CountingPool` (the kernel then
-        runs inside each worker, and chunk recovery re-runs it
+        :class:`~repro.grid.parallel.CountingPool` (the chosen kernel
+        then runs inside each worker, and chunk recovery re-runs it
         in-process — bit-identical either way).
     description:
         One-line summary surfaced in CLI help and docs.
@@ -86,7 +96,6 @@ class BackendSpec:
     """
 
     name: str
-    kernel: str
     uses_pool: bool
     description: str
     fallback: str | None = None
@@ -103,11 +112,17 @@ class BackendSpec:
 _KERNELS: dict[str, Kernel] = {}
 _BACKENDS: dict[str, BackendSpec] = {}
 
+#: Deprecated backend names and the placement each resolves to.
+_ALIASES: dict[str, str] = {}
+
 #: Kernels already proven against the reference in this process.
 _VERIFIED: set[str] = set()
 
 #: The reference kernel every registered kernel must match.
 _REFERENCE_KERNEL = "numpy"
+
+#: The compiled kernel every placement prefers once it passes the gate.
+_FAST_KERNEL = "native"
 
 
 def _fixture_grids() -> list[np.ndarray]:
@@ -224,43 +239,66 @@ def registered_kernels() -> list[str]:
     return sorted(_KERNELS)
 
 
-def register_backend(spec: BackendSpec, *, verify: bool = True) -> None:
-    """Register a counting backend.
+def select_kernel() -> tuple[str, str | None]:
+    """The kernel every placement counts with, as ``(name, reason)``.
 
-    The spec's kernel must already be registered; with ``verify=True``
-    it is additionally proven against the reference *now* (raising
-    :class:`BackendConformanceError` on divergence), so a backend whose
-    kernel cannot pass the differential self-check cannot be
-    registered.
+    ``("native", None)`` when the C kernel builds in this process and
+    passes :func:`verify_kernel`; otherwise ``("numpy", reason)``, the
+    reason being why the C kernel was refused (the build failure, or
+    the conformance failure).  The first call builds the kernel (the
+    build outcome is cached per process), so counters call this when
+    they first resolve their kernel, not at import.
     """
-    if spec.name in _BACKENDS:
+    try:
+        resolve_kernel(_FAST_KERNEL)
+    except ReproError as exc:
+        return _REFERENCE_KERNEL, str(exc)
+    return _FAST_KERNEL, None
+
+
+def register_backend(spec: BackendSpec) -> None:
+    """Register a counting backend (a placement).
+
+    Its fallback, if any, must already be registered.
+    """
+    if spec.name in _BACKENDS or spec.name in _ALIASES:
         raise ValidationError(f"backend {spec.name!r} is already registered")
-    if spec.kernel not in _KERNELS:
-        raise ValidationError(
-            f"backend {spec.name!r} names unregistered kernel "
-            f"{spec.kernel!r}; register the kernel first "
-            f"(registered: {sorted(_KERNELS)})"
-        )
     if spec.fallback is not None and spec.fallback not in _BACKENDS:
         raise ValidationError(
             f"backend {spec.name!r} names unregistered fallback "
             f"{spec.fallback!r}; register the fallback first "
             f"(registered: {registered_backends()})"
         )
-    if verify:
-        resolve_kernel(spec.kernel)
     _BACKENDS[spec.name] = spec
 
 
+def _register_alias(alias: str, target: str) -> None:
+    """Accept the deprecated name *alias* for the backend *target*."""
+    get_backend(target)
+    _ALIASES[alias] = target
+
+
 def registered_backends() -> list[str]:
-    """Registered backend names, sorted — the ``--count-backend`` menu."""
+    """Registered backend names, sorted — the ``--count-backend`` menu.
+
+    Deprecated aliases are accepted by :func:`get_backend` but not
+    listed.
+    """
     return sorted(_BACKENDS)
 
 
+def canonical_backend(name: str) -> str:
+    """*name* with a deprecated alias resolved; other names unchanged."""
+    return _ALIASES.get(name, name)
+
+
 def get_backend(name: str) -> BackendSpec:
-    """Look up a backend spec, with a menu of valid names on failure."""
+    """Look up a backend spec, with a menu of valid names on failure.
+
+    A deprecated alias returns the spec of the backend it names.
+    """
     try:
-        return _BACKENDS[name]
+        return _BACKENDS[canonical_backend(name)]
     except KeyError:
         raise ValidationError(
             f"unknown counting backend {name!r}; registered backends: "
@@ -271,10 +309,10 @@ def get_backend(name: str) -> BackendSpec:
 def degradation_chain(name: str) -> list[str]:
     """The downgrade path from backend *name* to the chain's bottom.
 
-    E.g. ``degradation_chain("process-native")`` →
-    ``["process-native", "native", "serial"]``.  Registration validates
-    fallbacks exist and are not self-referential; a cycle introduced by
-    third-party registrations is cut here rather than looping forever.
+    E.g. ``degradation_chain("process")`` → ``["process", "serial"]``.
+    Registration validates fallbacks exist and are not self-referential;
+    a cycle introduced by third-party registrations is cut here rather
+    than looping forever.
     """
     chain = [get_backend(name).name]
     seen = {chain[0]}
@@ -296,39 +334,18 @@ register_kernel("native", native_batch_counts, verify=False)
 register_backend(
     BackendSpec(
         name="serial",
-        kernel="numpy",
         uses_pool=False,
-        description="vectorized numpy kernel, in-process",
-    ),
-    verify=False,
+        description="in-process, on the C kernel when it builds",
+    )
 )
 register_backend(
     BackendSpec(
         name="process",
-        kernel="numpy",
         uses_pool=True,
-        description="numpy kernel fanned out over the shared-memory pool",
+        description="chunks fanned out over the shared-memory worker pool",
         fallback="serial",
-    ),
-    verify=False,
+    )
 )
-register_backend(
-    BackendSpec(
-        name="native",
-        kernel="native",
-        uses_pool=False,
-        description="compiled C kernel, in-process",
-        fallback="serial",
-    ),
-    verify=False,
-)
-register_backend(
-    BackendSpec(
-        name="process-native",
-        kernel="native",
-        uses_pool=True,
-        description="compiled kernel inside each shared-memory pool worker",
-        fallback="native",
-    ),
-    verify=False,
-)
+# Deprecated: the C kernel is the default wherever it builds.
+_register_alias("native", "serial")
+_register_alias("process-native", "process")

@@ -28,13 +28,16 @@ cheap:
   memo off, for the level-batched brute force, which never repeats a
   cube and so would only pay for memo bookkeeping).
 
-The batch kernel itself is pluggable: the counter resolves its
+Where counting runs is pluggable: the counter resolves its
 :class:`~repro.core.params.CountingBackend` through the backend
-registry (:mod:`repro.grid.backends`), which pairs an execution
-strategy (in-process or pool) with a named kernel — the numpy
-reference (:mod:`repro.grid.kernels`) or the compiled native kernel
-(:mod:`repro.grid.native`).  Every kernel is proven bit-identical to
-the reference before it serves counts.
+registry (:mod:`repro.grid.backends`) to a placement (in-process or
+pool).  The kernel is not: on its first batch the counter takes the
+fastest kernel verified in this process from
+:func:`~repro.grid.backends.select_kernel` — the compiled C kernel
+(:mod:`repro.grid.native`) when it builds, the numpy reference
+(:mod:`repro.grid.kernels`) otherwise — and reports which in
+:meth:`CubeCounter.kernel_info` and ``cache_stats()``.  Every kernel is
+proven bit-identical to the reference before it serves counts.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from ..core.params import CountingBackend
 from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
 from ..resilience.ladder import DegradationLadder, ResilienceReport
-from .backends import get_backend, resolve_kernel
+from .backends import get_backend, resolve_kernel, select_kernel
 from .cells import CellAssignment, check_code_block
 from .kernels import (
     batch_counts,
@@ -76,6 +79,9 @@ _MAX_ACC_WORDS = 1 << 26
 #: Upper edges (seconds) of the pool's per-chunk latency histogram
 #: buckets; latencies above the last edge land in the overflow bucket.
 LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+
+#: The tier ``kernel_info()`` reports for each kernel a counter serves.
+_KERNEL_TIERS = {"native": "c", "numpy": "numpy"}
 
 
 def _row_keys(dims: np.ndarray, ranges: np.ndarray, n_ranges: int) -> list[bytes]:
@@ -173,12 +179,14 @@ class CubeCounter:
             )
         self.cache_size = check_positive_int(cache_size, "cache_size", minimum=0)
         self.backend = backend or CountingBackend()
-        # Resolve the execution strategy now (unknown kinds fail fast
-        # with the registry's menu); the kernel itself resolves lazily
-        # on the first batch, since resolving the native kernel may
-        # compile it.
+        # Resolve the placement now (unknown kinds fail fast with the
+        # registry's menu); the kernel is chosen lazily on the first
+        # batch, since choosing it may compile the C kernel.  The
+        # reason is set when the C kernel was refused or failed.
         self._spec = get_backend(self.backend.kind)
         self._kernel = None
+        self._kernel_name: str | None = None
+        self._kernel_reason: str | None = None
         self._cache: OrderedDict[bytes, int] | None = (
             OrderedDict() if self.cache_size else None
         )
@@ -545,16 +553,22 @@ class CubeCounter:
 
     @property
     def batch_kernel(self):
-        """The batch kernel this counter's backend runs (lazy-resolved).
+        """The batch kernel this counter runs (chosen on first use).
 
-        Resolution verifies the kernel against the numpy reference the
-        first time (see :func:`repro.grid.backends.resolve_kernel`), so
-        a native kernel that cannot reproduce the reference counts
-        raises here instead of silently serving wrong numbers.
+        :func:`~repro.grid.backends.select_kernel` picks it: the C
+        kernel once it has passed the differential self-check in this
+        process, else the numpy reference — never a kernel that cannot
+        reproduce the reference counts.
         """
-        if self._kernel is None:
-            self._kernel = resolve_kernel(self._spec.kernel)
+        self._kernel_choice()
         return self._kernel
+
+    def _kernel_choice(self) -> str:
+        """The serving kernel's registered name, choosing it on first use."""
+        if self._kernel is None:
+            self._kernel_name, self._kernel_reason = select_kernel()
+            self._kernel = resolve_kernel(self._kernel_name)
+        return self._kernel_name
 
     def _invoke_kernel(
         self, stack: np.ndarray, dims_arr: np.ndarray, rng_arr: np.ndarray
@@ -563,33 +577,30 @@ class CubeCounter:
 
         The numpy reference runs bare (there is nothing below it on the
         ladder).  Any other kernel runs under the degradation ladder:
-        if it fails — resolution, verification, or the call itself —
-        the same chunk is recomputed by the reference kernel
-        (bit-identical by the conformance gate), the counter serves the
-        reference from then on, and the downgrade is recorded in
-        ``stats["resilience"]``.
+        if a call fails, the same chunk is recomputed by the reference
+        kernel (bit-identical by the conformance gate), the counter
+        serves the reference from then on, and the downgrade is
+        recorded in ``stats["resilience"]``.
         """
-        if self._spec.kernel == "numpy":
-            return self.batch_kernel(stack, dims_arr, rng_arr)
-
-        def primary() -> tuple:
-            return self.batch_kernel(stack, dims_arr, rng_arr)
-
-        def fallback() -> tuple:
-            return batch_counts(stack, dims_arr, rng_arr)
-
+        kernel = self.batch_kernel
+        if self._kernel_name == "numpy":
+            return kernel(stack, dims_arr, rng_arr)
         return self._ladder.guarded(
-            "kernel", self._spec.kernel, "numpy",
-            primary, fallback, on_downgrade=self._on_kernel_failure,
+            "kernel", self._kernel_name, "numpy",
+            lambda: kernel(stack, dims_arr, rng_arr),
+            lambda: batch_counts(stack, dims_arr, rng_arr),
+            on_downgrade=self._on_kernel_failure,
         )
 
     def _on_kernel_failure(self, exc: BaseException) -> None:
         logger.warning(
             "kernel %r failed (%s); serving the numpy reference kernel "
             "for the rest of the run",
-            self._spec.kernel, exc,
+            self._kernel_name, exc,
         )
         self._kernel = batch_counts
+        self._kernel_name = "numpy"
+        self._kernel_reason = f"{type(exc).__name__}: {exc}"
 
     def _count_group(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
         """Counts for one same-k group of distinct cubes."""
@@ -718,7 +729,7 @@ class CubeCounter:
         from .parallel import CountingPool
 
         return CountingPool(
-            self._stack, self.backend, self._ladder, kernel=self._spec.kernel
+            self._stack, self.backend, self._ladder, kernel=self._kernel_choice()
         )
 
     def close(self) -> None:
@@ -764,7 +775,7 @@ class CubeCounter:
         the kernel work of the misses.  ``batch_seconds`` is the wall
         time spent inside the counting calls.
         """
-        return {
+        stats = {
             "count_calls": self.n_count_calls,
             "cache_hits": self.n_cache_hits,
             "cache_misses": self.n_count_calls - self.n_cache_hits,
@@ -778,22 +789,30 @@ class CubeCounter:
             "parallel_chunks": self.n_parallel_chunks,
             "batch_seconds": self.batch_seconds,
             "backend": self.backend.kind,
-            "kernel": self._spec.kernel,
+            "kernel": self._kernel_choice(),
+            "kernel_tier": _KERNEL_TIERS[self._kernel_name],
         }
+        if self._kernel_reason is not None:
+            stats["kernel_reason"] = self._kernel_reason
+        return stats
 
     def kernel_info(self) -> dict:
-        """Which kernel (and, for native, which tier) serves batches.
+        """Which kernel serves this counter's batches, and why.
 
-        The native tier is the process-wide build outcome: ``c``, or
-        ``numpy`` plus the build failure's ``reason``.  What this counter
-        actually serves after any ladder step is in
-        ``stats["resilience"]``.
+        ``{"backend", "kernel", "tier"}``: the placement, the kernel
+        that serves counts now (``native`` or ``numpy``, after any
+        ladder step) and its tier (``c`` or ``numpy``), plus a
+        ``reason`` when the C kernel does not serve — why it was refused
+        (e.g. the compiler's output after a failed build) or, after a
+        ``kernel`` ladder step, how it failed while counting.
         """
-        info = {"backend": self._spec.name, "kernel": self._spec.kernel}
-        if self._spec.kernel == "native":
-            from .native import kernel_info
-
-            info.update(kernel_info())
+        info = {
+            "backend": self._spec.name,
+            "kernel": self._kernel_choice(),
+            "tier": _KERNEL_TIERS[self._kernel_name],
+        }
+        if self._kernel_reason is not None:
+            info["reason"] = self._kernel_reason
         return info
 
     def backend_health(self) -> dict:

@@ -118,6 +118,10 @@ class StreamingReservoir:
     the same reservoir (property-tested).  While ``n_seen <= capacity``
     the reservoir holds every row in arrival order, making the streamed
     fit *exactly* equal to the in-memory fit on small data.
+
+    Storage holds the rows seen so far and grows on demand (doubling,
+    capped at ``capacity``), so a large stated capacity costs nothing
+    until that many rows arrive.
     """
 
     def __init__(self, capacity: int, random_state: int = 0):
@@ -137,7 +141,7 @@ class StreamingReservoir:
             return self
         block = check_matrix(chunk, "chunk")
         if self._rows is None:
-            self._rows = np.empty((self.capacity, block.shape[1]))
+            self._rows = np.empty((0, block.shape[1]))
         elif block.shape[1] != self._rows.shape[1]:
             raise DiscretizationError(
                 f"chunk has {block.shape[1]} columns, previous chunks had "
@@ -146,6 +150,7 @@ class StreamingReservoir:
         m = block.shape[0]
         fill = min(max(self.capacity - self.n_seen, 0), m)
         if fill:
+            self._reserve(self.n_seen + fill)
             self._rows[self.n_seen : self.n_seen + fill] = block[:fill]
         if m > fill:
             tail = block[fill:]
@@ -158,6 +163,18 @@ class StreamingReservoir:
                 self._rows[slots[i]] = tail[i]
         self.n_seen += m
         return self
+
+    def _reserve(self, n_rows: int) -> None:
+        """Grow storage to hold at least *n_rows* (≤ capacity) rows."""
+        allocated = self._rows.shape[0]
+        if n_rows <= allocated:
+            return
+        grown = np.empty(
+            (min(self.capacity, max(n_rows, 2 * allocated)), self._rows.shape[1])
+        )
+        held = min(self.n_seen, self.capacity)
+        grown[:held] = self._rows[:held]
+        self._rows = grown
 
     @property
     def rows(self) -> np.ndarray:
@@ -214,8 +231,7 @@ class StreamingReservoir:
                 f"reservoir state holds rows of shape {rows.shape}; n_seen="
                 f"{reservoir.n_seen} and capacity {reservoir.capacity} need ({held}, {n_cols})"
             )
-        reservoir._rows = np.empty((reservoir.capacity, int(n_cols)))
-        reservoir._rows[:held] = rows
+        reservoir._rows = np.array(rows, dtype=np.float64, order="C")
         return reservoir
 
 

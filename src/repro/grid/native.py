@@ -17,11 +17,11 @@ cache-blocked mask traversal.
 The build runs once per process and its outcome — failure included —
 is cached.  Without a working compiler :func:`native_batch_counts`
 raises a :class:`~repro.exceptions.ResourceError` naming the compiler
-and its output; the counter's degradation ladder then serves the
-bit-identical numpy reference and records the step in
-``stats["resilience"]``.  :mod:`repro.grid.backends` proves the kernel
-against the reference on a differential fixture before it may serve
-counts.
+and its output.  :func:`repro.grid.backends.select_kernel` proves the
+kernel against the reference on a differential fixture before any
+counter may use it; when the build or the proof fails, every counter
+serves the bit-identical numpy reference and reports the reason in
+its ``kernel_info()``.
 
 The kernel operates on the uint8 byte view of the counter's bit-packed
 uint64 mask stack (see :mod:`repro.grid.kernels`): every row is a whole
@@ -263,11 +263,11 @@ def _load_kernel() -> _KernelImpl:
 
 
 def kernel_info() -> dict:
-    """Which code serves ``native`` counts; builds the kernel, never raises.
+    """The process-wide build outcome; builds the kernel, never raises.
 
     ``{"tier": "c"}`` when the compiled kernel is loaded, else
-    ``{"tier": "numpy", "reason": ...}``: the counter's ladder serves
-    the numpy reference instead.
+    ``{"tier": "numpy", "reason": ...}``: counters then count on the
+    numpy reference.
     """
     try:
         _load_kernel()

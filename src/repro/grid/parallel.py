@@ -6,14 +6,14 @@ Two pools share one resilient dispatcher (:class:`_ResilientPool`):
     The shared-memory pool.  The counter's packed mask stack is
     copied once into POSIX shared memory; each worker attaches a
     zero-copy numpy view over it at initialization and then runs the
-    *same* batch kernel the serial path uses — resolved by name from
-    the backend registry (:mod:`repro.grid.backends`), so a ``process``
-    backend runs the numpy reference kernel
-    (:func:`repro.grid.kernels.batch_counts`) and a ``process-native``
-    backend runs the compiled native kernel
-    (:func:`repro.grid.native.native_batch_counts`) inside every
-    worker.  Task payloads are only the small ``(chunk_id, attempt,
-    dims, ranges)`` index arrays.
+    *same* batch kernel the serial path uses.  The counter hands the
+    pool the name of the kernel it chose
+    (:func:`repro.grid.backends.select_kernel`: the compiled C kernel,
+    :func:`repro.grid.native.native_batch_counts`, when it builds, the
+    numpy reference :func:`repro.grid.kernels.batch_counts` otherwise),
+    and every worker resolves that name from the registry.  Task
+    payloads are only the small ``(chunk_id, attempt, dims, ranges)``
+    index arrays.
 
 :class:`ShardedCountingPool`
     The out-of-core pool for :class:`~repro.grid.sharded.ShardedCounter`.
@@ -469,10 +469,10 @@ class CountingPool(_ResilientPool):
         The counter's :class:`~repro.resilience.ladder.DegradationLadder`;
         every fault the pool survives is recorded through it.
     kernel:
-        Registered kernel name (see :mod:`repro.grid.backends`) every
-        worker — and the in-process serial recovery path — runs, so
-        chunk results are bit-identical wherever a chunk ends up
-        executing.
+        Registered name of the kernel the owning counter chose (see
+        :func:`repro.grid.backends.select_kernel`); every worker — and
+        the in-process serial recovery path — runs it, so chunk results
+        are bit-identical wherever a chunk ends up executing.
     """
 
     _task_fn = staticmethod(_count_chunk)

@@ -24,8 +24,9 @@ Three pieces implement this:
 :class:`ShardedCounter`
     A drop-in :class:`~repro.grid.counter.CubeCounter` whose masks live
     in the store instead of RAM.  Batches run per shard through the
-    backend registry's kernels (numpy reference or compiled native);
-    under a pool backend the shards fan out across
+    kernel the in-memory counter would choose (the compiled C kernel
+    when it builds, else the numpy reference); under the ``process``
+    placement the shards fan out across
     :class:`~repro.grid.parallel.ShardedCountingPool` workers, each of
     which opens its *own* mmap view — no shared-memory copy of the
     stack exists anywhere.  Per-shard merged counts are bit-identical
@@ -966,7 +967,7 @@ class ShardedCounter(CubeCounter):
             self.store,
             self.backend,
             self._ladder,
-            kernel=self._spec.kernel,
+            kernel=self._kernel_choice(),
             shard_reader=self._resilient_shard_words,
         )
 

@@ -1,8 +1,10 @@
 """Degradation ladder: explicit downgrade chains plus a run-wide report.
 
 When a layer fails repeatedly it should step down to a slower-but-safe
-configuration rather than crash: ``process-native → native → serial``
-kernels, in-memory packed stacks → the out-of-core
+configuration rather than crash: the ``process → serial`` counting
+placement, the ``native → numpy`` counting kernel (a C kernel that
+fails while counting; one that never built is not a step, the counter
+simply chose the reference), in-memory packed stacks → the out-of-core
 :class:`~repro.grid.sharded.ShardedMaskStore` on :class:`MemoryError`,
 quarantine-plus-rebuild for a corrupted shard.  Every completed
 fallback is bit-identical to the healthy path — the chains only ever

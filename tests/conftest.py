@@ -7,16 +7,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core.params import CountingBackend
 from repro.exceptions import ResourceError
 from repro.grid import backends, native
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer
 
-#: What serves ``native`` counts: the compiled C kernel, or — when the
-#: C build failed — the numpy reference, through the counter's ladder.
+#: What serves a counter's counts: the compiled C kernel, or — when the
+#: C build failed — the numpy reference.
 NATIVE_TIERS = ("c", "numpy")
+
+#: Every ``CountingBackend.kind`` the library accepts: the two
+#: placements and their deprecated aliases ``native`` /
+#: ``process-native``.
+BACKEND_KINDS = ("native", "process", "process-native", "serial")
 
 
 @pytest.fixture
@@ -88,12 +92,13 @@ def _failed_build():
 
 @contextmanager
 def native_tier(tier: str):
-    """Run the ``native`` backend on *tier* inside the block.
+    """Count on kernel *tier* inside the block.
 
     ``numpy`` simulates a process whose C build failed: the private
     loader raises and the kernel has not passed the conformance gate,
-    so counters and pools step down their ladders exactly as they do on
-    a machine without a compiler.  ``c`` skips where the build fails.
+    so counters that choose their kernel inside the block serve the
+    numpy reference, exactly as on a machine without a compiler.  ``c``
+    skips where the build fails.
     """
     with pytest.MonkeyPatch.context() as patch:
         if tier == "numpy":
@@ -105,14 +110,13 @@ def native_tier(tier: str):
 
 
 def native_counts(stack: np.ndarray, dims_arr, rng_arr, tier: str) -> np.ndarray:
-    """Counts for a raw packed *stack* as a ``native`` counter on *tier*
+    """Counts for a raw packed *stack* as a default counter on *tier*
     serves them; on ``c`` the C kernel itself must have served them."""
     n_dims, n_ranges = stack.shape[:2]
     counter = CubeCounter(
-        CellAssignment(np.zeros((1, n_dims), dtype=np.int16), n_ranges),
-        backend=CountingBackend(kind="native"),
+        CellAssignment(np.zeros((1, n_dims), dtype=np.int16), n_ranges)
     )
     counts, _ = counter._invoke_kernel(stack, dims_arr, rng_arr)
-    expected_ladder = {} if tier == "c" else {"kernel": "numpy"}
-    assert counter.resilience.ladder == expected_ladder, tier
+    assert counter.resilience.ladder == {}, tier
+    assert counter.kernel_info()["tier"] == tier
     return counts

@@ -2,9 +2,9 @@
 
 The registry (:mod:`repro.grid.backends`) is the single source of
 truth for ``--count-backend`` choices, ``CountingBackend.kind``
-validation, and which kernel runs inside pool workers — and no kernel
-may serve counts without passing the differential self-check.  These
-tests pin that contract:
+validation, and which kernel every placement counts with — and no
+kernel may serve counts without passing the differential self-check.
+These tests pin that contract:
 
 * unknown names fail loudly *with the menu* (CLI exits 2 listing the
   registered backends; the API raises ``ValidationError`` naming them),
@@ -12,7 +12,9 @@ tests pin that contract:
   raises :class:`BackendConformanceError` and is **not** registered,
 * duplicate registrations are rejected,
 * the builtin kernels genuinely pass their own gate, and what a
-  ``native`` counter serves passes it on every tier.
+  counter serves passes it on every tier,
+* a counter reports the kernel that actually serves, before and after
+  a ``kernel`` ladder step.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from repro.grid.backends import (
     verify_kernel,
 )
 from repro.grid.kernels import batch_counts
+from repro.grid import native
 from repro.grid.native import native_batch_counts
 
 from conftest import native_tier, native_tiers
 
-BUILTIN_BACKENDS = ["native", "process", "process-native", "serial"]
+BUILTIN_BACKENDS = ["process", "serial"]
 
 
 @pytest.fixture
@@ -87,7 +90,10 @@ class TestRegistryMenu:
     def test_counting_backend_kind_validated_via_registry(self):
         with pytest.raises(ValidationError) as exc:
             CountingBackend(kind="bogus")  # repro-lint: disable=RPL014
-        assert "native" in str(exc.value)
+        assert "process" in str(exc.value)
+        # The deprecated aliases resolve to the placement they name.
+        assert CountingBackend(kind="native") == CountingBackend()
+        assert CountingBackend(kind="process-native").kind == "process"
 
     def test_resolve_kernel_unknown(self):
         with pytest.raises(ValidationError, match="numpy"):
@@ -95,8 +101,7 @@ class TestRegistryMenu:
 
     def test_backend_spec_rejects_empty_name(self):
         with pytest.raises(ValidationError):
-            BackendSpec(name="", kernel="numpy", uses_pool=False,
-                        description="x")
+            BackendSpec(name="", uses_pool=False, description="x")
 
 
 class TestCLIMenu:
@@ -130,21 +135,23 @@ class TestConformanceGate:
         cubes = [Subspace((0, 2), (r, 1)) for r in range(3)]
         for tier in native_tiers():
             with native_tier(tier):
-                counter = CubeCounter(
-                    CellAssignment(codes, 3),
-                    backend=CountingBackend(kind="native"),
-                )
+                counter = CubeCounter(CellAssignment(codes, 3))
                 counter.count_batch(cubes)
                 if tier == "c":
-                    # The C kernel itself passes, and the counter kept
-                    # serving it rather than stepping down its ladder.
+                    # The C kernel itself passes, and the default
+                    # counter chose it.
                     verify_kernel(native_batch_counts, "native[c]")
-                    assert counter.resilience.ladder == {}
+                    assert reg.select_kernel() == ("native", None)
+                    assert counter.kernel_info()["kernel"] == "native"
                 else:
-                    # The failed build is refused by the gate, typed.
+                    # The failed build is refused by the gate, typed,
+                    # and the counter chose the reference instead.
                     with pytest.raises(ResourceError, match="unavailable"):
                         verify_kernel(native_batch_counts)
-                    assert counter.resilience.ladder == {"kernel": "numpy"}
+                    assert reg.select_kernel()[0] == "numpy"
+                    assert counter.kernel_info()["kernel"] == "numpy"
+                # Either way no ladder step: nothing was refused.
+                assert counter.resilience.ladder == {}
                 # Whatever the counter now serves passes the gate.
                 verify_kernel(counter.batch_kernel, f"native[{tier}]")
 
@@ -169,33 +176,43 @@ class TestConformanceGate:
         assert "tests-lying" not in registered_kernels()
 
     def test_backend_over_unverified_bad_kernel_raises(
-        self, scratch_registry
+        self, scratch_registry, rng
     ):
-        # Sneaking the kernel in unverified does not help: registering a
-        # backend over it re-runs the gate and refuses.
+        # Sneaking a diverging kernel in unverified does not help:
+        # resolving it re-runs the gate and refuses, and a placement
+        # whose fast kernel fails the gate counts on the reference.
+        from repro.core.subspace import Subspace
+        from repro.grid.cells import CellAssignment
+        from repro.grid.counter import CubeCounter
+
         register_kernel("tests-sneaky", _diverging_kernel, verify=False)
         with pytest.raises(BackendConformanceError):
-            register_backend(
-                BackendSpec(
-                    name="tests-sneaky-backend",
-                    kernel="tests-sneaky",
-                    uses_pool=False,
-                    description="should never register",
-                )
-            )
-        assert "tests-sneaky-backend" not in registered_backends()
+            resolve_kernel("tests-sneaky")
+        reg._KERNELS["native"] = _diverging_kernel
+        reg._VERIFIED.discard("native")
+        codes = rng.integers(0, 3, size=(40, 3)).astype(np.int16)
+        counter = CubeCounter(CellAssignment(codes, 3))
+        cubes = [Subspace((0, 2), (r, 1)) for r in range(3)]
+        expected = [int(np.sum((codes[:, 0] == r) & (codes[:, 2] == 1)))
+                    for r in range(3)]
+        assert counter.count_batch(cubes).tolist() == expected
+        info = counter.kernel_info()
+        assert info["kernel"] == "numpy"
+        assert "differential" in info["reason"]
+        assert counter.resilience.ladder == {}
 
     def test_good_custom_kernel_registers(self, scratch_registry):
         register_kernel("tests-clone", batch_counts)
+        assert "tests-clone" in registered_kernels()
+        assert resolve_kernel("tests-clone") is batch_counts
         register_backend(
             BackendSpec(
                 name="tests-clone-backend",
-                kernel="tests-clone",
                 uses_pool=False,
-                description="reference clone",
+                description="another in-process placement",
             )
         )
-        assert get_backend("tests-clone-backend").kernel == "tests-clone"
+        assert get_backend("tests-clone-backend").uses_pool is False
         # ...and the params layer immediately accepts the new kind.
         assert CountingBackend(kind="tests-clone-backend").kind == (
             "tests-clone-backend"
@@ -208,21 +225,25 @@ class TestConformanceGate:
     def test_duplicate_backend_rejected(self, scratch_registry):
         with pytest.raises(ValidationError, match="already"):
             register_backend(
-                BackendSpec(
-                    name="serial", kernel="numpy", uses_pool=False,
-                    description="dup",
-                ),
-                verify=False,
+                BackendSpec(name="serial", uses_pool=False, description="dup")
+            )
+        # A deprecated alias is taken too.
+        with pytest.raises(ValidationError, match="already"):
+            register_backend(
+                BackendSpec(name="native", uses_pool=False, description="dup")
             )
 
     def test_backend_requires_registered_kernel(self, scratch_registry):
+        # A backend names no kernel; what it names must be registered
+        # is its fallback.
         with pytest.raises(ValidationError, match="unregistered"):
             register_backend(
                 BackendSpec(  # repro-lint: disable=RPL014
-                    name="tests-orphan", kernel="no-such-kernel",
-                    uses_pool=False, description="orphan",
+                    name="tests-orphan", uses_pool=True,
+                    description="orphan", fallback="no-such-backend",
                 )
             )
+        assert "tests-orphan" not in registered_backends()
 
     def test_verify_kernel_names_divergence(self):
         with pytest.raises(BackendConformanceError, match="candidate"):
@@ -230,11 +251,13 @@ class TestConformanceGate:
 
 
 class TestCounterIntegration:
-    def test_counter_reports_backend_kernel(self, rng):
+    def test_counter_reports_backend_kernel(self, rng, monkeypatch):
+        from repro.core.subspace import Subspace
         from repro.grid.cells import CellAssignment
         from repro.grid.counter import CubeCounter
 
         codes = rng.integers(0, 3, size=(50, 4)).astype(np.int16)
+        kernels = {"c": "native", "numpy": "numpy"}
         for tier in native_tiers():
             counter = CubeCounter(
                 CellAssignment(codes, 3),
@@ -242,8 +265,31 @@ class TestCounterIntegration:
             )
             with native_tier(tier):
                 info = counter.kernel_info()
-            assert info["backend"] == "native"
-            assert info["kernel"] == "native"
+            assert info["backend"] == "serial"
+            assert info["kernel"] == kernels[tier]
             assert info["tier"] == tier
             assert ("reason" in info) == (tier == "numpy")
-            assert counter.cache_stats()["kernel"] == "native"
+            stats = counter.cache_stats()
+            assert stats["backend"] == "serial"
+            assert stats["kernel"] == kernels[tier]
+            assert stats["kernel_tier"] == tier
+            assert ("kernel_reason" in stats) == (tier == "numpy")
+        if "c" not in native_tiers():
+            return
+        # A C kernel that fails while counting steps the ladder, and
+        # both reports then name the kernel that serves: numpy.
+        counter = CubeCounter(CellAssignment(codes, 3))
+        assert counter.kernel_info()["kernel"] == "native"
+
+        def crash():
+            raise ResourceError("simulated kernel crash")
+
+        monkeypatch.setattr(native, "_load_kernel", crash)
+        counter.count_batch([Subspace((0, 1), (r, 2)) for r in range(3)])
+        assert counter.resilience.ladder == {"kernel": "numpy"}
+        info = counter.kernel_info()
+        assert (info["kernel"], info["tier"]) == ("numpy", "numpy")
+        assert "simulated kernel crash" in info["reason"]
+        stats = counter.cache_stats()
+        assert (stats["kernel"], stats["kernel_tier"]) == ("numpy", "numpy")
+        assert "simulated kernel crash" in stats["kernel_reason"]

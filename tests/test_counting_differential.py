@@ -7,19 +7,18 @@ values:
 1. a naive O(N*k) row scan (``naive_cube_count`` — the reference),
 2. ``CubeCounter.count`` and ``CubeCounter.mask`` (bit-packed masks,
    AND + popcount, memo),
-3. ``count_batch`` (the vectorized prefix-sharing kernel), under EVERY
-   registered counting backend.
+3. ``count_batch`` (the prefix-sharing batch kernel), under EVERY
+   accepted counting backend (the two placements and their deprecated
+   aliases).
 
 Any divergence — on any enumerable cube, including empty and
 degenerate ones — is a bug in one of the engines, so the assertions
 are strict equality on integer counts.
 
-The conformance classes parametrize over the backend registry
-(``repro.grid.backends``), so a newly registered backend is swept
-automatically; the native backend is additionally run on each of its
-tiers (the compiled C kernel, and the numpy reference its counter's
-ladder serves when the C build fails), and the pool-wrapped native
-backend is exercised under worker-fault chaos.
+The conformance classes parametrize over every accepted backend name;
+counting is additionally run on each kernel tier (the compiled C
+kernel, and the numpy reference every counter serves when the C build
+fails), and the pool is exercised under worker-fault chaos.
 
 The default run sweeps a handful of seeds; ``-m slow`` unlocks the
 deep sweep (more seeds, exhaustive cube enumeration at higher k).
@@ -34,12 +33,17 @@ import pytest
 
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
-from repro.grid.backends import registered_backends
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import CellAssignment
 from repro.resilience import FaultSpec, fault_injection
 
-from conftest import NATIVE_TIERS, naive_cube_count, native_tier, oracle_mask
+from conftest import (
+    BACKEND_KINDS,
+    NATIVE_TIERS,
+    naive_cube_count,
+    native_tier,
+    oracle_mask,
+)
 
 PROCESS_BACKEND = CountingBackend(kind="process", n_workers=2, chunk_size=16)
 
@@ -178,11 +182,10 @@ class TestProcessDifferential:
 
 
 class TestBackendConformance:
-    """Every registered backend must be count-identical to the naive
-    reference — on the same grids, including missing values.  New
-    backends join this sweep just by registering."""
+    """Every accepted backend must be count-identical to the naive
+    reference — on the same grids, including missing values."""
 
-    @pytest.mark.parametrize("kind", registered_backends())
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_backend_matches_reference(self, kind):
         rng = np.random.default_rng(21)
         _check_grid(
@@ -191,7 +194,7 @@ class TestBackendConformance:
             backend=conformance_backend(kind),
         )
 
-    @pytest.mark.parametrize("kind", registered_backends())
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_backend_matches_with_missing(self, kind):
         rng = np.random.default_rng(22)
         _check_grid(
@@ -201,9 +204,9 @@ class TestBackendConformance:
         )
 
     @pytest.mark.parametrize("tier", NATIVE_TIERS)
-    def test_native_every_tier(self, tier):
-        # Run each tier explicitly — in particular 'numpy', what the
-        # counter's ladder serves when the C build fails.
+    def test_native_every_tier(self, tier, caplog):
+        # Run each tier explicitly — in particular 'numpy', what every
+        # counter serves when the C build fails.
         rng = np.random.default_rng(23)
         with native_tier(tier):
             _check_grid(
@@ -211,10 +214,39 @@ class TestBackendConformance:
                 max_k=3,
                 backend=CountingBackend(kind="native"),
             )
+        # A default detect() counts on the tier's kernel, reports it,
+        # and mines exactly what the numpy reference mines.  Choosing
+        # the reference because the C build failed is no degradation:
+        # nothing is logged and no ladder step is recorded.
+        from repro.core.detector import SubspaceOutlierDetector
+
+        data = rng.normal(size=(400, 6))
+
+        def detect():
+            return SubspaceOutlierDetector(
+                dimensionality=2, n_ranges=4, n_projections=6,
+                random_state=1,
+            ).detect(data)
+
+        with native_tier("numpy"):
+            reference = detect()
+        with caplog.at_level("WARNING"), native_tier(tier):
+            result = detect()
+        assert result.projections == reference.projections
+        np.testing.assert_array_equal(
+            result.outlier_indices, reference.outlier_indices
+        )
+        counter_stats = result.stats["counter_stats"]
+        assert counter_stats["kernel_tier"] == tier
+        assert ("kernel_reason" in counter_stats) == (tier == "numpy")
+        assert result.stats["resilience"]["degraded"] is False
+        assert result.stats["resilience"]["ladder"] == {}
+        assert caplog.records == []
 
     def test_native_fallback_without_numba(self):
-        # The no-compiler story: the C build fails, the kernel ladder
-        # steps native → numpy once, and the counts stay exact.
+        # The no-compiler story: the C build fails, a counter asking for
+        # the deprecated 'native' name serves the numpy reference
+        # without a ladder step, says why, and the counts stay exact.
         rng = np.random.default_rng(24)
         cells = random_cells(rng, 90, 4, 4)
         with native_tier("numpy"):
@@ -222,8 +254,11 @@ class TestBackendConformance:
             counter = CubeCounter(cells, backend=CountingBackend(kind="native"))
             counter.count_batch(list(all_cubes(4, 4, 3)))
         report = counter.resilience.as_dict()
-        assert report["ladder"] == {"kernel": "numpy"}
-        assert len(report["degradations"]) == 1
+        assert report["ladder"] == {}
+        assert report["degradations"] == []
+        info = counter.kernel_info()
+        assert (info["kernel"], info["tier"]) == ("numpy", "numpy")
+        assert "no C compiler" in info["reason"]
 
     @pytest.mark.parametrize(
         "fault",
@@ -282,11 +317,12 @@ class TestDeepSweep:
 
 
 class TestFailedNativeBuild:
-    """No C compiler: the native backends fall back through the counter's
-    ladders, bit-identical to ``serial``, and the build runs only once."""
+    """No C compiler: every backend counts on the numpy reference,
+    bit-identical to ``serial``, without a degradation, and the build
+    runs only once."""
 
     def test_native_detects_match_serial_without_a_compiler(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, caplog
     ):
         import subprocess
         from types import SimpleNamespace
@@ -322,21 +358,21 @@ class TestFailedNativeBuild:
             )
             return detector.detect(data)
 
-        serial = detect("serial")
-        ladders = {
-            "native": {"kernel": "numpy"},
-            "process-native": {"counting-pool": "native", "kernel": "numpy"},
-        }
-        for kind, ladder in ladders.items():
-            result = detect(kind)
-            assert result.projections == serial.projections, kind
-            np.testing.assert_array_equal(
-                result.outlier_indices, serial.outlier_indices
-            )
-            report = result.stats["resilience"]
-            assert report["ladder"] == ladder, kind
-            steps = [(d["chain"], d["from"], d["to"]) for d in report["degradations"]]
-            assert len(steps) == len(set(steps)) == len(ladder), steps
+        with caplog.at_level("WARNING"):
+            serial = detect("serial")
+            for kind in BACKEND_KINDS:
+                result = detect(kind)
+                assert result.projections == serial.projections, kind
+                np.testing.assert_array_equal(
+                    result.outlier_indices, serial.outlier_indices
+                )
+                report = result.stats["resilience"]
+                assert report["degraded"] is False, kind
+                assert report["ladder"] == {}, kind
+                counter_stats = result.stats["counter_stats"]
+                assert counter_stats["kernel"] == "numpy", kind
+                assert "false" in counter_stats["kernel_reason"], kind
+        assert caplog.records == []
         info = native.kernel_info()
         assert info["tier"] == "numpy"
         assert "false" in info["reason"]

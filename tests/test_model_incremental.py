@@ -30,13 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_count
+from conftest import BACKEND_KINDS, oracle_count
 from repro.core.detector import SubspaceOutlierDetector
 from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.engine.events import InMemoryEventSink
 from repro.exceptions import NotFittedError, ValidationError
-from repro.grid.backends import registered_backends
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer
@@ -113,7 +112,7 @@ class TestInterleavingDifferential:
 
     @pytest.mark.parametrize(
         "interleaving,kind",
-        list(itertools.product(INTERLEAVINGS, registered_backends())),
+        list(itertools.product(INTERLEAVINGS, BACKEND_KINDS)),
     )
     def test_counts_bit_identical_under_every_backend(
         self, interleaving, kind, blocks, batch

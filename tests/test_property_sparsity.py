@@ -14,7 +14,7 @@ enumerate:
 * The counting kernels' core identity — popcount(AND of membership
   masks) equals the brute boolean-intersection count — holds for
   arbitrary mask widths (ragged final words included), all-zero and
-  all-one masks, on every kernel tier the native backend can select.
+  all-one masks, on every kernel tier a counter can select.
 """
 
 from __future__ import annotations

@@ -644,7 +644,9 @@ class TestCountingPoolLadderTarget:
     """An unavailable or abandoned counting pool recorded
     ``counting-pool: <kind> → serial`` even under ``process-native``,
     where the in-process native kernel keeps serving.  The step now
-    names the backend's ``BackendSpec.fallback``."""
+    names the backend's ``BackendSpec.fallback``; ``process-native`` is
+    a deprecated alias of ``process``, whose fallback is ``serial``,
+    and the in-process kernel keeps serving whatever the placement."""
 
     @staticmethod
     def _cubes():
@@ -665,7 +667,7 @@ class TestCountingPoolLadderTarget:
 
         cells = _normal_counter().cells
         monkeypatch.setattr(CubeCounter, "_make_pool", no_pool)
-        for kind, target in (("process", "serial"), ("process-native", "native")):
+        for kind, target in (("process", "serial"), ("process-native", "serial")):
             counter = CubeCounter(
                 cells, backend=CountingBackend(kind=kind, chunk_size=8)
             )
@@ -673,7 +675,10 @@ class TestCountingPoolLadderTarget:
             report = counter.resilience.as_dict()
             assert report["ladder"] == {"counting-pool": target}, kind
             assert report["recoveries"]["pool_unavailable"] == 1
-        assert counter.kernel_info()["kernel"] == "native"
+        # The in-process kernel the counter chose keeps serving.
+        from repro.grid.backends import select_kernel
+
+        assert counter.kernel_info()["kernel"] == select_kernel()[0]
 
     def test_abandoned_process_native_pool_steps_to_native(self):
         from repro.core.params import CountingBackend
@@ -695,7 +700,7 @@ class TestCountingPoolLadderTarget:
             counter.close()
         assert counts == expected
         assert report["recoveries"]["pool_abandoned"] == 1
-        assert report["ladder"] == {"counting-pool": "native"}
+        assert report["ladder"] == {"counting-pool": "serial"}
 
 
 class TestRejectedCountingCallLeavesCounterUntouched:
@@ -1004,3 +1009,41 @@ class TestHostileModelPaths:
         with pytest.raises(PersistError, match="cannot read") as err:
             load_model(tmp_path)
         assert str(tmp_path) in str(err.value)
+
+
+class TestDoctoredSketchCapacity:
+    """The reservoir sketch allocated ``capacity × n_cols`` floats for
+    whatever capacity a snapshot stated, so a v2 JSON snapshot saying
+    ``"capacity": 10**13`` escaped ``load_model`` as a raw
+    ``MemoryError``.  Storage now holds only the rows seen and grows on
+    demand, so the stated capacity costs nothing."""
+
+    def test_huge_stated_capacity_loads_and_streams_on(self, tmp_path):
+        import json
+
+        from repro.core.detector import SubspaceOutlierDetector
+        from repro.model import GridModel
+        from repro.persist import load_model, model_payload
+
+        data = np.random.default_rng(3).normal(size=(50, 4))
+        live = GridModel.fit(data, n_ranges=4, sketch_size=64)
+        SubspaceOutlierDetector(
+            dimensionality=2, n_ranges=4, n_projections=3, random_state=0
+        ).detect_model(live)
+        payload = model_payload(live)
+        payload["sketch"]["capacity"] = 10**13
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(payload))
+
+        loaded = load_model(path)
+        sketch = loaded.discretizer.sketch
+        assert sketch.capacity == 10**13
+        np.testing.assert_array_equal(sketch.rows, live.persistable_sketch().rows)
+        assert loaded.score(data).tobytes() == live.score(data).tobytes()
+        # Rows arriving later are all kept (n_seen < capacity), and
+        # storage grows only to what they need.
+        more = np.random.default_rng(4).normal(size=(30, 4))
+        sketch.update(more)
+        assert sketch.rows.shape == (sketch.n_seen, 4)
+        np.testing.assert_array_equal(sketch.rows[-30:], more)
+        assert sketch._rows.shape[0] <= 2 * sketch.n_seen
