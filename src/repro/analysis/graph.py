@@ -62,6 +62,15 @@ _CONTRACT_KINDS = (
     "backend_use",
 )
 
+#: Module-level dict literals whose string keys register the names
+#: RPL014 resolves (``_ALIASES`` values must name a placement in turn).
+_REGISTRY_DICTS = {
+    "FAULT_POINTS": "fault_register",
+    "KERNELS": "kernel_register",
+    "PLACEMENTS": "backend_register",
+    "_ALIASES": "backend_register",
+}
+
 #: Identifier fragments that mark a value as seed-derived for the RNG
 #: taint classification (RPL013).
 _SEED_NAME_RE = re.compile(r"seed|rng|random_state|entropy", re.IGNORECASE)
@@ -401,11 +410,12 @@ class _FactExtractor(ast.NodeVisitor):
                 name = _str_const(elt)
                 if name is not None:
                     self._contract("event_register", name, elt)
-        elif target.id == "FAULT_POINTS" and isinstance(value, ast.Dict):
-            for key in value.keys:
-                name = _str_const(key)
-                if name is not None and key is not None:
-                    self._contract("fault_register", name, key)
+        elif target.id in _REGISTRY_DICTS and isinstance(value, ast.Dict):
+            for key, item in zip(value.keys, value.values):
+                if (name := _str_const(key)) is not None:
+                    self._contract(_REGISTRY_DICTS[target.id], name, key)
+                if target.id == "_ALIASES" and (use := _str_const(item)):
+                    self._contract("backend_use", use, item)
 
     @staticmethod
     def _frozenset_elts(call: ast.Call) -> list[ast.expr]:
@@ -474,20 +484,8 @@ class _FactExtractor(ast.NodeVisitor):
                 self._contract_arg("fault_use", node, 0, "point")
             elif tail == "register_fault_point":
                 self._contract_arg("fault_register", node, 0, "name")
-            elif tail == "register_kernel":
-                self._contract_arg("kernel_register", node, 0, "name")
             elif tail == "resolve_kernel":
                 self._contract_arg("kernel_use", node, 0, "name")
-            elif tail == "BackendSpec":
-                self._contract_arg("backend_register", node, 0, "name")
-                fallback = _argument(node, 3, "fallback")
-                if fallback is not None and _str_const(fallback) is not None:
-                    self._contract("backend_use", _str_const(fallback), node)
-            elif tail == "_register_alias":
-                self._contract_arg("backend_register", node, 0, "alias")
-                self._contract_arg("backend_use", node, 1, "target")
-            elif tail in ("get_backend", "degradation_chain"):
-                self._contract_arg("backend_use", node, 0, "name")
             elif tail == "CountingBackend":
                 kind_arg = _argument(node, 0, "kind")
                 if kind_arg is not None and _str_const(kind_arg) is not None:

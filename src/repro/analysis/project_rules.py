@@ -305,15 +305,17 @@ class RPL013RngTaint(ProjectRule):
 
 
 class RPL014RegistryConsistency(ProjectRule):
-    """String names handed to registries must resolve.
+    """String names handed to name tables must resolve.
 
     ``maybe_inject("shard_raed")`` is a no-op typo today and a dead
-    chaos test forever; ``get_backend("natve")`` raises — but only on
-    the degraded path it was supposed to exercise.  Every literal name
-    passed to a fault-injection, kernel, or backend lookup must match a
-    registration somewhere in the project.  The reverse direction
-    (registered-but-unused) is deliberately *not* checked: registries
-    exist so downstream code can resolve entries the core never names.
+    chaos test forever; ``CountingBackend(kind="natve")`` raises — but
+    only on the path it was supposed to exercise.  Every literal name
+    passed to a fault-injection, kernel, or backend lookup must be a key
+    of the project's ``FAULT_POINTS``, ``KERNELS``, ``PLACEMENTS`` or
+    ``_ALIASES`` dict literal (or a ``register_fault_point`` call), and
+    every ``_ALIASES`` value must name a placement.  The reverse
+    direction (defined-but-unused) is deliberately *not* checked: a
+    table may hold entries the core never names.
     """
 
     code = "RPL014"

@@ -44,7 +44,7 @@ from .data.loaders import load_csv
 from .data.registry import DATASETS, load_dataset
 from .engine.registry import engine_names
 from .eval.comparison import build_table1, render_table
-from .grid.backends import canonical_backend, registered_backends
+from .grid.backends import PLACEMENTS, canonical_backend
 from .exceptions import ReproError, SearchCancelled
 from .persist import result_to_dict, save_model
 from .resilience.ladder import describe_resilience
@@ -229,22 +229,10 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
         default="evolutionary",
         help="search engine (from the engine registry)",
     )
-    parser.add_argument(
-        "--search",
-        choices=engine_names(),
-        default=None,
-        metavar="ENGINE",
-        help="search engine to use; overrides --method (same registry names)",
-    )
     parser.add_argument("--threshold", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--population", type=int, default=50)
     parser.add_argument("--generations", type=int, default=100)
-    parser.add_argument(
-        "--packed",
-        action="store_true",
-        help="deprecated no-op: masks are always bit-packed",
-    )
     parser.add_argument(
         "--mmap-dir",
         default=None,
@@ -294,16 +282,15 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--count-backend",
         type=canonical_backend,
-        choices=registered_backends(),
+        choices=sorted(PLACEMENTS),
         default="serial",
         help=(
-            "where batched cube counts run (from the backend registry): "
-            "'serial' in-process, 'process' fans chunks out to a "
-            "shared-memory worker pool.  Both count on the compiled C "
-            "kernel when it builds (a cc-compiled library) and on the "
-            "bit-identical numpy kernel otherwise.  'native' and "
-            "'process-native' are deprecated aliases of 'serial' and "
-            "'process'"
+            "where batched cube counts run: "
+            + "; ".join(f"'{name}' {text}" for name, text in PLACEMENTS.items())
+            + ".  Both count on the compiled C kernel when it builds (a "
+            "cc-compiled library) and on the bit-identical numpy kernel "
+            "otherwise.  'native' and 'process-native' are deprecated "
+            "aliases of 'serial' and 'process'"
         ),
     )
     parser.add_argument(
@@ -326,20 +313,21 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--count-retries",
         type=int,
-        default=None,
+        default=CountingBackend.max_retries,
         help=(
             "failed attempts per chunk before it degrades to the serial "
-            "kernel (default: 2); counts stay bit-identical either way"
+            "kernel (default: %(default)s); counts stay bit-identical "
+            "either way"
         ),
     )
     parser.add_argument(
         "--count-chunk-size",
         type=int,
-        default=None,
+        default=CountingBackend.chunk_size,
         metavar="CUBES",
         help=(
             "cubes per worker task for --count-backend process; batches "
-            "smaller than this stay serial (default: 4096)"
+            "smaller than this stay serial (default: %(default)s)"
         ),
     )
 
@@ -426,36 +414,40 @@ def _load(args) -> tuple:
     return dataset
 
 
+def _phi(args, dataset) -> int:
+    """``--phi`` as given (0 included), else the dataset's default φ."""
+    if args.phi is not None:
+        return args.phi
+    return int(dataset.metadata.get("phi", 10))
+
+
+def _counting(args) -> CountingBackend:
+    """The ``--count-*`` options as a validated counting policy."""
+    return CountingBackend(
+        kind=args.count_backend,
+        n_workers=args.count_workers,
+        chunk_size=args.count_chunk_size,
+        timeout=args.count_timeout,
+        max_retries=args.count_retries,
+    )
+
+
 def _detector(args, dataset, controller=None) -> SubspaceOutlierDetector:
-    phi = args.phi or int(dataset.metadata.get("phi", 10))
     config = EvolutionaryConfig(
         population_size=args.population, max_generations=args.generations
     )
-    counting = None
-    if getattr(args, "count_backend", "serial") != "serial":
-        backend_kwargs = {
-            "kind": args.count_backend,
-            "n_workers": args.count_workers,
-        }
-        if getattr(args, "count_timeout", None) is not None:
-            backend_kwargs["timeout"] = args.count_timeout
-        if getattr(args, "count_retries", None) is not None:
-            backend_kwargs["max_retries"] = args.count_retries
-        if getattr(args, "count_chunk_size", None) is not None:
-            backend_kwargs["chunk_size"] = args.count_chunk_size
-        counting = CountingBackend(**backend_kwargs)
     return SubspaceOutlierDetector(
         dimensionality=args.dimensionality,
-        n_ranges=phi,
+        n_ranges=_phi(args, dataset),
         n_projections=args.projections,
-        method=getattr(args, "search", None) or args.method,
+        method=args.method,
         threshold=args.threshold,
         config=config,
         mmap_dir=getattr(args, "mmap_dir", None),
         shard_rows=getattr(args, "shard_rows", None),
         spill_dir=getattr(args, "spill_dir", None),
         verify_shards=getattr(args, "verify_shards", False),
-        counting=counting,
+        counting=_counting(args),
         random_state=args.seed,
         controller=controller,
     )
@@ -502,11 +494,10 @@ def _cmd_multik(args) -> int:
 
     dataset = _load(args)
     controller = _controller(args)
-    phi = args.phi or int(dataset.metadata.get("phi", 10))
     detector_kwargs = {
-        "n_ranges": phi,
+        "n_ranges": _phi(args, dataset),
         "n_projections": args.projections,
-        "method": getattr(args, "search", None) or args.method,
+        "method": args.method,
         "threshold": args.threshold,
         "config": EvolutionaryConfig(
             population_size=args.population, max_generations=args.generations
@@ -671,7 +662,7 @@ def _cmd_sweep(args) -> int:
         "random_state": args.seed,
     }
     if args.parameter != "n_ranges":
-        base["n_ranges"] = args.phi or int(dataset.metadata.get("phi", 10))
+        base["n_ranges"] = _phi(args, dataset)
     if args.parameter != "dimensionality" and args.dimensionality is not None:
         base["dimensionality"] = args.dimensionality
     if args.parameter == "n_projections":

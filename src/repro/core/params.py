@@ -43,11 +43,11 @@ class CountingBackend:
     Attributes
     ----------
     kind:
-        Name of a registered counting backend (see
-        :mod:`repro.grid.backends`): where counts run.  ``"serial"``
-        evaluates batches in-process; ``"process"`` additionally fans
-        chunks of a batch out to a pool of worker processes that attach
-        to the counter's membership masks through shared memory.  Both
+        A placement of :data:`repro.grid.backends.PLACEMENTS`: where
+        counts run.  ``"serial"`` evaluates batches in-process;
+        ``"process"`` additionally fans chunks of a batch out to a pool
+        of worker processes that attach to the counter's membership
+        masks through shared memory.  Both
         count with the fastest kernel verified against the reference
         in this process — the compiled C kernel when it builds, the
         numpy reference otherwise — and report which in
@@ -93,23 +93,25 @@ class CountingBackend:
     max_rebuilds: int = 3
 
     def __post_init__(self) -> None:
-        # Late import: the registry lives in the grid layer, which
+        # Late import: the placements live in the grid layer, which
         # imports this module for the policy dataclasses.
-        from ..grid.backends import get_backend
+        from ..grid.backends import PLACEMENTS, canonical_backend
 
-        # Raises with the menu of valid names; a deprecated alias
-        # resolves to the placement it names.
-        object.__setattr__(self, "kind", get_backend(self.kind).name)
+        # A deprecated alias resolves to the placement it names.
+        kind = canonical_backend(self.kind)
+        if kind not in PLACEMENTS:
+            raise ValidationError(
+                f"unknown counting backend {self.kind!r}; placements: "
+                f"{sorted(PLACEMENTS)}"
+            )
+        object.__setattr__(self, "kind", kind)
         if self.n_workers is not None:
             check_positive_int(self.n_workers, "n_workers")
         check_positive_int(self.chunk_size, "chunk_size")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and check_in_range(self.timeout, "timeout") <= 0:
             raise ValidationError(f"timeout must be > 0, got {self.timeout}")
         check_positive_int(self.max_retries, "max_retries", minimum=0)
-        if self.retry_backoff < 0:
-            raise ValidationError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
+        check_in_range(self.retry_backoff, "retry_backoff", low=0)
         check_positive_int(self.max_rebuilds, "max_rebuilds", minimum=0)
 
     def resolved_workers(self) -> int:
@@ -126,7 +128,7 @@ class CountingBackend:
         "initial dispatch plus ``max_retries`` redispatches" behaviour
         is preserved exactly.
         """
-        # Late import for the same layering reason as get_backend above.
+        # Late import for the same layering reason as PLACEMENTS above.
         from ..resilience.retry import RetryPolicy
 
         return RetryPolicy(

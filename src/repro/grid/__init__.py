@@ -1,16 +1,6 @@
 """Grid discretization substrate: equi-depth ranges and cube counting."""
 
-from .backends import (
-    BackendConformanceError,
-    BackendSpec,
-    get_backend,
-    register_backend,
-    register_kernel,
-    registered_backends,
-    registered_kernels,
-    resolve_kernel,
-    verify_kernel,
-)
+from .backends import BackendConformanceError, resolve_kernel, verify_kernel
 from .cells import CellAssignment, MISSING_CELL
 from .counter import CubeCounter, PackedCubeCounter, batch_counts
 from .discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer, GridDiscretizer
@@ -25,7 +15,6 @@ from .sharded import (
 
 __all__ = [
     "BackendConformanceError",
-    "BackendSpec",
     "CellAssignment",
     "MISSING_CELL",
     "GridDiscretizer",
@@ -39,13 +28,8 @@ __all__ = [
     "ShardedMaskStore",
     "pack_codes_block",
     "batch_counts",
-    "get_backend",
     "kernel_info",
     "native_batch_counts",
-    "register_backend",
-    "register_kernel",
-    "registered_backends",
-    "registered_kernels",
     "resolve_kernel",
     "verify_kernel",
 ]

@@ -1,47 +1,42 @@
-"""The counting-backend registry: where counts run, and on which kernel.
+"""Where counts run, and on which kernel.
 
-A *backend* is a **placement**: ``serial`` counts in-process,
-``process`` fans large batches out over the fault-tolerant
-:class:`~repro.grid.parallel.CountingPool` (or, over an on-disk store,
-the :class:`~repro.grid.parallel.ShardedCountingPool`).  A backend names
-no kernel.  Every placement counts with the fastest kernel that has been
-verified against the reference in this process, and
-:func:`select_kernel` is the one place that picks it: the compiled C
-kernel (:mod:`repro.grid.native`) when it builds and passes
+A counting backend is a **placement**, one of :data:`PLACEMENTS`:
+``serial`` counts in-process, ``process`` fans large batches out over
+the fault-tolerant :class:`~repro.grid.parallel.CountingPool` (or, over
+an on-disk store, the :class:`~repro.grid.parallel.ShardedCountingPool`)
+and falls back to ``serial`` when the pool fails.  A placement names no
+kernel.  Every placement counts with the fastest kernel of
+:data:`KERNELS` that has been verified against the reference in this
+process, and :func:`select_kernel` is the one place that picks it: the
+compiled C kernel (:mod:`repro.grid.native`) when it builds and passes
 :func:`verify_kernel`, the numpy reference (:mod:`repro.grid.kernels`)
-otherwise.  Counters call it when they first resolve their kernel (never
-at import, so importing this module stays cheap and never compiles),
-and hand the chosen kernel's name to their pool workers, which resolve
-the same kernel so every chunk runs the identical arithmetic.
+otherwise.  Counters call it when they first resolve their kernel
+(never at import, so importing this module stays cheap and never
+compiles), and hand the chosen kernel's name to their pool workers,
+which resolve the same kernel through :func:`resolve_kernel` so every
+chunk runs the identical arithmetic.
 
-Counters resolve their :class:`~repro.core.params.CountingBackend`
-policy through this registry, and the CLI builds its
-``--count-backend`` choices from it.  Built-ins::
-
-    serial    in-process
-    process   worker pool over shared memory (or the shard store)
-
-``native`` and ``process-native``, the names that used to pick the C
-kernel by hand, are deprecated aliases of ``serial`` and ``process``:
-they are accepted silently for one release and resolve to the
-placement they name.
+``CountingBackend.kind`` is checked against :data:`PLACEMENTS`, and the
+CLI builds its ``--count-backend`` choices from it.  ``native`` and
+``process-native``, the names that used to pick the C kernel by hand,
+are deprecated aliases of ``serial`` and ``process``: they are accepted
+silently for one release and resolve to the placement they name.
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
 differential fixture (packed stacks with ragged tails, missing values,
 saturated masks, k = 1..5 so every branch of the C kernel is reached)
 and raises :class:`BackendConformanceError` on any divergence.
-Registration of a non-builtin kernel verifies eagerly; builtins are
-verified once on first resolution.  A C kernel that is refused (no
-compiler, a failed build, a failed gate) is not a degradation: nothing
-the caller asked for was refused, so :func:`select_kernel` serves the
-reference and reports why, and no ladder step is recorded.
+:func:`resolve_kernel` runs it once per process, on a kernel's first
+resolution.  A C kernel that is refused (no compiler, a failed build, a
+failed gate) is not a degradation: nothing the caller asked for was
+refused, so :func:`select_kernel` serves the reference and reports why,
+and no ladder step is recorded.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +46,9 @@ from .native import native_batch_counts
 
 __all__ = [
     "BackendConformanceError",
-    "BackendSpec",
+    "KERNELS",
+    "PLACEMENTS",
     "canonical_backend",
-    "degradation_chain",
-    "get_backend",
-    "register_backend",
-    "register_kernel",
-    "registered_backends",
-    "registered_kernels",
     "resolve_kernel",
     "select_kernel",
     "verify_kernel",
@@ -72,53 +62,27 @@ class BackendConformanceError(ReproError):
     """A counting kernel diverged from the reference on the fixture."""
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One registered counting backend: a placement.
-
-    Attributes
-    ----------
-    name:
-        The registry key; what ``CountingBackend.kind`` and the CLI's
-        ``--count-backend`` accept.
-    uses_pool:
-        Whether large batches fan out over the fault-tolerant
-        :class:`~repro.grid.parallel.CountingPool` (the chosen kernel
-        then runs inside each worker, and chunk recovery re-runs it
-        in-process — bit-identical either way).
-    description:
-        One-line summary surfaced in CLI help and docs.
-    fallback:
-        Name of the backend the degradation ladder steps down to when
-        this one fails repeatedly (``None`` = bottom of the chain).
-        Every registered backend is bit-identical to the reference, so
-        walking the chain only ever trades speed, never results.
-    """
-
-    name: str
-    uses_pool: bool
-    description: str
-    fallback: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError("backend name must be a non-empty string")
-        if self.fallback == self.name:
-            raise ValidationError(
-                f"backend {self.name!r} cannot be its own fallback"
-            )
-
-
-_KERNELS: dict[str, Kernel] = {}
-_BACKENDS: dict[str, BackendSpec] = {}
+#: The placements ``CountingBackend.kind`` and ``--count-backend``
+#: accept, with their CLI descriptions.  Only ``process`` uses the
+#: worker pool, and it falls back to ``serial``.
+PLACEMENTS: dict[str, str] = {
+    "serial": "in-process",
+    "process": "chunks fanned out over a shared-memory worker pool",
+}
 
 #: Deprecated backend names and the placement each resolves to.
-_ALIASES: dict[str, str] = {}
+_ALIASES: dict[str, str] = {"native": "serial", "process-native": "process"}
+
+#: The batch-counting kernels, by the name pool workers resolve.
+KERNELS: dict[str, Kernel] = {
+    "numpy": batch_counts,
+    "native": native_batch_counts,
+}
 
 #: Kernels already proven against the reference in this process.
 _VERIFIED: set[str] = set()
 
-#: The reference kernel every registered kernel must match.
+#: The reference kernel every kernel must match.
 _REFERENCE_KERNEL = "numpy"
 
 #: The compiled kernel every placement prefers once it passes the gate.
@@ -172,7 +136,7 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
     """Prove *kernel* bit-identical to the reference on the fixture.
 
     Raises :class:`BackendConformanceError` naming the first diverging
-    batch.  This is the registration gate: a kernel that cannot pass it
+    batch.  This is the conformance gate: a kernel that cannot pass it
     never serves counts.
     """
     for stack in _fixture_grids():
@@ -186,7 +150,7 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
                     f"kernel {name!r} failed the differential self-check: "
                     f"counts diverge from the reference "
                     f"(k={dims_arr.shape[1]}, {stack.shape[2]} words); "
-                    "it cannot be registered"
+                    "it cannot serve counts"
                 )
             if not isinstance(stats, dict) or not (
                 {"words_and", "prefix_reuse"} <= set(stats)
@@ -197,46 +161,25 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
                 )
 
 
-def register_kernel(name: str, kernel: Kernel, *, verify: bool = True) -> None:
-    """Register a batch-counting kernel under *name*.
-
-    With ``verify=True`` (the default for anything non-builtin) the
-    kernel must pass :func:`verify_kernel` first; a diverging kernel
-    raises and is **not** registered.
-    """
-    if name in _KERNELS:
-        raise ValidationError(f"kernel {name!r} is already registered")
-    if verify:
-        verify_kernel(kernel, name)
-        _VERIFIED.add(name)
-    _KERNELS[name] = kernel
-
-
 def resolve_kernel(name: str) -> Kernel:
-    """The kernel registered under *name*, verified before first use.
+    """The kernel of :data:`KERNELS` named *name*, verified before first use.
 
-    Builtin kernels registered lazily (unverified) are proven against
-    the reference here, once per process — so even the builtin native
-    kernel never serves a count without having passed the differential
-    self-check in the environment it actually runs in.
+    Every kernel but the reference is proven against it here, once per
+    process — so even the builtin native kernel never serves a count
+    without having passed the differential self-check in the
+    environment it actually runs in.
     """
     try:
-        kernel = _KERNELS[name]
+        kernel = KERNELS[name]
     except KeyError:
         raise ValidationError(
-            f"unknown counting kernel {name!r}; registered kernels: "
-            f"{sorted(_KERNELS)}"
+            f"unknown counting kernel {name!r}; kernels: {sorted(KERNELS)}"
         ) from None
     if name not in _VERIFIED:
         if name != _REFERENCE_KERNEL:
             verify_kernel(kernel, name)
         _VERIFIED.add(name)
     return kernel
-
-
-def registered_kernels() -> list[str]:
-    """Registered kernel names, sorted."""
-    return sorted(_KERNELS)
 
 
 def select_kernel() -> tuple[str, str | None]:
@@ -256,96 +199,6 @@ def select_kernel() -> tuple[str, str | None]:
     return _FAST_KERNEL, None
 
 
-def register_backend(spec: BackendSpec) -> None:
-    """Register a counting backend (a placement).
-
-    Its fallback, if any, must already be registered.
-    """
-    if spec.name in _BACKENDS or spec.name in _ALIASES:
-        raise ValidationError(f"backend {spec.name!r} is already registered")
-    if spec.fallback is not None and spec.fallback not in _BACKENDS:
-        raise ValidationError(
-            f"backend {spec.name!r} names unregistered fallback "
-            f"{spec.fallback!r}; register the fallback first "
-            f"(registered: {registered_backends()})"
-        )
-    _BACKENDS[spec.name] = spec
-
-
-def _register_alias(alias: str, target: str) -> None:
-    """Accept the deprecated name *alias* for the backend *target*."""
-    get_backend(target)
-    _ALIASES[alias] = target
-
-
-def registered_backends() -> list[str]:
-    """Registered backend names, sorted — the ``--count-backend`` menu.
-
-    Deprecated aliases are accepted by :func:`get_backend` but not
-    listed.
-    """
-    return sorted(_BACKENDS)
-
-
 def canonical_backend(name: str) -> str:
     """*name* with a deprecated alias resolved; other names unchanged."""
     return _ALIASES.get(name, name)
-
-
-def get_backend(name: str) -> BackendSpec:
-    """Look up a backend spec, with a menu of valid names on failure.
-
-    A deprecated alias returns the spec of the backend it names.
-    """
-    try:
-        return _BACKENDS[canonical_backend(name)]
-    except KeyError:
-        raise ValidationError(
-            f"unknown counting backend {name!r}; registered backends: "
-            f"{registered_backends()}"
-        ) from None
-
-
-def degradation_chain(name: str) -> list[str]:
-    """The downgrade path from backend *name* to the chain's bottom.
-
-    E.g. ``degradation_chain("process")`` → ``["process", "serial"]``.
-    Registration validates fallbacks exist and are not self-referential;
-    a cycle introduced by third-party registrations is cut here rather
-    than looping forever.
-    """
-    chain = [get_backend(name).name]
-    seen = {chain[0]}
-    while True:
-        fallback = get_backend(chain[-1]).fallback
-        if fallback is None or fallback in seen:
-            return chain
-        chain.append(fallback)
-        seen.add(fallback)
-
-
-# ----------------------------------------------------------------------
-# builtins — kernels unverified at import (proven on first resolution),
-# so importing the registry never triggers C compilation.
-# ----------------------------------------------------------------------
-register_kernel("numpy", batch_counts, verify=False)
-register_kernel("native", native_batch_counts, verify=False)
-
-register_backend(
-    BackendSpec(
-        name="serial",
-        uses_pool=False,
-        description="in-process, on the C kernel when it builds",
-    )
-)
-register_backend(
-    BackendSpec(
-        name="process",
-        uses_pool=True,
-        description="chunks fanned out over the shared-memory worker pool",
-        fallback="serial",
-    )
-)
-# Deprecated: the C kernel is the default wherever it builds.
-_register_alias("native", "serial")
-_register_alias("process-native", "process")

@@ -28,11 +28,11 @@ cheap:
   memo off, for the level-batched brute force, which never repeats a
   cube and so would only pay for memo bookkeeping).
 
-Where counting runs is pluggable: the counter resolves its
-:class:`~repro.core.params.CountingBackend` through the backend
-registry (:mod:`repro.grid.backends`) to a placement (in-process or
-pool).  The kernel is not: on its first batch the counter takes the
-fastest kernel verified in this process from
+Where counting runs is the placement of the counter's
+:class:`~repro.core.params.CountingBackend` (one of
+:data:`~repro.grid.backends.PLACEMENTS`: in-process or pool).  The
+kernel is not the caller's choice: on its first batch the counter takes
+the fastest kernel verified in this process from
 :func:`~repro.grid.backends.select_kernel` — the compiled C kernel
 (:mod:`repro.grid.native`) when it builds, the numpy reference
 (:mod:`repro.grid.kernels`) otherwise — and reports which in
@@ -57,7 +57,7 @@ from ..core.params import CountingBackend
 from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
 from ..resilience.ladder import DegradationLadder, ResilienceReport
-from .backends import get_backend, resolve_kernel, select_kernel
+from .backends import resolve_kernel, select_kernel
 from .cells import CellAssignment, check_code_block
 from .kernels import (
     batch_counts,
@@ -179,11 +179,9 @@ class CubeCounter:
             )
         self.cache_size = check_positive_int(cache_size, "cache_size", minimum=0)
         self.backend = backend or CountingBackend()
-        # Resolve the placement now (unknown kinds fail fast with the
-        # registry's menu); the kernel is chosen lazily on the first
-        # batch, since choosing it may compile the C kernel.  The
-        # reason is set when the C kernel was refused or failed.
-        self._spec = get_backend(self.backend.kind)
+        # The kernel is chosen lazily on the first batch, since choosing
+        # it may compile the C kernel.  The reason is set when the C
+        # kernel was refused or failed.
         self._kernel = None
         self._kernel_name: str | None = None
         self._kernel_reason: str | None = None
@@ -564,7 +562,7 @@ class CubeCounter:
         return self._kernel
 
     def _kernel_choice(self) -> str:
-        """The serving kernel's registered name, choosing it on first use."""
+        """The serving kernel's name in ``KERNELS``, choosing it on first use."""
         if self._kernel is None:
             self._kernel_name, self._kernel_reason = select_kernel()
             self._kernel = resolve_kernel(self._kernel_name)
@@ -606,7 +604,7 @@ class CubeCounter:
         """Counts for one same-k group of distinct cubes."""
         n_cubes = len(dims_arr)
         backend = self.backend
-        if self._spec.uses_pool and n_cubes > backend.chunk_size:
+        if backend.kind == "process" and n_cubes > backend.chunk_size:
             pool = self._ensure_pool()
             if pool is not None:
                 return self._count_group_parallel(pool, dims_arr, rng_arr)
@@ -710,15 +708,14 @@ class CubeCounter:
             try:
                 self._pool = self._make_pool()
             except Exception as exc:  # repro-lint: disable=RPL009
-                fallback = self._spec.fallback or "serial"
                 logger.warning(
                     "process counting backend unavailable (%s); falling "
-                    "back to %s",
-                    exc, fallback,
+                    "back to serial",
+                    exc,
                 )
                 self._pool_failed = True
                 self._ladder.apply(
-                    "counting-pool", self.backend.kind, fallback,
+                    "counting-pool", self.backend.kind, "serial",
                     f"pool unavailable: {exc}",
                 )
                 self._ladder.recovered("pool_unavailable")
@@ -807,7 +804,7 @@ class CubeCounter:
         ``kernel`` ladder step, how it failed while counting.
         """
         info = {
-            "backend": self._spec.name,
+            "backend": self.backend.kind,
             "kernel": self._kernel_choice(),
             "tier": _KERNEL_TIERS[self._kernel_name],
         }

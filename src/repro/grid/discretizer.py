@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from .._validation import check_matrix, check_positive_int
-from ..exceptions import DiscretizationError, NotFittedError
+from ..exceptions import DiscretizationError, NotFittedError, ValidationError
 from .cells import CellAssignment, MISSING_CELL
 
 __all__ = [
@@ -69,6 +69,9 @@ _MAX_COMPARE_CUTS = 64
 
 #: Entries per row block of the count, so a block stays in cache across passes.
 _BLOCK_ENTRIES = 1 << 14
+
+#: Most ranges per attribute: range codes are stored as ``int16``.
+_MAX_RANGES = 1 << 15
 
 
 def _codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -241,9 +244,10 @@ class GridDiscretizer(abc.ABC):
     Parameters
     ----------
     n_ranges:
-        The grid resolution φ — number of ranges per attribute.  The
-        paper's guidance (§2.4): pick φ large enough that a range is a
-        "reasonable notion of locality" but small enough that a
+        The grid resolution φ — number of ranges per attribute, at most
+        32,768 (range codes are ``int16``).  The paper's guidance
+        (§2.4): pick φ large enough that a range is a "reasonable
+        notion of locality" but small enough that a
         k-dimensional cube still expects multiple points.
     sketch_size:
         When given, :meth:`fit` additionally seeds a
@@ -265,6 +269,11 @@ class GridDiscretizer(abc.ABC):
         sketch_random_state: int = 0,
     ):
         self.n_ranges = check_positive_int(n_ranges, "n_ranges")
+        if self.n_ranges > _MAX_RANGES:
+            raise ValidationError(
+                f"n_ranges must be <= {_MAX_RANGES} (range codes are int16), "
+                f"got {self.n_ranges}"
+            )
         self._boundaries: tuple[np.ndarray, ...] | None = None
         self._feature_names: tuple[str, ...] | None = None
         self._sketch_size = (

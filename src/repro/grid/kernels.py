@@ -202,7 +202,7 @@ def batch_counts(
     """Counts for a batch of same-k cubes over a packed mask ``stack``.
 
     The numpy reference kernel: vectorized prefix-sharing AND followed
-    by one popcount/sum reduction.  Every other registered kernel is
+    by one popcount/sum reduction.  Every other kernel is
     proven bit-identical to this one (see
     :func:`repro.grid.backends.verify_kernel`).  Returns ``(counts,
     stats)`` with ``stats`` holding the number of words ANDed and the

@@ -11,7 +11,7 @@ Two pools share one resilient dispatcher (:class:`_ResilientPool`):
     (:func:`repro.grid.backends.select_kernel`: the compiled C kernel,
     :func:`repro.grid.native.native_batch_counts`, when it builds, the
     numpy reference :func:`repro.grid.kernels.batch_counts` otherwise),
-    and every worker resolves that name from the registry.  Task
+    and every worker resolves that name from the ``KERNELS`` table.  Task
     payloads are only the small ``(chunk_id, attempt, dims, ranges)``
     index arrays.
 
@@ -39,7 +39,7 @@ Fault tolerance (the shared dispatcher in :meth:`_ResilientPool.map_chunks`):
   bounded by ``max_rebuilds``,
 * graceful degradation: a chunk that exhausts its retries — or every
   chunk, once the pool is abandoned — is recovered in-process by the
-  same registered kernel, which is bit-identical by construction.
+  same kernel, which is bit-identical by construction.
 
 Every fault is recorded once, through the counter's
 :class:`~repro.resilience.ladder.DegradationLadder`, into its
@@ -78,7 +78,7 @@ from ..engine.events import emit_event
 from ..exceptions import SearchCancelled
 from ..resilience.faults import maybe_inject
 from ..resilience.ladder import DegradationLadder, ResilienceReport
-from .backends import get_backend, resolve_kernel
+from .backends import resolve_kernel
 
 __all__ = ["CountingPool", "ShardedCountingPool"]
 
@@ -217,9 +217,6 @@ class _ResilientPool:
         # the old inline loop did.
         self._retry = backend.retry_policy()
         self._kind = backend.kind
-        # What serves once the pool is abandoned: the parent's
-        # in-process kernel, i.e. the backend's ladder fallback.
-        self._fallback = get_backend(backend.kind).fallback or "serial"
         self._max_rebuilds = backend.max_rebuilds
         self._n_workers = backend.resolved_workers()
         self._generation = 0
@@ -387,8 +384,8 @@ class _ResilientPool:
         return counts, stats["words_and"], stats["prefix_reuse"], None
 
     def _abandon(self, reason: str) -> None:
-        """Step the ``counting-pool`` chain down to the fallback for good."""
-        self.ladder.apply("counting-pool", self._kind, self._fallback, reason)
+        """Step the ``counting-pool`` chain down to ``serial`` for good."""
+        self.ladder.apply("counting-pool", self._kind, "serial", reason)
         self.ladder.recovered("pool_abandoned")
 
     def _rebuild_or_degrade(self) -> None:
@@ -469,7 +466,7 @@ class CountingPool(_ResilientPool):
         The counter's :class:`~repro.resilience.ladder.DegradationLadder`;
         every fault the pool survives is recorded through it.
     kernel:
-        Registered name of the kernel the owning counter chose (see
+        Name of the kernel the owning counter chose (see
         :func:`repro.grid.backends.select_kernel`); every worker — and
         the in-process serial recovery path — runs it, so chunk results
         are bit-identical wherever a chunk ends up executing.

@@ -936,7 +936,10 @@ class ShardedCounter(CubeCounter):
                 yield shard_id, recorded, "resumed"
             else:
                 pending.append(shard_id)
-        pool = self._ensure_pool() if self._spec.uses_pool and pending else None
+        pool = (
+            self._ensure_pool()
+            if self.backend.kind == "process" and pending else None
+        )
         if pool is not None:
             chunks = [(shard_id, dims_arr, rng_arr) for shard_id in pending]
             for shard_id, counts in zip(

@@ -32,6 +32,7 @@ from collections.abc import Mapping
 from contextlib import AbstractContextManager
 from typing import TYPE_CHECKING
 
+from .._validation import check_in_range
 from ..exceptions import ValidationError
 from ..resilience.ladder import ResilienceReport
 from .cancel import CancelToken
@@ -165,7 +166,10 @@ class RunController:
         token: CancelToken | None = None,
         sink: "EventSink | None" = None,
     ) -> None:
-        if max_seconds is not None and max_seconds <= 0:
+        if (
+            max_seconds is not None
+            and check_in_range(max_seconds, "max_seconds") <= 0
+        ):
             raise ValidationError(
                 f"max_seconds must be positive, got {max_seconds}"
             )

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_in_range, check_positive_int
 from ..core.results import ScoredProjection
 from ..core.subspace import Subspace
 from ..exceptions import ValidationError
@@ -60,7 +60,9 @@ class BestProjectionSet:
             max_size = check_positive_int(max_size, "max_size")
         self.max_size = max_size
         self.require_nonempty = bool(require_nonempty)
-        self.threshold = None if threshold is None else float(threshold)
+        self.threshold = (
+            None if threshold is None else check_in_range(threshold, "threshold")
+        )
         # Max-heap on coefficient (via negation) so the *worst* kept
         # entry is at the root and can be evicted in O(log m).
         self._heap: list[tuple[float, int, ScoredProjection]] = []

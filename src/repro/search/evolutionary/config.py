@@ -110,7 +110,10 @@ class EvolutionaryConfig:
             check_positive_int(self.stall_generations, "stall_generations")
         check_positive_int(self.max_exact_positions, "max_exact_positions")
         check_positive_int(self.restarts, "restarts")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if (
+            self.max_seconds is not None
+            and check_in_range(self.max_seconds, "max_seconds") <= 0
+        ):
             raise ValidationError(
                 f"max_seconds must be positive, got {self.max_seconds}"
             )

@@ -937,23 +937,29 @@ class TestRPL014RegistryConsistency:
             tmp_path,
             {
                 "grid/backends.py": """
-                def register_kernel(name, fn): ...
-                def register_backend(spec): ...
-                def get_backend(name): ...
+                PLACEMENTS = {"serial": "in-process", "process": "pool"}
+                _ALIASES = {"native": "serial", "old": "gone"}
+                KERNELS = {"numpy": sum}
                 def resolve_kernel(name): ...
-                register_kernel("numpy", sum)
                 """,
                 "cli.py": """
-                from repro.grid.backends import get_backend, resolve_kernel
+                from repro.core.params import CountingBackend
+                from repro.grid.backends import resolve_kernel
                 def pick():
                     resolve_kernel("numpy")
-                    get_backend("natve")
+                    resolve_kernel("nmupy")
+                    CountingBackend(kind="native")
+                    CountingBackend("process")
+                    CountingBackend(kind="natve")
                 """,
             },
             select=["RPL014"],
         )
-        assert codes(result.violations) == ["RPL014"]
-        assert "backend 'natve'" in result.violations[0].message
+        assert codes(result.violations) == ["RPL014"] * 3
+        messages = sorted(v.message for v in result.violations)
+        assert [m.split(" is ")[0] for m in messages] == [
+            "backend 'gone'", "backend 'natve'", "kernel 'nmupy'",
+        ]
 
     def test_registered_but_unused_is_not_flagged(self, tmp_path):
         """Registries exist to serve names the core never mentions."""

@@ -1,16 +1,17 @@
-"""The counting-backend registry and its conformance gate.
+"""The counting placements, the kernel table and the conformance gate.
 
-The registry (:mod:`repro.grid.backends`) is the single source of
-truth for ``--count-backend`` choices, ``CountingBackend.kind``
-validation, and which kernel every placement counts with — and no
-kernel may serve counts without passing the differential self-check.
-These tests pin that contract:
+:mod:`repro.grid.backends` is the single source of truth for
+``--count-backend`` choices, ``CountingBackend.kind`` validation
+(``PLACEMENTS``, plus the deprecated ``_ALIASES``), and which kernel of
+``KERNELS`` every placement counts with — and no kernel may serve
+counts without passing the differential self-check.  These tests pin
+that contract:
 
 * unknown names fail loudly *with the menu* (CLI exits 2 listing the
-  registered backends; the API raises ``ValidationError`` naming them),
+  placements; the API raises ``ValidationError`` naming them),
 * a kernel that diverges from the reference — or lies about its stats —
-  raises :class:`BackendConformanceError` and is **not** registered,
-* duplicate registrations are rejected,
+  raises :class:`BackendConformanceError` and never serves counts,
+* every deprecated alias names a placement and none shadows one,
 * the builtin kernels genuinely pass their own gate, and what a
   counter serves passes it on every tier,
 * a counter reports the kernel that actually serves, before and after
@@ -27,13 +28,9 @@ from repro.core.params import CountingBackend
 from repro.exceptions import ResourceError, ValidationError
 from repro.grid import backends as reg
 from repro.grid.backends import (
+    KERNELS,
+    PLACEMENTS,
     BackendConformanceError,
-    BackendSpec,
-    get_backend,
-    register_backend,
-    register_kernel,
-    registered_backends,
-    registered_kernels,
     resolve_kernel,
     verify_kernel,
 )
@@ -47,19 +44,12 @@ BUILTIN_BACKENDS = ["process", "serial"]
 
 
 @pytest.fixture
-def scratch_registry():
-    """Roll back any names a test registers (the registry is module
-    state shared by the whole process)."""
-    kernels = dict(reg._KERNELS)
-    backends = dict(reg._BACKENDS)
-    verified = set(reg._VERIFIED)
-    yield
-    reg._KERNELS.clear()
-    reg._KERNELS.update(kernels)
-    reg._BACKENDS.clear()
-    reg._BACKENDS.update(backends)
-    reg._VERIFIED.clear()
-    reg._VERIFIED.update(verified)
+def diverging_native(monkeypatch):
+    """Swap a diverging kernel in under the ``native`` name, unverified
+    (the table and the verified set are module state shared by the
+    whole process; monkeypatch rolls both back)."""
+    monkeypatch.setitem(KERNELS, "native", _diverging_kernel)
+    monkeypatch.setattr(reg, "_VERIFIED", reg._VERIFIED - {"native"})
 
 
 def _diverging_kernel(stack, dims_arr, rng_arr):
@@ -75,22 +65,16 @@ def _stats_lying_kernel(stack, dims_arr, rng_arr):
 
 class TestRegistryMenu:
     def test_builtin_backends_registered(self):
-        assert registered_backends() == BUILTIN_BACKENDS
+        assert sorted(PLACEMENTS) == BUILTIN_BACKENDS
 
     def test_builtin_kernels_registered(self):
-        assert registered_kernels() == ["native", "numpy"]
-
-    def test_get_backend_unknown_lists_menu(self):
-        with pytest.raises(ValidationError) as exc:
-            get_backend("bogus")  # repro-lint: disable=RPL014
-        message = str(exc.value)
-        for name in BUILTIN_BACKENDS:
-            assert name in message
+        assert sorted(KERNELS) == ["native", "numpy"]
 
     def test_counting_backend_kind_validated_via_registry(self):
         with pytest.raises(ValidationError) as exc:
             CountingBackend(kind="bogus")  # repro-lint: disable=RPL014
-        assert "process" in str(exc.value)
+        for name in BUILTIN_BACKENDS:
+            assert name in str(exc.value)
         # The deprecated aliases resolve to the placement they name.
         assert CountingBackend(kind="native") == CountingBackend()
         assert CountingBackend(kind="process-native").kind == "process"
@@ -98,10 +82,6 @@ class TestRegistryMenu:
     def test_resolve_kernel_unknown(self):
         with pytest.raises(ValidationError, match="numpy"):
             resolve_kernel("bogus")  # repro-lint: disable=RPL014
-
-    def test_backend_spec_rejects_empty_name(self):
-        with pytest.raises(ValidationError):
-            BackendSpec(name="", uses_pool=False, description="x")
 
 
 class TestCLIMenu:
@@ -164,32 +144,28 @@ class TestConformanceGate:
             native_batch_counts(stack, index, index)
 
     def test_diverging_kernel_raises_and_is_not_registered(
-        self, scratch_registry
+        self, diverging_native
     ):
         with pytest.raises(BackendConformanceError, match="differential"):
-            register_kernel("tests-diverging", _diverging_kernel)
-        assert "tests-diverging" not in registered_kernels()
+            resolve_kernel("native")
+        assert "native" not in reg._VERIFIED
 
-    def test_stats_contract_enforced(self, scratch_registry):
+    def test_stats_contract_enforced(self):
         with pytest.raises(BackendConformanceError, match="stats"):
-            register_kernel("tests-lying", _stats_lying_kernel)
-        assert "tests-lying" not in registered_kernels()
+            verify_kernel(_stats_lying_kernel, "tests-lying")
 
     def test_backend_over_unverified_bad_kernel_raises(
-        self, scratch_registry, rng
+        self, diverging_native, rng
     ):
-        # Sneaking a diverging kernel in unverified does not help:
-        # resolving it re-runs the gate and refuses, and a placement
-        # whose fast kernel fails the gate counts on the reference.
+        # A placement whose fast kernel fails the gate counts on the
+        # reference, and says why.
         from repro.core.subspace import Subspace
         from repro.grid.cells import CellAssignment
         from repro.grid.counter import CubeCounter
 
-        register_kernel("tests-sneaky", _diverging_kernel, verify=False)
-        with pytest.raises(BackendConformanceError):
-            resolve_kernel("tests-sneaky")
-        reg._KERNELS["native"] = _diverging_kernel
-        reg._VERIFIED.discard("native")
+        name, reason = reg.select_kernel()
+        assert name == "numpy"
+        assert "differential" in reason
         codes = rng.integers(0, 3, size=(40, 3)).astype(np.int16)
         counter = CubeCounter(CellAssignment(codes, 3))
         cubes = [Subspace((0, 2), (r, 1)) for r in range(3)]
@@ -201,49 +177,15 @@ class TestConformanceGate:
         assert "differential" in info["reason"]
         assert counter.resilience.ladder == {}
 
-    def test_good_custom_kernel_registers(self, scratch_registry):
-        register_kernel("tests-clone", batch_counts)
-        assert "tests-clone" in registered_kernels()
-        assert resolve_kernel("tests-clone") is batch_counts
-        register_backend(
-            BackendSpec(
-                name="tests-clone-backend",
-                uses_pool=False,
-                description="another in-process placement",
-            )
-        )
-        assert get_backend("tests-clone-backend").uses_pool is False
-        # ...and the params layer immediately accepts the new kind.
-        assert CountingBackend(kind="tests-clone-backend").kind == (
-            "tests-clone-backend"
-        )
+    def test_duplicate_backend_rejected(self):
+        # A deprecated alias never shadows a placement.
+        assert set(reg._ALIASES).isdisjoint(PLACEMENTS)
 
-    def test_duplicate_kernel_rejected(self, scratch_registry):
-        with pytest.raises(ValidationError, match="already"):
-            register_kernel("numpy", batch_counts, verify=False)
-
-    def test_duplicate_backend_rejected(self, scratch_registry):
-        with pytest.raises(ValidationError, match="already"):
-            register_backend(
-                BackendSpec(name="serial", uses_pool=False, description="dup")
-            )
-        # A deprecated alias is taken too.
-        with pytest.raises(ValidationError, match="already"):
-            register_backend(
-                BackendSpec(name="native", uses_pool=False, description="dup")
-            )
-
-    def test_backend_requires_registered_kernel(self, scratch_registry):
-        # A backend names no kernel; what it names must be registered
-        # is its fallback.
-        with pytest.raises(ValidationError, match="unregistered"):
-            register_backend(
-                BackendSpec(  # repro-lint: disable=RPL014
-                    name="tests-orphan", uses_pool=True,
-                    description="orphan", fallback="no-such-backend",
-                )
-            )
-        assert "tests-orphan" not in registered_backends()
+    def test_backend_requires_registered_kernel(self):
+        # Both kernels select_kernel can serve are in the table, and
+        # every deprecated alias names a placement.
+        assert {reg._REFERENCE_KERNEL, reg._FAST_KERNEL} <= set(KERNELS)
+        assert set(reg._ALIASES.values()) <= set(PLACEMENTS)
 
     def test_verify_kernel_names_divergence(self):
         with pytest.raises(BackendConformanceError, match="candidate"):

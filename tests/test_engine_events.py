@@ -381,24 +381,6 @@ class TestCliTraceAndSearch:
         assert "engine_finished" in types
         assert [line["seq"] for line in lines] == list(range(len(lines)))
 
-    def test_search_flag_overrides_method(self, capsys):
-        code = main(
-            [
-                "detect",
-                "--dataset",
-                "machine",
-                "--method",
-                "brute_force",
-                "--search",
-                "random",
-                "--output",
-                "json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stats"]["algorithm"] == "RandomSearch"
-
     def test_search_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
-            main(["detect", "--dataset", "machine", "--search", "bogus"])
+            main(["detect", "--dataset", "machine", "--method", "bogus"])

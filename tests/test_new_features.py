@@ -311,10 +311,10 @@ class TestPackedDetector:
             dense.outlier_indices, packed.outlier_indices
         )
 
-    def test_deprecated_packed_spellings_are_no_ops(self, rng, capsys):
-        # The bit-packed layout is the only one; the old spellings stay
-        # accepted (the pipeline benchmark uses all three) and change
-        # nothing.
+    def test_deprecated_packed_spellings_are_no_ops(self, rng):
+        # The bit-packed layout is the only one; the old library
+        # spellings stay accepted (the pipeline benchmark uses both)
+        # and change nothing.
         from repro import (
             CountingBackend,
             CubeCounter,
@@ -345,12 +345,3 @@ class TestPackedDetector:
         assert model.counter.mask_memory_bytes() == CubeCounter(
             cells
         ).mask_memory_bytes()
-
-        def cli(*extra):
-            argv = ["detect", "--dataset", "machine", "-k", "2",
-                    "--method", "brute_force", "--output", "json", *extra]
-            assert main(argv) == 0
-            payload = json.loads(capsys.readouterr().out)
-            return payload["projections"], payload["outlier_indices"]
-
-        assert cli("--packed") == cli()

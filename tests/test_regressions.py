@@ -644,9 +644,9 @@ class TestCountingPoolLadderTarget:
     """An unavailable or abandoned counting pool recorded
     ``counting-pool: <kind> → serial`` even under ``process-native``,
     where the in-process native kernel keeps serving.  The step now
-    names the backend's ``BackendSpec.fallback``; ``process-native`` is
-    a deprecated alias of ``process``, whose fallback is ``serial``,
-    and the in-process kernel keeps serving whatever the placement."""
+    names ``serial``, the placement ``process`` falls back to;
+    ``process-native`` is a deprecated alias of ``process``, and the
+    in-process kernel keeps serving whatever the placement."""
 
     @staticmethod
     def _cubes():
@@ -1047,3 +1047,88 @@ class TestDoctoredSketchCapacity:
         assert sketch.rows.shape == (sketch.n_seen, 4)
         np.testing.assert_array_equal(sketch.rows[-30:], more)
         assert sketch._rows.shape[0] <= 2 * sketch.n_seen
+
+
+class TestPhiCeiling:
+    """Range codes are ``int16``: at φ = 32,769 the top range's code
+    wrapped to -32768, and ``GridModel.fit`` failed later with an error
+    that blamed the codes, not φ.  The discretizer now refuses φ above
+    32,768 when it is built, naming ``n_ranges`` and the ceiling."""
+
+    def test_phi_above_the_int16_ceiling_is_rejected(self):
+        from repro.exceptions import ValidationError
+        from repro.grid.discretizer import EquiDepthDiscretizer
+        from repro.model import GridModel
+
+        with pytest.raises(ValidationError, match="n_ranges must be <= 32768"):
+            EquiDepthDiscretizer(32_769)
+        data = np.arange(2 * 32_769, dtype=float).reshape(-1, 2)
+        with pytest.raises(ValidationError, match="n_ranges"):
+            GridModel.fit(data, n_ranges=32_769)
+
+    def test_phi_at_the_ceiling_still_fits(self):
+        from repro.grid.discretizer import EquiDepthDiscretizer
+
+        data = np.arange(2 * 32_768, dtype=float).reshape(-1, 1)
+        codes = EquiDepthDiscretizer(32_768).fit_transform(data).codes
+        assert (codes.min(), codes.max()) == (0, 32_767)
+
+
+def _nan_parameters():
+    from repro.core.params import CountingBackend
+    from repro.run.controller import RunController
+    from repro.search.best_set import BestProjectionSet
+    from repro.search.evolutionary.config import EvolutionaryConfig
+
+    nan = math.nan
+    return {
+        "RunController.max_seconds": lambda: RunController(max_seconds=nan),
+        "EvolutionaryConfig.max_seconds": (
+            lambda: EvolutionaryConfig(max_seconds=nan)
+        ),
+        "CountingBackend.timeout": lambda: CountingBackend(timeout=nan),
+        "CountingBackend.retry_backoff": (
+            lambda: CountingBackend(retry_backoff=nan)
+        ),
+        "BestProjectionSet.threshold": (
+            lambda: BestProjectionSet(None, threshold=nan)
+        ),
+    }
+
+
+class TestNanParameters:
+    """NaN slipped past five ``<=`` / ``<`` checks (every comparison
+    with NaN is false): a NaN time budget read as exhausted at once, and
+    a NaN threshold made an unbounded best set keep every cube.  All
+    five now go through ``check_in_range``, which rejects NaN."""
+
+    @pytest.mark.parametrize("name", sorted(_nan_parameters()))
+    def test_nan_is_rejected(self, name):
+        from repro.exceptions import ValidationError
+
+        with pytest.raises(ValidationError, match="NaN"):
+            _nan_parameters()[name]()
+
+
+class TestCliValuesReachValidation:
+    """``--phi 0`` was replaced by the dataset's default φ (``args.phi
+    or ...``), and the ``--count-*`` values were never validated unless
+    ``--count-backend process`` was given.  Each now exits 2."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--phi", "0"],
+            ["--count-workers", "0"],
+            ["--count-chunk-size", "0"],
+            ["--count-timeout", "-1"],
+        ],
+        ids=lambda extra: extra[0],
+    )
+    def test_invalid_value_exits_2(self, extra, capsys):
+        from repro.cli import main
+
+        argv = ["detect", "--dataset", "machine", "-k", "2",
+                "--method", "brute_force", *extra]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
