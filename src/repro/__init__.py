@@ -37,10 +37,10 @@ from .core.params import (
 from .core.results import DetectionResult, ScoredProjection
 from .core.subspace import Subspace
 from .engine import (
+    ENGINES,
     CompositeSink,
     Event,
     EventSink,
-    GeneratorEngine,
     InMemoryEventSink,
     JsonlTraceSink,
     NullSink,
@@ -48,10 +48,6 @@ from .engine import (
     SearchEngine,
     StatsAssemblySink,
     create_engine,
-    engine_names,
-    engine_spec,
-    register_engine,
-    unregister_engine,
 )
 from .exceptions import (
     CheckpointError,
@@ -167,7 +163,6 @@ __all__ = [
     "GenerationRecord",
     # engine layer
     "SearchEngine",
-    "GeneratorEngine",
     "RunContext",
     "Event",
     "EventSink",
@@ -176,10 +171,7 @@ __all__ = [
     "JsonlTraceSink",
     "CompositeSink",
     "StatsAssemblySink",
-    "register_engine",
-    "unregister_engine",
-    "engine_names",
-    "engine_spec",
+    "ENGINES",
     "create_engine",
     # run lifecycle
     "RunController",

@@ -1,15 +1,15 @@
 """Shared argument-validation helpers.
 
 These helpers centralize the checks that every public entry point needs:
-positive integers, probabilities, 2-D float matrices, and random-state
-coercion.  They raise :class:`repro.exceptions.ValidationError` with
-messages that name the offending parameter, which keeps the call sites
-one-liners.
+positive integers, probabilities, names from a fixed table, 2-D float
+matrices, and random-state coercion.  They raise
+:class:`repro.exceptions.ValidationError` with messages that name the
+offending parameter, which keeps the call sites one-liners.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from typing import Any
 
 import numpy as np
@@ -21,6 +21,7 @@ __all__ = [
     "check_non_negative_int",
     "check_probability",
     "check_in_range",
+    "check_choice",
     "check_matrix",
     "check_rng",
     "check_dimension_subset",
@@ -75,6 +76,19 @@ def check_in_range(
         raise ValidationError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ValidationError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
+def check_choice(value: Any, choices: Collection[str], name: str) -> str:
+    """Validate that *value* is one of the names in *choices*.
+
+    A non-``str`` *value* (a list, say, which no table lookup can hash)
+    is rejected the same way as an unknown name, listing every choice.
+    """
+    if not isinstance(value, str) or value not in choices:
+        raise ValidationError(
+            f"unknown {name} {value!r}; choose from: {', '.join(sorted(choices))}"
+        )
     return value
 
 

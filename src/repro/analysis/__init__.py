@@ -2,12 +2,12 @@
 
 An AST-based lint framework purpose-built for this codebase's
 reproducibility invariants: seeded RNG only, no stray wall-clock
-reads, atomic writes, registry-resolved engines, registered event
-types, centralized multiprocessing, no float equality in the math,
-no broad catch-alls outside the resilience layer, plus cross-module
-contracts checked over a whole-program graph.  Mutable defaults are
-left to ruff (``B006``/``B008``).  See ``docs/determinism.md`` for
-the full catalogue and rationale.
+reads, atomic writes, engines built through ``create_engine``,
+centralized multiprocessing, no float equality in the math, no broad
+catch-alls outside the resilience layer, plus cross-module contracts
+(a closed event vocabulary among them) checked over a whole-program
+graph.  Mutable defaults are left to ruff (``B006``/``B008``).  See
+``docs/determinism.md`` for the full catalogue and rationale.
 
 Run it as ``python -m repro.analysis src/`` or via the ``repro-lint``
 console script; ``--format json`` for machines, ``--baseline`` to keep

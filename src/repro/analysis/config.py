@@ -9,8 +9,9 @@ The defaults encode *this* repository's architecture decisions:
 * ``repro/grid/parallel.py`` is the single module allowed to talk to
   ``multiprocessing`` / ``concurrent.futures`` directly;
 * only ``repro/_atomic.py`` may open files for writing;
-* ``repro/core/*`` and ``repro/cli.py`` must resolve engines through
-  the registry rather than naming concrete searcher classes.
+* ``repro/core/*``, ``repro/cli.py`` and ``repro/model/*`` must build
+  engines through ``create_engine`` rather than naming concrete
+  searcher classes.
 
 Everything here is data, not code, so a downstream project embedding
 the framework can swap in its own :class:`LintConfig`.
@@ -18,32 +19,9 @@ the framework can swap in its own :class:`LintConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["LintConfig", "default_event_types"]
-
-
-def default_event_types() -> frozenset[str]:
-    """The registered event vocabulary, read from the live registry.
-
-    Falls back to the built-in vocabulary if ``repro.engine`` is not
-    importable (e.g. the framework linting a foreign tree).
-    """
-    try:
-        from ..engine.events import EVENT_TYPES
-
-        return frozenset(EVENT_TYPES)
-    except Exception:  # pragma: no cover  # repro-lint: disable=RPL009
-        return frozenset(
-            {
-                "run_started",
-                "generation_end",
-                "level_end",
-                "chunk_retry",
-                "checkpoint_written",
-                "engine_finished",
-            }
-        )
+__all__ = ["LintConfig"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +46,7 @@ class LintConfig:
     #: RPL003 — modules allowed to open files for writing directly.
     write_allowed_modules: tuple[str, ...] = ("repro/_atomic.py",)
 
-    #: RPL004 — modules that must resolve engines via the registry...
+    #: RPL004 — modules that must build engines via ``create_engine``...
     registry_only_modules: tuple[str, ...] = (
         "repro/core/*",
         "repro/cli.py",
@@ -84,9 +62,6 @@ class LintConfig:
             "SimulatedAnnealingSearch",
         }
     )
-
-    #: RPL005 — the registered event vocabulary.
-    event_types: frozenset[str] = field(default_factory=default_event_types)
 
     #: RPL006 — modules allowed to import multiprocessing machinery.
     parallel_allowed_modules: tuple[str, ...] = ("repro/grid/parallel.py",)
@@ -111,11 +86,6 @@ class LintConfig:
     )
 
     # -- project rules (RPL010-RPL014) ---------------------------------
-
-    #: RPL010 — modules whose event registrations must have emitters.
-    #: Registrations outside (a test registering a throwaway type) are
-    #: exempt from the dead-vocabulary direction.
-    contract_registry_modules: tuple[str, ...] = ("repro/*",)
 
     #: RPL011 — the public API surface whose reachable raises are held
     #: to the ReproError contract...

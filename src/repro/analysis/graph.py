@@ -1,12 +1,13 @@
 """The project-wide semantic index behind the cross-module rules.
 
-The single-file rules (RPL001-RPL007, RPL009) deliberately see one module at a
-time, but the contracts they cannot check are exactly the ones that
-span modules: an event type registered in ``repro/engine/events.py``
-and emitted from a dozen files, a fault point named in
-``repro/resilience/faults.py`` and injected in ``repro/_atomic.py``, a
-``ReproError`` guarantee made by ``repro/exceptions.py`` and broken by
-a ``raise ValueError`` four calls deep.  This module builds the index
+The single-file rules (RPL001-RPL004, RPL006, RPL007, RPL009)
+deliberately see one module at a time, but the contracts they cannot
+check are exactly the ones that span modules: an event type registered
+in ``repro/engine/events.py`` and emitted from a dozen files, a fault
+point named in ``repro/resilience/faults.py`` and injected in
+``repro/_atomic.py``, a ``ReproError`` guarantee made by
+``repro/exceptions.py`` and broken by a ``raise ValueError`` four
+calls deep.  This module builds the index
 those rules run against:
 
 * :class:`FileFacts` — everything the project rules need from one
@@ -466,9 +467,7 @@ class _FactExtractor(ast.NodeVisitor):
                     CallFact(target=dotted, line=node.lineno)
                 )
             tail = dotted.split(".")[-1]
-            if tail == "register_event_type":
-                self._contract_arg("event_register", node, 0, "name")
-            elif tail == "emit_event":
+            if tail == "emit_event":
                 if len(node.args) >= 2 or any(
                     kw.arg == "type" for kw in node.keywords
                 ):

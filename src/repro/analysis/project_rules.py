@@ -5,8 +5,8 @@ rather than a single module AST — each one checks a contract whose two
 halves live in different files:
 
 =======  ==========================================================
-RPL010   every emitted event type is registered; every registered
-         type has at least one emitter
+RPL010   every emitted event type is in ``EVENT_TYPES``; every
+         registered type has at least one emitter
 RPL011   public entry points only let ``ReproError`` subclasses
          escape — bare builtin raises reachable from them are flagged
 RPL012   memmap/pool/tempdir creations are closed on all paths
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fnmatch import fnmatch
 
+from ..engine.events import EVENT_TYPES
 from .config import LintConfig
 from .graph import ProjectGraph
 from .violations import Violation
@@ -69,10 +70,14 @@ class ProjectRule:
 class RPL010EventContract(ProjectRule):
     """Event vocabulary closed both ways.
 
-    An emitted type with no registration would raise at runtime — but
-    only on the first run that reaches the emit site; a registered type
-    with no emitter is dead vocabulary that consumers (trace tooling,
-    the docs table) believe exists.  Dynamic emissions (the type flows
+    An emitted type missing from the vocabulary would raise at runtime
+    — but only on the first run that reaches the emit site; a
+    registered type with no emitter is dead vocabulary that consumers
+    (trace tooling, the docs table) believe exists.  The vocabulary is
+    the ``EVENT_TYPES`` literal of the linted tree; a tree without one
+    (a single file, or ``tests/`` alone) is judged against the
+    installed :data:`repro.engine.events.EVENT_TYPES`, and then only
+    the emit direction applies.  Dynamic emissions (the type flows
     through a variable, e.g. the degradation ladder's ``_emit``
     forwarder) are visible in the graph but cannot prove a type live,
     so they satisfy neither direction.
@@ -89,7 +94,7 @@ class RPL010EventContract(ProjectRule):
         self, graph: ProjectGraph, config: LintConfig
     ) -> list[Violation]:
         violations: list[Violation] = []
-        registered = graph.contract_names("event_register")
+        registered = graph.contract_names("event_register") or EVENT_TYPES
         emitted = graph.contract_names("event_emit")
         for path, site in graph.contract_sites("event_emit", literal_only=True):
             if site.argument not in registered:
@@ -101,20 +106,14 @@ class RPL010EventContract(ProjectRule):
                         code=self.code,
                         message=(
                             f"event type {site.argument!r} is emitted but "
-                            "never registered (register_event_type / "
-                            "EVENT_TYPES)"
+                            "never registered in EVENT_TYPES"
                         ),
                         qualname=site.qualname,
                     )
                 )
-        # Dead-registration checks only apply to the project's own
-        # registry modules: a test registering a throwaway type for one
-        # assertion is not dead vocabulary.
         for path, site in graph.contract_sites(
             "event_register", literal_only=True
         ):
-            if not self._in_scope(path, config.contract_registry_modules):
-                continue
             if site.argument not in emitted:
                 violations.append(
                     Violation(

@@ -1,4 +1,4 @@
-"""The project-invariant rules (RPL001-RPL007, RPL009).
+"""The project-invariant rules (RPL001-RPL004, RPL006, RPL007, RPL009).
 
 Each rule is an AST pass over one module that yields
 :class:`~.violations.Violation` records.  The invariants themselves
@@ -10,8 +10,7 @@ RPL001    no module-level / unseeded RNG — randomness flows from a
 RPL002    no wall-clock reads outside the budget/telemetry modules
 RPL003    no direct file writes — persistence goes through
           ``repro._atomic``
-RPL004    core/CLI resolve engines via the registry, never by class
-RPL005    ``emit()`` only with registered event types
+RPL004    core/CLI build engines via ``create_engine``, never by class
 RPL006    process pools only inside ``repro.grid.parallel``
 RPL007    no float ``==`` in sparsity/statistics math
 RPL009    no broad ``except Exception`` / bare ``except`` outside the
@@ -413,13 +412,13 @@ class NonAtomicWriteRule(RuleVisitor):
 
 # ----------------------------------------------------------------------
 class RegistryOnlyRule(RuleVisitor):
-    """RPL004: core/CLI must resolve engines through the registry."""
+    """RPL004: core/CLI must build engines through ``create_engine``."""
 
     code = "RPL004"
     name = "engines-via-registry"
     description = (
         "direct engine-class construction in core/cli bypasses the "
-        "registry's kwarg filtering and plugin surface"
+        "ENGINES table's name check and keyword filtering"
     )
 
     def _applies(self, module: ModuleSource, config: LintConfig) -> bool:
@@ -448,61 +447,6 @@ class RegistryOnlyRule(RuleVisitor):
                     node,
                     f"direct {tail}(...) construction; resolve via "
                     "repro.engine.create_engine()",
-                )
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
-class RegisteredEventsRule(RuleVisitor):
-    """RPL005: ``emit()`` only with registered event types."""
-
-    code = "RPL005"
-    name = "registered-events-only"
-    description = (
-        "emitting an unregistered event type raises ValidationError at "
-        "runtime; register_event_type() first"
-    )
-
-    def check(
-        self, module: ModuleSource, config: LintConfig
-    ) -> Iterator[Violation]:
-        # Event types registered inside this very file are legal to emit.
-        self._locally_registered: set[str] = set()
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and (dotted := _dotted(node.func)) is not None
-                and dotted.split(".")[-1] == "register_event_type"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                self._locally_registered.add(node.args[0].value)
-        yield from super().check(module, config)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        event_arg: ast.expr | None = None
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "emit":
-            if node.args:
-                event_arg = node.args[0]
-        elif (
-            (dotted := _dotted(node.func)) is not None
-            and dotted.split(".")[-1] == "emit_event"
-            and len(node.args) >= 2
-        ):
-            event_arg = node.args[1]
-        if (
-            event_arg is not None
-            and isinstance(event_arg, ast.Constant)
-            and isinstance(event_arg.value, str)
-        ):
-            event = event_arg.value
-            known = self.config.event_types | self._locally_registered
-            if event not in known:
-                self.report(
-                    node,
-                    f"emit of unregistered event type {event!r}; call "
-                    "register_event_type() or use one of the built-ins",
                 )
         self.generic_visit(node)
 
@@ -668,7 +612,6 @@ ALL_RULES: tuple[type[RuleVisitor], ...] = (
     WallClockRule,
     NonAtomicWriteRule,
     RegistryOnlyRule,
-    RegisteredEventsRule,
     BareParallelismRule,
     FloatEqualityRule,
     BroadExceptRule,

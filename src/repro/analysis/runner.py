@@ -2,8 +2,8 @@
 
 Two rule families share one run:
 
-* **file rules** (RPL001-RPL007, RPL009) check one module AST at a
-  time;
+* **file rules** (RPL001-RPL004, RPL006, RPL007, RPL009) check one
+  module AST at a time;
 * **project rules** (RPL010-RPL014) run against the
   :class:`~repro.analysis.graph.ProjectGraph` assembled from every
   file's extracted facts.

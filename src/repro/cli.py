@@ -42,7 +42,7 @@ from .core.explain import explain_point, render_report
 from .core.params import CountingBackend
 from .data.loaders import load_csv
 from .data.registry import DATASETS, load_dataset
-from .engine.registry import engine_names
+from .engine.registry import ENGINES
 from .eval.comparison import build_table1, render_table
 from .grid.backends import PLACEMENTS, canonical_backend
 from .exceptions import ReproError, SearchCancelled
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi", type=int, default=None)
     sweep.add_argument("-m", "--projections", type=int, default=20)
     sweep.add_argument(
-        "--method", choices=engine_names(), default="brute_force"
+        "--method", choices=sorted(ENGINES), default="brute_force"
     )
     sweep.add_argument("--seed", type=int, default=0)
 
@@ -225,9 +225,9 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-m", "--projections", type=int, default=20)
     parser.add_argument(
         "--method",
-        choices=engine_names(),
+        choices=sorted(ENGINES),
         default="evolutionary",
-        help="search engine (from the engine registry)",
+        help="search engine",
     )
     parser.add_argument("--threshold", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
@@ -432,24 +432,30 @@ def _counting(args) -> CountingBackend:
     )
 
 
+def _detector_kwargs(args, dataset) -> dict:
+    """The detector options ``detect`` and ``multik`` share, from *args*."""
+    return {
+        "n_ranges": _phi(args, dataset),
+        "n_projections": args.projections,
+        "method": args.method,
+        "threshold": args.threshold,
+        "config": EvolutionaryConfig(
+            population_size=args.population, max_generations=args.generations
+        ),
+        "mmap_dir": args.mmap_dir,
+        "shard_rows": args.shard_rows,
+        "spill_dir": args.spill_dir,
+        "verify_shards": args.verify_shards,
+        "counting": _counting(args),
+        "random_state": args.seed,
+    }
+
+
 def _detector(args, dataset, controller=None) -> SubspaceOutlierDetector:
-    config = EvolutionaryConfig(
-        population_size=args.population, max_generations=args.generations
-    )
     return SubspaceOutlierDetector(
         dimensionality=args.dimensionality,
-        n_ranges=_phi(args, dataset),
-        n_projections=args.projections,
-        method=args.method,
-        threshold=args.threshold,
-        config=config,
-        mmap_dir=getattr(args, "mmap_dir", None),
-        shard_rows=getattr(args, "shard_rows", None),
-        spill_dir=getattr(args, "spill_dir", None),
-        verify_shards=getattr(args, "verify_shards", False),
-        counting=_counting(args),
-        random_state=args.seed,
         controller=controller,
+        **_detector_kwargs(args, dataset),
     )
 
 
@@ -494,27 +500,13 @@ def _cmd_multik(args) -> int:
 
     dataset = _load(args)
     controller = _controller(args)
-    detector_kwargs = {
-        "n_ranges": _phi(args, dataset),
-        "n_projections": args.projections,
-        "method": args.method,
-        "threshold": args.threshold,
-        "config": EvolutionaryConfig(
-            population_size=args.population, max_generations=args.generations
-        ),
-        "mmap_dir": getattr(args, "mmap_dir", None),
-        "shard_rows": getattr(args, "shard_rows", None),
-        "spill_dir": getattr(args, "spill_dir", None),
-        "verify_shards": getattr(args, "verify_shards", False),
-        "random_state": args.seed,
-    }
     try:
         with controller.signal_handlers():
             outcome = detect_across_dimensionalities(
                 dataset.values,
                 args.ks,
                 feature_names=dataset.feature_names,
-                detector_kwargs=detector_kwargs,
+                detector_kwargs=_detector_kwargs(args, dataset),
                 controller=controller,
                 resume=args.resume,
             )

@@ -30,10 +30,10 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .._validation import check_matrix, check_positive_int
+from .._validation import check_choice, check_matrix, check_positive_int
 from ..engine.context import RunContext
 from ..engine.events import CompositeSink, EventSink, emit_event
-from ..engine.registry import create_engine, engine_spec
+from ..engine.registry import ENGINES, create_engine
 from ..engine.stats import StatsAssemblySink
 from ..exceptions import NotFittedError, ResourceError, ValidationError
 from ..resilience.ladder import ResilienceReport
@@ -76,12 +76,10 @@ class SubspaceOutlierDetector:
         May be ``None`` when *threshold* is given, reproducing the
         arrhythmia protocol ("all projections with coefficient ≤ −3").
     method:
-        Any engine registered in :mod:`repro.engine.registry` —
-        ``"evolutionary"`` (default), ``"brute_force"``, or the §2.1
-        ablation searchers ``"random"`` / ``"hill_climbing"`` /
-        ``"simulated_annealing"``; plugins registered via
-        :func:`~repro.engine.registry.register_engine` resolve the same
-        way.
+        One of the five searches of
+        :data:`~repro.engine.registry.ENGINES` — ``"evolutionary"``
+        (default), ``"brute_force"``, or the §2.1 ablation searchers
+        ``"random"`` / ``"hill_climbing"`` / ``"simulated_annealing"``.
     threshold:
         Optional sparsity-coefficient cutoff for mined projections.
     target_sparsity:
@@ -156,9 +154,10 @@ class SubspaceOutlierDetector:
         Composed with the controller's sink when both are set.
     engine_options:
         Extra keyword arguments for the engine factory (e.g.
-        ``{"max_evaluations": 5000}`` for the ablation searchers, or a
-        plugin engine's own options), merged over the detector-derived
-        arguments before the registry's ``accepts`` filter is applied.
+        ``{"max_evaluations": 5000}`` for the ablation searchers),
+        merged over the detector-derived arguments.  Keywords the
+        engine's :data:`~repro.engine.registry.ENGINES` row does not
+        accept are dropped silently.
 
     Attributes (populated by :meth:`detect`)
     ----------------------------------------
@@ -205,8 +204,7 @@ class SubspaceOutlierDetector:
                 "n_projections=None requires a threshold (unbounded mining)"
             )
         self.n_projections = n_projections
-        engine_spec(method)  # unknown names raise ValidationError here
-        self.method = method
+        self.method = check_choice(method, ENGINES, "search engine")
         self.threshold = threshold
         self.require_nonempty = require_nonempty
         self.target_sparsity = target_sparsity
@@ -563,31 +561,15 @@ class SubspaceOutlierDetector:
         resume: bool = False,
         sink: EventSink | None = None,
     ) -> SearchOutcome:
-        """Resolve the engine through the registry and drive its run.
+        """Build the engine from :data:`ENGINES` and drive its run.
 
-        The engine is constructed by the registered factory (extra
+        The engine is constructed from its table row (extra
         ``engine_options`` merged over the detector-derived arguments),
         then injected with one :class:`~repro.engine.context.RunContext`
         carrying the cancel token, the remaining wall-clock budget, the
-        checkpointer and the event sink.
+        checkpointer (only for engines that set ``algorithm``, the ones
+        that can fill it) and the event sink.
         """
-        controller = self.controller
-        spec = engine_spec(self.method)
-        checkpointer = None
-        if (
-            controller is not None
-            and controller.store is not None
-            and spec.supports_checkpoint
-        ):
-            manifest = self._manifest(k, cells) if cells is not None else None
-            checkpointer = controller.checkpointer(
-                f"search_k{k}", manifest=manifest
-            )
-        resume_from = (
-            True
-            if resume and checkpointer is not None and checkpointer.exists()
-            else None
-        )
         engine_kwargs = {
             "require_nonempty": self.require_nonempty,
             "threshold": self.threshold,
@@ -599,6 +581,22 @@ class SubspaceOutlierDetector:
         }
         engine = create_engine(
             self.method, counter, k, self.n_projections, **engine_kwargs
+        )
+        controller = self.controller
+        checkpointer = None
+        if (
+            controller is not None
+            and controller.store is not None
+            and engine.algorithm
+        ):
+            manifest = self._manifest(k, cells) if cells is not None else None
+            checkpointer = controller.checkpointer(
+                f"search_k{k}", manifest=manifest
+            )
+        resume_from = (
+            True
+            if resume and checkpointer is not None and checkpointer.exists()
+            else None
         )
         if controller is not None:
             context = controller.build_context(

@@ -196,9 +196,11 @@ def detect_across_dimensionalities(
 
     sweep_manifest = None
     if controller is not None and controller.store is not None:
-        sweep_manifest = {
-            "params": params_fingerprint({"ks": ks, **kwargs}),
-        }
+        # Counts are identical on every placement, so a sweep resumed
+        # with another counting policy still matches (the detector's
+        # own search manifest leaves it out too).
+        params = {key: value for key, value in kwargs.items() if key != "counting"}
+        sweep_manifest = {"params": params_fingerprint({"ks": ks, **params})}
 
     from ..persist import result_from_dict, result_to_dict
 

@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .._validation import check_in_range, check_positive_int
+from .._validation import check_choice, check_in_range, check_positive_int
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -98,12 +98,9 @@ class CountingBackend:
         from ..grid.backends import PLACEMENTS, canonical_backend
 
         # A deprecated alias resolves to the placement it names.
-        kind = canonical_backend(self.kind)
-        if kind not in PLACEMENTS:
-            raise ValidationError(
-                f"unknown counting backend {self.kind!r}; placements: "
-                f"{sorted(PLACEMENTS)}"
-            )
+        kind = check_choice(
+            canonical_backend(self.kind), PLACEMENTS, "counting backend"
+        )
         object.__setattr__(self, "kind", kind)
         if self.n_workers is not None:
             check_positive_int(self.n_workers, "n_workers")

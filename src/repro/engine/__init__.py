@@ -4,20 +4,21 @@ This package defines *how a search runs* independently of *what it
 searches*:
 
 * :mod:`repro.engine.protocol` — the ``prepare/step/finalize``
-  :class:`SearchEngine` protocol and the :class:`GeneratorEngine` base
-  every built-in searcher rides on;
+  :class:`SearchEngine` protocol every searcher rides on;
 * :mod:`repro.engine.context` — :class:`RunContext`, the one bundle of
   cancel token, checkpointer, budget, resume request and event sink
   that gets injected into a run;
-* :mod:`repro.engine.events` — typed :class:`Event` records and the
-  pluggable :class:`EventSink` family;
-* :mod:`repro.engine.registry` — the name → factory registry the
-  detector, multi-k sweep and CLI resolve engines through;
+* :mod:`repro.engine.events` — typed :class:`Event` records, the
+  fixed :data:`EVENT_TYPES` vocabulary and the :class:`EventSink`
+  family;
+* :mod:`repro.engine.registry` — :data:`ENGINES`, the table of the
+  paper's five searches that the detector, multi-k sweep and CLI
+  resolve engines through;
 * :mod:`repro.engine.stats` — the sink that folds the event stream back
   into the backward-compatible ``result.stats`` dictionary.
 
-See ``docs/architecture.md`` for the layering diagram and the
-"add your own searcher" recipe.
+See ``docs/architecture.md`` for the layering diagram and the recipe
+for adding a searcher.
 """
 
 from .context import RunContext
@@ -30,23 +31,14 @@ from .events import (
     JsonlTraceSink,
     NullSink,
     emit_event,
-    register_event_type,
 )
-from .protocol import GeneratorEngine, SearchEngine
-from .registry import (
-    EngineSpec,
-    create_engine,
-    engine_names,
-    engine_spec,
-    register_engine,
-    unregister_engine,
-)
+from .protocol import SearchEngine
+from .registry import ENGINES, create_engine
 from .stats import StatsAssemblySink, merge_backend_health
 
 __all__ = [
     "RunContext",
     "EVENT_TYPES",
-    "register_event_type",
     "Event",
     "emit_event",
     "EventSink",
@@ -57,11 +49,6 @@ __all__ = [
     "StatsAssemblySink",
     "merge_backend_health",
     "SearchEngine",
-    "GeneratorEngine",
-    "EngineSpec",
-    "register_engine",
-    "unregister_engine",
-    "engine_names",
-    "engine_spec",
+    "ENGINES",
     "create_engine",
 ]

@@ -3,8 +3,9 @@
 A :class:`RunContext` is the only way to hand an engine its run state:
 cancel token, checkpointer, wall-clock budget, resume request and event
 sink.  :class:`~repro.run.controller.RunController` builds it, the
-detector passes it to whichever engine the registry resolves, and the
-engine reads what it needs.  Engine constructors take only what the
+detector passes it to whichever engine of
+:data:`~repro.engine.registry.ENGINES` it built, and the engine reads
+what it needs.  Engine constructors take only what the
 search *is* (counter, k, m, hyper-parameters); everything about how
 one run of it stops, saves and reports lives here.
 """

@@ -15,9 +15,8 @@ implementations decide what to do with them —
 * :class:`~repro.engine.stats.StatsAssemblySink` reconstructs the
   backward-compatible ``result.stats`` dictionary.
 
-The event vocabulary is deliberately small and closed by default
-(:data:`EVENT_TYPES`); plugins can widen it with
-:func:`register_event_type` before emitting their own types.
+The event vocabulary is small and closed: :data:`EVENT_TYPES` is a
+fixed literal, and :func:`emit_event` rejects any other type.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from pathlib import Path
 from collections.abc import Mapping
 from typing import IO, Any
 
-from ..exceptions import ValidationError
+from .._validation import check_choice
 
 __all__ = [
     "EVENT_TYPES",
-    "register_event_type",
     "Event",
     "emit_event",
     "EventSink",
@@ -44,7 +42,7 @@ __all__ = [
     "CompositeSink",
 ]
 
-#: The built-in event vocabulary.  ``run_started`` / ``engine_finished``
+#: The event vocabulary.  ``run_started`` / ``engine_finished``
 #: bracket every engine run; the boundary events in between depend on
 #: the engine (GA generations, brute-force levels) and on the counting
 #: backend (``chunk_retry`` comes from the fault-tolerant dispatcher;
@@ -59,7 +57,7 @@ __all__ = [
 #: ``grid_drift_detected`` when post-fit occupancy drifts past the
 #: configured divergence threshold, and ``score_request`` once per
 #: served scoring request (CLI ``repro score``).
-EVENT_TYPES: set[str] = {
+EVENT_TYPES: frozenset[str] = frozenset({
     "run_started",
     "generation_end",
     "level_end",
@@ -73,15 +71,7 @@ EVENT_TYPES: set[str] = {
     "rebin_triggered",
     "grid_drift_detected",
     "score_request",
-}
-
-
-def register_event_type(name: str) -> str:
-    """Widen the event vocabulary (for plugin engines).  Idempotent."""
-    if not name or not isinstance(name, str):
-        raise ValidationError(f"event type must be a non-empty string, got {name!r}")
-    EVENT_TYPES.add(name)
-    return name
+})
 
 
 @dataclass(frozen=True)
@@ -112,11 +102,7 @@ def emit_event(sink: "EventSink | None", type: str, **payload: Any) -> None:
     """
     if sink is None:
         return
-    if type not in EVENT_TYPES:
-        raise ValidationError(
-            f"unknown event type {type!r}; register_event_type() first "
-            f"(known: {sorted(EVENT_TYPES)})"
-        )
+    check_choice(type, EVENT_TYPES, "event type")
     sink.emit(Event(type=type, payload=payload))
 
 

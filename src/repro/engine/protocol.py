@@ -20,16 +20,16 @@ random ablation searchers — implements this three-phase protocol:
     steps are exhausted is allowed — the run is wound down as if
     cancelled at the last completed boundary.
 
-:class:`GeneratorEngine` is the shared implementation: engines write
-their search loop once as a ``_iterate(ctx)`` generator that yields at
-every safe boundary, and the base class maps the protocol onto it.
+:class:`SearchEngine` implements the protocol once: engines write
+their search loop as a ``_iterate(ctx)`` generator that yields at
+every safe boundary, and the class maps the three phases onto it.
 The generator form keeps each loop body identical to its pre-protocol
-shape, which is what the differential golden tests lock down.
+shape, which is what the differential golden tests lock down.  Every
+engine of :data:`~repro.engine.registry.ENGINES` derives from it.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Mapping
 from typing import TYPE_CHECKING, Any, ClassVar
 
@@ -41,42 +41,11 @@ from .context import RunContext
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..search.outcome import SearchOutcome
 
-__all__ = ["SearchEngine", "GeneratorEngine"]
+__all__ = ["SearchEngine"]
 
 
-class SearchEngine(ABC):
-    """Abstract three-phase search engine (see module docstring)."""
-
-    @abstractmethod
-    def prepare(self, context: RunContext) -> None:
-        """Bind *context* and build/restore the search state."""
-
-    @abstractmethod
-    def step(self, context: RunContext) -> bool:
-        """Advance one safe boundary; False once the search is done."""
-
-    @abstractmethod
-    def finalize(self, context: RunContext) -> "SearchOutcome":
-        """Assemble the outcome from the current state."""
-
-    # ------------------------------------------------------------------
-    def run(self, *, context: RunContext | None = None) -> "SearchOutcome":
-        """Drive the full protocol: prepare, step until done, finalize.
-
-        *context* carries the run state (token, checkpointer, budget,
-        resume request, sink); None runs with a default
-        :class:`~repro.engine.context.RunContext`.
-        """
-        if context is None:
-            context = RunContext()
-        self.prepare(context)
-        while self.step(context):
-            pass
-        return self.finalize(context)
-
-
-class GeneratorEngine(SearchEngine):
-    """Protocol base mapping prepare/step/finalize onto a generator.
+class SearchEngine:
+    """The protocol, mapped onto a generator (see module docstring).
 
     Subclasses implement:
 
@@ -145,6 +114,20 @@ class GeneratorEngine(SearchEngine):
             ),
         )
         return outcome
+
+    def run(self, *, context: RunContext | None = None) -> "SearchOutcome":
+        """Drive the full protocol: prepare, step until done, finalize.
+
+        *context* carries the run state (token, checkpointer, budget,
+        resume request, sink); None runs with a default
+        :class:`~repro.engine.context.RunContext`.
+        """
+        if context is None:
+            context = RunContext()
+        self.prepare(context)
+        while self.step(context):
+            pass
+        return self.finalize(context)
 
     # ------------------------------------------------------------------
     def _iterate(

@@ -40,6 +40,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .._validation import check_choice
 from ..exceptions import ReproError, ValidationError
 from .kernels import batch_counts, pack_codes_block
 from .native import native_batch_counts
@@ -200,5 +201,11 @@ def select_kernel() -> tuple[str, str | None]:
 
 
 def canonical_backend(name: str) -> str:
-    """*name* with a deprecated alias resolved; other names unchanged."""
+    """*name* with a deprecated alias resolved; other names unchanged.
+
+    A non-``str`` *name* raises :class:`ValidationError` listing the
+    placements.
+    """
+    if not isinstance(name, str):
+        check_choice(name, PLACEMENTS, "counting backend")
     return _ALIASES.get(name, name)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..engine.context import RunContext
-from ..engine.protocol import GeneratorEngine
+from ..engine.protocol import SearchEngine
 from ..exceptions import CheckpointError, SearchCancelled, ValidationError
 from ..grid.counter import CubeCounter
 from ..run.controller import RunBudget
@@ -76,7 +76,7 @@ def search_space_size(n_dims: int, dimensionality: int, n_ranges: int) -> int:
     return math.comb(n_dims, dimensionality) * n_ranges**dimensionality
 
 
-class BruteForceSearch(GeneratorEngine):
+class BruteForceSearch(SearchEngine):
     """Exhaustive cube search (Algorithm *BruteForce*, Figure 2).
 
     Parameters
@@ -132,7 +132,7 @@ class BruteForceSearch(GeneratorEngine):
 
     # ------------------------------------------------------------------
     def _iterate(self, context: RunContext):
-        """The enumeration as a generator (see :class:`GeneratorEngine`).
+        """The enumeration as a generator (see :class:`SearchEngine`).
 
         ``run()`` drives it to completion; each step is one level
         boundary.  A resumed run restores the frontier, best set and

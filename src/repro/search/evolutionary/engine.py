@@ -19,7 +19,7 @@ import numpy as np
 
 from ..._validation import check_rng
 from ...engine.context import RunContext
-from ...engine.protocol import GeneratorEngine
+from ...engine.protocol import SearchEngine
 from ...exceptions import SearchCancelled, ValidationError
 from ...grid.counter import CubeCounter
 from ...run.checkpoint import encode_rng_state
@@ -44,7 +44,7 @@ _CROSSOVER_ALIASES = {
 }
 
 
-class EvolutionarySearch(GeneratorEngine):
+class EvolutionarySearch(SearchEngine):
     """Algorithm *EvolutionaryOutlierSearch* (Figure 3).
 
     Parameters
@@ -120,7 +120,7 @@ class EvolutionarySearch(GeneratorEngine):
 
     # ------------------------------------------------------------------
     def _iterate(self, context: RunContext):
-        """The GA main loop as a generator (see :class:`GeneratorEngine`).
+        """The GA main loop as a generator (see :class:`SearchEngine`).
 
         ``run()`` drives this to completion; an external driver can
         instead ``prepare``/``step`` it one generation boundary at a

@@ -13,7 +13,7 @@ ablation isolates exactly what recombination adds.
 All three maintain the same ``BestProjectionSet`` as the other
 searchers, implement the :class:`~repro.engine.protocol.SearchEngine`
 protocol and return a ``SearchOutcome``, so they are drop-in comparable
-in the benchmarks and resolvable through the engine registry.
+in the benchmarks and named in :data:`~repro.engine.registry.ENGINES`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 
 from .._validation import check_in_range, check_positive_int, check_rng
 from ..engine.context import RunContext
-from ..engine.protocol import GeneratorEngine
+from ..engine.protocol import SearchEngine
 from ..exceptions import SearchCancelled
 from ..grid.counter import CubeCounter
 from ..run.controller import RunBudget
@@ -56,7 +56,7 @@ def _neighbor(solution: Solution, n_ranges: int, rng) -> Solution:
     return Solution(genes)
 
 
-class _SingleSolutionSearch(GeneratorEngine):
+class _SingleSolutionSearch(SearchEngine):
     """Shared plumbing for the non-population searchers."""
 
     def __init__(

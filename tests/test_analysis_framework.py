@@ -135,7 +135,7 @@ class TestRunner:
     def test_ignore_removes_codes(self):
         rules = select_rules(ignore=["RPL001", "RPL002"])
         assert sorted(r.code for r in rules) == [
-            "RPL003", "RPL004", "RPL005", "RPL006", "RPL007", "RPL009",
+            "RPL003", "RPL004", "RPL006", "RPL007", "RPL009",
             "RPL010", "RPL011", "RPL012", "RPL013", "RPL014",
         ]
 

@@ -1,5 +1,5 @@
-"""Per-rule fixtures for the repro-lint rule set (RPL001-RPL007, RPL009)
-and the project rule set (RPL010-RPL014).
+"""Per-rule fixtures for the repro-lint rule set (RPL001-RPL004, RPL006,
+RPL007, RPL009) and the project rule set (RPL010-RPL014).
 
 Every rule gets at least one positive fixture (the invariant broken →
 exactly the expected code fires) and one negative fixture (compliant
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis.config import LintConfig
-from repro.analysis.runner import lint_source, select_rules
+from repro.analysis.runner import lint_paths, lint_source, select_rules
 from repro.analysis.sources import ModuleSource
 
 
@@ -270,56 +271,6 @@ class TestRPL004RegistryOnly:
         assert found == []
 
 
-class TestRPL005RegisteredEvents:
-    def test_flags_unregistered_event_type(self):
-        found = lint_text(
-            """
-            def run(context):
-                context.emit("totally_unknown_event", step=1)
-            """,
-            select=["RPL005"],
-        )
-        assert codes(found) == ["RPL005"]
-
-    def test_registered_event_is_clean(self):
-        from repro.engine.events import EVENT_TYPES
-
-        event = sorted(EVENT_TYPES)[0]
-        found = lint_text(
-            f"""
-            def run(context):
-                context.emit({event!r}, step=1)
-            """,
-            select=["RPL005"],
-        )
-        assert found == []
-
-    def test_locally_registered_event_is_clean(self):
-        found = lint_text(
-            """
-            from repro.engine.events import register_event_type
-
-            register_event_type("my_plugin_event")
-
-            def run(context):
-                context.emit("my_plugin_event", step=1)
-            """,
-            select=["RPL005"],
-        )
-        assert found == []
-
-    def test_dynamic_event_name_is_not_flagged(self):
-        # Syntactic rule: only literal event names are judged.
-        found = lint_text(
-            """
-            def run(context, name):
-                context.emit(name, step=1)
-            """,
-            select=["RPL005"],
-        )
-        assert found == []
-
-
 class TestRPL006BareParallelism:
     def test_flags_multiprocessing_and_futures_imports(self):
         found = lint_text(
@@ -514,10 +465,6 @@ class TestRPL009BroadExcept:
 # ----------------------------------------------------------------------
 # project rules (RPL010-RPL014) — multi-file fixtures through lint_paths
 # ----------------------------------------------------------------------
-import pytest
-
-from repro.analysis.runner import lint_paths
-
 PROJECT_CODES = ["RPL010", "RPL011", "RPL012", "RPL013", "RPL014"]
 
 
@@ -609,6 +556,58 @@ class TestRPL010EventContract:
         )
         assert codes(result.violations) == ["RPL010"]
         assert "'only_dynamic'" in result.violations[0].message
+
+
+    # A tree without an EVENT_TYPES literal (one file, or tests/ alone)
+    # is judged against the installed vocabulary.
+    def test_flags_unregistered_event_type(self, tmp_path):
+        result = lint_tree(
+            tmp_path,
+            {
+                "sample.py": """
+                def run(context):
+                    context.emit("totally_unknown_event", step=1)
+                """,
+            },
+            select=["RPL010"],
+        )
+        assert codes(result.violations) == ["RPL010"]
+        assert "'totally_unknown_event'" in result.violations[0].message
+
+    def test_registered_event_is_clean(self, tmp_path):
+        from repro.engine.events import EVENT_TYPES
+
+        event = sorted(EVENT_TYPES)[0]
+        result = lint_tree(
+            tmp_path,
+            {
+                "sample.py": f"""
+                def run(context):
+                    context.emit({event!r}, step=1)
+                """,
+            },
+            select=["RPL010"],
+        )
+        assert result.violations == []
+
+    def test_dynamic_event_name_is_not_flagged(self, tmp_path):
+        # Only literal event names are judged.
+        result = lint_tree(
+            tmp_path,
+            {
+                "sample.py": """
+                def run(context, name):
+                    context.emit(name, step=1)
+                """,
+            },
+            select=["RPL010"],
+        )
+        assert result.violations == []
+
+    def test_tests_tree_alone_is_clean(self):
+        tests_dir = Path(__file__).resolve().parent
+        result = lint_paths([tests_dir], select=["RPL010"])
+        assert result.violations == []
 
 
 class TestRPL011ExceptionContract:

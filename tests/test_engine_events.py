@@ -1,11 +1,12 @@
 """Tests for the engine layer: events, sinks, registry, protocol driving.
 
-The event bus and registry are the refactor's new public surface; this
-file covers their contracts directly — vocabulary enforcement, sink
-behavior (in-memory, JSONL trace, composite), registry CRUD including
-plugin engines, the prepare/step/finalize protocol being equivalent to
-``run()``, ``chunk_retry`` emission from the fault-tolerant counting
-pool, and the CLI's ``--trace-file`` / ``--search`` wiring.
+The event bus and the engine table are the refactor's public surface;
+this file covers their contracts directly — vocabulary enforcement,
+sink behavior (in-memory, JSONL trace, composite), the ``ENGINES``
+table and ``create_engine``'s keyword filtering, the
+prepare/step/finalize protocol being equivalent to ``run()``,
+``chunk_retry`` emission from the fault-tolerant counting pool, and
+the CLI's ``--trace-file`` / ``--method`` wiring.
 """
 
 from __future__ import annotations
@@ -16,26 +17,17 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.detector import SubspaceOutlierDetector
 from repro.core.params import CountingBackend
 from repro.engine.context import RunContext
 from repro.engine.events import (
-    EVENT_TYPES,
     CompositeSink,
     Event,
     InMemoryEventSink,
     JsonlTraceSink,
     NullSink,
     emit_event,
-    register_event_type,
 )
-from repro.engine.registry import (
-    create_engine,
-    engine_names,
-    engine_spec,
-    register_engine,
-    unregister_engine,
-)
+from repro.engine.registry import ENGINES, create_engine
 from repro.engine.stats import StatsAssemblySink, merge_backend_health
 from repro.exceptions import ValidationError
 from repro.grid.counter import CubeCounter
@@ -56,21 +48,6 @@ class TestEmitEvent:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError, match="unknown event type"):
             emit_event(InMemoryEventSink(), "made_up_event")  # repro-lint: disable=RPL010
-
-    def test_register_event_type_widens_vocabulary(self):
-        name = "plugin_tick_test"
-        assert name not in EVENT_TYPES
-        try:
-            register_event_type(name)
-            sink = InMemoryEventSink()
-            emit_event(sink, name, n=1)
-            assert sink.of_type(name)[0].payload == {"n": 1}
-        finally:
-            EVENT_TYPES.discard(name)
-
-    def test_register_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            register_event_type("")
 
     def test_payload_and_timestamp(self):
         sink = InMemoryEventSink()
@@ -172,28 +149,26 @@ class TestStatsHelpers:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = engine_names()
-        for name in (
-            "evolutionary",
+        assert sorted(ENGINES) == [
             "brute_force",
-            "random",
+            "evolutionary",
             "hill_climbing",
+            "random",
             "simulated_annealing",
-        ):
-            assert name in names
+        ]
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValidationError, match="evolutionary"):
-            engine_spec("no_such_engine")
+            create_engine("no_such_engine", None, 2)
 
-    def test_checkpoint_support_flags(self):
-        assert engine_spec("evolutionary").supports_checkpoint
-        assert engine_spec("brute_force").supports_checkpoint
-        assert not engine_spec("random").supports_checkpoint
+    def test_checkpoint_support_flags(self, small_counter):
+        def algorithm(name):
+            return create_engine(name, small_counter, 2, 5).algorithm
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValidationError, match="already registered"):
-            register_engine("evolutionary", lambda *a, **k: None)
+        assert algorithm("evolutionary") == "evolutionary"
+        assert algorithm("brute_force") == "brute_force"
+        for name in ("random", "hill_climbing", "simulated_annealing"):
+            assert not algorithm(name), name
 
     def test_kwargs_filtered_per_engine(self, small_counter):
         # `patience` belongs to hill climbing only; `config` to the GA.
@@ -209,44 +184,6 @@ class TestRegistry:
         )
         assert isinstance(engine, RandomSearch)
         assert engine.max_evaluations == 100
-
-    def test_plugin_register_use_unregister(self, small_counter, small_data):
-        calls = {}
-
-        @register_engine("random_twin_test", description="test plugin")
-        def _factory(counter, dimensionality, n_projections, **kwargs):
-            calls["kwargs"] = dict(kwargs)
-            return RandomSearch(
-                counter,
-                dimensionality,
-                n_projections,
-                max_evaluations=150,
-                random_state=kwargs.get("random_state"),
-            )
-
-        try:
-            assert "random_twin_test" in engine_names()
-            detector = SubspaceOutlierDetector(
-                dimensionality=2,
-                n_ranges=4,
-                n_projections=5,
-                method="random_twin_test",
-                random_state=0,
-            )
-            result = detector.detect(small_data)
-            assert result.stats["algorithm"] == "RandomSearch"
-            assert calls["kwargs"].get("random_state") == 0
-        finally:
-            unregister_engine("random_twin_test")
-        with pytest.raises(ValidationError):
-            engine_spec("random_twin_test")
-
-    def test_replace_allows_override(self):
-        spec = engine_spec("random")
-        register_engine(
-            "random", spec.factory, accepts=spec.accepts, replace=True
-        )
-        assert engine_spec("random").factory is spec.factory
 
 
 # ----------------------------------------------------------------------

@@ -618,11 +618,11 @@ class TestOnePollPerStep:
 
     def test_polls_equal_steps_for_every_engine(self):
         from repro.engine.context import RunContext
-        from repro.engine.registry import create_engine, engine_names
+        from repro.engine.registry import ENGINES, create_engine
         from repro.search.evolutionary.config import EvolutionaryConfig
 
         counter = _normal_counter()
-        for name in engine_names():
+        for name in sorted(ENGINES):
             engine = create_engine(
                 name, counter, 2, 5,
                 max_evaluations=300,
@@ -1132,3 +1132,98 @@ class TestCliValuesReachValidation:
                 "--method", "brute_force", *extra]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _unhashable_lookups():
+    from repro.core.detector import SubspaceOutlierDetector
+    from repro.core.params import CountingBackend
+    from repro.engine.events import InMemoryEventSink, emit_event
+    from repro.engine.registry import create_engine
+    from repro.grid.backends import canonical_backend
+
+    name = ["x"]
+    return {
+        "detector.method": (
+            lambda: SubspaceOutlierDetector(method=name), "evolutionary"
+        ),
+        "create_engine": (lambda: create_engine(name, None, 2), "brute_force"),
+        "CountingBackend.kind": (lambda: CountingBackend(kind=name), "process"),
+        "canonical_backend": (lambda: canonical_backend(name), "serial"),
+        "emit_event": (
+            lambda: emit_event(InMemoryEventSink(), name), "run_started"
+        ),
+    }
+
+
+class TestUnhashableNames:
+    """A list given where a name is looked up in a fixed table escaped
+    as ``TypeError: unhashable type`` from the lookup itself.  Every
+    table now raises a ``ValidationError`` that lists its names."""
+
+    @pytest.mark.parametrize("case", sorted(_unhashable_lookups()))
+    def test_non_str_name_lists_valid_names(self, case):
+        from repro.exceptions import ValidationError
+
+        build, listed = _unhashable_lookups()[case]
+        with pytest.raises(ValidationError, match=listed):
+            build()
+
+
+class TestMultikCountingOptions:
+    """``multik`` built its detectors without ``counting=``, so every
+    ``--count-*`` option was ignored: ``--count-workers 0`` exited 0 and
+    ``--count-backend process`` counted serially."""
+
+    ARGV = ["multik", "--dataset", "machine", "--ks", "2", "3",
+            "--method", "brute_force", "--count-backend", "process"]
+
+    def test_invalid_count_option_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main([*self.ARGV, "--count-workers", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_process_pool_counts_every_k(self, capsys):
+        import json
+
+        from repro.cli import main
+
+        argv = [*self.ARGV, "--count-workers", "2",
+                "--count-chunk-size", "32", "--output", "json"]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert sorted(results) == ["2", "3"]
+        for k, result in results.items():
+            assert result["stats"]["counter_stats"]["parallel_chunks"] > 0, k
+
+    def test_resume_with_other_workers_loads_completed_ks(
+        self, tmp_path, caplog
+    ):
+        import logging
+
+        from repro.core.multik import detect_across_dimensionalities
+        from repro.core.params import CountingBackend
+        from repro.run.controller import RunController
+
+        data = np.random.default_rng(0).normal(size=(300, 5))
+        kwargs = {"n_ranges": 4, "n_projections": 3, "method": "brute_force"}
+
+        def sweep(n_workers, resume):
+            return detect_across_dimensionalities(
+                data,
+                [1, 2],
+                counting=CountingBackend(n_workers=n_workers),
+                detector_kwargs=kwargs,
+                controller=RunController(checkpoint_dir=tmp_path),
+                resume=resume,
+            )
+
+        first = sweep(1, resume=False)
+        with caplog.at_level(logging.INFO, logger="repro.core.multik"):
+            resumed = sweep(2, resume=True)
+        loaded = [r for r in caplog.records if "loaded completed" in r.message]
+        assert len(loaded) == 2
+        for k in (1, 2):
+            assert [p.subspace for p in resumed.results[k].projections] == [
+                p.subspace for p in first.results[k].projections
+            ]
