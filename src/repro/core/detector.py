@@ -519,18 +519,18 @@ class SubspaceOutlierDetector:
         return min(k_star, n_dims)
 
     # ------------------------------------------------------------------
-    def _manifest(self, k: int, cells) -> dict:
-        """Run identity for checkpoint staleness checks.
+    def _trajectory_params(self) -> dict:
+        """The parameters that shape a search: a checkpoint's run identity.
 
-        Any change to the parameters that shape the search trajectory —
-        or to the discretized data itself — must invalidate old
-        checkpoints.  Budgets (``max_seconds``) are deliberately
-        excluded: a resumed run may legitimately get a fresh budget.
+        Budgets and the counting placement are left out, so a resumed
+        run (or multi-k sweep) may get a fresh budget or another one.
+        The selection and discretizer (by ``repr``) and the engine
+        options enter only when set, so a run on their defaults keeps
+        its fingerprint.
         """
         config = self.config or EvolutionaryConfig()
         params = {
             "method": self.method,
-            "dimensionality": k,
             "n_ranges": self.n_ranges,
             "n_projections": self.n_projections,
             "threshold": self.threshold,
@@ -547,6 +547,20 @@ class SubspaceOutlierDetector:
                 if key != "max_seconds"
             },
         }
+        operators = {"selection": self.selection, "discretizer": self.discretizer}
+        params.update({k: repr(v) for k, v in operators.items() if v is not None})
+        if self.engine_options:
+            params["engine_options"] = self.engine_options
+        return params
+
+    def _manifest(self, k: int, cells) -> dict:
+        """Run identity for checkpoint staleness checks.
+
+        Any change to the parameters that shape the search trajectory —
+        or to the discretized data itself — must invalidate old
+        checkpoints.
+        """
+        params = {**self._trajectory_params(), "dimensionality": k}
         return {
             "params": params_fingerprint(params),
             "data": data_fingerprint(cells.codes),

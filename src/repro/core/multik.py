@@ -196,10 +196,9 @@ def detect_across_dimensionalities(
 
     sweep_manifest = None
     if controller is not None and controller.store is not None:
-        # Counts are identical on every placement, so a sweep resumed
-        # with another counting policy still matches (the detector's
-        # own search manifest leaves it out too).
-        params = {key: value for key, value in kwargs.items() if key != "counting"}
+        # The detector's own run identity, so a sweep resumed with
+        # another budget or counting placement still matches.
+        params = SubspaceOutlierDetector(**kwargs)._trajectory_params()
         sweep_manifest = {"params": params_fingerprint({"ks": ks, **params})}
 
     from ..persist import result_from_dict, result_to_dict

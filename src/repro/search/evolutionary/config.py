@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..._validation import check_in_range, check_positive_int, check_probability
 from ...exceptions import ValidationError
+from .convergence import DeJongConvergence
 
 __all__ = ["EvolutionaryConfig"]
 
@@ -98,14 +99,8 @@ class EvolutionaryConfig:
                 f"population size ({self.population_size})"
             )
         check_positive_int(self.max_generations, "max_generations")
-        check_in_range(
-            self.convergence_threshold, "convergence_threshold", low=0.5, high=1.0
-        )
-        if self.convergence_mode not in ("string", "genes"):
-            raise ValidationError(
-                f"convergence_mode must be 'string' or 'genes', got "
-                f"{self.convergence_mode!r}"
-            )
+        # The criterion checks its own threshold and mode.
+        DeJongConvergence(self.convergence_threshold, self.convergence_mode)
         if self.stall_generations is not None:
             check_positive_int(self.stall_generations, "stall_generations")
         check_positive_int(self.max_exact_positions, "max_exact_positions")

@@ -21,37 +21,40 @@ modes:
   case this implies the gene criterion; in the sparse case it captures
   the intent (the population has collapsed onto one projection and
   stops producing novelty).
+
+Both read the population's ``(p, d)`` gene matrix directly.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
-from ..._validation import check_in_range
-from ...exceptions import ValidationError
-from .encoding import Solution
+from ..._validation import check_choice, check_in_range
+from .encoding import check_population
 
-__all__ = ["DeJongConvergence", "gene_convergence_profile"]
+__all__ = ["DeJongConvergence", "gene_convergence_profile", "modal_share"]
 
+#: The convergence criteria :class:`DeJongConvergence` offers.
 _MODES = ("string", "genes")
 
 
-def gene_convergence_profile(solutions: list[Solution]) -> list[float]:
+def gene_convergence_profile(population) -> list[float]:
     """Per-gene fraction of the population sharing the modal allele.
 
     Useful for instrumenting convergence behaviour in benchmarks.
     """
-    if not solutions:
-        raise ValidationError("cannot measure convergence of an empty population")
-    n_dims = solutions[0].n_dims
-    if any(s.n_dims != n_dims for s in solutions):
-        raise ValidationError("all solutions must have the same gene count")
-    p = len(solutions)
-    profile = []
-    for position in range(n_dims):
-        counts = Counter(s.genes[position] for s in solutions)
-        profile.append(counts.most_common(1)[0][1] / p)
-    return profile
+    genes = check_population(population)
+    return [
+        int(np.unique(column, return_counts=True)[1].max()) / len(genes)
+        for column in genes.T
+    ]
+
+
+def modal_share(population) -> float:
+    """Fraction of the population held by its most frequent string."""
+    genes = check_population(population)
+    _, counts = np.unique(genes, axis=0, return_counts=True)
+    return int(counts.max()) / len(genes)
 
 
 class DeJongConvergence:
@@ -69,30 +72,20 @@ class DeJongConvergence:
     """
 
     def __init__(self, threshold: float = 0.95, mode: str = "string"):
-        self.threshold = check_in_range(threshold, "threshold", low=0.5, high=1.0)
-        if mode not in _MODES:
-            raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-        self.mode = mode
-
-    def has_converged(self, solutions: list[Solution]) -> bool:
-        """True when the population meets the criterion."""
-        if self.mode == "genes":
-            return all(
-                fraction >= self.threshold
-                for fraction in gene_convergence_profile(solutions)
-            )
-        if not solutions:
-            raise ValidationError("cannot measure convergence of an empty population")
-        counts = Counter(solutions)
-        modal_share = counts.most_common(1)[0][1] / len(solutions)
-        return modal_share >= self.threshold
-
-    def n_converged_genes(self, solutions: list[Solution]) -> int:
-        """How many gene positions currently meet the threshold."""
-        return sum(
-            fraction >= self.threshold
-            for fraction in gene_convergence_profile(solutions)
+        self.threshold = check_in_range(
+            threshold, "convergence threshold", low=0.5, high=1.0
         )
+        self.mode = check_choice(mode, _MODES, "convergence mode")
+
+    def has_converged(self, population) -> bool:
+        """True when the ``(p, d)`` population meets the criterion."""
+        if self.mode == "genes":
+            return min(gene_convergence_profile(population)) >= self.threshold
+        return modal_share(population) >= self.threshold
+
+    def n_converged_genes(self, population) -> int:
+        """How many gene positions currently meet the threshold."""
+        return sum(f >= self.threshold for f in gene_convergence_profile(population))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeJongConvergence(threshold={self.threshold}, mode={self.mode!r})"

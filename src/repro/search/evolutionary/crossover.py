@@ -23,6 +23,10 @@ Two recombination mechanisms, mirroring the paper's comparison:
   The second child ``s'`` is the *complementary* string: every position
   is derived from the opposite parent than the one ``s`` used, which
   makes ``s'`` feasible by construction.
+
+Both work on the ``(p, d)`` gene matrix: :meth:`CrossoverOperator.apply`
+pairs its rows and makes each pair's draws in turn, then
+:meth:`~CrossoverOperator.recombine_pairs` builds all children at once.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from ..._validation import check_positive_int, check_rng
 from ...exceptions import ValidationError
-from .encoding import Solution, WILDCARD_GENE
+from .encoding import Solution, WILDCARD_GENE, check_population
 from .population import FitnessEvaluator
 
 __all__ = [
@@ -44,21 +48,62 @@ __all__ = [
 ]
 
 
-def pair_population(solutions: list[Solution], random_state) -> list[tuple[int, int]]:
-    """Match solutions pairwise at random (Figure 5's first step).
+def pair_population(population, random_state) -> list[tuple[int, int]]:
+    """Match the strings pairwise at random (Figure 5's first step).
 
-    Returns index pairs; with an odd population the leftover solution
+    Returns row-index pairs; with an odd population the leftover string
     is unpaired and passes through crossover unchanged.
     """
     rng = check_rng(random_state)
-    order = rng.permutation(len(solutions))
+    order = rng.permutation(len(population))
     return [(int(order[i]), int(order[i + 1])) for i in range(0, len(order) - 1, 2)]
 
 
 class CrossoverOperator(abc.ABC):
-    """Recombines two parent strings into two children."""
+    """Recombines pairs of parent strings into pairs of children."""
+
+    def draw(self, n_dims: int, rng):
+        """This operator's random draws for one recombining pair (none)."""
+        return None
 
     @abc.abstractmethod
+    def recombine_pairs(
+        self,
+        parents_a: np.ndarray,
+        parents_b: np.ndarray,
+        draws: list,
+        evaluator: FitnessEvaluator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two ``(n, d)`` child matrices of the row pairs; *draws* per pair."""
+
+    def apply(
+        self,
+        population,
+        evaluator: FitnessEvaluator,
+        random_state,
+        crossover_rate: float = 1.0,
+    ) -> np.ndarray:
+        """Pair the ``(p, d)`` population and recombine the pairs.
+
+        Mirrors Algorithm *Crossover* (Figure 5): matched parents are
+        *replaced* by their children, in a new matrix.
+        """
+        rng = check_rng(random_state)
+        genes = check_population(population)
+        pairs, draws = [], []
+        for i, j in pair_population(genes, rng):
+            if crossover_rate < 1.0 and rng.random() >= crossover_rate:
+                continue
+            pairs.append((i, j))
+            draws.append(self.draw(genes.shape[1], rng))
+        out = genes.copy()
+        if pairs:
+            first, second = np.array(pairs).T
+            out[first], out[second] = self.recombine_pairs(
+                genes[first], genes[second], draws, evaluator
+            )
+        return out
+
     def recombine(
         self,
         parent_a: Solution,
@@ -66,27 +111,13 @@ class CrossoverOperator(abc.ABC):
         evaluator: FitnessEvaluator,
         random_state,
     ) -> tuple[Solution, Solution]:
-        """Return the two child strings."""
-
-    def apply(
-        self,
-        solutions: list[Solution],
-        evaluator: FitnessEvaluator,
-        random_state,
-        crossover_rate: float = 1.0,
-    ) -> list[Solution]:
-        """Pair the population and recombine each pair in place.
-
-        Mirrors Algorithm *Crossover* (Figure 5): matched parents are
-        *replaced* by their children.
-        """
-        rng = check_rng(random_state)
-        out = list(solutions)
-        for i, j in pair_population(solutions, rng):
-            if crossover_rate < 1.0 and rng.random() >= crossover_rate:
-                continue
-            out[i], out[j] = self.recombine(out[i], out[j], evaluator, rng)
-        return out
+        """The two children of one pair of strings."""
+        if parent_a.n_dims != parent_b.n_dims:
+            raise ValidationError("parents must have equal gene counts")
+        a, b = np.array([parent_a.genes]), np.array([parent_b.genes])
+        draws = [self.draw(parent_a.n_dims, check_rng(random_state))]
+        child_a, child_b = self.recombine_pairs(a, b, draws, evaluator)
+        return Solution(child_a[0]), Solution(child_b[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -107,21 +138,22 @@ class TwoPointCrossover(CrossoverOperator):
     def __init__(self, two_cut_points: bool = False):
         self.two_cut_points = bool(two_cut_points)
 
-    def recombine(self, parent_a, parent_b, evaluator, random_state):
-        if parent_a.n_dims != parent_b.n_dims:
-            raise ValidationError("parents must have equal gene counts")
-        rng = check_rng(random_state)
-        d = parent_a.n_dims
-        a = list(parent_a.genes)
-        b = list(parent_b.genes)
+    def draw(self, n_dims, rng):
+        """The exchanged segment ``[lo, hi)`` of one pair."""
         if self.two_cut_points:
-            lo, hi = sorted(int(c) for c in rng.integers(0, d + 1, size=2))
-            a[lo:hi], b[lo:hi] = b[lo:hi], a[lo:hi]
-        else:
-            # Cut after position `cut` (1..d-1); exchange right segments.
-            cut = int(rng.integers(1, d)) if d > 1 else 0
-            a[cut:], b[cut:] = b[cut:], a[cut:]
-        return Solution(a), Solution(b)
+            lo, hi = sorted(int(c) for c in rng.integers(0, n_dims + 1, size=2))
+            return lo, hi
+        # Cut after position `cut` (1..d-1); exchange right segments.
+        return (int(rng.integers(1, n_dims)) if n_dims > 1 else 0), n_dims
+
+    def recombine_pairs(self, parents_a, parents_b, draws, evaluator):
+        lo, hi = np.array(draws).T
+        position = np.arange(parents_a.shape[1])
+        exchange = (position >= lo[:, None]) & (position < hi[:, None])
+        return (
+            np.where(exchange, parents_b, parents_a),
+            np.where(exchange, parents_a, parents_b),
+        )
 
 
 class OptimizedCrossover(CrossoverOperator):
@@ -134,6 +166,7 @@ class OptimizedCrossover(CrossoverOperator):
     enumeration (or candidate) order, which is exactly what a
     per-pair strict-``<`` scan picks, so the children and the
     evaluation count are those of recombining the pairs one by one.
+    It draws nothing from the random stream.
 
     Parameters
     ----------
@@ -148,53 +181,19 @@ class OptimizedCrossover(CrossoverOperator):
             max_exact_positions, "max_exact_positions"
         )
 
-    # ------------------------------------------------------------------
-    def apply(self, solutions, evaluator, random_state, crossover_rate=1.0):
-        """Pair the population and recombine every pair in lockstep.
-
-        The pairing and the ``crossover_rate`` draws come first, in the
-        order the per-pair loop makes them; recombination itself draws
-        nothing, so the random stream is unchanged.
-        """
-        rng = check_rng(random_state)
-        pairs = [
-            (i, j)
-            for i, j in pair_population(solutions, rng)
-            if crossover_rate >= 1.0 or rng.random() < crossover_rate
-        ]
-        out = list(solutions)
-        children = self._recombine_pairs(
-            [(solutions[i], solutions[j]) for i, j in pairs], evaluator
-        )
-        for (i, j), (child, complementary) in zip(pairs, children, strict=True):
-            out[i], out[j] = child, complementary
-        return out
-
-    def recombine(self, parent_a, parent_b, evaluator, random_state):
-        return self._recombine_pairs([(parent_a, parent_b)], evaluator)[0]
-
-    # ------------------------------------------------------------------
-    def _recombine_pairs(
-        self, pairs: list[tuple[Solution, Solution]], evaluator: FitnessEvaluator
-    ) -> list[tuple[Solution, Solution]]:
-        """Figure 5 for every ``(parent_a, parent_b)`` pair at once."""
-        if not pairs:
-            return []
-        n_dims = pairs[0][0].n_dims
-        if any(a.n_dims != n_dims or b.n_dims != n_dims for a, b in pairs):
-            raise ValidationError("parents must have equal gene counts")
+    def recombine_pairs(self, parents_a, parents_b, draws, evaluator):
+        """Figure 5 for every ``(parents_a[i], parents_b[i])`` pair at once."""
         k = evaluator.dimensionality
         # Only the two-point baseline produces infeasible strings and it
         # never routes them here; pass them through defensively.
-        out = list(pairs)
-        live = [
-            p for p, (a, b) in enumerate(pairs)
-            if a.is_feasible(k) and b.is_feasible(k)
-        ]
-        if not live:
-            return out
-        a = np.array([pairs[p][0].genes for p in live])
-        b = np.array([pairs[p][1].genes for p in live])
+        out_a, out_b = parents_a.copy(), parents_b.copy()
+        live = np.flatnonzero(
+            ((parents_a != WILDCARD_GENE).sum(axis=1) == k)
+            & ((parents_b != WILDCARD_GENE).sum(axis=1) == k)
+        )
+        if not len(live):
+            return out_a, out_b
+        a, b = parents_a[live], parents_b[live]
         fixed_a, fixed_b = a != WILDCARD_GENE, b != WILDCARD_GENE
         type2 = fixed_a & fixed_b
         type3 = fixed_a ^ fixed_b
@@ -234,16 +233,13 @@ class OptimizedCrossover(CrossoverOperator):
         # gene was implicitly derived from the wildcard parent, so the
         # complement takes the fixed parent's value (and a chosen one
         # becomes ``*``).
-        complementary = np.where(
+        out_a[live] = child
+        out_b[live] = np.where(
             type2,
             np.where(child == a, b, a),
             np.where(type3 & (child == WILDCARD_GENE), value, WILDCARD_GENE),
         )
-        for p, genes, comp in zip(
-            live, child.tolist(), complementary.tolist(), strict=True
-        ):
-            out[p] = (Solution(genes), Solution(comp))
-        return out
+        return out_a, out_b
 
     @classmethod
     def _enumerate_type2(cls, base, b, free, evaluator):

@@ -2,9 +2,15 @@
 
 A solution is a string of ``d`` genes; gene ``i`` is either a grid range
 for dimension ``i`` (an *allele* in ``1..φ``, stored 0-based here) or
-the don't-care ``*``.  A solution is **feasible** for a run mining
-k-dimensional projections exactly when it fixes k genes — e.g. ``*3*9``
-is a feasible solution for k = 2 in 4-dimensional data.
+the don't-care ``*`` (:data:`WILDCARD_GENE`).  A solution is
+**feasible** for a run mining k-dimensional projections exactly when it
+fixes k genes — e.g. ``*3*9`` is a feasible solution for k = 2 in
+4-dimensional data.
+
+The GA holds its p strings as one ``(p, d)`` integer gene matrix, a
+string per row, which every operator takes and returns.
+:class:`Solution` is one string as a hashable object, for the edges:
+results, the paper-style rendering, the local searchers.
 
 Infeasible strings can exist transiently (the two-point crossover
 baseline creates them); they are representable on purpose so the
@@ -15,7 +21,7 @@ values" — can be reproduced literally.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +29,13 @@ from ..._validation import check_positive_int, check_rng
 from ...core.subspace import Subspace, WILDCARD
 from ...exceptions import ValidationError
 
-__all__ = ["WILDCARD_GENE", "Solution", "random_solution"]
+__all__ = ["WILDCARD_GENE", "Solution", "check_population", "random_solution"]
 
 #: Gene value encoding the paper's ``*`` don't-care.
 WILDCARD_GENE = -1
 
 
+@dataclass(frozen=True, slots=True)
 class Solution:
     """An immutable, hashable GA solution string.
 
@@ -36,38 +43,24 @@ class Solution:
     ----------
     genes:
         Sequence of length d; each entry is :data:`WILDCARD_GENE` or a
-        0-based grid range.
+        0-based grid range.  Stored as a tuple of ints.
     """
 
-    __slots__ = ("genes", "_hash")
+    genes: tuple[int, ...]
 
-    def __init__(self, genes: Iterable[int]):
-        genes = tuple(int(g) for g in genes)
+    def __post_init__(self) -> None:
+        genes = tuple(int(g) for g in self.genes)
         if not genes:
             raise ValidationError("a solution must have at least one gene")
         if any(g < WILDCARD_GENE for g in genes):
             raise ValidationError(f"genes must be >= {WILDCARD_GENE}, got {genes}")
         object.__setattr__(self, "genes", genes)
-        object.__setattr__(self, "_hash", hash(genes))
-
-    def __setattr__(self, name: str, value) -> None:  # pragma: no cover - guard
-        raise AttributeError("Solution is immutable")
 
     # ------------------------------------------------------------------
     @property
     def n_dims(self) -> int:
         """Total number of genes d."""
         return len(self.genes)
-
-    @property
-    def fixed_positions(self) -> tuple[int, ...]:
-        """Positions carrying a range (the paper's non-``*`` set R)."""
-        return tuple(i for i, g in enumerate(self.genes) if g != WILDCARD_GENE)
-
-    @property
-    def wildcard_positions(self) -> tuple[int, ...]:
-        """Positions carrying ``*`` (the paper's set Q)."""
-        return tuple(i for i, g in enumerate(self.genes) if g == WILDCARD_GENE)
 
     @property
     def dimensionality(self) -> int:
@@ -98,16 +91,6 @@ class Solution:
         return cls(genes)
 
     # ------------------------------------------------------------------
-    def replace(self, position: int, gene: int) -> "Solution":
-        """A new solution with one gene replaced."""
-        if not 0 <= position < self.n_dims:
-            raise ValidationError(
-                f"position must be in [0, {self.n_dims}), got {position}"
-            )
-        genes = list(self.genes)
-        genes[position] = gene
-        return Solution(genes)
-
     def to_string(self) -> str:
         """Paper-style rendering, e.g. ``*3*9`` (1-based ranges)."""
         parts = [WILDCARD if g == WILDCARD_GENE else str(g + 1) for g in self.genes]
@@ -139,12 +122,6 @@ class Solution:
         return cls(genes)
 
     # ------------------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Solution) and self.genes == other.genes
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __len__(self) -> int:
         return len(self.genes)
 
@@ -159,18 +136,8 @@ def random_solution(
     random_state=None,
 ) -> Solution:
     """A uniformly random feasible solution: k random dims, random ranges."""
-    n_dims = check_positive_int(n_dims, "n_dims")
-    dimensionality = check_positive_int(dimensionality, "dimensionality")
-    n_ranges = check_positive_int(n_ranges, "n_ranges")
-    if dimensionality > n_dims:
-        raise ValidationError(
-            f"dimensionality ({dimensionality}) cannot exceed n_dims ({n_dims})"
-        )
-    rng = check_rng(random_state)
-    dims = rng.choice(n_dims, size=dimensionality, replace=False)
-    genes = np.full(n_dims, WILDCARD_GENE, dtype=np.int64)
-    genes[dims] = rng.integers(0, n_ranges, size=dimensionality)
-    return Solution(genes)
+    genes = seed_population(n_dims, dimensionality, n_ranges, 1, random_state)
+    return Solution(genes[0])
 
 
 def seed_population(
@@ -179,10 +146,51 @@ def seed_population(
     n_ranges: int,
     population_size: int,
     random_state=None,
-) -> list[Solution]:
-    """The paper's "Initial Seed Population of p strings"."""
+) -> np.ndarray:
+    """The paper's "Initial Seed Population of p strings" as a gene matrix.
+
+    Row *i* is what the *i*-th of p successive :func:`random_solution`
+    calls on the same generator returns.
+    """
+    n_dims = check_positive_int(n_dims, "n_dims")
+    dimensionality = check_positive_int(dimensionality, "dimensionality")
+    n_ranges = check_positive_int(n_ranges, "n_ranges")
+    if dimensionality > n_dims:
+        raise ValidationError(
+            f"dimensionality ({dimensionality}) cannot exceed n_dims ({n_dims})"
+        )
+    population_size = check_positive_int(population_size, "population_size")
     rng = check_rng(random_state)
-    return [
-        random_solution(n_dims, dimensionality, n_ranges, rng)
-        for _ in range(check_positive_int(population_size, "population_size"))
-    ]
+    genes = np.full((population_size, n_dims), WILDCARD_GENE, dtype=np.int64)
+    for row in genes:
+        dims = rng.choice(n_dims, size=dimensionality, replace=False)
+        row[dims] = rng.integers(0, n_ranges, size=dimensionality)
+    return genes
+
+
+def check_population(
+    population, n_dims: int | None = None, n_ranges: int | None = None
+) -> np.ndarray:
+    """*population* as a non-empty ``(p, n_dims)`` int64 gene matrix.
+
+    Genes must lie in ``-1..n_ranges-1``; anything else raises ``ValidationError``.
+    """
+    try:
+        genes = np.asarray(population)
+    except ValueError:
+        raise ValidationError("population rows differ in length") from None
+    high = np.inf if n_ranges is None else n_ranges
+    if (
+        genes.ndim != 2
+        or genes.size == 0
+        or genes.dtype.kind not in "iu"
+        or (n_dims is not None and genes.shape[1] != n_dims)
+        or genes.min() < WILDCARD_GENE
+        or genes.max() >= high
+    ):
+        raise ValidationError(
+            f"a population must be a non-empty (p, {n_dims or 'd'}) integer "
+            f"matrix of genes in [{WILDCARD_GENE}, {high}), got shape "
+            f"{genes.shape} and dtype {genes.dtype}"
+        )
+    return genes.astype(np.int64, copy=False)

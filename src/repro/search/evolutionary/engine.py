@@ -11,13 +11,13 @@ facade.
 
 from __future__ import annotations
 
+import functools
 import logging
-from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 
-from ..._validation import check_rng
+from ..._validation import check_choice, check_rng
 from ...engine.context import RunContext
 from ...engine.protocol import SearchEngine
 from ...exceptions import SearchCancelled, ValidationError
@@ -27,9 +27,9 @@ from ...run.controller import RunBudget
 from ..best_set import BestProjectionSet
 from ..outcome import GenerationRecord, SearchOutcome
 from .config import EvolutionaryConfig
-from .convergence import DeJongConvergence
+from .convergence import DeJongConvergence, modal_share
 from .crossover import CrossoverOperator, OptimizedCrossover, TwoPointCrossover
-from .encoding import Solution, seed_population
+from .encoding import check_population, seed_population
 from .mutation import BalancedMutation
 from .population import INFEASIBLE_FITNESS, FitnessEvaluator
 from .selection import RankRouletteSelection, SelectionOperator
@@ -96,23 +96,11 @@ class EvolutionarySearch(SearchEngine):
         self._bind_counter(counter, dimensionality)
         self.n_projections = n_projections
         self.config = config or EvolutionaryConfig()
-        if isinstance(crossover, str):
-            try:
-                self.crossover: CrossoverOperator = _CROSSOVER_ALIASES[crossover](
-                    self.config
-                )
-            except KeyError:
-                raise ValidationError(
-                    f"unknown crossover {crossover!r}; expected one of "
-                    f"{sorted(_CROSSOVER_ALIASES)} or a CrossoverOperator"
-                ) from None
-        elif isinstance(crossover, CrossoverOperator):
-            self.crossover = crossover
+        if isinstance(crossover, CrossoverOperator):
+            self.crossover: CrossoverOperator = crossover
         else:
-            raise ValidationError(
-                f"crossover must be a name or CrossoverOperator, got "
-                f"{type(crossover).__name__}"
-            )
+            name = check_choice(crossover, _CROSSOVER_ALIASES, "crossover")
+            self.crossover = _CROSSOVER_ALIASES[name](self.config)
         self.selection = selection or RankRouletteSelection()
         self.require_nonempty = require_nonempty
         self.threshold = threshold
@@ -275,11 +263,8 @@ class EvolutionarySearch(SearchEngine):
         budget = self._budget
         if restored is None:
             population = seed_population(
-                self.counter.n_dims,
-                self.dimensionality,
-                self.counter.n_ranges,
-                cfg.population_size,
-                rng,
+                self.counter.n_dims, self.dimensionality, self.counter.n_ranges,
+                cfg.population_size, rng,
             )
             try:
                 fitnesses = self._evaluate_and_track(population, evaluator, best)
@@ -295,8 +280,7 @@ class EvolutionarySearch(SearchEngine):
             # bounded top-m mode and in unbounded threshold mode.
             accepted_seen = best.n_accepted
         else:
-            population = [Solution(genes) for genes in restored["population"]]
-            fitnesses = [float(f) for f in restored["fitnesses"]]
+            population, fitnesses = self._restore_population(restored)
             generation = int(restored["generation"])
             stall = int(restored["stall"])
             accepted_seen = int(restored["accepted_seen"])
@@ -306,23 +290,13 @@ class EvolutionarySearch(SearchEngine):
         while True:
             # ---- safe boundary: generation fully evaluated ----
             yield
-            boundary_rng = rng.bit_generator.state
-            boundary_evals = evaluator.n_evaluations
-
-            def build_state(
-                generation=generation,
-                population=population,
-                fitnesses=fitnesses,
-                stall=stall,
-                accepted_seen=accepted_seen,
-                boundary_rng=boundary_rng,
-                boundary_evals=boundary_evals,
-            ):
-                return self._checkpoint_state(
-                    restart, generation, population, fitnesses, stall,
-                    accepted_seen, boundary_rng, boundary_evals, best,
-                    history, totals,
-                )
+            # The boundary's values are bound now; the state is built
+            # only when a checkpoint is due.
+            build_state = functools.partial(
+                self._checkpoint_state, restart, generation, population,
+                fitnesses, stall, accepted_seen, rng.bit_generator.state,
+                evaluator.n_evaluations, best, history, totals,
+            )
 
             boundary = generation + totals["generations"]
             stopped = self._at_boundary(context, boundary, build_state)
@@ -336,17 +310,14 @@ class EvolutionarySearch(SearchEngine):
             if generation >= cfg.max_generations:
                 reason = "generation_cap"
                 break
-            elites: list[Solution] = []
-            if cfg.elitism:
-                order = sorted(range(len(population)), key=lambda i: fitnesses[i])
-                elites = [population[i] for i in order[: cfg.elitism]]
+            elites = population[np.argsort(fitnesses, kind="stable")[: cfg.elitism]]
             try:
                 offspring = self.selection.select(population, fitnesses, rng)
                 offspring = self.crossover.apply(
                     offspring, evaluator, rng, cfg.crossover_rate
                 )
                 offspring = mutation.apply(offspring, rng)
-                if elites:
+                if len(elites):
                     # Elites replace the tail of the new population
                     # verbatim, shielding the best solutions from
                     # crossover/mutation.
@@ -394,8 +365,8 @@ class EvolutionarySearch(SearchEngine):
         self,
         restart: int,
         generation: int,
-        population: list[Solution],
-        fitnesses: list[float],
+        population: np.ndarray,
+        fitnesses: np.ndarray,
         stall: int,
         accepted_seen: int,
         rng_state,
@@ -409,8 +380,8 @@ class EvolutionarySearch(SearchEngine):
             "algorithm": self.algorithm,
             "restart": restart,
             "generation": generation,
-            "population": [list(solution.genes) for solution in population],
-            "fitnesses": list(fitnesses),
+            "population": population.tolist(),
+            "fitnesses": fitnesses.tolist(),
             "stall": stall,
             "accepted_seen": accepted_seen,
             "rng_state": encode_rng_state(rng_state),
@@ -422,19 +393,33 @@ class EvolutionarySearch(SearchEngine):
             "history": [asdict(record) for record in history],
         }
 
+    def _restore_population(self, restored: dict) -> tuple:
+        """The checkpointed population (over this run's grid) and fitnesses."""
+        population = check_population(
+            restored["population"], self.counter.n_dims, self.counter.n_ranges
+        )
+        try:
+            fitnesses = np.array(restored["fitnesses"], dtype=np.float64)
+        except (TypeError, ValueError):
+            fitnesses = None
+        if fitnesses is None or fitnesses.shape != (len(population),):
+            raise ValidationError(
+                f"checkpoint needs {len(population)} fitnesses, one per string"
+            )
+        return population, fitnesses
+
     # ------------------------------------------------------------------
     @staticmethod
     def _snapshot(
         restart: int,
         generation: int,
-        population: list[Solution],
-        fitnesses: list[float],
+        population: np.ndarray,
+        fitnesses: np.ndarray,
         best: BestProjectionSet,
     ) -> GenerationRecord:
         """One history record (only built when track_history is on)."""
-        counts = Counter(population)
         best_entry = best.best()
-        finite = [f for f in fitnesses if f != float("inf")]
+        finite = fitnesses[fitnesses != INFEASIBLE_FITNESS]
         return GenerationRecord(
             restart=restart,
             generation=generation,
@@ -442,17 +427,17 @@ class EvolutionarySearch(SearchEngine):
                 best_entry.coefficient if best_entry is not None else float("nan")
             ),
             best_set_size=len(best),
-            population_best=min(finite) if finite else float("inf"),
+            population_best=float(finite.min()) if len(finite) else float("inf"),
             n_feasible=len(finite),
-            convergence=counts.most_common(1)[0][1] / len(population),
+            convergence=modal_share(population),
         )
 
     @staticmethod
     def _evaluate_and_track(
-        population: list[Solution],
+        population: np.ndarray,
         evaluator: FitnessEvaluator,
         best: BestProjectionSet,
-    ) -> list[float]:
+    ) -> np.ndarray:
         """Fitness of every string; feasible ones feed the best set.
 
         The whole generation is counted in one memoised
@@ -470,4 +455,4 @@ class EvolutionarySearch(SearchEngine):
         fitnesses = np.full(len(population), INFEASIBLE_FITNESS)
         fitnesses[rows] = coefficients
         best.offer_batch(dims, ranges, counts, coefficients)
-        return fitnesses.tolist()
+        return fitnesses

@@ -1,5 +1,11 @@
 """Fitness evaluation for GA solutions.
 
+The population-scale entry points take a gene matrix, one string per
+row: :meth:`FitnessEvaluator.partial_fitness_batch` (the optimized
+crossover's candidates) and :meth:`FitnessEvaluator.score_batch` (a
+whole population); the one-string methods take a
+:class:`~repro.search.evolutionary.encoding.Solution`.
+
 Fitness of a feasible solution is the sparsity coefficient of the cube
 it encodes (more negative = fitter).  A string whose dimensionality
 deviates from the run's k — possible only under the two-point crossover
@@ -25,7 +31,7 @@ from ...exceptions import ValidationError
 from ...grid.counter import CubeCounter
 from ...sparsity.coefficient import sparsity_coefficient, sparsity_coefficients
 from ..._validation import check_positive_int
-from .encoding import Solution, WILDCARD_GENE
+from .encoding import Solution, WILDCARD_GENE, check_population
 
 __all__ = ["INFEASIBLE_FITNESS", "FitnessEvaluator"]
 
@@ -62,12 +68,6 @@ class FitnessEvaluator:
         self.n_evaluations = 0
 
     # ------------------------------------------------------------------
-    def fitness(self, solution: Solution) -> float:
-        """Sparsity coefficient of the encoded cube; +inf if infeasible."""
-        if not solution.is_feasible(self.dimensionality):
-            return INFEASIBLE_FITNESS
-        return self.partial_fitness(solution)
-
     def partial_fitness(self, solution: Solution) -> float:
         """Coefficient at the string's *own* dimensionality (crossover use).
 
@@ -95,13 +95,11 @@ class FitnessEvaluator:
         and scored with the vectorized Equation 1.  This is the
         optimized crossover's hot path.
 
-        Returns a float array aligned with the rows.
+        Returns a float array aligned with the rows (empty for no rows).
         """
-        genes = np.asarray(genes)
-        if genes.ndim != 2:
-            raise ValidationError(
-                f"genes must be a (C, d) matrix, got shape {genes.shape}"
-            )
+        if len(genes) == 0:
+            return np.zeros(0)
+        genes = check_population(genes)
         fitness = np.zeros(len(genes))
         for rows, _, _, _, coefficients in self._score_rows(genes):
             fitness[rows] = coefficients
@@ -144,22 +142,21 @@ class FitnessEvaluator:
         )
         return ScoredProjection(subspace, count, coefficient)
 
-    def score_batch(
-        self, solutions: list[Solution]
-    ) -> list[ScoredProjection | None]:
-        """Score a whole population through one batched count.
+    def score_batch(self, genes) -> list[ScoredProjection | None]:
+        """Score every row of a ``(p, d)`` gene matrix through one batched count.
 
-        Feasible strings are counted with a single memoised
+        Feasible rows are counted with a single memoised
         :meth:`~repro.grid.counter.CubeCounter.count_memoised` call and
         scored with the vectorized Equation 1.  Entry ``i`` is ``None``
         exactly when :meth:`score` would return ``None`` for
-        ``solutions[i]``, and the scored values are identical to the
-        per-solution path.
+        ``Solution(genes[i])``, and the scored values are identical to
+        the per-solution path.  No rows score as an empty list.
         """
-        results: list[ScoredProjection | None] = [None] * len(solutions)
-        if not solutions:
-            return results
-        rows, dims, ranges, counts, coefficients = self._score_feasible(solutions)
+        if len(genes) == 0:
+            return []
+        genes = check_population(genes)
+        results: list[ScoredProjection | None] = [None] * len(genes)
+        rows, dims, ranges, counts, coefficients = self._score_feasible(genes)
         for i, dims_row, ranges_row, count, coefficient in zip(
             rows.tolist(), dims.tolist(), ranges.tolist(), counts.tolist(),
             coefficients.tolist(), strict=True,
@@ -169,16 +166,15 @@ class FitnessEvaluator:
             )
         return results
 
-    def _score_feasible(self, solutions: list[Solution]) -> tuple:
-        """Count and score a population's feasible strings in one batch.
+    def _score_feasible(self, genes: np.ndarray) -> tuple:
+        """Count and score the feasible rows of a gene matrix in one batch.
 
         Returns ``(rows, dims, ranges, counts, coefficients)``: the
-        indices of the feasible strings (ascending) and, aligned with
+        indices of the feasible rows (ascending) and, aligned with
         them, their ``(n, k)`` cube arrays, counts and coefficients.
         Shared by :meth:`score_batch` and the engine's population
         scoring, which offers the arrays to the best set.
         """
-        genes = np.array([solution.genes for solution in solutions])
         rows = np.flatnonzero(
             (genes != WILDCARD_GENE).sum(axis=1) == self.dimensionality
         )
@@ -188,7 +184,3 @@ class FitnessEvaluator:
             return rows, cubes, cubes, np.empty(0, dtype=np.int64), np.empty(0)
         [(_, dims, ranges, counts, coefficients)] = groups
         return rows, dims, ranges, counts, coefficients
-
-    def fitnesses(self, solutions: list[Solution]) -> list[float]:
-        """Vector of fitness values for a whole population."""
-        return [self.fitness(s) for s in solutions]

@@ -11,6 +11,11 @@ rank selection is invariant to it.
 Three extra operators are provided for the selection ablation benchmark:
 tournament, fitness-proportional (on shifted coefficients), and uniform
 (a no-pressure control).
+
+Every operator resamples a ``(p, d)`` gene matrix: it draws the p row
+indices of the survivors (:meth:`SelectionOperator.choose`) and
+:meth:`SelectionOperator.select` gathers those rows into the new
+matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import abc
 import numpy as np
 
 from ..._validation import check_positive_int, check_rng
-from .encoding import Solution
+from ...exceptions import ValidationError
+from .encoding import check_population
 
 __all__ = [
     "SelectionOperator",
@@ -31,7 +37,7 @@ __all__ = [
 ]
 
 
-def _ranks_most_negative_first(fitnesses: list[float]) -> np.ndarray:
+def _ranks_most_negative_first(fitnesses) -> np.ndarray:
     """1-based ranks; the most negative fitness gets rank 1.
 
     Ties break by population position, which keeps runs deterministic
@@ -44,16 +50,23 @@ def _ranks_most_negative_first(fitnesses: list[float]) -> np.ndarray:
 
 
 class SelectionOperator(abc.ABC):
-    """Resamples a population of p solutions into a new one of size p."""
+    """Resamples a population of p strings into a new one of size p."""
+
+    def select(self, population, fitnesses, random_state) -> np.ndarray:
+        """The selected ``(p, d)`` gene matrix (rows drawn with replacement).
+
+        *fitnesses* aligns with the rows of *population*; the input
+        matrix is not modified.
+        """
+        genes = check_population(population)
+        fitnesses = np.asarray(fitnesses, dtype=np.float64)
+        if fitnesses.shape != (len(genes),):
+            raise ValidationError(f"need {len(genes)} fitnesses, one per string")
+        return genes[self.choose(fitnesses, check_rng(random_state))]
 
     @abc.abstractmethod
-    def select(
-        self,
-        solutions: list[Solution],
-        fitnesses: list[float],
-        random_state,
-    ) -> list[Solution]:
-        """Return the selected population (with replacement)."""
+    def choose(self, fitnesses: np.ndarray, rng) -> np.ndarray:
+        """Row indices of the p selected strings, in selection order."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -67,20 +80,13 @@ class RankRouletteSelection(SelectionOperator):
     population the solution passes through unchanged.
     """
 
-    def select(self, solutions, fitnesses, random_state):
-        rng = check_rng(random_state)
-        p = len(solutions)
+    def choose(self, fitnesses, rng):
+        p = len(fitnesses)
         if p <= 1:
-            return list(solutions)
+            return np.arange(p)
         ranks = _ranks_most_negative_first(fitnesses)
         weights = (p - ranks).astype(np.float64)
-        total = weights.sum()
-        if total <= 0:  # degenerate: p == 1 handled above, so p - r >= 0 sums > 0
-            probabilities = np.full(p, 1.0 / p)
-        else:
-            probabilities = weights / total
-        chosen = rng.choice(p, size=p, replace=True, p=probabilities)
-        return [solutions[i] for i in chosen]
+        return rng.choice(p, size=p, replace=True, p=weights / weights.sum())
 
 
 class TournamentSelection(SelectionOperator):
@@ -89,18 +95,13 @@ class TournamentSelection(SelectionOperator):
     def __init__(self, size: int = 2):
         self.size = check_positive_int(size, "size", minimum=2)
 
-    def select(self, solutions, fitnesses, random_state):
-        rng = check_rng(random_state)
-        p = len(solutions)
+    def choose(self, fitnesses, rng):
+        p = len(fitnesses)
         if p <= 1:
-            return list(solutions)
-        out = []
-        fit = np.asarray(fitnesses)
-        for _ in range(p):
-            contenders = rng.integers(0, p, size=self.size)
-            winner = contenders[np.argmin(fit[contenders])]
-            out.append(solutions[winner])
-        return out
+            return np.arange(p)
+        contenders = np.array([rng.integers(0, p, size=self.size) for _ in range(p)])
+        winners = np.argmin(fitnesses[contenders], axis=1)
+        return contenders[np.arange(p), winners]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TournamentSelection(size={self.size})"
@@ -116,32 +117,25 @@ class FitnessProportionalSelection(SelectionOperator):
     the reason to prefer rank selection.
     """
 
-    def select(self, solutions, fitnesses, random_state):
-        rng = check_rng(random_state)
-        p = len(solutions)
+    def choose(self, fitnesses, rng):
+        p = len(fitnesses)
         if p <= 1:
-            return list(solutions)
-        fit = np.asarray(fitnesses, dtype=np.float64)
-        finite = np.isfinite(fit)
+            return np.arange(p)
+        finite = np.isfinite(fitnesses)
         if not finite.any():
-            chosen = rng.integers(0, p, size=p)
-            return [solutions[i] for i in chosen]
-        ceiling = fit[finite].max()
-        weights = np.where(finite, ceiling - fit, 0.0)
+            return rng.integers(0, p, size=p)
+        ceiling = fitnesses[finite].max()
+        weights = np.where(finite, ceiling - fitnesses, 0.0)
         total = weights.sum()
         if total <= 0:
             # All finite solutions tie: sample uniformly among them.
             weights = finite.astype(np.float64)
             total = weights.sum()
-        chosen = rng.choice(p, size=p, replace=True, p=weights / total)
-        return [solutions[i] for i in chosen]
+        return rng.choice(p, size=p, replace=True, p=weights / total)
 
 
 class UniformSelection(SelectionOperator):
     """No selection pressure at all — the ablation control."""
 
-    def select(self, solutions, fitnesses, random_state):
-        rng = check_rng(random_state)
-        p = len(solutions)
-        chosen = rng.integers(0, p, size=p)
-        return [solutions[i] for i in chosen]
+    def choose(self, fitnesses, rng):
+        return rng.integers(0, len(fitnesses), size=len(fitnesses))

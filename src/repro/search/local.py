@@ -27,7 +27,13 @@ from ..exceptions import SearchCancelled
 from ..grid.counter import CubeCounter
 from ..run.controller import RunBudget
 from .best_set import BestProjectionSet
-from .evolutionary.encoding import Solution, WILDCARD_GENE, random_solution
+from .evolutionary.encoding import (
+    WILDCARD_GENE,
+    Solution,
+    random_solution,
+    seed_population,
+)
+from .evolutionary.mutation import draw_flip, draw_swap
 from .evolutionary.population import FitnessEvaluator
 from .outcome import SearchOutcome
 
@@ -37,22 +43,19 @@ __all__ = ["RandomSearch", "HillClimbingSearch", "SimulatedAnnealingSearch"]
 def _neighbor(solution: Solution, n_ranges: int, rng) -> Solution:
     """One random move: a Type I dimension swap or a Type II range flip.
 
-    Mirrors the GA's mutation moves so all searchers share a
+    Draws the GA's mutation moves, so all searchers share a
     neighborhood structure.
     """
     genes = list(solution.genes)
     fixed = [i for i, g in enumerate(genes) if g != WILDCARD_GENE]
     wildcards = [i for i, g in enumerate(genes) if g == WILDCARD_GENE]
-    move_swap = wildcards and fixed and rng.random() < 0.5
-    if move_swap:
-        gain = wildcards[int(rng.integers(len(wildcards)))]
-        lose = fixed[int(rng.integers(len(fixed)))]
-        genes[gain] = int(rng.integers(n_ranges))
-        genes[lose] = WILDCARD_GENE
+    if wildcards and fixed and rng.random() < 0.5:
+        gain, lose, value = draw_swap(len(wildcards), len(fixed), n_ranges, rng)
+        genes[wildcards[gain]] = value
+        genes[fixed[lose]] = WILDCARD_GENE
     elif fixed and n_ranges > 1:
-        pos = fixed[int(rng.integers(len(fixed)))]
-        offset = int(rng.integers(1, n_ranges))
-        genes[pos] = (genes[pos] + offset) % n_ranges
+        position, offset = draw_flip(len(fixed), n_ranges, rng)
+        genes[fixed[position]] = (genes[fixed[position]] + offset) % n_ranges
     return Solution(genes)
 
 
@@ -115,6 +118,13 @@ class _SingleSolutionSearch(SearchEngine):
             except SearchCancelled:
                 self._budget.latch("cancelled")
 
+    def _restart(self, rng, evaluator, best) -> tuple[Solution, float]:
+        """A random feasible start and its fitness."""
+        start = random_solution(
+            self.counter.n_dims, self.dimensionality, self.counter.n_ranges, rng
+        )
+        return start, self._evaluate(start, evaluator, best)
+
     def _evaluate(self, solution: Solution, evaluator, best) -> float:
         scored = evaluator.score(solution)
         if scored is None:
@@ -149,29 +159,24 @@ class RandomSearch(_SingleSolutionSearch):
     def _walk(self, rng, evaluator, best):
         """Evaluate ``max_evaluations`` random feasible solutions.
 
-        The solutions are drawn first (same generator stream as
-        one-at-a-time evaluation) and then scored through the counter's
-        batch engine in chunks; offers happen in draw order, so the
+        The strings are drawn first, as one gene matrix (same generator
+        stream as one-at-a-time evaluation), and then scored through the
+        counter's batch engine in chunks; offers happen in draw order, so the
         resulting best set is identical to the sequential path, and the
         cancel token is polled before every chunk (one step per chunk)
         so a flip returns the best-so-far partial outcome.
         """
         budget = self._budget
         yield  # prepare boundary: nothing drawn or counted yet
-        solutions = [
-            random_solution(
-                self.counter.n_dims,
-                self.dimensionality,
-                self.counter.n_ranges,
-                rng,
-            )
-            for _ in range(self.max_evaluations)
-        ]
-        for lo in range(0, len(solutions), self.CHUNK):
+        genes = seed_population(
+            self.counter.n_dims, self.dimensionality, self.counter.n_ranges,
+            self.max_evaluations, rng,
+        )
+        for lo in range(0, len(genes), self.CHUNK):
             yield
             if budget.check() is not None:
                 break
-            for scored in evaluator.score_batch(solutions[lo : lo + self.CHUNK]):
+            for scored in evaluator.score_batch(genes[lo : lo + self.CHUNK]):
                 if scored is not None:
                     best.offer(scored)
 
@@ -195,11 +200,7 @@ class HillClimbingSearch(_SingleSolutionSearch):
         restarts = 0
         run["extra"]["restarts"] = restarts
         yield  # prepare boundary
-        current = random_solution(
-            self.counter.n_dims, self.dimensionality,
-            self.counter.n_ranges, rng,
-        )
-        current_fitness = self._evaluate(current, evaluator, best)
+        current, current_fitness = self._restart(rng, evaluator, best)
         rejected = 0
         while evaluator.n_evaluations < self.max_evaluations:
             yield
@@ -215,13 +216,7 @@ class HillClimbingSearch(_SingleSolutionSearch):
                 if rejected >= self.patience:
                     restarts += 1
                     run["extra"]["restarts"] = restarts
-                    current = random_solution(
-                        self.counter.n_dims,
-                        self.dimensionality,
-                        self.counter.n_ranges,
-                        rng,
-                    )
-                    current_fitness = self._evaluate(current, evaluator, best)
+                    current, current_fitness = self._restart(rng, evaluator, best)
                     rejected = 0
 
 
@@ -254,11 +249,7 @@ class SimulatedAnnealingSearch(_SingleSolutionSearch):
         run["extra"]["accepted_worse"] = accepted_worse
         run["extra"]["final_temperature"] = temperature
         yield  # prepare boundary
-        current = random_solution(
-            self.counter.n_dims, self.dimensionality,
-            self.counter.n_ranges, rng,
-        )
-        current_fitness = self._evaluate(current, evaluator, best)
+        current, current_fitness = self._restart(rng, evaluator, best)
         while evaluator.n_evaluations < self.max_evaluations:
             yield
             if budget.check() is not None:

@@ -1,5 +1,6 @@
 """Tests for De Jong convergence, EvolutionaryConfig, and fitness evaluation."""
 
+import numpy as np
 import pytest
 
 from repro.core.subspace import Subspace
@@ -9,7 +10,9 @@ from repro.search.evolutionary.convergence import (
     DeJongConvergence,
     gene_convergence_profile,
 )
+from repro.search.best_set import BestProjectionSet
 from repro.search.evolutionary.encoding import Solution, WILDCARD_GENE
+from repro.search.evolutionary.engine import EvolutionarySearch
 from repro.search.evolutionary.population import (
     FitnessEvaluator,
     INFEASIBLE_FITNESS,
@@ -19,15 +22,15 @@ from repro.sparsity.coefficient import sparsity_coefficient
 
 class TestGeneConvergenceProfile:
     def test_uniform_population_fully_converged(self):
-        population = [Solution([0, WILDCARD_GENE])] * 10
+        population = [[0, WILDCARD_GENE]] * 10
         assert gene_convergence_profile(population) == [1.0, 1.0]
 
     def test_mixed_population(self):
-        population = [Solution([0])] * 3 + [Solution([1])]
+        population = [[0]] * 3 + [[1]]
         assert gene_convergence_profile(population) == [0.75]
 
     def test_wildcard_counts_as_value(self):
-        population = [Solution([WILDCARD_GENE])] * 19 + [Solution([2])]
+        population = [[WILDCARD_GENE]] * 19 + [[2]]
         assert gene_convergence_profile(population) == [0.95]
 
     def test_empty_population_rejected(self):
@@ -36,20 +39,20 @@ class TestGeneConvergenceProfile:
 
     def test_ragged_population_rejected(self):
         with pytest.raises(ValidationError):
-            gene_convergence_profile([Solution([0]), Solution([0, 1])])
+            gene_convergence_profile([[0], [0, 1]])
 
 
 class TestDeJong:
     def test_converged_at_threshold(self):
-        population = [Solution([0])] * 19 + [Solution([1])]
+        population = [[0]] * 19 + [[1]]
         assert DeJongConvergence(0.95).has_converged(population)
 
     def test_not_converged_below_threshold(self):
-        population = [Solution([0])] * 18 + [Solution([1])] * 2
+        population = [[0]] * 18 + [[1]] * 2
         assert not DeJongConvergence(0.95).has_converged(population)
 
     def test_all_genes_must_converge(self):
-        population = [Solution([0, 0])] * 10 + [Solution([0, 1])] * 5
+        population = [[0, 0]] * 10 + [[0, 1]] * 5
         criterion = DeJongConvergence(0.95)
         assert criterion.n_converged_genes(population) == 1
         assert not criterion.has_converged(population)
@@ -57,6 +60,13 @@ class TestDeJong:
     def test_threshold_validated(self):
         with pytest.raises(ValidationError):
             DeJongConvergence(0.2)
+
+    @pytest.mark.parametrize("mode", ["majority", ["string"], 1, None])
+    def test_mode_validated(self, mode):
+        with pytest.raises(ValidationError, match="convergence mode"):
+            DeJongConvergence(0.95, mode=mode)
+        with pytest.raises(ValidationError, match="convergence mode"):
+            EvolutionaryConfig(convergence_mode=mode)
 
 
 class TestEvolutionaryConfig:
@@ -98,11 +108,14 @@ class TestFitnessEvaluator:
             small_counter.n_ranges,
             2,
         )
-        assert evaluator.fitness(s) == pytest.approx(expected)
+        assert evaluator.score(s).coefficient == pytest.approx(expected)
 
     def test_infeasible_gets_penalty(self, small_counter):
         evaluator = FitnessEvaluator(small_counter, dimensionality=2)
-        assert evaluator.fitness(Solution.from_string("123***")) == INFEASIBLE_FITNESS
+        best = BestProjectionSet(5)
+        genes = np.array([Solution.from_string(s).genes for s in ("12****", "123***")])
+        fitnesses = EvolutionarySearch._evaluate_and_track(genes, evaluator, best)
+        assert fitnesses[1] == INFEASIBLE_FITNESS
         assert evaluator.score(Solution.from_string("123***")) is None
 
     def test_partial_fitness_uses_own_dimensionality(self, small_counter):
@@ -129,16 +142,22 @@ class TestFitnessEvaluator:
 
     def test_evaluation_counter(self, small_counter):
         evaluator = FitnessEvaluator(small_counter, dimensionality=1)
-        evaluator.fitness(Solution.from_string("1*****"))
-        evaluator.fitness(Solution.from_string("2*****"))
+        evaluator.score(Solution.from_string("1*****"))
+        evaluator.score(Solution.from_string("2*****"))
+        evaluator.score(Solution.from_string("12****"))  # infeasible: not counted
         assert evaluator.n_evaluations == 2
 
-    def test_fitnesses_batch(self, small_counter):
+    def test_score_batch_on_gene_matrix(self, small_counter):
         evaluator = FitnessEvaluator(small_counter, dimensionality=1)
         sols = [Solution.from_string("1*****"), Solution.from_string("12****")]
-        fits = evaluator.fitnesses(sols)
-        assert len(fits) == 2
-        assert fits[1] == INFEASIBLE_FITNESS
+        scored = evaluator.score_batch(np.array([s.genes for s in sols]))
+        assert scored == [evaluator.score(sols[0]), None]
+
+    def test_batches_of_no_rows_are_empty(self, small_counter):
+        evaluator = FitnessEvaluator(small_counter, dimensionality=1)
+        assert evaluator.score_batch([]) == []
+        empty = np.empty((0, small_counter.n_dims), dtype=np.int64)
+        assert evaluator.partial_fitness_batch(empty).shape == (0,)
 
     def test_k_exceeds_dims_rejected(self, small_counter):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Tests for the GA solution encoding."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from repro.exceptions import ValidationError
 from repro.search.evolutionary.encoding import (
     Solution,
     WILDCARD_GENE,
+    check_population,
     random_solution,
     seed_population,
 )
@@ -18,8 +20,8 @@ class TestSolution:
         s = Solution([WILDCARD_GENE, 2, WILDCARD_GENE, 8])
         assert s.n_dims == 4
         assert s.dimensionality == 2
-        assert s.fixed_positions == (1, 3)
-        assert s.wildcard_positions == (0, 2)
+        assert s.genes == (WILDCARD_GENE, 2, WILDCARD_GENE, 8)
+        assert s.is_feasible(2)
 
     def test_paper_string_rendering(self):
         # The paper's example: *3*9 in 4-dimensional data with phi=10.
@@ -59,16 +61,6 @@ class TestSolution:
         with pytest.raises(ValidationError):
             Solution.from_subspace(Subspace((5,), (0,)), 3)
 
-    def test_replace(self):
-        s = Solution([0, WILDCARD_GENE])
-        t = s.replace(1, 3)
-        assert t.genes == (0, 3)
-        assert s.genes == (0, WILDCARD_GENE)  # immutable original
-
-    def test_replace_bad_position(self):
-        with pytest.raises(ValidationError):
-            Solution([0]).replace(5, 1)
-
     def test_immutable(self):
         s = Solution([0])
         with pytest.raises(AttributeError):
@@ -102,7 +94,7 @@ class TestRandomSolution:
     def test_k_equals_d(self):
         s = random_solution(4, 4, 3, 0)
         assert s.dimensionality == 4
-        assert not s.wildcard_positions
+        assert WILDCARD_GENE not in s.genes
 
     def test_k_exceeds_d_rejected(self):
         with pytest.raises(ValidationError):
@@ -123,10 +115,39 @@ class TestRandomSolution:
 class TestSeedPopulation:
     def test_size_and_feasibility(self):
         population = seed_population(12, 3, 5, 20, random_state=0)
-        assert len(population) == 20
-        assert all(s.is_feasible(3) for s in population)
+        assert population.shape == (20, 12)
+        assert all(Solution(row).is_feasible(3) for row in population)
 
     def test_deterministic(self):
         a = seed_population(12, 3, 5, 10, random_state=3)
         b = seed_population(12, 3, 5, 10, random_state=3)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
+
+    def test_rows_are_successive_random_solutions(self):
+        rng = np.random.default_rng(4)
+        want = [random_solution(9, 4, 6, rng) for _ in range(7)]
+        got = seed_population(9, 4, 6, 7, np.random.default_rng(4))
+        assert [Solution(row) for row in got] == want
+
+
+class TestCheckPopulation:
+    def test_valid_matrix_passes_through(self):
+        genes = seed_population(5, 2, 3, 4, random_state=0)
+        assert check_population(genes, n_dims=5, n_ranges=3) is genes
+
+    @pytest.mark.parametrize(
+        ("population", "kwargs"),
+        [
+            pytest.param([], {}, id="empty"),
+            pytest.param([0, 1], {}, id="one_dimensional"),
+            pytest.param([[0, 1], [0]], {}, id="ragged"),
+            pytest.param([[0, -2]], {}, id="below_wildcard"),
+            pytest.param([[0.5, 1.0]], {}, id="float_genes"),
+            pytest.param([["1", "*"]], {}, id="string_genes"),
+            pytest.param([[0, 1]], {"n_dims": 3}, id="wrong_width"),
+            pytest.param([[0, 3]], {"n_ranges": 3}, id="range_off_grid"),
+        ],
+    )
+    def test_malformed_rejected(self, population, kwargs):
+        with pytest.raises(ValidationError):
+            check_population(population, **kwargs)

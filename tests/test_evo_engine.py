@@ -110,6 +110,13 @@ class TestCrossoverVariants:
         with pytest.raises(ValidationError):
             EvolutionarySearch(small_counter, 2, crossover=42)
 
+    @pytest.mark.parametrize(
+        "name", [["optimized"], ("two_point",), None, b"optimized"]
+    )
+    def test_non_str_name_lists_the_choices(self, small_counter, name):
+        with pytest.raises(ValidationError, match="optimized, two_point"):
+            EvolutionarySearch(small_counter, 2, crossover=name)
+
 
 class TestCrossoverRate:
     def test_partial_rate_runs(self, small_counter):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.search.evolutionary.encoding import Solution, WILDCARD_GENE
+from repro.exceptions import ValidationError
+
+from repro.search.evolutionary.encoding import WILDCARD_GENE
 from repro.search.evolutionary.selection import (
     FitnessProportionalSelection,
     RankRouletteSelection,
@@ -14,10 +16,15 @@ from repro.search.evolutionary.selection import (
 
 
 def solutions_with_fitness(fitnesses):
-    """Distinct solutions, one per fitness value."""
-    return [
-        Solution([i] + [WILDCARD_GENE] * 3) for i in range(len(fitnesses))
-    ], list(fitnesses)
+    """Distinct strings, one row per fitness value; row i fixes gene 0 to i."""
+    genes = np.full((len(fitnesses), 4), WILDCARD_GENE)
+    genes[:, 0] = np.arange(len(fitnesses))
+    return genes, list(fitnesses)
+
+
+def picked(selected):
+    """Which input rows a selection returned (gene 0 names the row)."""
+    return selected[:, 0].tolist()
 
 
 class TestRanks:
@@ -46,27 +53,27 @@ class TestRankRoulette:
         rng = np.random.default_rng(0)
         for _ in range(20):
             out = RankRouletteSelection().select(sols, fits, rng)
-            assert sols[3] not in out
+            assert 3 not in picked(out)
 
     def test_bias_toward_fitter(self):
         sols, fits = solutions_with_fitness([-10.0, -1.0, 0.0, 1.0])
         rng = np.random.default_rng(42)
         counts = {i: 0 for i in range(4)}
         for _ in range(200):
-            for s in RankRouletteSelection().select(sols, fits, rng):
-                counts[sols.index(s)] += 1
+            for i in picked(RankRouletteSelection().select(sols, fits, rng)):
+                counts[i] += 1
         assert counts[0] > counts[1] > counts[2]
 
     def test_single_solution_passthrough(self):
         sols, fits = solutions_with_fitness([-1.0])
         out = RankRouletteSelection().select(sols, fits, np.random.default_rng(0))
-        assert out == sols
+        np.testing.assert_array_equal(out, sols)
 
     def test_deterministic_given_seed(self):
         sols, fits = solutions_with_fitness([-3.0, -2.0, -1.0, 0.0])
         a = RankRouletteSelection().select(sols, fits, np.random.default_rng(5))
         b = RankRouletteSelection().select(sols, fits, np.random.default_rng(5))
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
 
 class TestTournament:
@@ -78,7 +85,7 @@ class TestTournament:
         sols, fits = solutions_with_fitness([-5.0, 0.0, 5.0, 10.0])
         rng = np.random.default_rng(1)
         selected = TournamentSelection(size=3).select(sols, fits, rng)
-        best_share = sum(1 for s in selected if s == sols[0]) / len(selected)
+        best_share = picked(selected).count(0) / len(selected)
         assert best_share > 0.25
 
     def test_preserves_size(self):
@@ -94,7 +101,7 @@ class TestFitnessProportional:
             sols, fits, np.random.default_rng(0)
         )
         assert len(out) == 3
-        assert sols[0] not in out  # zero weight for infeasible
+        assert 0 not in picked(out)  # zero weight for infeasible
 
     def test_all_infeasible_uniform_fallback(self):
         sols, fits = solutions_with_fitness([float("inf")] * 3)
@@ -117,7 +124,13 @@ class TestUniform:
         rng = np.random.default_rng(0)
         counts = {0: 0, 1: 0}
         for _ in range(500):
-            for s in UniformSelection().select(sols, fits, rng):
-                counts[sols.index(s)] += 1
+            for i in picked(UniformSelection().select(sols, fits, rng)):
+                counts[i] += 1
         ratio = counts[0] / (counts[0] + counts[1])
         assert 0.4 < ratio < 0.6
+
+
+def test_fitnesses_must_align_with_rows():
+    sols, _ = solutions_with_fitness([-1.0, -2.0, -3.0])
+    with pytest.raises(ValidationError):
+        RankRouletteSelection().select(sols, [-1.0, -2.0], np.random.default_rng(0))

@@ -30,7 +30,9 @@ from repro.analysis import lint_paths
 from repro.eval.comparison import ComparisonRow, render_table
 from repro.eval.harness import ExperimentResult
 from repro.eval.sweeps import render_sweep
+from repro.grid.discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer
 from repro.run.cancel import CancelToken
+from repro.search.evolutionary.selection import TournamentSelection
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -1227,3 +1229,199 @@ class TestMultikCountingOptions:
             assert [p.subspace for p in resumed.results[k].projections] == [
                 p.subspace for p in first.results[k].projections
             ]
+
+
+class TestMultikRunIdentity:
+    """``detect_across_dimensionalities`` fingerprinted every raw
+    ``detector_kwargs`` value, so a sweep resumed with another
+    ``shard_rows`` or another ``EvolutionaryConfig(max_seconds=)``
+    raised ``CheckpointError: stale checkpoint 'result_k1': manifest
+    mismatch on params``.  The sweep now takes the detector's own run
+    identity: placement and budget changes resume, trajectory changes
+    (the selection, engine options and discretizer included) are still
+    stale."""
+
+    @staticmethod
+    def _sweep(tmp_path, kwargs, resume):
+        from repro.core.multik import detect_across_dimensionalities
+        from repro.run.controller import RunController
+
+        data = np.random.default_rng(0).normal(size=(300, 5))
+        return detect_across_dimensionalities(
+            data,
+            [1, 2],
+            detector_kwargs=kwargs,
+            controller=RunController(checkpoint_dir=tmp_path / "ckpt"),
+            resume=resume,
+        )
+
+    def _assert_resumes(self, tmp_path, caplog, first_kwargs, second_kwargs):
+        import logging
+
+        first = self._sweep(tmp_path, first_kwargs, resume=False)
+        with caplog.at_level(logging.INFO, logger="repro.core.multik"):
+            resumed = self._sweep(tmp_path, second_kwargs, resume=True)
+        loaded = [r for r in caplog.records if "loaded completed" in r.message]
+        assert len(loaded) == 2
+        for k in (1, 2):
+            assert [p.subspace for p in resumed.results[k].projections] == [
+                p.subspace for p in first.results[k].projections
+            ]
+
+    def test_resume_with_other_shard_rows(self, tmp_path, caplog):
+        base = {"n_ranges": 4, "n_projections": 3, "method": "brute_force",
+                "mmap_dir": tmp_path / "masks"}
+        self._assert_resumes(
+            tmp_path, caplog, {**base, "shard_rows": 64}, {**base, "shard_rows": 128}
+        )
+
+    def test_resume_with_other_time_budget(self, tmp_path, caplog):
+        from repro.search.evolutionary.config import EvolutionaryConfig
+
+        def kwargs(max_seconds):
+            config = EvolutionaryConfig(
+                population_size=12, max_generations=3, max_seconds=max_seconds
+            )
+            return {"n_ranges": 4, "n_projections": 3, "config": config,
+                    "random_state": 0}
+
+        self._assert_resumes(tmp_path, caplog, kwargs(5), kwargs(9))
+
+    def test_trajectory_change_is_still_stale(self, tmp_path):
+        from repro.exceptions import CheckpointError
+
+        kwargs = {"n_ranges": 4, "n_projections": 3, "method": "brute_force"}
+        self._sweep(tmp_path, kwargs, resume=False)
+        with pytest.raises(CheckpointError, match="manifest mismatch"):
+            self._sweep(tmp_path, {**kwargs, "n_projections": 4}, resume=True)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"selection": TournamentSelection(2)},
+             {"selection": TournamentSelection(3)}),
+            ({"engine_options": {"max_evaluations": 5000}},
+             {"engine_options": {"max_evaluations": 10000}}),
+            ({"discretizer": EquiDepthDiscretizer(4)},
+             {"discretizer": EquiWidthDiscretizer(4)}),
+        ],
+        ids=["selection", "engine_options", "discretizer"],
+    )
+    def test_operator_change_is_still_stale(self, tmp_path, first, second):
+        from repro.exceptions import CheckpointError
+
+        kwargs = {"n_ranges": 4, "n_projections": 3, "method": "brute_force"}
+        self._sweep(tmp_path, {**kwargs, **first}, resume=False)
+        with pytest.raises(CheckpointError, match="manifest mismatch"):
+            self._sweep(tmp_path, {**kwargs, **second}, resume=True)
+
+
+class TestGaResumeSelectionIdentity:
+    """A GA detect's checkpoint identity left out ``selection``: a run
+    killed after 3 boundaries and resumed with another tournament size
+    resumed silently and returned cubes of neither selection."""
+
+    def test_resume_with_other_selection_is_stale(self, tmp_path):
+        from repro import SubspaceOutlierDetector
+        from repro.exceptions import CheckpointError
+        from repro.run.cancel import CancelAfterBoundaries
+        from repro.run.controller import RunController
+        from repro.search.evolutionary.config import EvolutionaryConfig
+
+        data = np.random.default_rng(0).normal(size=(400, 6))
+
+        def detect(selection, controller, resume):
+            return SubspaceOutlierDetector(
+                2, 4, 3,
+                config=EvolutionaryConfig(population_size=20, max_generations=10),
+                selection=selection, random_state=0, controller=controller,
+            ).detect(data, resume=resume)
+
+        killed = RunController(
+            checkpoint_dir=tmp_path, token=CancelAfterBoundaries(3)
+        )
+        assert detect(TournamentSelection(2), killed, False).cancelled
+        with pytest.raises(CheckpointError, match="stale"):
+            detect(
+                TournamentSelection(3), RunController(checkpoint_dir=tmp_path), True
+            )
+
+
+class TestMalformedGaResume:
+    """A GA checkpoint's population was rebuilt string by string with
+    only a gene ``>= -1`` check: a ragged row or a range off the grid
+    resumed silently and searched on, and a fitness list of another
+    length escaped as numpy's bare ``ValueError`` from the selection.
+    The restored population is now validated as a gene matrix over the
+    run's grid (gene below ``*`` and wrong width stay rejected)."""
+
+    D, PHI = 6, 4
+
+    def _state(self, population, fitnesses=None):
+        from repro.run.checkpoint import encode_rng_state
+        from repro.search.best_set import BestProjectionSet
+
+        return {
+            "algorithm": "evolutionary",
+            "restart": 0,
+            "generation": 1,
+            "population": population,
+            "fitnesses": fitnesses or [0.0] * len(population),
+            "stall": 0,
+            "accepted_seen": 0,
+            "rng_state": encode_rng_state(
+                np.random.default_rng(0).bit_generator.state
+            ),
+            "evaluations": 0,
+            "best_set": BestProjectionSet(5).to_state(),
+            "total_generations": 0,
+            "n_converged": 0,
+            "elapsed_seconds": 0.0,
+            "history": [],
+        }
+
+    def _resume(self, state):
+        from repro.engine.context import RunContext
+        from repro.grid.cells import CellAssignment
+        from repro.grid.counter import CubeCounter
+        from repro.search.evolutionary import EvolutionaryConfig, EvolutionarySearch
+
+        codes = np.random.default_rng(0).integers(0, self.PHI, size=(120, self.D))
+        counter = CubeCounter(CellAssignment(codes.astype(np.int16), self.PHI))
+        config = EvolutionaryConfig(population_size=4, max_generations=3)
+        return EvolutionarySearch(counter, 2, 5, config=config).run(
+            context=RunContext(resume_from=state)
+        )
+
+    def _rows(self):
+        return [[0, 1, -1, -1, -1, -1], [-1, -1, 2, 3, -1, -1],
+                [1, -1, -1, 0, -1, -1], [-1, 2, -1, -1, -1, 1]]
+
+    def test_well_formed_population_resumes(self):
+        assert self._resume(self._state(self._rows())).stats["generations"] == 3
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda rows: rows[:3] + [[0, -2, -1, -1, -1, -1]],
+                         id="gene_below_wildcard"),
+            pytest.param(lambda rows: rows[:3] + [[0, 1, -1]], id="ragged_row"),
+            pytest.param(lambda rows: [row + [-1] for row in rows], id="wrong_width"),
+            pytest.param(lambda rows: rows[:3] + [[0, 9, -1, -1, -1, -1]],
+                         id="range_off_the_grid"),
+        ],
+    )
+    def test_corrupt_population_raises_repro_error(self, corrupt):
+        from repro.exceptions import ReproError
+
+        with pytest.raises(ReproError):
+            self._resume(self._state(corrupt(self._rows())))
+
+    @pytest.mark.parametrize(
+        "fitnesses", [[0.0, 1.0], ["x"] * 4, [[0.0]] * 4], ids=["short", "text", "nested"]
+    )
+    def test_malformed_fitnesses_raise_repro_error(self, fitnesses):
+        from repro.exceptions import ReproError
+
+        with pytest.raises(ReproError):
+            self._resume(self._state(self._rows(), fitnesses=fitnesses))
