@@ -53,7 +53,7 @@ from ..search.evolutionary.crossover import CrossoverOperator
 from ..search.evolutionary.selection import SelectionOperator
 from ..search.outcome import SearchOutcome
 from .params import CountingBackend, choose_projection_dimensionality
-from .results import DetectionResult, ScoredProjection, score_cells
+from .results import CubeTable, DetectionResult, ScoredProjection, score_cells
 
 __all__ = ["SubspaceOutlierDetector"]
 
@@ -498,7 +498,9 @@ class SubspaceOutlierDetector:
             raise NotFittedError("call detect() before score()")
         array = check_matrix(data, "data")
         cells = self.discretizer_.transform(array)
-        return score_cells(cells.codes, self.result_.projections)
+        return score_cells(
+            cells.codes, CubeTable.from_projections(self.result_.projections)
+        )
 
     def predict(self, data) -> np.ndarray:
         """Boolean outlier mask for *new* points (see :meth:`score`)."""

@@ -20,7 +20,7 @@ from .._validation import check_matrix
 from ..engine.stats import merge_backend_health
 from ..exceptions import SearchCancelled, ValidationError
 from ..run.cancel import check_stop_reason
-from ..run.checkpoint import params_fingerprint
+from ..run.checkpoint import data_fingerprint, params_fingerprint
 from ..run.controller import RunController
 from .detector import SubspaceOutlierDetector
 from .params import CountingBackend, choose_projection_dimensionality
@@ -199,7 +199,10 @@ def detect_across_dimensionalities(
         # The detector's own run identity, so a sweep resumed with
         # another budget or counting placement still matches.
         params = SubspaceOutlierDetector(**kwargs)._trajectory_params()
-        sweep_manifest = {"params": params_fingerprint({"ks": ks, **params})}
+        sweep_manifest = {
+            "params": params_fingerprint({"ks": ks, **params}),
+            "data": data_fingerprint(array),
+        }
 
     from ..persist import result_from_dict, result_to_dict
 

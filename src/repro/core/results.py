@@ -17,7 +17,7 @@ from ..exceptions import ValidationError
 from ..sparsity.statistics import significance_of_coefficient
 from .subspace import Subspace
 
-__all__ = ["ScoredProjection", "DetectionResult", "score_cells"]
+__all__ = ["ScoredProjection", "DetectionResult", "CubeTable", "score_cells"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,21 +66,90 @@ class ScoredProjection:
         )
 
 
-def score_cells(codes, projections: Sequence[ScoredProjection]) -> np.ndarray:
-    """Deviation score per row of grid *codes* against mined *projections*.
+#: Rows scored per array pass: bounds the ``(rows, m, kmax)`` temporary
+#: a large request builds, whatever its length.
+_SCORE_BLOCK_ROWS = 4096
 
-    A row scores the most negative coefficient among the projections
-    whose cube covers it, or NaN when none does (the point looks
-    normal).  More negative = more abnormal, matching
-    :meth:`DetectionResult.point_score`.  The one scoring loop behind
-    the detector, :class:`~repro.model.GridModel` and the saved-model
-    views.
+
+@dataclass(frozen=True, eq=False)
+class CubeTable:
+    """A mined set as arrays: what :func:`score_cells` reads.
+
+    Row ``i`` describes projection ``i``.  A cube with fewer than
+    ``kmax`` fixed dimensions repeats its own last ``(dim, range)`` pair
+    to fill its row (a repeated condition changes nothing under AND); a
+    k = 0 cube covers every row and is marked in ``free``.
+
+    Attributes
+    ----------
+    dims, ranges:
+        ``(m, kmax)`` fixed dimensions and their 0-based grid ranges.
+    coefficients:
+        ``(m,)`` sparsity coefficients.
+    free:
+        ``(m,)`` True for k = 0 cubes.
+    """
+
+    dims: np.ndarray
+    ranges: np.ndarray
+    coefficients: np.ndarray
+    free: np.ndarray
+
+    @classmethod
+    def from_projections(cls, projections: Sequence[ScoredProjection]) -> "CubeTable":
+        """Tabulate *projections* (in order) for scoring."""
+        kmax = max((p.dimensionality for p in projections), default=0)
+        dims = np.zeros((len(projections), kmax), dtype=np.intp)
+        ranges = np.zeros((len(projections), kmax), dtype=np.int64)
+        for i, projection in enumerate(projections):
+            k = projection.dimensionality
+            if k:
+                dims[i, :k] = projection.subspace.dims
+                dims[i, k:] = projection.subspace.dims[-1]
+                ranges[i, :k] = projection.subspace.ranges
+                ranges[i, k:] = projection.subspace.ranges[-1]
+        return cls(
+            dims,
+            ranges,
+            np.array([p.coefficient for p in projections], dtype=np.float64),
+            np.array([p.dimensionality == 0 for p in projections], dtype=bool),
+        )
+
+
+def score_cells(codes, table: CubeTable) -> np.ndarray:
+    """Deviation score per row of grid *codes* against a mined set.
+
+    A row scores the most negative coefficient among the cubes of
+    *table* (:meth:`CubeTable.from_projections`) that cover it, or NaN
+    when none does (the point looks normal).  More negative = more
+    abnormal, matching :meth:`DetectionResult.point_score`.  The one
+    scoring pass behind the detector and :class:`~repro.model.GridModel`
+    (loaded models included): every cube is tested against a block of
+    rows at once, so a request costs one array pass, not one
+    :meth:`~repro.core.subspace.Subspace.covers` call per cube.
+    Malformed *codes* raise the :class:`ValidationError` ``covers``
+    raises.
     """
     codes = np.asarray(codes)
     scores = np.full(len(codes), np.nan)
-    for projection in projections:
-        covered = projection.subspace.covers(codes)
-        scores[covered] = np.fmin(scores[covered], projection.coefficient)
+    if not table.coefficients.size:
+        return scores
+    if codes.ndim != 2:
+        raise ValidationError(f"cells must be 2-dimensional, got ndim={codes.ndim}")
+    top = np.where(table.free, -1, table.dims.max(axis=1, initial=-1))
+    wide = np.flatnonzero(top >= codes.shape[1])
+    if wide.size:
+        raise ValidationError(
+            f"subspace uses dimension {top[wide[0]]} but cells has "
+            f"only {codes.shape[1]} columns"
+        )
+    for start in range(0, len(codes), _SCORE_BLOCK_ROWS):
+        block = codes[start:start + _SCORE_BLOCK_ROWS]
+        covered = (block[:, table.dims] == table.ranges).all(axis=2)
+        covered |= table.free
+        scores[start:start + len(block)] = np.fmin.reduce(
+            np.where(covered, table.coefficients, np.nan), axis=1
+        )
     return scores
 
 

@@ -87,8 +87,10 @@ class CellAssignment:
         phi = int(self.n_ranges)
         if phi < 1:
             raise ValidationError(f"n_ranges must be >= 1, got {phi}")
-        valid = (codes == MISSING_CELL) | ((codes >= 0) & (codes < phi))
-        if not valid.all():
+        # MISSING_CELL is the only negative code, so two reductions decide
+        # validity; the masks are built only to name the offending value.
+        if codes.size and (codes.min() < MISSING_CELL or codes.max() >= phi):
+            valid = (codes == MISSING_CELL) | ((codes >= 0) & (codes < phi))
             bad = codes[~valid][0]
             raise ValidationError(
                 f"cell codes must be in [0, {phi}) or MISSING_CELL, found {bad}"

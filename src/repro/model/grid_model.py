@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from .._validation import check_matrix
-from ..core.results import ScoredProjection, score_cells
+from ..core.results import CubeTable, ScoredProjection, score_cells
 from ..engine.events import EventSink, emit_event
 from ..exceptions import NotFittedError, ValidationError
 from ..grid.cells import CellAssignment
@@ -164,7 +164,11 @@ class GridModel:
                 )
         self.counter = counter
         self._data: np.ndarray | None = data
-        self._projections = _checked_projections(projections or ())
+        # Blocks absorbed since the rows were last read, joined onto
+        # ``_data`` on the next read (``_rows``): an update costs its own
+        # rows, not a copy of everything retained.
+        self._pending: list[np.ndarray] = []
+        self.projections = projections or ()
         self._mined = projections is not None
         self._counter_factory: CounterFactory = (
             counter_factory or self.default_counter_factory()
@@ -295,6 +299,7 @@ class GridModel:
     @projections.setter
     def projections(self, value: Sequence[ScoredProjection]) -> None:
         self._projections = _checked_projections(value)
+        self._table = CubeTable.from_projections(self._projections)
         self._mined = True
 
     @property
@@ -332,7 +337,7 @@ class GridModel:
     @property
     def raw_data(self) -> np.ndarray | None:
         """The retained rows (``None`` in serving mode)."""
-        return self._data
+        return self._rows()
 
     @property
     def is_serving(self) -> bool:
@@ -371,7 +376,7 @@ class GridModel:
         if self.counter is not None:
             self.counter.append_rows(assignment)
         if self._data is not None:
-            self._data = np.concatenate([self._data, array], axis=0)
+            self._pending.append(array.copy())
         self._absorb_occupancy(assignment.codes)
         rows = int(array.shape[0])
         self._n_points += rows
@@ -416,13 +421,13 @@ class GridModel:
                 "the other model was restored without its raw rows; merge "
                 "needs them to recode under this model's grid"
             )
-        block = other._data
+        block = other._rows()
         assignment = self.discretizer.transform(block)
         self._ensure_sketch()
         other._ensure_sketch()
         self.discretizer.merge(other.discretizer)
         self.counter.append_rows(assignment)
-        self._data = np.concatenate([self._data, block], axis=0)
+        self._pending.append(block.copy())
         self._absorb_occupancy(assignment.codes)
         rows = int(block.shape[0])
         self._n_points += rows
@@ -458,12 +463,12 @@ class GridModel:
         if not force and not self.discretizer.sketch_stale:
             return False
         cells = self.discretizer.fit_transform(
-            self._data, feature_names=self.feature_names
+            self._rows(), feature_names=self.feature_names
         )
         self.counter.close()
         self.counter = self._counter_factory(cells)
         self._occupancy = np.zeros_like(self._occupancy)
-        self._projections = ()
+        self.projections = ()
         self._mined = False
         self._last_drift = None
         self._n_rebins += 1
@@ -493,7 +498,7 @@ class GridModel:
             )
         array = check_matrix(points, "points")
         cells = self.discretizer.transform(array)
-        scores = score_cells(cells.codes, self._projections)
+        scores = score_cells(cells.codes, self._table)
         emit_event(
             self.event_sink,
             "score_request",
@@ -556,7 +561,7 @@ class GridModel:
         if self._data is None:
             return None
         return StreamingReservoir(self._default_sketch_capacity()).update(
-            self._data
+            self._rows()
         )
 
     def close(self) -> None:
@@ -589,12 +594,19 @@ class GridModel:
             return
         if self._data is not None:
             self.discretizer.enable_sketch(
-                self._data, capacity=self._default_sketch_capacity()
+                self._rows(), capacity=self._default_sketch_capacity()
             )
         else:
             self.discretizer.enable_sketch(
                 capacity=self._default_sketch_capacity()
             )
+
+    def _rows(self) -> np.ndarray | None:
+        """The retained rows as one array, joining pending blocks first."""
+        if self._pending:
+            self._data = np.concatenate([self._data, *self._pending], axis=0)
+            self._pending = []
+        return self._data
 
     def _absorb_occupancy(self, codes: np.ndarray) -> None:
         for j in range(codes.shape[1]):

@@ -44,6 +44,23 @@ _CROSSOVER_ALIASES = {
 }
 
 
+def _restored_number(state: dict, key: str, kind: type = int):
+    """Checkpoint field *key* as *kind* (``int`` or ``float``).
+
+    A missing or malformed value raises
+    :class:`~repro.exceptions.ValidationError` naming the field.
+    """
+    try:
+        return kind(state[key])
+    except KeyError:
+        raise ValidationError(f"checkpoint has no {key!r} field") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"checkpoint field {key!r} must be {kind.__name__}-valued, got "
+            f"{state[key]!r}"
+        ) from None
+
+
 class EvolutionarySearch(SearchEngine):
     """Algorithm *EvolutionaryOutlierSearch* (Figure 3).
 
@@ -150,16 +167,17 @@ class EvolutionarySearch(SearchEngine):
         if state is not None:
             rng.bit_generator.state = state["rng_state"]
             best.restore_state(state["best_set"])
-            evaluator.n_evaluations = int(state["evaluations"])
-            totals["generations"] = int(state["total_generations"])
-            totals["converged"] = int(state["n_converged"])
-            elapsed_base = float(state["elapsed_seconds"])
-            first_restart = int(state["restart"])
+            evaluator.n_evaluations = _restored_number(state, "evaluations")
+            totals["generations"] = _restored_number(state, "total_generations")
+            totals["converged"] = _restored_number(state, "n_converged")
+            elapsed_base = _restored_number(state, "elapsed_seconds", float)
+            first_restart = _restored_number(state, "restart")
             history = [GenerationRecord(**record) for record in state["history"]]
             logger.info(
                 "resuming evolutionary search at restart %d, generation %d "
                 "(%d evaluations done)",
-                first_restart, int(state["generation"]), evaluator.n_evaluations,
+                first_restart, _restored_number(state, "generation"),
+                evaluator.n_evaluations,
             )
         self._budget = RunBudget(
             context.cancel_token,
@@ -281,9 +299,9 @@ class EvolutionarySearch(SearchEngine):
             accepted_seen = best.n_accepted
         else:
             population, fitnesses = self._restore_population(restored)
-            generation = int(restored["generation"])
-            stall = int(restored["stall"])
-            accepted_seen = int(restored["accepted_seen"])
+            generation = _restored_number(restored, "generation")
+            stall = _restored_number(restored, "stall")
+            accepted_seen = _restored_number(restored, "accepted_seen")
 
         reason = "generation_cap"
         dejong = False

@@ -1242,11 +1242,11 @@ class TestMultikRunIdentity:
     stale."""
 
     @staticmethod
-    def _sweep(tmp_path, kwargs, resume):
+    def _sweep(tmp_path, kwargs, resume, seed=0):
         from repro.core.multik import detect_across_dimensionalities
         from repro.run.controller import RunController
 
-        data = np.random.default_rng(0).normal(size=(300, 5))
+        data = np.random.default_rng(seed).normal(size=(300, 5))
         return detect_across_dimensionalities(
             data,
             [1, 2],
@@ -1286,6 +1286,16 @@ class TestMultikRunIdentity:
                     "random_state": 0}
 
         self._assert_resumes(tmp_path, caplog, kwargs(5), kwargs(9))
+
+    def test_other_data_is_stale(self, tmp_path):
+        """The sweep manifest held no data digest: a sweep checkpointed on
+        one matrix and resumed on another loaded the first one's ks."""
+        from repro.exceptions import CheckpointError
+
+        kwargs = {"n_ranges": 4, "n_projections": 3, "method": "brute_force"}
+        self._sweep(tmp_path, kwargs, resume=False)
+        with pytest.raises(CheckpointError, match="stale"):
+            self._sweep(tmp_path, kwargs, resume=True, seed=1)
 
     def test_trajectory_change_is_still_stale(self, tmp_path):
         from repro.exceptions import CheckpointError
@@ -1425,3 +1435,30 @@ class TestMalformedGaResume:
 
         with pytest.raises(ReproError):
             self._resume(self._state(self._rows(), fitnesses=fitnesses))
+
+    COUNTERS = ("evaluations", "total_generations", "n_converged",
+                "elapsed_seconds", "restart", "generation", "stall",
+                "accepted_seen")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(field, value) for field in COUNTERS for value in ("x", None, [1])]
+        + [(field, float("inf")) for field in COUNTERS if field != "elapsed_seconds"],
+    )
+    def test_malformed_counter_raises_validation_error(self, field, value):
+        """The counters were read with bare ``int()``/``float()``: a
+        ``"stall": "x"`` escaped as a raw ``ValueError``."""
+        from repro.exceptions import ValidationError
+
+        state = self._state(self._rows())
+        state[field] = value
+        with pytest.raises(ValidationError, match=repr(field)):
+            self._resume(state)
+
+    def test_missing_counter_raises_validation_error(self):
+        from repro.exceptions import ValidationError
+
+        state = self._state(self._rows())
+        del state["stall"]
+        with pytest.raises(ValidationError, match="'stall'"):
+            self._resume(state)
