@@ -3,8 +3,7 @@
 Not a paper table — this measures the reproduction's own engine-room
 (DESIGN.md "Counting" decision): the bit-packed counter's mask memory
 and per-cube counting vs naive row scanning of the grid codes, at a
-scale larger than any paper dataset, plus the memoisation hit rate a GA-shaped workload
-achieves, plus the batched kernel's speedup over per-cube counting on
+scale larger than any paper dataset, plus the batched kernel's speedup over per-cube counting on
 a GA-population-sized batch (the headline number for the batch API),
 the compiled C kernel's speedup over the numpy reference kernel on the
 same batch, and the sharded out-of-core counter's overhead.
@@ -93,7 +92,7 @@ def _naive_scan(codes, cubes):
 
 
 def test_packed_counter(benchmark, cells, cubes):
-    counter = CubeCounter(cells, cache_size=0)
+    counter = CubeCounter(cells)
     t0 = time.perf_counter()
     reference = _naive_scan(cells.codes, cubes)
     naive_seconds = time.perf_counter() - t0
@@ -111,21 +110,6 @@ def test_packed_counter(benchmark, cells, cubes):
         f"{counter_seconds:.2f}s counter)"
     )
     assert counts == reference
-
-
-def test_cache_effectiveness(benchmark, cells, cubes):
-    # A GA re-evaluates converging populations: simulate 10x repetition.
-    counter = CubeCounter(cells)
-
-    def repeated():
-        for _ in range(10):
-            _count_all(counter, cubes)
-        return counter.cache_stats()
-
-    stats = benchmark.pedantic(repeated, rounds=1, iterations=1)
-    hit_rate = stats["cache_hits"] / stats["count_calls"]
-    _LINES.append(f"{'memoisation hit rate':<22}{hit_rate:>12.1%}")
-    assert hit_rate > 0.85
 
 
 def test_batch_speedup(benchmark):
@@ -146,12 +130,12 @@ def test_batch_speedup(benchmark):
         ranges = tuple(int(r) for r in rng.integers(0, BATCH_PHI, size=BATCH_K))
         population.append(Subspace(dims, ranges))
 
-    per_cube = CubeCounter(cells, cache_size=0)
+    per_cube = CubeCounter(cells)
     reference, per_cube_seconds = _best_of(
         lambda: _count_all(per_cube, population)
     )
 
-    serial = CubeCounter(cells, cache_size=0)
+    serial = CubeCounter(cells)
     counts, batch_seconds = benchmark.pedantic(
         lambda: _best_of(lambda: serial.count_batch(population)),
         rounds=1, iterations=1,
@@ -180,7 +164,7 @@ def test_batch_speedup(benchmark):
         store = ShardedMaskStore.build(
             cells, mask_dir, shard_rows=-(-BATCH_N // 8)
         )
-        sharded = ShardedCounter(store, cache_size=0)
+        sharded = ShardedCounter(store)
         sharded_counts, sharded_seconds = _best_of(
             lambda: sharded.count_batch(population)
         )

@@ -41,8 +41,7 @@ class Subspace:
 
     Notes
     -----
-    Instances are hashable and totally determined by ``(dims, ranges)``;
-    the searchers use them as cache keys for cube counts.
+    Instances are hashable and totally determined by ``(dims, ranges)``.
     """
 
     dims: tuple[int, ...]

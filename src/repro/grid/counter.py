@@ -12,21 +12,16 @@ cheap:
   :mod:`repro.grid.kernels`, 8x smaller than one byte per point);
 * a cube count is the popcount of the AND of its masks;
 * every count runs through one private core that validates the whole
-  call first, then resolves in-batch duplicates and memoised cubes
-  (LRU, keyed by the bytes of each cube's int32 ``dim·φ + range``
-  codes — the evolutionary algorithm re-evaluates the same cubes
-  across generations) and sends only the distinct misses to a
-  prefix-sharing batch kernel (siblings reuse the AND of their common
-  prefix) — under a ``process``
+  call first and sends each same-k group of ``(n, k)`` cube arrays,
+  duplicates included, to the batch kernel — under a ``process``
   :class:`~repro.core.params.CountingBackend`, chunked onto a worker
   pool that reads the masks from shared memory;
-* the four public entry points are adapters over that core:
-  :meth:`count` (one cube), :meth:`count_batch` (a GA population of
-  :class:`Subspace` objects, grouped by k into one call),
-  :meth:`count_memoised` (same-k ``(n, k)`` arrays — the evolutionary
-  search's path) and :meth:`count_cubes` (the same arrays with the
-  memo off, for the level-batched brute force, which never repeats a
-  cube and so would only pay for memo bookkeeping).
+* the three public entry points are adapters over that core:
+  :meth:`count` (one cube), :meth:`count_batch` (a batch of
+  :class:`Subspace` objects, grouped by k into one call) and
+  :meth:`count_cubes` (same-k ``(n, k)`` arrays — the path of the
+  evolutionary search and the level-batched brute force).  Nothing is
+  memoised across calls: a repeated cube is counted again.
 
 Where counting runs is the placement of the counter's
 :class:`~repro.core.params.CountingBackend` (one of
@@ -43,16 +38,13 @@ proven bit-identical to the reference before it serves counts.
 from __future__ import annotations
 
 import logging
-import struct
 import time
 from bisect import bisect_left
-from collections import OrderedDict
 from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
 
-from .._validation import check_positive_int
 from ..core.params import CountingBackend
 from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
@@ -84,33 +76,6 @@ LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 _KERNEL_TIERS = {"native": "c", "numpy": "numpy"}
 
 
-def _row_keys(dims: np.ndarray, ranges: np.ndarray, n_ranges: int) -> list[bytes]:
-    """Memo keys of an ``(n, k)`` cube group: each row's int32 pair codes.
-
-    Pair ``(dim, range)`` is coded ``dim·φ + range``; a key is the bytes
-    of its row, so it is unique per cube and ``k = len(key) // 4``.
-    """
-    n_cubes, k = dims.shape
-    if k == 0:
-        return [b""] * n_cubes
-    codes = np.ascontiguousarray(dims * n_ranges + ranges, dtype=np.int32)
-    return codes.view(np.dtype((np.void, 4 * k))).ravel().tolist()
-
-
-def _by_length(keys: list[bytes]) -> list[list[int]]:
-    """Indices of *keys* grouped by key length (so by k), ascending."""
-    groups: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(len(key), []).append(i)
-    return [groups[n] for n in sorted(groups)]
-
-
-def _key_arrays(keys: list[bytes], n_ranges: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n, k)`` dims and ranges of same-length *keys* (of :func:`_row_keys`)."""
-    codes = np.frombuffer(b"".join(keys), dtype=np.int32).astype(np.intp)
-    return np.divmod(codes.reshape(len(keys), len(keys[0]) // 4), n_ranges)
-
-
 def _require_subspace(obj) -> None:
     if not isinstance(obj, Subspace):
         raise ValidationError(f"expected a Subspace, got {type(obj).__name__}")
@@ -138,10 +103,6 @@ class CubeCounter:
     ----------
     cells:
         The grid assignment produced by a discretizer.
-    cache_size:
-        Maximum number of memoised cube counts (LRU eviction).  Set to
-        0 to disable memoisation entirely (no cache structure is
-        allocated and the hot path skips every cache lookup).
     backend:
         A :class:`~repro.core.params.CountingBackend` choosing how
         counting executes (serial by default).  The process
@@ -152,7 +113,6 @@ class CubeCounter:
     def __init__(
         self,
         cells: CellAssignment,
-        cache_size: int = 200_000,
         backend: CountingBackend | None = None,
     ):
         if not isinstance(cells, CellAssignment):
@@ -160,13 +120,11 @@ class CubeCounter:
                 f"cells must be a CellAssignment, got {type(cells).__name__}"
             )
         self.cells = cells
-        self._init_runtime(cache_size, backend)
+        self._init_runtime(backend)
         self._build_masks()
 
-    def _init_runtime(
-        self, cache_size: int, backend: CountingBackend | None
-    ) -> None:
-        """Backend/cache/telemetry state shared by every counter flavour.
+    def _init_runtime(self, backend: CountingBackend | None) -> None:
+        """Backend/telemetry state shared by every counter flavour.
 
         Factored out of ``__init__`` so counters that do not hold their
         masks in memory (:class:`~repro.grid.sharded.ShardedCounter`)
@@ -177,7 +135,6 @@ class CubeCounter:
             raise ValidationError(
                 f"backend must be a CountingBackend, got {type(backend).__name__}"
             )
-        self.cache_size = check_positive_int(cache_size, "cache_size", minimum=0)
         self.backend = backend or CountingBackend()
         # The kernel is chosen lazily on the first batch, since choosing
         # it may compile the C kernel.  The reason is set when the C
@@ -185,11 +142,7 @@ class CubeCounter:
         self._kernel = None
         self._kernel_name: str | None = None
         self._kernel_reason: str | None = None
-        self._cache: OrderedDict[bytes, int] | None = (
-            OrderedDict() if self.cache_size else None
-        )
         self.n_count_calls = 0
-        self.n_cache_hits = 0
         self.n_appends = 0
         self.n_rows_appended = 0
         self.n_batch_calls = 0
@@ -259,23 +212,18 @@ class CubeCounter:
     def count(self, subspace: Subspace) -> int:
         """``n(D)``: number of points inside the cube *subspace*.
 
-        A one-row memoised call of the counting core: a repeat of a
-        memoised cube is a cache hit, anything else is counted and
-        memoised.
+        A one-row call of the counting core.
         """
-        return int(self._count([[self._subspace_key(subspace)]], memo=True)[0][0])
+        return int(self._count([self._subspace_arrays(subspace)])[0][0])
 
     def count_batch(self, subspaces) -> np.ndarray:
         """``n(D)`` for a whole batch of cubes in one pass.
 
         The cubes are grouped by dimensionality (ascending k) into one
-        memoised call of the counting core: duplicate cubes in the
-        batch — the normal case for a converging GA population — and
-        cubes already memoised are cache hits; only the distinct misses
-        hit the batch kernel, which shares intermediate AND results
-        across cubes with a common prefix.  Under a ``process``
-        backend, large miss sets are split into deterministic chunks and
-        evaluated on the worker pool.
+        call of the counting core, whose batch kernel shares
+        intermediate AND results across cubes with a common prefix.
+        Under a ``process`` backend, large groups are split into
+        deterministic chunks and evaluated on the worker pool.
 
         Returns an ``int64`` array aligned with the input order.
         Results are identical to calling :meth:`count` per cube.
@@ -286,109 +234,50 @@ class CubeCounter:
             _require_subspace(subspace)
             by_k.setdefault(len(subspace.dims), []).append(i)
         rows = [by_k[k] for k in sorted(by_k)]
-        groups = [self._group_keys([subspaces[i] for i in idxs]) for idxs in rows]
+        groups = [self._group_arrays([subspaces[i] for i in idxs]) for idxs in rows]
         out = np.empty(len(subspaces), dtype=np.int64)
-        for idxs, counts in zip(rows, self._count(groups, memo=True), strict=True):
+        for idxs, counts in zip(rows, self._count(groups), strict=True):
             out[idxs] = counts
         return out
 
-    def count_memoised(self, dims, ranges) -> np.ndarray:
-        """``n(D)`` for same-k cubes given as two ``(n, k)`` arrays, memoised.
+    def count_cubes(self, dims, ranges) -> np.ndarray:
+        """``n(D)`` for same-k cubes given as two ``(n, k)`` arrays.
 
         Row *i* is the cube with dimensions ``dims[i]`` (strictly
         ascending) and grid ranges ``ranges[i]``.  The array twin of
         :meth:`count_batch` for one dimensionality, with no
         :class:`Subspace` built: the evolutionary search scores its gene
-        matrices through it, one call per k.  A duplicate row, or a cube
-        already memoised, counts as a cache hit exactly as a repeated
-        :meth:`count` does.
+        matrices through it (one call per k) and the level-batched brute
+        force its levels.  A duplicate row is counted again.
 
         Returns an ``int64`` array aligned with the rows.
         """
-        dims, ranges = self._checked_group(dims, ranges)
-        return self._count([_row_keys(dims, ranges, self.n_ranges)], memo=True)[0]
+        return self._count([self._checked_group(dims, ranges)])[0]
 
-    def count_cubes(self, dims, ranges) -> np.ndarray:
-        """``n(D)`` for same-k cubes given as two ``(n, k)`` arrays.
-
-        As :meth:`count_memoised`, but the memo is neither read nor
-        written and duplicate rows are counted again: the entry for
-        callers that never repeat a cube (the level-batched brute
-        force), which would only pay for memo bookkeeping.
-
-        Returns an ``int64`` array aligned with the rows.
-        """
-        return self._count([self._checked_group(dims, ranges)], memo=False)[0]
-
-    def _count(self, groups, memo: bool) -> list[np.ndarray]:
+    def _count(self, groups) -> list[np.ndarray]:
         """The one counting path: counts of validated same-k groups.
 
+        Each group is a ``(dims, ranges)`` pair of ``(n, k)`` arrays.
         The adapters validate their whole call before calling in, so a
-        rejected call leaves the counter as it was.  With *memo*, each
-        group is a list of cube keys — the bytes of the cube's int32
-        pair codes ``dim·φ + range`` (:func:`_row_keys`;
-        ``k = len(key) // 4``); in-batch duplicates and memoised cubes
-        are resolved in first-occurrence order and count as hits, only
-        the distinct misses reach :meth:`_count_group`, and the misses
-        are then memoised in the same order (LRU eviction).  Without
-        *memo*, each group is a ``(dims, ranges)`` pair of ``(n, k)``
-        arrays and every row is counted.
-
-        One call advances ``batch_calls`` once and ``count_calls`` and
-        ``batch_cubes`` by its cubes, and adds its wall time to
-        ``batch_seconds``.  Returns one ``int64`` array per group.
+        rejected call leaves the counter as it was.  One call advances
+        ``batch_calls`` once and ``count_calls`` and ``batch_cubes`` by
+        its cubes, and adds its wall time to ``batch_seconds``.  Returns
+        one ``int64`` array per group.
         """
         t0 = time.perf_counter()
-        n_cubes = sum(len(group) if memo else len(group[0]) for group in groups)
+        n_cubes = sum(len(dims) for dims, _ in groups)
         self.n_batch_calls += 1
         self.n_batch_cubes += n_cubes
         self.n_count_calls += n_cubes
-        if memo:
-            out = self._count_through_memo(groups)
-        else:
-            out = [self._count_rows(dims, ranges) for dims, ranges in groups]
+        out = []
+        for dims, ranges in groups:
+            if len(dims) == 0 or dims.shape[1] == 0:
+                out.append(np.full(len(dims), self.n_points, dtype=np.int64))
+            else:
+                out.append(self._count_group(dims, ranges))
         self._batch_merged()
         self.batch_seconds += time.perf_counter() - t0
         return out
-
-    def _count_through_memo(self, groups: list[list[bytes]]) -> list[np.ndarray]:
-        """The memo half of :meth:`_count`: every hit, then every miss."""
-        cache = self._cache
-        resolved = []
-        for keys in groups:
-            # The distinct keys in first-occurrence order, valued by count.
-            values = dict.fromkeys(keys)
-            misses = []
-            for key in values:
-                cached = None if cache is None else cache.get(key)
-                if cached is None:
-                    misses.append(key)
-                else:
-                    cache.move_to_end(key)
-                    values[key] = cached
-            self.n_cache_hits += len(keys) - len(misses)
-            resolved.append((keys, values, misses))
-        out = []
-        for keys, values, misses in resolved:
-            if misses:
-                counts = self._count_rows(*_key_arrays(misses, self.n_ranges))
-                counted = list(zip(misses, counts.tolist(), strict=True))
-                values.update(counted)
-                if cache is not None:
-                    cache.update(counted)
-                    while len(cache) > self.cache_size:
-                        cache.popitem(last=False)
-            out.append(
-                np.fromiter(map(values.__getitem__, keys), np.int64, len(keys))
-            )
-        return out
-
-    def _count_rows(self, dims: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        """Counts of every row of one validated same-k group."""
-        n_cubes, k = dims.shape
-        if n_cubes == 0 or k == 0:
-            return np.full(n_cubes, self.n_points, dtype=np.int64)
-        return self._count_group(dims, ranges)
 
     def _checked_group(self, dims, ranges) -> tuple[np.ndarray, np.ndarray]:
         """One same-k group as validated ``intp`` ``(n, k)`` arrays."""
@@ -411,12 +300,9 @@ class CubeCounter:
         *codes* is an ``(m, d)`` integer code block (or a
         :class:`~repro.grid.cells.CellAssignment`) produced by the
         **current** grid's ``transform``.  Only the new rows are packed
-        into mask columns; every memoised cube count is advanced by the
-        new rows' popcount delta instead of being invalidated.  The
-        result is bit-identical to building a fresh counter over the
-        concatenated codes (differential-tested): mask stacks match
-        byte for byte and cached counts equal from-scratch recounts,
-        because cube counts are additive across row blocks.
+        into mask columns, and no cube is counted.  The result is
+        bit-identical to building a fresh counter over the concatenated
+        codes (differential-tested): mask stacks match byte for byte.
 
         Any worker pool is released first (it holds the old masks in
         shared memory) and is rebuilt lazily on the next large batch.
@@ -426,9 +312,6 @@ class CubeCounter:
         m = block.shape[0]
         if m == 0:
             return 0
-        cache = self._cache
-        keys = list(cache) if cache else []
-        deltas = self._memo_deltas(self._block_stack(block), keys, m) if keys else []
         self.close()
         self._append_masks(block)
         self.cells = CellAssignment(
@@ -437,8 +320,6 @@ class CubeCounter:
             feature_names=self.cells.feature_names,
             boundaries=self.cells.boundaries,
         )
-        for key, delta in zip(keys, deltas, strict=True):
-            cache[key] += delta
         self.n_appends += 1
         self.n_rows_appended += m
         return m
@@ -455,10 +336,6 @@ class CubeCounter:
         return check_code_block(
             codes, self.n_ranges, self.n_dims, what="appended codes"
         )
-
-    def _block_stack(self, block: np.ndarray) -> np.ndarray:
-        """Packed mask stack over *block* only (own zero-based padding)."""
-        return pack_codes_block(block, self.n_ranges).view(np.uint64)
 
     def _append_masks(self, block: np.ndarray) -> None:
         """Stitch *block*'s packed columns onto the existing stack.
@@ -486,24 +363,6 @@ class CubeCounter:
         tail_bytes = (n1 + 7) // 8 - keep_bytes
         stack8[:, :, keep_bytes : keep_bytes + tail_bytes] = tail8[:, :, :tail_bytes]
         self._set_stack(stack8)
-
-    def _memo_deltas(
-        self, stack: np.ndarray, keys: list[bytes], n_rows: int
-    ) -> list[int]:
-        """Counts of the memoised *keys* cubes over an arbitrary mask *stack*.
-
-        Used by :meth:`append_rows` to compute per-cube popcount deltas
-        from a new-rows-only stack: the ``(dims, ranges)`` arrays are
-        rebuilt from the byte keys, grouped by key length, and run
-        through the same serial kernel path as a normal batch, so
-        deltas are bit-identical to recounting.  Aligned with *keys*.
-        """
-        deltas = np.full(len(keys), n_rows, dtype=np.int64)
-        for idxs in _by_length(keys):
-            if keys[idxs[0]]:
-                dims, ranges = _key_arrays([keys[i] for i in idxs], self.n_ranges)
-                deltas[idxs] = self._serial_group_counts(stack, dims, ranges)
-        return deltas.tolist()
 
     def set_cancel_token(self, token) -> None:
         """Thread a :class:`~repro.run.cancel.CancelToken` into counting.
@@ -601,7 +460,7 @@ class CubeCounter:
         self._kernel_reason = f"{type(exc).__name__}: {exc}"
 
     def _count_group(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
-        """Counts for one same-k group of distinct cubes."""
+        """Counts for one same-k group of cubes."""
         n_cubes = len(dims_arr)
         backend = self.backend
         if backend.kind == "process" and n_cubes > backend.chunk_size:
@@ -762,21 +621,18 @@ class CubeCounter:
     def cache_stats(self) -> dict:
         """Counters useful for benchmarking and backend tuning.
 
-        ``count_calls`` / ``cache_hits`` / ``cache_misses`` cover every
-        cube counted through any of the four counting methods (a
-        duplicate within one call counts as a hit, just as a repeated
-        :meth:`count` does; :meth:`count_cubes` never hits).  Every
-        counting call — :meth:`count` included — advances
-        ``batch_calls`` once and ``batch_cubes`` by its cubes;
-        ``words_and``, ``prefix_reuse`` and ``parallel_chunks`` describe
-        the kernel work of the misses.  ``batch_seconds`` is the wall
-        time spent inside the counting calls.
+        ``count_calls`` covers every cube counted through any of the
+        three counting methods.  Every counting call — :meth:`count`
+        included — advances ``batch_calls`` once and ``batch_cubes`` by
+        its cubes; ``words_and``, ``prefix_reuse`` and
+        ``parallel_chunks`` describe the kernel work.  ``batch_seconds``
+        is the wall time spent inside the counting calls.
+        ``cache_hits`` always reads 0 (no count is memoised); it stays
+        only because the pipeline benchmark's workloads read it.
         """
         stats = {
             "count_calls": self.n_count_calls,
-            "cache_hits": self.n_cache_hits,
-            "cache_misses": self.n_count_calls - self.n_cache_hits,
-            "cache_entries": len(self._cache) if self._cache is not None else 0,
+            "cache_hits": 0,
             "appends": self.n_appends,
             "rows_appended": self.n_rows_appended,
             "batch_calls": self.n_batch_calls,
@@ -857,11 +713,6 @@ class CubeCounter:
             },
         }
 
-    def clear_cache(self) -> None:
-        """Drop all memoised counts (e.g. between benchmark rounds)."""
-        if self._cache is not None:
-            self._cache.clear()
-
     # ------------------------------------------------------------------
     def _check_subspace(self, subspace: Subspace) -> None:
         """Reject anything but a :class:`Subspace` inside the grid (its
@@ -881,12 +732,14 @@ class CubeCounter:
                 f"subspace range out of bounds for φ={self.n_ranges}"
             )
 
-    def _group_keys(self, cubes: list[Subspace]) -> list[bytes]:
-        """Memo keys of same-k :class:`Subspace` objects, bounds-checked
-        once on the group's largest dimension and range."""
+    def _group_arrays(self, cubes: list[Subspace]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n, k)`` dims and ranges of same-k :class:`Subspace`
+        objects, bounds-checked once on the group's largest dimension
+        and range."""
         n_cubes, k = len(cubes), len(cubes[0].dims)
         if k == 0:
-            return [b""] * n_cubes
+            empty = np.empty((n_cubes, 0), dtype=np.intp)
+            return empty, empty
         flat = chain.from_iterable
         try:
             dims = np.fromiter(flat(c.dims for c in cubes), np.intp, n_cubes * k)
@@ -899,14 +752,16 @@ class CubeCounter:
             raise
         dims, ranges = dims.reshape(n_cubes, k), ranges.reshape(n_cubes, k)
         self._check_bounds(int(dims[:, -1].max()), int(ranges.max()))
-        return _row_keys(dims, ranges, self.n_ranges)
+        return dims, ranges
 
-    def _subspace_key(self, subspace: Subspace) -> bytes:
-        """The checked *subspace*'s memo key: its row of :func:`_row_keys`."""
+    def _subspace_arrays(self, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
+        """The checked *subspace* as ``(1, k)`` dims and ranges arrays."""
         self._check_subspace(subspace)
-        phi = self.n_ranges
-        codes = [dim * phi + rng for dim, rng in zip(subspace.dims, subspace.ranges)]
-        return struct.pack(f"={len(codes)}i", *codes)
+        k = len(subspace.dims)
+        return (
+            np.array(subspace.dims, dtype=np.intp).reshape(1, k),
+            np.array(subspace.ranges, dtype=np.intp).reshape(1, k),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -699,7 +699,7 @@ class ShardedCounter(CubeCounter):
         checksum is rebuilt from the codes and :meth:`append_rows`
         can grow the store; a pure out-of-core counter
         (``cells=None``) counts every cube all the same.
-    cache_size, backend:
+    backend:
         As on :class:`~repro.grid.counter.CubeCounter`.  Pool backends
         dispatch whole shards to
         :class:`~repro.grid.parallel.ShardedCountingPool` workers that
@@ -723,7 +723,6 @@ class ShardedCounter(CubeCounter):
         self,
         store: ShardedMaskStore,
         cells: CellAssignment | None = None,
-        cache_size: int = 200_000,
         backend: CountingBackend | None = None,
         checkpointer: ShardCheckpointer | None = None,
         verify_reads: bool = False,
@@ -761,7 +760,7 @@ class ShardedCounter(CubeCounter):
         self.n_shards_counted = 0
         self.n_shards_resumed = 0
         self._verify_reads = bool(verify_reads)
-        self._init_runtime(cache_size, backend)
+        self._init_runtime(backend)
 
     # ------------------------------------------------------------------
     @property
@@ -869,8 +868,7 @@ class ShardedCounter(CubeCounter):
         from.  Complete shards are untouched; the ragged tail shard is
         re-packed with the new rows and the manifest reinstalled, so
         the extended store is byte-identical to a from-scratch build of
-        the concatenated codes.  Memoised counts advance by popcount
-        deltas exactly as on the in-memory counter.
+        the concatenated codes.
         """
         if self.cells is None:
             raise ValidationError(
@@ -899,9 +897,9 @@ class ShardedCounter(CubeCounter):
         n_cubes = len(dims_arr)
         total = np.zeros(n_cubes, dtype=np.int64)
         group = None
-        # A lone cube (a count() miss, or a stage's one new cube) costs
-        # less to recount on resume than its per-shard bookkeeping: it
-        # gets no progress records and no shard_counted events.
+        # A lone cube (a count() call, or a one-cube stage) costs less
+        # to recount on resume than its per-shard bookkeeping: it gets
+        # no progress records and no shard_counted events.
         sink = self.event_sink if n_cubes > 1 else None
         if self.shard_checkpointer is not None and n_cubes > 1:
             digest = group_digest(self.store.fingerprint, dims_arr, rng_arr)

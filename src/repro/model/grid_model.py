@@ -4,11 +4,11 @@ Before this layer existed, the pipeline was strictly batch: the
 detector fitted a discretizer, built a counter, searched, and every
 artifact died with the call.  :class:`GridModel` packages the three
 pieces of fitted state — the discretizer (grid cut points + row
-sketch), the cell assignment, and the cube counter (packed mask stacks
-+ cached counts) — into one versioned unit that can keep living:
+sketch), the cell assignment, and the cube counter (packed mask
+stacks) — into one versioned unit that can keep living:
 
 * :meth:`update` absorbs new rows *without* refitting: they are coded
-  under the frozen grid, appended to the counter by popcount deltas
+  under the frozen grid, packed onto the counter's mask stacks
   (:meth:`~repro.grid.counter.CubeCounter.append_rows`), and fed to the
   discretizer's reservoir sketch;
 * :meth:`merge` folds another model fitted on a disjoint row shard into
@@ -363,11 +363,12 @@ class GridModel:
     def update(self, points: Any) -> GridDriftReport:
         """Absorb new rows without refitting; returns the drift check.
 
-        The rows are coded under the *current* grid and appended to the
-        counter by popcount deltas — counts afterwards are bit-identical
-        to a from-scratch build on the concatenated rows.  The grid
-        itself does not move until :meth:`rebin` (or immediately, under
-        ``rebin_policy="auto"`` with drift past the threshold).
+        The rows are coded under the *current* grid and packed onto the
+        counter's mask stacks, counting no cube — counts afterwards are
+        bit-identical to a from-scratch build on the concatenated rows.
+        The grid itself does not move until :meth:`rebin` (or
+        immediately, under ``rebin_policy="auto"`` with drift past the
+        threshold).
         """
         array = check_matrix(points, "points")
         assignment = self.discretizer.transform(array)

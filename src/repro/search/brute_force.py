@@ -19,12 +19,10 @@ block is counted by the counter's batched AND/popcount kernel
 (:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which shares the
 common-prefix ANDs across siblings and, under a ``process``
 :class:`~repro.core.params.CountingBackend` or an mmap shard store,
-runs on the configured backend.  That entry point bypasses the count
-memo: brute force never counts a cube twice, so the memo would only
-cost time.  With ``require_nonempty`` an inner level keeps only its
-non-empty cubes, block by block (counts are monotone under ⊕, so an
-empty cube's whole subtree is pruned).  Leaf blocks are scored as they
-are made and handed to
+runs on the configured backend.  With ``require_nonempty`` an inner
+level keeps only its non-empty cubes, block by block (counts are
+monotone under ⊕, so an empty cube's whole subtree is pruned).  Leaf
+blocks are scored as they are made and handed to
 :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`, which
 filters in numpy and builds objects only for the few cubes that can
 enter the best set.  Candidates are generated and offered in
@@ -299,7 +297,7 @@ class BruteForceSearch(SearchEngine):
         :func:`_child_blocks` generates it in lexicographic order, one
         block of about ``chunk`` children at a time, and each block
         goes through :meth:`~repro.grid.counter.CubeCounter.count_cubes`
-        as it is made — no memo, since no cube is ever counted twice.
+        as it is made.
         An inner level under ``require_nonempty`` keeps each block's
         non-empty cubes as the next frontier (counts are monotone under
         ⊕, so an empty cube's subtree is pruned); the final level's

@@ -458,12 +458,11 @@ class EvolutionarySearch(SearchEngine):
     ) -> np.ndarray:
         """Fitness of every string; feasible ones feed the best set.
 
-        The whole generation is counted in one memoised
-        :meth:`~repro.grid.counter.CubeCounter.count_memoised` pass —
-        duplicates of a converging population collapse in the batch, and
-        a parallel counting backend fans the distinct cubes out to its
-        worker pool.  Feasible strings are offered in population order
-        through :meth:`BestProjectionSet.offer_batch`, so the best-set
+        The whole generation is counted in one
+        :meth:`~repro.grid.counter.CubeCounter.count_cubes` pass, which
+        a parallel counting backend fans out to its worker pool.
+        Feasible strings are offered in population order through
+        :meth:`BestProjectionSet.offer_batch`, so the best-set
         contents (including tie-breaks) match per-solution scoring, and
         only accepted cubes become :class:`ScoredProjection` objects.
         """

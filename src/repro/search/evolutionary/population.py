@@ -46,7 +46,7 @@ class FitnessEvaluator:
     Parameters
     ----------
     counter:
-        Cube counting engine (memoises counts internally).
+        Cube counting engine.
     dimensionality:
         The run's k; strings of any other dimensionality are infeasible.
     """
@@ -89,9 +89,9 @@ class FitnessEvaluator:
         Row *i* scores exactly as ``partial_fitness(Solution(genes[i]))``
         would — at the row's own dimensionality, all-wildcard rows 0.0
         and not counted in :attr:`n_evaluations` — but the matrix is
-        counted with one memoised
-        :meth:`~repro.grid.counter.CubeCounter.count_memoised` call per
-        dimensionality (so the memo statistics match the per-row path)
+        counted with one
+        :meth:`~repro.grid.counter.CubeCounter.count_cubes` call per
+        dimensionality (so ``count_calls`` matches the per-row path)
         and scored with the vectorized Equation 1.  This is the
         optimized crossover's hot path.
 
@@ -106,7 +106,7 @@ class FitnessEvaluator:
         return fitness
 
     def _score_rows(self, genes: np.ndarray) -> list[tuple]:
-        """Count and score every non-all-wildcard row, one memo call per k.
+        """Count and score every non-all-wildcard row, one count call per k.
 
         Returns one ``(rows, dims, ranges, counts, coefficients)`` group
         per dimensionality present: the row indices (ascending), the
@@ -122,7 +122,7 @@ class FitnessEvaluator:
             sub = fixed[rows]
             dims = np.nonzero(sub)[1].reshape(len(rows), k)
             ranges = genes[rows][sub].reshape(len(rows), k)
-            counts = self.counter.count_memoised(dims, ranges)
+            counts = self.counter.count_cubes(dims, ranges)
             self.n_evaluations += len(rows)
             coefficients = sparsity_coefficients(
                 counts, self.counter.n_points, self.counter.n_ranges, k
@@ -145,8 +145,8 @@ class FitnessEvaluator:
     def score_batch(self, genes) -> list[ScoredProjection | None]:
         """Score every row of a ``(p, d)`` gene matrix through one batched count.
 
-        Feasible rows are counted with a single memoised
-        :meth:`~repro.grid.counter.CubeCounter.count_memoised` call and
+        Feasible rows are counted with a single
+        :meth:`~repro.grid.counter.CubeCounter.count_cubes` call and
         scored with the vectorized Equation 1.  Entry ``i`` is ``None``
         exactly when :meth:`score` would return ``None`` for
         ``Solution(genes[i])``, and the scored values are identical to

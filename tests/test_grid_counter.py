@@ -1,7 +1,5 @@
 """Tests for CubeCounter (the n(D) engine)."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,103 +68,43 @@ class TestCoveredPoints:
 
 
 class TestCache:
-    def test_cache_hit_counted(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=10)
+    """There is no count cache: every call counts every cube it gets."""
+
+    def test_cache_disabled(self, small_counter):
         cube = Subspace((0, 1), (0, 0))
-        first = counter.count(cube)
-        second = counter.count(cube)
-        assert first == second
-        assert counter.n_cache_hits == 1
+        first = small_counter.count(cube)
+        words = small_counter.cache_stats()["words_and"]
+        assert small_counter.count(cube) == first
+        # The repeat ran the kernel again: nothing answered it from a memo.
+        assert small_counter.cache_stats()["words_and"] == 2 * words > 0
 
-    def test_cache_disabled(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=0)
-        cube = Subspace((0,), (0,))
-        counter.count(cube)
-        counter.count(cube)
-        assert counter.n_cache_hits == 0
-        assert counter.cache_stats()["cache_entries"] == 0
-
-    def test_cache_eviction_bounded(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=3)
-        for rng_ in range(5):
-            counter.count(Subspace((0,), (rng_,)))
-        assert counter.cache_stats()["cache_entries"] <= 3
-
-    def test_clear_cache(self, small_counter):
-        small_counter.count(Subspace((0,), (0,)))
-        small_counter.clear_cache()
-        assert small_counter.cache_stats()["cache_entries"] == 0
-
-    def test_cache_size_zero_allocates_no_cache(self, small_cells):
-        # Regression: cache_size=0 used to keep a dead OrderedDict on
-        # the hot path; now caching is truly disabled.
-        counter = CubeCounter(small_cells, cache_size=0)
-        assert counter._cache is None
-        counter.count(Subspace((0,), (0,)))
-        counter.clear_cache()  # must not raise with no cache
-        assert counter._cache is None
-
-    def test_hit_miss_accounting(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=10)
+    def test_hit_miss_accounting(self, small_counter):
         a, b = Subspace((0,), (0,)), Subspace((0,), (1,))
-        counter.count(a)   # miss
-        counter.count(a)   # hit
-        counter.count(b)   # miss
-        counter.count(a)   # hit
-        stats = counter.cache_stats()
-        assert stats["count_calls"] == 4
-        assert stats["cache_hits"] == 2
-        assert stats["cache_misses"] == 2
-        assert stats["cache_entries"] == 2
+        for cube in (a, a, b, a):
+            small_counter.count(cube)
+        stats = small_counter.cache_stats()
+        assert (stats["count_calls"], stats["batch_calls"]) == (4, 4)
+        assert stats["cache_hits"] == 0
+        assert "cache_misses" not in stats and "cache_entries" not in stats
 
-    def test_lru_eviction_order(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=2)
-        a, b, c = (Subspace((0,), (r,)) for r in range(3))
-        counter.count(a)
-        counter.count(b)
-        counter.count(a)   # refresh a: b is now least recently used
-        counter.count(c)   # evicts b
-        hits = counter.n_cache_hits
-        counter.count(a)   # still cached
-        assert counter.n_cache_hits == hits + 1
-        counter.count(b)   # evicted => recount, not a hit
-        assert counter.n_cache_hits == hits + 1
-
-    def test_batch_duplicates_count_as_hits(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=10)
-        cube = Subspace((0, 1), (0, 0))
-        counts = counter.count_batch([cube, cube, cube])
-        assert len(set(counts.tolist())) == 1
-        stats = counter.cache_stats()
-        # One real count; the in-batch duplicates resolve via dedup.
-        assert stats["cache_hits"] == 2
-        assert stats["cache_misses"] == 1
-        # A later batch answers straight from the memo.
-        counter.count_batch([cube])
-        assert counter.cache_stats()["cache_hits"] == 3
-
-    def test_batch_with_cache_disabled_matches(self, small_cells):
-        cached = CubeCounter(small_cells, cache_size=10)
-        uncached = CubeCounter(small_cells, cache_size=0)
+    def test_batch_with_cache_disabled_matches(self, small_counter):
         cubes = [Subspace((0, 1), (r, r)) for r in range(5)] * 2
-        assert cached.count_batch(cubes).tolist() == (
-            uncached.count_batch(cubes).tolist()
-        )
-        assert uncached.cache_stats()["cache_entries"] == 0
+        assert small_counter.count_batch(cubes).tolist() == [
+            small_counter.count(cube) for cube in cubes
+        ]
 
 
 class TestCountCubes:
-    """The memo-free array entry point agrees with count_batch."""
+    """The array entry point agrees with count_batch."""
 
     def test_matches_count_batch_without_touching_memo(self, small_cells):
-        counter = CubeCounter(small_cells, cache_size=10)
+        counter = CubeCounter(small_cells)
         dims = np.array([[0, 1], [0, 1], [2, 5], [3, 4]])
         ranges = np.array([[0, 0], [1, 4], [2, 2], [0, 3]])
         cubes = [Subspace(tuple(d), tuple(r)) for d, r in zip(dims, ranges)]
         reference = CubeCounter(small_cells).count_batch(cubes)
         assert counter.count_cubes(dims, ranges).tolist() == reference.tolist()
         stats = counter.cache_stats()
-        assert stats["cache_entries"] == 0
         assert stats["cache_hits"] == 0
         assert (stats["batch_calls"], stats["batch_cubes"], stats["count_calls"]) == (
             1, 4, 4,
@@ -241,50 +179,13 @@ def test_property_count_equals_naive(data, phi):
     assert counter.count(cube) == naive_cube_count(np.asarray(codes), cube)
 
 
-class _LruModel:
-    """Reference memo: an ``OrderedDict`` LRU fed one counting call at a time.
-
-    A call's in-batch duplicates are hits; its distinct cubes are
-    looked up in first-occurrence order (a hit refreshes recency), and
-    the misses are then memoised in the same order, evicting the least
-    recently used beyond *size*.
-    """
-
-    def __init__(self, size):
-        self.size = size
-        self.memo = OrderedDict()
-        self.hits = 0
-
-    def call(self, cubes):
-        distinct = list(dict.fromkeys(cubes))
-        self.hits += len(cubes) - len(distinct)
-        misses = []
-        for cube in distinct:
-            if cube in self.memo:
-                self.hits += 1
-                self.memo.move_to_end(cube)
-            else:
-                misses.append(cube)
-        if self.size:
-            self.memo.update((cube, None) for cube in misses)
-            while len(self.memo) > self.size:
-                self.memo.popitem(last=False)
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    data=st.data(),
-    seed=st.integers(0, 2**32 - 1),
-    wide=st.booleans(),
-    cache_size=st.sampled_from([0, 1, 3, 200_000]),
-)
-def test_property_memo_matches_uncached_counter_and_lru_model(
-    data, seed, wide, cache_size
-):
-    """Mixed-k count_batch / count_memoised / count sequences with
-    duplicates and interleaved appends: counts equal a memo-free
-    counter's, and the hit and entry figures equal an LRU model's.
-    Wide grids make (d·φ)^k overflow int64, so no key can rely on it."""
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_property_counts_match_fresh_counter_under_appends(data, seed, wide):
+    """Mixed-k count / count_batch / count_cubes sequences with
+    duplicates and interleaved appends: every count equals that of a
+    counter built fresh over the concatenated codes.  Wide grids make
+    (d·φ)^k overflow int64, so no count path can rely on it."""
     rng = np.random.default_rng(seed)
     if wide:
         n_dims, phi, max_k = 60, 64, 6
@@ -296,10 +197,8 @@ def test_property_memo_matches_uncached_counter_and_lru_model(
     def codes(n_rows):
         return rng.integers(-1, phi, size=(n_rows, n_dims)).astype(np.int16)
 
-    initial = codes(int(rng.integers(1, 40)))
-    counter = CubeCounter(CellAssignment(initial, phi), cache_size=cache_size)
-    reference = CubeCounter(CellAssignment(initial, phi), cache_size=0)
-    model = _LruModel(cache_size)
+    all_codes = codes(int(rng.integers(1, 40)))
+    counter = CubeCounter(CellAssignment(all_codes, phi))
 
     def draw_cube():
         k = data.draw(st.integers(0, max_k))
@@ -308,37 +207,34 @@ def test_property_memo_matches_uncached_counter_and_lru_model(
 
     pool = [draw_cube() for _ in range(data.draw(st.integers(1, 6)))]
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(["batch", "memoised", "count", "append"]))
+        op = data.draw(st.sampled_from(["batch", "cubes", "count", "append"]))
         if op == "append":
             block = codes(int(rng.integers(0, 10)))
-            assert counter.append_rows(block) == reference.append_rows(block)
+            assert counter.append_rows(block) == len(block)
+            all_codes = np.concatenate([all_codes, block], axis=0)
             continue
+        fresh = CubeCounter(CellAssignment(all_codes, phi))
         picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
         if op == "count":
-            cube = picks[0]
-            assert counter.count(Subspace(*cube)) == reference.count(Subspace(*cube))
-            model.call([cube])
+            cube = Subspace(*picks[0])
+            assert counter.count(cube) == fresh.count(cube)
         elif op == "batch":
             cubes = [Subspace(*cube) for cube in picks]
             assert (
                 counter.count_batch(cubes).tolist()
-                == reference.count_batch(cubes).tolist()
+                == fresh.count_batch(cubes).tolist()
             )
-            # A mixed-k batch reaches the core grouped by ascending k.
-            model.call(sorted(picks, key=lambda cube: len(cube[0])))
         else:
             k = len(picks[0][0])
             same_k = [cube for cube in picks if len(cube[0]) == k]
             dims = np.array([cube[0] for cube in same_k], dtype=np.intp)
             ranges = np.array([cube[1] for cube in same_k], dtype=np.intp)
             assert (
-                counter.count_memoised(dims, ranges).tolist()
-                == reference.count_cubes(dims, ranges).tolist()
+                counter.count_cubes(dims, ranges).tolist()
+                == [fresh.count(Subspace(*cube)) for cube in same_k]
             )
-            model.call(same_k)
-        stats = counter.cache_stats()
-        assert stats["cache_hits"] == model.hits
-        assert stats["cache_entries"] == len(model.memo)
+    fresh = CubeCounter(CellAssignment(all_codes, phi))
+    np.testing.assert_array_equal(counter.cells.codes, all_codes)
     assert counter.count_batch([Subspace(*cube) for cube in pool]).tolist() == (
-        reference.count_batch([Subspace(*cube) for cube in pool]).tolist()
+        fresh.count_batch([Subspace(*cube) for cube in pool]).tolist()
     )

@@ -96,13 +96,6 @@ class TestSearcherCompatibility:
         ).run()
         assert_counts_from_codes(outcome, small_cells)
 
-    def test_cache_still_works(self, packed):
-        cube = Subspace((0, 1), (0, 0))
-        first = packed.count(cube)
-        second = packed.count(cube)
-        assert first == second
-        assert packed.n_cache_hits == 1
-
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), phi=st.integers(2, 5))

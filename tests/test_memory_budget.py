@@ -70,7 +70,7 @@ try:
         store = ShardedMaskStore.build_from_chunks(
             code_chunks(), directory, n_ranges=phi, shard_rows=shard_rows
         )
-        counter = ShardedCounter(store, cache_size=0)
+        counter = ShardedCounter(store)
         cubes = [Subspace((0,), (r,)) for r in range(phi)]
         cubes += [Subspace((0, d - 1), (r, 0)) for r in range(phi)]
         counts = counter.count_batch(cubes)
@@ -83,9 +83,7 @@ try:
         print("OK", counts.tolist())
     elif mode == "inmemory":
         codes = np.concatenate(list(code_chunks()), axis=0)
-        counter = CubeCounter(
-            CellAssignment(codes=codes, n_ranges=phi), cache_size=0
-        )
+        counter = CubeCounter(CellAssignment(codes=codes, n_ranges=phi))
         counter.count_batch([Subspace((0,), (r,)) for r in range(phi)])
         counter.close()
         print("OK")

@@ -10,7 +10,7 @@ outliers a fresh ``detect`` would.  This suite locks that invariant:
 1. three distinct interleavings (update/update, merge/update,
    update/merge), swept under every registered counting backend;
 2. an append-at-every-row-boundary sweep over the in-memory counter
-   (memoised and memo-free) and the sharded counter, against counts
+   and the sharded counter, against counts
    taken straight from the codes, mirroring
    ``tests/test_sharded_differential.py`` — ragged packed bytes and
    ragged tail shards included;
@@ -18,7 +18,8 @@ outliers a fresh ``detect`` would.  This suite locks that invariant:
    row splits then rebinning equals the one-shot fit, for any split;
 4. the satellite regressions — ``fit_transform`` reusing fit-time
    codes, drift detection + auto-rebin, event emission, and
-   serving-mode refusals.
+   serving-mode refusals, and an ``update`` after ``detect_model``
+   that counts no cube.
 """
 
 from __future__ import annotations
@@ -149,6 +150,20 @@ class TestInterleavingDifferential:
         assert model.projections == reference.projections
         assert result.stats["model"]["model_version"] == model.version
 
+    def test_update_after_detect_model_counts_no_cube(self, blocks):
+        a, _, _ = blocks
+        model = GridModel.fit(a, n_ranges=PHI)
+        SubspaceOutlierDetector(
+            dimensionality=2, n_ranges=PHI, random_state=0
+        ).detect_model(model)
+        before = model.counter.cache_stats()
+        assert before["batch_calls"] > 0
+        model.update(a[:30])  # in-distribution rows: no drift rebin
+        after = model.counter.cache_stats()
+        assert after["rows_appended"] == before["rows_appended"] + 30
+        for key in ("words_and", "batch_calls"):
+            assert after[key] == before[key], key
+
     def test_rebin_is_lazy(self, blocks):
         a, _, _ = blocks
         model = GridModel.fit(a, n_ranges=PHI)
@@ -162,8 +177,8 @@ class TestAppendBoundarySweep:
     Mirrors the sharded differential harness: the packed masks pad
     rows to whole bytes, so splits that land mid-byte (any non-multiple
     of 8) exercise the byte-stitching path; the sharded counter
-    additionally re-packs its ragged tail shard.  The memo-free counter
-    answers every post-append count from the stitched stack itself.
+    additionally re-packs its ragged tail shard.  Every post-append
+    count is answered from the stitched stack itself.
     """
 
     N, D = 40, 4
@@ -188,8 +203,8 @@ class TestAppendBoundarySweep:
         head = CellAssignment(codes=codes[:split], n_ranges=3)
         counter = make_counter(head)
         try:
-            # Warm the memo on the prefix so append advances cached
-            # counts by popcount deltas rather than recounting.
+            # Count on the prefix first: append must not disturb a
+            # counter that has already served counts.
             counter.count_batch(cubes)
             assert counter.append_rows(codes[split:]) == self.N - split
             np.testing.assert_array_equal(counter.count_batch(cubes), reference)
@@ -203,10 +218,7 @@ class TestAppendBoundarySweep:
 
     @pytest.mark.parametrize("split", range(1, N + 1))
     def test_packed_counter_every_boundary(self, codes, cubes, reference, split):
-        self.check_split(
-            lambda cells: CubeCounter(cells, cache_size=0),
-            codes, cubes, reference, split,
-        )
+        self.check_split(CubeCounter, codes, cubes, reference, split)
 
     @pytest.mark.parametrize(
         "split",

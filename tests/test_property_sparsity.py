@@ -376,13 +376,13 @@ class TestShardMergeIdentity:
                 for j in range(k)
             )
             cubes.append(Subspace(dims, rngs))
-        memory = CubeCounter(cells, cache_size=0)
+        memory = CubeCounter(cells)
         expected = memory.count_batch(cubes).tolist()
         memory.close()
         with tempfile.TemporaryDirectory() as tmp:
             store = ShardedMaskStore.build(cells, tmp, shard_rows=shard_rows)
             assert store.n_shards == -(-n // shard_rows)
-            sharded = ShardedCounter(store, cache_size=0)
+            sharded = ShardedCounter(store)
             try:
                 assert sharded.count_batch(cubes).tolist() == expected
             finally:

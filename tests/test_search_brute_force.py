@@ -132,8 +132,7 @@ def small_grids(draw):
 
 
 COUNTERS = {
-    "memo": lambda cells: CubeCounter(cells),
-    "memo-free": lambda cells: CubeCounter(cells, cache_size=0),
+    "default": lambda cells: CubeCounter(cells),
     "native": lambda cells: CubeCounter(
         cells, backend=CountingBackend(kind="native")
     ),

@@ -248,7 +248,7 @@ class TestShardedDifferential:
     def test_every_native_tier_matches(self, store, cubes, reference_counts):
         for tier in native_tiers():
             counter = ShardedCounter(
-                store, backend=CountingBackend(kind="native"), cache_size=0
+                store, backend=CountingBackend(kind="native")
             )
             try:
                 with native_tier(tier):
