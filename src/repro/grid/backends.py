@@ -1,4 +1,4 @@
-"""Where counts run, and on which kernel.
+"""Where counts run, on which kernel, and what builds the grid.
 
 A counting backend is a **placement**, one of :data:`PLACEMENTS`:
 ``serial`` counts in-process, ``process`` fans large batches out over
@@ -22,11 +22,24 @@ CLI builds its ``--count-backend`` choices from it.  ``native`` and
 are deprecated aliases of ``serial`` and ``process``: they are accepted
 silently for one release and resolve to the placement they name.
 
+The grid build follows the same choice.  :func:`column_copies` (the
+column copies the cut fit sorts), :func:`range_codes` (values to range
+codes) and :func:`pack_codes` (codes to the packed mask stack) run in
+the C library while :func:`select_kernel` picks the native kernel, and
+on the numpy references otherwise; discretizers, counters and the
+shard writer call only these three.
+
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
 differential fixture (packed stacks with ragged tails, missing values,
 saturated masks, k = 1..5 so every branch of the C kernel is reached)
-and raises :class:`BackendConformanceError` on any divergence.
+and raises :class:`BackendConformanceError` on any divergence.  For the
+native kernel it also proves the C grid build: packed stacks
+byte-identical to :func:`~repro.grid.kernels.pack_codes_block` (ragged
+64-bit tails, ``MISSING_CELL``, φ = 2, no rows), codes byte-identical
+to :func:`~repro.grid.kernels.range_codes_block` (NaN, signed zeros,
+values equal to a cut, both sides of the comparison/binary-search
+cutover, C, Fortran and strided layouts) and exact column gathers.
 :func:`resolve_kernel` runs it once per process, on a kernel's first
 resolution.  A C kernel that is refused (no compiler, a failed build, a
 failed gate) is not a degradation: nothing the caller asked for was
@@ -36,20 +49,30 @@ and no ladder step is recorded.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 import numpy as np
 
 from .._validation import check_choice
 from ..exceptions import ReproError, ValidationError
-from .kernels import batch_counts, pack_codes_block
-from .native import native_batch_counts
+from .cells import MISSING_CELL
+from .kernels import batch_counts, pack_codes_block, range_codes_block
+from .native import (
+    native_batch_counts,
+    native_gather_columns,
+    native_pack_codes,
+    native_range_codes,
+)
 
 __all__ = [
     "BackendConformanceError",
     "KERNELS",
     "PLACEMENTS",
     "canonical_backend",
+    "column_copies",
+    "pack_codes",
+    "range_codes",
     "resolve_kernel",
     "select_kernel",
     "verify_kernel",
@@ -89,29 +112,114 @@ _REFERENCE_KERNEL = "numpy"
 #: The compiled kernel every placement prefers once it passes the gate.
 _FAST_KERNEL = "native"
 
+#: Columns :func:`column_copies` gathers per pass on the C tier: a few
+#: columns' scratch copies, never a transposed copy of the whole matrix.
+_GATHER_COLUMNS = 4
 
-def _fixture_grids() -> list[np.ndarray]:
-    """Deterministic packed mask stacks for the differential self-check.
 
-    N values straddle word boundaries (ragged final words), every grid
-    carries missing values (rows absent from every mask of a
-    dimension), and dimension 0 is forced into range 0 so saturated
-    all-ones and all-zero masks are exercised.
+def _fixture_codes() -> list[tuple[np.ndarray, int]]:
+    """Deterministic ``(codes, φ)`` blocks for the differential self-check.
+
+    N values straddle word boundaries (ragged final words) and include
+    the empty block, every block carries missing values (rows absent
+    from every mask of a dimension), φ = 2 is covered, and dimension 0
+    is forced into range 0 so saturated all-ones and all-zero masks are
+    exercised.
     """
-    stacks: list[np.ndarray] = []
+    blocks = []
     rng = np.random.default_rng(271828)
-    for n_points, n_dims, phi in ((67, 4, 3), (128, 3, 4), (193, 5, 2)):
+    shapes = ((67, 4, 3), (128, 3, 4), (193, 5, 2), (0, 2, 3))
+    for n_points, n_dims, phi in shapes:
         codes = rng.integers(0, phi, size=(n_points, n_dims)).astype(np.int16)
-        codes[rng.random(codes.shape) < 0.15] = -1
+        codes[rng.random(codes.shape) < 0.15] = MISSING_CELL
         codes[:, 0] = 0  # dimension 0 range 0: an all-ones mask
-        stacks.append(pack_codes_block(codes, phi).view(np.uint64))
+        blocks.append((codes, phi))
+    return blocks
+
+
+@functools.cache
+def _fixture_grids() -> tuple[np.ndarray, ...]:
+    """Packed mask stacks of :func:`_fixture_codes` with cubes to count.
+
+    Built once per process and read-only: without a compiler,
+    :func:`select_kernel` re-runs the gate on every call, and the gate
+    then costs one refused kernel call, not a fixture build.
+    """
+    stacks = tuple(
+        pack_codes_block(codes, phi).view(np.uint64)
+        for codes, phi in _fixture_codes()
+        if len(codes)
+    )
+    for stack in stacks:
+        stack.flags.writeable = False
     return stacks
 
 
+def _fixture_values() -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(matrix, cut matrix)`` pairs for the grid-build self-check.
+
+    φ = 2, 65 and 66 put the cut count on both sides of the
+    comparison/binary-search cutover; values include NaN, signed zeros,
+    values equal to a cut and values past both ends; the matrices come
+    C-ordered, Fortran-ordered and as a strided column slice.
+    """
+    rng = np.random.default_rng(161803)
+    pairs = []
+    for phi in (2, 10, 65, 66):
+        values = np.round(rng.normal(size=(70, 6)), 1)
+        cuts = np.round(rng.normal(size=(6, phi - 1)), 1)
+        cuts[:, 0] = 0.0
+        cuts.sort(axis=1)
+        values[::5] = cuts[:, (phi - 1) // 2]  # values equal to a cut
+        values[1::7] = -0.0
+        values[2::9] = np.nan
+        values[3, :] = 10.0
+        values[4, :] = -10.0
+        pairs += [
+            (values, cuts),
+            (np.asfortranarray(values), cuts),
+            (values[::2, 1::2], cuts[1::2]),
+        ]
+    return pairs
+
+
+def _verify_grid_build(name: str) -> None:
+    """Prove the C library's pack, codes and gather on the fixture."""
+    for codes, phi in _fixture_codes():
+        for block in (codes, np.asfortranarray(codes)):
+            expected = pack_codes_block(block, phi)
+            got = native_pack_codes(block, phi)
+            if got.shape != expected.shape or not np.array_equal(got, expected):
+                raise BackendConformanceError(
+                    f"kernel {name!r} failed the differential self-check: "
+                    f"packed masks of {block.shape} codes (phi={phi}) "
+                    "diverge from the reference; it cannot build grids"
+                )
+    for values, cuts in _fixture_values():
+        expected = range_codes_block(values, cuts)
+        got = native_range_codes(values, cuts)
+        if got.dtype != expected.dtype or not np.array_equal(got, expected):
+            raise BackendConformanceError(
+                f"kernel {name!r} failed the differential self-check: "
+                f"codes of {values.shape} values (phi={cuts.shape[1] + 1}) "
+                "diverge from the reference; it cannot build grids"
+            )
+        out = np.empty((values.shape[1] - 1, values.shape[0]))
+        native_gather_columns(values, 1, out)
+        if not np.array_equal(out, values[:, 1:].T, equal_nan=True):
+            raise BackendConformanceError(
+                f"kernel {name!r} failed the differential self-check: "
+                f"gathered columns of {values.shape} values diverge from "
+                "the reference; it cannot build grids"
+            )
+
+
+@functools.cache
 def _fixture_batches(
     n_dims: int, phi: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Same-k index batches covering k = 1..5, duplicates and siblings."""
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Same-k index batches covering k = 1..5, duplicates and siblings
+    (built once per grid shape, read-only)."""
     rng = np.random.default_rng(314159)
     batches = []
     for k in range(1, min(5, n_dims) + 1):
@@ -129,22 +237,31 @@ def _fixture_batches(
         dims[2] = dims[0]
         if k > 1:
             ranges[2, :-1] = ranges[0, :-1]
+        dims.flags.writeable = ranges.flags.writeable = False
         batches.append((dims, ranges))
-    return batches
+    return tuple(batches)
 
 
 def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
     """Prove *kernel* bit-identical to the reference on the fixture.
 
+    When *name* is the native kernel's, the rest of the C library that
+    comes with it (pack, codes and gather) is proven too: byte-identical
+    packed masks to :func:`~repro.grid.kernels.pack_codes_block` (ragged
+    tails, missing codes, φ = 2, the empty block), byte-identical codes to
+    :func:`~repro.grid.kernels.range_codes_block` (NaN, signed zeros,
+    values equal to a cut, both sides of the comparison/binary-search
+    cutover, C, Fortran and strided layouts) and exact column copies.
+
     Raises :class:`BackendConformanceError` naming the first diverging
     batch.  This is the conformance gate: a kernel that cannot pass it
-    never serves counts.
+    never serves counts, nor builds a grid.
     """
     for stack in _fixture_grids():
         n_dims, phi = stack.shape[0], stack.shape[1]
         for dims_arr, rng_arr in _fixture_batches(n_dims, phi):
-            expected, _ = batch_counts(stack, dims_arr, rng_arr)
             got, stats = kernel(stack, dims_arr, rng_arr)
+            expected, _ = batch_counts(stack, dims_arr, rng_arr)
             got = np.asarray(got)
             if got.shape != expected.shape or not np.array_equal(got, expected):
                 raise BackendConformanceError(
@@ -160,6 +277,8 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
                     f"kernel {name!r} must return a stats dict with "
                     "'words_and' and 'prefix_reuse'"
                 )
+    if name == _FAST_KERNEL:
+        _verify_grid_build(name)
 
 
 def resolve_kernel(name: str) -> Kernel:
@@ -198,6 +317,53 @@ def select_kernel() -> tuple[str, str | None]:
     except ReproError as exc:
         return _REFERENCE_KERNEL, str(exc)
     return _FAST_KERNEL, None
+
+
+def pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
+    """The packed ``(d, φ, W8)`` mask stack of an ``(n, d)`` code block.
+
+    Byte-identical on every tier: an ``int16`` block (what every
+    discretizer and :func:`~repro.grid.cells.check_code_block` produce)
+    packs in C when :func:`select_kernel` picks the native kernel, any
+    other block on the reference :func:`~repro.grid.kernels.pack_codes_block`.
+    Both fire the ``packed_alloc`` fault point before they allocate.
+    """
+    if codes.dtype == np.int16 and select_kernel()[0] == _FAST_KERNEL:
+        return native_pack_codes(codes, n_ranges)
+    return pack_codes_block(codes, n_ranges)
+
+
+def range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Range codes ``#{cuts < v}`` of a float64 ``(n, d)`` matrix.
+
+    *cuts* is the sorted ``(d, φ−1)`` cut matrix.  Byte-identical on
+    every tier: in C when :func:`select_kernel` picks the native
+    kernel, else :func:`~repro.grid.kernels.range_codes_block`.
+    """
+    if select_kernel()[0] == _FAST_KERNEL:
+        return native_range_codes(array, cuts)
+    return range_codes_block(array, cuts)
+
+
+def column_copies(array: np.ndarray):
+    """Yield each column of a float64 ``(n, d)`` matrix as a contiguous copy.
+
+    A consumer may reorder a yielded column in place, but must not keep
+    it: on the C tier the columns are rows of one ``(4, n)`` scratch
+    buffer, refilled :data:`_GATHER_COLUMNS` columns per pass, so a
+    row-major matrix is read a few columns at a time and never copied
+    whole.  On the numpy tier each column is ``array[:, j].copy()``.
+    """
+    if select_kernel()[0] != _FAST_KERNEL:
+        for j in range(array.shape[1]):
+            yield array[:, j].copy()
+        return
+    n, d = array.shape
+    buffer = np.empty((min(_GATHER_COLUMNS, d), n))
+    for first in range(0, d, _GATHER_COLUMNS):
+        block = buffer[: min(_GATHER_COLUMNS, d - first)]
+        native_gather_columns(array, first, block)
+        yield from block
 
 
 def canonical_backend(name: str) -> str:

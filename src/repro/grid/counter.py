@@ -49,13 +49,12 @@ from ..core.params import CountingBackend
 from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
 from ..resilience.ladder import DegradationLadder, ResilienceReport
-from .backends import resolve_kernel, select_kernel
+from .backends import pack_codes, resolve_kernel, select_kernel
 from .cells import CellAssignment, check_code_block
 from .kernels import (
     batch_counts,
     check_cube_arrays,
     empty_cube_row,
-    pack_codes_block,
     packed_row_bytes,
 )
 
@@ -178,9 +177,10 @@ class CubeCounter:
         single-cube paths read (``unpackbits``); ``self._stack`` views
         the same memory as uint64 words for the batch kernel.  Word
         byte-order is irrelevant to AND and popcount, so the
-        reinterpret cast is safe.
+        reinterpret cast is safe.  The stack is packed in the verified
+        C library when it builds (:func:`~repro.grid.backends.pack_codes`).
         """
-        self._set_stack(pack_codes_block(self.cells.codes, self.cells.n_ranges))
+        self._set_stack(pack_codes(self.cells.codes, self.cells.n_ranges))
 
     def _set_stack(self, stack8: np.ndarray) -> None:
         self._stack8 = stack8
@@ -347,7 +347,7 @@ class CubeCounter:
         new block.  The stitched stack is byte-identical to packing the
         concatenated codes from scratch, because ``np.packbits`` packs
         row ``i`` into bit ``i % 8`` of byte ``i // 8`` independent of
-        everything outside that byte.
+        everything outside that byte (the C packer sets the same bit).
         """
         n0 = self.n_points
         n1 = n0 + block.shape[0]
@@ -355,7 +355,7 @@ class CubeCounter:
         tail_codes = np.concatenate(
             [self.cells.codes[keep_bytes * 8 :], block], axis=0
         )
-        tail8 = pack_codes_block(tail_codes, self.n_ranges)
+        tail8 = pack_codes(tail_codes, self.n_ranges)
         stack8 = np.zeros(
             (self.n_dims, self.n_ranges, packed_row_bytes(n1)), dtype=np.uint8
         )

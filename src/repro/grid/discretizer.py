@@ -29,12 +29,16 @@ equal multisets give equal cuts).  Beyond capacity the sketch degrades
 to a seeded uniform sample and the equality becomes statistical — the
 documented sketch tolerance (see ``docs/streaming.md``).
 
-Every fit hands the cut hook one owned copy of each column's finite
-values; equi-depth sorts it once and reads ``np.quantile``'s linear-method
-cuts off it.  Every transform goes through ``_codes``: a value's range is
-the comparison count ``#{cuts < v}`` over the row-major matrix, or one
-``searchsorted`` per column above :data:`_MAX_COMPARE_CUTS` cuts (the
-measured crossover is in ``docs/algorithms.md``).
+Every fit hands the cut hook one contiguous scratch copy of each
+column's finite values; equi-depth sorts it once and reads
+``np.quantile``'s linear-method cuts off it.  The copies come from
+:func:`~repro.grid.backends.column_copies`, a few columns per pass.
+Every transform maps values to codes through
+:func:`~repro.grid.backends.range_codes`: a value's range is the count
+``#{cuts < v}`` against the ``(d, φ−1)`` cut matrix, stacked once when
+the cut points are installed.  Both run in the verified C library when
+it builds and on the numpy references otherwise (the measured stages
+are in ``docs/algorithms.md``).
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ import numpy as np
 
 from .._validation import check_matrix, check_positive_int
 from ..exceptions import DiscretizationError, NotFittedError, ValidationError
-from .cells import CellAssignment, MISSING_CELL
+from .backends import column_copies, range_codes
+from .cells import CellAssignment
+from .kernels import _MAX_RANGES
 
 __all__ = [
     "GridDiscretizer",
@@ -63,43 +69,6 @@ __all__ = [
 #: the data into roughly equal ranges), small enough to always fit in
 #: memory.
 DEFAULT_SAMPLE_SIZE = 1 << 17
-
-#: Most cuts per attribute ``_codes`` counts by comparison (one pass each).
-_MAX_COMPARE_CUTS = 64
-
-#: Entries per row block of the count, so a block stays in cache across passes.
-_BLOCK_ENTRIES = 1 << 14
-
-#: Most ranges per attribute: range codes are stored as ``int16``.
-_MAX_RANGES = 1 << 15
-
-
-def _codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Range codes ``#{cuts < v}`` of an ``(n, d)`` matrix; NaN is missing.
-
-    *cuts* is the stacked ``(d, φ−1)`` cut matrix; the count equals
-    ``searchsorted(cuts, v, side="left")``.  Each row block is flattened
-    (``codes`` is C-contiguous, so its blocks are views) and compared
-    with every cut row tiled to the block's width.
-    """
-    n, d = array.shape
-    codes = np.zeros((n, d), dtype=np.int16)
-    if cuts.shape[1] > _MAX_COMPARE_CUTS:
-        for j, column_cuts in enumerate(cuts):
-            codes[:, j] = np.searchsorted(column_cuts, array[:, j], side="left")
-    else:
-        rows = min(n, max(1, _BLOCK_ENTRIES // d))
-        tiles = np.tile(cuts.T, (1, rows))
-        above = np.empty(rows * d, dtype=bool)
-        for lo in range(0, n, rows):
-            block = array[lo : lo + rows].reshape(-1)
-            out, hit = codes[lo : lo + rows].reshape(-1), above[: block.size]
-            for tile in tiles:
-                np.greater(block, tile[: block.size], out=hit)
-                out += hit
-    codes[np.isnan(array)] = MISSING_CELL
-    return codes
-
 
 def _check_cuts(cuts: np.ndarray, j: int) -> np.ndarray:
     """Return column *j*'s cut points once they are finite and sorted."""
@@ -275,6 +244,7 @@ class GridDiscretizer(abc.ABC):
                 f"got {self.n_ranges}"
             )
         self._boundaries: tuple[np.ndarray, ...] | None = None
+        self._cut_matrix: np.ndarray | None = None
         self._feature_names: tuple[str, ...] | None = None
         self._sketch_size = (
             None if sketch_size is None else check_positive_int(sketch_size, "sketch_size")
@@ -288,9 +258,10 @@ class GridDiscretizer(abc.ABC):
     def _compute_cuts(self, finite_column: np.ndarray) -> np.ndarray:
         """Return the φ−1 interior cut points for one attribute.
 
-        *finite_column* is a non-empty, owned, contiguous copy of the
+        *finite_column* is a non-empty, contiguous scratch copy of the
         attribute's finite (non-missing) values; the hook may reorder it
-        in place.
+        in place, but must not keep it: the memory is reused for the
+        next column once the hook returns.
         """
 
     # ------------------------------------------------------------------
@@ -310,7 +281,7 @@ class GridDiscretizer(abc.ABC):
                 "boundaries must be one equal-length 1-D cut-point array per attribute"
             )
         instance = cls(n_ranges=arrays[0].size + 1)
-        instance._boundaries = tuple(_check_cuts(a, j) for j, a in enumerate(arrays))
+        instance._install_cuts([_check_cuts(a, j) for j, a in enumerate(arrays)])
         instance._install_names(len(arrays), feature_names)
         return instance
 
@@ -335,21 +306,30 @@ class GridDiscretizer(abc.ABC):
             )
         self._feature_names = names
 
+    def _install_cuts(self, boundaries: list[np.ndarray]) -> None:
+        """Install validated per-column cut points as one ``(d, φ−1)`` matrix.
+
+        :attr:`boundaries` returns the matrix's rows, so the
+        per-attribute arrays and the stacked matrix every transform
+        reads are one memory.
+        """
+        self._cut_matrix = np.array(boundaries, dtype=np.float64)
+        self._boundaries = tuple(self._cut_matrix)
+
     def _fit_cuts(self, array: np.ndarray) -> None:
         """Compute and install boundaries from *array*, nothing else."""
         boundaries = []
-        for j in range(array.shape[1]):
-            values = array[:, j].copy()
+        for j, values in enumerate(column_copies(array)):
             missing = np.isnan(values)
             finite = values[~missing] if missing.any() else values
             boundaries.append(self._column_cuts(finite, j))
-        self._boundaries = tuple(boundaries)
+        self._install_cuts(boundaries)
 
     def _assignment(self, array: np.ndarray) -> CellAssignment:
         """Codes of *array* under the installed cut points."""
         assert self._boundaries is not None
         return CellAssignment(
-            codes=_codes(array, np.array(self._boundaries)),
+            codes=range_codes(array, self._cut_matrix),
             n_ranges=self.n_ranges,
             feature_names=self._feature_names,
             boundaries=self._boundaries,

@@ -20,13 +20,19 @@ cubes, and ``counts`` is the exact ``int64`` point count per cube.
 ``stats`` reports kernel effort (``words_and``) and prefix sharing
 (``prefix_reuse``).
 
-This module holds the vectorized numpy reference kernel
-(:func:`batch_counts`, the prefix-sharing AND/popcount engine); the
-compiled C kernel lives in :mod:`repro.grid.native` and is registered
-against this reference by :mod:`repro.grid.backends`, which proves any
-kernel bit-identical on a differential fixture before it may serve
-counts.  Module-level (rather than methods) so pool workers can run an
-identical kernel against a shared-memory view of the stack.
+This module holds the numpy references: the counting kernel
+(:func:`batch_counts`, the prefix-sharing AND/popcount engine) and the
+two grid-build steps, :func:`range_codes_block` (values to range codes)
+and :func:`pack_codes_block` (codes to the packed stack).  The compiled
+C library in :mod:`repro.grid.native` does all three, and
+:func:`repro.grid.backends.verify_kernel` proves it against these
+references on a differential fixture before it may serve: counts equal
+to :func:`batch_counts`, packed stacks byte-identical to
+:func:`pack_codes_block` and codes byte-identical to
+:func:`range_codes_block`.  When it cannot build or fails that proof,
+these references serve.  Module-level (rather than methods) so pool
+workers can run an identical kernel against a shared-memory view of
+the stack.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..resilience.faults import maybe_inject
+from .cells import MISSING_CELL
 
 __all__ = [
     "batch_counts",
@@ -42,7 +49,19 @@ __all__ = [
     "empty_cube_row",
     "pack_codes_block",
     "packed_row_bytes",
+    "range_codes_block",
 ]
+
+#: Most cuts per attribute a value's code is counted by comparison (one
+#: pass each); above it, codes come from a binary search.
+_MAX_COMPARE_CUTS = 64
+
+#: Entries per row block of the comparison count, so a block stays in
+#: cache across passes.
+_BLOCK_ENTRIES = 1 << 14
+
+#: Most ranges per attribute: range codes are stored as ``int16``.
+_MAX_RANGES = 1 << 15
 
 
 def check_cube_arrays(
@@ -109,6 +128,34 @@ def pack_codes_block(codes: np.ndarray, n_ranges: int) -> np.ndarray:
         # bit order, the numpy default).
         stack8[j, :, :n_bytes] = np.packbits(dense, axis=1)
     return stack8
+
+
+def range_codes_block(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Range codes ``#{cuts < v}`` of an ``(n, d)`` matrix; NaN is missing.
+
+    *cuts* is the stacked, sorted ``(d, φ−1)`` cut matrix; the count
+    equals ``searchsorted(cuts, v, side="left")``, which is how it is
+    taken above :data:`_MAX_COMPARE_CUTS` cuts.  Up to that, each row
+    block is flattened (``codes`` is C-contiguous, so its blocks are
+    views) and compared with every cut row tiled to the block's width.
+    """
+    n, d = array.shape
+    codes = np.zeros((n, d), dtype=np.int16)
+    if cuts.shape[1] > _MAX_COMPARE_CUTS:
+        for j, column_cuts in enumerate(cuts):
+            codes[:, j] = np.searchsorted(column_cuts, array[:, j], side="left")
+    else:
+        rows = max(1, min(n, _BLOCK_ENTRIES // d))
+        tiles = np.tile(cuts.T, (1, rows))
+        above = np.empty(rows * d, dtype=bool)
+        for lo in range(0, n, rows):
+            block = array[lo : lo + rows].reshape(-1)
+            out, hit = codes[lo : lo + rows].reshape(-1), above[: block.size]
+            for tile in tiles:
+                np.greater(block, tile[: block.size], out=hit)
+                out += hit
+    codes[np.isnan(array)] = MISSING_CELL
+    return codes
 
 
 def empty_cube_row(n_points: int, row_bytes: int) -> np.ndarray:

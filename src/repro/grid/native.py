@@ -1,27 +1,36 @@
-"""Compiled counting kernel: AND + popcount at native speed.
+"""The compiled C library: the grid build and the counting kernel.
 
-The sparsity search spends essentially all of its time inside one loop
-— AND k membership masks together and popcount the result.  The numpy
-reference kernel (:func:`repro.grid.kernels.batch_counts`) pays several
-full passes over a ``(B, W)`` accumulator plus per-op dispatch; a fused
-native loop reads each word once, ANDs in registers and popcounts with
-the hardware instruction.
+Two stages dominate a detect outside the search loop and one inside it,
+and each is a single pass at native speed here:
 
-This module is that loop: a tiny C kernel compiled on first use with
-the system C compiler (``cc``/``gcc``/``clang``; override with
+* **the grid build** — :func:`native_gather_columns` copies a group of
+  columns of the row-major data into a reused buffer for the equi-depth
+  cut fit, :func:`native_range_codes` maps every value to its range
+  code ``#{cuts < v}``, and :func:`native_pack_codes` turns an ``(n,
+  d)`` code block into the packed ``(d, φ, W8)`` membership stack,
+  reading each code once and setting one bit;
+* **the counting kernel** — the sparsity search ANDs k membership masks
+  together and popcounts the result.  The numpy reference kernel
+  (:func:`repro.grid.kernels.batch_counts`) pays several full passes
+  over a ``(B, W)`` accumulator plus per-op dispatch;
+  :func:`native_batch_counts` reads each word once, ANDs in registers
+  and popcounts with the hardware instruction.
+
+The routines are one small C source compiled on first use with the
+system C compiler (``cc``/``gcc``/``clang``; override with
 ``$REPRO_CC``) into a content-addressed shared library (under
 ``$REPRO_NATIVE_CACHE``, default the system temp directory), loaded
-through :mod:`ctypes`.  Word-wise ``__builtin_popcountll`` with
-cache-blocked mask traversal.
+through :mod:`ctypes`.
 
 The build runs once per process and its outcome — failure included —
-is cached.  Without a working compiler :func:`native_batch_counts`
-raises a :class:`~repro.exceptions.ResourceError` naming the compiler
-and its output.  :func:`repro.grid.backends.select_kernel` proves the
-kernel against the reference on a differential fixture before any
-counter may use it; when the build or the proof fails, every counter
-serves the bit-identical numpy reference and reports the reason in
-its ``kernel_info()``.
+is cached.  Without a working compiler every routine raises a
+:class:`~repro.exceptions.ResourceError` naming the compiler and its
+output.  :func:`repro.grid.backends.select_kernel` proves the library
+against the numpy references on a differential fixture before anything
+may use it; when the build or the proof fails, every caller serves the
+bit-identical numpy references and reports the reason in its
+``kernel_info()``.  Each wrapper here refuses, before entering C, any
+input that could make the C code read or write outside its arrays.
 
 The kernel operates on the uint8 byte view of the counter's bit-packed
 uint64 mask stack (see :mod:`repro.grid.kernels`): every row is a whole
@@ -37,30 +46,110 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Callable
-
 import numpy as np
 
 from .._atomic import atomic_write_text
 from ..exceptions import ResourceError, ValidationError
-from .kernels import check_cube_arrays
+from ..resilience.faults import maybe_inject
+from .cells import MISSING_CELL
+from .kernels import (
+    _MAX_COMPARE_CUTS,
+    _MAX_RANGES,
+    check_cube_arrays,
+    packed_row_bytes,
+)
 
-__all__ = ["kernel_info", "native_batch_counts"]
+__all__ = [
+    "kernel_info",
+    "native_batch_counts",
+    "native_gather_columns",
+    "native_pack_codes",
+    "native_range_codes",
+]
 
 #: Words per cache block: 512 uint64 = 4 KiB per mask row segment, so
 #: one block of every mask in a k-chain stays resident in L1/L2 while
 #: all cubes traverse it.
 _BLOCK_WORDS = 512
 
-#: The kernel consumes ``(flat, rows, counts)``: ``flat`` is the
-#: ``(n_masks, row_bytes)`` uint8 byte view of the mask stack, ``rows``
-#: the ``(B, k)`` int64 flat mask indices, ``counts`` the ``(B,)``
-#: int64 output.
-_KernelImpl = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-
 _C_SOURCE = """\
 #include <stdint.h>
 #include <string.h>
+
+/* Copy columns first..first+g-1 of an (n, d) float64 matrix into the
+ * C-contiguous (g, n) buffer out.  Strides are in elements, so a
+ * Fortran-ordered or sliced matrix is read in place.  Rows go in blocks
+ * so that each block's cache lines serve all g columns.
+ */
+void repro_gather_columns(const double *x, int64_t n, int64_t row_stride,
+                          int64_t col_stride, int64_t first, int64_t g,
+                          double *out)
+{
+    const int64_t block = 512;
+    const double *base = x + first * col_stride;
+    for (int64_t lo = 0; lo < n; lo += block) {
+        int64_t hi = lo + block < n ? lo + block : n;
+        for (int64_t c = 0; c < g; c++) {
+            const double *col = base + c * col_stride;
+            double *dst = out + c * n;
+            for (int64_t i = lo; i < hi; i++) dst[i] = col[i * row_stride];
+        }
+    }
+}
+
+/* Range codes of an (n, d) float64 matrix into the C-contiguous (n, d)
+ * int16 out: code = #{cuts[j] < v}, which equals searchsorted(side=
+ * "left") over the sorted row cuts[j] of the (d, n_cuts) cut matrix.
+ * NaN maps to -1 (MISSING_CELL).  Up to max_compare cuts the count is
+ * taken by comparison; above it by a lower-bound binary search.
+ */
+void repro_codes(const double *x, int64_t n, int64_t d,
+                 int64_t row_stride, int64_t col_stride,
+                 const double *cuts, int64_t n_cuts,
+                 int64_t max_compare, int16_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = x + i * row_stride;
+        int16_t *dst = out + i * d;
+        for (int64_t j = 0; j < d; j++) {
+            double v = row[j * col_stride];
+            const double *c = cuts + j * n_cuts;
+            int64_t code = 0;
+            if (v != v) {
+                code = -1;
+            } else if (n_cuts <= max_compare) {
+                for (int64_t t = 0; t < n_cuts; t++) code += c[t] < v;
+            } else {
+                int64_t hi = n_cuts;
+                while (code < hi) {
+                    int64_t mid = code + (hi - code) / 2;
+                    if (c[mid] < v) code = mid + 1; else hi = mid;
+                }
+            }
+            dst[j] = (int16_t)code;
+        }
+    }
+}
+
+/* Pack an (n, d) int16 code block into the zeroed (d, phi, row_bytes)
+ * membership stack out: code c of row i in column j sets bit 7 - (i & 7)
+ * of byte i >> 3 of mask row (j, c), np.packbits' big-endian order.
+ * Negative codes (MISSING_CELL) set no bit.  Strides are in elements.
+ */
+void repro_pack_codes(const int16_t *codes, int64_t n, int64_t d,
+                      int64_t row_stride, int64_t col_stride, int64_t phi,
+                      int64_t row_bytes, uint8_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int16_t *row = codes + i * row_stride;
+        uint8_t *byte = out + (i >> 3);
+        uint8_t bit = (uint8_t)(0x80u >> (i & 7));
+        for (int64_t j = 0; j < d; j++) {
+            int16_t c = row[j * col_stride];
+            if (c >= 0) byte[(j * phi + c) * row_bytes] |= bit;
+        }
+    }
+}
 
 /* AND k mask rows, popcount the result: counts[b] = |AND_l rows[b][l]|.
  *
@@ -139,9 +228,24 @@ void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
 }
 """
 
+_PTR, _INT = ctypes.c_void_p, ctypes.c_int64
+
+#: Argument types of each exported C routine, in the C parameter order
+#: (arrays are passed as addresses); every routine returns void.
+_SIGNATURES: dict[str, list] = {
+    # stack, row_bytes, rows, n_cubes, k, block, counts
+    "repro_count_batch": [_PTR, _INT, _PTR, _INT, _INT, _INT, _PTR],
+    # x, n, row_stride, col_stride, first, g, out
+    "repro_gather_columns": [_PTR, _INT, _INT, _INT, _INT, _INT, _PTR],
+    # x, n, d, row_stride, col_stride, cuts, n_cuts, max_compare, out
+    "repro_codes": [_PTR, _INT, _INT, _INT, _INT, _PTR, _INT, _INT, _PTR],
+    # codes, n, d, row_stride, col_stride, phi, row_bytes, out
+    "repro_pack_codes": [_PTR, _INT, _INT, _INT, _INT, _INT, _INT, _PTR],
+}
+
 #: The process-wide build outcome: ``None`` until first use, then the
-#: loaded kernel or, after a failed build, the reason it failed.
-_BUILD: _KernelImpl | str | None = None
+#: loaded library or, after a failed build, the reason it failed.
+_BUILD: ctypes.CDLL | str | None = None
 
 
 def _find_compiler() -> str | None:
@@ -197,53 +301,35 @@ def _compile_c_library(compiler: str) -> str:
     )
 
 
-def _build_kernel() -> _KernelImpl:
-    """Compile, load and self-probe the C kernel."""
+def _build_kernel() -> ctypes.CDLL:
+    """Compile, load and self-probe the C library."""
     compiler = _find_compiler()
     if compiler is None:
         raise ResourceError(
             "no C compiler found (tried cc, gcc, clang; set $REPRO_CC)"
         )
     lib = ctypes.CDLL(_compile_c_library(compiler))
-    fn = lib.repro_count_batch
-    fn.argtypes = [
-        ctypes.c_void_p,  # stack bytes
-        ctypes.c_int64,  # row_bytes
-        ctypes.c_void_p,  # rows
-        ctypes.c_int64,  # n_cubes
-        ctypes.c_int64,  # k
-        ctypes.c_int64,  # block words
-        ctypes.c_void_p,  # counts out
-    ]
-    fn.restype = None
-
-    def _impl(flat: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> None:
-        fn(
-            flat.ctypes.data,
-            flat.shape[1],
-            rows.ctypes.data,
-            rows.shape[0],
-            rows.shape[1],
-            _BLOCK_WORDS,
-            counts.ctypes.data,
-        )
-
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = None
     # Self-probe: 2 all-ones byte rows ANDed must popcount to 64.
-    probe_counts = np.zeros(1, dtype=np.int64)
-    _impl(
-        np.full((2, 8), 0xFF, dtype=np.uint8),
-        np.array([[0, 1]], dtype=np.int64),
-        probe_counts,
+    probe = np.full((2, 8), 0xFF, dtype=np.uint8)
+    rows = np.array([0, 1], dtype=np.int64)
+    counts = np.zeros(1, dtype=np.int64)
+    lib.repro_count_batch(
+        probe.ctypes.data, 8, rows.ctypes.data, 1, 2, _BLOCK_WORDS,
+        counts.ctypes.data,
     )
-    if int(probe_counts[0]) != 64:  # pragma: no cover - broken toolchain
+    if int(counts[0]) != 64:  # pragma: no cover - broken toolchain
         raise ResourceError(
             f"C kernel built with {compiler} failed its self-probe"
         )
-    return _impl
+    return lib
 
 
-def _load_kernel() -> _KernelImpl:
-    """The compiled kernel, built on first use; re-raises a failed build.
+def _load_kernel() -> ctypes.CDLL:
+    """The compiled library, built on first use; re-raises a failed build.
 
     The outcome is cached for the process either way, so a machine
     without a compiler attempts the build at most once.
@@ -312,14 +398,17 @@ def native_batch_counts(
     be built.
     """
     dims_arr, rng_arr = _check_indices(stack, dims_arr, rng_arr)
-    impl = _load_kernel()
+    lib = _load_kernel()
     n_masks = stack.shape[0] * stack.shape[1]
     flat = np.ascontiguousarray(stack).view(np.uint8).reshape(n_masks, -1)
     rows = dims_arr * stack.shape[1] + rng_arr
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     counts = np.empty(rows.shape[0], dtype=np.int64)
-    impl(flat, rows, counts)
     n_cubes, k = rows.shape
+    lib.repro_count_batch(
+        flat.ctypes.data, flat.shape[1], rows.ctypes.data, n_cubes, k,
+        _BLOCK_WORDS, counts.ctypes.data,
+    )
     n_words = -(-flat.shape[1] // 8)
     stats = {
         "words_and": (k - 1) * n_cubes * n_words,
@@ -327,3 +416,103 @@ def native_batch_counts(
         "kernel_tier": "c",
     }
     return counts, stats
+
+
+def _check_matrix(array: np.ndarray, dtype, what: str) -> tuple[int, int]:
+    """Refuse a non-2-D or mistyped *array*; its strides in elements."""
+    if not isinstance(array, np.ndarray) or array.ndim != 2 or array.dtype != dtype:
+        raise ValidationError(
+            f"native {what} needs 2-D {np.dtype(dtype)} arrays, got "
+            f"{getattr(array, 'dtype', type(array).__name__)} with shape "
+            f"{np.shape(array)}"
+        )
+    itemsize = array.dtype.itemsize
+    if any(stride % itemsize for stride in array.strides):
+        raise ValidationError(
+            f"native {what} needs element-aligned strides, got "
+            f"{array.strides} for {array.dtype}"
+        )
+    return array.strides[0] // itemsize, array.strides[1] // itemsize
+
+
+def native_gather_columns(array: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Copy columns ``first .. first + g - 1`` of *array* into *out*.
+
+    *array* is an ``(n, d)`` float64 matrix of any layout; *out* a
+    writeable C-contiguous ``(g, n)`` float64 buffer, so row ``c`` of
+    *out* becomes a contiguous copy of column ``first + c``.  The
+    reference is ``out[c] = array[:, first + c]``.
+    """
+    row_stride, col_stride = _check_matrix(array, np.float64, "gather")
+    _check_matrix(out, np.float64, "gather")
+    (n, d), g = array.shape, out.shape[0]
+    if not (
+        out.flags.c_contiguous
+        and out.flags.writeable
+        and out.shape[1] == n
+        and 0 <= first <= first + g <= d
+    ):
+        raise ValidationError(
+            f"native gather of columns {first}.. of a {array.shape} matrix "
+            "needs a writeable C-contiguous (g, n) buffer with "
+            f"first + g <= d, got {out.shape}"
+        )
+    lib = _load_kernel()
+    lib.repro_gather_columns(
+        array.ctypes.data, n, row_stride, col_stride, first, g, out.ctypes.data
+    )
+
+
+def native_range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Range codes ``#{cuts < v}`` of an ``(n, d)`` matrix via the C library.
+
+    Drop-in for :func:`repro.grid.kernels.range_codes_block`: *cuts* is
+    the sorted ``(d, φ−1)`` cut matrix, NaN maps to
+    :data:`~repro.grid.cells.MISSING_CELL`, and the ``(n, d)`` int16
+    result is byte-identical.  *array* is read through its strides, so
+    a Fortran-ordered or sliced matrix is not copied.
+    """
+    row_stride, col_stride = _check_matrix(array, np.float64, "codes")
+    _check_matrix(cuts, np.float64, "codes")
+    n, d = array.shape
+    if cuts.shape[0] != d or cuts.shape[1] >= _MAX_RANGES:
+        raise ValidationError(
+            f"native codes of a {array.shape} matrix need a (d, phi - 1) "
+            f"cut matrix with phi <= {_MAX_RANGES}, got {cuts.shape}"
+        )
+    cuts = np.ascontiguousarray(cuts)
+    codes = np.empty((n, d), dtype=np.int16)
+    lib = _load_kernel()
+    lib.repro_codes(
+        array.ctypes.data, n, d, row_stride, col_stride, cuts.ctypes.data,
+        cuts.shape[1], _MAX_COMPARE_CUTS, codes.ctypes.data,
+    )
+    return codes
+
+
+def native_pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
+    """The packed ``(d, φ, W8)`` mask stack of *codes* via the C library.
+
+    Drop-in for :func:`repro.grid.kernels.pack_codes_block` on an
+    ``(n, d)`` int16 code block: the same ``packed_alloc`` fault point,
+    and a byte-identical stack.  Codes outside ``[MISSING_CELL, φ)``
+    are refused before any bit is set.
+    """
+    row_stride, col_stride = _check_matrix(codes, np.int16, "pack")
+    n, n_dims = codes.shape
+    maybe_inject("packed_alloc", kind="packed", n_points=n)
+    if codes.size:
+        lo, hi = int(codes.min()), int(codes.max())
+        if lo < MISSING_CELL or hi >= n_ranges:
+            raise ValidationError(
+                f"native pack needs codes in [{MISSING_CELL}, {n_ranges}), "
+                f"found range [{lo}, {hi}]"
+            )
+    row_bytes = packed_row_bytes(n)
+    stack8 = np.zeros((n_dims, n_ranges, row_bytes), dtype=np.uint8)
+    lib = _load_kernel()
+    lib.repro_pack_codes(
+        codes.ctypes.data, n, n_dims, row_stride, col_stride, n_ranges,
+        row_bytes, stack8.ctypes.data,
+    )
+    return stack8

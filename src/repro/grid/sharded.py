@@ -14,8 +14,9 @@ Three pieces implement this:
 
 :class:`ShardedMaskStore`
     Writes the uint64-padded packed mask stacks
-    (:func:`~repro.grid.kernels.pack_codes_block`) to one binary
-    file per row shard — each landed atomically, with a JSON manifest
+    (:func:`~repro.grid.backends.pack_codes`: in C on the counters'
+    tier, byte-identical to :func:`~repro.grid.kernels.pack_codes_block`)
+    to one binary file per row shard — each landed atomically, with a JSON manifest
     installed last so a killed build never leaves a readable-but-wrong
     store — and maps them back as read-only ``numpy.memmap`` views.
     Views are opened lazily, one shard at a time, so counting touches a
@@ -60,9 +61,9 @@ from ..exceptions import CheckpointError, ResourceError, ValidationError
 from ..resilience.faults import maybe_inject
 from ..resilience.retry import RetryPolicy
 from ..run.checkpoint import CheckpointStore
+from .backends import pack_codes
 from .cells import CellAssignment, check_code_block
 from .counter import CubeCounter, _packed_cube
-from .kernels import pack_codes_block
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
@@ -116,7 +117,7 @@ def _write_shard(
     With *expect_sha256* (a rebuild), bytes that do not hash to it are
     refused before anything is written.
     """
-    stack8 = pack_codes_block(np.ascontiguousarray(block, dtype=np.int16), n_ranges)
+    stack8 = pack_codes(np.ascontiguousarray(block, dtype=np.int16), n_ranges)
     data = stack8.tobytes()
     sha256 = hashlib.sha256(data).hexdigest()
     if expect_sha256 is not None and sha256 != expect_sha256:

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import DiscretizationError, NotFittedError, ValidationError
 from repro.grid.cells import MISSING_CELL
-from repro.grid.discretizer import (
-    _MAX_COMPARE_CUTS,
-    EquiDepthDiscretizer,
-    EquiWidthDiscretizer,
-)
+from repro.grid.discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer
+from repro.grid.kernels import _MAX_COMPARE_CUTS
+
+from conftest import native_tier, native_tiers
 
 
 class TestEquiDepthBasics:
@@ -227,6 +226,14 @@ def _reference_codes(data, boundaries):
     return codes
 
 
+def _assert_matches_reference_on_every_tier(data, n_ranges):
+    """:func:`_assert_matches_reference` on the C library and on the
+    numpy references alike."""
+    for tier in native_tiers():
+        with native_tier(tier):
+            _assert_matches_reference(data, n_ranges)
+
+
 def _assert_matches_reference(data, n_ranges):
     """Every fit and transform entry point of both discretizers against
     the oracle: codes byte for byte, cuts by value (a tied zero's sign
@@ -273,11 +280,14 @@ def test_array_path_matches_per_column_reference(
 ):
     """Sorted-copy quantiles and comparison-count codes equal the
     per-column ``np.quantile`` + ``searchsorted`` algorithm, with ties,
-    NaN, constant and all-NaN columns and signed zeros.  Codes match
+    NaN, constant and all-NaN columns and signed zeros, on every native
+    tier.  Codes match
     byte for byte; cuts match under ``np.array_equal``, because
     ``np.sort`` and ``np.partition`` may order tied ``-0.0``/``+0.0``
     differently."""
-    _assert_matches_reference(_matrix(seed, n_rows, kinds, nan_fraction), n_ranges)
+    _assert_matches_reference_on_every_tier(
+        _matrix(seed, n_rows, kinds, nan_fraction), n_ranges
+    )
 
 
 @pytest.mark.slow
@@ -292,5 +302,8 @@ def test_array_path_matches_per_column_reference(
 def test_array_path_matches_per_column_reference_large(
     seed, n_rows, kinds, n_ranges, nan_fraction
 ):
-    """The reference-equality sweep over larger N (``-m slow``)."""
-    _assert_matches_reference(_matrix(seed, n_rows, kinds, nan_fraction), n_ranges)
+    """The reference-equality sweep over larger N on every native tier
+    (``-m slow``)."""
+    _assert_matches_reference_on_every_tier(
+        _matrix(seed, n_rows, kinds, nan_fraction), n_ranges
+    )

@@ -1,7 +1,9 @@
 """Coverage for paths the module-focused suites touch only lightly."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,14 +123,25 @@ class TestResultRankingStability:
         assert a == b
 
 
+#: The checkout this test file belongs to.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
 class TestExampleSmoke:
     def test_quickstart_runs(self):
+        # Run this checkout's example against this checkout's package,
+        # whatever the caller's working directory and PYTHONPATH.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
         completed = subprocess.run(
             [sys.executable, "examples/quickstart.py"],
             capture_output=True,
             text=True,
             timeout=120,
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
+            env=env,
         )
         assert completed.returncode == 0, completed.stderr
         assert "quickstart OK" in completed.stdout
