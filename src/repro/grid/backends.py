@@ -32,8 +32,9 @@ shard writer call only these three.
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
 differential fixture (packed stacks with ragged tails, missing values,
-saturated masks, k = 1..5 so every branch of the C kernel is reached)
-and raises :class:`BackendConformanceError` on any divergence.  For the
+saturated masks, k = 1..5 so every branch of the C kernel is reached,
+and a mixed-k batch padded as the evolutionary search's gene matrices
+are) and raises :class:`BackendConformanceError` on any divergence.  For the
 native kernel it also proves the C grid build: packed stacks
 byte-identical to :func:`~repro.grid.kernels.pack_codes_block` (ragged
 64-bit tails, ``MISSING_CELL``, φ = 2, no rows), codes byte-identical
@@ -218,11 +219,15 @@ def _verify_grid_build(name: str) -> None:
 def _fixture_batches(
     n_dims: int, phi: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Same-k index batches covering k = 1..5, duplicates and siblings
-    (built once per grid shape, read-only)."""
+    """Index batches covering k = 1..5, duplicates and siblings, plus
+    one mixed-k batch padded as
+    :meth:`~repro.grid.counter.CubeCounter.count_genes` pads (each row
+    repeats its last ``(dim, range)`` pair up to the largest k); built
+    once per grid shape, read-only."""
     rng = np.random.default_rng(314159)
     batches = []
-    for k in range(1, min(5, n_dims) + 1):
+    k_max = min(5, n_dims)
+    for k in range(1, k_max + 1):
         dims = np.sort(
             np.stack([
                 rng.choice(n_dims, size=k, replace=False) for _ in range(24)
@@ -237,8 +242,23 @@ def _fixture_batches(
         dims[2] = dims[0]
         if k > 1:
             ranges[2, :-1] = ranges[0, :-1]
-        dims.flags.writeable = ranges.flags.writeable = False
         batches.append((dims, ranges))
+    # The mixed-k batch: rows 0..k_max-1 fix k = 1..k_max, the rest at
+    # random.
+    ks = rng.integers(1, k_max + 1, size=24)
+    ks[:k_max] = np.arange(1, k_max + 1)
+    pad = np.minimum(np.arange(k_max), ks[:, None] - 1)
+    dims = np.sort(
+        np.stack([rng.choice(n_dims, size=k_max, replace=False) for _ in range(24)]),
+        axis=1,
+    ).astype(np.intp)
+    ranges = rng.integers(0, phi, size=(24, k_max)).astype(np.intp)
+    batches.append((
+        np.take_along_axis(dims, pad, axis=1),
+        np.take_along_axis(ranges, pad, axis=1),
+    ))
+    for dims, ranges in batches:
+        dims.flags.writeable = ranges.flags.writeable = False
     return tuple(batches)
 
 

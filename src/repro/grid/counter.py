@@ -12,16 +12,18 @@ cheap:
   :mod:`repro.grid.kernels`, 8x smaller than one byte per point);
 * a cube count is the popcount of the AND of its masks;
 * every count runs through one private core that validates the whole
-  call first and sends each same-k group of ``(n, k)`` cube arrays,
+  call first and sends each group of ``(n, k)`` cube arrays,
   duplicates included, to the batch kernel — under a ``process``
   :class:`~repro.core.params.CountingBackend`, chunked onto a worker
   pool that reads the masks from shared memory;
-* the three public entry points are adapters over that core:
+* the four public entry points are adapters over that core:
   :meth:`count` (one cube), :meth:`count_batch` (a batch of
-  :class:`Subspace` objects, grouped by k into one call) and
-  :meth:`count_cubes` (same-k ``(n, k)`` arrays — the path of the
-  evolutionary search and the level-batched brute force).  Nothing is
-  memoised across calls: a repeated cube is counted again.
+  :class:`Subspace` objects, grouped by k into one call),
+  :meth:`count_cubes` (same-k ``(n, k)`` arrays — the level-batched
+  brute force's path) and :meth:`count_genes` (an ``(n, d)`` gene
+  matrix of mixed k, padded into one group — the evolutionary
+  search's path).  Nothing is memoised across calls: a repeated cube
+  is counted again.
 
 Where counting runs is the placement of the counter's
 :class:`~repro.core.params.CountingBackend` (one of
@@ -220,8 +222,9 @@ class CubeCounter:
         """``n(D)`` for a whole batch of cubes in one pass.
 
         The cubes are grouped by dimensionality (ascending k) into one
-        call of the counting core, whose batch kernel shares
-        intermediate AND results across cubes with a common prefix.
+        call of the counting core.  Only the numpy reference kernel
+        shares AND results across cubes with a common prefix; the C
+        kernel ANDs every cube's k masks (its ``prefix_reuse`` reads 0).
         Under a ``process`` backend, large groups are split into
         deterministic chunks and evaluated on the worker pool.
 
@@ -246,20 +249,70 @@ class CubeCounter:
         Row *i* is the cube with dimensions ``dims[i]`` (strictly
         ascending) and grid ranges ``ranges[i]``.  The array twin of
         :meth:`count_batch` for one dimensionality, with no
-        :class:`Subspace` built: the evolutionary search scores its gene
-        matrices through it (one call per k) and the level-batched brute
-        force its levels.  A duplicate row is counted again.
+        :class:`Subspace` built: the level-batched brute force counts
+        its levels through it.  A duplicate row is counted again.
 
         Returns an ``int64`` array aligned with the rows.
         """
         return self._count([self._checked_group(dims, ranges)])[0]
 
-    def _count(self, groups) -> list[np.ndarray]:
-        """The one counting path: counts of validated same-k groups.
+    def count_genes(self, genes) -> np.ndarray:
+        """``n(D)`` of every row of an ``(n, d)`` gene matrix, in one call.
 
-        Each group is a ``(dims, ranges)`` pair of ``(n, k)`` arrays.
-        The adapters validate their whole call before calling in, so a
-        rejected call leaves the counter as it was.  One call advances
+        Row *i* is the cube that fixes range ``genes[i, j]`` on every
+        dimension *j* whose gene is not ``-1`` (``*``).  Rows may fix
+        different numbers of dimensions, but each must fix at least one.
+        The whole matrix is one group of the counting core: each row
+        lists its fixed ``(dim, range)`` pairs in column order, padded
+        to the batch's largest k by repeating its last pair — AND is
+        idempotent, so a padded row counts exactly its own cube.  This
+        is the evolutionary search's path (one call per optimized
+        crossover stage or population, whatever mix of k it holds), and
+        the only place that pads.  A duplicate row is counted again.
+
+        Returns an ``int64`` array aligned with the rows.
+        """
+        return self._count([self._gene_group(genes)])[0]
+
+    def _gene_group(self, genes) -> tuple[np.ndarray, np.ndarray]:
+        """A validated gene matrix as one padded ``(n, K)`` group."""
+        genes = np.asarray(genes)
+        if genes.ndim != 2 or genes.shape[1] != self.n_dims:
+            raise ValidationError(
+                f"genes must be an (n, {self.n_dims}) matrix, got shape "
+                f"{genes.shape}"
+            )
+        if genes.dtype.kind not in "iu":
+            raise ValidationError(f"genes must be integer-typed, got {genes.dtype}")
+        if genes.size and (genes.min() < -1 or genes.max() >= self.n_ranges):
+            raise ValidationError(
+                f"genes must lie in [-1, {self.n_ranges}), got values in "
+                f"[{genes.min()}, {genes.max()}]"
+            )
+        if len(genes) == 0:
+            empty = np.empty((0, 0), dtype=np.intp)
+            return empty, empty
+        genes = genes.astype(np.intp, copy=False)
+        fixed = genes != -1
+        ks = fixed.sum(axis=1)
+        if not ks.all():
+            raise ValidationError("every gene row must fix at least one dimension")
+        # Row-major indices of the fixed genes: each row's run is in
+        # column order, so row i's j-th pair is cell starts[i] + j.
+        flat = np.flatnonzero(fixed)
+        starts = np.cumsum(ks) - ks
+        pad = np.minimum(np.arange(ks.max()), ks[:, None] - 1)
+        cells = flat[starts[:, None] + pad]
+        return cells % self.n_dims, genes.reshape(-1)[cells]
+
+    def _count(self, groups) -> list[np.ndarray]:
+        """The one counting path: counts of validated groups.
+
+        Each group is a ``(dims, ranges)`` pair of ``(n, k)`` arrays; a
+        row may repeat its last ``(dim, range)`` pair (a padded
+        :meth:`count_genes` row), which changes no count.  The adapters
+        validate their whole call before calling in, so a rejected call
+        leaves the counter as it was.  One call advances
         ``batch_calls`` once and ``count_calls`` and ``batch_cubes`` by
         its cubes, and adds its wall time to ``batch_seconds``.  Returns
         one ``int64`` array per group.

@@ -16,16 +16,17 @@ streamed: children are generated in blocks of consecutive parents
 (about one counting chunk each), so peak memory follows the surviving
 frontier and one block, not the whole ``C(d,k)·φ^k`` leaf level.  Each
 block is counted by the counter's batched AND/popcount kernel
-(:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which shares the
-common-prefix ANDs across siblings and, under a ``process``
-:class:`~repro.core.params.CountingBackend` or an mmap shard store,
-runs on the configured backend.  With ``require_nonempty`` an inner
-level keeps only its non-empty cubes, block by block (counts are
-monotone under ⊕, so an empty cube's whole subtree is pruned).  Leaf
-blocks are scored as they are made and handed to
-:meth:`~repro.search.best_set.BestProjectionSet.offer_batch`, which
-filters in numpy and builds objects only for the few cubes that can
-enter the best set.  Candidates are generated and offered in
+(:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which, under a
+``process`` :class:`~repro.core.params.CountingBackend` or an mmap
+shard store, runs on the configured backend.  Only the numpy reference
+kernel shares common-prefix ANDs across siblings; the C kernel, which
+serves wherever it builds, ANDs every cube's k masks.  With
+``require_nonempty`` an inner level keeps only its non-empty cubes,
+block by block (counts are monotone under ⊕, so an empty cube's whole
+subtree is pruned).  Leaf blocks are scored as they are made and
+handed to :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`,
+which filters in numpy and builds objects only for the few cubes that
+can enter the best set.  Candidates are generated and offered in
 lexicographic order, so results do not depend on the block size.
 
 Cost still explodes combinatorially — that is the paper's point (the

@@ -52,8 +52,10 @@ def gene_convergence_profile(population) -> list[float]:
 
 def modal_share(population) -> float:
     """Fraction of the population held by its most frequent string."""
-    genes = check_population(population)
-    _, counts = np.unique(genes, axis=0, return_counts=True)
+    genes = np.ascontiguousarray(check_population(population))
+    # Each row as one opaque item, so the count is a 1-D unique.
+    rows = genes.view(np.dtype((np.void, genes.itemsize * genes.shape[1])))
+    _, counts = np.unique(rows.ravel(), return_counts=True)
     return int(counts.max()) / len(genes)
 
 

@@ -458,8 +458,8 @@ class EvolutionarySearch(SearchEngine):
     ) -> np.ndarray:
         """Fitness of every string; feasible ones feed the best set.
 
-        The whole generation is counted in one
-        :meth:`~repro.grid.counter.CubeCounter.count_cubes` pass, which
+        The generation's feasible strings are counted in one
+        :meth:`~repro.grid.counter.CubeCounter.count_genes` call, which
         a parallel counting backend fans out to its worker pool.
         Feasible strings are offered in population order through
         :meth:`BestProjectionSet.offer_batch`, so the best-set

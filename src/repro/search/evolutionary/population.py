@@ -23,13 +23,19 @@ partials of equal dimensionality, so its greedy choices are sound.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ...core.results import ScoredProjection
 from ...core.subspace import Subspace
 from ...exceptions import ValidationError
 from ...grid.counter import CubeCounter
-from ...sparsity.coefficient import sparsity_coefficient, sparsity_coefficients
+from ...sparsity.coefficient import (
+    cube_count_std,
+    expected_count,
+    sparsity_coefficient,
+)
 from ..._validation import check_positive_int
 from .encoding import Solution, WILDCARD_GENE, check_population
 
@@ -38,6 +44,19 @@ __all__ = ["INFEASIBLE_FITNESS", "FitnessEvaluator"]
 #: Fitness assigned to strings of the wrong dimensionality.  +inf makes
 #: them strictly worse than any real cube under minimization.
 INFEASIBLE_FITNESS = float("inf")
+
+
+@functools.lru_cache(maxsize=8)
+def _null_moments(
+    n_points: int, n_ranges: int, n_dims: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation 1's ``(N·f^k, sqrt(N·f^k·(1−f^k)))`` for k = 0..d, as two
+    read-only arrays indexed by k (entry 0 is never read)."""
+    ks = range(n_dims + 1)
+    mean = np.array([expected_count(n_points, n_ranges, k) for k in ks])
+    std = np.array([cube_count_std(n_points, n_ranges, k) for k in ks])
+    mean.flags.writeable = std.flags.writeable = False
+    return mean, std
 
 
 class FitnessEvaluator:
@@ -88,12 +107,12 @@ class FitnessEvaluator:
 
         Row *i* scores exactly as ``partial_fitness(Solution(genes[i]))``
         would — at the row's own dimensionality, all-wildcard rows 0.0
-        and not counted in :attr:`n_evaluations` — but the matrix is
+        and not counted in :attr:`n_evaluations` — but the rows are
         counted with one
-        :meth:`~repro.grid.counter.CubeCounter.count_cubes` call per
-        dimensionality (so ``count_calls`` matches the per-row path)
-        and scored with the vectorized Equation 1.  This is the
-        optimized crossover's hot path.
+        :meth:`~repro.grid.counter.CubeCounter.count_genes` call,
+        whatever mix of dimensionalities they hold (``count_calls``
+        matches the per-row path), and scored with the vectorized
+        Equation 1.  This is the optimized crossover's hot path.
 
         Returns a float array aligned with the rows (empty for no rows).
         """
@@ -101,34 +120,32 @@ class FitnessEvaluator:
             return np.zeros(0)
         genes = check_population(genes)
         fitness = np.zeros(len(genes))
-        for rows, _, _, _, coefficients in self._score_rows(genes):
-            fitness[rows] = coefficients
+        rows, _, coefficients = self._score_rows(genes)
+        fitness[rows] = coefficients
         return fitness
 
-    def _score_rows(self, genes: np.ndarray) -> list[tuple]:
-        """Count and score every non-all-wildcard row, one count call per k.
+    def _score_rows(self, genes: np.ndarray) -> tuple:
+        """Count and score every non-all-wildcard row in one count call.
 
-        Returns one ``(rows, dims, ranges, counts, coefficients)`` group
-        per dimensionality present: the row indices (ascending), the
-        ``(n, k)`` cube arrays, their counts and their coefficients at
-        that k.  Shared by :meth:`partial_fitness_batch` and
-        :meth:`_score_feasible`.
+        Returns ``(rows, counts, coefficients)``: the indices of the rows
+        that fix a gene (ascending) and, aligned with them, their counts
+        and their coefficients, each at the row's own k.  Equation 1 is
+        read from a per-k table of its mean and deviation, built with
+        the scalar arithmetic of
+        :func:`~repro.sparsity.coefficient.sparsity_coefficients`, so
+        every coefficient is bit-identical to it.  Shared by
+        :meth:`partial_fitness_batch` and :meth:`_score_feasible`.
         """
-        fixed = genes != WILDCARD_GENE
-        ks = fixed.sum(axis=1)
-        out = []
-        for k in np.unique(ks[ks > 0]).tolist():
-            rows = np.flatnonzero(ks == k)
-            sub = fixed[rows]
-            dims = np.nonzero(sub)[1].reshape(len(rows), k)
-            ranges = genes[rows][sub].reshape(len(rows), k)
-            counts = self.counter.count_cubes(dims, ranges)
-            self.n_evaluations += len(rows)
-            coefficients = sparsity_coefficients(
-                counts, self.counter.n_points, self.counter.n_ranges, k
-            )
-            out.append((rows, dims, ranges, counts, coefficients))
-        return out
+        counter = self.counter
+        ks = (genes != WILDCARD_GENE).sum(axis=1)
+        rows = np.flatnonzero(ks)
+        if len(rows) == 0:
+            return rows, np.empty(0, dtype=np.int64), np.empty(0)
+        counts = counter.count_genes(genes if len(rows) == len(genes) else genes[rows])
+        self.n_evaluations += len(rows)
+        mean, std = _null_moments(counter.n_points, counter.n_ranges, counter.n_dims)
+        ks = ks[rows]
+        return rows, counts, (counts - mean[ks]) / std[ks]
 
     def score(self, solution: Solution) -> ScoredProjection | None:
         """Full :class:`ScoredProjection` for a feasible string, else None."""
@@ -146,7 +163,7 @@ class FitnessEvaluator:
         """Score every row of a ``(p, d)`` gene matrix through one batched count.
 
         Feasible rows are counted with a single
-        :meth:`~repro.grid.counter.CubeCounter.count_cubes` call and
+        :meth:`~repro.grid.counter.CubeCounter.count_genes` call and
         scored with the vectorized Equation 1.  Entry ``i`` is ``None``
         exactly when :meth:`score` would return ``None`` for
         ``Solution(genes[i])``, and the scored values are identical to
@@ -175,12 +192,10 @@ class FitnessEvaluator:
         Shared by :meth:`score_batch` and the engine's population
         scoring, which offers the arrays to the best set.
         """
-        rows = np.flatnonzero(
-            (genes != WILDCARD_GENE).sum(axis=1) == self.dimensionality
-        )
-        groups = self._score_rows(genes[rows])
-        if not groups:
-            cubes = np.empty((0, self.dimensionality), dtype=np.intp)
-            return rows, cubes, cubes, np.empty(0, dtype=np.int64), np.empty(0)
-        [(_, dims, ranges, counts, coefficients)] = groups
-        return rows, dims, ranges, counts, coefficients
+        k = self.dimensionality
+        fixed = genes != WILDCARD_GENE
+        rows = np.flatnonzero(fixed.sum(axis=1) == k)
+        feasible, fixed = genes[rows], fixed[rows]
+        _, counts, coefficients = self._score_rows(feasible)
+        dims = np.nonzero(fixed)[1].reshape(len(rows), k)
+        return rows, dims, feasible[fixed].reshape(len(rows), k), counts, coefficients

@@ -6,8 +6,8 @@ values:
 
 1. a naive O(N*k) row scan (``naive_cube_count`` — the reference),
 2. ``CubeCounter.count`` and ``CubeCounter.mask`` (bit-packed masks,
-   AND + popcount, memo),
-3. ``count_batch`` (the prefix-sharing batch kernel), under EVERY
+   AND + popcount),
+3. ``count_batch`` (the batch kernel), under EVERY
    accepted counting backend (the two placements and their deprecated
    aliases).
 
@@ -89,8 +89,8 @@ def _check_grid(cells, max_k, backend=None):
             np.testing.assert_array_equal(
                 counter.mask(cube), oracle_mask(cells.codes, cube)
             )
-        # A fresh counter for the batch path so the memo cannot mask a
-        # broken kernel by answering from per-cube results.
+        # A fresh counter for the batch path, independent of the
+        # per-cube calls above.
         batch = CubeCounter(cells, backend=backend)
         try:
             assert batch.count_batch(cubes).tolist() == expected
