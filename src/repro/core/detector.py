@@ -40,6 +40,7 @@ from ..resilience.ladder import ResilienceReport
 from ..grid.counter import CubeCounter
 from ..grid.discretizer import EquiDepthDiscretizer, GridDiscretizer
 from ..model import GridModel
+from ..model.grid_model import score_checked
 from ..grid.sharded import (
     DEFAULT_SHARD_ROWS,
     ShardCheckpointer,
@@ -53,7 +54,7 @@ from ..search.evolutionary.crossover import CrossoverOperator
 from ..search.evolutionary.selection import SelectionOperator
 from ..search.outcome import SearchOutcome
 from .params import CountingBackend, choose_projection_dimensionality
-from .results import CubeTable, DetectionResult, ScoredProjection, score_cells
+from .results import CubeTable, DetectionResult, ScoredProjection
 
 __all__ = ["SubspaceOutlierDetector"]
 
@@ -248,6 +249,7 @@ class SubspaceOutlierDetector:
         self.result_: DetectionResult | None = None
         self.discretizer_: GridDiscretizer | None = None
         self.model_: GridModel | None = None
+        self._table: CubeTable | None = None
 
     # ------------------------------------------------------------------
     def detect(
@@ -282,7 +284,7 @@ class SubspaceOutlierDetector:
         # so the caller can keep updating/merging/rebinning it after
         # this detect call; the model routes counter construction back
         # through the detector's degradation ladder.
-        model = GridModel.fit(
+        model = GridModel._fit_checked(
             array,
             feature_names=feature_names,
             discretizer=discretizer,
@@ -393,6 +395,7 @@ class SubspaceOutlierDetector:
         self.result_ = result
         self.discretizer_ = model.discretizer
         self.model_ = model
+        self._table = CubeTable.from_projections(result.projections)
         return result
 
     # ------------------------------------------------------------------
@@ -496,10 +499,8 @@ class SubspaceOutlierDetector:
         """
         if self.result_ is None or self.discretizer_ is None:
             raise NotFittedError("call detect() before score()")
-        array = check_matrix(data, "data")
-        cells = self.discretizer_.transform(array)
-        return score_cells(
-            cells.codes, CubeTable.from_projections(self.result_.projections)
+        return score_checked(
+            self.discretizer_, check_matrix(data, "data"), self._table
         )
 
     def predict(self, data) -> np.ndarray:

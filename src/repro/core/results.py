@@ -78,28 +78,49 @@ class CubeTable:
     Row ``i`` describes projection ``i``.  A cube with fewer than
     ``kmax`` fixed dimensions repeats its own last ``(dim, range)`` pair
     to fill its row (a repeated condition changes nothing under AND); a
-    k = 0 cube covers every row and is marked in ``free``.
+    k = 0 cube covers every row and is marked in ``free``.  The arrays
+    are made C-contiguous once, when the table is built, in the dtypes
+    the C library reads (:func:`repro.grid.backends.score_rows`).
 
     Attributes
     ----------
     dims, ranges:
-        ``(m, kmax)`` fixed dimensions and their 0-based grid ranges.
+        ``(m, kmax)`` int64 fixed dimensions and their 0-based grid
+        ranges.
     coefficients:
-        ``(m,)`` sparsity coefficients.
+        ``(m,)`` float64 sparsity coefficients.
     free:
         ``(m,)`` True for k = 0 cubes.
+    n_columns:
+        Columns a request needs: one past the largest fixed dimension.
     """
 
     dims: np.ndarray
     ranges: np.ndarray
     coefficients: np.ndarray
     free: np.ndarray
+    n_columns: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        arrays = {
+            "dims": np.ascontiguousarray(self.dims, dtype=np.int64),
+            "ranges": np.ascontiguousarray(self.ranges, dtype=np.int64),
+            "coefficients": np.ascontiguousarray(self.coefficients, dtype=np.float64),
+            "free": np.ascontiguousarray(self.free, dtype=bool),
+        }
+        for name, value in arrays.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_columns", int(self._top().max(initial=-1)) + 1)
+
+    def _top(self) -> np.ndarray:
+        """Each cube's largest fixed dimension, -1 for k = 0 cubes."""
+        return np.where(self.free, -1, self.dims.max(axis=1, initial=-1))
 
     @classmethod
     def from_projections(cls, projections: Sequence[ScoredProjection]) -> "CubeTable":
         """Tabulate *projections* (in order) for scoring."""
         kmax = max((p.dimensionality for p in projections), default=0)
-        dims = np.zeros((len(projections), kmax), dtype=np.intp)
+        dims = np.zeros((len(projections), kmax), dtype=np.int64)
         ranges = np.zeros((len(projections), kmax), dtype=np.int64)
         for i, projection in enumerate(projections):
             k = projection.dimensionality
@@ -115,17 +136,33 @@ class CubeTable:
             np.array([p.dimensionality == 0 for p in projections], dtype=bool),
         )
 
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse requests with fewer than :attr:`n_columns` columns.
+
+        The :class:`ValidationError` names the first cube, in table
+        order, that fixes a dimension the request lacks — the error
+        :meth:`~repro.core.subspace.Subspace.covers` raises.
+        """
+        if self.n_columns > n_columns:
+            top = self._top()
+            raise ValidationError(
+                f"subspace uses dimension {top[top >= n_columns][0]} but "
+                f"cells has only {n_columns} columns"
+            )
+
 
 def score_cells(codes, table: CubeTable) -> np.ndarray:
     """Deviation score per row of grid *codes* against a mined set.
 
     A row scores the most negative coefficient among the cubes of
     *table* (:meth:`CubeTable.from_projections`) that cover it, or NaN
-    when none does (the point looks normal).  More negative = more
-    abnormal, matching :meth:`DetectionResult.point_score`.  The one
-    scoring pass behind the detector and :class:`~repro.model.GridModel`
-    (loaded models included): every cube is tested against a block of
-    rows at once, so a request costs one array pass, not one
+    when none does (the point looks normal); on a tie the first such
+    cube in table order wins, so a ``-0.0``/``0.0`` tie keeps the sign
+    of the first.  More negative = more abnormal, matching
+    :meth:`DetectionResult.point_score`.  The numpy reference of
+    :func:`repro.grid.backends.score_rows`, which serves requests:
+    every cube is tested against a block of rows at once, so a request
+    costs one array pass, not one
     :meth:`~repro.core.subspace.Subspace.covers` call per cube.
     Malformed *codes* raise the :class:`ValidationError` ``covers``
     raises.
@@ -136,20 +173,20 @@ def score_cells(codes, table: CubeTable) -> np.ndarray:
         return scores
     if codes.ndim != 2:
         raise ValidationError(f"cells must be 2-dimensional, got ndim={codes.ndim}")
-    top = np.where(table.free, -1, table.dims.max(axis=1, initial=-1))
-    wide = np.flatnonzero(top >= codes.shape[1])
-    if wide.size:
-        raise ValidationError(
-            f"subspace uses dimension {top[wide[0]]} but cells has "
-            f"only {codes.shape[1]} columns"
-        )
+    table.check_columns(codes.shape[1])
     for start in range(0, len(codes), _SCORE_BLOCK_ROWS):
         block = codes[start:start + _SCORE_BLOCK_ROWS]
         covered = (block[:, table.dims] == table.ranges).all(axis=2)
         covered |= table.free
-        scores[start:start + len(block)] = np.fmin.reduce(
-            np.where(covered, table.coefficients, np.nan), axis=1
-        )
+        masked = np.where(covered, table.coefficients, np.nan)
+        best = np.fmin.reduce(masked, axis=1)
+        # The reduction may keep either zero of a -0.0/0.0 tie; the
+        # first covering zero wins.
+        tied = np.flatnonzero(best == 0.0)
+        if tied.size:
+            first = np.argmax(masked[tied] == 0.0, axis=1)
+            best[tied] = masked[tied, first]
+        scores[start:start + len(block)] = best
     return scores
 
 

@@ -22,12 +22,14 @@ CLI builds its ``--count-backend`` choices from it.  ``native`` and
 are deprecated aliases of ``serial`` and ``process``: they are accepted
 silently for one release and resolve to the placement they name.
 
-The grid build follows the same choice.  :func:`column_copies` (the
-column copies the cut fit sorts), :func:`range_codes` (values to range
-codes) and :func:`pack_codes` (codes to the packed mask stack) run in
-the C library while :func:`select_kernel` picks the native kernel, and
-on the numpy references otherwise; discretizers, counters and the
-shard writer call only these three.
+The grid build and request scoring follow the same choice.
+:func:`column_copies` (the column copies the cut fit sorts),
+:func:`range_codes` (values to range codes), :func:`pack_codes` (codes
+to the packed mask stack) and :func:`score_rows` (raw request rows to
+scores against a mined set, in one pass) run in the C library while
+:func:`select_kernel` picks the native kernel, and on the numpy
+references otherwise; discretizers, counters, the shard writer and both
+scorers call only these four.
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
@@ -40,7 +42,11 @@ byte-identical to :func:`~repro.grid.kernels.pack_codes_block` (ragged
 64-bit tails, ``MISSING_CELL``, φ = 2, no rows), codes byte-identical
 to :func:`~repro.grid.kernels.range_codes_block` (NaN, signed zeros,
 values equal to a cut, both sides of the comparison/binary-search
-cutover, C, Fortran and strided layouts) and exact column gathers.
+cutover, C, Fortran and strided layouts), exact column gathers and
+request scores equal to :func:`~repro.core.results.score_cells` on the
+reference codes (the same values and layouts plus zero rows, against
+mixed-k sets of 0, 1, 64 and 65 cubes with k = 0 and padded cubes,
+NaN and ±0.0 coefficients), signed zeros included.
 :func:`resolve_kernel` runs it once per process, on a kernel's first
 resolution.  A C kernel that is refused (no compiler, a failed build, a
 failed gate) is not a degradation: nothing the caller asked for was
@@ -56,6 +62,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .._validation import check_choice
+from ..core.results import CubeTable, score_cells
 from ..exceptions import ReproError, ValidationError
 from .cells import MISSING_CELL
 from .kernels import batch_counts, pack_codes_block, range_codes_block
@@ -64,6 +71,7 @@ from .native import (
     native_gather_columns,
     native_pack_codes,
     native_range_codes,
+    native_score_rows,
 )
 
 __all__ = [
@@ -75,6 +83,7 @@ __all__ = [
     "pack_codes",
     "range_codes",
     "resolve_kernel",
+    "score_rows",
     "select_kernel",
     "verify_kernel",
 ]
@@ -184,8 +193,56 @@ def _fixture_values() -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
+def _fixture_tables(codes: np.ndarray, phi: int) -> list[CubeTable]:
+    """Mined sets of m = 0, 1, 64 and 65 cubes over *codes*' columns.
+
+    The sets are prefixes of one 65-cube table.  Its cubes fix k = 1..4
+    dimensions (padded rows repeat their last pair) and take their
+    ranges from the codes of a row, so most cover something; a missing
+    code becomes a random range, one past the grid included.  Cubes 16,
+    32, 48 and 64 are k = 0 cubes, which cover every row, with
+    coefficients 0.0, NaN, -0.0 and 1.5; the rest draw from NaN, ±0.0
+    and values that tie, cube 0's being -0.0.  So rows score NaN (under
+    the one-cube set), -0.0 and 0.0, and the 65th cube crosses into a
+    second 64-bit word.
+    """
+    rng = np.random.default_rng(141421)
+    n, d = codes.shape
+    ks = rng.integers(1, min(4, d) + 1, size=65)
+    ks[16::16] = 0
+    coefficients = rng.choice([-1.0, -0.0, 0.0, np.nan, 1.5], size=65)
+    coefficients[0] = -0.0
+    coefficients[16::16] = [0.0, np.nan, -0.0, 1.5]
+    kmax = int(ks.max())
+    # The first k of a random order of the columns, sorted, padded.
+    order = np.argsort(rng.random((65, d)), axis=1)[:, :kmax]
+    fixed = np.sort(np.where(np.arange(kmax) < ks[:, None], order, d), axis=1)
+    pad = np.minimum(np.arange(kmax), np.maximum(ks - 1, 0)[:, None])
+    dims = np.take_along_axis(fixed, pad, axis=1)
+    dims[ks == 0] = 0
+    ranges = codes[rng.integers(n, size=(65, 1)), dims]
+    missing = ranges < 0
+    ranges[missing] = rng.integers(0, phi + 1, size=int(missing.sum()))
+    ranges = np.take_along_axis(ranges, pad, axis=1)
+    return [
+        CubeTable(dims[:m], ranges[:m], coefficients[:m], ks[:m] == 0)
+        for m in (0, 1, 64, 65)
+    ]
+
+
+def _same_scores(got: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal scores, NaN positions and the sign of every zero included."""
+    nan = np.isnan(expected)
+    return (
+        got.shape == expected.shape
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan], expected[~nan])
+        and np.array_equal(np.signbit(got[~nan]), np.signbit(expected[~nan]))
+    )
+
+
 def _verify_grid_build(name: str) -> None:
-    """Prove the C library's pack, codes and gather on the fixture."""
+    """Prove the C library's pack, codes, scoring and gather on the fixture."""
     for codes, phi in _fixture_codes():
         for block in (codes, np.asfortranarray(codes)):
             expected = pack_codes_block(block, phi)
@@ -213,6 +270,43 @@ def _verify_grid_build(name: str) -> None:
                 f"gathered columns of {values.shape} values diverge from "
                 "the reference; it cannot build grids"
             )
+    _verify_scoring(name)
+
+
+def _verify_scoring(name: str) -> None:
+    """Prove the C library's request scoring on the fixture.
+
+    The value pairs come in threes per φ (C-ordered, Fortran-ordered,
+    strided column slice); tables over the strided slice's three
+    columns fit all three.  The C-ordered request meets every table,
+    the other layouts and the zero-row request the largest.
+    """
+    pairs = _fixture_values()
+    for group in range(0, len(pairs), 3):
+        ordered, fortran, strided = pairs[group:group + 3]
+        tables = _fixture_tables(
+            range_codes_block(*strided), strided[1].shape[1] + 1
+        )
+        requests = [(*ordered, tables)] + [
+            (values, cuts, tables[-1:])
+            for values, cuts in (fortran, strided, (ordered[0][:0], ordered[1]))
+        ]
+        for values, cuts, chosen in requests:
+            codes = range_codes_block(values, cuts)
+            for table in chosen:
+                expected = score_cells(codes, table)
+                got = native_score_rows(
+                    values, cuts, table.dims, table.ranges, table.coefficients,
+                    table.free,
+                )
+                if not _same_scores(got, expected):
+                    raise BackendConformanceError(
+                        f"kernel {name!r} failed the differential self-check: "
+                        f"scores of {values.shape} values against "
+                        f"{len(table.coefficients)} cubes "
+                        f"(phi={cuts.shape[1] + 1}) diverge from the "
+                        "reference; it cannot score requests"
+                    )
 
 
 @functools.cache
@@ -266,16 +360,19 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
     """Prove *kernel* bit-identical to the reference on the fixture.
 
     When *name* is the native kernel's, the rest of the C library that
-    comes with it (pack, codes and gather) is proven too: byte-identical
-    packed masks to :func:`~repro.grid.kernels.pack_codes_block` (ragged
-    tails, missing codes, φ = 2, the empty block), byte-identical codes to
+    comes with it (pack, codes, gather and scoring) is proven too:
+    byte-identical packed masks to
+    :func:`~repro.grid.kernels.pack_codes_block` (ragged tails, missing
+    codes, φ = 2, the empty block), byte-identical codes to
     :func:`~repro.grid.kernels.range_codes_block` (NaN, signed zeros,
     values equal to a cut, both sides of the comparison/binary-search
-    cutover, C, Fortran and strided layouts) and exact column copies.
+    cutover, C, Fortran and strided layouts), exact column copies and
+    request scores equal to :func:`~repro.core.results.score_cells`
+    (:func:`_verify_scoring`).
 
     Raises :class:`BackendConformanceError` naming the first diverging
     batch.  This is the conformance gate: a kernel that cannot pass it
-    never serves counts, nor builds a grid.
+    never serves counts, nor builds a grid, nor scores a request.
     """
     for stack in _fixture_grids():
         n_dims, phi = stack.shape[0], stack.shape[1]
@@ -363,6 +460,32 @@ def range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     if select_kernel()[0] == _FAST_KERNEL:
         return native_range_codes(array, cuts)
     return range_codes_block(array, cuts)
+
+
+def score_rows(
+    array: np.ndarray,
+    cuts: np.ndarray,
+    dims: np.ndarray,
+    ranges: np.ndarray,
+    coefficients: np.ndarray,
+    free: np.ndarray,
+) -> np.ndarray:
+    """Deviation score per row of a float64 ``(n, d)`` request.
+
+    *cuts* is the sorted ``(d, φ−1)`` cut matrix; *dims*, *ranges*,
+    *coefficients* and *free* are a
+    :class:`~repro.core.results.CubeTable`'s arrays, whose column check
+    the caller has run.  Bit-identical on every tier, NaN positions and
+    signed zeros included: one pass in C, which codes and tests each
+    row without building a code block, when :func:`select_kernel`
+    picks the native kernel; else
+    ``score_cells(range_codes_block(array, cuts), table)``.
+    """
+    if select_kernel()[0] == _FAST_KERNEL:
+        return native_score_rows(array, cuts, dims, ranges, coefficients, free)
+    return score_cells(
+        range_codes_block(array, cuts), CubeTable(dims, ranges, coefficients, free)
+    )
 
 
 def column_copies(array: np.ndarray):

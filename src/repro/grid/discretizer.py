@@ -111,7 +111,11 @@ class StreamingReservoir:
         """
         if np.asarray(chunk).ndim == 2 and np.asarray(chunk).shape[0] == 0:
             return self
-        block = check_matrix(chunk, "chunk")
+        self._absorb(check_matrix(chunk, "chunk"))
+        return self
+
+    def _absorb(self, block: np.ndarray) -> None:
+        """:meth:`update` with a non-empty matrix ``check_matrix`` has passed."""
         if self._rows is None:
             self._rows = np.empty((0, block.shape[1]))
         elif block.shape[1] != self._rows.shape[1]:
@@ -134,7 +138,6 @@ class StreamingReservoir:
             for i in np.nonzero(slots < self.capacity)[0]:
                 self._rows[slots[i]] = tail[i]
         self.n_seen += m
-        return self
 
     def _reserve(self, n_rows: int) -> None:
         """Grow storage to hold at least *n_rows* (≤ capacity) rows."""
@@ -540,13 +543,30 @@ class GridDiscretizer(abc.ABC):
         """
         if self._boundaries is None:
             raise NotFittedError("discretizer must be fitted before transform")
-        array = check_matrix(data, "data")
+        return self._transform_checked(check_matrix(data, "data"))
+
+    def _request_cuts(self, array: np.ndarray) -> np.ndarray:
+        """The ``(d, φ−1)`` cut matrix that codes *array*, a matrix
+        ``check_matrix`` has passed; raises what :meth:`transform`
+        raises for it."""
+        if self._boundaries is None:
+            raise NotFittedError("discretizer must be fitted before transform")
         if array.shape[1] != len(self._boundaries):
             raise DiscretizationError(
                 f"data has {array.shape[1]} columns but discretizer was "
                 f"fitted on {len(self._boundaries)}"
             )
+        return self._cut_matrix
+
+    def _transform_checked(self, array: np.ndarray) -> CellAssignment:
+        """:meth:`transform` of a matrix ``check_matrix`` has passed."""
+        self._request_cuts(array)
         return self._assignment(array)
+
+    def _absorb_checked(self, array: np.ndarray) -> None:
+        """:meth:`partial_fit` of a matrix ``check_matrix`` has passed."""
+        self._require_sketch("partial_fit")._absorb(array)
+        self._sketch_stale = True
 
     def fit_transform(self, data, feature_names: Sequence[str] | None = None) -> CellAssignment:
         """Fit on *data* and return its codes.
@@ -554,7 +574,12 @@ class GridDiscretizer(abc.ABC):
         Bit-identical to ``fit(data).transform(data)`` but never calls
         :meth:`transform`: the input is validated once (regression-tested).
         """
-        array = check_matrix(data, "data")
+        return self._fit_transform_checked(check_matrix(data, "data"), feature_names)
+
+    def _fit_transform_checked(
+        self, array: np.ndarray, feature_names: Sequence[str] | None = None
+    ) -> CellAssignment:
+        """:meth:`fit_transform` of a matrix ``check_matrix`` has passed."""
         self._fit_cuts(array)
         self._install_names(array.shape[1], feature_names)
         self._seed_sketch(array)

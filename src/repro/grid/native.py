@@ -1,7 +1,8 @@
-"""The compiled C library: the grid build and the counting kernel.
+"""The compiled C library: the grid build, request scoring and the
+counting kernel.
 
-Two stages dominate a detect outside the search loop and one inside it,
-and each is a single pass at native speed here:
+Two stages dominate a detect outside the search loop, one inside it and
+one on a live model, and each is a single pass at native speed here:
 
 * **the grid build** — :func:`native_gather_columns` copies a group of
   columns of the row-major data into a reused buffer for the equi-depth
@@ -9,6 +10,10 @@ and each is a single pass at native speed here:
   code ``#{cuts < v}``, and :func:`native_pack_codes` turns an ``(n,
   d)`` code block into the packed ``(d, φ, W8)`` membership stack,
   reading each code once and setting one bit;
+* **request scoring** — :func:`native_score_rows` codes each row of a
+  request as :func:`native_range_codes` does and ANDs one bitset over
+  the mined cubes per (dimension, code), so a row's covering cubes come
+  out of d word-wide ANDs and no code block is built;
 * **the counting kernel** — the sparsity search ANDs k membership masks
   together and popcounts the result.  The numpy reference kernel
   (:func:`repro.grid.kernels.batch_counts`) pays several full passes
@@ -65,6 +70,7 @@ __all__ = [
     "native_gather_columns",
     "native_pack_codes",
     "native_range_codes",
+    "native_score_rows",
 ]
 
 #: Words per cache block: 512 uint64 = 4 KiB per mask row segment, so
@@ -97,37 +103,160 @@ void repro_gather_columns(const double *x, int64_t n, int64_t row_stride,
     }
 }
 
+/* Values per block of one row that code_block codes at once. */
+#define CODE_BLOCK 64
+
+/* Range codes of the values in columns lo..lo+w-1 (w <= CODE_BLOCK) of
+ * one row into code[0..w): code = #{cuts[j] < v}, which equals
+ * searchsorted(side="left") over the sorted row cuts[j] of the (d,
+ * n_cuts) cut matrix.  NaN maps to -1 (MISSING_CELL).  The values are
+ * loaded into a buffer through col_stride first.  Up to max_compare
+ * cuts the count is taken cut-outer, column-inner over cuts_t, the (n_cuts,
+ * d) transpose of the cut matrix, so the inner loop runs over contiguous
+ * memory and vectorises; above it by a lower-bound binary search over
+ * cuts.  Each branch reads only its own matrix; the other may be NULL.
+ */
+static void code_block(const double *row, int64_t col_stride, int64_t lo,
+                       int64_t w, int64_t d, const double *cuts,
+                       const double *cuts_t, int64_t n_cuts,
+                       int64_t max_compare, int64_t *code)
+{
+    double v[CODE_BLOCK];
+    for (int64_t j = 0; j < w; j++) {
+        v[j] = row[(lo + j) * col_stride];
+        code[j] = 0;
+    }
+    if (n_cuts <= max_compare) {
+        for (int64_t t = 0; t < n_cuts; t++) {
+            const double *c = cuts_t + t * d + lo;
+            for (int64_t j = 0; j < w; j++) code[j] += c[j] < v[j];
+        }
+    } else {
+        for (int64_t j = 0; j < w; j++) {
+            const double *c = cuts + (lo + j) * n_cuts;
+            int64_t low = 0, hi = n_cuts;
+            while (low < hi) {
+                int64_t mid = low + (hi - low) / 2;
+                if (c[mid] < v[j]) low = mid + 1; else hi = mid;
+            }
+            code[j] = low;
+        }
+    }
+    for (int64_t j = 0; j < w; j++) {
+        if (v[j] != v[j]) code[j] = -1;
+    }
+}
+
 /* Range codes of an (n, d) float64 matrix into the C-contiguous (n, d)
- * int16 out: code = #{cuts[j] < v}, which equals searchsorted(side=
- * "left") over the sorted row cuts[j] of the (d, n_cuts) cut matrix.
- * NaN maps to -1 (MISSING_CELL).  Up to max_compare cuts the count is
- * taken by comparison; above it by a lower-bound binary search.
+ * int16 out, CODE_BLOCK values of a row at a time through code_block.
  */
 void repro_codes(const double *x, int64_t n, int64_t d,
                  int64_t row_stride, int64_t col_stride,
-                 const double *cuts, int64_t n_cuts,
+                 const double *cuts, const double *cuts_t, int64_t n_cuts,
                  int64_t max_compare, int16_t *out)
 {
+    int64_t code[CODE_BLOCK];
     for (int64_t i = 0; i < n; i++) {
         const double *row = x + i * row_stride;
         int16_t *dst = out + i * d;
-        for (int64_t j = 0; j < d; j++) {
-            double v = row[j * col_stride];
-            const double *c = cuts + j * n_cuts;
-            int64_t code = 0;
-            if (v != v) {
-                code = -1;
-            } else if (n_cuts <= max_compare) {
-                for (int64_t t = 0; t < n_cuts; t++) code += c[t] < v;
-            } else {
-                int64_t hi = n_cuts;
-                while (code < hi) {
-                    int64_t mid = code + (hi - code) / 2;
-                    if (c[mid] < v) code = mid + 1; else hi = mid;
-                }
-            }
-            dst[j] = (int16_t)code;
+        for (int64_t lo = 0; lo < d; lo += CODE_BLOCK) {
+            int64_t w = d - lo < CODE_BLOCK ? d - lo : CODE_BLOCK;
+            code_block(row, col_stride, lo, w, d, cuts, cuts_t, n_cuts,
+                       max_compare, code);
+            for (int64_t j = 0; j < w; j++) dst[lo + j] = (int16_t)code[j];
         }
+    }
+}
+
+/* Score each row of an (n, d) float64 request against m mined cubes:
+ * scores[i] is the first non-NaN minimum coefficient, in table order,
+ * among the cubes that cover row i, and NaN when none does.
+ *
+ * dims, ranges: (m, kmax) int64 fixed dimensions and 0-based ranges of
+ *               each cube (a cube with fewer fixed dimensions repeats
+ *               its last pair);
+ * free:         (m,) nonzero for k = 0 cubes;
+ * coef:         (m,) sparsity coefficients;
+ * work:         scratch of (d * (n_cuts + 2) + 2) * words uint64, with
+ *               words = ceil(m / 64).
+ *
+ * work starts with one bitset over the cubes per (dimension, code),
+ * code -1 (missing) first: a cube's bit is set when that code satisfies
+ * the cube on that dimension, so always when the cube does not fix the
+ * dimension, and never for a missing code when it does.  A row is coded
+ * as repro_codes codes it and its covering set is the AND of its d
+ * bitsets.  A cube naming a dimension outside [0, d), a range outside
+ * [0, n_cuts] or one dimension with two ranges covers no row.
+ */
+void repro_score_rows(const double *x, int64_t n, int64_t d,
+                      int64_t row_stride, int64_t col_stride,
+                      const double *cuts, const double *cuts_t,
+                      int64_t n_cuts, int64_t max_compare,
+                      const int64_t *dims, const int64_t *ranges,
+                      const uint8_t *free, const double *coef, int64_t m,
+                      int64_t kmax, uint64_t *work, double *scores)
+{
+    int64_t words = (m + 63) / 64, slots = n_cuts + 2;
+    if (words == 0) {
+        for (int64_t i = 0; i < n; i++) scores[i] = __builtin_nan("");
+        return;
+    }
+    uint64_t *allow = work;
+    uint64_t *live = work + d * slots * words;
+    uint64_t *restrict acc = live + words;
+    for (int64_t t = 0; t < words; t++) {
+        int64_t rest = m - t * 64;
+        live[t] = rest >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << rest) - 1;
+    }
+    for (int64_t s = 0; s < d * slots; s++) {
+        memcpy(allow + s * words, live, (size_t)words * 8);
+    }
+    for (int64_t b = 0; b < m; b++) {
+        if (free[b]) continue;
+        uint64_t bit = (uint64_t)1 << (b & 63);
+        const int64_t *bd = dims + b * kmax, *br = ranges + b * kmax;
+        for (int64_t l = 0; l < kmax; l++) {
+            int64_t j = bd[l], r = br[l], clash = 0;
+            for (int64_t e = 0; e < l; e++) clash |= bd[e] == j && br[e] != r;
+            if (clash || j < 0 || j >= d || r < 0 || r > n_cuts) {
+                live[b >> 6] &= ~bit;
+                continue;
+            }
+            uint64_t *a = allow + j * slots * words + (b >> 6);
+            for (int64_t s = 0; s < slots; s++) a[s * words] &= ~bit;
+            a[(r + 1) * words] |= bit;
+        }
+    }
+    int64_t code[CODE_BLOCK];
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = x + i * row_stride;
+        /* With one word (m <= 64) the covering set stays in a register. */
+        uint64_t one = live[0];
+        if (words > 1) memcpy(acc, live, (size_t)words * 8);
+        for (int64_t lo = 0; lo < d; lo += CODE_BLOCK) {
+            int64_t w = d - lo < CODE_BLOCK ? d - lo : CODE_BLOCK;
+            code_block(row, col_stride, lo, w, d, cuts, cuts_t, n_cuts,
+                       max_compare, code);
+            /* The bitset of code 0 of column lo; missing is one slot down. */
+            const uint64_t *a = allow + (lo * slots + 1) * words;
+            if (words == 1) {
+                for (int64_t j = 0; j < w; j++, a += slots) one &= a[code[j]];
+                continue;
+            }
+            for (int64_t j = 0; j < w; j++, a += slots * words) {
+                const uint64_t *set = a + code[j] * words;
+                for (int64_t t = 0; t < words; t++) acc[t] &= set[t];
+            }
+        }
+        if (words == 1) acc[0] = one;
+        double best = __builtin_nan("");
+        for (int64_t t = 0; t < words; t++) {
+            for (uint64_t bits = acc[t]; bits; bits &= bits - 1) {
+                double c = coef[t * 64 + __builtin_ctzll(bits)];
+                if (c < best || (best != best && c == c)) best = c;
+            }
+        }
+        scores[i] = best;
     }
 }
 
@@ -237,8 +366,15 @@ _SIGNATURES: dict[str, list] = {
     "repro_count_batch": [_PTR, _INT, _PTR, _INT, _INT, _INT, _PTR],
     # x, n, row_stride, col_stride, first, g, out
     "repro_gather_columns": [_PTR, _INT, _INT, _INT, _INT, _INT, _PTR],
-    # x, n, d, row_stride, col_stride, cuts, n_cuts, max_compare, out
-    "repro_codes": [_PTR, _INT, _INT, _INT, _INT, _PTR, _INT, _INT, _PTR],
+    # x, n, d, row_stride, col_stride, cuts, cuts_t, n_cuts, max_compare,
+    # out
+    "repro_codes": [_PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _INT, _INT, _PTR],
+    # x, n, d, row_stride, col_stride, cuts, cuts_t, n_cuts, max_compare,
+    # dims, ranges, free, coef, m, kmax, work, scores
+    "repro_score_rows": [
+        _PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _INT, _INT,
+        _PTR, _PTR, _PTR, _PTR, _INT, _INT, _PTR, _PTR,
+    ],
     # codes, n, d, row_stride, col_stride, phi, row_bytes, out
     "repro_pack_codes": [_PTR, _INT, _INT, _INT, _INT, _INT, _INT, _PTR],
 }
@@ -463,6 +599,22 @@ def native_gather_columns(array: np.ndarray, first: int, out: np.ndarray) -> Non
     )
 
 
+def _cut_tables(
+    array: np.ndarray, cuts: np.ndarray, what: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``(d, φ−1)`` cut matrix C-contiguous, and the transpose the
+    comparison count reads (``None`` when codes come from binary search)."""
+    _check_matrix(cuts, np.float64, what)
+    if cuts.shape[0] != array.shape[1] or cuts.shape[1] >= _MAX_RANGES:
+        raise ValidationError(
+            f"native {what} of a {array.shape} matrix need a (d, phi - 1) "
+            f"cut matrix with phi <= {_MAX_RANGES}, got {cuts.shape}"
+        )
+    if cuts.shape[1] > _MAX_COMPARE_CUTS:
+        return np.ascontiguousarray(cuts), None
+    return cuts, np.ascontiguousarray(cuts.T)
+
+
 def native_range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Range codes ``#{cuts < v}`` of an ``(n, d)`` matrix via the C library.
 
@@ -473,21 +625,73 @@ def native_range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     a Fortran-ordered or sliced matrix is not copied.
     """
     row_stride, col_stride = _check_matrix(array, np.float64, "codes")
-    _check_matrix(cuts, np.float64, "codes")
+    cuts, cuts_t = _cut_tables(array, cuts, "codes")
     n, d = array.shape
-    if cuts.shape[0] != d or cuts.shape[1] >= _MAX_RANGES:
-        raise ValidationError(
-            f"native codes of a {array.shape} matrix need a (d, phi - 1) "
-            f"cut matrix with phi <= {_MAX_RANGES}, got {cuts.shape}"
-        )
-    cuts = np.ascontiguousarray(cuts)
     codes = np.empty((n, d), dtype=np.int16)
     lib = _load_kernel()
     lib.repro_codes(
-        array.ctypes.data, n, d, row_stride, col_stride, cuts.ctypes.data,
+        array.ctypes.data, n, d, row_stride, col_stride,
+        None if cuts_t is not None else cuts.ctypes.data,
+        None if cuts_t is None else cuts_t.ctypes.data,
         cuts.shape[1], _MAX_COMPARE_CUTS, codes.ctypes.data,
     )
     return codes
+
+
+def native_score_rows(
+    array: np.ndarray,
+    cuts: np.ndarray,
+    dims: np.ndarray,
+    ranges: np.ndarray,
+    coefficients: np.ndarray,
+    free: np.ndarray,
+) -> np.ndarray:
+    """Deviation score per row of an ``(n, d)`` request via the C library.
+
+    One pass codes each row under *cuts* exactly as
+    :func:`native_range_codes` does and tests it against the mined set
+    given as a :class:`~repro.core.results.CubeTable`'s arrays: *dims*
+    and *ranges* ``(m, kmax)`` int64, *coefficients* ``(m,)`` float64,
+    *free* ``(m,)`` bool, all C-contiguous.  A row scores the first
+    non-NaN minimum coefficient, in table order, among the cubes that
+    cover it, NaN when none does: bit-identical to
+    :func:`~repro.core.results.score_cells` on the codes, signed zeros
+    included.  No ``(n, d)`` code block is built.  The table's width
+    check is the caller's: here a cube that names a dimension past
+    ``d`` covers no row.
+    """
+    row_stride, col_stride = _check_matrix(array, np.float64, "scoring")
+    cuts, cuts_t = _cut_tables(array, cuts, "scoring")
+    m = coefficients.shape[0] if coefficients.ndim == 1 else -1
+    kmax = dims.shape[1] if dims.ndim == 2 else -1
+    if not (
+        dims.dtype == ranges.dtype == np.int64
+        and coefficients.dtype == np.float64
+        and free.dtype == np.bool_
+        and dims.shape == ranges.shape == (m, kmax)
+        and free.shape == (m,)
+        and all(a.flags.c_contiguous for a in (dims, ranges, coefficients, free))
+    ):
+        raise ValidationError(
+            "native scoring needs C-contiguous (m, kmax) int64 dims and "
+            "ranges, (m,) float64 coefficients and (m,) bool free flags, "
+            f"got {dims.dtype}{dims.shape}, {ranges.dtype}{ranges.shape}, "
+            f"{coefficients.dtype}{coefficients.shape}, {free.dtype}{free.shape}"
+        )
+    n, d = array.shape
+    words = -(-m // 64)
+    work = np.empty((d * (cuts.shape[1] + 2) + 2) * words, dtype=np.uint64)
+    scores = np.empty(n)
+    lib = _load_kernel()
+    lib.repro_score_rows(
+        array.ctypes.data, n, d, row_stride, col_stride,
+        None if cuts_t is not None else cuts.ctypes.data,
+        None if cuts_t is None else cuts_t.ctypes.data,
+        cuts.shape[1], _MAX_COMPARE_CUTS, dims.ctypes.data,
+        ranges.ctypes.data, free.ctypes.data, coefficients.ctypes.data, m,
+        kmax, work.ctypes.data, scores.ctypes.data,
+    )
+    return scores
 
 
 def native_pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:

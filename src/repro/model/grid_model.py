@@ -38,9 +38,10 @@ from typing import Any
 import numpy as np
 
 from .._validation import check_matrix
-from ..core.results import CubeTable, ScoredProjection, score_cells
+from ..core.results import CubeTable, ScoredProjection
 from ..engine.events import EventSink, emit_event
 from ..exceptions import NotFittedError, ValidationError
+from ..grid.backends import score_rows
 from ..grid.cells import CellAssignment
 from ..grid.counter import CubeCounter
 from ..grid.discretizer import EquiDepthDiscretizer, GridDiscretizer, StreamingReservoir
@@ -71,6 +72,25 @@ def _checked_projections(
                 f"projections must be ScoredProjection, got {type(p).__name__}"
             )
     return projections
+
+
+def score_checked(
+    discretizer: GridDiscretizer, array: np.ndarray, table: CubeTable
+) -> np.ndarray:
+    """Scores of a request ``check_matrix`` has passed, against *table*.
+
+    The one request path of :meth:`GridModel.score` and
+    :meth:`~repro.core.detector.SubspaceOutlierDetector.score`: the
+    request is checked against the grid (what ``transform`` raises) and
+    the table (what :func:`~repro.core.results.score_cells` raises),
+    then coded and scored in one :func:`~repro.grid.backends.score_rows`
+    call, without a cell assignment.
+    """
+    cuts = discretizer._request_cuts(array)
+    table.check_columns(array.shape[1])
+    return score_rows(
+        array, cuts, table.dims, table.ranges, table.coefficients, table.free
+    )
 
 
 class GridModel:
@@ -231,9 +251,35 @@ class GridModel:
         the counter always stores bit-packed masks.
         """
         del packed  # deprecated no-op: masks are always bit-packed
-        array = check_matrix(data, "data")
+        return cls._fit_checked(
+            check_matrix(data, "data"),
+            n_ranges=n_ranges,
+            feature_names=feature_names,
+            discretizer=discretizer,
+            counter_factory=counter_factory,
+            event_sink=event_sink,
+            drift_threshold=drift_threshold,
+            rebin_policy=rebin_policy,
+            sketch_size=sketch_size,
+        )
+
+    @classmethod
+    def _fit_checked(
+        cls,
+        array: np.ndarray,
+        *,
+        n_ranges: int = 10,
+        feature_names: Sequence[str] | None = None,
+        discretizer: GridDiscretizer | None = None,
+        counter_factory: CounterFactory | None = None,
+        event_sink: EventSink | None = None,
+        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
+        rebin_policy: str = "manual",
+        sketch_size: int | None = None,
+    ) -> "GridModel":
+        """:meth:`fit` of a matrix ``check_matrix`` has passed."""
         disc = discretizer or EquiDepthDiscretizer(n_ranges)
-        cells = disc.fit_transform(array, feature_names=feature_names)
+        cells = disc._fit_transform_checked(array, feature_names)
         factory = counter_factory or cls.default_counter_factory()
         counter = factory(cells)
         return cls(
@@ -371,9 +417,9 @@ class GridModel:
         threshold).
         """
         array = check_matrix(points, "points")
-        assignment = self.discretizer.transform(array)
+        assignment = self.discretizer._transform_checked(array)
         self._ensure_sketch()
-        self.discretizer.partial_fit(array)
+        self.discretizer._absorb_checked(array)
         if self.counter is not None:
             self.counter.append_rows(assignment)
         if self._data is not None:
@@ -498,8 +544,7 @@ class GridModel:
                 "rebin clears them)"
             )
         array = check_matrix(points, "points")
-        cells = self.discretizer.transform(array)
-        scores = score_cells(cells.codes, self._table)
+        scores = score_checked(self.discretizer, array, self._table)
         emit_event(
             self.event_sink,
             "score_request",

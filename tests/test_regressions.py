@@ -1458,3 +1458,42 @@ class TestMalformedGaResume:
         del state["stall"]
         with pytest.raises(ValidationError, match="'stall'"):
             self._resume(state)
+
+
+class TestApiDocsCountingExample:
+    """The "Building blocks" snippet of ``docs/api.md`` runs as written.
+
+    It built a φ = 5 grid and then counted ``"*3*9"`` and ranges 8 and
+    9, which lie outside that grid, so every count raised
+    ``ValidationError``."""
+
+    def test_building_blocks_counting_calls_run(self):
+        from repro import (
+            BruteForceSearch,
+            CubeCounter,
+            EquiDepthDiscretizer,
+            EvolutionarySearch,
+            Subspace,
+            sparsity_coefficient,
+        )
+        from repro.search.evolutionary import FitnessEvaluator, Solution
+
+        data = np.random.default_rng(0).normal(size=(300, 4))
+        cells = EquiDepthDiscretizer(n_ranges=10).fit_transform(data)
+        counter = CubeCounter(cells)
+        cube = Subspace.from_string("*3*9")
+        count = counter.count(cube)
+        s = sparsity_coefficient(count, counter.n_points, 10, cube.dimensionality)
+        assert math.isfinite(s)
+        batch = counter.count_batch([cube, cube.extended(0, 1)])
+        pairs = counter.count_cubes([[1, 3], [1, 3]], [[2, 8], [2, 9]])
+        genes = counter.count_genes([[-1, 2, -1, 4], [4, -1, -1, -1]])
+        assert batch[0] == pairs[0] == count
+        assert len(genes) == 2
+        counter.cache_stats()
+        BruteForceSearch(counter, dimensionality=2, n_projections=20).run()
+        EvolutionarySearch(counter, 2, 20, random_state=0).run()
+        evaluator = FitnessEvaluator(counter, dimensionality=2)
+        rows = np.array([Solution.from_string("*3*9").genes,
+                         Solution.from_string("*3**").genes])
+        assert evaluator.partial_fitness_batch(rows).shape == (2,)

@@ -71,8 +71,8 @@ def store(cells, tmp_path_factory):
 @pytest.fixture(scope="module")
 def cubes(cells):
     batch = all_cubes(cells.n_dims, cells.n_ranges, 3)
-    # Salt the batch with exact duplicates — folded through the memo on
-    # both sides, so they must not perturb the miss-set kernels.
+    # Salt the batch with exact duplicates — counted again on both
+    # sides, so they must not perturb the kernels.
     return batch + batch[:7]
 
 
@@ -305,9 +305,10 @@ class TestShardedDifferential:
 
     def test_evolutionary_search_parity(self, store, cells):
         # The GA counts its population and every optimized-crossover
-        # partial cube through the memoised batch path, which reaches
-        # the sharded counter's _count_group: mined projections, the
-        # evaluation count and the memo figures must match in-memory.
+        # stage through the batch path (one count_genes call each),
+        # which reaches the sharded counter's _count_group: mined
+        # projections, the evaluation count and the counting figures
+        # must match in-memory.
         config = EvolutionaryConfig(population_size=20, max_generations=8)
 
         def run(counter):
