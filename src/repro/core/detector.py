@@ -40,7 +40,7 @@ from ..resilience.ladder import ResilienceReport
 from ..grid.counter import CubeCounter
 from ..grid.discretizer import EquiDepthDiscretizer, GridDiscretizer
 from ..model import GridModel
-from ..model.grid_model import score_checked
+from ..model.grid_model import RequestScorer
 from ..grid.sharded import (
     DEFAULT_SHARD_ROWS,
     ShardCheckpointer,
@@ -54,7 +54,7 @@ from ..search.evolutionary.crossover import CrossoverOperator
 from ..search.evolutionary.selection import SelectionOperator
 from ..search.outcome import SearchOutcome
 from .params import CountingBackend, choose_projection_dimensionality
-from .results import CubeTable, DetectionResult, ScoredProjection
+from .results import DetectionResult, ScoredProjection
 
 __all__ = ["SubspaceOutlierDetector"]
 
@@ -249,7 +249,7 @@ class SubspaceOutlierDetector:
         self.result_: DetectionResult | None = None
         self.discretizer_: GridDiscretizer | None = None
         self.model_: GridModel | None = None
-        self._table: CubeTable | None = None
+        self._scorer: RequestScorer | None = None
 
     # ------------------------------------------------------------------
     def detect(
@@ -395,7 +395,9 @@ class SubspaceOutlierDetector:
         self.result_ = result
         self.discretizer_ = model.discretizer
         self.model_ = model
-        self._table = CubeTable.from_projections(result.projections)
+        # The model bound this result's scorer when it took the
+        # projections; requests to the detector share it.
+        self._scorer = model._scorer
         return result
 
     # ------------------------------------------------------------------
@@ -497,11 +499,9 @@ class SubspaceOutlierDetector:
         more abnormal, matching
         :meth:`~repro.core.results.DetectionResult.point_score`.
         """
-        if self.result_ is None or self.discretizer_ is None:
+        if self.result_ is None or self._scorer is None:
             raise NotFittedError("call detect() before score()")
-        return score_checked(
-            self.discretizer_, check_matrix(data, "data"), self._table
-        )
+        return self._scorer(check_matrix(data, "data"))
 
     def predict(self, data) -> np.ndarray:
         """Boolean outlier mask for *new* points (see :meth:`score`)."""

@@ -25,21 +25,26 @@ silently for one release and resolve to the placement they name.
 The grid build and request scoring follow the same choice.
 :func:`column_copies` (the column copies the cut fit sorts),
 :func:`range_codes` (values to range codes), :func:`pack_codes` (codes
-to the packed mask stack) and :func:`score_rows` (raw request rows to
-scores against a mined set, in one pass) run in the C library while
-:func:`select_kernel` picks the native kernel, and on the numpy
+to the packed mask stack), :func:`pack_codes_into` (appended codes into
+a counter's last row block) and :func:`bind_scorer` (raw request rows
+to scores against a mined set, in one pass, bound once per grid and
+mined set; :func:`score_rows` for one request) run in the C library
+while :func:`select_kernel` picks the native kernel, and on the numpy
 references otherwise; discretizers, counters, the shard writer and both
-scorers call only these four.
+scorers call only these.
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
 differential fixture (packed stacks with ragged tails, missing values,
 saturated masks, k = 1..5 so every branch of the C kernel is reached,
 and a mixed-k batch padded as the evolutionary search's gene matrices
-are) and raises :class:`BackendConformanceError` on any divergence.  For the
+are), on contiguous stacks and on the filled prefix of row blocks with
+spare capacity, and raises :class:`BackendConformanceError` on any
+divergence.  For the
 native kernel it also proves the C grid build: packed stacks
 byte-identical to :func:`~repro.grid.kernels.pack_codes_block` (ragged
-64-bit tails, ``MISSING_CELL``, φ = 2, no rows), codes byte-identical
+64-bit tails, ``MISSING_CELL``, φ = 2, no rows), whole or packed in
+appended runs, codes byte-identical
 to :func:`~repro.grid.kernels.range_codes_block` (NaN, signed zeros,
 values equal to a cut, both sides of the comparison/binary-search
 cutover, C, Fortran and strided layouts), exact column gathers and
@@ -65,11 +70,18 @@ from .._validation import check_choice
 from ..core.results import CubeTable, score_cells
 from ..exceptions import ReproError, ValidationError
 from .cells import MISSING_CELL
-from .kernels import batch_counts, pack_codes_block, range_codes_block
+from .kernels import (
+    batch_counts,
+    pack_codes_block,
+    pack_codes_block_into,
+    range_codes_block,
+)
 from .native import (
+    NativeScorer,
     native_batch_counts,
     native_gather_columns,
     native_pack_codes,
+    native_pack_codes_into,
     native_range_codes,
     native_score_rows,
 )
@@ -78,9 +90,11 @@ __all__ = [
     "BackendConformanceError",
     "KERNELS",
     "PLACEMENTS",
+    "bind_scorer",
     "canonical_backend",
     "column_copies",
     "pack_codes",
+    "pack_codes_into",
     "range_codes",
     "resolve_kernel",
     "score_rows",
@@ -163,6 +177,20 @@ def _fixture_grids() -> tuple[np.ndarray, ...]:
     for stack in stacks:
         stack.flags.writeable = False
     return stacks
+
+
+@functools.cache
+def _fixture_spare_grids() -> tuple[np.ndarray, ...]:
+    """:func:`_fixture_grids` as the filled prefix of row blocks with a
+    spare all-ones word per mask row: the layout of a counter's tail
+    block, which a kernel must count in place without reading past it."""
+    views = []
+    for stack in _fixture_grids():
+        wide = np.full(stack.shape[:2] + (stack.shape[2] + 1,), ~np.uint64(0))
+        wide[:, :, :-1] = stack
+        wide.flags.writeable = False
+        views.append(wide[:, :, :-1])
+    return tuple(views)
 
 
 def _fixture_values() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -253,6 +281,23 @@ def _verify_grid_build(name: str) -> None:
                     f"packed masks of {block.shape} codes (phi={phi}) "
                     "diverge from the reference; it cannot build grids"
                 )
+        # Appends: the rows in runs cut inside a byte and at a word
+        # boundary, into a stack with a spare word per row.
+        n = len(codes)
+        got = np.zeros((codes.shape[1], phi, expected.shape[2] + 8), np.uint8)
+        bounds = sorted({0, n // 3, min(n, 64), n})
+        for lo, hi in zip(bounds, bounds[1:]):
+            native_pack_codes_into(codes[lo:hi], got, lo)
+        if not (
+            np.array_equal(got[:, :, : expected.shape[2]], expected)
+            and not got[:, :, expected.shape[2]:].any()
+        ):
+            raise BackendConformanceError(
+                f"kernel {name!r} failed the differential self-check: "
+                f"masks of {codes.shape} codes (phi={phi}) packed in "
+                "appended runs diverge from the reference; it cannot "
+                "append rows"
+            )
     for values, cuts in _fixture_values():
         expected = range_codes_block(values, cuts)
         got = native_range_codes(values, cuts)
@@ -359,11 +404,15 @@ def _fixture_batches(
 def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
     """Prove *kernel* bit-identical to the reference on the fixture.
 
-    When *name* is the native kernel's, the rest of the C library that
-    comes with it (pack, codes, gather and scoring) is proven too:
-    byte-identical packed masks to
+    Every kernel counts each fixture stack twice: contiguous, and as
+    the filled prefix of a row block whose spare word per row is all
+    ones (a counter's last block), which it must read in place without
+    reading past.  When *name* is the native kernel's, the rest of the
+    C library that comes with it (pack, codes, gather and scoring) is
+    proven too: byte-identical packed masks to
     :func:`~repro.grid.kernels.pack_codes_block` (ragged tails, missing
-    codes, φ = 2, the empty block), byte-identical codes to
+    codes, φ = 2, the empty block; whole, and in appended runs cut
+    inside a byte and at a word), byte-identical codes to
     :func:`~repro.grid.kernels.range_codes_block` (NaN, signed zeros,
     values equal to a cut, both sides of the comparison/binary-search
     cutover, C, Fortran and strided layouts), exact column copies and
@@ -374,19 +423,22 @@ def verify_kernel(kernel: Kernel, name: str = "<candidate>") -> None:
     batch.  This is the conformance gate: a kernel that cannot pass it
     never serves counts, nor builds a grid, nor scores a request.
     """
-    for stack in _fixture_grids():
+    for stack, spare in zip(_fixture_grids(), _fixture_spare_grids()):
         n_dims, phi = stack.shape[0], stack.shape[1]
         for dims_arr, rng_arr in _fixture_batches(n_dims, phi):
-            got, stats = kernel(stack, dims_arr, rng_arr)
             expected, _ = batch_counts(stack, dims_arr, rng_arr)
-            got = np.asarray(got)
-            if got.shape != expected.shape or not np.array_equal(got, expected):
-                raise BackendConformanceError(
-                    f"kernel {name!r} failed the differential self-check: "
-                    f"counts diverge from the reference "
-                    f"(k={dims_arr.shape[1]}, {stack.shape[2]} words); "
-                    "it cannot serve counts"
-                )
+            for layout, where in ((stack, ""), (spare, ", spare capacity")):
+                got, stats = kernel(layout, dims_arr, rng_arr)
+                got = np.asarray(got)
+                if got.shape != expected.shape or not np.array_equal(
+                    got, expected
+                ):
+                    raise BackendConformanceError(
+                        f"kernel {name!r} failed the differential self-check: "
+                        f"counts diverge from the reference "
+                        f"(k={dims_arr.shape[1]}, {stack.shape[2]} words"
+                        f"{where}); it cannot serve counts"
+                    )
             if not isinstance(stats, dict) or not (
                 {"words_and", "prefix_reuse"} <= set(stats)
             ):
@@ -450,6 +502,21 @@ def pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
     return pack_codes_block(codes, n_ranges)
 
 
+def pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> None:
+    """Pack an ``(n, d)`` int16 code block into rows ``first..`` of *out*.
+
+    *out* is a C-contiguous ``(d, φ, bytes)`` uint8 stack with room for
+    the rows and no bit set from row *first* on; the rows below stay
+    as they are.  Byte-identical on every tier: in C when
+    :func:`select_kernel` picks the native kernel, else
+    :func:`~repro.grid.kernels.pack_codes_block_into`.
+    """
+    if select_kernel()[0] == _FAST_KERNEL:
+        native_pack_codes_into(codes, out, first)
+    else:
+        pack_codes_block_into(codes, out, first)
+
+
 def range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Range codes ``#{cuts < v}`` of a float64 ``(n, d)`` matrix.
 
@@ -462,6 +529,27 @@ def range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return range_codes_block(array, cuts)
 
 
+def bind_scorer(
+    cuts: np.ndarray, table: CubeTable
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The scorer of one grid and one mined set: request rows to scores.
+
+    *cuts* is the sorted ``(d, φ−1)`` cut matrix and *table* the mined
+    set, whose column check the caller runs.  The tier is chosen here,
+    once: a :class:`~repro.grid.native.NativeScorer`, which codes and
+    tests each row of a float64 ``(n, d)`` request in one C pass
+    without building a code block, when :func:`select_kernel` picks the
+    native kernel; else ``score_cells(range_codes_block(array, cuts),
+    table)``.  Bit-identical either way, NaN positions and signed zeros
+    included.
+    """
+    if select_kernel()[0] == _FAST_KERNEL:
+        return NativeScorer(
+            cuts, table.dims, table.ranges, table.coefficients, table.free
+        )
+    return lambda array: score_cells(range_codes_block(array, cuts), table)
+
+
 def score_rows(
     array: np.ndarray,
     cuts: np.ndarray,
@@ -472,20 +560,12 @@ def score_rows(
 ) -> np.ndarray:
     """Deviation score per row of a float64 ``(n, d)`` request.
 
-    *cuts* is the sorted ``(d, φ−1)`` cut matrix; *dims*, *ranges*,
+    :func:`bind_scorer` for one request: *dims*, *ranges*,
     *coefficients* and *free* are a
     :class:`~repro.core.results.CubeTable`'s arrays, whose column check
-    the caller has run.  Bit-identical on every tier, NaN positions and
-    signed zeros included: one pass in C, which codes and tests each
-    row without building a code block, when :func:`select_kernel`
-    picks the native kernel; else
-    ``score_cells(range_codes_block(array, cuts), table)``.
+    the caller has run.
     """
-    if select_kernel()[0] == _FAST_KERNEL:
-        return native_score_rows(array, cuts, dims, ranges, coefficients, free)
-    return score_cells(
-        range_codes_block(array, cuts), CubeTable(dims, ranges, coefficients, free)
-    )
+    return bind_scorer(cuts, CubeTable(dims, ranges, coefficients, free))(array)
 
 
 def column_copies(array: np.ndarray):

@@ -7,9 +7,15 @@ cheap:
 
 * one bit-packed *membership mask* per ``(dimension, range)`` pair is
   precomputed at construction (``d × φ`` rows of N bits, each padded to
-  whole uint64 words and stacked into a single ``(d, φ, W)`` array so
-  whole batches can be gathered with one fancy index — the layout of
+  whole uint64 words and stacked into ``(d, φ, W)`` arrays so whole
+  batches can be gathered with one fancy index — the layout of
   :mod:`repro.grid.kernels`, 8x smaller than one byte per point);
+* the stack is held as packed *row blocks* of :data:`_BLOCK_ROWS` rows
+  (the last one possibly shorter), which laid end to end are
+  byte-identical to the one stack of all N rows: counts are additive
+  across row blocks, so a count is the sum of the blocks' counts, and
+  :meth:`~CubeCounter.append_rows` packs only the new rows into the
+  last block (opening blocks as they fill), never copying a full one;
 * a cube count is the popcount of the AND of its masks;
 * every count runs through one private core that validates the whole
   call first and sends each group of ``(n, k)`` cube arrays,
@@ -43,6 +49,7 @@ import logging
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -51,7 +58,7 @@ from ..core.params import CountingBackend
 from ..core.subspace import Subspace
 from ..exceptions import SearchCancelled, ValidationError
 from ..resilience.ladder import DegradationLadder, ResilienceReport
-from .backends import pack_codes, resolve_kernel, select_kernel
+from .backends import pack_codes, pack_codes_into, resolve_kernel, select_kernel
 from .cells import CellAssignment, check_code_block
 from .kernels import (
     batch_counts,
@@ -68,6 +75,14 @@ logger = logging.getLogger(__name__)
 #: this many uint64 words — bounds peak memory without changing any
 #: count.
 _MAX_ACC_WORDS = 1 << 26
+
+#: Rows per packed row block of an in-memory counter's mask stack.  A
+#: multiple of 64, so every full block is whole uint64 words and the
+#: blocks laid end to end are the one stack of all rows.  Each block
+#: costs one kernel call per counted group: 2^20 rows keep every grid up
+#: to a million rows (the pipeline benchmark's largest is 500k) in one
+#: block, so blocking adds no call there.
+_BLOCK_ROWS = 1 << 20
 
 #: Upper edges (seconds) of the pool's per-chunk latency histogram
 #: buckets; latencies above the last edge land in the overflow bucket.
@@ -175,40 +190,93 @@ class CubeCounter:
     def _build_masks(self) -> None:
         """Precompute the packed per-(dimension, range) membership masks.
 
-        ``self._stack8`` is the ``(d, φ, W8)`` byte stack the
-        single-cube paths read (``unpackbits``); ``self._stack`` views
-        the same memory as uint64 words for the batch kernel.  Word
-        byte-order is irrelevant to AND and popcount, so the
-        reinterpret cast is safe.  The stack is packed in the verified
-        C library when it builds (:func:`~repro.grid.backends.pack_codes`).
+        The codes are packed into one ``(d, φ, W8)`` byte stack in the
+        verified C library when it builds
+        (:func:`~repro.grid.backends.pack_codes`), and held as views of
+        its consecutive :data:`_BLOCK_ROWS`-row blocks.  The kernels read
+        a block's bytes as uint64 words: byte order is irrelevant to AND
+        and popcount, so the reinterpret cast is safe.
         """
-        self._set_stack(pack_codes(self.cells.codes, self.cells.n_ranges))
+        self._block_rows = _BLOCK_ROWS
+        self._n_rows = self._cells.n_points
+        stack8 = pack_codes(self._cells.codes, self.n_ranges)
+        step = self._block_rows // 8
+        self._blocks = [
+            stack8[:, :, lo : lo + step]
+            for lo in range(0, max(stack8.shape[2], 1), step)
+        ]
+        # The last block's own buffer, with room to grow, once rows have
+        # been appended to it; None while it is a view of the build.
+        self._tail: np.ndarray | None = None
 
-    def _set_stack(self, stack8: np.ndarray) -> None:
-        self._stack8 = stack8
-        self._stack = stack8.view(np.uint64)
+    @property
+    def cells(self) -> CellAssignment:
+        """The grid assignment of every counted row.
+
+        Appended code blocks are kept as they came and joined onto the
+        assignment only here, on the first read after an append, so an
+        append costs its own rows.
+        """
+        if self._pending_codes:
+            self._cells = replace(
+                self._cells,
+                codes=np.concatenate([self._cells.codes, *self._pending_codes]),
+            )
+            self._pending_codes = []
+        return self._cells
+
+    @cells.setter
+    def cells(self, cells: CellAssignment | None) -> None:
+        self._cells = cells
+        self._pending_codes: list[np.ndarray] = []
+
+    @property
+    def _stack8(self) -> np.ndarray:
+        """The row blocks laid end to end: the C-contiguous ``(d, φ, W8)``
+        byte stack of all rows (a copy unless one block holds them all
+        in place)."""
+        blocks = self._blocks
+        if len(blocks) == 1:
+            return np.ascontiguousarray(blocks[0])
+        return np.concatenate(blocks, axis=2)
+
+    @property
+    def _stack(self) -> np.ndarray:
+        """:attr:`_stack8` as the ``(d, φ, W)`` uint64 words the kernels read."""
+        return self._stack8.view(np.uint64)
+
+    def _row_blocks(self):
+        """``(block, rows)`` for each packed row block, in row order."""
+        last = len(self._blocks) - 1
+        for index, block in enumerate(self._blocks):
+            yield block, (
+                self._n_rows - last * self._block_rows
+                if index == last else self._block_rows
+            )
 
     # ------------------------------------------------------------------
     @property
     def n_points(self) -> int:
         """Total number of data points N."""
-        return self.cells.n_points
+        return self._n_rows
 
     @property
     def n_dims(self) -> int:
         """Total data dimensionality d."""
-        return self.cells.n_dims
+        return self._cells.n_dims
 
     @property
     def n_ranges(self) -> int:
         """Grid resolution φ."""
-        return self.cells.n_ranges
+        return self._cells.n_ranges
 
     # ------------------------------------------------------------------
     def mask(self, subspace: Subspace) -> np.ndarray:
         """Boolean membership mask of the cube (freshly allocated)."""
         self._check_subspace(subspace)
-        packed = _packed_cube(self._stack8, subspace, self.n_points)
+        packed = np.concatenate([
+            _packed_cube(block, subspace, rows) for block, rows in self._row_blocks()
+        ])
         return np.unpackbits(packed, count=self.n_points).view(bool)
 
     def count(self, subspace: Subspace) -> int:
@@ -352,10 +420,13 @@ class CubeCounter:
 
         *codes* is an ``(m, d)`` integer code block (or a
         :class:`~repro.grid.cells.CellAssignment`) produced by the
-        **current** grid's ``transform``.  Only the new rows are packed
-        into mask columns, and no cube is counted.  The result is
+        **current** grid's ``transform``.  Only the new rows are packed,
+        into the last row block and the blocks they open, and no cube is
+        counted, so an append costs O(m) (plus, now and then, doubling
+        the last block's buffer, up to one block).  The result is
         bit-identical to building a fresh counter over the concatenated
-        codes (differential-tested): mask stacks match byte for byte.
+        codes (differential-tested): the blocks laid end to end match
+        its mask stack byte for byte.
 
         Any worker pool is released first (it holds the old masks in
         shared memory) and is rebuilt lazily on the next large batch.
@@ -367,18 +438,14 @@ class CubeCounter:
             return 0
         self.close()
         self._append_masks(block)
-        self.cells = CellAssignment(
-            codes=np.concatenate([self.cells.codes, block], axis=0),
-            n_ranges=self.cells.n_ranges,
-            feature_names=self.cells.feature_names,
-            boundaries=self.cells.boundaries,
-        )
+        self._pending_codes.append(block)
         self.n_appends += 1
         self.n_rows_appended += m
         return m
 
     def _validate_append_codes(self, codes) -> np.ndarray:
-        """Normalize appended codes to a contiguous in-range int16 block."""
+        """Normalize appended codes to a contiguous in-range int16 block
+        this counter owns."""
         if isinstance(codes, CellAssignment):
             if codes.n_ranges != self.n_ranges:
                 raise ValidationError(
@@ -386,36 +453,45 @@ class CubeCounter:
                     f"counter's grid has φ={self.n_ranges}"
                 )
             codes = codes.codes
-        return check_code_block(
+        block = check_code_block(
             codes, self.n_ranges, self.n_dims, what="appended codes"
         )
+        return block.copy() if np.may_share_memory(block, codes) else block
 
     def _append_masks(self, block: np.ndarray) -> None:
-        """Stitch *block*'s packed columns onto the existing stack.
+        """Pack *block*'s rows into the last row block, opening new ones.
 
-        The first ``N0 // 8`` bytes of every mask row are complete and
-        survive untouched; the boundary byte (when N0 is not a multiple
-        of 8) mixes old-tail and new rows, so the tail region is
-        re-packed from the concatenation of the old tail codes and the
-        new block.  The stitched stack is byte-identical to packing the
-        concatenated codes from scratch, because ``np.packbits`` packs
-        row ``i`` into bit ``i % 8`` of byte ``i // 8`` independent of
-        everything outside that byte (the C packer sets the same bit).
+        The last block's rows are packed into its own buffer, which
+        starts at the rows it holds and doubles as it fills, up to
+        :data:`_BLOCK_ROWS` rows; a full block is never touched again.
+        Packing row ``r`` sets one bit of byte ``r // 8`` and nothing
+        else, so the blocks stay byte-identical to packing all the codes
+        at once.
         """
-        n0 = self.n_points
-        n1 = n0 + block.shape[0]
-        keep_bytes = n0 // 8
-        tail_codes = np.concatenate(
-            [self.cells.codes[keep_bytes * 8 :], block], axis=0
-        )
-        tail8 = pack_codes(tail_codes, self.n_ranges)
-        stack8 = np.zeros(
-            (self.n_dims, self.n_ranges, packed_row_bytes(n1)), dtype=np.uint8
-        )
-        stack8[:, :, :keep_bytes] = self._stack8[:, :, :keep_bytes]
-        tail_bytes = (n1 + 7) // 8 - keep_bytes
-        stack8[:, :, keep_bytes : keep_bytes + tail_bytes] = tail8[:, :, :tail_bytes]
-        self._set_stack(stack8)
+        start = 0
+        while start < len(block):
+            filled = self._n_rows - (len(self._blocks) - 1) * self._block_rows
+            if filled == self._block_rows:
+                self._blocks.append(self._blocks[-1][:, :, :0])
+                self._tail, filled = None, 0
+            take = min(len(block) - start, self._block_rows - filled)
+            tail = self._reserve_tail(filled + take)
+            pack_codes_into(block[start : start + take], tail, filled)
+            self._blocks[-1] = tail[:, :, : packed_row_bytes(filled + take)]
+            self._n_rows += take
+            start += take
+
+    def _reserve_tail(self, n_rows: int) -> np.ndarray:
+        """The last block's buffer, grown (doubling) to hold *n_rows* rows."""
+        need = packed_row_bytes(n_rows)
+        tail, last = self._tail, self._blocks[-1]
+        if tail is None or tail.shape[2] < need:
+            held = last.shape[2] if tail is None else tail.shape[2]
+            size = min(self._block_rows // 8, max(need, 2 * held))
+            grown = np.zeros(last.shape[:2] + (size,), dtype=np.uint8)
+            grown[:, :, : last.shape[2]] = last
+            self._tail = tail = grown
+        return tail
 
     def set_cancel_token(self, token) -> None:
         """Thread a :class:`~repro.run.cancel.CancelToken` into counting.
@@ -520,7 +596,13 @@ class CubeCounter:
             pool = self._ensure_pool()
             if pool is not None:
                 return self._count_group_parallel(pool, dims_arr, rng_arr)
-        return self._serial_group_counts(self._stack, dims_arr, rng_arr)
+        first, *rest = self._blocks
+        counts = self._serial_group_counts(first.view(np.uint64), dims_arr, rng_arr)
+        for block in rest:
+            counts += self._serial_group_counts(
+                block.view(np.uint64), dims_arr, rng_arr
+            )
+        return counts
 
     def _serial_group_counts(
         self, stack: np.ndarray, dims_arr: np.ndarray, rng_arr: np.ndarray
@@ -529,8 +611,9 @@ class CubeCounter:
 
         Chunks so the (B, W) accumulator stays bounded; sorting first
         keeps sibling cubes together so prefix sharing survives the
-        chunking.  Taking the stack as a parameter lets the sharded
-        counter run the identical path over each mmapped shard stack.
+        chunking.  Taking the stack as a parameter lets the in-memory
+        counter run it over each row block and the sharded counter over
+        each mmapped shard stack.
         """
         n_cubes = len(dims_arr)
         words = stack.shape[2]
@@ -668,8 +751,10 @@ class CubeCounter:
 
     # ------------------------------------------------------------------
     def mask_memory_bytes(self) -> int:
-        """Total bytes held by the packed per-range membership masks."""
-        return self._stack8.nbytes
+        """Bytes of the packed per-range membership masks (the row
+        blocks' filled bytes; the last block's spare room is not
+        counted)."""
+        return sum(block.nbytes for block in self._blocks)
 
     def cache_stats(self) -> dict:
         """Counters useful for benchmarking and backend tuning.

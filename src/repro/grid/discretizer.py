@@ -135,8 +135,11 @@ class StreamingReservoir:
             # same slot, exactly as the scalar algorithm does.
             t = self.n_seen + fill + np.arange(tail.shape[0], dtype=np.int64)
             slots = (self._rng.random(tail.shape[0]) * (t + 1)).astype(np.int64)
-            for i in np.nonzero(slots < self.capacity)[0]:
-                self._rows[slots[i]] = tail[i]
+            survivors = np.flatnonzero(slots < self.capacity)
+            # The last survivor of each slot wins: unique over the
+            # reversed survivors finds it, then one write places them.
+            won, last = np.unique(slots[survivors[::-1]], return_index=True)
+            self._rows[won] = tail[survivors[::-1][last]]
         self.n_seen += m
 
     def _reserve(self, n_rows: int) -> None:

@@ -4,8 +4,9 @@ Every counter stores its membership masks in one layout: for each
 ``(dimension, range)`` pair, a row of bits — bit ``i`` set when point
 *i* falls in that range — packed with :func:`numpy.packbits` and
 zero-padded to a whole number of uint64 words (:func:`pack_codes_block`).
-The in-memory :class:`~repro.grid.counter.CubeCounter` holds the whole
-``(d, φ, W)`` stack; the out-of-core
+The in-memory :class:`~repro.grid.counter.CubeCounter` holds it as
+packed row blocks that, laid end to end, are the whole ``(d, φ, W)``
+stack; the out-of-core
 :class:`~repro.grid.sharded.ShardedMaskStore` holds one such stack per
 row shard.  Padding bits are zero, hence inert under AND and popcount.
 
@@ -23,7 +24,8 @@ cubes, and ``counts`` is the exact ``int64`` point count per cube.
 This module holds the numpy references: the counting kernel
 (:func:`batch_counts`, the prefix-sharing AND/popcount engine) and the
 two grid-build steps, :func:`range_codes_block` (values to range codes)
-and :func:`pack_codes_block` (codes to the packed stack).  The compiled
+and :func:`pack_codes_block` (codes to the packed stack; with
+:func:`pack_codes_block_into`, rows appended to a row block's stack).  The compiled
 C library in :mod:`repro.grid.native` does all three, and
 :func:`repro.grid.backends.verify_kernel` proves it against these
 references on a differential fixture before it may serve: counts equal
@@ -48,6 +50,7 @@ __all__ = [
     "check_cube_arrays",
     "empty_cube_row",
     "pack_codes_block",
+    "pack_codes_block_into",
     "packed_row_bytes",
     "range_codes_block",
 ]
@@ -112,22 +115,36 @@ def pack_codes_block(codes: np.ndarray, n_ranges: int) -> np.ndarray:
     a dataset with this function and summing per-shard popcounts is
     bit-identical to packing the whole dataset at once — counts are
     additive across row shards — which is what the out-of-core store
-    (:mod:`repro.grid.sharded`) and
-    :meth:`~repro.grid.counter.CubeCounter.append_rows` rely on.
+    (:mod:`repro.grid.sharded`) and the in-memory counter's row blocks
+    rely on.
     """
     n, n_dims = codes.shape
-    n_bytes = (n + 7) // 8
     maybe_inject("packed_alloc", kind="packed", n_points=n)
     stack8 = np.zeros((n_dims, n_ranges, packed_row_bytes(n)), dtype=np.uint8)
+    pack_codes_block_into(codes, stack8, 0)
+    return stack8
+
+
+def pack_codes_block_into(codes: np.ndarray, out: np.ndarray, first: int) -> None:
+    """Pack an ``(n, d)`` code block into rows ``first..`` of stack *out*.
+
+    *out* is a ``(d, φ, bytes)`` uint8 stack with room for ``first + n``
+    rows whose bits from row *first* on are zero.  Row *i* of the block
+    sets bit ``r % 8`` (big-endian, the numpy default) of byte
+    ``r // 8``, ``r = first + i``, and the bits are ORed in, so the rows
+    below *first* stay as they are, those sharing its byte included.
+    Packing a dataset block after block this way is byte-identical to
+    :func:`pack_codes_block` of the whole.
+    """
+    lead = first % 8
+    n, n_dims = codes.shape
+    lo, n_bytes = first // 8, (lead + n + 7) // 8
     for j in range(n_dims):
         col = codes[:, j]
-        dense = np.zeros((n_ranges, n), dtype=bool)
+        dense = np.zeros((out.shape[1], lead + n), dtype=bool)
         observed = col >= 0
-        dense[col[observed], np.nonzero(observed)[0]] = True
-        # packed[r] bit j of byte w marks point 8*w + j (big-endian
-        # bit order, the numpy default).
-        stack8[j, :, :n_bytes] = np.packbits(dense, axis=1)
-    return stack8
+        dense[col[observed], lead + np.nonzero(observed)[0]] = True
+        out[j, :, lo : lo + n_bytes] |= np.packbits(dense, axis=1)
 
 
 def range_codes_block(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:

@@ -9,11 +9,14 @@ one on a live model, and each is a single pass at native speed here:
   cut fit, :func:`native_range_codes` maps every value to its range
   code ``#{cuts < v}``, and :func:`native_pack_codes` turns an ``(n,
   d)`` code block into the packed ``(d, φ, W8)`` membership stack,
-  reading each code once and setting one bit;
+  reading each code once and setting one bit
+  (:func:`native_pack_codes_into` packs appended rows into a row
+  block's stack the same way);
 * **request scoring** — :func:`native_score_rows` codes each row of a
   request as :func:`native_range_codes` does and ANDs one bitset over
   the mined cubes per (dimension, code), so a row's covering cubes come
-  out of d word-wide ANDs and no code block is built;
+  out of d word-wide ANDs and no code block is built
+  (:class:`NativeScorer` binds the grid and mined set once);
 * **the counting kernel** — the sparsity search ANDs k membership masks
   together and popcounts the result.  The numpy reference kernel
   (:func:`repro.grid.kernels.batch_counts`) pays several full passes
@@ -69,8 +72,10 @@ __all__ = [
     "native_batch_counts",
     "native_gather_columns",
     "native_pack_codes",
+    "native_pack_codes_into",
     "native_range_codes",
     "native_score_rows",
+    "NativeScorer",
 ]
 
 #: Words per cache block: 512 uint64 = 4 KiB per mask row segment, so
@@ -260,19 +265,23 @@ void repro_score_rows(const double *x, int64_t n, int64_t d,
     }
 }
 
-/* Pack an (n, d) int16 code block into the zeroed (d, phi, row_bytes)
- * membership stack out: code c of row i in column j sets bit 7 - (i & 7)
- * of byte i >> 3 of mask row (j, c), np.packbits' big-endian order.
- * Negative codes (MISSING_CELL) set no bit.  Strides are in elements.
+/* Pack an (n, d) int16 code block into the (d, phi, row_bytes)
+ * membership stack out as its rows first..first+n-1: code c of row i in
+ * column j sets bit 7 - (r & 7) of byte r >> 3 of mask row (j, c), with
+ * r = first + i, np.packbits' big-endian order.  Bits are ORed in, so
+ * rows already packed below first stay and the bits of rows from first
+ * on must be zero.  Negative codes (MISSING_CELL) set no bit.  Strides
+ * are in elements.
  */
 void repro_pack_codes(const int16_t *codes, int64_t n, int64_t d,
                       int64_t row_stride, int64_t col_stride, int64_t phi,
-                      int64_t row_bytes, uint8_t *out)
+                      int64_t first, int64_t row_bytes, uint8_t *out)
 {
     for (int64_t i = 0; i < n; i++) {
         const int16_t *row = codes + i * row_stride;
-        uint8_t *byte = out + (i >> 3);
-        uint8_t bit = (uint8_t)(0x80u >> (i & 7));
+        int64_t r = first + i;
+        uint8_t *byte = out + (r >> 3);
+        uint8_t bit = (uint8_t)(0x80u >> (r & 7));
         for (int64_t j = 0; j < d; j++) {
             int16_t c = row[j * col_stride];
             if (c >= 0) byte[(j * phi + c) * row_bytes] |= bit;
@@ -282,19 +291,20 @@ void repro_pack_codes(const int16_t *codes, int64_t n, int64_t d,
 
 /* AND k mask rows, popcount the result: counts[b] = |AND_l rows[b][l]|.
  *
- * stack:     n_masks rows of row_bytes bytes each (C-contiguous,
- *            row_bytes a multiple of 8: uint64-padded packed rows)
- * rows:      n_cubes * k flat row indices
- * block:     words per cache block (<=0 means unblocked)
+ * stack:      n_masks rows of n_words uint64-padded packed words each,
+ *             row r starting row_bytes * r bytes in (row_bytes >=
+ *             8 * n_words: a row block with spare capacity is read in
+ *             place, and nothing past its n_words words is read)
+ * rows:       n_cubes * k flat row indices
+ * block:      words per cache block (<=0 means unblocked)
  *
  * Words go through __builtin_popcountll via memcpy loads (safe for any
  * alignment).
  */
 void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
-                       const int64_t *rows, int64_t n_cubes, int64_t k,
-                       int64_t block, int64_t *counts)
+                       int64_t n_words, const int64_t *rows, int64_t n_cubes,
+                       int64_t k, int64_t block, int64_t *counts)
 {
-    int64_t n_words = row_bytes / 8;
     if (block <= 0 || block > n_words) block = n_words;
     for (int64_t b = 0; b < n_cubes; b++) counts[b] = 0;
     for (int64_t lo = 0; lo < n_words; lo += block) {
@@ -362,8 +372,8 @@ _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
 #: Argument types of each exported C routine, in the C parameter order
 #: (arrays are passed as addresses); every routine returns void.
 _SIGNATURES: dict[str, list] = {
-    # stack, row_bytes, rows, n_cubes, k, block, counts
-    "repro_count_batch": [_PTR, _INT, _PTR, _INT, _INT, _INT, _PTR],
+    # stack, row_bytes, n_words, rows, n_cubes, k, block, counts
+    "repro_count_batch": [_PTR, _INT, _INT, _PTR, _INT, _INT, _INT, _PTR],
     # x, n, row_stride, col_stride, first, g, out
     "repro_gather_columns": [_PTR, _INT, _INT, _INT, _INT, _INT, _PTR],
     # x, n, d, row_stride, col_stride, cuts, cuts_t, n_cuts, max_compare,
@@ -375,8 +385,8 @@ _SIGNATURES: dict[str, list] = {
         _PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _INT, _INT,
         _PTR, _PTR, _PTR, _PTR, _INT, _INT, _PTR, _PTR,
     ],
-    # codes, n, d, row_stride, col_stride, phi, row_bytes, out
-    "repro_pack_codes": [_PTR, _INT, _INT, _INT, _INT, _INT, _INT, _PTR],
+    # codes, n, d, row_stride, col_stride, phi, first, row_bytes, out
+    "repro_pack_codes": [_PTR, _INT, _INT, _INT, _INT, _INT, _INT, _INT, _PTR],
 }
 
 #: The process-wide build outcome: ``None`` until first use, then the
@@ -454,7 +464,7 @@ def _build_kernel() -> ctypes.CDLL:
     rows = np.array([0, 1], dtype=np.int64)
     counts = np.zeros(1, dtype=np.int64)
     lib.repro_count_batch(
-        probe.ctypes.data, 8, rows.ctypes.data, 1, 2, _BLOCK_WORDS,
+        probe.ctypes.data, 8, 1, rows.ctypes.data, 1, 2, _BLOCK_WORDS,
         counts.ctypes.data,
     )
     if int(counts[0]) != 64:  # pragma: no cover - broken toolchain
@@ -518,6 +528,23 @@ def _check_indices(
     return dims_arr, rng_arr
 
 
+def _flat_rows(stack: np.ndarray) -> tuple[np.ndarray, int]:
+    """*stack*'s ``(d·φ, W)`` mask rows as one 2-D view, and its row stride.
+
+    The rows are read in place when each is whole contiguous words at a
+    fixed stride at least a row long — a C-contiguous stack, or a row
+    block's filled prefix inside its spare capacity; any other layout
+    is copied first.
+    """
+    n_dims, n_ranges, n_words = stack.shape
+    flat = stack.reshape(n_dims * n_ranges, n_words)
+    if n_words and (
+        flat.strides[1] != 8 or flat.strides[0] < 8 * n_words
+    ):
+        flat = np.ascontiguousarray(flat)
+    return flat, flat.strides[0] if n_words else 0
+
+
 def native_batch_counts(
     stack: np.ndarray,
     dims_arr: np.ndarray,
@@ -527,25 +554,25 @@ def native_batch_counts(
 
     Drop-in for :func:`repro.grid.kernels.batch_counts`: same inputs,
     bit-identical ``counts`` (exact integer popcounts), same ``stats``
-    keys.  The uint64 mask stack is consumed through its uint8 byte
-    view.  Raises :class:`~repro.exceptions.ValidationError` for an
-    index outside the stack and
-    :class:`~repro.exceptions.ResourceError` when the kernel could not
-    be built.
+    keys.  The uint64 mask stack is read through its row stride, so the
+    filled prefix of a row block with spare capacity is counted in
+    place (:func:`_flat_rows`).  Raises
+    :class:`~repro.exceptions.ValidationError` for an index outside the
+    stack and :class:`~repro.exceptions.ResourceError` when the kernel
+    could not be built.
     """
     dims_arr, rng_arr = _check_indices(stack, dims_arr, rng_arr)
     lib = _load_kernel()
-    n_masks = stack.shape[0] * stack.shape[1]
-    flat = np.ascontiguousarray(stack).view(np.uint8).reshape(n_masks, -1)
+    flat, row_bytes = _flat_rows(stack)
+    n_words = stack.shape[2]
     rows = dims_arr * stack.shape[1] + rng_arr
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     counts = np.empty(rows.shape[0], dtype=np.int64)
     n_cubes, k = rows.shape
     lib.repro_count_batch(
-        flat.ctypes.data, flat.shape[1], rows.ctypes.data, n_cubes, k,
+        flat.ctypes.data, row_bytes, n_words, rows.ctypes.data, n_cubes, k,
         _BLOCK_WORDS, counts.ctypes.data,
     )
-    n_words = -(-flat.shape[1] // 8)
     stats = {
         "words_and": (k - 1) * n_cubes * n_words,
         "prefix_reuse": 0,
@@ -600,14 +627,14 @@ def native_gather_columns(array: np.ndarray, first: int, out: np.ndarray) -> Non
 
 
 def _cut_tables(
-    array: np.ndarray, cuts: np.ndarray, what: str
+    cuts: np.ndarray, n_dims: int, what: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The ``(d, φ−1)`` cut matrix C-contiguous, and the transpose the
     comparison count reads (``None`` when codes come from binary search)."""
     _check_matrix(cuts, np.float64, what)
-    if cuts.shape[0] != array.shape[1] or cuts.shape[1] >= _MAX_RANGES:
+    if cuts.shape[0] != n_dims or cuts.shape[1] >= _MAX_RANGES:
         raise ValidationError(
-            f"native {what} of a {array.shape} matrix need a (d, phi - 1) "
+            f"native {what} of {n_dims}-column matrices need a (d, phi - 1) "
             f"cut matrix with phi <= {_MAX_RANGES}, got {cuts.shape}"
         )
     if cuts.shape[1] > _MAX_COMPARE_CUTS:
@@ -625,7 +652,7 @@ def native_range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     a Fortran-ordered or sliced matrix is not copied.
     """
     row_stride, col_stride = _check_matrix(array, np.float64, "codes")
-    cuts, cuts_t = _cut_tables(array, cuts, "codes")
+    cuts, cuts_t = _cut_tables(cuts, array.shape[1], "codes")
     n, d = array.shape
     codes = np.empty((n, d), dtype=np.int16)
     lib = _load_kernel()
@@ -636,6 +663,79 @@ def native_range_codes(array: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         cuts.shape[1], _MAX_COMPARE_CUTS, codes.ctypes.data,
     )
     return codes
+
+
+class NativeScorer:
+    """:func:`native_score_rows` with its grid and mined set bound once.
+
+    Built from a ``(d, φ−1)`` cut matrix and a
+    :class:`~repro.core.results.CubeTable`'s arrays: *dims* and
+    *ranges* ``(m, kmax)`` int64, *coefficients* ``(m,)`` float64,
+    *free* ``(m,)`` bool, all C-contiguous.  The arrays are checked,
+    the cut transpose is made and every address the C routine reads
+    besides the request's is taken here, once, so a call checks the
+    request's dtype, width and strides and enters C.  Each call
+    allocates its own buffer for the scores and the routine's scratch.
+    """
+
+    def __init__(
+        self,
+        cuts: np.ndarray,
+        dims: np.ndarray,
+        ranges: np.ndarray,
+        coefficients: np.ndarray,
+        free: np.ndarray,
+    ) -> None:
+        _check_matrix(cuts, np.float64, "scoring")
+        n_dims = cuts.shape[0]
+        cuts, cuts_t = _cut_tables(cuts, n_dims, "scoring")
+        m = coefficients.shape[0] if coefficients.ndim == 1 else -1
+        kmax = dims.shape[1] if dims.ndim == 2 else -1
+        if not (
+            dims.dtype == ranges.dtype == np.int64
+            and coefficients.dtype == np.float64
+            and free.dtype == np.bool_
+            and dims.shape == ranges.shape == (m, kmax)
+            and free.shape == (m,)
+            and all(a.flags.c_contiguous for a in (dims, ranges, coefficients, free))
+        ):
+            raise ValidationError(
+                "native scoring needs C-contiguous (m, kmax) int64 dims and "
+                "ranges, (m,) float64 coefficients and (m,) bool free flags, "
+                f"got {dims.dtype}{dims.shape}, {ranges.dtype}{ranges.shape}, "
+                f"{coefficients.dtype}{coefficients.shape}, {free.dtype}{free.shape}"
+            )
+        self._routine = _load_kernel().repro_score_rows
+        # The bound arrays, kept alive for the addresses taken below.
+        self._arrays = (cuts, cuts_t, dims, ranges, free, coefficients)
+        self._n_dims = n_dims
+        self._cuts_shape = cuts.shape
+        self._work_words = (n_dims * (cuts.shape[1] + 2) + 2) * -(-m // 64)
+        self._table_args = (
+            None if cuts_t is not None else cuts.ctypes.data,
+            None if cuts_t is None else cuts_t.ctypes.data,
+            cuts.shape[1], _MAX_COMPARE_CUTS, dims.ctypes.data,
+            ranges.ctypes.data, free.ctypes.data, coefficients.ctypes.data, m,
+            kmax,
+        )
+
+    def __call__(self, array: np.ndarray) -> np.ndarray:
+        """Deviation score per row of an ``(n, d)`` float64 request."""
+        row_stride, col_stride = _check_matrix(array, np.float64, "scoring")
+        n, d = array.shape
+        if d != self._n_dims:
+            raise ValidationError(
+                f"native scoring of a {array.shape} matrix needs a (d, "
+                f"phi - 1) cut matrix, bound to {self._cuts_shape}"
+            )
+        # The scores, then the routine's scratch words, in one buffer.
+        buffer = np.empty(n + self._work_words)
+        scores = buffer.ctypes.data
+        self._routine(
+            array.ctypes.data, n, d, row_stride, col_stride, *self._table_args,
+            scores + 8 * n, scores,
+        )
+        return buffer[:n]
 
 
 def native_score_rows(
@@ -650,48 +750,16 @@ def native_score_rows(
 
     One pass codes each row under *cuts* exactly as
     :func:`native_range_codes` does and tests it against the mined set
-    given as a :class:`~repro.core.results.CubeTable`'s arrays: *dims*
-    and *ranges* ``(m, kmax)`` int64, *coefficients* ``(m,)`` float64,
-    *free* ``(m,)`` bool, all C-contiguous.  A row scores the first
-    non-NaN minimum coefficient, in table order, among the cubes that
-    cover it, NaN when none does: bit-identical to
+    given as a :class:`~repro.core.results.CubeTable`'s arrays (see
+    :class:`NativeScorer`, which this binds for one call).  A row scores
+    the first non-NaN minimum coefficient, in table order, among the
+    cubes that cover it, NaN when none does: bit-identical to
     :func:`~repro.core.results.score_cells` on the codes, signed zeros
     included.  No ``(n, d)`` code block is built.  The table's width
     check is the caller's: here a cube that names a dimension past
     ``d`` covers no row.
     """
-    row_stride, col_stride = _check_matrix(array, np.float64, "scoring")
-    cuts, cuts_t = _cut_tables(array, cuts, "scoring")
-    m = coefficients.shape[0] if coefficients.ndim == 1 else -1
-    kmax = dims.shape[1] if dims.ndim == 2 else -1
-    if not (
-        dims.dtype == ranges.dtype == np.int64
-        and coefficients.dtype == np.float64
-        and free.dtype == np.bool_
-        and dims.shape == ranges.shape == (m, kmax)
-        and free.shape == (m,)
-        and all(a.flags.c_contiguous for a in (dims, ranges, coefficients, free))
-    ):
-        raise ValidationError(
-            "native scoring needs C-contiguous (m, kmax) int64 dims and "
-            "ranges, (m,) float64 coefficients and (m,) bool free flags, "
-            f"got {dims.dtype}{dims.shape}, {ranges.dtype}{ranges.shape}, "
-            f"{coefficients.dtype}{coefficients.shape}, {free.dtype}{free.shape}"
-        )
-    n, d = array.shape
-    words = -(-m // 64)
-    work = np.empty((d * (cuts.shape[1] + 2) + 2) * words, dtype=np.uint64)
-    scores = np.empty(n)
-    lib = _load_kernel()
-    lib.repro_score_rows(
-        array.ctypes.data, n, d, row_stride, col_stride,
-        None if cuts_t is not None else cuts.ctypes.data,
-        None if cuts_t is None else cuts_t.ctypes.data,
-        cuts.shape[1], _MAX_COMPARE_CUTS, dims.ctypes.data,
-        ranges.ctypes.data, free.ctypes.data, coefficients.ctypes.data, m,
-        kmax, work.ctypes.data, scores.ctypes.data,
-    )
-    return scores
+    return NativeScorer(cuts, dims, ranges, coefficients, free)(array)
 
 
 def native_pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
@@ -702,9 +770,42 @@ def native_pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
     and a byte-identical stack.  Codes outside ``[MISSING_CELL, φ)``
     are refused before any bit is set.
     """
-    row_stride, col_stride = _check_matrix(codes, np.int16, "pack")
+    _check_matrix(codes, np.int16, "pack")
     n, n_dims = codes.shape
     maybe_inject("packed_alloc", kind="packed", n_points=n)
+    stack8 = np.zeros((n_dims, n_ranges, packed_row_bytes(n)), dtype=np.uint8)
+    native_pack_codes_into(codes, stack8, 0)
+    return stack8
+
+
+def native_pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> None:
+    """Pack an ``(n, d)`` int16 code block into rows ``first..`` of *out*.
+
+    *out* is a writeable C-contiguous ``(d, φ, bytes)`` uint8 stack with
+    room for ``first + n`` rows whose bits from row *first* on are zero;
+    the new rows' bits are ORed in, so the rows below *first* stay as
+    they are.  The reference is
+    :func:`repro.grid.kernels.pack_codes_block_into`.  Codes outside
+    ``[MISSING_CELL, φ)`` are refused before any bit is set.
+    """
+    row_stride, col_stride = _check_matrix(codes, np.int16, "pack")
+    n, n_dims = codes.shape
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.uint8
+        and out.ndim == 3
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and out.shape[0] == n_dims
+        and 0 <= first <= first + n <= 8 * out.shape[2]
+    ):
+        raise ValidationError(
+            f"native pack of {codes.shape} codes at row {first} needs a "
+            "writeable C-contiguous (d, phi, bytes) uint8 stack with room "
+            f"for them, got {getattr(out, 'dtype', type(out).__name__)} "
+            f"with shape {np.shape(out)}"
+        )
+    n_ranges = out.shape[1]
     if codes.size:
         lo, hi = int(codes.min()), int(codes.max())
         if lo < MISSING_CELL or hi >= n_ranges:
@@ -712,11 +813,8 @@ def native_pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
                 f"native pack needs codes in [{MISSING_CELL}, {n_ranges}), "
                 f"found range [{lo}, {hi}]"
             )
-    row_bytes = packed_row_bytes(n)
-    stack8 = np.zeros((n_dims, n_ranges, row_bytes), dtype=np.uint8)
     lib = _load_kernel()
     lib.repro_pack_codes(
-        codes.ctypes.data, n, n_dims, row_stride, col_stride, n_ranges,
-        row_bytes, stack8.ctypes.data,
+        codes.ctypes.data, n, n_dims, row_stride, col_stride, n_ranges, first,
+        out.shape[2], out.ctypes.data,
     )
-    return stack8

@@ -41,13 +41,13 @@ from .._validation import check_matrix
 from ..core.results import CubeTable, ScoredProjection
 from ..engine.events import EventSink, emit_event
 from ..exceptions import NotFittedError, ValidationError
-from ..grid.backends import score_rows
+from ..grid.backends import bind_scorer
 from ..grid.cells import CellAssignment
 from ..grid.counter import CubeCounter
 from ..grid.discretizer import EquiDepthDiscretizer, GridDiscretizer, StreamingReservoir
 from ..grid.health import DEFAULT_DRIFT_THRESHOLD, GridDriftReport, check_grid_drift
 
-__all__ = ["GridModel", "CounterFactory", "REBIN_POLICIES"]
+__all__ = ["GridModel", "CounterFactory", "REBIN_POLICIES", "RequestScorer"]
 
 #: Builds the cube counter for a cell assignment — the seam the
 #: detector uses to route its in-memory/sharded/spill counter ladder
@@ -74,23 +74,36 @@ def _checked_projections(
     return projections
 
 
-def score_checked(
-    discretizer: GridDiscretizer, array: np.ndarray, table: CubeTable
-) -> np.ndarray:
-    """Scores of a request ``check_matrix`` has passed, against *table*.
+class RequestScorer:
+    """The request path of both scorers, bound to one grid and mined set.
 
-    The one request path of :meth:`GridModel.score` and
-    :meth:`~repro.core.detector.SubspaceOutlierDetector.score`: the
-    request is checked against the grid (what ``transform`` raises) and
-    the table (what :func:`~repro.core.results.score_cells` raises),
-    then coded and scored in one :func:`~repro.grid.backends.score_rows`
-    call, without a cell assignment.
+    :meth:`GridModel.score` and
+    :meth:`~repro.core.detector.SubspaceOutlierDetector.score` call it
+    with a matrix ``check_matrix`` has passed.  The request is checked
+    against the grid (what ``transform`` raises) and the table (what
+    :func:`~repro.core.results.score_cells` raises), then scored by the
+    scorer :func:`~repro.grid.backends.bind_scorer` bound to the grid's
+    cut matrix and *table* — in one C call on the native tier, without
+    a cell assignment.  The binding is made when the scorer is built
+    and again only if the discretizer has since installed another cut
+    matrix (a refit under a live detector).
     """
-    cuts = discretizer._request_cuts(array)
-    table.check_columns(array.shape[1])
-    return score_rows(
-        array, cuts, table.dims, table.ranges, table.coefficients, table.free
-    )
+
+    def __init__(self, discretizer: GridDiscretizer, table: CubeTable) -> None:
+        cuts = discretizer._cut_matrix
+        if cuts is None:
+            raise NotFittedError("discretizer must be fitted before transform")
+        self._discretizer = discretizer
+        self.table = table
+        self._cuts = cuts
+        self._score = bind_scorer(cuts, table)
+
+    def __call__(self, array: np.ndarray) -> np.ndarray:
+        cuts = self._discretizer._request_cuts(array)
+        self.table.check_columns(array.shape[1])
+        if cuts is not self._cuts:
+            self._cuts, self._score = cuts, bind_scorer(cuts, self.table)
+        return self._score(array)
 
 
 class GridModel:
@@ -345,7 +358,9 @@ class GridModel:
     @projections.setter
     def projections(self, value: Sequence[ScoredProjection]) -> None:
         self._projections = _checked_projections(value)
-        self._table = CubeTable.from_projections(self._projections)
+        self._scorer = RequestScorer(
+            self.discretizer, CubeTable.from_projections(self._projections)
+        )
         self._mined = True
 
     @property
@@ -544,14 +559,15 @@ class GridModel:
                 "rebin clears them)"
             )
         array = check_matrix(points, "points")
-        scores = score_checked(self.discretizer, array, self._table)
-        emit_event(
-            self.event_sink,
-            "score_request",
-            n_points=int(array.shape[0]),
-            n_flagged=int(np.count_nonzero(~np.isnan(scores))),
-            version=self.version,
-        )
+        scores = self._scorer(array)
+        if self.event_sink is not None:
+            emit_event(
+                self.event_sink,
+                "score_request",
+                n_points=int(array.shape[0]),
+                n_flagged=int(np.count_nonzero(~np.isnan(scores))),
+                version=self.version,
+            )
         return scores
 
     def predict(self, points: Any) -> np.ndarray:
@@ -655,13 +671,15 @@ class GridModel:
         return self._data
 
     def _absorb_occupancy(self, codes: np.ndarray) -> None:
-        for j in range(codes.shape[1]):
-            column = codes[:, j]
-            observed = column[column >= 0]
-            if observed.size:
-                self._occupancy[j] += np.bincount(
-                    observed, minlength=self.n_ranges
-                ).astype(np.int64)
+        """Add *codes*' per-(dimension, range) occupancy in one ``bincount``.
+
+        Column *j*'s code *c* counts in slot ``j·(φ+1) + c + 1``, so its
+        missing cells fall in slot ``j·(φ+1)``, which is dropped.
+        """
+        n_dims, phi = self._occupancy.shape
+        slots = codes + (1 + np.arange(n_dims) * (phi + 1))
+        counts = np.bincount(slots.ravel(), minlength=n_dims * (phi + 1))
+        self._occupancy += counts.reshape(n_dims, phi + 1)[:, 1:]
 
     def _after_absorb(self) -> GridDriftReport:
         report = check_grid_drift(self._occupancy, self.drift_threshold)

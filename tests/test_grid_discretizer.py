@@ -6,7 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import DiscretizationError, NotFittedError, ValidationError
 from repro.grid.cells import MISSING_CELL
-from repro.grid.discretizer import EquiDepthDiscretizer, EquiWidthDiscretizer
+from repro.grid.discretizer import (
+    EquiDepthDiscretizer,
+    EquiWidthDiscretizer,
+    StreamingReservoir,
+)
 from repro.grid.kernels import _MAX_COMPARE_CUTS
 
 from conftest import native_tier, native_tiers
@@ -307,3 +311,37 @@ def test_array_path_matches_per_column_reference_large(
     _assert_matches_reference_on_every_tier(
         _matrix(seed, n_rows, kinds, nan_fraction), n_ranges
     )
+
+
+def scalar_algorithm_r(rows: np.ndarray, capacity: int, seed: int) -> np.ndarray:
+    """Algorithm R one row at a time: row t past the fill draws one
+    slot uniformly from 0..t and overwrites it when the slot is held."""
+    rng = np.random.default_rng(seed)
+    reservoir = []
+    for t, row in enumerate(rows):
+        if t < capacity:
+            reservoir.append(row)
+            continue
+        slot = int(rng.random() * (t + 1))
+        if slot < capacity:
+            reservoir[slot] = row
+    return np.array(reservoir)
+
+
+class TestReservoirMatchesScalarAlgorithmR:
+    """The vectorised overwrite (the last survivor of each slot wins)
+    against the scalar loop, with capacities small enough that slots
+    are drawn many times within one chunk."""
+
+    @pytest.mark.parametrize("capacity", [1, 3, 7, 50])
+    @pytest.mark.parametrize("chunks", [(400,), (5, 1, 94, 300), (2,) * 200])
+    def test_same_rows_in_the_same_slots(self, capacity, chunks):
+        rows = np.random.default_rng(capacity).normal(size=(400, 3))
+        reservoir = StreamingReservoir(capacity, random_state=9)
+        start = 0
+        for size in chunks:
+            reservoir.update(rows[start : start + size])
+            start += size
+        np.testing.assert_array_equal(
+            reservoir.rows, scalar_algorithm_r(rows, capacity, seed=9)
+        )
