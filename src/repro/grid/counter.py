@@ -29,7 +29,11 @@ cheap:
   brute force's path) and :meth:`count_genes` (an ``(n, d)`` gene
   matrix of mixed k, padded into one group — the evolutionary
   search's path).  Nothing is memoised across calls: a repeated cube
-  is counted again.
+  is counted again;
+* :meth:`~CubeCounter.recombine_genes` runs a GA generation's optimized
+  crossover in one fused C call over the row blocks where the C
+  library serves this counter in-process, booked as the counting calls
+  of the staged crossover it replaces.
 
 Where counting runs is the placement of the counter's
 :class:`~repro.core.params.CountingBackend` (one of
@@ -66,6 +70,7 @@ from .kernels import (
     empty_cube_row,
     packed_row_bytes,
 )
+from .native import _MAX_RECOMBINE_K, native_recombine
 
 __all__ = ["CubeCounter", "PackedCubeCounter", "batch_counts"]
 
@@ -245,6 +250,12 @@ class CubeCounter:
         """:attr:`_stack8` as the ``(d, φ, W)`` uint64 words the kernels read."""
         return self._stack8.view(np.uint64)
 
+    def _resident_blocks(self) -> list[np.ndarray] | None:
+        """The row blocks as the ``(d, φ, W)`` uint64 words a C routine
+        reads in place (None for a counter whose masks are not in
+        memory)."""
+        return [block.view(np.uint64) for block in self._blocks]
+
     def _row_blocks(self):
         """``(block, rows)`` for each packed row block, in row order."""
         last = len(self._blocks) - 1
@@ -344,19 +355,7 @@ class CubeCounter:
 
     def _gene_group(self, genes) -> tuple[np.ndarray, np.ndarray]:
         """A validated gene matrix as one padded ``(n, K)`` group."""
-        genes = np.asarray(genes)
-        if genes.ndim != 2 or genes.shape[1] != self.n_dims:
-            raise ValidationError(
-                f"genes must be an (n, {self.n_dims}) matrix, got shape "
-                f"{genes.shape}"
-            )
-        if genes.dtype.kind not in "iu":
-            raise ValidationError(f"genes must be integer-typed, got {genes.dtype}")
-        if genes.size and (genes.min() < -1 or genes.max() >= self.n_ranges):
-            raise ValidationError(
-                f"genes must lie in [-1, {self.n_ranges}), got values in "
-                f"[{genes.min()}, {genes.max()}]"
-            )
+        genes = self._checked_genes(genes)
         if len(genes) == 0:
             empty = np.empty((0, 0), dtype=np.intp)
             return empty, empty
@@ -373,8 +372,38 @@ class CubeCounter:
         cells = flat[starts[:, None] + pad]
         return cells % self.n_dims, genes.reshape(-1)[cells]
 
-    def _count(self, groups) -> list[np.ndarray]:
-        """The one counting path: counts of validated groups.
+    def _checked_genes(self, genes) -> np.ndarray:
+        """*genes* as an integer ``(n, d)`` matrix of genes in ``[-1, φ)``."""
+        genes = np.asarray(genes)
+        if genes.ndim != 2 or genes.shape[1] != self.n_dims:
+            raise ValidationError(
+                f"genes must be an (n, {self.n_dims}) matrix, got shape "
+                f"{genes.shape}"
+            )
+        if genes.dtype.kind not in "iu":
+            raise ValidationError(f"genes must be integer-typed, got {genes.dtype}")
+        if genes.size and (genes.min() < -1 or genes.max() >= self.n_ranges):
+            raise ValidationError(
+                f"genes must lie in [-1, {self.n_ranges}), got values in "
+                f"[{genes.min()}, {genes.max()}]"
+            )
+        return genes
+
+    def _count(self, groups, fused=None):
+        """The one counting path: counts of validated groups, timed.
+
+        Runs :meth:`_count_groups` on *groups*, or else the callable
+        *fused* (a fused C routine that books its own calls and cubes,
+        :meth:`recombine_genes`), and adds the wall time to
+        ``batch_seconds``.  Returns what that returns.
+        """
+        t0 = time.perf_counter()
+        out = self._count_groups(groups) if fused is None else fused()
+        self.batch_seconds += time.perf_counter() - t0
+        return out
+
+    def _count_groups(self, groups) -> list[np.ndarray]:
+        """Counts of validated groups, one ``int64`` array per group.
 
         Each group is a ``(dims, ranges)`` pair of ``(n, k)`` arrays; a
         row may repeat its last ``(dim, range)`` pair (a padded
@@ -382,10 +411,8 @@ class CubeCounter:
         validate their whole call before calling in, so a rejected call
         leaves the counter as it was.  One call advances
         ``batch_calls`` once and ``count_calls`` and ``batch_cubes`` by
-        its cubes, and adds its wall time to ``batch_seconds``.  Returns
-        one ``int64`` array per group.
+        its cubes.
         """
-        t0 = time.perf_counter()
         n_cubes = sum(len(dims) for dims, _ in groups)
         self.n_batch_calls += 1
         self.n_batch_cubes += n_cubes
@@ -397,8 +424,67 @@ class CubeCounter:
             else:
                 out.append(self._count_group(dims, ranges))
         self._batch_merged()
-        self.batch_seconds += time.perf_counter() - t0
         return out
+
+    def recombine_genes(
+        self, parents_a, parents_b, dimensionality: int, mean, std
+    ) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Figure 5's optimized crossover over this counter's row blocks,
+        in one C call, or ``None`` where this counter does not serve it.
+
+        Served when the C library counts for this counter in-process
+        (the ``serial`` placement, the kernel ``native``) over in-memory
+        row blocks: :func:`~repro.grid.native.native_recombine` runs
+        every pair of the ``(n, d)`` gene matrices *parents_a* and
+        *parents_b*, scoring with Equation 1's *mean* and *std* tables.
+        The call is booked as the per-stage path books it:
+        ``batch_calls`` by its stages, ``count_calls`` and
+        ``batch_cubes`` by the candidates counted, plus the words it
+        ANDed and its wall time.  It runs under the ``kernel`` ladder
+        step: if it fails, it returns ``None`` and the counter serves
+        the numpy reference from then on.
+
+        Returns ``(children_a, children_b, candidates)``.  The caller
+        proves the routine against its per-stage path (the search layer
+        owns that path) and serves only k without an oversized-k'
+        fallback.
+        """
+        parents_a = self._checked_genes(parents_a)
+        parents_b = self._checked_genes(parents_b)
+        if parents_a.shape != parents_b.shape:
+            raise ValidationError(
+                f"parent matrices differ in shape: {parents_a.shape} and "
+                f"{parents_b.shape}"
+            )
+        if not 1 <= dimensionality <= self.n_dims:
+            raise ValidationError(
+                f"dimensionality must lie in [1, {self.n_dims}], got "
+                f"{dimensionality}"
+            )
+        if (
+            self.backend.kind != "serial"
+            or dimensionality > _MAX_RECOMBINE_K
+            or self._kernel_choice() != "native"
+        ):
+            return None
+        blocks = self._resident_blocks()
+        if blocks is None:
+            return None
+
+        def fused():
+            children_a, children_b, stats = native_recombine(
+                blocks, parents_a, parents_b, dimensionality, mean, std
+            )
+            self.n_batch_calls += stats["stages"]
+            self.n_batch_cubes += stats["candidates"]
+            self.n_count_calls += stats["candidates"]
+            self.n_words_and += stats["words_and"]
+            return children_a, children_b, stats["candidates"]
+
+        return self._count([], lambda: self._ladder.guarded(
+            "kernel", self._kernel_name, "numpy", fused, lambda: None,
+            on_downgrade=self._on_kernel_failure,
+        ))
 
     def _checked_group(self, dims, ranges) -> tuple[np.ndarray, np.ndarray]:
         """One same-k group as validated ``intp`` ``(n, k)`` arrays."""
@@ -760,11 +846,16 @@ class CubeCounter:
         """Counters useful for benchmarking and backend tuning.
 
         ``count_calls`` covers every cube counted through any of the
-        three counting methods.  Every counting call — :meth:`count`
+        counting methods.  Every counting call — :meth:`count`
         included — advances ``batch_calls`` once and ``batch_cubes`` by
-        its cubes; ``words_and``, ``prefix_reuse`` and
-        ``parallel_chunks`` describe the kernel work.  ``batch_seconds``
-        is the wall time spent inside the counting calls.
+        its cubes.  A fused :meth:`recombine_genes` call advances
+        ``batch_calls`` by the stages the per-stage crossover would
+        have counted in (one call each), so ``batch_calls`` counts
+        counting calls of the staged paths whichever path ran, and is
+        the same on every placement.  ``words_and``, ``prefix_reuse``
+        and ``parallel_chunks`` describe the kernel work.
+        ``batch_seconds`` is the wall time spent inside the counting
+        calls, fused ones included.
         ``cache_hits`` always reads 0 (no count is memoised); it stays
         only because the pipeline benchmark's workloads read it.
         """

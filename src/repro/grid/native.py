@@ -1,7 +1,7 @@
 """The compiled C library: the grid build, request scoring and the
 counting kernel.
 
-Two stages dominate a detect outside the search loop, one inside it and
+Two stages dominate a detect outside the search loop, two inside it and
 one on a live model, and each is a single pass at native speed here:
 
 * **the grid build** — :func:`native_gather_columns` copies a group of
@@ -22,7 +22,15 @@ one on a live model, and each is a single pass at native speed here:
   (:func:`repro.grid.kernels.batch_counts`) pays several full passes
   over a ``(B, W)`` accumulator plus per-op dispatch;
   :func:`native_batch_counts` reads each word once, ANDs in registers
-  and popcounts with the hardware instruction.
+  and popcounts with the hardware instruction;
+* **the optimized crossover** — :func:`native_recombine` runs Figure 5
+  for every pair of a GA generation in one call over a counter's row
+  blocks: the 2^k' Type II enumeration and the greedy Type III steps,
+  each candidate counted (its count summed over the blocks) and scored
+  with Equation 1 in C.  Its proof against the per-stage crossover sits
+  beside that crossover in the search layer
+  (:func:`repro.search.evolutionary.crossover._prove_fused`), which
+  this layer does not import.
 
 The routines are one small C source compiled on first use with the
 system C compiler (``cc``/``gcc``/``clang``; override with
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -74,6 +83,7 @@ __all__ = [
     "native_pack_codes",
     "native_pack_codes_into",
     "native_range_codes",
+    "native_recombine",
     "native_score_rows",
     "NativeScorer",
 ]
@@ -365,6 +375,213 @@ void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
         }
     }
 }
+
+/* The mask row of cell (dimension j, range v), cell = j * phi + v, in a
+ * row block described by (address, dimension stride, range stride). */
+static const uint8_t *cell_row(const int64_t *blk, int64_t phi, int64_t cell)
+{
+    return (const uint8_t *)(intptr_t)blk[0] + (cell / phi) * blk[1]
+           + (cell % phi) * blk[2];
+}
+
+/* Counts of the candidates of one crossover stage, summed over the row
+ * blocks: counts[c] = |AND of the n_base base cells and the n_var cells
+ * cand[c * n_var ..]|.
+ *
+ * blocks:  n_blocks rows of (address, dimension stride, range stride,
+ *          words) describing (d, phi, words) uint64 stacks whose words
+ *          are contiguous;
+ * partial: scratch of n_var times the largest block's words: level l
+ *          holds the AND of the base cells (all ones when there are
+ *          none) and a candidate's first l cells.  A candidate reuses
+ *          the levels of the one before it up to their first differing
+ *          cell, so the 2^nf Type II assignments, listed in
+ *          itertools.product order, share their prefixes.
+ *
+ * Returns the number of words ANDed.
+ */
+static int64_t count_stage(const int64_t *blocks, int64_t n_blocks,
+                           int64_t phi, const int64_t *base_cells,
+                           int64_t n_base, const int64_t *cand, int64_t n_var,
+                           int64_t nc, uint64_t *partial, int64_t *counts)
+{
+    int64_t anded = 0;
+    for (int64_t c = 0; c < nc; c++) counts[c] = 0;
+    for (int64_t i = 0; i < n_blocks; i++) {
+        const int64_t *blk = blocks + 4 * i;
+        int64_t n_words = blk[3];
+        if (n_words == 0) continue;
+        if (n_base == 0) {
+            for (int64_t w = 0; w < n_words; w++) partial[w] = ~(uint64_t)0;
+        } else {
+            memcpy(partial, cell_row(blk, phi, base_cells[0]),
+                   (size_t)n_words * 8);
+            for (int64_t l = 1; l < n_base; l++) {
+                const uint8_t *m = cell_row(blk, phi, base_cells[l]);
+                for (int64_t w = 0; w < n_words; w++) {
+                    uint64_t v;
+                    memcpy(&v, m + w * 8, 8);
+                    partial[w] &= v;
+                }
+            }
+            anded += (n_base - 1) * n_words;
+        }
+        for (int64_t c = 0; c < nc; c++) {
+            const int64_t *cells = cand + c * n_var;
+            int64_t l = 0;
+            if (c > 0) {
+                while (l < n_var - 1 && cells[l] == cells[l - n_var]) l++;
+            }
+            for (; l < n_var - 1; l++) {
+                const uint64_t *src = partial + l * n_words;
+                uint64_t *dst = partial + (l + 1) * n_words;
+                const uint8_t *m = cell_row(blk, phi, cells[l]);
+                for (int64_t w = 0; w < n_words; w++) {
+                    uint64_t v;
+                    memcpy(&v, m + w * 8, 8);
+                    dst[w] = src[w] & v;
+                }
+                anded += n_words;
+            }
+            const uint64_t *src = partial + (n_var - 1) * n_words;
+            const uint8_t *m = cell_row(blk, phi, cells[n_var - 1]);
+            int64_t acc = 0;
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t v;
+                memcpy(&v, m + w * 8, 8);
+                acc += __builtin_popcountll(src[w] & v);
+            }
+            counts[c] += acc;
+            anded += n_words;
+        }
+    }
+    return anded;
+}
+
+/* Fold counts[0..nc) of candidates offset.. into the running choice
+ * (*best, *best_v): the first minimum of Eq. 1's (n - mean) / sd, a NaN
+ * winning as the first NaN does under numpy's argmin.  *best < 0 before
+ * the first candidate. */
+static void choose(const int64_t *counts, int64_t nc, uint64_t offset,
+                   double mean, double sd, int64_t *best, double *best_v)
+{
+    for (int64_t c = 0; c < nc; c++) {
+        double v = ((double)counts[c] - mean) / sd;
+        if (*best < 0 || (*best_v == *best_v && (v < *best_v || v != v))) {
+            *best = (int64_t)(offset + (uint64_t)c);
+            *best_v = v;
+        }
+    }
+}
+
+/* Figure 5's optimized crossover for n pairs of (n, d) int64 gene rows
+ * pa[i], pb[i] (-1 is the wildcard), counted over the row blocks.
+ *
+ * A pair whose parents do not both fix k genes passes through.  Else
+ * its child takes parent a's gene on the Type II positions (both fixed);
+ * the nf free ones (where the parents differ) are chosen by the fittest
+ * of the 2^nf assignments, candidate c taking parent b's gene at the
+ * jj-th free position when bit nf-1-jj of c is set (itertools.product
+ * order), cap candidates per counting pass.  Then the child grows to k
+ * genes one greedy Type III step at a time (exactly one parent fixed),
+ * each step scoring the unchosen positions in ascending order.  Scores
+ * are Eq. 1 at the candidate's own k, (n - mean[k]) / sd[k]; ties go to
+ * the first.  The second child is the complement.
+ *
+ * work:    int64 scratch of 4 * d + cap * (k + 1);
+ * partial: uint64 scratch of k times the largest block's words (at
+ *          least one);
+ * stats: out (candidates counted, stages the per-stage batched
+ *        crossover runs: 1 if any pair enumerates plus the most greedy
+ *        steps of any pair, words ANDed).
+ */
+void repro_recombine(const int64_t *blocks, int64_t n_blocks,
+                     const int64_t *pa, const int64_t *pb, int64_t n,
+                     int64_t d, int64_t phi, int64_t k, const double *mean,
+                     const double *sd, int64_t cap, int64_t *out_a,
+                     int64_t *out_b, int64_t *work, uint64_t *partial,
+                     int64_t *stats)
+{
+    int64_t *child = work, *fixed = child + d, *free_pos = fixed + d;
+    int64_t *cand_pos = free_pos + d, *counts = cand_pos + d;
+    int64_t *cells = counts + cap;
+    int64_t n_cand = 0, enumerated = 0, steps = 0, anded = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *a = pa + i * d, *b = pb + i * d;
+        int64_t *ca = out_a + i * d, *cb = out_b + i * d;
+        int64_t ka = 0, kb = 0, n2 = 0, nf = 0, nb = 0;
+        memcpy(ca, a, (size_t)d * 8);
+        memcpy(cb, b, (size_t)d * 8);
+        for (int64_t j = 0; j < d; j++) {
+            ka += a[j] >= 0;
+            kb += b[j] >= 0;
+        }
+        if (ka != k || kb != k) continue;
+        for (int64_t j = 0; j < d; j++) {
+            int both = a[j] >= 0 && b[j] >= 0;
+            child[j] = both ? a[j] : -1;
+            n2 += both;
+            if (both && a[j] != b[j]) free_pos[nf++] = j;
+            else if (both) fixed[nb++] = j * phi + a[j];
+        }
+        if (nf > 0) {
+            uint64_t total = (uint64_t)1 << nf;
+            int64_t best = -1;
+            double best_v = 0.0;
+            enumerated = 1;
+            for (uint64_t lo = 0; lo < total; lo += (uint64_t)cap) {
+                int64_t nc = total - lo < (uint64_t)cap ? (int64_t)(total - lo) : cap;
+                for (int64_t c = 0; c < nc; c++) {
+                    uint64_t bits = lo + (uint64_t)c;
+                    for (int64_t jj = 0; jj < nf; jj++) {
+                        int64_t p = free_pos[jj];
+                        int take_b = (bits >> (nf - 1 - jj)) & 1;
+                        cells[c * nf + jj] = p * phi + (take_b ? b[p] : a[p]);
+                    }
+                }
+                anded += count_stage(blocks, n_blocks, phi, fixed, nb, cells,
+                                     nf, nc, partial, counts);
+                choose(counts, nc, lo, mean[n2], sd[n2], &best, &best_v);
+            }
+            n_cand += (int64_t)total;
+            for (int64_t jj = 0; jj < nf; jj++) {
+                int64_t p = free_pos[jj];
+                child[p] = (((uint64_t)best >> (nf - 1 - jj)) & 1) ? b[p] : a[p];
+            }
+        }
+        int64_t n_add = k - n2;
+        if (n_add > steps) steps = n_add;
+        for (int64_t s = 0; s < n_add; s++) {
+            int64_t nc = 0, best = -1;
+            double best_v = 0.0;
+            nb = 0;
+            for (int64_t j = 0; j < d; j++) {
+                if (child[j] >= 0) {
+                    fixed[nb++] = j * phi + child[j];
+                } else if ((a[j] >= 0) != (b[j] >= 0)) {
+                    cand_pos[nc] = j;
+                    cells[nc++] = j * phi + (a[j] >= 0 ? a[j] : b[j]);
+                }
+            }
+            anded += count_stage(blocks, n_blocks, phi, fixed, nb, cells, 1,
+                                 nc, partial, counts);
+            choose(counts, nc, 0, mean[n2 + s + 1], sd[n2 + s + 1], &best,
+                   &best_v);
+            child[cand_pos[best]] = cells[best] % phi;
+            n_cand += nc;
+        }
+        for (int64_t j = 0; j < d; j++) {
+            ca[j] = child[j];
+            if (a[j] >= 0 && b[j] >= 0) cb[j] = child[j] == a[j] ? b[j] : a[j];
+            else if (a[j] >= 0 || b[j] >= 0)
+                cb[j] = child[j] >= 0 ? -1 : (a[j] >= 0 ? a[j] : b[j]);
+            else cb[j] = -1;
+        }
+    }
+    stats[0] = n_cand;
+    stats[1] = enumerated + steps;
+    stats[2] = anded;
+}
 """
 
 _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
@@ -387,7 +604,22 @@ _SIGNATURES: dict[str, list] = {
     ],
     # codes, n, d, row_stride, col_stride, phi, first, row_bytes, out
     "repro_pack_codes": [_PTR, _INT, _INT, _INT, _INT, _INT, _INT, _INT, _PTR],
+    # blocks, n_blocks, pa, pb, n, d, phi, k, mean, sd, cap, out_a, out_b,
+    # work, partial, stats
+    "repro_recombine": [
+        _PTR, _INT, _PTR, _PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _INT,
+        _PTR, _PTR, _PTR, _PTR, _PTR,
+    ],
 }
+
+#: Type II candidates :func:`native_recombine` counts per pass: larger
+#: enumerations are counted in runs of this many, so its scratch stays
+#: small whatever k.
+_RECOMBINE_CHUNK = 4096
+
+#: The largest k :func:`native_recombine` takes: its ``2^k'`` Type II
+#: enumeration runs over 64-bit candidate numbers.
+_MAX_RECOMBINE_K = 62
 
 #: The process-wide build outcome: ``None`` until first use, then the
 #: loaded library or, after a failed build, the reason it failed.
@@ -818,3 +1050,135 @@ def native_pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> No
         codes.ctypes.data, n, n_dims, row_stride, col_stride, n_ranges, first,
         out.shape[2], out.ctypes.data,
     )
+
+
+def _block_table(blocks, n_dims: int, n_ranges: int) -> list[tuple]:
+    """The rows ``(address, dimension stride, range stride, words)``
+    ``repro_recombine`` reads the row blocks through.
+
+    Refuses a block that is not a ``(d, φ, words)`` uint64 array whose
+    words lie contiguous in each mask row; its strides are numpy's own,
+    so every row the C code forms from them lies inside the block.
+    """
+    table = []
+    for block in blocks:
+        if not (
+            isinstance(block, np.ndarray)
+            and block.dtype == np.uint64
+            and block.ndim == 3
+            and block.shape[:2] == (n_dims, n_ranges)
+            and (block.shape[2] <= 1 or block.strides[2] == 8)
+        ):
+            raise ValidationError(
+                "native recombination needs (d, phi, words) uint64 row "
+                f"blocks with contiguous words for d={n_dims}, phi={n_ranges}, "
+                f"got {getattr(block, 'dtype', type(block).__name__)} with "
+                f"shape {np.shape(block)} and strides "
+                f"{getattr(block, 'strides', None)}"
+            )
+        table.append(
+            (block.ctypes.data, block.strides[0], block.strides[1], block.shape[2])
+        )
+    if not table:
+        raise ValidationError("native recombination needs at least one row block")
+    return table
+
+
+def native_recombine(
+    blocks,
+    parents_a: np.ndarray,
+    parents_b: np.ndarray,
+    dimensionality: int,
+    mean: np.ndarray,
+    std: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Figure 5's optimized crossover for every row pair, in one C call.
+
+    *blocks* are a counter's ``(d, φ, words)`` uint64 row blocks (a
+    count is the sum of the blocks' counts); *parents_a* and
+    *parents_b* the ``(n, d)`` gene matrices of the pairs (``-1`` is
+    ``*``); *mean* and *std* Equation 1's moments indexed by k, as
+    :func:`~repro.search.evolutionary.population._null_moments` builds
+    them.  A pair whose parents do not both fix *dimensionality* genes
+    passes through.  Every other pair is recombined as the per-stage
+    batched crossover recombines it without its oversized-k' fallback
+    (so the caller serves only ``k <= max_exact_positions``): the best
+    of the ``2^f`` Type II assignments, then greedy Type III steps,
+    each choice the first minimum of Equation 1 at the candidate's own
+    k, then the complementary child.
+
+    Returns ``(children_a, children_b, stats)``, *stats* holding
+    ``candidates`` (cubes counted), ``stages`` (the counting calls the
+    per-stage path makes: one if any pair enumerates, plus the most
+    greedy steps of any pair) and ``words_and``.  Refuses, before
+    entering C, parents of another shape, width or a type int64 cannot
+    hold, genes outside ``[-1, φ)``, *dimensionality* outside ``[1,
+    min(d, 62)]``, moment tables shorter than ``k + 1`` and blocks
+    :func:`_block_table` refuses.
+    """
+    if not (
+        isinstance(parents_a, np.ndarray)
+        and isinstance(parents_b, np.ndarray)
+        and parents_a.ndim == 2
+        and parents_a.shape == parents_b.shape
+        and parents_a.dtype.kind in "iu"
+        and parents_b.dtype.kind in "iu"
+        and np.can_cast(parents_a.dtype, np.int64)
+        and np.can_cast(parents_b.dtype, np.int64)
+    ):
+        raise ValidationError(
+            "native recombination needs two (n, d) gene matrices of one shape "
+            f"in an integer type int64 holds, got {np.shape(parents_a)} "
+            f"{getattr(parents_a, 'dtype', None)} and {np.shape(parents_b)} "
+            f"{getattr(parents_b, 'dtype', None)}"
+        )
+    n, n_dims = parents_a.shape
+    blocks = list(blocks)
+    n_ranges = blocks[0].shape[1] if blocks and np.ndim(blocks[0]) == 3 else -1
+    table = _block_table(blocks, n_dims, n_ranges)
+    k = int(dimensionality)
+    if not 1 <= k <= min(n_dims, _MAX_RECOMBINE_K):
+        raise ValidationError(
+            f"native recombination needs 1 <= k <= min(d, {_MAX_RECOMBINE_K}), "
+            f"got k={dimensionality} with d={n_dims}"
+        )
+    if any(np.ndim(m) != 1 or len(m) <= k for m in (mean, std)):
+        raise ValidationError(
+            f"native recombination needs moment tables indexed by k = 0..{k}, "
+            f"got shapes {np.shape(mean)} and {np.shape(std)}"
+        )
+    # One buffer, one address: the block table, both parents, both
+    # children, the two moment tables, the stats out, then the routine's
+    # scratch (int64 work, then uint64 partial ANDs).
+    cap = max(n_dims, min(1 << k, _RECOMBINE_CHUNK))
+    size = n * n_dims
+    sizes = (
+        4 * len(table), size, size, size, size, k + 1, k + 1, 3,
+        4 * n_dims + cap * (k + 1), max(1, k * max(row[3] for row in table)),
+    )
+    ends = list(itertools.accumulate(sizes))
+    starts = [0, *ends[:-1]]
+    buffer = np.empty(ends[-1], dtype=np.int64)
+    part = [buffer[lo:hi] for lo, hi in zip(starts, ends, strict=True)]
+    part[0].reshape(-1, 4)[:] = table
+    part[1].reshape(n, n_dims)[:] = parents_a
+    part[2].reshape(n, n_dims)[:] = parents_b
+    genes = buffer[starts[1] : ends[2]]
+    if size and (genes.min() < -1 or genes.max() >= n_ranges):
+        raise ValidationError(
+            f"native recombination needs genes in [-1, {n_ranges}), found "
+            f"range [{genes.min()}, {genes.max()}]"
+        )
+    part[5].view(np.float64)[:] = mean[: k + 1]
+    part[6].view(np.float64)[:] = std[: k + 1]
+    lib = _load_kernel()
+    address = buffer.ctypes.data
+    at = [address + 8 * lo for lo in starts]
+    lib.repro_recombine(
+        at[0], len(table), at[1], at[2], n, n_dims, n_ranges, k, at[5], at[6],
+        cap, at[3], at[4], at[8], at[9], at[7],
+    )
+    candidates, stages, words = part[7].tolist()
+    return part[3].reshape(n, n_dims), part[4].reshape(n, n_dims), {
+        "candidates": candidates, "stages": stages, "words_and": words,
+    }

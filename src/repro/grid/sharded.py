@@ -887,6 +887,11 @@ class ShardedCounter(CubeCounter):
         )
 
     # ------------------------------------------------------------------
+    def _resident_blocks(self) -> None:
+        """None: the masks are counted shard by shard from disk, so the
+        optimized crossover runs its per-stage path here."""
+        return None
+
     def _count_group(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
         """Per-shard counts of one same-k group, merged by summation.
 
