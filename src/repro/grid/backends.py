@@ -62,13 +62,14 @@ and no ladder step is recorded.
 from __future__ import annotations
 
 import functools
+import logging
 from collections.abc import Callable
 
 import numpy as np
 
 from .._validation import check_choice
 from ..core.results import CubeTable, score_cells
-from ..exceptions import ReproError, ValidationError
+from ..exceptions import ReproError, ResourceError, ValidationError
 from .cells import MISSING_CELL
 from .kernels import (
     batch_counts,
@@ -95,12 +96,15 @@ __all__ = [
     "column_copies",
     "pack_codes",
     "pack_codes_into",
+    "proven_gate",
     "range_codes",
     "resolve_kernel",
     "score_rows",
     "select_kernel",
     "verify_kernel",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: ``kernel(stack, dims_arr, rng_arr) -> (counts, stats)``
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
@@ -486,6 +490,41 @@ def select_kernel() -> tuple[str, str | None]:
     except ReproError as exc:
         return _REFERENCE_KERNEL, str(exc)
     return _FAST_KERNEL, None
+
+
+def proven_gate(prove: Callable[[], None], fallback: str) -> Callable[[], bool]:
+    """A predicate: whether a C routine proven by *prove* may serve.
+
+    For routines whose proof sits in a layer this one does not import
+    (the search layer's operators).  The predicate is true once
+    :func:`select_kernel` picks the native kernel and *prove* has
+    passed.  *prove* runs at most once per process, on the first call
+    after the library serves (its outcome is cached on
+    ``predicate.verdict``: ``None`` or the failure); a
+    :class:`BackendConformanceError` it raises is logged once, followed
+    by *fallback*, which names what serves instead.  A library that
+    cannot be loaded right now gives no verdict.
+    """
+
+    @functools.cache
+    def verdict() -> str | None:
+        try:
+            prove()
+        except BackendConformanceError as exc:
+            logger.warning("%s; %s", exc, fallback)
+            return str(exc)
+        return None
+
+    def serves() -> bool:
+        if select_kernel()[0] != _FAST_KERNEL:
+            return False
+        try:
+            return verdict() is None
+        except ResourceError:
+            return False
+
+    serves.verdict = verdict
+    return serves
 
 
 def pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:

@@ -508,8 +508,8 @@ class CubeCounter:
         :class:`~repro.grid.cells.CellAssignment`) produced by the
         **current** grid's ``transform``.  Only the new rows are packed,
         into the last row block and the blocks they open, and no cube is
-        counted, so an append costs O(m) (plus, now and then, doubling
-        the last block's buffer, up to one block).  The result is
+        counted, so an append costs O(m) (plus, now and then, growing
+        the last block's buffer by a quarter, up to one block).  The result is
         bit-identical to building a fresh counter over the concatenated
         codes (differential-tested): the blocks laid end to end match
         its mask stack byte for byte.
@@ -548,7 +548,7 @@ class CubeCounter:
         """Pack *block*'s rows into the last row block, opening new ones.
 
         The last block's rows are packed into its own buffer, which
-        starts at the rows it holds and doubles as it fills, up to
+        starts at the rows it holds and grows by a quarter as it fills, up to
         :data:`_BLOCK_ROWS` rows; a full block is never touched again.
         Packing row ``r`` sets one bit of byte ``r // 8`` and nothing
         else, so the blocks stay byte-identical to packing all the codes
@@ -568,12 +568,18 @@ class CubeCounter:
             start += take
 
     def _reserve_tail(self, n_rows: int) -> np.ndarray:
-        """The last block's buffer, grown (doubling) to hold *n_rows* rows."""
+        """The last block's buffer, grown to hold *n_rows* rows.
+
+        It grows by a quarter of what it held (in whole words), so
+        appends stay amortised O(rows) while the spare capacity stays
+        within a quarter of the block's bytes.
+        """
         need = packed_row_bytes(n_rows)
         tail, last = self._tail, self._blocks[-1]
         if tail is None or tail.shape[2] < need:
             held = last.shape[2] if tail is None else tail.shape[2]
-            size = min(self._block_rows // 8, max(need, 2 * held))
+            grown_to = -(-(held + held // 4) // 8) * 8
+            size = min(self._block_rows // 8, max(need, grown_to))
             grown = np.zeros(last.shape[:2] + (size,), dtype=np.uint8)
             grown[:, :, : last.shape[2]] = last
             self._tail = tail = grown

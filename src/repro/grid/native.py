@@ -1,8 +1,8 @@
 """The compiled C library: the grid build, request scoring and the
 counting kernel.
 
-Two stages dominate a detect outside the search loop, two inside it and
-one on a live model, and each is a single pass at native speed here:
+Two stages dominate a detect outside the search loop, three inside it
+and one on a live model, and each is a single pass at native speed here:
 
 * **the grid build** — :func:`native_gather_columns` copies a group of
   columns of the row-major data into a reused buffer for the equi-depth
@@ -30,7 +30,14 @@ one on a live model, and each is a single pass at native speed here:
   with Equation 1 in C.  Its proof against the per-stage crossover sits
   beside that crossover in the search layer
   (:func:`repro.search.evolutionary.crossover._prove_fused`), which
-  this layer does not import.
+  this layer does not import;
+* **the mutation** — :func:`native_mutate` runs Figure 6 over a GA
+  generation's gene matrix in one call, drawing from the caller's
+  :class:`numpy.random.Generator` through numpy's ``bitgen_t`` C
+  interface the numbers the Python loop draws, in its order, so the
+  genes and the generator's state afterwards are the loop's.  Its
+  proof against that loop sits beside it
+  (:func:`repro.search.evolutionary.mutation._prove_mutation`).
 
 The routines are one small C source compiled on first use with the
 system C compiler (``cc``/``gcc``/``clang``; override with
@@ -80,6 +87,7 @@ __all__ = [
     "kernel_info",
     "native_batch_counts",
     "native_gather_columns",
+    "native_mutate",
     "native_pack_codes",
     "native_pack_codes_into",
     "native_range_codes",
@@ -582,9 +590,76 @@ void repro_recombine(const int64_t *blocks, int64_t n_blocks,
     stats[1] = enumerated + steps;
     stats[2] = anded;
 }
+
+/* numpy's bitgen_t, the C interface of a Generator's bit generator. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} repro_bitgen;
+
+/* Generator.integers(0, n) for 1 <= n < 2^32, drawn as numpy 2.x draws
+ * it: nothing when n == 1, else Lemire's bounded draw over next_uint32
+ * (random_bounded_uint64_fill, non-masked). */
+static int64_t draw_below(repro_bitgen *bg, uint32_t n)
+{
+    if (n == 1) return 0;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * n;
+    if ((uint32_t)m < n) {
+        uint32_t t = (uint32_t)(-n) % n;
+        while ((uint32_t)m < t) m = (uint64_t)bg->next_uint32(bg->state) * n;
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* Column of the nth (0-based) gene of row g that is fixed (want_fixed)
+ * or a wildcard. */
+static int64_t nth_gene(const int64_t *g, int64_t d, int64_t nth, int want_fixed)
+{
+    for (int64_t j = 0; j < d; j++) {
+        if ((g[j] >= 0) == want_fixed && nth-- == 0) return j;
+    }
+    return -1;
+}
+
+/* Figure 6's mutation of a (p, d) int64 gene matrix in place (-1 is the
+ * wildcard), drawing from the bit generator bitgen exactly as
+ * BalancedMutation's Python loop draws from the Generator over it.  Per
+ * row, in turn: random() for Type I, and when it is under p1 and the row
+ * fixes some but not all genes, integers(wildcards), integers(fixed) and
+ * integers(phi) name the wildcard that takes the value and the fixed gene
+ * that becomes *; then random() for Type II, and when it is under p2, the
+ * row fixes a gene and phi > 1, integers(fixed) and integers(1, phi) name
+ * the fixed gene (counted after the swap) and its shift modulo phi.
+ */
+void repro_mutate(int64_t *genes, int64_t p, int64_t d, int64_t phi,
+                  double p1, double p2, void *bitgen)
+{
+    repro_bitgen *bg = (repro_bitgen *)bitgen;
+    for (int64_t i = 0; i < p; i++) {
+        int64_t *g = genes + i * d, n_fixed = 0;
+        for (int64_t j = 0; j < d; j++) n_fixed += g[j] >= 0;
+        double u = bg->next_double(bg->state);
+        if (u < p1 && n_fixed > 0 && n_fixed < d) {
+            int64_t gain = draw_below(bg, (uint32_t)(d - n_fixed));
+            int64_t lose = draw_below(bg, (uint32_t)n_fixed);
+            int64_t value = draw_below(bg, (uint32_t)phi);
+            int64_t to = nth_gene(g, d, gain, 0), from = nth_gene(g, d, lose, 1);
+            g[to] = value;
+            g[from] = -1;
+        }
+        u = bg->next_double(bg->state);
+        if (u < p2 && n_fixed > 0 && phi > 1) {
+            int64_t at = nth_gene(g, d, draw_below(bg, (uint32_t)n_fixed), 1);
+            g[at] = (g[at] + 1 + draw_below(bg, (uint32_t)(phi - 1))) % phi;
+        }
+    }
+}
 """
 
-_PTR, _INT = ctypes.c_void_p, ctypes.c_int64
+_PTR, _INT, _DOUBLE = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 #: Argument types of each exported C routine, in the C parameter order
 #: (arrays are passed as addresses); every routine returns void.
@@ -610,6 +685,8 @@ _SIGNATURES: dict[str, list] = {
         _PTR, _INT, _PTR, _PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _INT,
         _PTR, _PTR, _PTR, _PTR, _PTR,
     ],
+    # genes, p, d, phi, p1, p2, bitgen
+    "repro_mutate": [_PTR, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _PTR],
 }
 
 #: Type II candidates :func:`native_recombine` counts per pass: larger
@@ -620,6 +697,10 @@ _RECOMBINE_CHUNK = 4096
 #: The largest k :func:`native_recombine` takes: its ``2^k'`` Type II
 #: enumeration runs over 64-bit candidate numbers.
 _MAX_RECOMBINE_K = 62
+
+#: Gene matrix widths and φ :func:`native_mutate` takes stay below this:
+#: its bounded draws run over 32-bit random words.
+MUTATE_LIMIT = 1 << 31
 
 #: The process-wide build outcome: ``None`` until first use, then the
 #: loaded library or, after a failed build, the reason it failed.
@@ -1182,3 +1263,83 @@ def native_recombine(
     return part[3].reshape(n, n_dims), part[4].reshape(n, n_dims), {
         "candidates": candidates, "stages": stages, "words_and": words,
     }
+
+
+def native_mutate(
+    population: np.ndarray,
+    n_ranges: int,
+    swap_probability: float,
+    flip_probability: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Figure 6's mutation of a ``(p, d)`` gene matrix in one C call.
+
+    Returns a mutated copy of *population* (``-1`` is ``*``), drawing
+    from *rng*'s bit generator through numpy's ``bitgen_t`` interface
+    exactly the draws, in exactly the order, of
+    :meth:`~repro.search.evolutionary.mutation.BalancedMutation.apply`'s
+    Python loop, so the genes and ``rng.bit_generator.state`` afterwards
+    are that loop's: per string ``rng.random()`` against
+    *swap_probability*, the Type I draws where it swaps,
+    ``rng.random()`` against *flip_probability*, the Type II draws where
+    it flips.  A bounded ``rng.integers`` is drawn as numpy 2.x draws
+    it; the proof beside the Python loop
+    (:func:`repro.search.evolutionary.mutation._prove_mutation`) checks
+    that on this numpy before anything serves it.  *rng*'s lock is held
+    for the call.
+
+    Refuses, before any draw, a population that is not a 2-D matrix in
+    an integer type int64 holds, genes outside ``[-1, φ)``, φ or d
+    outside ``[1, MUTATE_LIMIT)``, probabilities outside ``[0, 1]`` and
+    an *rng* that is not a :class:`numpy.random.Generator`; raises
+    :class:`~repro.exceptions.ResourceError` before any draw when the
+    library cannot be loaded.
+    """
+    if not (
+        isinstance(population, np.ndarray)
+        and population.ndim == 2
+        and population.dtype.kind in "iu"
+        and np.can_cast(population.dtype, np.int64)
+    ):
+        got = getattr(population, "dtype", type(population).__name__)
+        raise ValidationError(
+            "native mutation needs a (p, d) gene matrix in an integer type "
+            f"int64 holds, got {got} with shape {np.shape(population)}"
+        )
+    n_rows, n_dims = population.shape
+    if not (
+        isinstance(n_ranges, (int, np.integer))
+        and 1 <= n_ranges < MUTATE_LIMIT
+        and 1 <= n_dims < MUTATE_LIMIT
+    ):
+        raise ValidationError(
+            f"native mutation needs 1 <= phi, d < 2^31, got phi={n_ranges} "
+            f"and d={n_dims}"
+        )
+    if not all(
+        isinstance(p, (int, float, np.number)) and 0.0 <= p <= 1.0
+        for p in (swap_probability, flip_probability)
+    ):
+        raise ValidationError(
+            "native mutation needs probabilities in [0, 1], got "
+            f"{swap_probability} and {flip_probability}"
+        )
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(
+            f"native mutation needs a numpy Generator, got {type(rng).__name__}"
+        )
+    genes = np.array(population, dtype=np.int64, order="C")
+    if genes.size and (genes.min() < -1 or genes.max() >= n_ranges):
+        raise ValidationError(
+            f"native mutation needs genes in [-1, {n_ranges}), found range "
+            f"[{genes.min()}, {genes.max()}]"
+        )
+    lib = _load_kernel()
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        lib.repro_mutate(
+            genes.ctypes.data, n_rows, n_dims, int(n_ranges),
+            float(swap_probability), float(flip_probability),
+            bit_generator.ctypes.bit_generator,
+        )
+    return genes

@@ -37,14 +37,12 @@ otherwise; this module also holds the proof that the two agree
 from __future__ import annotations
 
 import abc
-import functools
-import logging
 
 import numpy as np
 
 from ..._validation import check_positive_int, check_rng
-from ...exceptions import ResourceError, ValidationError
-from ...grid.backends import BackendConformanceError, pack_codes, select_kernel
+from ...exceptions import ValidationError
+from ...grid.backends import BackendConformanceError, pack_codes, proven_gate
 from ...grid.cells import MISSING_CELL, CellAssignment
 from ...grid.counter import CubeCounter
 from ...grid.native import native_recombine
@@ -57,8 +55,6 @@ __all__ = [
     "OptimizedCrossover",
     "pair_population",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def pair_population(population, random_state) -> list[tuple[int, int]]:
@@ -77,33 +73,6 @@ def _pair_rows(rng, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     order = rng.permutation(n_rows)
     paired = n_rows - n_rows % 2
     return order[0:paired:2], order[1:paired:2]
-
-
-def _fused_serves() -> bool:
-    """Whether the fused C crossover may serve in this process.
-
-    Only once the C library serves (:func:`select_kernel`) is the
-    routine proven (:func:`_fused_verdict`); a failed proof is logged
-    once and keeps the per-stage path.  A library that cannot be loaded
-    right now gives no verdict.
-    """
-    if select_kernel()[0] != "native":
-        return False
-    try:
-        return _fused_verdict() is None
-    except ResourceError:
-        return False
-
-
-@functools.cache
-def _fused_verdict() -> str | None:
-    """``None`` once :func:`_prove_fused` passes, else its failure."""
-    try:
-        _prove_fused()
-    except BackendConformanceError as exc:
-        logger.warning("%s; the optimized crossover runs per stage", exc)
-        return str(exc)
-    return None
 
 
 def _prove_fused() -> None:
@@ -163,6 +132,12 @@ def _prove_fused() -> None:
                         "blocks): its children or counting figures diverge "
                         "from the per-stage path"
                     )
+
+
+#: Whether the fused C crossover may serve in this process: once the C
+#: library serves and :func:`_prove_fused` has passed (a failed proof
+#: is logged once and keeps the per-stage path).
+_fused_serves = proven_gate(_prove_fused, "the optimized crossover runs per stage")
 
 
 def _fixture_parent(rng, n_dims: int, k: int, phi: int) -> np.ndarray:

@@ -19,6 +19,17 @@ genes on a degenerate string, φ = 1 for Type II).
 each string's draws in turn, then the moves apply to the matrix at once.
 A draw names a gene by its rank among the string's wildcard or fixed
 genes; the local searchers draw their moves through the same helpers.
+
+Where the C library serves, one call of
+:func:`~repro.grid.native.native_mutate` runs that loop instead,
+drawing from the caller's :class:`numpy.random.Generator` through its
+bit generator's C interface: the same draws in the same order, so the
+genes and the generator's state afterwards are the loop's.  The loop
+stays the reference and the path without a compiler, and this module
+holds the proof that the two agree (:func:`_prove_mutation`), since the
+grid layer does not import this one.  A numpy whose bounded
+``integers`` draws differently fails the proof, which is logged once,
+and the loop serves.
 """
 
 from __future__ import annotations
@@ -26,6 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..._validation import check_positive_int, check_probability, check_rng
+from ...exceptions import ResourceError
+from ...grid.backends import BackendConformanceError, proven_gate
+from ...grid.native import MUTATE_LIMIT, native_mutate
 from .encoding import WILDCARD_GENE, check_population
 
 __all__ = ["BalancedMutation"]
@@ -93,10 +107,28 @@ class BalancedMutation:
 
         Returns a new matrix; the input is not modified.  A Type II
         flip picks among the fixed genes *after* the string's Type I
-        swap, as Figure 6 applies the two in turn.
+        swap, as Figure 6 applies the two in turn.  One C call
+        (:func:`~repro.grid.native.native_mutate`) mutates the matrix
+        once :func:`_mutation_serves`, else the Python loop
+        (:meth:`_mutate_loop`) does; both give the same matrix and leave
+        the generator in the same state.  Genes must lie in ``-1..φ-1``.
         """
         rng = check_rng(random_state)
-        genes = check_population(population).copy()
+        genes = check_population(population, n_ranges=self.n_ranges)
+        if max(self.n_ranges, genes.shape[1]) < MUTATE_LIMIT and _mutation_serves():
+            try:
+                return native_mutate(
+                    genes, self.n_ranges, self.swap_probability,
+                    self.flip_probability, rng,
+                )
+            except ResourceError:
+                pass  # the library cannot be loaded now; nothing was drawn
+        return self._mutate_loop(genes, rng)
+
+    def _mutate_loop(self, genes: np.ndarray, rng) -> np.ndarray:
+        """:meth:`apply` in Python on a copy of a checked gene matrix: the
+        reference :func:`_prove_mutation` holds the C routine to."""
+        genes = genes.copy()
         n_dims = genes.shape[1]
         swaps, flips = [], []
         for row, n_fixed in enumerate((genes != WILDCARD_GENE).sum(axis=1).tolist()):
@@ -116,3 +148,74 @@ class BalancedMutation:
             f"BalancedMutation(p1={self.swap_probability}, "
             f"p2={self.flip_probability}, phi={self.n_ranges})"
         )
+
+
+#: φ values the proof mutates under: no Type II flip (1), a flip with
+#: no offset draw (2), the paper's grid (10), and 3·2^29, where about a
+#: quarter of numpy's bounded 32-bit draws are rejected and redrawn.
+_PROOF_RANGES = (1, 2, 10, 3 << 29)
+
+
+def _prove_mutation() -> None:
+    """Prove :func:`~repro.grid.native.native_mutate` draw-for-draw
+    identical to :meth:`BalancedMutation._mutate_loop` on a fixture.
+
+    Under each of numpy's PCG64, MT19937, Philox and SFC64 bit
+    generators and each φ of :data:`_PROOF_RANGES`, two generators of
+    one seed mutate one population for three generations in a row, one
+    through the C routine and one through the loop: a row with every
+    gene fixed (k = d), a row of wildcards only and rows of random k,
+    plus a one-column population.  The genes and both
+    ``bit_generator.state`` must be equal after every generation.
+    Raises :class:`~repro.grid.backends.BackendConformanceError` on the
+    first divergence.
+    """
+    seeds = np.random.default_rng(161803)
+    for bit_rng in (
+        np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64
+    ):
+        for phi in _PROOF_RANGES:
+            mutation = BalancedMutation(0.6, 0.6, phi)
+            for n_rows, n_dims in ((24, 7), (4, 1)):
+                genes = np.where(
+                    seeds.random((n_rows, n_dims)) < seeds.random((n_rows, 1)),
+                    seeds.integers(0, phi, size=(n_rows, n_dims)),
+                    WILDCARD_GENE,
+                )
+                genes[0], genes[1] = 0, WILDCARD_GENE
+                fast = np.random.Generator(bit_rng(314159))
+                slow = np.random.Generator(bit_rng(314159))
+                want = genes
+                for generation in range(3):
+                    genes = native_mutate(genes, phi, 0.6, 0.6, fast)
+                    want = mutation._mutate_loop(want, slow)
+                    if not (
+                        np.array_equal(genes, want)
+                        and _same_state(
+                            fast.bit_generator.state, slow.bit_generator.state
+                        )
+                    ):
+                        raise BackendConformanceError(
+                            "the C mutation failed its differential self-check "
+                            f"({bit_rng.__name__}, phi={phi}, d={n_dims}, "
+                            f"generation {generation}): its genes or generator "
+                            "state diverge from the Python loop's"
+                        )
+
+
+#: Whether the C mutation may serve in this process: once the C library
+#: serves and :func:`_prove_mutation` has passed (a failed proof is
+#: logged once and keeps the Python loop).
+_mutation_serves = proven_gate(_prove_mutation, "mutation runs in Python")
+
+
+def _same_state(first, second) -> bool:
+    """Whether two ``bit_generator.state`` values are equal (their
+    leaves may be numpy arrays)."""
+    if isinstance(first, dict):
+        return (
+            isinstance(second, dict)
+            and first.keys() == second.keys()
+            and all(_same_state(first[key], second[key]) for key in first)
+        )
+    return bool(np.array_equal(first, second))

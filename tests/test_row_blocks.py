@@ -156,6 +156,24 @@ class TestAppendCostsItsRows:
         block[:] = 1  # the caller's array changes after the append
         np.testing.assert_array_equal(counter.cells.codes, np.zeros((10, N_DIMS)))
 
+    def test_spare_capacity_stays_within_a_quarter(self):
+        """The last block's buffer grows by a quarter of what it held:
+        after any append its spare bytes are at most a quarter of its
+        filled bytes (plus one word of rounding), and a run of appends
+        that doubles the rows regrows it only a few times."""
+        rng = np.random.default_rng(12)
+        counter = CubeCounter(CellAssignment(random_codes(rng, 5000), PHI))
+        buffers = []
+        for size in [1] * 50 + [63, 64, 65, 300] * 10:
+            counter.append_rows(random_codes(rng, size))
+            filled = counter._blocks[-1].shape[2]
+            capacity = counter._tail.shape[2]
+            assert filled <= capacity <= filled + filled // 4 + 8
+            if not buffers or counter._tail is not buffers[-1]:
+                buffers.append(counter._tail)
+        assert counter.n_points == 9970
+        assert len(buffers) <= 5
+
 
 class TestKernelsReadRowBlocksInPlace:
     """The last row block is the filled prefix of a larger buffer; the
