@@ -546,12 +546,14 @@ def pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> None:
 
     *out* is a C-contiguous ``(d, φ, bytes)`` uint8 stack with room for
     the rows and no bit set from row *first* on; the rows below stay
-    as they are.  Byte-identical on every tier: in C when
-    :func:`select_kernel` picks the native kernel, else
+    as they are.  The codes must lie in ``[MISSING_CELL, φ)``: the
+    caller validated them (the counter's append validates its input
+    once), so they are not scanned again.  Byte-identical on every
+    tier: in C when :func:`select_kernel` picks the native kernel, else
     :func:`~repro.grid.kernels.pack_codes_block_into`.
     """
     if select_kernel()[0] == _FAST_KERNEL:
-        native_pack_codes_into(codes, out, first)
+        native_pack_codes_into(codes, out, first, codes_checked=True)
     else:
         pack_codes_block_into(codes, out, first)
 

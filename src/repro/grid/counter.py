@@ -30,10 +30,11 @@ cheap:
   matrix of mixed k, padded into one group — the evolutionary
   search's path).  Nothing is memoised across calls: a repeated cube
   is counted again;
-* :meth:`~CubeCounter.recombine_genes` runs a GA generation's optimized
-  crossover in one fused C call over the row blocks where the C
-  library serves this counter in-process, booked as the counting calls
-  of the staged crossover it replaces.
+* :meth:`~CubeCounter.generation` runs a whole GA generation —
+  selection, the optimized crossover, mutation and the population's
+  scoring — in one C call over the row blocks where the C library
+  serves this counter in-process, booked as the counting calls of the
+  operators it replaces.
 
 Where counting runs is the placement of the counter's
 :class:`~repro.core.params.CountingBackend` (one of
@@ -70,7 +71,7 @@ from .kernels import (
     empty_cube_row,
     packed_row_bytes,
 )
-from .native import _MAX_RECOMBINE_K, native_recombine
+from .native import MAX_GENERATION_K, NativeGeneration
 
 __all__ = ["CubeCounter", "PackedCubeCounter", "batch_counts"]
 
@@ -394,7 +395,7 @@ class CubeCounter:
 
         Runs :meth:`_count_groups` on *groups*, or else the callable
         *fused* (a fused C routine that books its own calls and cubes,
-        :meth:`recombine_genes`), and adds the wall time to
+        :meth:`generation`), and adds the wall time to
         ``batch_seconds``.  Returns what that returns.
         """
         t0 = time.perf_counter()
@@ -426,60 +427,62 @@ class CubeCounter:
         self._batch_merged()
         return out
 
-    def recombine_genes(
-        self, parents_a, parents_b, dimensionality: int, mean, std
-    ) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Figure 5's optimized crossover over this counter's row blocks,
-        in one C call, or ``None`` where this counter does not serve it.
+    def serves_generation(self, dimensionality: int) -> bool:
+        """Whether :meth:`generation` runs here now: the C library counts
+        for this counter in-process (the ``serial`` placement, the kernel
+        ``native``) over in-memory row blocks, for k up to the C
+        routine's limit."""
+        return (
+            self.backend.kind == "serial"
+            and 1 <= dimensionality <= MAX_GENERATION_K
+            and self._kernel_choice() == "native"
+            and self._resident_blocks() is not None
+        )
 
-        Served when the C library counts for this counter in-process
-        (the ``serial`` placement, the kernel ``native``) over in-memory
-        row blocks: :func:`~repro.grid.native.native_recombine` runs
-        every pair of the ``(n, d)`` gene matrices *parents_a* and
-        *parents_b*, scoring with Equation 1's *mean* and *std* tables.
-        The call is booked as the per-stage path books it:
-        ``batch_calls`` by its stages, ``count_calls`` and
-        ``batch_cubes`` by the candidates counted, plus the words it
-        ANDed and its wall time.  It runs under the ``kernel`` ladder
-        step: if it fails, it returns ``None`` and the counter serves
-        the numpy reference from then on.
+    def generation(
+        self, population, fitnesses, dimensionality: int, mean, std, rng, **operators
+    ) -> tuple | None:
+        """One GA generation over this counter's row blocks in one C call,
+        or ``None`` where this counter does not serve it
+        (:meth:`serves_generation`).
 
-        Returns ``(children_a, children_b, candidates)``.  The caller
-        proves the routine against its per-stage path (the search layer
-        owns that path) and serves only k without an oversized-k'
-        fallback.
+        :class:`~repro.grid.native.NativeGeneration` selects, pairs,
+        recombines, mutates and scores the ``(p, d)`` *population*
+        drawing from *rng*, with Equation 1's *mean* and *std* tables and
+        the *operators* keywords (``elitism``, ``crossover_rate``,
+        ``swap_probability``, ``flip_probability``, ``chosen``).  Its
+        input is checked before anything runs, so a refused call raises
+        :class:`~repro.exceptions.ValidationError` and changes nothing.
+        The call is booked as the staged path books its counting calls:
+        ``batch_calls`` by the crossover's stages plus one for the
+        population, ``count_calls`` and ``batch_cubes`` by the crossover
+        candidates plus the strings scored, ``words_and`` by those
+        calls' words, plus its wall time.  It runs under the ``kernel``
+        ladder step: if it fails, it returns ``None`` and the counter
+        serves the numpy reference from then on.
+
+        Returns ``(population, fitnesses, scored, stats)`` as the call
+        does.  The caller proves the routine against the operators (the
+        search layer owns them), serves only k without the crossover's
+        oversized-k' fallback and restores *rng* when this returns
+        ``None`` after a failure.
         """
-        parents_a = self._checked_genes(parents_a)
-        parents_b = self._checked_genes(parents_b)
-        if parents_a.shape != parents_b.shape:
-            raise ValidationError(
-                f"parent matrices differ in shape: {parents_a.shape} and "
-                f"{parents_b.shape}"
-            )
-        if not 1 <= dimensionality <= self.n_dims:
-            raise ValidationError(
-                f"dimensionality must lie in [1, {self.n_dims}], got "
-                f"{dimensionality}"
-            )
-        if (
-            self.backend.kind != "serial"
-            or dimensionality > _MAX_RECOMBINE_K
-            or self._kernel_choice() != "native"
-        ):
+        if not self.serves_generation(dimensionality):
             return None
-        blocks = self._resident_blocks()
-        if blocks is None:
-            return None
+        call = NativeGeneration(
+            self._resident_blocks(), population, fitnesses, dimensionality, mean,
+            std, rng, **operators,
+        )
 
         def fused():
-            children_a, children_b, stats = native_recombine(
-                blocks, parents_a, parents_b, dimensionality, mean, std
-            )
-            self.n_batch_calls += stats["stages"]
-            self.n_batch_cubes += stats["candidates"]
-            self.n_count_calls += stats["candidates"]
+            out = call()
+            stats = out[-1]
+            cubes = stats["candidates"] + stats["rows"]
+            self.n_batch_calls += stats["stages"] + (stats["rows"] > 0)
+            self.n_batch_cubes += cubes
+            self.n_count_calls += cubes
             self.n_words_and += stats["words_and"]
-            return children_a, children_b, stats["candidates"]
+            return out
 
         return self._count([], lambda: self._ladder.guarded(
             "kernel", self._kernel_name, "numpy", fused, lambda: None,
@@ -516,9 +519,16 @@ class CubeCounter:
 
         Any worker pool is released first (it holds the old masks in
         shared memory) and is rebuilt lazily on the next large batch.
+        The block is validated once, here, before any state changes.
         Returns the number of rows appended.
         """
-        block = self._validate_append_codes(codes)
+        return self._append_codes(self._validate_append_codes(codes))
+
+    def _append_codes(self, block: np.ndarray) -> int:
+        """:meth:`append_rows` of a trusted block: a contiguous ``int16``
+        ``(m, d)`` block of codes in ``[MISSING_CELL, φ)`` this counter
+        may keep — one :meth:`append_rows` validated, or one the current
+        grid coded (:meth:`~repro.model.GridModel.update`)."""
         m = block.shape[0]
         if m == 0:
             return 0
@@ -854,12 +864,14 @@ class CubeCounter:
         ``count_calls`` covers every cube counted through any of the
         counting methods.  Every counting call — :meth:`count`
         included — advances ``batch_calls`` once and ``batch_cubes`` by
-        its cubes.  A fused :meth:`recombine_genes` call advances
-        ``batch_calls`` by the stages the per-stage crossover would
-        have counted in (one call each), so ``batch_calls`` counts
-        counting calls of the staged paths whichever path ran, and is
-        the same on every placement.  ``words_and``, ``prefix_reuse``
-        and ``parallel_chunks`` describe the kernel work.
+        its cubes.  A fused :meth:`generation` call advances
+        ``batch_calls`` by the counting calls the operators would have
+        made (the staged crossover's stages and the population's
+        scoring), and ``words_and`` by their words, so these figures
+        count the operators' calls whichever path ran, and
+        ``batch_calls`` is the same on every placement.  ``words_and``,
+        ``prefix_reuse`` and ``parallel_chunks`` describe the kernel
+        work.
         ``batch_seconds`` is the wall time spent inside the counting
         calls, fused ones included.
         ``cache_hits`` always reads 0 (no count is memoised); it stays

@@ -23,21 +23,23 @@ and one on a live model, and each is a single pass at native speed here:
   over a ``(B, W)`` accumulator plus per-op dispatch;
   :func:`native_batch_counts` reads each word once, ANDs in registers
   and popcounts with the hardware instruction;
-* **the optimized crossover** — :func:`native_recombine` runs Figure 5
-  for every pair of a GA generation in one call over a counter's row
-  blocks: the 2^k' Type II enumeration and the greedy Type III steps,
-  each candidate counted (its count summed over the blocks) and scored
-  with Equation 1 in C.  Its proof against the per-stage crossover sits
-  beside that crossover in the search layer
-  (:func:`repro.search.evolutionary.crossover._prove_fused`), which
-  this layer does not import;
 * **the mutation** — :func:`native_mutate` runs Figure 6 over a GA
   generation's gene matrix in one call, drawing from the caller's
   :class:`numpy.random.Generator` through numpy's ``bitgen_t`` C
   interface the numbers the Python loop draws, in its order, so the
   genes and the generator's state afterwards are the loop's.  Its
   proof against that loop sits beside it
-  (:func:`repro.search.evolutionary.mutation._prove_mutation`).
+  (:func:`repro.search.evolutionary.mutation._prove_mutation`);
+* **a GA generation** — :class:`NativeGeneration` runs Figure 3's loop
+  body in one call over a counter's row blocks: the elites, Figure 4's
+  rank roulette (or rows handed in), the pairing, Figure 5's optimized
+  crossover (the 2^k' Type II enumeration and the greedy Type III
+  steps, each candidate counted over the blocks and scored with
+  Equation 1), the mutation above and the population's Equation 1
+  scores, drawing from the caller's generator what the operators draw.
+  Its proof against the operators sits beside them in the search layer
+  (:func:`repro.search.evolutionary.generation._prove_generation`),
+  which this layer does not import.
 
 The routines are one small C source compiled on first use with the
 system C compiler (``cc``/``gcc``/``clang``; override with
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import itertools
 import os
 import shutil
 import subprocess
@@ -91,8 +92,8 @@ __all__ = [
     "native_pack_codes",
     "native_pack_codes_into",
     "native_range_codes",
-    "native_recombine",
     "native_score_rows",
+    "NativeGeneration",
     "NativeScorer",
 ]
 
@@ -384,55 +385,49 @@ void repro_count_batch(const uint8_t *stack, int64_t row_bytes,
     }
 }
 
-/* The mask row of cell (dimension j, range v), cell = j * phi + v, in a
- * row block described by (address, dimension stride, range stride). */
-static const uint8_t *cell_row(const int64_t *blk, int64_t phi, int64_t cell)
+/* The mask row of cell j * phi + v in a row block described by (address,
+ * row stride, words): the block's d * phi mask rows lie one stride apart
+ * in cell order. */
+static const uint8_t *cell_row(const int64_t *blk, int64_t cell)
 {
-    return (const uint8_t *)(intptr_t)blk[0] + (cell / phi) * blk[1]
-           + (cell % phi) * blk[2];
+    return (const uint8_t *)(intptr_t)blk[0] + cell * blk[1];
 }
 
 /* Counts of the candidates of one crossover stage, summed over the row
  * blocks: counts[c] = |AND of the n_base base cells and the n_var cells
  * cand[c * n_var ..]|.
  *
- * blocks:  n_blocks rows of (address, dimension stride, range stride,
- *          words) describing (d, phi, words) uint64 stacks whose words
- *          are contiguous;
+ * blocks:  n_blocks rows of (address, row stride, words) describing
+ *          (d, phi, words) uint64 stacks whose words are contiguous;
  * partial: scratch of n_var times the largest block's words: level l
  *          holds the AND of the base cells (all ones when there are
  *          none) and a candidate's first l cells.  A candidate reuses
  *          the levels of the one before it up to their first differing
  *          cell, so the 2^nf Type II assignments, listed in
  *          itertools.product order, share their prefixes.
- *
- * Returns the number of words ANDed.
  */
-static int64_t count_stage(const int64_t *blocks, int64_t n_blocks,
-                           int64_t phi, const int64_t *base_cells,
-                           int64_t n_base, const int64_t *cand, int64_t n_var,
-                           int64_t nc, uint64_t *partial, int64_t *counts)
+static void count_stage(const int64_t *blocks, int64_t n_blocks,
+                        const int64_t *base_cells, int64_t n_base,
+                        const int64_t *cand, int64_t n_var, int64_t nc,
+                        uint64_t *partial, int64_t *counts)
 {
-    int64_t anded = 0;
     for (int64_t c = 0; c < nc; c++) counts[c] = 0;
     for (int64_t i = 0; i < n_blocks; i++) {
-        const int64_t *blk = blocks + 4 * i;
-        int64_t n_words = blk[3];
+        const int64_t *blk = blocks + 3 * i;
+        int64_t n_words = blk[2];
         if (n_words == 0) continue;
         if (n_base == 0) {
             for (int64_t w = 0; w < n_words; w++) partial[w] = ~(uint64_t)0;
         } else {
-            memcpy(partial, cell_row(blk, phi, base_cells[0]),
-                   (size_t)n_words * 8);
+            memcpy(partial, cell_row(blk, base_cells[0]), (size_t)n_words * 8);
             for (int64_t l = 1; l < n_base; l++) {
-                const uint8_t *m = cell_row(blk, phi, base_cells[l]);
+                const uint8_t *m = cell_row(blk, base_cells[l]);
                 for (int64_t w = 0; w < n_words; w++) {
                     uint64_t v;
                     memcpy(&v, m + w * 8, 8);
                     partial[w] &= v;
                 }
             }
-            anded += (n_base - 1) * n_words;
         }
         for (int64_t c = 0; c < nc; c++) {
             const int64_t *cells = cand + c * n_var;
@@ -443,16 +438,15 @@ static int64_t count_stage(const int64_t *blocks, int64_t n_blocks,
             for (; l < n_var - 1; l++) {
                 const uint64_t *src = partial + l * n_words;
                 uint64_t *dst = partial + (l + 1) * n_words;
-                const uint8_t *m = cell_row(blk, phi, cells[l]);
+                const uint8_t *m = cell_row(blk, cells[l]);
                 for (int64_t w = 0; w < n_words; w++) {
                     uint64_t v;
                     memcpy(&v, m + w * 8, 8);
                     dst[w] = src[w] & v;
                 }
-                anded += n_words;
             }
             const uint64_t *src = partial + (n_var - 1) * n_words;
-            const uint8_t *m = cell_row(blk, phi, cells[n_var - 1]);
+            const uint8_t *m = cell_row(blk, cells[n_var - 1]);
             int64_t acc = 0;
             for (int64_t w = 0; w < n_words; w++) {
                 uint64_t v;
@@ -460,10 +454,8 @@ static int64_t count_stage(const int64_t *blocks, int64_t n_blocks,
                 acc += __builtin_popcountll(src[w] & v);
             }
             counts[c] += acc;
-            anded += n_words;
         }
     }
-    return anded;
 }
 
 /* Fold counts[0..nc) of candidates offset.. into the running choice
@@ -482,8 +474,20 @@ static void choose(const int64_t *counts, int64_t nc, uint64_t offset,
     }
 }
 
-/* Figure 5's optimized crossover for n pairs of (n, d) int64 gene rows
- * pa[i], pb[i] (-1 is the wildcard), counted over the row blocks.
+/* One counting call of the staged crossover: the candidates it counts
+ * and the most genes any of them fixes (the width it pads them to). */
+typedef struct {
+    int64_t cand, widest;
+} stage_t;
+
+static void tally(stage_t *stage, int64_t cand, int64_t width)
+{
+    stage->cand += cand;
+    if (width > stage->widest) stage->widest = width;
+}
+
+/* Figure 5's optimized crossover of one pair of (d,) int64 gene rows a
+ * and b (-1 is the wildcard) into ca and cb, counted over the row blocks.
  *
  * A pair whose parents do not both fix k genes passes through.  Else
  * its child takes parent a's gene on the Type II positions (both fixed);
@@ -499,96 +503,82 @@ static void choose(const int64_t *counts, int64_t nc, uint64_t offset,
  * work:    int64 scratch of 4 * d + cap * (k + 1);
  * partial: uint64 scratch of k times the largest block's words (at
  *          least one);
- * stats: out (candidates counted, stages the per-stage batched
- *        crossover runs: 1 if any pair enumerates plus the most greedy
- *        steps of any pair, words ANDed).
+ * stages:  k + 1 tallies of the staged crossover's counting calls the
+ *          pair adds to: the Type II enumeration, then greedy step s at
+ *          stages[1 + s].
  */
-void repro_recombine(const int64_t *blocks, int64_t n_blocks,
-                     const int64_t *pa, const int64_t *pb, int64_t n,
-                     int64_t d, int64_t phi, int64_t k, const double *mean,
-                     const double *sd, int64_t cap, int64_t *out_a,
-                     int64_t *out_b, int64_t *work, uint64_t *partial,
-                     int64_t *stats)
+static void recombine_pair(const int64_t *blocks, int64_t n_blocks,
+                           const int64_t *a, const int64_t *b, int64_t *ca,
+                           int64_t *cb, int64_t d, int64_t phi, int64_t k,
+                           const double *mean, const double *sd, int64_t cap,
+                           int64_t *work, uint64_t *partial, stage_t *stages)
 {
     int64_t *child = work, *fixed = child + d, *free_pos = fixed + d;
     int64_t *cand_pos = free_pos + d, *counts = cand_pos + d;
     int64_t *cells = counts + cap;
-    int64_t n_cand = 0, enumerated = 0, steps = 0, anded = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t *a = pa + i * d, *b = pb + i * d;
-        int64_t *ca = out_a + i * d, *cb = out_b + i * d;
-        int64_t ka = 0, kb = 0, n2 = 0, nf = 0, nb = 0;
-        memcpy(ca, a, (size_t)d * 8);
-        memcpy(cb, b, (size_t)d * 8);
-        for (int64_t j = 0; j < d; j++) {
-            ka += a[j] >= 0;
-            kb += b[j] >= 0;
-        }
-        if (ka != k || kb != k) continue;
-        for (int64_t j = 0; j < d; j++) {
-            int both = a[j] >= 0 && b[j] >= 0;
-            child[j] = both ? a[j] : -1;
-            n2 += both;
-            if (both && a[j] != b[j]) free_pos[nf++] = j;
-            else if (both) fixed[nb++] = j * phi + a[j];
-        }
-        if (nf > 0) {
-            uint64_t total = (uint64_t)1 << nf;
-            int64_t best = -1;
-            double best_v = 0.0;
-            enumerated = 1;
-            for (uint64_t lo = 0; lo < total; lo += (uint64_t)cap) {
-                int64_t nc = total - lo < (uint64_t)cap ? (int64_t)(total - lo) : cap;
-                for (int64_t c = 0; c < nc; c++) {
-                    uint64_t bits = lo + (uint64_t)c;
-                    for (int64_t jj = 0; jj < nf; jj++) {
-                        int64_t p = free_pos[jj];
-                        int take_b = (bits >> (nf - 1 - jj)) & 1;
-                        cells[c * nf + jj] = p * phi + (take_b ? b[p] : a[p]);
-                    }
-                }
-                anded += count_stage(blocks, n_blocks, phi, fixed, nb, cells,
-                                     nf, nc, partial, counts);
-                choose(counts, nc, lo, mean[n2], sd[n2], &best, &best_v);
-            }
-            n_cand += (int64_t)total;
-            for (int64_t jj = 0; jj < nf; jj++) {
-                int64_t p = free_pos[jj];
-                child[p] = (((uint64_t)best >> (nf - 1 - jj)) & 1) ? b[p] : a[p];
-            }
-        }
-        int64_t n_add = k - n2;
-        if (n_add > steps) steps = n_add;
-        for (int64_t s = 0; s < n_add; s++) {
-            int64_t nc = 0, best = -1;
-            double best_v = 0.0;
-            nb = 0;
-            for (int64_t j = 0; j < d; j++) {
-                if (child[j] >= 0) {
-                    fixed[nb++] = j * phi + child[j];
-                } else if ((a[j] >= 0) != (b[j] >= 0)) {
-                    cand_pos[nc] = j;
-                    cells[nc++] = j * phi + (a[j] >= 0 ? a[j] : b[j]);
+    int64_t ka = 0, kb = 0, n2 = 0, nf = 0, nb = 0;
+    memcpy(ca, a, (size_t)d * 8);
+    memcpy(cb, b, (size_t)d * 8);
+    for (int64_t j = 0; j < d; j++) {
+        ka += a[j] >= 0;
+        kb += b[j] >= 0;
+    }
+    if (ka != k || kb != k) return;
+    for (int64_t j = 0; j < d; j++) {
+        int both = a[j] >= 0 && b[j] >= 0;
+        child[j] = both ? a[j] : -1;
+        n2 += both;
+        if (both && a[j] != b[j]) free_pos[nf++] = j;
+        else if (both) fixed[nb++] = j * phi + a[j];
+    }
+    if (nf > 0) {
+        uint64_t total = (uint64_t)1 << nf;
+        int64_t best = -1;
+        double best_v = 0.0;
+        for (uint64_t lo = 0; lo < total; lo += (uint64_t)cap) {
+            int64_t nc = total - lo < (uint64_t)cap ? (int64_t)(total - lo) : cap;
+            for (int64_t c = 0; c < nc; c++) {
+                uint64_t bits = lo + (uint64_t)c;
+                for (int64_t jj = 0; jj < nf; jj++) {
+                    int64_t p = free_pos[jj];
+                    int take_b = (bits >> (nf - 1 - jj)) & 1;
+                    cells[c * nf + jj] = p * phi + (take_b ? b[p] : a[p]);
                 }
             }
-            anded += count_stage(blocks, n_blocks, phi, fixed, nb, cells, 1,
-                                 nc, partial, counts);
-            choose(counts, nc, 0, mean[n2 + s + 1], sd[n2 + s + 1], &best,
-                   &best_v);
-            child[cand_pos[best]] = cells[best] % phi;
-            n_cand += nc;
+            count_stage(blocks, n_blocks, fixed, nb, cells, nf, nc, partial,
+                        counts);
+            choose(counts, nc, lo, mean[n2], sd[n2], &best, &best_v);
         }
-        for (int64_t j = 0; j < d; j++) {
-            ca[j] = child[j];
-            if (a[j] >= 0 && b[j] >= 0) cb[j] = child[j] == a[j] ? b[j] : a[j];
-            else if (a[j] >= 0 || b[j] >= 0)
-                cb[j] = child[j] >= 0 ? -1 : (a[j] >= 0 ? a[j] : b[j]);
-            else cb[j] = -1;
+        tally(&stages[0], (int64_t)total, n2);
+        for (int64_t jj = 0; jj < nf; jj++) {
+            int64_t p = free_pos[jj];
+            child[p] = (((uint64_t)best >> (nf - 1 - jj)) & 1) ? b[p] : a[p];
         }
     }
-    stats[0] = n_cand;
-    stats[1] = enumerated + steps;
-    stats[2] = anded;
+    for (int64_t s = 0; s < k - n2; s++) {
+        int64_t nc = 0, best = -1;
+        double best_v = 0.0;
+        nb = 0;
+        for (int64_t j = 0; j < d; j++) {
+            if (child[j] >= 0) {
+                fixed[nb++] = j * phi + child[j];
+            } else if ((a[j] >= 0) != (b[j] >= 0)) {
+                cand_pos[nc] = j;
+                cells[nc++] = j * phi + (a[j] >= 0 ? a[j] : b[j]);
+            }
+        }
+        count_stage(blocks, n_blocks, fixed, nb, cells, 1, nc, partial, counts);
+        choose(counts, nc, 0, mean[n2 + s + 1], sd[n2 + s + 1], &best, &best_v);
+        child[cand_pos[best]] = cells[best] % phi;
+        tally(&stages[1 + s], nc, n2 + s + 1);
+    }
+    for (int64_t j = 0; j < d; j++) {
+        ca[j] = child[j];
+        if (a[j] >= 0 && b[j] >= 0) cb[j] = child[j] == a[j] ? b[j] : a[j];
+        else if (a[j] >= 0 || b[j] >= 0)
+            cb[j] = child[j] >= 0 ? -1 : (a[j] >= 0 ? a[j] : b[j]);
+        else cb[j] = -1;
+    }
 }
 
 /* numpy's bitgen_t, the C interface of a Generator's bit generator. */
@@ -614,6 +604,28 @@ static int64_t draw_below(repro_bitgen *bg, uint32_t n)
     return (int64_t)(m >> 32);
 }
 
+/* A value in [0, max] drawn as numpy's random_interval draws it (the
+ * draw behind Generator.shuffle): the smallest all-ones mask covering
+ * max over next_uint32 (next_uint64 above 2^32 - 1), redrawn while the
+ * masked value exceeds max. */
+static uint64_t draw_interval(repro_bitgen *bg, uint64_t max)
+{
+    uint64_t mask = max, v;
+    if (max == 0) return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffUL) {
+        while ((v = (bg->next_uint32(bg->state) & mask)) > max) {}
+    } else {
+        while ((v = (bg->next_uint64(bg->state) & mask)) > max) {}
+    }
+    return v;
+}
+
 /* Column of the nth (0-based) gene of row g that is fixed (want_fixed)
  * or a wildcard. */
 static int64_t nth_gene(const int64_t *g, int64_t d, int64_t nth, int want_fixed)
@@ -625,19 +637,18 @@ static int64_t nth_gene(const int64_t *g, int64_t d, int64_t nth, int want_fixed
 }
 
 /* Figure 6's mutation of a (p, d) int64 gene matrix in place (-1 is the
- * wildcard), drawing from the bit generator bitgen exactly as
- * BalancedMutation's Python loop draws from the Generator over it.  Per
- * row, in turn: random() for Type I, and when it is under p1 and the row
- * fixes some but not all genes, integers(wildcards), integers(fixed) and
- * integers(phi) name the wildcard that takes the value and the fixed gene
- * that becomes *; then random() for Type II, and when it is under p2, the
- * row fixes a gene and phi > 1, integers(fixed) and integers(1, phi) name
- * the fixed gene (counted after the swap) and its shift modulo phi.
+ * wildcard), drawing from bg exactly as BalancedMutation's Python loop
+ * draws from the Generator over it.  Per row, in turn: random() for
+ * Type I, and when it is under p1 and the row fixes some but not all
+ * genes, integers(wildcards), integers(fixed) and integers(phi) name the
+ * wildcard that takes the value and the fixed gene that becomes *; then
+ * random() for Type II, and when it is under p2, the row fixes a gene and
+ * phi > 1, integers(fixed) and integers(1, phi) name the fixed gene
+ * (counted after the swap) and its shift modulo phi.
  */
-void repro_mutate(int64_t *genes, int64_t p, int64_t d, int64_t phi,
-                  double p1, double p2, void *bitgen)
+static void mutate_rows(int64_t *genes, int64_t p, int64_t d, int64_t phi,
+                        double p1, double p2, repro_bitgen *bg)
 {
-    repro_bitgen *bg = (repro_bitgen *)bitgen;
     for (int64_t i = 0; i < p; i++) {
         int64_t *g = genes + i * d, n_fixed = 0;
         for (int64_t j = 0; j < d; j++) n_fixed += g[j] >= 0;
@@ -656,6 +667,194 @@ void repro_mutate(int64_t *genes, int64_t p, int64_t d, int64_t phi,
             g[at] = (g[at] + 1 + draw_below(bg, (uint32_t)(phi - 1))) % phi;
         }
     }
+}
+
+/* mutate_rows over the bit generator bitgen (a numpy bitgen_t). */
+void repro_mutate(int64_t *genes, int64_t p, int64_t d, int64_t phi,
+                  double p1, double p2, void *bitgen)
+{
+    mutate_rows(genes, p, d, phi, p1, p2, (repro_bitgen *)bitgen);
+}
+
+/* Whether a sorts before b in numpy's float order: NaN last. */
+static int sorts_before(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+/* order = argsort(x, kind="stable"): a bottom-up merge sort of the
+ * indices 0..n-1 that takes from the right run only when its value sorts
+ * strictly first, so ties keep index order.  tmp: n scratch. */
+static void stable_argsort(const double *x, int64_t n, int64_t *order,
+                           int64_t *tmp)
+{
+    for (int64_t i = 0; i < n; i++) order[i] = i;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t i = lo, j = mid, t = lo;
+            while (i < mid && j < hi) {
+                tmp[t++] = sorts_before(x[order[j]], x[order[i]]) ? order[j++]
+                                                                  : order[i++];
+            }
+            while (i < mid) tmp[t++] = order[i++];
+            while (j < hi) tmp[t++] = order[j++];
+        }
+        memcpy(order, tmp, (size_t)n * 8);
+    }
+}
+
+/* Figure 4's rank roulette over the argsort order: p picks drawn as
+ * numpy 2.x draws rng.choice(p, p, p=w / w.sum()) with weight p - 1 - r
+ * for the row of rank r (0 the fittest).  The cdf is the running sum of
+ * w / sum(w) divided by its last entry; each pick is one next_double u
+ * and the first row whose cdf exceeds u (searchsorted side="right").
+ * One row picks itself and draws nothing.  cdf: p scratch. */
+static void rank_roulette(const int64_t *order, int64_t p, double *cdf,
+                          repro_bitgen *bg, int64_t *pick)
+{
+    double total = 0.0, run = 0.0;
+    if (p <= 1) {
+        for (int64_t i = 0; i < p; i++) pick[i] = i;
+        return;
+    }
+    for (int64_t r = 0; r < p; r++) cdf[order[r]] = (double)(p - 1 - r);
+    for (int64_t i = 0; i < p; i++) total += cdf[i];
+    for (int64_t i = 0; i < p; i++) {
+        run += cdf[i] / total;
+        cdf[i] = run;
+    }
+    double last = cdf[p - 1];
+    for (int64_t i = 0; i < p; i++) cdf[i] /= last;
+    for (int64_t c = 0; c < p; c++) {
+        double u = bg->next_double(bg->state);
+        int64_t lo = 0, hi = p;
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (u < cdf[mid]) hi = mid; else lo = mid + 1;
+        }
+        pick[c] = lo;
+    }
+}
+
+/* One generation of Figure 3's loop over the (p, d) int64 population
+ * genes (-1 is the wildcard) and its fitnesses fit, drawing from the bit
+ * generator bitgen (a numpy bitgen_t) exactly as the operators draw from
+ * the Generator over it, in their order:
+ *
+ * 1. the elites: the first `elitism` rows of argsort(fit, "stable");
+ * 2. selection: row chosen[i] as pick i when chosen is not NULL, else
+ *    rank_roulette;
+ * 3. pairing: rng.permutation(p), Fisher-Yates from the top (row i swaps
+ *    with draw_interval(i)), its entries taken two at a time;
+ * 4. with rate < 1, one next_double per pair in pair order: the pair
+ *    recombines when it falls under rate;
+ * 5. recombine_pair on every recombining pair of picks, then mutate_rows
+ *    over the whole matrix;
+ * 6. the elites replace the last rows;
+ * 7. scoring: each row fixing k genes is counted with repro_count_batch
+ *    over every block (block words per cache block) and scores Eq. 1,
+ *    (n - mean[k]) / sd[k]; the other rows score +inf.
+ *
+ * out, out_fit: (p, d) next population and (p,) its fitnesses;
+ * dims, ranges, counts, coef: the scored rows' (k,) cubes, counts and
+ *          coefficients, in row order, in their first stats[2] rows;
+ * work:    int64 scratch of 4 * p + p * d + p * k + 2 * (k + 1)
+ *          + 4 * d + cap * (k + 1);
+ * cdf:     double scratch of p;
+ * partial: uint64 scratch of k times the largest block's words (at
+ *          least one);
+ * stats:   out (candidates counted, the staged crossover's counting
+ *          calls, rows scored, words the staged path's counting calls
+ *          AND: (widest - 1) * candidates * words per call, with k for
+ *          the scoring call).
+ */
+void repro_generation(const int64_t *blocks, int64_t n_blocks,
+                      const int64_t *genes, const double *fit, int64_t p,
+                      int64_t d, int64_t phi, int64_t k, int64_t elitism,
+                      const int64_t *chosen, double rate, double p1,
+                      double p2, const double *mean, const double *sd,
+                      int64_t cap, int64_t block, void *bitgen, int64_t *out,
+                      double *out_fit, int64_t *dims, int64_t *ranges,
+                      int64_t *counts, double *coef, int64_t *work,
+                      double *cdf, uint64_t *partial, int64_t *stats)
+{
+    repro_bitgen *bg = (repro_bitgen *)bitgen;
+    int64_t *order = work, *pick = order + p, *perm = pick + p, *tmp = perm + p;
+    int64_t *parents = tmp + p, *cells = parents + p * d;
+    stage_t *stages = (stage_t *)(cells + p * k);
+    int64_t *scratch = (int64_t *)(stages + k + 1);
+    int64_t n = 0, cand = 0, n_stages = 0, anded = 0, words = 0;
+
+    stable_argsort(fit, p, order, tmp);
+    if (chosen) memcpy(pick, chosen, (size_t)p * 8);
+    else rank_roulette(order, p, cdf, bg, pick);
+    for (int64_t i = 0; i < p; i++) {
+        memcpy(parents + i * d, genes + pick[i] * d, (size_t)d * 8);
+        perm[i] = i;
+    }
+    memcpy(out, parents, (size_t)(p * d) * 8);
+    for (int64_t i = p - 1; i > 0; i--) {
+        int64_t j = (int64_t)draw_interval(bg, (uint64_t)i), t = perm[i];
+        perm[i] = perm[j];
+        perm[j] = t;
+    }
+    for (int64_t t = 0; t < p / 2; t++) {
+        tmp[t] = rate >= 1.0 || bg->next_double(bg->state) < rate;
+    }
+    memset(stages, 0, (size_t)(k + 1) * sizeof(stage_t));
+    for (int64_t t = 0; t < p / 2; t++) {
+        if (!tmp[t]) continue;
+        int64_t i = perm[2 * t], j = perm[2 * t + 1];
+        recombine_pair(blocks, n_blocks, parents + i * d, parents + j * d,
+                       out + i * d, out + j * d, d, phi, k, mean, sd, cap,
+                       scratch, partial, stages);
+    }
+    mutate_rows(out, p, d, phi, p1, p2, bg);
+    for (int64_t r = 0; r < elitism; r++) {
+        memcpy(out + (p - elitism + r) * d, genes + order[r] * d, (size_t)d * 8);
+    }
+
+    for (int64_t i = 0; i < p; i++) {
+        const int64_t *g = out + i * d;
+        int64_t m = 0;
+        out_fit[i] = __builtin_inf();
+        for (int64_t j = 0; j < d; j++) m += g[j] >= 0;
+        if (m != k) continue;
+        for (int64_t j = 0, l = n * k; j < d; j++) {
+            if (g[j] < 0) continue;
+            dims[l] = j;
+            ranges[l] = g[j];
+            cells[l++] = j * phi + g[j];
+        }
+        tmp[n++] = i;
+    }
+    for (int64_t c = 0; c < n; c++) counts[c] = 0;
+    for (int64_t b = 0; b < n_blocks; b++) {
+        const int64_t *blk = blocks + 3 * b;
+        words += blk[2];
+        if (n == 0) continue;
+        repro_count_batch((const uint8_t *)(intptr_t)blk[0], blk[1], blk[2],
+                          cells, n, k, block, pick);
+        for (int64_t c = 0; c < n; c++) counts[c] += pick[c];
+    }
+    for (int64_t c = 0; c < n; c++) {
+        coef[c] = ((double)counts[c] - mean[k]) / sd[k];
+        out_fit[tmp[c]] = coef[c];
+    }
+
+    for (int64_t s = 0; s <= k; s++) {
+        if (stages[s].cand == 0) continue;
+        cand += stages[s].cand;
+        n_stages++;
+        anded += (stages[s].widest - 1) * stages[s].cand;
+    }
+    if (n > 0) anded += (k - 1) * n;
+    stats[0] = cand;
+    stats[1] = n_stages;
+    stats[2] = n;
+    stats[3] = anded * words;
 }
 """
 
@@ -679,27 +878,30 @@ _SIGNATURES: dict[str, list] = {
     ],
     # codes, n, d, row_stride, col_stride, phi, first, row_bytes, out
     "repro_pack_codes": [_PTR, _INT, _INT, _INT, _INT, _INT, _INT, _INT, _PTR],
-    # blocks, n_blocks, pa, pb, n, d, phi, k, mean, sd, cap, out_a, out_b,
-    # work, partial, stats
-    "repro_recombine": [
-        _PTR, _INT, _PTR, _PTR, _INT, _INT, _INT, _INT, _PTR, _PTR, _INT,
-        _PTR, _PTR, _PTR, _PTR, _PTR,
-    ],
     # genes, p, d, phi, p1, p2, bitgen
     "repro_mutate": [_PTR, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _PTR],
+    # blocks, n_blocks, genes, fit, p, d, phi, k, elitism, chosen, rate, p1,
+    # p2, mean, sd, cap, block, bitgen, out, out_fit, dims, ranges, counts,
+    # coef, work, cdf, partial, stats
+    "repro_generation": [
+        _PTR, _INT, _PTR, _PTR, _INT, _INT, _INT, _INT, _INT, _PTR, _DOUBLE,
+        _DOUBLE, _DOUBLE, _PTR, _PTR, _INT, _INT, _PTR, _PTR, _PTR, _PTR, _PTR,
+        _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+    ],
 }
 
-#: Type II candidates :func:`native_recombine` counts per pass: larger
-#: enumerations are counted in runs of this many, so its scratch stays
-#: small whatever k.
+#: Type II candidates :class:`NativeGeneration`'s crossover counts per
+#: pass: larger enumerations are counted in runs of this many, so its
+#: scratch stays small whatever k.
 _RECOMBINE_CHUNK = 4096
 
-#: The largest k :func:`native_recombine` takes: its ``2^k'`` Type II
-#: enumeration runs over 64-bit candidate numbers.
-_MAX_RECOMBINE_K = 62
+#: The largest k :class:`NativeGeneration` takes: its crossover's
+#: ``2^k'`` Type II enumeration runs over 64-bit candidate numbers.
+MAX_GENERATION_K = 62
 
-#: Gene matrix widths and φ :func:`native_mutate` takes stay below this:
-#: its bounded draws run over 32-bit random words.
+#: Gene matrix widths and φ :func:`native_mutate` and
+#: :class:`NativeGeneration` take stay below this: their bounded draws
+#: run over 32-bit random words.
 MUTATE_LIMIT = 1 << 31
 
 #: The process-wide build outcome: ``None`` until first use, then the
@@ -1091,7 +1293,9 @@ def native_pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:
     return stack8
 
 
-def native_pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> None:
+def native_pack_codes_into(
+    codes: np.ndarray, out: np.ndarray, first: int, *, codes_checked: bool = False
+) -> None:
     """Pack an ``(n, d)`` int16 code block into rows ``first..`` of *out*.
 
     *out* is a writeable C-contiguous ``(d, φ, bytes)`` uint8 stack with
@@ -1099,7 +1303,10 @@ def native_pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> No
     the new rows' bits are ORed in, so the rows below *first* stay as
     they are.  The reference is
     :func:`repro.grid.kernels.pack_codes_block_into`.  Codes outside
-    ``[MISSING_CELL, φ)`` are refused before any bit is set.
+    ``[MISSING_CELL, φ)`` are refused before any bit is set, unless
+    *codes_checked* says the caller has refused them already (a block
+    :func:`~repro.grid.cells.check_code_block` passed, or one a grid
+    coded); the layout of *codes* and *out* is checked either way.
     """
     row_stride, col_stride = _check_matrix(codes, np.int16, "pack")
     n, n_dims = codes.shape
@@ -1119,7 +1326,7 @@ def native_pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> No
             f"with shape {np.shape(out)}"
         )
     n_ranges = out.shape[1]
-    if codes.size:
+    if codes.size and not codes_checked:
         lo, hi = int(codes.min()), int(codes.max())
         if lo < MISSING_CELL or hi >= n_ranges:
             raise ValidationError(
@@ -1134,12 +1341,13 @@ def native_pack_codes_into(codes: np.ndarray, out: np.ndarray, first: int) -> No
 
 
 def _block_table(blocks, n_dims: int, n_ranges: int) -> list[tuple]:
-    """The rows ``(address, dimension stride, range stride, words)``
-    ``repro_recombine`` reads the row blocks through.
+    """The rows ``(address, row stride, words)`` ``repro_generation``
+    reads the row blocks through.
 
     Refuses a block that is not a ``(d, φ, words)`` uint64 array whose
-    words lie contiguous in each mask row; its strides are numpy's own,
-    so every row the C code forms from them lies inside the block.
+    mask rows lie one stride apart in cell order with their words
+    contiguous; its strides are numpy's own, so every row the C code
+    forms from them lies inside the block.
     """
     table = []
     for block in blocks:
@@ -1149,120 +1357,63 @@ def _block_table(blocks, n_dims: int, n_ranges: int) -> list[tuple]:
             and block.ndim == 3
             and block.shape[:2] == (n_dims, n_ranges)
             and (block.shape[2] <= 1 or block.strides[2] == 8)
+            and block.strides[0] == n_ranges * block.strides[1]
         ):
             raise ValidationError(
-                "native recombination needs (d, phi, words) uint64 row "
-                f"blocks with contiguous words for d={n_dims}, phi={n_ranges}, "
-                f"got {getattr(block, 'dtype', type(block).__name__)} with "
-                f"shape {np.shape(block)} and strides "
-                f"{getattr(block, 'strides', None)}"
+                "native generation needs (d, phi, words) uint64 row blocks "
+                f"with rows in cell order and contiguous words for d={n_dims}, "
+                f"phi={n_ranges}, got "
+                f"{getattr(block, 'dtype', type(block).__name__)} with shape "
+                f"{np.shape(block)} and strides {getattr(block, 'strides', None)}"
             )
-        table.append(
-            (block.ctypes.data, block.strides[0], block.strides[1], block.shape[2])
-        )
+        table.append((block.ctypes.data, block.strides[1], block.shape[2]))
     if not table:
-        raise ValidationError("native recombination needs at least one row block")
+        raise ValidationError("native generation needs at least one row block")
     return table
 
 
-def native_recombine(
-    blocks,
-    parents_a: np.ndarray,
-    parents_b: np.ndarray,
-    dimensionality: int,
-    mean: np.ndarray,
-    std: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Figure 5's optimized crossover for every row pair, in one C call.
-
-    *blocks* are a counter's ``(d, φ, words)`` uint64 row blocks (a
-    count is the sum of the blocks' counts); *parents_a* and
-    *parents_b* the ``(n, d)`` gene matrices of the pairs (``-1`` is
-    ``*``); *mean* and *std* Equation 1's moments indexed by k, as
-    :func:`~repro.search.evolutionary.population._null_moments` builds
-    them.  A pair whose parents do not both fix *dimensionality* genes
-    passes through.  Every other pair is recombined as the per-stage
-    batched crossover recombines it without its oversized-k' fallback
-    (so the caller serves only ``k <= max_exact_positions``): the best
-    of the ``2^f`` Type II assignments, then greedy Type III steps,
-    each choice the first minimum of Equation 1 at the candidate's own
-    k, then the complementary child.
-
-    Returns ``(children_a, children_b, stats)``, *stats* holding
-    ``candidates`` (cubes counted), ``stages`` (the counting calls the
-    per-stage path makes: one if any pair enumerates, plus the most
-    greedy steps of any pair) and ``words_and``.  Refuses, before
-    entering C, parents of another shape, width or a type int64 cannot
-    hold, genes outside ``[-1, φ)``, *dimensionality* outside ``[1,
-    min(d, 62)]``, moment tables shorter than ``k + 1`` and blocks
-    :func:`_block_table` refuses.
-    """
+def _check_genes(population, what: str) -> tuple[int, int]:
+    """Refuse anything but a 2-D matrix in an integer type int64 holds
+    with ``1 <= d < MUTATE_LIMIT``; its shape."""
     if not (
-        isinstance(parents_a, np.ndarray)
-        and isinstance(parents_b, np.ndarray)
-        and parents_a.ndim == 2
-        and parents_a.shape == parents_b.shape
-        and parents_a.dtype.kind in "iu"
-        and parents_b.dtype.kind in "iu"
-        and np.can_cast(parents_a.dtype, np.int64)
-        and np.can_cast(parents_b.dtype, np.int64)
+        isinstance(population, np.ndarray)
+        and population.ndim == 2
+        and population.dtype.kind in "iu"
+        and np.can_cast(population.dtype, np.int64)
+        and 1 <= population.shape[1] < MUTATE_LIMIT
+    ):
+        got = getattr(population, "dtype", type(population).__name__)
+        raise ValidationError(
+            f"native {what} needs a (p, d) gene matrix with 1 <= d < 2^31 in an "
+            f"integer type int64 holds, got {got} with shape {np.shape(population)}"
+        )
+    return population.shape
+
+
+def _check_gene_range(genes: np.ndarray, n_ranges: int, what: str) -> None:
+    """Refuse genes outside ``[-1, φ)``."""
+    if genes.size and (genes.min() < -1 or genes.max() >= n_ranges):
+        raise ValidationError(
+            f"native {what} needs genes in [-1, {n_ranges}), found range "
+            f"[{genes.min()}, {genes.max()}]"
+        )
+
+
+def _check_draws(what: str, rng, *probabilities) -> None:
+    """Refuse probabilities outside ``[0, 1]`` and an *rng* that is not a
+    :class:`numpy.random.Generator`."""
+    if not all(
+        isinstance(p, (int, float, np.number)) and 0.0 <= p <= 1.0
+        for p in probabilities
     ):
         raise ValidationError(
-            "native recombination needs two (n, d) gene matrices of one shape "
-            f"in an integer type int64 holds, got {np.shape(parents_a)} "
-            f"{getattr(parents_a, 'dtype', None)} and {np.shape(parents_b)} "
-            f"{getattr(parents_b, 'dtype', None)}"
+            f"native {what} needs probabilities in [0, 1], got "
+            f"{', '.join(map(str, probabilities))}"
         )
-    n, n_dims = parents_a.shape
-    blocks = list(blocks)
-    n_ranges = blocks[0].shape[1] if blocks and np.ndim(blocks[0]) == 3 else -1
-    table = _block_table(blocks, n_dims, n_ranges)
-    k = int(dimensionality)
-    if not 1 <= k <= min(n_dims, _MAX_RECOMBINE_K):
+    if not isinstance(rng, np.random.Generator):
         raise ValidationError(
-            f"native recombination needs 1 <= k <= min(d, {_MAX_RECOMBINE_K}), "
-            f"got k={dimensionality} with d={n_dims}"
+            f"native {what} needs a numpy Generator, got {type(rng).__name__}"
         )
-    if any(np.ndim(m) != 1 or len(m) <= k for m in (mean, std)):
-        raise ValidationError(
-            f"native recombination needs moment tables indexed by k = 0..{k}, "
-            f"got shapes {np.shape(mean)} and {np.shape(std)}"
-        )
-    # One buffer, one address: the block table, both parents, both
-    # children, the two moment tables, the stats out, then the routine's
-    # scratch (int64 work, then uint64 partial ANDs).
-    cap = max(n_dims, min(1 << k, _RECOMBINE_CHUNK))
-    size = n * n_dims
-    sizes = (
-        4 * len(table), size, size, size, size, k + 1, k + 1, 3,
-        4 * n_dims + cap * (k + 1), max(1, k * max(row[3] for row in table)),
-    )
-    ends = list(itertools.accumulate(sizes))
-    starts = [0, *ends[:-1]]
-    buffer = np.empty(ends[-1], dtype=np.int64)
-    part = [buffer[lo:hi] for lo, hi in zip(starts, ends, strict=True)]
-    part[0].reshape(-1, 4)[:] = table
-    part[1].reshape(n, n_dims)[:] = parents_a
-    part[2].reshape(n, n_dims)[:] = parents_b
-    genes = buffer[starts[1] : ends[2]]
-    if size and (genes.min() < -1 or genes.max() >= n_ranges):
-        raise ValidationError(
-            f"native recombination needs genes in [-1, {n_ranges}), found "
-            f"range [{genes.min()}, {genes.max()}]"
-        )
-    part[5].view(np.float64)[:] = mean[: k + 1]
-    part[6].view(np.float64)[:] = std[: k + 1]
-    lib = _load_kernel()
-    address = buffer.ctypes.data
-    at = [address + 8 * lo for lo in starts]
-    lib.repro_recombine(
-        at[0], len(table), at[1], at[2], n, n_dims, n_ranges, k, at[5], at[6],
-        cap, at[3], at[4], at[8], at[9], at[7],
-    )
-    candidates, stages, words = part[7].tolist()
-    return part[3].reshape(n, n_dims), part[4].reshape(n, n_dims), {
-        "candidates": candidates, "stages": stages, "words_and": words,
-    }
 
 
 def native_mutate(
@@ -1295,45 +1446,14 @@ def native_mutate(
     :class:`~repro.exceptions.ResourceError` before any draw when the
     library cannot be loaded.
     """
-    if not (
-        isinstance(population, np.ndarray)
-        and population.ndim == 2
-        and population.dtype.kind in "iu"
-        and np.can_cast(population.dtype, np.int64)
-    ):
-        got = getattr(population, "dtype", type(population).__name__)
+    n_rows, n_dims = _check_genes(population, "mutation")
+    if not (isinstance(n_ranges, (int, np.integer)) and 1 <= n_ranges < MUTATE_LIMIT):
         raise ValidationError(
-            "native mutation needs a (p, d) gene matrix in an integer type "
-            f"int64 holds, got {got} with shape {np.shape(population)}"
+            f"native mutation needs 1 <= phi < 2^31, got phi={n_ranges}"
         )
-    n_rows, n_dims = population.shape
-    if not (
-        isinstance(n_ranges, (int, np.integer))
-        and 1 <= n_ranges < MUTATE_LIMIT
-        and 1 <= n_dims < MUTATE_LIMIT
-    ):
-        raise ValidationError(
-            f"native mutation needs 1 <= phi, d < 2^31, got phi={n_ranges} "
-            f"and d={n_dims}"
-        )
-    if not all(
-        isinstance(p, (int, float, np.number)) and 0.0 <= p <= 1.0
-        for p in (swap_probability, flip_probability)
-    ):
-        raise ValidationError(
-            "native mutation needs probabilities in [0, 1], got "
-            f"{swap_probability} and {flip_probability}"
-        )
-    if not isinstance(rng, np.random.Generator):
-        raise ValidationError(
-            f"native mutation needs a numpy Generator, got {type(rng).__name__}"
-        )
+    _check_draws("mutation", rng, swap_probability, flip_probability)
     genes = np.array(population, dtype=np.int64, order="C")
-    if genes.size and (genes.min() < -1 or genes.max() >= n_ranges):
-        raise ValidationError(
-            f"native mutation needs genes in [-1, {n_ranges}), found range "
-            f"[{genes.min()}, {genes.max()}]"
-        )
+    _check_gene_range(genes, n_ranges, "mutation")
     lib = _load_kernel()
     bit_generator = rng.bit_generator
     with bit_generator.lock:
@@ -1343,3 +1463,176 @@ def native_mutate(
             bit_generator.ctypes.bit_generator,
         )
     return genes
+
+
+class NativeGeneration:
+    """One generation of the GA (Figure 3's loop body), checked and packed
+    for one C call over a counter's row blocks; calling it runs the call.
+
+    *blocks* are a counter's ``(d, φ, words)`` uint64 row blocks (a
+    count is the sum of the blocks' counts); *population* the ``(p, d)``
+    gene matrix (``-1`` is ``*``) and *fitnesses* its ``(p,)``
+    fitnesses; *mean* and *std* Equation 1's moments indexed by k, as
+    :func:`~repro.search.evolutionary.population._null_moments` builds
+    them; *rng* the run's :class:`numpy.random.Generator`.  The call
+    draws from *rng*'s bit generator (through numpy's ``bitgen_t``
+    interface, its lock held) what the operators draw, in their order,
+    and returns what they return:
+
+    * the elites, the first *elitism* rows of a stable argsort of the
+      fitnesses, kept aside;
+    * selection: the rows *chosen* names (a non-default
+      :class:`~repro.search.evolutionary.selection.SelectionOperator`'s
+      ``choose``), or else Figure 4's rank roulette drawn as
+      ``rng.choice(p, p, p=w / w.sum())``, ``w = p − rank``;
+    * pairing as ``rng.permutation(p)``, then one ``rng.random()`` per
+      pair against *crossover_rate* when it is below 1;
+    * Figure 5's optimized crossover of every recombining pair, as the
+      staged crossover recombines it (the caller serves only k without
+      its oversized-k' fallback);
+    * Figure 6's mutation of every string, drawn as
+      :func:`native_mutate` draws it;
+    * the elites replacing the last rows;
+    * Equation 1 for every string fixing *dimensionality* genes
+      (``+inf`` for the others).
+
+    The call returns ``(population, fitnesses, scored, stats)``:
+    *scored* holds the ``(n, k)`` dims and ranges, counts and
+    coefficients of the n scored strings in row order, and *stats*
+    ``candidates`` (crossover cubes counted), ``stages`` (the counting
+    calls of the staged crossover), ``rows`` (strings scored) and
+    ``words_and`` (what the staged path's counting calls book).  The
+    proof that all this is the operators' result sits beside them
+    (:func:`repro.search.evolutionary.generation._prove_generation`);
+    numpy 2.x's ``choice`` and ``permutation`` are what it checks.
+
+    Construction refuses, before any draw: a population that is not a
+    2-D matrix in an integer type int64 holds, genes outside ``[-1,
+    φ)``, d or φ outside ``[1, MUTATE_LIMIT)``, fitnesses of another
+    length, *dimensionality* outside ``[1, min(d, 62)]``, moment tables
+    shorter than ``k + 1``, *elitism* outside ``[0, p]``, *chosen* that
+    is not ``p`` rows in ``[0, p)``, probabilities outside ``[0, 1]``,
+    an *rng* that is not a Generator and blocks :func:`_block_table`
+    refuses.  The call raises :class:`~repro.exceptions.ResourceError`
+    before any draw when the library cannot be loaded.
+    """
+
+    def __init__(
+        self,
+        blocks,
+        population: np.ndarray,
+        fitnesses,
+        dimensionality: int,
+        mean: np.ndarray,
+        std: np.ndarray,
+        rng: np.random.Generator,
+        *,
+        elitism: int,
+        crossover_rate: float,
+        swap_probability: float,
+        flip_probability: float,
+        chosen=None,
+    ) -> None:
+        n, n_dims = _check_genes(population, "generation")
+        blocks = list(blocks)
+        n_ranges = blocks[0].shape[1] if blocks and np.ndim(blocks[0]) == 3 else -1
+        if not 1 <= n_ranges < MUTATE_LIMIT:
+            raise ValidationError(
+                f"native generation needs 1 <= phi < 2^31, got phi={n_ranges}"
+            )
+        table = _block_table(blocks, n_dims, n_ranges)
+        k = int(dimensionality)
+        if not 1 <= k <= min(n_dims, MAX_GENERATION_K):
+            raise ValidationError(
+                f"native generation needs 1 <= k <= min(d, {MAX_GENERATION_K}), "
+                f"got k={dimensionality} with d={n_dims}"
+            )
+        if any(np.ndim(m) != 1 or len(m) <= k for m in (mean, std)):
+            raise ValidationError(
+                f"native generation needs moment tables indexed by k = 0..{k}, "
+                f"got shapes {np.shape(mean)} and {np.shape(std)}"
+            )
+        if np.shape(fitnesses) != (n,):
+            raise ValidationError(
+                f"native generation needs {n} fitnesses, one per string, got "
+                f"shape {np.shape(fitnesses)}"
+            )
+        if not (isinstance(elitism, (int, np.integer)) and 0 <= elitism <= n):
+            raise ValidationError(
+                f"native generation needs 0 <= elitism <= {n}, got {elitism}"
+            )
+        if chosen is not None:
+            chosen = np.asarray(chosen)
+            if not (
+                chosen.shape == (n,)
+                and chosen.dtype.kind in "iu"
+                and (n == 0 or (chosen.min() >= 0 and chosen.max() < n))
+            ):
+                raise ValidationError(
+                    f"native generation needs {n} chosen rows in [0, {n}), got "
+                    f"{chosen.dtype} with shape {chosen.shape}"
+                )
+        _check_draws(
+            "generation", rng, crossover_rate, swap_probability, flip_probability
+        )
+        # One int64 buffer, one address: the outputs (genes, fitnesses,
+        # dims, ranges, counts, coefficients, stats), the inputs (block
+        # table, genes, fitnesses, chosen rows, the two moment tables) and
+        # the routine's scratch (int64 work, double cdf, uint64 partial
+        # ANDs).
+        cap = max(n_dims, min(1 << k, _RECOMBINE_CHUNK))
+        size = n * n_dims
+        lengths = (
+            size, n, n * k, n * k, n, n, 4,
+            3 * len(table), size, n, 0 if chosen is None else n, k + 1, k + 1,
+            4 * n + size + n * k + 2 * (k + 1) + 4 * n_dims + cap * (k + 1), n,
+            max(1, k * max(row[2] for row in table)),
+        )
+        at = [0]
+        for length in lengths:
+            at.append(at[-1] + length)
+        buffer = np.empty(at[-1], dtype=np.int64)
+        buffer[at[7] : at[8]].reshape(-1, 3)[:] = table
+        genes = buffer[at[8] : at[9]]
+        genes.reshape(n, n_dims)[:] = population
+        _check_gene_range(genes, n_ranges, "generation")
+        buffer[at[9] : at[10]].view(np.float64)[:] = fitnesses
+        if chosen is not None:
+            buffer[at[10] : at[11]] = chosen
+        buffer[at[11] : at[13]].view(np.float64)[:] = (*mean[: k + 1], *std[: k + 1])
+        base = buffer.ctypes.data
+        address = [base + 8 * offset for offset in at]
+        # The arrays the addresses point into, kept alive for the call.
+        self._buffer, self._blocks, self._rng = buffer, blocks, rng
+        self._at, self._shape = at, (n, n_dims, k)
+        self._args = (
+            address[7], len(table), address[8], address[9], n, n_dims, n_ranges,
+            k, int(elitism), None if chosen is None else address[10],
+            float(crossover_rate), float(swap_probability),
+            float(flip_probability), address[11], address[12], cap, _BLOCK_WORDS,
+            *address[:6], address[13], address[14], address[15], address[6],
+        )
+
+    def __call__(self) -> tuple:
+        """Run the generation: ``(population, fitnesses, scored, stats)``."""
+        lib = _load_kernel()
+        bit_generator = self._rng.bit_generator
+        args = self._args
+        with bit_generator.lock:
+            lib.repro_generation(
+                *args[:17], bit_generator.ctypes.bit_generator, *args[17:]
+            )
+        buffer, at = self._buffer, self._at
+        n, n_dims, k = self._shape
+        candidates, stages, rows, words = buffer[at[6] : at[7]].tolist()
+        scored = (
+            buffer[at[2] : at[3]].reshape(n, k)[:rows],
+            buffer[at[3] : at[4]].reshape(n, k)[:rows],
+            buffer[at[4] : at[4] + rows],
+            buffer[at[5] : at[5] + rows].view(np.float64),
+        )
+        population = buffer[: at[1]].reshape(n, n_dims)
+        return population, buffer[at[1] : at[2]].view(np.float64), scored, {
+            "candidates": candidates, "stages": stages, "rows": rows,
+            "words_and": words,
+        }

@@ -436,7 +436,9 @@ class GridModel:
         self._ensure_sketch()
         self.discretizer._absorb_checked(array)
         if self.counter is not None:
-            self.counter.append_rows(assignment)
+            # The grid coded these rows, and their assignment checked
+            # them; the counter takes them without a second scan.
+            self.counter._append_codes(assignment.codes)
         if self._data is not None:
             self._pending.append(array.copy())
         self._absorb_occupancy(assignment.codes)

@@ -26,12 +26,12 @@ Two recombination mechanisms, mirroring the paper's comparison:
 
 Both work on the ``(p, d)`` gene matrix: :meth:`CrossoverOperator.apply`
 pairs its rows and makes each pair's draws in turn, then
-:meth:`~CrossoverOperator.recombine_pairs` builds all children at once.
-The optimized crossover does that in one fused C call over the
-counter's row blocks where the counter serves it
-(:func:`~repro.grid.native.native_recombine`), and in lockstep stages
-otherwise; this module also holds the proof that the two agree
-(:func:`_prove_fused`), since the grid layer does not import this one.
+:meth:`~CrossoverOperator.recombine_pairs` builds all children at once;
+the optimized crossover does that in lockstep stages, one counting call
+each.  Where the counter serves it, the engine runs the whole
+generation, this crossover included, in one C call instead
+(:mod:`repro.search.evolutionary.generation`), proven against these
+operators.
 """
 
 from __future__ import annotations
@@ -42,12 +42,8 @@ import numpy as np
 
 from ..._validation import check_positive_int, check_rng
 from ...exceptions import ValidationError
-from ...grid.backends import BackendConformanceError, pack_codes, proven_gate
-from ...grid.cells import MISSING_CELL, CellAssignment
-from ...grid.counter import CubeCounter
-from ...grid.native import native_recombine
 from .encoding import Solution, WILDCARD_GENE, check_population
-from .population import FitnessEvaluator, _null_moments
+from .population import FitnessEvaluator
 
 __all__ = [
     "CrossoverOperator",
@@ -73,80 +69,6 @@ def _pair_rows(rng, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     order = rng.permutation(n_rows)
     paired = n_rows - n_rows % 2
     return order[0:paired:2], order[1:paired:2]
-
-
-def _prove_fused() -> None:
-    """Prove :func:`~repro.grid.native.native_recombine` bit-identical
-    to :meth:`OptimizedCrossover._recombine_staged` on a fixture.
-
-    Two grids (φ = 2 and φ = 3, missing codes, ragged final words) and
-    k = 1..5, with random pairs drawn from a few dimensions so that
-    genes coincide, plus an identical pair and an infeasible one.  The
-    routine runs over the whole stack, over 64-row blocks and over those
-    blocks as the filled prefix of buffers whose spare word is all ones;
-    its children, candidates and stages must equal the per-stage path's
-    children, evaluations and counting calls.  Raises
-    :class:`~repro.grid.backends.BackendConformanceError` on the first
-    divergence.
-    """
-    rng = np.random.default_rng(577215)
-    staged = OptimizedCrossover()
-    for phi, n_rows, n_dims in ((2, 150, 6), (3, 131, 7)):
-        codes = rng.integers(0, phi, size=(n_rows, n_dims)).astype(np.int16)
-        codes[rng.random(codes.shape) < 0.1] = MISSING_CELL
-        counter = CubeCounter(CellAssignment(codes, phi))
-        stack = pack_codes(codes, phi).view(np.uint64)
-        blocks = [stack[:, :, lo : lo + 1] for lo in range(stack.shape[2])]
-        spare = []
-        for block in blocks:
-            wide = np.full(block.shape[:2] + (2,), ~np.uint64(0))
-            wide[:, :, :1] = block
-            spare.append(wide[:, :, :1])
-        mean, std = _null_moments(n_rows, phi, n_dims)
-        for k in range(1, 6):
-            evaluator = FitnessEvaluator(counter, k)
-            pairs = [
-                [_fixture_parent(rng, n_dims, k, phi) for _ in range(2)]
-                for _ in range(12)
-            ]
-            pairs.append([pairs[0][0]] * 2)
-            pairs.append([pairs[1][0], _fixture_parent(rng, n_dims, k + 1, phi)])
-            parents_a, parents_b = np.array(pairs).transpose(1, 0, 2)
-            before = (evaluator.n_evaluations, counter.n_batch_calls)
-            want = staged._recombine_staged(parents_a, parents_b, evaluator)
-            candidates = evaluator.n_evaluations - before[0]
-            stages = counter.n_batch_calls - before[1]
-            for layout in ([stack], blocks, spare):
-                got_a, got_b, stats = native_recombine(
-                    layout, parents_a, parents_b, k, mean, std
-                )
-                if not (
-                    np.array_equal(got_a, want[0])
-                    and np.array_equal(got_b, want[1])
-                    and stats["candidates"] == candidates
-                    and stats["stages"] == stages
-                ):
-                    raise BackendConformanceError(
-                        "the fused C crossover failed its differential "
-                        f"self-check (phi={phi}, k={k}, {len(layout)} row "
-                        "blocks): its children or counting figures diverge "
-                        "from the per-stage path"
-                    )
-
-
-#: Whether the fused C crossover may serve in this process: once the C
-#: library serves and :func:`_prove_fused` has passed (a failed proof
-#: is logged once and keeps the per-stage path).
-_fused_serves = proven_gate(_prove_fused, "the optimized crossover runs per stage")
-
-
-def _fixture_parent(rng, n_dims: int, k: int, phi: int) -> np.ndarray:
-    """A string fixing *k* genes among the first ``k + 1`` dimensions
-    (capped at *n_dims*), with values 0 and 1 only."""
-    genes = np.full(n_dims, WILDCARD_GENE)
-    dims = rng.choice(min(n_dims, k + 1), size=min(k, n_dims), replace=False)
-    genes[dims] = rng.integers(0, min(phi, 2), size=len(dims))
-    return genes
 
 
 class CrossoverOperator(abc.ABC):
@@ -251,11 +173,10 @@ class TwoPointCrossover(CrossoverOperator):
 class OptimizedCrossover(CrossoverOperator):
     """Figure 5's optimized recombination (exact + greedy + complement).
 
-    Every recombining pair of a generation is evaluated at once: in
-    one fused C call where the counter serves it, else in lockstep
-    stages — one batched partial-fitness evaluation scores all pairs'
-    Type II assignments, then one evaluation per greedy step covers
-    every pair still choosing.  Each choice takes the first minimum in
+    Every recombining pair of a generation is evaluated at once, in
+    lockstep stages: one batched partial-fitness evaluation scores all
+    pairs' Type II assignments, then one evaluation per greedy step
+    covers every pair still choosing.  Each choice takes the first minimum in
     enumeration (or candidate) order, which is exactly what a
     per-pair strict-``<`` scan picks, so the children and the
     evaluation count are those of recombining the pairs one by one.
@@ -275,25 +196,9 @@ class OptimizedCrossover(CrossoverOperator):
         )
 
     def recombine_pairs(self, parents_a, parents_b, draws, evaluator):
-        """Figure 5 for every ``(parents_a[i], parents_b[i])`` pair at once.
-
-        One fused C call recombines them all when the counter serves it
-        (:meth:`FitnessEvaluator.fused_recombination`), k needs no
-        oversized-k' fallback and the routine has passed
-        :func:`_prove_fused` in this process; otherwise, and for the
-        rest of the run after the C call fails, the per-stage path
-        (:meth:`_recombine_staged`) runs.  Both give the same children,
-        evaluation count and counting figures.
-        """
-        if evaluator.dimensionality <= self.max_exact_positions and _fused_serves():
-            fused = evaluator.fused_recombination(parents_a, parents_b)
-            if fused is not None:
-                return fused
-        return self._recombine_staged(parents_a, parents_b, evaluator)
-
-    def _recombine_staged(self, parents_a, parents_b, evaluator):
-        """Figure 5 in lockstep stages, each one counting call: the
-        reference the fused C routine is proven against."""
+        """Figure 5 for every ``(parents_a[i], parents_b[i])`` pair at once,
+        in lockstep stages, each one counting call: the reference the
+        engine's one-call generation is proven against."""
         k = evaluator.dimensionality
         # Only the two-point baseline produces infeasible strings and it
         # never routes them here; pass them through defensively.

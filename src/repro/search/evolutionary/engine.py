@@ -3,7 +3,9 @@
 Seed a population of ``p`` random feasible strings, then iterate
 selection → crossover → mutation, folding every feasible solution ever
 evaluated into the running ``BestSet`` of the ``m`` most negative
-sparsity coefficients.  Terminate on De Jong convergence (or the
+sparsity coefficients.  Each generation runs in one C call where the
+counter serves it (:mod:`repro.search.evolutionary.generation`), else
+through the operators, with the same result and random stream.  Terminate on De Jong convergence (or the
 generation / wall-clock / stall caps from the config) and report the
 best set; §2.3's postprocessing to data points happens in the detector
 facade.
@@ -30,6 +32,7 @@ from .config import EvolutionaryConfig
 from .convergence import DeJongConvergence, modal_share
 from .crossover import CrossoverOperator, OptimizedCrossover, TwoPointCrossover
 from .encoding import check_population, seed_population
+from .generation import breed, fused_generation
 from .mutation import BalancedMutation
 from .population import INFEASIBLE_FITNESS, FitnessEvaluator
 from .selection import RankRouletteSelection, SelectionOperator
@@ -273,7 +276,11 @@ class EvolutionarySearch(SearchEngine):
         and a cancellation that strikes *inside* the evolve step
         (mid-batch-count) discards the partial generation wholesale —
         the best set is only updated after the batch count returns, so
-        the boundary state stays exact.  A cancellation while seeding
+        the boundary state stays exact.  A generation is one C call
+        where :func:`~repro.search.evolutionary.generation.fused_generation`
+        serves it, and :func:`~repro.search.evolutionary.generation.breed`
+        plus :meth:`_evaluate_and_track` otherwise; either way the best
+        set is offered the feasible strings in population order.  A cancellation while seeding
         a population has no boundary to save yet; the last checkpoint
         written stays the resume point.
         """
@@ -328,21 +335,25 @@ class EvolutionarySearch(SearchEngine):
             if generation >= cfg.max_generations:
                 reason = "generation_cap"
                 break
-            elites = population[np.argsort(fitnesses, kind="stable")[: cfg.elitism]]
+            operators = (
+                population, fitnesses, evaluator, rng, self.selection,
+                self.crossover,
+            )
             try:
-                offspring = self.selection.select(population, fitnesses, rng)
-                offspring = self.crossover.apply(
-                    offspring, evaluator, rng, cfg.crossover_rate
+                fused = fused_generation(
+                    *operators, mutation, cfg.elitism, cfg.crossover_rate
                 )
-                offspring = mutation.apply(offspring, rng)
-                if len(elites):
-                    # Elites replace the tail of the new population
-                    # verbatim, shielding the best solutions from
-                    # crossover/mutation.
-                    offspring[-len(elites):] = elites
-                offspring_fitnesses = self._evaluate_and_track(
-                    offspring, evaluator, best
-                )
+                if fused is None:
+                    offspring = breed(
+                        *operators, mutation.apply, cfg.elitism,
+                        cfg.crossover_rate,
+                    )
+                    offspring_fitnesses = self._evaluate_and_track(
+                        offspring, evaluator, best
+                    )
+                else:
+                    offspring, offspring_fitnesses, scored = fused
+                    best.offer_batch(*scored)
             except SearchCancelled:
                 # Discard the in-flight generation: population/fitnesses
                 # still hold the boundary state and the best set was not

@@ -124,30 +124,29 @@ class FitnessEvaluator:
         fitness[rows] = coefficients
         return fitness
 
-    def fused_recombination(
-        self, parents_a: np.ndarray, parents_b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Figure 5's children of every ``(parents_a[i], parents_b[i])``
-        pair from one fused C call over the counter's row blocks, or
-        ``None`` where the counter does not serve it.
+    def fused_generation(self, population, fitnesses, rng, **operators):
+        """One GA generation of the ``(p, d)`` *population* in one C call
+        over the counter's row blocks, or ``None`` where the counter does
+        not serve it.
 
-        See :meth:`~repro.grid.counter.CubeCounter.recombine_genes`:
-        every candidate is scored at its own k with the Equation 1
-        table :meth:`_score_rows` reads, and the candidates counted are
-        added to :attr:`n_evaluations`, as the per-stage path adds them.
-        Only the optimized crossover calls this, for k it enumerates
-        exactly.
+        See :meth:`~repro.grid.counter.CubeCounter.generation`, which
+        takes the *operators* keywords: the strings are scored with the
+        Equation 1 table :meth:`_score_rows` reads, and the crossover
+        candidates and strings counted are added to
+        :attr:`n_evaluations`, as the operators add them.  Returns
+        ``(population, fitnesses, scored)``, *scored* being the scored
+        strings' ``(dims, ranges, counts, coefficients)`` in row order.
         """
         counter = self.counter
         mean, std = _null_moments(counter.n_points, counter.n_ranges, counter.n_dims)
-        fused = counter.recombine_genes(
-            parents_a, parents_b, self.dimensionality, mean, std
+        fused = counter.generation(
+            population, fitnesses, self.dimensionality, mean, std, rng, **operators
         )
         if fused is None:
             return None
-        children_a, children_b, candidates = fused
-        self.n_evaluations += candidates
-        return children_a, children_b
+        population, fitnesses, scored, stats = fused
+        self.n_evaluations += stats["candidates"] + stats["rows"]
+        return population, fitnesses, scored
 
     def _score_rows(self, genes: np.ndarray) -> tuple:
         """Count and score every non-all-wildcard row in one count call.

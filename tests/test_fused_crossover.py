@@ -1,21 +1,26 @@
-"""The fused C crossover against the per-stage path it replaces.
+"""The optimized crossover inside the one-call generation, against the
+per-stage path it replaces.
 
 On the C tier a default serial :class:`~repro.grid.counter.CubeCounter`
-recombines every pair of a generation in one call of
-:func:`~repro.grid.native.native_recombine` over its row blocks
-(:meth:`FitnessEvaluator.fused_recombination`).  The per-stage batched
-path, :meth:`OptimizedCrossover._recombine_staged`, stays the
-reference, and the per-pair scan of ``tests/test_evo_crossover.py`` is
-a third opinion.  Children, ``n_evaluations`` and the
-``count_calls``/``batch_calls``/``batch_cubes`` deltas must agree over
-drawn populations: k = 1..6, φ = 2..7, d up to 13, identical,
-infeasible and all-forced (no free Type II gene) pairs, missing codes,
-row blocks patched down to 64 and 128 rows and a tail appended after
-the build.  Without the C library the fused path must decline, and the
-staged path is checked against the oracle alone.
+recombines every pair of a generation inside one call of
+:class:`~repro.grid.native.NativeGeneration` over its row blocks
+(:meth:`FitnessEvaluator.fused_generation`).  Here the call keeps every
+string (``chosen`` is the identity, so the pairs are the ones its
+permutation pairs), recombines every pair and mutates nothing, so its
+children must be those of the per-stage batched path,
+:meth:`OptimizedCrossover.recombine_pairs`, which stays the reference;
+the per-pair scan of ``tests/test_evo_crossover.py`` is a third
+opinion.  Children, ``n_evaluations`` and the
+``count_calls``/``batch_calls``/``batch_cubes`` deltas (the staged
+crossover's plus the population's scoring) must agree over drawn
+populations: k = 1..6, φ = 2..7, d up to 13, identical, infeasible and
+all-forced (no free Type II gene) pairs, missing codes, row blocks
+patched down to 64 and 128 rows and a tail appended after the build.
+Without the C library the call must decline, and the staged path is
+checked against the oracle alone.
 
-The fused call runs on the counter's kernel ladder: if it fails, that
-generation goes through the staged path and the counter serves the
+The call runs on the counter's kernel ladder: if it fails, that
+generation goes through the operators and the counter serves the
 numpy reference from then on.  Its wrapper refuses malformed input
 before entering C.
 """
@@ -36,12 +41,15 @@ from repro.grid import counter as counter_module
 from repro.grid import native
 from repro.grid.cells import MISSING_CELL, CellAssignment
 from repro.grid.counter import CubeCounter
-from repro.grid.native import native_recombine
+from repro.grid.native import NativeGeneration
 from repro.search.evolutionary.config import EvolutionaryConfig
-from repro.search.evolutionary.crossover import OptimizedCrossover, _fused_serves
+from repro.search.evolutionary.crossover import OptimizedCrossover, _pair_rows
 from repro.search.evolutionary.encoding import WILDCARD_GENE, Solution
 from repro.search.evolutionary.engine import EvolutionarySearch
+from repro.search.evolutionary.generation import _generation_serves, fused_generation
+from repro.search.evolutionary.mutation import BalancedMutation, _same_state
 from repro.search.evolutionary.population import FitnessEvaluator, _null_moments
+from repro.search.evolutionary.selection import RankRouletteSelection
 
 #: The counting figures a fused call must book as the staged path does.
 FIGURES = ("count_calls", "batch_calls", "batch_cubes")
@@ -98,6 +106,29 @@ def figures(counter: CubeCounter) -> dict:
     return {key: stats[key] for key in FIGURES}
 
 
+#: Keep every string, recombine every pair, mutate nothing.
+CROSSOVER_ONLY = dict(
+    elitism=0, crossover_rate=1.0, swap_probability=0.0, flip_probability=0.0
+)
+
+
+def crossover_generation(evaluator, a, b, rng):
+    """The one-call generation over the strings of *a* and *b*, its
+    chosen rows putting ``(a[i], b[i])`` at the i-th pair its
+    permutation draws; ``(children_a, children_b)`` or ``None``."""
+    n = len(a)
+    probe = np.random.Generator(type(rng.bit_generator)(0))
+    probe.bit_generator.state = rng.bit_generator.state
+    first, second = _pair_rows(probe, 2 * n)
+    chosen = np.empty(2 * n, dtype=np.int64)
+    chosen[first], chosen[second] = np.arange(n), n + np.arange(n)
+    fused = evaluator.fused_generation(
+        np.concatenate([a, b]), np.zeros(2 * n), rng, chosen=chosen,
+        **CROSSOVER_ONLY,
+    )
+    return None if fused is None else (fused[0][first], fused[0][second])
+
+
 def check_case(seed: int, k: int, extra_dims: int, phi: int, n_pairs: int,
                block_rows: int, tail: int, tier: str) -> None:
     """Fused (on C) and staged children and figures agree with each
@@ -111,8 +142,10 @@ def check_case(seed: int, k: int, extra_dims: int, phi: int, n_pairs: int,
     with native_tier(tier):
         fused_eval = FitnessEvaluator(blocked_counter(block_rows, codes, phi, tail), k)
         staged_eval = FitnessEvaluator(CubeCounter(CellAssignment(codes, phi)), k)
-        fused = fused_eval.fused_recombination(a, b)
-        staged = op._recombine_staged(a, b, staged_eval)
+        fused = crossover_generation(fused_eval, a, b, np.random.default_rng(seed))
+        staged = op.recombine_pairs(a, b, [None] * len(a), staged_eval)
+        # The generation scores its strings; so do the operators.
+        staged_eval._score_feasible(np.concatenate(staged))
     if tier == "numpy":
         assert fused is None
     else:
@@ -129,6 +162,7 @@ def check_case(seed: int, k: int, extra_dims: int, phi: int, n_pairs: int,
     ]
     children = zip(*(map(Solution, side) for side in staged), strict=True)
     assert list(children) == want
+    oracle_eval._score_feasible(np.concatenate(staged))
     assert oracle_eval.n_evaluations == staged_eval.n_evaluations
     assert (oracle_eval.counter.cache_stats()["count_calls"]
             == staged_eval.counter.cache_stats()["count_calls"])
@@ -177,19 +211,21 @@ class TestServing:
         a, b = random_pairs(rng, 6, 3, 5, 4)
         pooled = CubeCounter(small_cells, CountingBackend(kind="process"))
         try:
-            assert FitnessEvaluator(pooled, 3).fused_recombination(a, b) is None
+            assert crossover_generation(FitnessEvaluator(pooled, 3), a, b, rng) is None
         finally:
             pooled.close()
         counter = CubeCounter(small_cells)
         evaluator = FitnessEvaluator(counter, 3)
-        assert evaluator.fused_recombination(a, b) is not None
+        assert crossover_generation(evaluator, a, b, rng) is not None
         # k above max_exact_positions: the oversized-k' fallback may run,
-        # so the operator never asks the counter.
+        # so the engine never asks the counter.
         calls = []
-        evaluator.fused_recombination = lambda *args: calls.append(args)
-        OptimizedCrossover(max_exact_positions=2).recombine_pairs(
-            a, b, [None] * len(a), evaluator
-        )
+        evaluator.fused_generation = lambda *args, **kwargs: calls.append(args)
+        assert fused_generation(
+            np.concatenate([a, b]), np.zeros(2 * len(a)), evaluator, rng,
+            RankRouletteSelection(), OptimizedCrossover(max_exact_positions=2),
+            BalancedMutation(0.0, 0.0, 5), 0, 1.0,
+        ) is None
         assert calls == []
 
 
@@ -240,14 +276,18 @@ class TestLadder:
         rng = np.random.default_rng(1)
         a, b = random_pairs(rng, 6, 2, 5, 6)
         op = OptimizedCrossover()
-        assert _fused_serves()  # proven before the library breaks
+        assert _generation_serves()  # proven before the library breaks
         reference = FitnessEvaluator(CubeCounter(small_cells), 2)
-        want = op._recombine_staged(a, b, reference)
+        want = op.recombine_pairs(a, b, [None] * len(a), reference)
         counter = CubeCounter(small_cells)
         evaluator = FitnessEvaluator(counter, 2)
+        draws = np.random.default_rng(7)
+        before = draws.bit_generator.state
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(native, "_load_kernel", _crash)
+            assert crossover_generation(evaluator, a, b, draws) is None
             got = op.recombine_pairs(a, b, [None] * len(a), evaluator)
+        assert _same_state(draws.bit_generator.state, before)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert evaluator.n_evaluations == reference.n_evaluations
@@ -257,7 +297,7 @@ class TestLadder:
         assert (info["kernel"], info["tier"]) == ("numpy", "numpy")
         assert "simulated crossover crash" in info["reason"]
         # The counter serves the reference from now on.
-        assert evaluator.fused_recombination(a, b) is None
+        assert crossover_generation(evaluator, a, b, draws) is None
 
 
 class TestWrapperRefusals:
@@ -271,11 +311,21 @@ class TestWrapperRefusals:
         a, b = random_pairs(rng, 5, 2, 4, 3)
         return blocks, a, b, _null_moments(300, 4, 5)
 
+    @staticmethod
+    def generation(blocks, a, b, k, mean, std):
+        """The crossover-only generation over the strings of *a* and *b*
+        (as many fitnesses as *a* and *b* have rows between them)."""
+        population = np.concatenate([a, b.astype(a.dtype)])
+        return NativeGeneration(
+            blocks, population, np.zeros(2 * len(a)), k, mean, std,
+            np.random.default_rng(0), **CROSSOVER_ONLY,
+        )()
+
     def test_accepts_the_case(self, case):
         if "c" not in native_tiers():
             pytest.skip("the C kernel does not build on this machine")
         blocks, a, b, (mean, std) = case
-        native_recombine(blocks, a, b, 2, mean, std)
+        self.generation(blocks, a, b, 2, mean, std)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -292,7 +342,7 @@ class TestWrapperRefusals:
         blocks, a, b, (mean, std) = case
         a, b = mutate(a.copy(), b.copy())
         with pytest.raises(ValidationError):
-            native_recombine(blocks, a, b, 2, mean, std)
+            self.generation(blocks, a, b, 2, mean, std)
 
     def test_refuses_blocks_k_and_moments(self, case):
         blocks, a, b, (mean, std) = case
@@ -301,12 +351,12 @@ class TestWrapperRefusals:
                     [stack.astype(np.int64)], [stack[:, :, ::-1]],
                     [stack[:, :, ::2]], [stack[..., None]]):
             with pytest.raises(ValidationError):
-                native_recombine(bad, a, b, 2, mean, std)
+                self.generation(bad, a, b, 2, mean, std)
         for k in (0, 6, 63):
             with pytest.raises(ValidationError):
-                native_recombine(blocks, a, b, k, mean, std)
+                self.generation(blocks, a, b, k, mean, std)
         with pytest.raises(ValidationError):
-            native_recombine(blocks, a, b, 2, mean[:2], std)
+            self.generation(blocks, a, b, 2, mean[:2], std)
 
     def test_counter_refuses_before_the_ladder(self, small_cells):
         counter = CubeCounter(small_cells)
@@ -314,6 +364,11 @@ class TestWrapperRefusals:
         a = np.full((2, 6), WILDCARD_GENE)
         a[:, :2] = 1
         for bad_a, bad_b in ((a, a[:1]), (a[:, :5], a[:, :5]), (a - 2, a)):
+            if not counter.serves_generation(2):
+                break
             with pytest.raises(ValidationError):
-                evaluator.fused_recombination(bad_a, bad_b)
+                evaluator.fused_generation(
+                    np.concatenate([bad_a, bad_b]), np.zeros(2 * len(bad_a)),
+                    np.random.default_rng(0), **CROSSOVER_ONLY,
+                )
         assert counter.resilience.ladder == {}

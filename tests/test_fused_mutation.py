@@ -12,9 +12,10 @@ rows of every k from 1 to d mixed with all-wildcard rows, φ up to 12,
 probabilities 0, 1 and in between), under four of numpy's bit
 generators, for several generations in a row on one generator.
 
-Mutation does not count, so the C path serves every counter placement;
-a whole detect must mine the same set, make the same evaluations and
-leave the generator in the same state with it on or off.  Without the
+Mutation does not count, so the C path serves every counter placement
+(a serial counter runs it inside the one-call generation); a whole
+detect must mine the same set, make the same evaluations and leave the
+generator in the same state with it on or off.  Without the
 C library, with a library that cannot be loaded and with a routine
 that fails its proof, the loop serves (a failed proof is logged once).
 The wrapper refuses malformed input before its first draw.
@@ -34,7 +35,8 @@ from repro.core.detector import SubspaceOutlierDetector
 from repro.core.params import CountingBackend
 from repro.exceptions import ResourceError, ValidationError
 from repro.grid import backends, native
-from repro.grid.native import native_mutate
+from repro.grid.native import NativeGeneration, native_mutate
+from repro.search.evolutionary import generation as generation_module
 from repro.search.evolutionary import mutation as mutation_module
 from repro.search.evolutionary.encoding import WILDCARD_GENE
 from repro.search.evolutionary.mutation import (
@@ -162,11 +164,20 @@ class TestServing:
             calls.append(args[0].shape)
             return native_mutate(*args)
 
+        def counted_generation(self):
+            calls.append(self._shape)
+            return run_generation(self)
+
+        # A serial counter mutates inside the one-call generation, which
+        # runs the same C mutation; it is switched on and off with it.
+        run_generation = NativeGeneration.__call__
         monkeypatch.setattr(mutation_module, "native_mutate", counted)
+        monkeypatch.setattr(NativeGeneration, "__call__", counted_generation)
 
         def detect(serve: bool, run: int):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(mutation_module, "_mutation_serves", lambda: serve)
+                patch.setattr(generation_module, "_generation_serves", lambda: serve)
                 options = {}
                 if placement == "process":
                     options["counting"] = CountingBackend(
