@@ -96,6 +96,7 @@ __all__ = [
     "column_copies",
     "pack_codes",
     "pack_codes_into",
+    "proof_layouts",
     "proven_gate",
     "range_codes",
     "resolve_kernel",
@@ -525,6 +526,20 @@ def proven_gate(prove: Callable[[], None], fallback: str) -> Callable[[], bool]:
 
     serves.verdict = verdict
     return serves
+
+
+def proof_layouts(stack: np.ndarray) -> tuple[list, ...]:
+    """The row-block layouts a :func:`proven_gate` proof runs a C routine
+    over: *stack* (``(d, φ, W)`` uint64) whole, as 64-row (one-word)
+    blocks, and as those blocks in buffers with an all-ones spare word
+    after each, which the routine must never read."""
+    blocks = [stack[:, :, lo : lo + 1] for lo in range(stack.shape[2])]
+    spare = []
+    for block in blocks:
+        wide = np.full(block.shape[:2] + (2,), ~np.uint64(0))
+        wide[:, :, :1] = block
+        spare.append(wide[:, :, :1])
+    return [stack], blocks, spare
 
 
 def pack_codes(codes: np.ndarray, n_ranges: int) -> np.ndarray:

@@ -34,7 +34,11 @@ cheap:
   selection, the optimized crossover, mutation and the population's
   scoring — in one C call over the row blocks where the C library
   serves this counter in-process, booked as the counting calls of the
-  operators it replaces.
+  operators it replaces; :meth:`~CubeCounter.count_level` likewise
+  counts, scores and filters one block of a brute-force level in one
+  C call, booked as :meth:`count_cubes` books the block.  Both read
+  the blocks through one :class:`~repro.grid.native.BlockTable`,
+  bound once per state of the blocks.
 
 Where counting runs is the placement of the counter's
 :class:`~repro.core.params.CountingBackend` (one of
@@ -71,7 +75,7 @@ from .kernels import (
     empty_cube_row,
     packed_row_bytes,
 )
-from .native import MAX_GENERATION_K, NativeGeneration
+from .native import MAX_GENERATION_K, BlockTable, NativeGeneration, NativeLevel
 
 __all__ = ["CubeCounter", "PackedCubeCounter", "batch_counts"]
 
@@ -181,6 +185,9 @@ class CubeCounter:
         self.chunk_seconds_max = 0.0
         self._pool = None
         self._pool_failed = False
+        # The BlockTable the C routines read the row blocks through,
+        # bound on first use and dropped when an append changes them.
+        self._table: BlockTable | None = None
         self.cancel_token = None
         self.event_sink = None
         # Run-wide resilience bookkeeping: every retry, recovery and
@@ -257,6 +264,16 @@ class CubeCounter:
         memory)."""
         return [block.view(np.uint64) for block in self._blocks]
 
+    def _resident_table(self) -> BlockTable | None:
+        """The :class:`~repro.grid.native.BlockTable` over
+        :meth:`_resident_blocks`, bound once per state of the blocks
+        (None for a counter whose masks are not in memory)."""
+        if self._table is None:
+            blocks = self._resident_blocks()
+            if blocks is not None:
+                self._table = BlockTable(blocks)
+        return self._table
+
     def _row_blocks(self):
         """``(block, rows)`` for each packed row block, in row order."""
         last = len(self._blocks) - 1
@@ -304,7 +321,10 @@ class CubeCounter:
         The cubes are grouped by dimensionality (ascending k) into one
         call of the counting core.  Only the numpy reference kernel
         shares AND results across cubes with a common prefix; the C
-        kernel ANDs every cube's k masks (its ``prefix_reuse`` reads 0).
+        kernel behind this and :meth:`count_cubes`/:meth:`count_genes`
+        ANDs every cube's k masks (its ``prefix_reuse`` reads 0).  The
+        brute force's :meth:`count_level` call does share each
+        parent's AND across its children.
         Under a ``process`` backend, large groups are split into
         deterministic chunks and evaluated on the worker pool.
 
@@ -427,17 +447,20 @@ class CubeCounter:
         self._batch_merged()
         return out
 
-    def serves_generation(self, dimensionality: int) -> bool:
-        """Whether :meth:`generation` runs here now: the C library counts
-        for this counter in-process (the ``serial`` placement, the kernel
-        ``native``) over in-memory row blocks, for k up to the C
-        routine's limit."""
+    def serves_level(self) -> bool:
+        """Whether :meth:`count_level` runs here now: the C library
+        counts for this counter in-process (the ``serial`` placement,
+        the kernel ``native``) over in-memory row blocks."""
         return (
             self.backend.kind == "serial"
-            and 1 <= dimensionality <= MAX_GENERATION_K
             and self._kernel_choice() == "native"
-            and self._resident_blocks() is not None
+            and self._resident_table() is not None
         )
+
+    def serves_generation(self, dimensionality: int) -> bool:
+        """Whether :meth:`generation` runs here now: where
+        :meth:`serves_level`, for k up to the C routine's limit."""
+        return 1 <= dimensionality <= MAX_GENERATION_K and self.serves_level()
 
     def generation(
         self, population, fitnesses, dimensionality: int, mean, std, rng, **operators
@@ -470,7 +493,7 @@ class CubeCounter:
         if not self.serves_generation(dimensionality):
             return None
         call = NativeGeneration(
-            self._resident_blocks(), population, fitnesses, dimensionality, mean,
+            self._resident_table(), population, fitnesses, dimensionality, mean,
             std, rng, **operators,
         )
 
@@ -484,6 +507,60 @@ class CubeCounter:
             self.n_words_and += stats["words_and"]
             return out
 
+        return self._guarded_call(fused)
+
+    def count_level(
+        self, dims, ranges, stop: int, *, mean: float, sd: float,
+        nonempty: bool, threshold: float, worst: float, limit: int | None = None,
+    ) -> tuple | None:
+        """One streamed block of a brute-force level in one C call, or
+        ``None`` where this counter does not serve it
+        (:meth:`serves_level`).
+
+        :class:`~repro.grid.native.NativeLevel` extends the ``(n,
+        depth)`` parents *dims*/*ranges* by every range of every dim
+        after their last one and before *stop*, in lexicographic order,
+        counts the first *limit* children (all when ``None``), scores
+        them with Equation 1's *mean* and *sd* and keeps those that pass
+        the best set's filter (*nonempty*, *threshold*, *worst*; see
+        :meth:`~repro.search.best_set.BestProjectionSet.prefilter`).
+        Its input is checked before anything runs, so a refused call
+        raises :class:`~repro.exceptions.ValidationError` and changes
+        nothing.  The call is booked as :meth:`count_cubes` books the
+        children: ``batch_calls`` once, ``count_calls`` and
+        ``batch_cubes`` by the children counted, ``words_and`` by
+        ``(k − 1)`` words per child and word of the blocks, plus its wall
+        time; the C routine ANDs each parent's cells only once per row
+        block, so it does less than that.  It runs under the ``kernel``
+        ladder step: if it fails, it returns ``None`` and the counter
+        serves the numpy reference from then on.
+
+        Returns the survivors' ``(index, counts, coefficients,
+        evaluated)``: their positions among the children, counts and
+        coefficients, and the number of children counted.
+        """
+        if not self.serves_level():
+            return None
+        table = self._resident_table()
+        call = NativeLevel(
+            table, dims, ranges, stop, mean=mean, sd=sd, nonempty=nonempty,
+            threshold=threshold, worst=worst, limit=limit,
+        )
+
+        def fused():
+            out = call()
+            children = call.evaluated
+            self.n_batch_calls += 1
+            self.n_batch_cubes += children
+            self.n_count_calls += children
+            self.n_words_and += call.depth * children * table.words
+            return (*out, children)
+
+        return self._guarded_call(fused)
+
+    def _guarded_call(self, fused):
+        """:meth:`_count` of a fused C call under the ``kernel`` ladder
+        step: ``None`` once it has failed and stepped down."""
         return self._count([], lambda: self._ladder.guarded(
             "kernel", self._kernel_name, "numpy", fused, lambda: None,
             on_downgrade=self._on_kernel_failure,
@@ -564,6 +641,7 @@ class CubeCounter:
         else, so the blocks stay byte-identical to packing all the codes
         at once.
         """
+        self._table = None
         start = 0
         while start < len(block):
             filled = self._n_rows - (len(self._blocks) - 1) * self._block_rows

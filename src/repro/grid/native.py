@@ -39,7 +39,14 @@ and one on a live model, and each is a single pass at native speed here:
   scores, drawing from the caller's generator what the operators draw.
   Its proof against the operators sits beside them in the search layer
   (:func:`repro.search.evolutionary.generation._prove_generation`),
-  which this layer does not import.
+  which this layer does not import;
+* **a brute-force level block** — :class:`NativeLevel` counts one
+  streamed block of Figure 2's ``R_i ⊕ Q_1`` over a counter's row
+  blocks: each parent's cells are ANDed once per row block and each
+  child costs one AND and popcount, then Equation 1 and the best set's
+  up-front filter run in C and only the survivors come back.  Its proof
+  against the path it replaces sits in the search layer
+  (:func:`repro.search.brute_force._prove_level`).
 
 The routines are one small C source compiled on first use with the
 system C compiler (``cc``/``gcc``/``clang``; override with
@@ -93,7 +100,9 @@ __all__ = [
     "native_pack_codes_into",
     "native_range_codes",
     "native_score_rows",
+    "BlockTable",
     "NativeGeneration",
+    "NativeLevel",
     "NativeScorer",
 ]
 
@@ -393,9 +402,10 @@ static const uint8_t *cell_row(const int64_t *blk, int64_t cell)
     return (const uint8_t *)(intptr_t)blk[0] + cell * blk[1];
 }
 
-/* Counts of the candidates of one crossover stage, summed over the row
- * blocks: counts[c] = |AND of the n_base base cells and the n_var cells
- * cand[c * n_var ..]|.
+/* Counts of nc candidates — one crossover stage, or a brute-force
+ * parent's children — summed over the row blocks: counts[c] = |AND of
+ * the n_base base cells and the n_var cells cand[c * n_var ..]|.  The
+ * base cells are ANDed once per block.
  *
  * blocks:  n_blocks rows of (address, row stride, words) describing
  *          (d, phi, words) uint64 stacks whose words are contiguous;
@@ -429,7 +439,32 @@ static void count_stage(const int64_t *blocks, int64_t n_blocks,
                 }
             }
         }
-        for (int64_t c = 0; c < nc; c++) {
+        int64_t c = 0;
+        /* One cell per candidate: four candidates share each load of the
+         * base AND, and the rest go one by one below. */
+        for (; n_var == 1 && c + 4 <= nc; c += 4) {
+            const uint8_t *m0 = cell_row(blk, cand[c]);
+            const uint8_t *m1 = cell_row(blk, cand[c + 1]);
+            const uint8_t *m2 = cell_row(blk, cand[c + 2]);
+            const uint8_t *m3 = cell_row(blk, cand[c + 3]);
+            int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t p = partial[w], v0, v1, v2, v3;
+                memcpy(&v0, m0 + w * 8, 8);
+                memcpy(&v1, m1 + w * 8, 8);
+                memcpy(&v2, m2 + w * 8, 8);
+                memcpy(&v3, m3 + w * 8, 8);
+                a0 += __builtin_popcountll(p & v0);
+                a1 += __builtin_popcountll(p & v1);
+                a2 += __builtin_popcountll(p & v2);
+                a3 += __builtin_popcountll(p & v3);
+            }
+            counts[c] += a0;
+            counts[c + 1] += a1;
+            counts[c + 2] += a2;
+            counts[c + 3] += a3;
+        }
+        for (; c < nc; c++) {
             const int64_t *cells = cand + c * n_var;
             int64_t l = 0;
             if (c > 0) {
@@ -856,6 +891,58 @@ void repro_generation(const int64_t *blocks, int64_t n_blocks,
     stats[2] = n;
     stats[3] = anded * words;
 }
+
+/* One streamed block of a brute-force level (Figure 2's R_i (+) Q_1),
+ * counted over the row blocks and filtered as the best set filters a
+ * block before it offers one.
+ *
+ * parents: (n_parents, depth) int64 cells j * phi + v, dims ascending.
+ *          Parent p is extended by every cell of the dims after its last
+ *          one (all dims from 0 when depth is 0) and before stop, parent
+ *          by parent, then dim, then range: the children's lexicographic
+ *          order.  Only the first `limit` children are counted.
+ *
+ * count_stage ANDs each parent's cells once per row block and counts
+ * every child with one AND + popcount.  A child with count n scores
+ * Eq. 1, s = ((double)n - mean) / sd, and survives when
+ * (!nonempty || n != 0) && !(s > threshold) && !(s >= worst): a NaN s
+ * survives, and so does everything under threshold +inf and worst NaN.
+ *
+ * work:    int64 scratch of 2 * stop * phi (at least one);
+ * partial: uint64 scratch of the largest block's words (at least one);
+ * index, out_count, out_coef: the survivors' child indices (ascending),
+ *          counts and coefficients, their number in *n_out.
+ */
+void repro_level(const int64_t *blocks, int64_t n_blocks, int64_t phi,
+                 const int64_t *parents, int64_t n_parents, int64_t depth,
+                 int64_t stop, int64_t limit, int64_t nonempty, double mean,
+                 double sd, double threshold, double worst, int64_t *work,
+                 uint64_t *partial, int64_t *index, int64_t *out_count,
+                 double *out_coef, int64_t *n_out)
+{
+    int64_t *cells = work, *counts = work + stop * phi;
+    int64_t child = 0, kept = 0;
+    for (int64_t p = 0; p < n_parents && child < limit; p++) {
+        const int64_t *base = parents + p * depth;
+        int64_t lo = depth > 0 ? base[depth - 1] / phi + 1 : 0;
+        int64_t nc = lo < stop ? (stop - lo) * phi : 0;
+        if (nc > limit - child) nc = limit - child;
+        if (nc == 0) continue;
+        for (int64_t c = 0; c < nc; c++) cells[c] = lo * phi + c;
+        count_stage(blocks, n_blocks, base, depth, cells, 1, nc, partial,
+                    counts);
+        for (int64_t c = 0; c < nc; c++) {
+            double s = ((double)counts[c] - mean) / sd;
+            if ((nonempty && counts[c] == 0) || s > threshold || s >= worst)
+                continue;
+            index[kept] = child + c;
+            out_count[kept] = counts[c];
+            out_coef[kept++] = s;
+        }
+        child += nc;
+    }
+    *n_out = kept;
+}
 """
 
 _PTR, _INT, _DOUBLE = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
@@ -887,6 +974,13 @@ _SIGNATURES: dict[str, list] = {
         _PTR, _INT, _PTR, _PTR, _INT, _INT, _INT, _INT, _INT, _PTR, _DOUBLE,
         _DOUBLE, _DOUBLE, _PTR, _PTR, _INT, _INT, _PTR, _PTR, _PTR, _PTR, _PTR,
         _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+    ],
+    # blocks, n_blocks, phi, parents, n_parents, depth, stop, limit,
+    # nonempty, mean, sd, threshold, worst, work, partial, index, out_count,
+    # out_coef, n_out
+    "repro_level": [
+        _PTR, _INT, _INT, _PTR, _INT, _INT, _INT, _INT, _INT, _DOUBLE, _DOUBLE,
+        _DOUBLE, _DOUBLE, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
     ],
 }
 
@@ -1340,36 +1434,62 @@ def native_pack_codes_into(
     )
 
 
-def _block_table(blocks, n_dims: int, n_ranges: int) -> list[tuple]:
-    """The rows ``(address, row stride, words)`` ``repro_generation``
-    reads the row blocks through.
+class BlockTable:
+    """Row blocks checked once, as the ``(n_blocks, 3)`` int64 rows
+    ``(address, row stride, words)`` the C routines read them through.
 
-    Refuses a block that is not a ``(d, φ, words)`` uint64 array whose
-    mask rows lie one stride apart in cell order with their words
-    contiguous; its strides are numpy's own, so every row the C code
-    forms from them lies inside the block.
+    *blocks* are the ``(d, φ, words)`` uint64 row blocks of one grid (a
+    count is the sum of the blocks' counts).  Refuses an empty sequence
+    and a block that is not such an array, of the first block's d and φ
+    with ``1 <= φ < MUTATE_LIMIT``, whose mask rows lie one stride apart
+    in cell order with their words contiguous; the strides are numpy's
+    own, so every row the C code forms from them lies inside its block.
+    The table keeps the blocks alive: a counter binds one per state of
+    its blocks and drops it when an append changes them.
     """
-    table = []
-    for block in blocks:
-        if not (
-            isinstance(block, np.ndarray)
-            and block.dtype == np.uint64
-            and block.ndim == 3
-            and block.shape[:2] == (n_dims, n_ranges)
-            and (block.shape[2] <= 1 or block.strides[2] == 8)
-            and block.strides[0] == n_ranges * block.strides[1]
-        ):
+
+    def __init__(self, blocks) -> None:
+        blocks = list(blocks)
+        shape = np.shape(blocks[0])[:2] if blocks and np.ndim(blocks[0]) == 3 else ()
+        if len(shape) != 2 or not 1 <= shape[1] < MUTATE_LIMIT:
             raise ValidationError(
-                "native generation needs (d, phi, words) uint64 row blocks "
-                f"with rows in cell order and contiguous words for d={n_dims}, "
-                f"phi={n_ranges}, got "
-                f"{getattr(block, 'dtype', type(block).__name__)} with shape "
-                f"{np.shape(block)} and strides {getattr(block, 'strides', None)}"
+                "native counting needs at least one (d, phi, words) row block "
+                f"with 1 <= phi < 2^31, got shape {shape or None}"
             )
-        table.append((block.ctypes.data, block.strides[1], block.shape[2]))
-    if not table:
-        raise ValidationError("native generation needs at least one row block")
-    return table
+        n_dims, n_ranges = shape
+        rows = []
+        for block in blocks:
+            if not (
+                isinstance(block, np.ndarray)
+                and block.dtype == np.uint64
+                and block.ndim == 3
+                and block.shape[:2] == (n_dims, n_ranges)
+                and (block.shape[2] <= 1 or block.strides[2] == 8)
+                and block.strides[0] == n_ranges * block.strides[1]
+            ):
+                raise ValidationError(
+                    "native counting needs (d, phi, words) uint64 row blocks "
+                    "with rows in cell order and contiguous words for "
+                    f"d={n_dims}, phi={n_ranges}, got "
+                    f"{getattr(block, 'dtype', type(block).__name__)} with shape "
+                    f"{np.shape(block)} and strides {getattr(block, 'strides', None)}"
+                )
+            rows.append((block.ctypes.data, block.strides[1], block.shape[2]))
+        self.blocks = blocks
+        self.rows = np.array(rows, dtype=np.int64)
+        self.address = self.rows.ctypes.data
+        self.n_dims, self.n_ranges = n_dims, n_ranges
+        #: Words of all blocks, and of the widest one.
+        self.words = int(self.rows[:, 2].sum())
+        self.max_words = int(self.rows[:, 2].max())
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __reduce__(self):
+        # A copy (or an unpickled table) reads its own blocks, so it
+        # takes their addresses anew rather than these.
+        return BlockTable, (self.blocks,)
 
 
 def _check_genes(population, what: str) -> tuple[int, int]:
@@ -1470,7 +1590,8 @@ class NativeGeneration:
     for one C call over a counter's row blocks; calling it runs the call.
 
     *blocks* are a counter's ``(d, φ, words)`` uint64 row blocks (a
-    count is the sum of the blocks' counts); *population* the ``(p, d)``
+    count is the sum of the blocks' counts), or the :class:`BlockTable`
+    it bound over them; *population* the ``(p, d)``
     gene matrix (``-1`` is ``*``) and *fitnesses* its ``(p,)``
     fitnesses; *mean* and *std* Equation 1's moments indexed by k, as
     :func:`~repro.search.evolutionary.population._null_moments` builds
@@ -1512,8 +1633,8 @@ class NativeGeneration:
     length, *dimensionality* outside ``[1, min(d, 62)]``, moment tables
     shorter than ``k + 1``, *elitism* outside ``[0, p]``, *chosen* that
     is not ``p`` rows in ``[0, p)``, probabilities outside ``[0, 1]``,
-    an *rng* that is not a Generator and blocks :func:`_block_table`
-    refuses.  The call raises :class:`~repro.exceptions.ResourceError`
+    an *rng* that is not a Generator and blocks :class:`BlockTable`
+    refuses or of another d.  The call raises :class:`~repro.exceptions.ResourceError`
     before any draw when the library cannot be loaded.
     """
 
@@ -1534,13 +1655,13 @@ class NativeGeneration:
         chosen=None,
     ) -> None:
         n, n_dims = _check_genes(population, "generation")
-        blocks = list(blocks)
-        n_ranges = blocks[0].shape[1] if blocks and np.ndim(blocks[0]) == 3 else -1
-        if not 1 <= n_ranges < MUTATE_LIMIT:
+        table = blocks if isinstance(blocks, BlockTable) else BlockTable(blocks)
+        n_ranges = table.n_ranges
+        if table.n_dims != n_dims:
             raise ValidationError(
-                f"native generation needs 1 <= phi < 2^31, got phi={n_ranges}"
+                f"native generation of {n_dims}-gene strings needs row blocks "
+                f"of d={n_dims}, got d={table.n_dims}"
             )
-        table = _block_table(blocks, n_dims, n_ranges)
         k = int(dimensionality)
         if not 1 <= k <= min(n_dims, MAX_GENERATION_K):
             raise ValidationError(
@@ -1576,41 +1697,39 @@ class NativeGeneration:
             "generation", rng, crossover_rate, swap_probability, flip_probability
         )
         # One int64 buffer, one address: the outputs (genes, fitnesses,
-        # dims, ranges, counts, coefficients, stats), the inputs (block
-        # table, genes, fitnesses, chosen rows, the two moment tables) and
-        # the routine's scratch (int64 work, double cdf, uint64 partial
-        # ANDs).
+        # dims, ranges, counts, coefficients, stats), the inputs (genes,
+        # fitnesses, chosen rows, the two moment tables) and the routine's
+        # scratch (int64 work, double cdf, uint64 partial ANDs).
         cap = max(n_dims, min(1 << k, _RECOMBINE_CHUNK))
         size = n * n_dims
         lengths = (
             size, n, n * k, n * k, n, n, 4,
-            3 * len(table), size, n, 0 if chosen is None else n, k + 1, k + 1,
+            size, n, 0 if chosen is None else n, k + 1, k + 1,
             4 * n + size + n * k + 2 * (k + 1) + 4 * n_dims + cap * (k + 1), n,
-            max(1, k * max(row[2] for row in table)),
+            max(1, k * table.max_words),
         )
         at = [0]
         for length in lengths:
             at.append(at[-1] + length)
         buffer = np.empty(at[-1], dtype=np.int64)
-        buffer[at[7] : at[8]].reshape(-1, 3)[:] = table
-        genes = buffer[at[8] : at[9]]
+        genes = buffer[at[7] : at[8]]
         genes.reshape(n, n_dims)[:] = population
         _check_gene_range(genes, n_ranges, "generation")
-        buffer[at[9] : at[10]].view(np.float64)[:] = fitnesses
+        buffer[at[8] : at[9]].view(np.float64)[:] = fitnesses
         if chosen is not None:
-            buffer[at[10] : at[11]] = chosen
-        buffer[at[11] : at[13]].view(np.float64)[:] = (*mean[: k + 1], *std[: k + 1])
+            buffer[at[9] : at[10]] = chosen
+        buffer[at[10] : at[12]].view(np.float64)[:] = (*mean[: k + 1], *std[: k + 1])
         base = buffer.ctypes.data
         address = [base + 8 * offset for offset in at]
         # The arrays the addresses point into, kept alive for the call.
-        self._buffer, self._blocks, self._rng = buffer, blocks, rng
+        self._buffer, self._table, self._rng = buffer, table, rng
         self._at, self._shape = at, (n, n_dims, k)
         self._args = (
-            address[7], len(table), address[8], address[9], n, n_dims, n_ranges,
-            k, int(elitism), None if chosen is None else address[10],
+            table.address, len(table), address[7], address[8], n, n_dims,
+            n_ranges, k, int(elitism), None if chosen is None else address[9],
             float(crossover_rate), float(swap_probability),
-            float(flip_probability), address[11], address[12], cap, _BLOCK_WORDS,
-            *address[:6], address[13], address[14], address[15], address[6],
+            float(flip_probability), address[10], address[11], cap, _BLOCK_WORDS,
+            *address[:6], address[12], address[13], address[14], address[6],
         )
 
     def __call__(self) -> tuple:
@@ -1636,3 +1755,120 @@ class NativeGeneration:
             "candidates": candidates, "stages": stages, "rows": rows,
             "words_and": words,
         }
+
+
+class NativeLevel:
+    """One streamed block of a brute-force level (Figure 2's ``R_i ⊕
+    Q_1``), checked and packed for one C call over a counter's row
+    blocks; calling it runs the call.
+
+    *table* is the counter's :class:`BlockTable`; *dims* and *ranges*
+    the ``(n, depth)`` integer arrays of the block's parents (dims
+    strictly ascending).  Each parent is extended by every ``(dim,
+    range)`` with its last dim ``< dim < stop`` (every ``dim < stop`` at
+    depth 0), parent by parent, then dim, then range: the lexicographic
+    order of :func:`repro.search.brute_force._children`.  The first
+    *limit* children (all when ``None``) are counted: the parent's
+    cells are ANDed once per row block and each child costs one AND and
+    popcount.  A child with count n scores Equation 1, ``(n − mean) /
+    sd``, and survives the best set's up-front filter
+    (:meth:`~repro.search.best_set.BestProjectionSet.prefilter`): it is
+    non-empty when *nonempty*, ``not s > threshold`` and ``not s >=
+    worst`` (``+inf`` and NaN filter nothing).
+
+    Calling it returns the survivors' ``(index, counts, coefficients)``:
+    their positions among the block's children (ascending), their
+    counts and their coefficients.  :attr:`evaluated` is the number of
+    children counted.  The proof that this is ``_children`` plus the
+    numpy counts, Equation 1 and the filter sits beside the search
+    (:func:`repro.search.brute_force._prove_level`).
+
+    Construction refuses, before anything runs: a *table* that is not a
+    :class:`BlockTable`, parents that are not one 2-D integer shape
+    with ``depth < d``, dims outside ``[0, d)`` or not strictly
+    ascending, ranges outside ``[0, φ)``, *stop* outside ``[0, d]``,
+    a negative *limit* and moments or bounds that are not real numbers.
+    The call raises :class:`~repro.exceptions.ResourceError` when the
+    library cannot be loaded.
+    """
+
+    def __init__(
+        self,
+        table: BlockTable,
+        dims,
+        ranges,
+        stop: int,
+        *,
+        mean: float,
+        sd: float,
+        nonempty: bool,
+        threshold: float,
+        worst: float,
+        limit: int | None = None,
+    ) -> None:
+        if not isinstance(table, BlockTable):
+            raise ValidationError(
+                f"native level needs a BlockTable, got {type(table).__name__}"
+            )
+        n_dims, n_ranges = table.n_dims, table.n_ranges
+        dims, ranges = check_cube_arrays(dims, ranges, n_dims, n_ranges)
+        dims = dims.astype(np.int64, copy=False)
+        ranges = ranges.astype(np.int64, copy=False)
+        n_parents, depth = dims.shape
+        if depth >= n_dims or (depth > 1 and (dims[:, 1:] <= dims[:, :-1]).any()):
+            raise ValidationError(
+                f"native level needs parents of depth < d={n_dims} with "
+                f"strictly ascending dims, got shape {dims.shape}"
+            )
+        if not (isinstance(stop, (int, np.integer)) and 0 <= stop <= n_dims):
+            raise ValidationError(
+                f"native level needs 0 <= stop <= d={n_dims}, got {stop!r}"
+            )
+        if limit is not None and not (
+            isinstance(limit, (int, np.integer)) and limit >= 0
+        ):
+            raise ValidationError(
+                f"native level needs a limit >= 0 or None, got {limit!r}"
+            )
+        bounds = (mean, sd, threshold, worst)
+        real = (int, float, np.integer, np.floating)
+        if not all(isinstance(b, real) for b in bounds):
+            raise ValidationError(
+                f"native level needs real moments and bounds, got {bounds!r}"
+            )
+        lo = dims[:, -1] + 1 if depth else np.zeros(n_parents, dtype=np.int64)
+        children = int((np.maximum(stop - lo, 0) * n_ranges).sum())
+        #: Children counted: the block's, cut at *limit*.
+        self.evaluated = n = children if limit is None else min(children, int(limit))
+        self.depth = depth
+        # One int64 buffer: the parents' cells, the survivors' indices,
+        # counts and coefficients and their number, then the routine's
+        # scratch (int64 work, uint64 partial AND).
+        lengths = (
+            n_parents * depth, n, n, n, 1, max(1, 2 * stop * n_ranges),
+            max(1, table.max_words),
+        )
+        at = np.cumsum((0, *lengths)).tolist()
+        buffer = np.empty(at[-1], dtype=np.int64)
+        parent_cells = buffer[: at[1]].reshape(n_parents, depth)
+        np.multiply(dims, n_ranges, out=parent_cells)
+        parent_cells += ranges
+        address = [buffer.ctypes.data + 8 * offset for offset in at]
+        self._buffer, self._table, self._at = buffer, table, at
+        self._args = (
+            table.address, len(table), n_ranges, address[0], n_parents, depth,
+            int(stop), n, int(bool(nonempty)), float(mean), float(sd),
+            float(threshold), float(worst), *address[5:7], *address[1:5],
+        )
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the block: the survivors' ``(index, counts, coefficients)``,
+        views of this call's buffer."""
+        _load_kernel().repro_level(*self._args)
+        buffer, at = self._buffer, self._at
+        kept = int(buffer[at[4]])
+        return (
+            buffer[at[1] : at[1] + kept],
+            buffer[at[2] : at[2] + kept],
+            buffer[at[3] : at[3] + kept].view(np.float64),
+        )

@@ -19,6 +19,7 @@ generations) are kept once.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -109,33 +110,63 @@ class BestProjectionSet:
         insertion-order tie-breaks, ``n_offers`` and ``n_accepted`` — is
         exactly that of calling :meth:`offer` on each row in turn, but
         cubes that :meth:`offer` would certainly reject never become
-        objects: empty ones (under ``require_nonempty``), those above
-        the threshold, and, when the set is full, those not better than
-        its worst entry.  The worst kept coefficient of a full set only
-        falls, so that last filter, taken once up front and again per
-        row, drops nothing a sequential offer would keep.
+        objects: those :meth:`prefilter` drops, filtered in numpy, and
+        then, row by row, those not better than the worst entry of a
+        full set (:meth:`offer_survivors`).
         """
         counts = np.asarray(counts)
         coefficients = np.asarray(coefficients, dtype=np.float64)
-        # Each test mirrors offer()'s own comparison, negated, so NaN
-        # coefficients are treated identically.
-        keep = np.ones(len(counts), dtype=bool)
-        if self.require_nonempty:
-            keep &= counts != 0
-        if self.threshold is not None:
-            keep &= ~(coefficients > self.threshold)
+        rows = np.flatnonzero(self.admits(counts, coefficients))
+        return self.offer_survivors(
+            np.asarray(dims)[rows], np.asarray(ranges)[rows], counts[rows],
+            coefficients[rows], len(counts) - len(rows),
+        )
+
+    def prefilter(self) -> tuple[bool, float, float]:
+        """The filter :meth:`offer_batch` applies to a whole block first,
+        as ``(nonempty, threshold, worst)``.
+
+        A cube with count n and coefficient s passes when ``(not
+        nonempty or n != 0) and not s > threshold and not s >= worst``:
+        each test is :meth:`offer`'s own comparison negated, so NaN
+        coefficients are treated identically.  *threshold* is ``+inf``
+        without one, and *worst* the kept worst coefficient of a full
+        set, NaN otherwise (then neither filters anything).  The worst
+        kept coefficient of a full set only falls, so the filter, taken
+        once up front and again per row, drops nothing a sequential
+        offer would keep.
+        """
         heap, max_size = self._heap, self.max_size
-        if max_size is not None and len(heap) >= max_size:
-            keep &= ~(coefficients >= -heap[0][0])
-        rows = np.flatnonzero(keep)
-        self.n_offers += len(counts) - len(rows)
+        full = max_size is not None and len(heap) >= max_size
+        return (
+            self.require_nonempty,
+            math.inf if self.threshold is None else self.threshold,
+            -heap[0][0] if full else math.nan,
+        )
+
+    def admits(self, counts: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """Which rows of a block pass :meth:`prefilter`: a bool mask."""
+        nonempty, threshold, worst = self.prefilter()
+        keep = ~(coefficients > threshold) & ~(coefficients >= worst)
+        if nonempty:
+            keep &= counts != 0
+        return keep
+
+    def offer_survivors(self, dims, ranges, counts, coefficients, skipped: int) -> int:
+        """Offer the rows of a block that passed :meth:`prefilter`, in
+        row order; return how many were kept.
+
+        *skipped* is the number of the block's rows the filter dropped:
+        they count as offers, so ``n_offers``, ``n_accepted`` and the
+        kept entries with their arrival tie-breaks are those of
+        :meth:`offer_batch` on the whole block.
+        """
+        self.n_offers += int(skipped)
+        heap, max_size = self._heap, self.max_size
+        dims, ranges, counts = np.asarray(dims), np.asarray(ranges), np.asarray(counts)
         accepted = 0
-        for dims_row, ranges_row, count, coefficient in zip(
-            np.asarray(dims)[rows].tolist(),
-            np.asarray(ranges)[rows].tolist(),
-            counts[rows].tolist(),
-            coefficients[rows].tolist(),
-            strict=True,
+        for row, coefficient in enumerate(
+            np.asarray(coefficients, dtype=np.float64).tolist()
         ):
             if (
                 max_size is not None
@@ -146,8 +177,8 @@ class BestProjectionSet:
                 continue
             accepted += self.offer(
                 ScoredProjection(
-                    Subspace(tuple(dims_row), tuple(ranges_row)),
-                    int(count),
+                    Subspace(tuple(dims[row].tolist()), tuple(ranges[row].tolist())),
+                    int(counts[row]),
                     coefficient,
                 )
             )

@@ -14,20 +14,33 @@ and ranges, one cube per row), and each level is generated from the
 previous one with array arithmetic, never cube by cube.  Levels are
 streamed: children are generated in blocks of consecutive parents
 (about one counting chunk each), so peak memory follows the surviving
-frontier and one block, not the whole ``C(d,k)·φ^k`` leaf level.  Each
-block is counted by the counter's batched AND/popcount kernel
-(:meth:`~repro.grid.counter.CubeCounter.count_cubes`), which, under a
-``process`` :class:`~repro.core.params.CountingBackend` or an mmap
-shard store, runs on the configured backend.  Only the numpy reference
-kernel shares common-prefix ANDs across siblings; the C kernel, which
-serves wherever it builds, ANDs every cube's k masks.  With
+frontier and one block, not the whole ``C(d,k)·φ^k`` leaf level.  With
 ``require_nonempty`` an inner level keeps only its non-empty cubes,
 block by block (counts are monotone under ⊕, so an empty cube's whole
 subtree is pruned).  Leaf blocks are scored as they are made and
-handed to :meth:`~repro.search.best_set.BestProjectionSet.offer_batch`,
-which filters in numpy and builds objects only for the few cubes that
-can enter the best set.  Candidates are generated and offered in
+offered to the best set, which builds objects only for the few cubes
+that can enter it.  Candidates are generated and offered in
 lexicographic order, so results do not depend on the block size.
+
+Where the C library serves the counter in-process over in-memory row
+blocks, a block is one call
+(:meth:`~repro.grid.counter.CubeCounter.count_level`): it ANDs each
+parent's cells once per row block, so a parent's ``φ·(stop − lo)``
+children share that AND, counts each child with one AND and popcount,
+scores Equation 1 and returns only the children that pass the best
+set's up-front filter
+(:meth:`~repro.search.best_set.BestProjectionSet.prefilter`); only
+those become arrays, offered with
+:meth:`~repro.search.best_set.BestProjectionSet.offer_survivors`.
+:func:`_prove_level` proves the call against the path it replaces on
+the first brute-force run.  That path serves everywhere else (the
+numpy tier, a ``process`` :class:`~repro.core.params.CountingBackend`,
+an mmap shard store): :func:`_children` builds the block,
+:meth:`~repro.grid.counter.CubeCounter.count_cubes` counts it on the
+configured backend (its C kernel ANDs every cube's k masks; only the
+numpy reference kernel shares common-prefix ANDs across siblings) and
+:meth:`~repro.search.best_set.BestProjectionSet.offer_batch` filters
+and offers it.
 
 Cost still explodes combinatorially — that is the paper's point (the
 musk dataset's 160 dimensions defeated their brute-force run entirely)
@@ -48,10 +61,24 @@ import numpy as np
 from .._validation import check_positive_int
 from ..engine.context import RunContext
 from ..engine.protocol import SearchEngine
+from ..core.subspace import Subspace
 from ..exceptions import CheckpointError, SearchCancelled, ValidationError
+from ..grid.backends import (
+    BackendConformanceError,
+    pack_codes,
+    proof_layouts,
+    proven_gate,
+)
+from ..grid.cells import MISSING_CELL
 from ..grid.counter import CubeCounter
+from ..grid.kernels import batch_counts
+from ..grid.native import BlockTable, NativeLevel
 from ..run.controller import RunBudget
-from ..sparsity.coefficient import sparsity_coefficients
+from ..sparsity.coefficient import (
+    cube_count_std,
+    expected_count,
+    sparsity_coefficients,
+)
 from .best_set import BestProjectionSet
 from .outcome import SearchOutcome
 
@@ -295,10 +322,15 @@ class BruteForceSearch(SearchEngine):
 
         The frontier is a pair of ``(n, depth)`` ``intp`` arrays, dims
         and ranges, one cube per row.  Each level is streamed:
-        :func:`_child_blocks` generates it in lexicographic order, one
-        block of about ``chunk`` children at a time, and each block
-        goes through :meth:`~repro.grid.counter.CubeCounter.count_cubes`
-        as it is made.
+        :func:`_parent_blocks` splits the frontier into blocks of
+        consecutive parents with about ``chunk`` children each, in
+        lexicographic order.  Where the counter serves it
+        (:meth:`~repro.grid.counter.CubeCounter.serves_level`, once
+        :func:`_level_serves`), a block is one
+        :meth:`~repro.grid.counter.CubeCounter.count_level` call that
+        returns only the children that pass the filter, so only those
+        become arrays; elsewhere :func:`_children` builds the block and
+        :meth:`~repro.grid.counter.CubeCounter.count_cubes` counts it.
         An inner level under ``require_nonempty`` keeps each block's
         non-empty cubes as the next frontier (counts are monotone under
         ⊕, so an empty cube's subtree is pruned); the final level's
@@ -315,6 +347,7 @@ class BruteForceSearch(SearchEngine):
         counter, budget = self.counter, self._budget
         d, k, phi = counter.n_dims, self.dimensionality, counter.n_ranges
         chunk = max(1024, counter.backend.chunk_size)
+        fused = counter.serves_level() and _level_serves()
         for depth in range(start_depth, k + 1):
             # ---- safe boundary: level `depth` not yet generated ----
             yield
@@ -326,8 +359,10 @@ class BruteForceSearch(SearchEngine):
             n_children = int(_fanout(dims, stop, phi)[1].sum())
             try:
                 if depth == k:
-                    for block in _child_blocks(dims, ranges, stop, phi, chunk):
-                        self._score_leaves(*block, best)
+                    for first, last in _parent_blocks(dims, stop, phi, chunk):
+                        self._score_block(
+                            dims[first:last], ranges[first:last], stop, best, fused
+                        )
                         if budget.reason is not None:
                             self._checkpoint(
                                 context, depth, build_state, budget.reason
@@ -345,17 +380,17 @@ class BruteForceSearch(SearchEngine):
                 if self.require_nonempty:
                     kept_dims = [np.empty((0, depth), np.intp)]
                     kept_ranges = [np.empty((0, depth), np.intp)]
-                    for block_dims, block_ranges in _child_blocks(
-                        dims, ranges, stop, phi, chunk
-                    ):
+                    for first, last in _parent_blocks(dims, stop, phi, chunk):
                         if budget.check(boundary=False) is not None:
                             self._checkpoint(
                                 context, depth, build_state, budget.reason
                             )
                             return
-                        nonempty = counter.count_cubes(block_dims, block_ranges) > 0
-                        kept_dims.append(block_dims[nonempty])
-                        kept_ranges.append(block_ranges[nonempty])
+                        kept = self._nonempty_children(
+                            dims[first:last], ranges[first:last], stop, fused
+                        )
+                        kept_dims.append(kept[0])
+                        kept_ranges.append(kept[1])
                     dims = np.concatenate(kept_dims)
                     ranges = np.concatenate(kept_ranges)
                 else:
@@ -376,6 +411,66 @@ class BruteForceSearch(SearchEngine):
                 evaluations=budget.evaluations,
                 best_set_size=len(best),
             )
+
+    def _nonempty_children(
+        self, dims: np.ndarray, ranges: np.ndarray, stop: int, fused: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The non-empty children of one block of inner-level parents."""
+        counter, phi = self.counter, self.counter.n_ranges
+        out = fused and counter.count_level(
+            dims, ranges, stop, mean=0.0, sd=1.0, nonempty=True,
+            threshold=math.inf, worst=math.nan,
+        )
+        if out:
+            return _children(dims, ranges, stop, phi, out[0])
+        child_dims, child_ranges = _children(dims, ranges, stop, phi)
+        nonempty = counter.count_cubes(child_dims, child_ranges) > 0
+        return child_dims[nonempty], child_ranges[nonempty]
+
+    def _score_block(
+        self,
+        dims: np.ndarray,
+        ranges: np.ndarray,
+        stop: int,
+        best: BestProjectionSet,
+        fused: bool,
+    ) -> None:
+        """Score the children of one block of final-level parents,
+        offering in generation order.
+
+        The block that reaches ``max_evaluations`` is cut to the budget
+        left, even inside a parent, so the cap is never overshot, and
+        the cut latches the cap.  Where the counter serves
+        :meth:`~repro.grid.counter.CubeCounter.count_level`, the C call
+        counts, scores and filters the block and only its survivors are
+        offered (:meth:`~repro.search.best_set.BestProjectionSet.offer_survivors`);
+        a call that fails leaves the block to :meth:`_score_leaves`.
+        """
+        counter, budget = self.counter, self._budget
+        if fused:
+            if budget.check(boundary=False) is not None:
+                return
+            n, phi, k = counter.n_points, counter.n_ranges, self.dimensionality
+            nonempty, threshold, worst = best.prefilter()
+            limit = None
+            if budget.max_evaluations is not None:
+                limit = budget.max_evaluations - budget.evaluations
+            out = counter.count_level(
+                dims, ranges, stop, mean=expected_count(n, phi, k),
+                sd=cube_count_std(n, phi, k), nonempty=nonempty,
+                threshold=threshold, worst=worst, limit=limit,
+            )
+            if out is not None:
+                index, counts, coefficients, evaluated = out
+                budget.evaluations += evaluated
+                best.offer_survivors(
+                    *_children(dims, ranges, stop, phi, index), counts,
+                    coefficients, evaluated - len(index),
+                )
+                if limit is not None and evaluated < _fanout(dims, stop, phi)[1].sum():
+                    budget.check(boundary=False)
+                return
+        self._score_leaves(*_children(dims, ranges, stop, counter.n_ranges), best)
 
     def _score_leaves(
         self, dims: np.ndarray, ranges: np.ndarray, best: BestProjectionSet
@@ -413,22 +508,33 @@ def _fanout(
 
 
 def _children(
-    dims: np.ndarray, ranges: np.ndarray, stop: int, n_ranges: int
+    dims: np.ndarray,
+    ranges: np.ndarray,
+    stop: int,
+    n_ranges: int,
+    index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``R_i ⊕ Q_1`` for a whole frontier, in lexicographic order.
 
     Parent row *p* (largest dimension ``l``) is extended by every
     ``(dim, rng)`` with ``l < dim < stop`` and ``0 <= rng < φ``,
     parent-major, then dimension, then range — exactly the nested-loop
-    order ``for parent: for dim: for rng``.  The new column comes from
-    ``np.repeat`` over parents and each child's offset within its
-    parent's block: ``dim = lo + offset // φ``, ``rng = offset % φ``.
+    order ``for parent: for dim: for rng``.  With *index* (ascending
+    positions in that order) only those children are built.  Child
+    *i* belongs to the parent whose run of children holds it, and the
+    new column comes from its offset within that run: ``dim = lo +
+    offset // φ``, ``rng = offset % φ``.
     """
-    n_parents, depth = dims.shape
+    depth = dims.shape[1]
+    if index is not None and not len(index):
+        empty = np.empty((0, depth + 1), dtype=np.intp)
+        return empty, empty
     lo, per_parent = _fanout(dims, stop, n_ranges)
-    parent = np.repeat(np.arange(n_parents), per_parent)
-    starts = np.cumsum(per_parent) - per_parent
-    offset = np.arange(len(parent)) - starts[parent]
+    ends = np.cumsum(per_parent)
+    if index is None:
+        index = np.arange(ends[-1] if len(ends) else 0)
+    parent = np.searchsorted(ends, index, side="right")
+    offset = index - (ends - per_parent)[parent]
     child_dims = np.empty((len(parent), depth + 1), dtype=np.intp)
     child_ranges = np.empty_like(child_dims)
     child_dims[:, :depth] = dims[parent]
@@ -438,23 +544,35 @@ def _children(
     return child_dims, child_ranges
 
 
-def _child_blocks(
-    dims: np.ndarray, ranges: np.ndarray, stop: int, n_ranges: int, chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_children` of a frontier, in blocks of consecutive parents.
+def _parent_blocks(
+    dims: np.ndarray, stop: int, n_ranges: int, chunk: int
+) -> Iterator[tuple[int, int]]:
+    """``(first, last)`` parent rows of each streamed block of a level.
 
-    Concatenated, the blocks are exactly ``_children(dims, ranges, stop,
-    n_ranges)``.  A block takes parents until it holds at least *chunk*
+    A block takes consecutive parents until it holds at least *chunk*
     children, so no block exceeds *chunk* plus one parent's ``d·φ``;
-    an empty frontier yields nothing.
+    parents without children add nothing, and a frontier without
+    children yields nothing.
     """
     ends = np.cumsum(_fanout(dims, stop, n_ranges)[1])
     total = int(ends[-1]) if len(ends) else 0
     first = done = 0
     while done < total:
         last = min(int(np.searchsorted(ends, done + chunk)) + 1, len(ends))
-        yield _children(dims[first:last], ranges[first:last], stop, n_ranges)
+        yield first, last
         first, done = last, int(ends[last - 1])
+
+
+def _child_blocks(
+    dims: np.ndarray, ranges: np.ndarray, stop: int, n_ranges: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_children` of each of a frontier's :func:`_parent_blocks`.
+
+    Concatenated, the blocks are exactly ``_children(dims, ranges, stop,
+    n_ranges)``.
+    """
+    for first, last in _parent_blocks(dims, stop, n_ranges, chunk):
+        yield _children(dims[first:last], ranges[first:last], stop, n_ranges)
 
 
 def _level_arrays(level, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -488,3 +606,93 @@ _STATE_KEYS = ("depth", "level", "best_set", "evaluations", "elapsed_seconds")
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+#: (φ, grid rows, d, k, require_nonempty, threshold mode, full set,
+#: limit) of each proof case: the threshold, the full set's worst entry
+#: and the limit are drawn from the case's own children (the limit
+#: inside a parent's run), so each filter and cut has a child on its
+#: boundary; the k = 2 case filters nothing, so every child counted
+#: comes back.
+_PROOF_CASES = (
+    (2, 150, 6, 1, True, False, False, False),
+    (3, 131, 7, 2, False, False, False, True),
+    (2, 150, 6, 3, False, True, False, False),
+    (3, 131, 7, 4, True, False, True, True),
+    (3, 131, 7, 5, True, True, True, False),
+)
+
+
+def _prove_level() -> None:
+    """Prove :class:`~repro.grid.native.NativeLevel` identical to the
+    brute force's reference path on a fixture.
+
+    Each case of :data:`_PROOF_CASES` grids codes with missing values,
+    builds the search's own frontier one level short of k (empty parents
+    included) and takes as the reference :func:`_children`, the numpy
+    reference kernel's counts, :func:`sparsity_coefficients` and the
+    best set's up-front filter
+    (:meth:`~repro.search.best_set.BestProjectionSet.admits`).  The C
+    call runs over the whole stack, over 64-row blocks and over those
+    blocks as the filled prefix of buffers whose spare word is all
+    ones; the survivors' positions, counts and coefficients and the
+    children counted must be equal.  Raises
+    :class:`~repro.grid.backends.BackendConformanceError` on the first
+    divergence.
+    """
+    draw = np.random.default_rng(141421)
+    for phi, n_rows, n_dims, k, nonempty, threshold, full, cut in _PROOF_CASES:
+        codes = draw.integers(0, phi, size=(n_rows, n_dims)).astype(np.int16)
+        codes[draw.random(codes.shape) < 0.1] = MISSING_CELL
+        stack = pack_codes(codes, phi).view(np.uint64)
+        dims = ranges = np.empty((1, 0), np.intp)
+        for depth in range(1, k):
+            dims, ranges = _children(dims, ranges, n_dims - (k - depth), phi)
+        child_dims, child_ranges = _children(dims, ranges, n_dims, phi)
+        counts = batch_counts(stack, child_dims, child_ranges)[0]
+        coefficients = sparsity_coefficients(counts, n_rows, phi, k)
+        ordered = np.sort(coefficients)
+        best = BestProjectionSet(
+            1 if full else None if threshold else 20, require_nonempty=nonempty,
+            threshold=float(ordered[len(ordered) // 3]) if threshold else None,
+        )
+        if full:
+            best.offer_cube(
+                Subspace((0,), (0,)), 1, float(ordered[len(ordered) // 2])
+            )
+        limit = None
+        if cut:
+            ends = np.cumsum(_fanout(dims, n_dims, phi)[1])
+            limit = int(ends[len(ends) // 2]) + 1
+        evaluated = len(counts) if limit is None else limit
+        rows = np.flatnonzero(
+            best.admits(counts[:evaluated], coefficients[:evaluated])
+        )
+        want = (rows, counts[rows], coefficients[rows])
+        nonempty, bound, worst = best.prefilter()
+        for layout in proof_layouts(stack):
+            call = NativeLevel(
+                BlockTable(layout), dims, ranges, n_dims,
+                mean=expected_count(n_rows, phi, k),
+                sd=cube_count_std(n_rows, phi, k), nonempty=nonempty,
+                threshold=bound, worst=worst, limit=limit,
+            )
+            got = call()
+            if not (
+                call.evaluated == evaluated
+                and all(map(np.array_equal, got, want))
+            ):
+                raise BackendConformanceError(
+                    "the C brute-force level failed its differential "
+                    f"self-check (phi={phi}, k={k}, {len(layout)} row blocks, "
+                    f"limit={limit}): its survivors, counts or coefficients "
+                    "diverge from the reference path's"
+                )
+
+
+#: Whether the one-call level block may serve in this process: once the
+#: C library serves and :func:`_prove_level` has passed (a failed proof
+#: is logged once and keeps the reference path).
+_level_serves = proven_gate(
+    _prove_level, "the brute force counts its levels through count_cubes"
+)

@@ -26,7 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...grid.backends import BackendConformanceError, pack_codes, proven_gate
+from ...grid.backends import (
+    BackendConformanceError,
+    pack_codes,
+    proof_layouts,
+    proven_gate,
+)
 from ...grid.cells import MISSING_CELL, CellAssignment
 from ...grid.counter import CubeCounter
 from ...grid.native import MUTATE_LIMIT, NativeGeneration
@@ -120,13 +125,16 @@ def fused_generation(
 
 
 #: (bit generator, φ, grid rows, d, k, p, elitism, crossover rate,
-#: selection) of each proof case; ``None`` is the rank roulette drawn in
-#: C, any other operator hands its rows in.
+#: selection, spread) of each proof case; ``None`` is the rank roulette
+#: drawn in C, any other operator hands its rows in.  The strings fix
+#: their genes among the first *spread* dimensions: k + 1 makes genes
+#: coincide, d gives greedy steps with more than four candidates.
 _PROOF_CASES = (
-    (np.random.PCG64, 2, 150, 6, 2, 16, 0, 1.0, None),
-    (np.random.MT19937, 3, 131, 7, 3, 15, 2, 0.6, TournamentSelection(3)),
-    (np.random.Philox, 3, 131, 7, 5, 14, 2, 1.0, None),
-    (np.random.SFC64, 2, 150, 6, 1, 13, 0, 0.6, UniformSelection()),
+    (np.random.PCG64, 2, 150, 6, 2, 16, 0, 1.0, None, 3),
+    (np.random.MT19937, 3, 131, 7, 3, 15, 2, 0.6, TournamentSelection(3), 4),
+    (np.random.Philox, 3, 131, 7, 5, 14, 2, 1.0, None, 6),
+    (np.random.SFC64, 2, 150, 6, 1, 13, 0, 0.6, UniformSelection(), 2),
+    (np.random.PCG64, 3, 131, 12, 4, 14, 0, 1.0, None, 12),
 )
 
 
@@ -135,9 +143,9 @@ def _prove_generation() -> None:
     identical to the operators on a fixture.
 
     Each case of :data:`_PROOF_CASES` grids codes with missing values,
-    seeds a population whose strings fix k genes among the first k + 1
-    dimensions with values 0 and 1 (so genes coincide and pairs have
-    both free and forced Type II genes), plus a string fixing k + 1
+    seeds a population whose strings fix k genes among the first
+    *spread* dimensions with values 0 and 1 (so genes coincide and pairs
+    have both free and forced Type II genes), plus a string fixing k + 1
     genes and one fixing none, and fitnesses with ties and ``+inf``,
     then runs three generations.  Each generation runs
     :func:`breed` (with the staged crossover and the mutation's Python
@@ -152,18 +160,19 @@ def _prove_generation() -> None:
     """
     draw = np.random.default_rng(577215)
     crossover = OptimizedCrossover()
-    for bit_rng, phi, n_rows, n_dims, k, p, elitism, rate, chooser in _PROOF_CASES:
+    for case in _PROOF_CASES:
+        bit_rng, phi, n_rows, n_dims, k, p, elitism, rate, chooser, spread = case
         codes = draw.integers(0, phi, size=(n_rows, n_dims)).astype(np.int16)
         codes[draw.random(codes.shape) < 0.1] = MISSING_CELL
         counter = CubeCounter(CellAssignment(codes, phi))
         evaluator = FitnessEvaluator(counter, k)
-        layouts = _proof_layouts(pack_codes(codes, phi).view(np.uint64))
+        layouts = proof_layouts(pack_codes(codes, phi).view(np.uint64))
         mean, std = _null_moments(n_rows, phi, n_dims)
         mutation = BalancedMutation(0.5, 0.5, phi)
         selection = chooser or RankRouletteSelection()
         genes = np.full((p, n_dims), WILDCARD_GENE)
         for row in genes[2:]:
-            dims = draw.choice(k + 1, size=k, replace=False)
+            dims = draw.choice(spread, size=k, replace=False)
             row[dims] = draw.integers(0, 2, size=k)
         genes[0, : k + 1] = 1
         fitnesses = np.round(draw.normal(size=p), 1)
@@ -210,18 +219,6 @@ def _prove_generation() -> None:
                         "diverge from the operators'"
                     )
             genes, fitnesses = want, want_fitnesses
-
-
-def _proof_layouts(stack: np.ndarray) -> tuple[list, ...]:
-    """*stack* whole, as 64-row (one-word) blocks, and as those blocks
-    in buffers with an all-ones spare word after each."""
-    blocks = [stack[:, :, lo : lo + 1] for lo in range(stack.shape[2])]
-    spare = []
-    for block in blocks:
-        wide = np.full(block.shape[:2] + (2,), ~np.uint64(0))
-        wide[:, :, :1] = block
-        spare.append(wide[:, :, :1])
-    return [stack], blocks, spare
 
 
 def _figures(counter: CubeCounter, evaluator: FitnessEvaluator) -> list[int]:

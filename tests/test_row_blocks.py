@@ -33,6 +33,9 @@ from repro.grid.kernels import batch_counts, pack_codes_block, range_codes_block
 from repro.grid.native import native_batch_counts, native_pack_codes_into
 from repro.model import GridModel
 from repro.persist import load_model, save_model
+from repro.search.brute_force import BruteForceSearch
+from repro.search.evolutionary.config import EvolutionaryConfig
+from repro.search.evolutionary.engine import EvolutionarySearch
 
 #: Append sizes the sequences draw from: empty, one row, both sides of
 #: a 64-row word and a run longer than the smallest block.
@@ -173,6 +176,45 @@ class TestAppendCostsItsRows:
                 buffers.append(counter._tail)
         assert counter.n_points == 9970
         assert len(buffers) <= 5
+
+
+class TestBlockTableFollowsTheBlocks:
+    """The C routines read the row blocks through one
+    :class:`~repro.grid.native.BlockTable` per state of the blocks: bound
+    on first use, dropped by every append."""
+
+    def test_an_append_rebinds_the_table(self, monkeypatch):
+        if "c" not in native_tiers():
+            pytest.skip("the C kernel does not build on this machine")
+        rng = np.random.default_rng(13)
+        built, appended = random_codes(rng, 100), random_codes(rng, 90)
+        counter = blocked_counter(monkeypatch, 128, built)
+        table = counter._resident_table()
+        assert counter._resident_table() is table
+        tail = counter._tail
+        counter.append_rows(appended)  # fills the block, opens another
+        assert counter._tail is not tail and len(counter._blocks) == 2
+        table = counter._resident_table()
+        assert table.rows[:, 0].tolist() == [
+            block.ctypes.data for block in counter._blocks
+        ]
+        assert table.rows[:, 2].tolist() == [2, 1]
+        codes = np.concatenate([built, appended])
+        fresh = CubeCounter(CellAssignment(codes, PHI))
+        assert counter.serves_level() and counter.serves_generation(2)
+        for search in (
+            lambda c: BruteForceSearch(c, 2, 5, require_nonempty=False),
+            lambda c: EvolutionarySearch(
+                c, 2, 5, config=EvolutionaryConfig(population_size=10,
+                                                   max_generations=5),
+                random_state=3,
+            ),
+        ):
+            got, want = search(counter).run(), search(fresh).run()
+            assert [(p.subspace, p.count) for p in got.projections] == [
+                (p.subspace, p.count) for p in want.projections
+            ]
+        assert counter.resilience.ladder == {}
 
 
 class TestKernelsReadRowBlocksInPlace:

@@ -280,7 +280,9 @@ class TestOutcome:
 
 
 class TestOneCountingPath:
-    """Every brute-force run streams its levels through ``count_cubes``."""
+    """Every brute-force run streams its levels block by block through
+    ``count_cubes``, or, where the C library serves the counter
+    in-process, through ``count_level``, which books the same figures."""
 
     def test_streamed_leaf_level_bounds_traced_memory(self):
         import tracemalloc
