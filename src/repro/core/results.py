@@ -250,9 +250,10 @@ class DetectionResult:
     def stopped_reason(self) -> str:
         """Why the underlying search returned (see ``SearchOutcome``).
 
-        One of ``converged | generation_cap | deadline | evaluation_cap
-        | cancelled``; results from older payloads without the field
-        report ``"converged"``.
+        One of ``converged | optimal | generation_cap | deadline |
+        evaluation_cap | cancelled`` (``optimal``: the search stopped
+        once its best set was certified final); results from older
+        payloads without the field report ``"converged"``.
         """
         return str(self.stats.get("stopped_reason", "converged"))
 

@@ -16,6 +16,12 @@ wave) and exits cleanly.
     Natural termination: De Jong convergence (GA, including the
     stall-generations early stop) or exhaustive enumeration completing
     (brute force).
+``optimal``
+    The best set is certified final
+    (:meth:`~repro.search.best_set.BestProjectionSet.certified`): it is
+    full and every kept cube holds the floor count, so no cube left to
+    visit can enter it.  The brute force and the GA stop there with
+    ``completed=True`` and the set they would have returned anyway.
 ``generation_cap``
     The GA hit ``max_generations`` without converging.
 ``deadline``
@@ -46,6 +52,7 @@ __all__ = [
 #: The vocabulary of ``SearchOutcome.stopped_reason``.
 STOP_REASONS = (
     "converged",
+    "optimal",
     "generation_cap",
     "deadline",
     "evaluation_cap",

@@ -202,6 +202,23 @@ class BestProjectionSet:
             return True
         return coefficient < -self._heap[0][0]
 
+    def certified(self) -> bool:
+        """Whether no later offer can change the set: the floor certificate.
+
+        For fixed (N, φ, k) Equation 1 strictly increases with the count,
+        so no cube scores below the floor count's coefficient (count 1
+        under ``require_nonempty``, else 0).  A full set whose every
+        entry holds the floor count rejects every later cube (:meth:`offer`
+        keeps a tie's first arrival), so its entries, their order and
+        their coefficients are final.  Counts are compared, not
+        coefficients: the same test without a float compare.  Threshold
+        mode (``max_size=None``) never certifies.
+        """
+        if self.max_size is None or len(self._heap) < self.max_size:
+            return False
+        floor = 1 if self.require_nonempty else 0
+        return all(entry.count == floor for _, _, entry in self._heap)
+
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
         """JSON-compatible snapshot for checkpointing.

@@ -20,7 +20,11 @@ block by block (counts are monotone under ⊕, so an empty cube's whole
 subtree is pruned).  Leaf blocks are scored as they are made and
 offered to the best set, which builds objects only for the few cubes
 that can enter it.  Candidates are generated and offered in
-lexicographic order, so results do not depend on the block size.
+lexicographic order, so results do not depend on the block size.  The
+final level stops before its next block once the best set is full at
+the floor count
+(:meth:`~repro.search.best_set.BestProjectionSet.certified`): no cube
+left can enter it, and the run reports ``stopped_reason="optimal"``.
 
 Where the C library serves the counter in-process over in-memory row
 blocks, a block is one call
@@ -195,7 +199,7 @@ class BruteForceSearch(SearchEngine):
             search_space_size(d, k, self.counter.n_ranges), d, k,
             self.counter.n_ranges,
         )
-        self._run = {"best": best}
+        self._run = {"best": best, "stopped_reason": "converged"}
         context.emit(
             "run_started",
             algorithm="brute_force",
@@ -210,8 +214,8 @@ class BruteForceSearch(SearchEngine):
             yield from self._run_levels(context, best, start_depth, *level)
 
     def _build_outcome(self, context: RunContext) -> SearchOutcome:
-        best = self._require_run_state()["best"]
-        budget = self._budget
+        run = self._require_run_state()
+        best, budget = run["best"], self._budget
         d, k = self.counter.n_dims, self.dimensionality
         elapsed = budget.elapsed_seconds()
         if budget.reason is not None:
@@ -229,7 +233,7 @@ class BruteForceSearch(SearchEngine):
                 "algorithm": "brute_force",
                 "strategy": "level_batch",
             },
-            stopped_reason=budget.reason or "converged",
+            stopped_reason=budget.reason or run["stopped_reason"],
         )
 
     def _restored_frontier(
@@ -335,6 +339,11 @@ class BruteForceSearch(SearchEngine):
         non-empty cubes as the next frontier (counts are monotone under
         ⊕, so an empty cube's subtree is pruned); the final level's
         blocks are scored and offered one by one and never held whole.
+        Before each final-level block the best set's floor certificate
+        is checked
+        (:meth:`~repro.search.best_set.BestProjectionSet.certified`):
+        once it holds no cube left can enter the set, so the level ends
+        there and the run stops ``optimal``.
 
         A generator yielding at the top of the depth loop — the **safe
         boundary**: the frontier is explicit, the best set has absorbed
@@ -360,6 +369,9 @@ class BruteForceSearch(SearchEngine):
             try:
                 if depth == k:
                     for first, last in _parent_blocks(dims, stop, phi, chunk):
+                        if best.certified():
+                            self._run["stopped_reason"] = "optimal"
+                            break
                         self._score_block(
                             dims[first:last], ranges[first:last], stop, best, fused
                         )

@@ -5,8 +5,11 @@ selection → crossover → mutation, folding every feasible solution ever
 evaluated into the running ``BestSet`` of the ``m`` most negative
 sparsity coefficients.  Each generation runs in one C call where the
 counter serves it (:mod:`repro.search.evolutionary.generation`), else
-through the operators, with the same result and random stream.  Terminate on De Jong convergence (or the
-generation / wall-clock / stall caps from the config) and report the
+through the operators, with the same result and random stream.
+Terminate on De Jong convergence, once the best set is certified final
+(full at the floor count, see
+:meth:`~repro.search.best_set.BestProjectionSet.certified`), or on the
+generation / wall-clock / stall caps from the config, and report the
 best set; §2.3's postprocessing to data points happens in the detector
 facade.
 """
@@ -230,6 +233,8 @@ class EvolutionarySearch(SearchEngine):
                         "evolutionary search cancelled; returning best-so-far"
                     )
                     break
+                if stopped_reason == "optimal":
+                    break
 
     def _build_outcome(self, context: RunContext) -> SearchOutcome:
         run = self._require_run_state()
@@ -273,7 +278,11 @@ class EvolutionarySearch(SearchEngine):
         population of generation *g* is fully evaluated and no RNG draws
         have happened since.  Checkpoints are written there (indexed by
         the run-wide generation count), the budget is checked there,
-        and a cancellation that strikes *inside* the evolve step
+        then the best set's floor certificate
+        (:meth:`~repro.search.best_set.BestProjectionSet.certified`:
+        once it holds, no later string can enter the set, so the run
+        stops ``optimal`` and skips any restarts left), and a
+        cancellation that strikes *inside* the evolve step
         (mid-batch-count) discards the partial generation wholesale —
         the best set is only updated after the batch count returns, so
         the boundary state stays exact.  A generation is one C call
@@ -327,6 +336,9 @@ class EvolutionarySearch(SearchEngine):
             stopped = self._at_boundary(context, boundary, build_state)
             if stopped is not None:
                 reason = stopped
+                break
+            if best.certified():
+                reason = "optimal"
                 break
             if convergence.has_converged(population):
                 reason = "converged"

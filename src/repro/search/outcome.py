@@ -67,10 +67,13 @@ class SearchOutcome:
     stopped_reason:
         *Why* the search returned — one of
         :data:`~repro.run.cancel.STOP_REASONS`
-        (``converged | generation_cap | deadline | evaluation_cap |
-        cancelled``).  ``converged`` covers every natural terminus: De
-        Jong convergence and the stall-generations early stop for the
-        GA, exhaustive enumeration for brute force.
+        (``converged | optimal | generation_cap | deadline |
+        evaluation_cap | cancelled``).  ``converged`` covers every
+        natural terminus: De Jong convergence and the stall-generations
+        early stop for the GA, exhaustive enumeration for brute force.
+        ``optimal`` is a complete run that stopped once its best set was
+        certified final
+        (:meth:`~repro.search.best_set.BestProjectionSet.certified`).
     """
 
     projections: tuple[ScoredProjection, ...]

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from .._validation import check_in_range, check_non_negative_int, check_positive_int
 from ..exceptions import ValidationError
 
@@ -55,6 +53,10 @@ def binomial_tail_probability(
     dimensionality = check_positive_int(dimensionality, "dimensionality")
     if count > n_points:
         raise ValidationError(f"count ({count}) cannot exceed n_points ({n_points})")
+    # scipy.stats loads hundreds of modules; import it only when needed so
+    # that `import repro` stays cheap.
+    from scipy import stats
+
     p = (1.0 / n_ranges) ** dimensionality
     return float(stats.binom.cdf(count, n_points, p))
 

@@ -12,6 +12,7 @@ from repro.grid import backends, native
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
 from repro.grid.discretizer import EquiDepthDiscretizer
+from repro.search.best_set import BestProjectionSet
 
 #: What serves a counter's counts: the compiled C kernel, or — when the
 #: C build failed — the numpy reference.
@@ -27,6 +28,19 @@ BACKEND_KINDS = ("native", "process", "process-native", "serial")
 def rng():
     """A deterministic generator for test data."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """The best set's floor certificate turned off for one test.
+
+    A search then runs to its own terminus (convergence, caps, a whole
+    level) even where its set reaches the floor early.  Only for tests
+    of mid-run mechanics — a kill and resume, a library failing after
+    the first generation, one call per block — whose data would certify
+    before those mechanics show.
+    """
+    monkeypatch.setattr(BestProjectionSet, "certified", lambda self: False)
 
 
 @pytest.fixture

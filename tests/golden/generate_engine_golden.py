@@ -9,6 +9,12 @@ pre-refactor search path (PR 3); ``tests/test_engine_differential.py``
 asserts that the engine-protocol path reproduces them bit-identically.
 Volatile stats (wall-clock timings, counter throughput, backend health)
 are stripped — everything that is deterministic for a fixed seed is kept.
+
+The GA's best set reaches the floor certificate
+(:meth:`~repro.search.best_set.BestProjectionSet.certified`) at
+generation 0 on this data.  ``evolutionary_checkpointed`` is the
+uninterrupted twin of the kill-and-resume tests, whose kills must land
+before the run ends, so it runs with the certificate off, as they do.
 """
 
 from __future__ import annotations
@@ -52,9 +58,12 @@ def make_data(seed: int = 0, n: int = 160, d: int = 8) -> np.ndarray:
 
 
 def scenarios():
+    import pytest
+
     from repro.core.detector import SubspaceOutlierDetector
     from repro.core.multik import detect_across_dimensionalities
     from repro.persist import result_to_dict
+    from repro.search.best_set import BestProjectionSet
     from repro.search.evolutionary.config import EvolutionaryConfig
 
     data = make_data()
@@ -85,7 +94,9 @@ def scenarios():
             method="evolutionary", config=config, random_state=7,
             controller=RunController(checkpoint_dir=tmp_dir / "evo_ckpt"),
         )
-        return scrub_result(result_to_dict(detector.detect(data)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BestProjectionSet, "certified", lambda self: False)
+            return scrub_result(result_to_dict(detector.detect(data)))
 
     def multik():
         outcome = detect_across_dimensionalities(

@@ -255,7 +255,9 @@ class TestLadder:
         context = RunContext() if sink is None else RunContext(sink=sink)
         return search.run(context=context), counter
 
-    def test_failure_mid_run_falls_back_bit_identically(self, small_cells):
+    def test_failure_mid_run_falls_back_bit_identically(
+        self, uncertified, small_cells
+    ):
         if "c" not in native_tiers():
             pytest.skip("the C kernel does not build on this machine")
         clean, clean_counter = self.run(small_cells)

@@ -286,7 +286,7 @@ class TestEngine:
         assert fused_figures == ops_figures
         assert _same_state(fused_rng.bit_generator.state, ops_rng.bit_generator.state)
 
-    def test_a_library_broken_after_generation_one(self, cells):
+    def test_a_library_broken_after_generation_one(self, uncertified, cells):
         needs_c()
         clean_counter = CubeCounter(cells)
         clean_rng = np.random.default_rng(6)

@@ -344,7 +344,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("cancel_after", [1, 3])
     def test_cancel_mid_level_resumes_bit_identically(
-        self, cells, tmp_path, cancel_after
+        self, uncertified, cells, tmp_path, cancel_after
     ):
         needs_c()
         counter = CubeCounter(cells)
@@ -419,7 +419,7 @@ class TestSearch:
         assert outcome_key(on[0]) == outcome_key(off[0])
         assert on[2] == off[2]
 
-    def test_leaf_level_is_one_call_per_block(self, cells):
+    def test_leaf_level_is_one_call_per_block(self, uncertified, cells):
         """A spy on the loaded library: the leaf level's blocks are
         repro_level calls, one each, and no repro_count_batch call."""
         needs_c()

@@ -284,7 +284,7 @@ class TestOneCountingPath:
     ``count_cubes``, or, where the C library serves the counter
     in-process, through ``count_level``, which books the same figures."""
 
-    def test_streamed_leaf_level_bounds_traced_memory(self):
+    def test_streamed_leaf_level_bounds_traced_memory(self, uncertified):
         import tracemalloc
 
         from repro.grid.discretizer import EquiDepthDiscretizer

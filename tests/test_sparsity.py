@@ -1,6 +1,11 @@
 """Tests for the sparsity coefficient (Eq. 1) and significance machinery."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +145,29 @@ class TestSignificance:
         exact = binomial_tail_probability(count, n_points, phi, k)
         approx = normal_tail_probability(coeff)
         assert exact == pytest.approx(approx, rel=0.2)
+
+    def test_binomial_tail_at_the_paper_example(self):
+        # N=50k, φ=10, k=4: N·f^k = 5, so one point has P(X <= 1) = 6e^-5.
+        assert binomial_tail_probability(1, 50_000, 10, 4) == pytest.approx(
+            0.0404, abs=5e-5
+        )
+
+    def test_import_repro_loads_no_scipy(self):
+        """scipy is imported by the one function that uses it, on call."""
+        script = (
+            "import json, sys, repro\n"
+            "print(json.dumps([m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy']))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == []
 
     def test_binomial_validates(self):
         with pytest.raises(ValidationError):
